@@ -2,9 +2,8 @@
 // campaign.Campaign.Run — the entry point behind cmd/campaign and
 // cmd/experiments — on one pinned workload and checks its outputs.
 //
-// With -trace 0 it repeats passes over the workload's campaigns for
-// -seconds seconds and prints the end-to-end metrics, each a median. With
-// -trace 1 it runs the first campaign untraced as the reference, then
+// With -trace 0 it runs the workload's campaigns once and prints the
+// end-to-end metrics. With -trace 1 it runs the first campaign untraced as the reference, then
 // replays the same plan call by call — Matrix.Expand, the topology
 // product, the precompute store, NewScratch, then Build and Run for every
 // trial on the campaign's worker count — timing each call from outside,
@@ -16,7 +15,7 @@
 // workloads and which end-to-end metric each layer metric should move.
 // Run it from the repository root:
 //
-//	bash perfbench/run.sh --workload cd17_geo --seed 1 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload cd17_geo --seed 1 --seconds 30 --trace 0
 package main
 
 import (
@@ -28,6 +27,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"time"
 )
 
 // metric is one named figure of the result line.
@@ -62,8 +62,6 @@ type environment struct {
 	// Campaign.EngineShards = 0 resolved to.
 	Workers int `json:"workers"`
 	Shards  int `json:"shards"`
-	// Passes is the number of passes over the workload's campaigns.
-	Passes int `json:"passes"`
 	// SinkSHA256 holds the hash of each campaign's JSONL sink output.
 	SinkSHA256 []string `json:"sink_sha256"`
 }
@@ -71,9 +69,8 @@ type environment struct {
 func main() {
 	name := flag.String("workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 	seed := flag.Uint64("seed", 1, "master seed; the same seed gives the same inputs")
-	seconds := flag.Float64("seconds", 25, "how long the untraced run repeats passes over the campaigns")
+	seconds := flag.Float64("seconds", 30, "the time one run may take; the work is fixed, and a run that takes longer says so on standard error")
 	trace := flag.Int("trace", 0, "0 prints the end-to-end metrics, 1 the per-layer metrics of a traced replay")
-	traceDir := flag.String("trace-dir", filepath.Join(".bench_build", "trace"), "directory for the traced run's spans and its temporary precompute cache")
 	flag.Parse()
 	w, ok := findWorkload(*name)
 	if !ok || *trace < 0 || *trace > 1 || *seconds <= 0 {
@@ -92,14 +89,18 @@ func main() {
 	}
 	var rep report
 	var err error
+	start := time.Now()
 	if env.Traced {
-		rep, err = traced(w, *seed, *traceDir, &env)
+		rep, err = traced(w, *seed, filepath.Join(".bench_build", "trace"), &env)
 	} else {
-		rep, err = untraced(w, *seed, *seconds, &env)
+		rep, err = untraced(w, *seed, &env)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
+	}
+	if el := time.Since(start).Seconds(); el > *seconds {
+		fmt.Fprintf(os.Stderr, "perfbench: the run took %.1f s, more than -seconds %g\n", el, *seconds)
 	}
 	envLine, err := json.Marshal(env)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -69,6 +70,16 @@ func units(m metricSet) map[string]string {
 	return out
 }
 
+// shape is how a workload's why in BENCHMARK.json must begin: what the
+// program runs, in the program's own numbers.
+func shape(w workload) string {
+	plural := "s"
+	if w.Trials == 1 {
+		plural = ""
+	}
+	return fmt.Sprintf("%s on %s, %d campaigns of %d trial%s", w.Algo, w.Topology, w.Campaigns, w.Trials, plural)
+}
+
 func TestNamesMatchContract(t *testing.T) {
 	bf := loadBenchmarkFile(t)
 	names := workloadNames()
@@ -96,13 +107,16 @@ func TestBenchmarkFileMatchesProgram(t *testing.T) {
 		if w.Why == "" || len(w.Why) > 200 || strings.ContainsAny(w.Why, "\r\n") {
 			t.Errorf("workload %s: why must be one line of 1 to 200 characters", w.Name)
 		}
+		if pw, ok := findWorkload(w.Name); ok && !strings.HasPrefix(w.Why, shape(pw)) {
+			t.Errorf("workload %s: why %q does not start with %q", w.Name, w.Why, shape(pw))
+		}
 	}
 	if !slices.Equal(names, workloadNames()) {
 		t.Errorf("BENCHMARK.json workloads %v, program runs %v", names, workloadNames())
 	}
 
 	var env environment
-	e2e, err := untraced(tinyBroadcast, 1, 1e-3, &env)
+	e2e, err := untraced(tinyBroadcast, 1, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +155,11 @@ func TestTinyBudgetCountsFailures(t *testing.T) {
 	w := tinyBroadcast
 	w.MaxRounds = 3
 	var env environment
-	rep, err := untraced(w, 1, 1e-3, &env)
+	rep, err := untraced(w, 1, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := w.Trials * w.Campaigns * env.Passes; rep.Attempted != want || rep.Failed == 0 || rep.Correct {
+	if want := w.Trials * (w.Campaigns + 1); rep.Attempted != want || rep.Failed == 0 || rep.Correct {
 		t.Fatalf("budget-starved run: attempted %d failed %d correct %v, want %d attempted, failures", rep.Attempted, rep.Failed, rep.Correct, want)
 	}
 	if f := rep.Metrics["success_frac"].Value; f >= 1 {
@@ -165,12 +179,12 @@ func TestOutputMismatchFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := tally([]pass{{r}, {r}}); rep.Failed != 0 || !rep.Correct {
+	if rep := tally([]campaignRun{r}, r); rep.Failed != 0 || !rep.Correct {
 		t.Fatalf("identical repetitions: %d failed", rep.Failed)
 	}
 	bad := r
 	bad.digest = "x" + r.digest[1:]
-	if rep := tally([]pass{{r}, {bad}}); rep.Failed != r.sum.Trials || rep.Correct {
+	if rep := tally([]campaignRun{r}, bad); rep.Failed != r.sum.Trials || rep.Correct {
 		t.Fatalf("repetition with different sink output: %d failed, want %d", rep.Failed, r.sum.Trials)
 	}
 

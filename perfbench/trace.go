@@ -255,6 +255,9 @@ func replay(w workload, seed uint64, shards int, t *tracer, cacheDir string) (*r
 	if desc.NewScratch != nil {
 		out.scratch = b.timed("protocol.scratch", rootID, func(int32) { scr = desc.NewScratch(cfg.G, cfg.D, nil) })
 	}
+	// Before any trial records its round spans, so that the figure holds
+	// the protocol's state and not the benchmark's.
+	out.liveHeapMB = liveHeapMB(desc, cfg, plan.Trials[0].Seed, scr, shards)
 	out.trials = make([]trialTrace, len(plan.Trials))
 	out.runPhase = b.timed("campaign.run", rootID, func(id int32) {
 		campaign.ForEachWorker(0, len(plan.Trials), func(_, i int) {
@@ -265,7 +268,6 @@ func replay(w workload, seed uint64, shards int, t *tracer, cacheDir string) (*r
 	})
 	b.close(root)
 	b.flush()
-	out.liveHeapMB = liveHeapMB(desc, cfg, plan.Trials[0].Seed, scr, shards)
 	return out, nil
 }
 
@@ -309,9 +311,10 @@ func traceTrial(b *spanBuf, parent int32, desc *protocol.Descriptor, cfg *campai
 	return tt
 }
 
-// liveHeapMB builds one trial's runner once more, outside every span, and
-// returns the heap still live after a forced collection: the graph, the
-// scratch, the runner's protocol state and the recorded spans.
+// liveHeapMB builds one trial's runner once more, outside every layer span,
+// and returns the heap still live after a forced collection: the graph,
+// the scratch and the runner's protocol state, beside the plan and the
+// few spans recorded before the trials run.
 func liveHeapMB(desc *protocol.Descriptor, cfg *campaign.Config, seed uint64, scr any, shards int) float64 {
 	var engines radio.EngineSet
 	defer engines.Close()
@@ -403,7 +406,7 @@ func traced(w workload, seed uint64, dir string, env *environment) (report, erro
 		return report{}, err
 	}
 
-	rep := tally([]pass{{warm}, {ref}})
+	rep := tally([]campaignRun{warm}, ref)
 	rep.Attempted += len(out.trials)
 	if out.mismatch != "" {
 		fmt.Fprintf(os.Stderr, "perfbench: replayed %s product differs from the campaign's\n", out.mismatch)
@@ -472,6 +475,6 @@ func traced(w workload, seed uint64, dir string, env *environment) (report, erro
 		m.set(layer+".self_s", "s", self[layer].Seconds())
 	}
 	env.Workers, env.Shards = ref.stats.Workers, ref.stats.Shards
-	env.Passes, env.SinkSHA256 = 1, []string{ref.digest}
+	env.SinkSHA256 = []string{ref.digest}
 	return rep, nil
 }

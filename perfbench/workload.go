@@ -15,12 +15,12 @@ import (
 	"radionet/internal/stats"
 )
 
-// workload is one pinned (topology, algorithm) configuration. A pass of
+// workload is one pinned (topology, algorithm) configuration. A run of
 // the workload runs Campaigns campaigns of Trials trials each, every
-// campaign with its own master seed derived from the run's seed, so a
-// pass averages over several graphs and trial seeds. Workers and
-// EngineShards stay at the campaign defaults (0/0) and the precompute
-// cache stays off, so every campaign pays setup as a first run does.
+// campaign with its own master seed derived from the run's seed, so a run
+// averages over several graphs and trial seeds. Workers and EngineShards
+// stay at the campaign defaults (0/0) and the precompute cache stays off,
+// so every campaign pays setup as a first run does.
 type workload struct {
 	Name      string
 	Topology  string
@@ -32,15 +32,16 @@ type workload struct {
 }
 
 // workloads are the pinned workloads; README.md gives the reason for
-// each and the sizes measured on the reference host. The trial and
-// campaign counts are what keeps a run's means steady from one seed to the
-// next: cd17's round count has a heavy tail on geometric graphs, and
-// Decay's follows the random tree's depth.
+// each and the sizes measured on the reference host. Every campaign has
+// one trial, so Campaign.Run resolves one worker and one shard, and every
+// workload runs on one core: on the shared reference host a second core's
+// speed drifts by 20–35% between runs. The campaign counts keep a run's
+// means steady from one seed to the next — cd17's round count has a heavy
+// tail on geometric graphs — while one run stays within about 25 seconds.
 var workloads = []workload{
-	{Name: "cd17_geo", Topology: "geometric:10000:0.03", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 16, Campaigns: 3},
-	{Name: "cd17_leader_grid", Topology: "grid:8x512", Algo: campaign.AlgoSpec{Task: campaign.Leader, Algo: "cd17"}, Trials: 1, Campaigns: 32},
-	{Name: "bgi_tree", Topology: "randtree:250000", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "bgi"}, Trials: 1, Campaigns: 6},
-	{Name: "cd17_gnp_dense", Topology: "gnp:8192:0.05", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 12},
+	{Name: "cd17_geo", Topology: "geometric:10000:0.03", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 28},
+	{Name: "cd17_leader_grid", Topology: "grid:8x512", Algo: campaign.AlgoSpec{Task: campaign.Leader, Algo: "cd17"}, Trials: 1, Campaigns: 22},
+	{Name: "cd17_gnp_dense", Topology: "gnp:4096:0.05", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 40},
 }
 
 func workloadNames() []string {
@@ -128,104 +129,69 @@ func failedTrials(s campaign.ConfigSummary) int {
 	return 0
 }
 
-// pass is one run of each of a workload's campaigns, in campaign order.
-type pass []campaignRun
-
-func runPass(w workload, seed uint64) (pass, error) {
-	p := make(pass, w.Campaigns)
-	for k := range p {
-		runtime.GC() // every campaign starts from a collected heap
-		r, err := runCampaign(w, campaignSeed(seed, k))
-		if err != nil {
-			return nil, err
-		}
-		p[k] = r
-	}
-	return p, nil
-}
-
-// totals sums the pass's simulated rounds, trials, run-phase wall time and
-// CPU time.
-func (p pass) totals() (rounds int64, trials int, wall, cpu time.Duration) {
-	for _, r := range p {
-		rounds += r.rounds
-		trials += r.sum.Trials
-		wall += r.stats.Wall
-		cpu += r.cpu
-	}
-	return rounds, trials, wall, cpu
-}
-
-func (p pass) digests() []string {
-	d := make([]string, len(p))
-	for k, r := range p {
-		d[k] = r.digest
-	}
-	return d
-}
-
-// tally applies the gate across passes of one seed: each campaign's own
-// verdict, and every trial of a campaign whose sink output differs from
-// the same campaign's in the first pass.
-func tally(passes []pass) report {
+// tally applies the gate to a run's campaigns and to a second run of the
+// first of them: each campaign's own verdict, and every trial of the
+// second run when its sink output differs from the first run's.
+func tally(runs []campaignRun, again campaignRun) report {
 	rep := report{Metrics: metricSet{}}
-	for _, p := range passes {
-		for k, r := range p {
-			rep.Attempted += r.sum.Trials
-			if r.digest != passes[0][k].digest {
-				rep.Failed += r.sum.Trials
-			} else {
-				rep.Failed += r.failed
-			}
-		}
+	for _, r := range runs {
+		rep.Attempted += r.sum.Trials
+		rep.Failed += r.failed
+	}
+	rep.Attempted += again.sum.Trials
+	if again.digest != runs[0].digest {
+		rep.Failed += again.sum.Trials
+	} else {
+		rep.Failed += again.failed
 	}
 	rep.Correct = rep.Failed == 0
 	return rep
 }
 
-// untraced repeats passes until the next one would overrun the measurement
-// time (at least once) and reports each timing as the median over the
-// passes, and setup_s as the median over every campaign's setup. Every
-// pass runs the same seeds, so every one must produce the same sink
-// outputs.
-func untraced(w workload, seed uint64, seconds float64, env *environment) (report, error) {
-	var passes []pass
-	start := time.Now()
-	for {
-		p, err := runPass(w, seed)
+// untraced runs each of the workload's campaigns once, in order, then
+// runs the first campaign again, which must reproduce its sink output.
+// Each timing covers all the campaigns of the first run; setup_s is the
+// median over them.
+func untraced(w workload, seed uint64, env *environment) (report, error) {
+	runs := make([]campaignRun, w.Campaigns)
+	for k := range runs {
+		runtime.GC() // every campaign starts from a collected heap
+		r, err := runCampaign(w, campaignSeed(seed, k))
 		if err != nil {
 			return report{}, err
 		}
-		passes = append(passes, p)
-		rounds, _, wall, cpu := p.totals()
-		fmt.Fprintf(os.Stderr, "pass %d: %.1f rounds/s, %.2f us CPU/round, run phase %.2f s\n",
-			len(passes), float64(rounds)/wall.Seconds(), cpu.Seconds()*1e6/float64(max(rounds, 1)), wall.Seconds())
-		el := time.Since(start).Seconds()
-		if el+el/float64(len(passes)) > seconds {
-			break
-		}
+		runs[k] = r
+		fmt.Fprintf(os.Stderr, "campaign %d: %.1f rounds/s, %.2f us CPU/round, run phase %.2f s\n",
+			k, float64(r.rounds)/r.stats.Wall.Seconds(), r.cpu.Seconds()*1e6/float64(max(r.rounds, 1)), r.stats.Wall.Seconds())
 	}
-	rep := tally(passes)
-	var rate, cpuPer, setup []float64
-	for _, p := range passes {
-		rounds, _, wall, cpu := p.totals()
-		r := float64(max(rounds, 1))
-		rate = append(rate, r/wall.Seconds())
-		cpuPer = append(cpuPer, cpu.Seconds()*1e6/r)
-		for _, c := range p {
-			setup = append(setup, c.stats.Setup.Seconds())
-		}
+	runtime.GC()
+	again, err := runCampaign(w, campaignSeed(seed, 0))
+	if err != nil {
+		return report{}, err
 	}
-	rounds, trials, _, _ := passes[0].totals()
+	rep := tally(runs, again)
+
+	var rounds int64
+	var trials int
+	var wall, cpu time.Duration
+	setup := make([]float64, len(runs))
+	for k, r := range runs {
+		rounds += r.rounds
+		trials += r.sum.Trials
+		wall += r.stats.Wall
+		cpu += r.cpu
+		setup[k] = r.stats.Setup.Seconds()
+		env.SinkSHA256 = append(env.SinkSHA256, r.digest)
+	}
+	n := float64(max(rounds, 1))
 	m := rep.Metrics
-	m.set("rounds_per_s", "1/s", quantile(rate, 0.5))
-	m.set("cpu_us_per_round", "us", quantile(cpuPer, 0.5))
+	m.set("rounds_per_s", "1/s", n/wall.Seconds())
+	m.set("cpu_us_per_round", "us", cpu.Seconds()*1e6/n)
 	m.set("setup_s", "s", quantile(setup, 0.5))
 	m.set("max_rss_mb", "MB", maxRSSMB())
 	m.set("sim_rounds", "rounds", float64(rounds)/float64(trials))
 	m.set("success_frac", "frac", 1-float64(rep.Failed)/float64(rep.Attempted))
-	env.Workers, env.Shards = passes[0][0].stats.Workers, passes[0][0].stats.Shards
-	env.Passes, env.SinkSHA256 = len(passes), passes[0].digests()
+	env.Workers, env.Shards = runs[0].stats.Workers, runs[0].stats.Shards
 	return rep, nil
 }
 
