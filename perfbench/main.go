@@ -2,9 +2,11 @@
 // campaign.Campaign.Run — the entry point behind cmd/campaign and
 // cmd/experiments — on one pinned workload and checks its outputs.
 //
-// With -trace 0 it runs the workload's campaigns once and prints the
-// end-to-end metrics. With -trace 1 it runs the first campaign untraced as the reference, then
-// replays the same plan call by call — Matrix.Expand, the topology
+// With -trace 0 it runs the workload's campaigns once, each paired with
+// the same campaign run by a frozen copy of the simulator in a second
+// process, and prints the end-to-end metrics scaled by the pairs' ratio.
+// With -trace 1 it runs the first campaign untraced as the reference,
+// then replays the same plan call by call — Matrix.Expand, the topology
 // product, the precompute store, NewScratch, then Build and Run for every
 // trial on the campaign's worker count — timing each call from outside,
 // and prints the per-layer metrics.
@@ -64,6 +66,19 @@ type environment struct {
 	Shards  int `json:"shards"`
 	// SinkSHA256 holds the hash of each campaign's JSONL sink output.
 	SinkSHA256 []string `json:"sink_sha256"`
+	// Pairing holds an untraced run's figures as measured, before they
+	// are scaled against the frozen copy.
+	Pairing *pairing `json:"pairing,omitempty"`
+}
+
+// pairing is radionet's and the frozen copy's figures over one run.
+type pairing struct {
+	RoundsPerS       float64 `json:"rounds_per_s"`
+	RefRoundsPerS    float64 `json:"ref_rounds_per_s"`
+	CPUUSPerRound    float64 `json:"cpu_us_per_round"`
+	RefCPUUSPerRound float64 `json:"ref_cpu_us_per_round"`
+	SetupS           float64 `json:"setup_s"`
+	RefSetupS        float64 `json:"ref_setup_s"`
 }
 
 func main() {
@@ -71,6 +86,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master seed; the same seed gives the same inputs")
 	seconds := flag.Float64("seconds", 30, "the time one run may take; the work is fixed, and a run that takes longer says so on standard error")
 	trace := flag.Int("trace", 0, "0 prints the end-to-end metrics, 1 the per-layer metrics of a traced replay")
+	frozen := flag.Bool("frozen", false, "serve the frozen copy's campaigns to the untraced run that started this process")
 	flag.Parse()
 	w, ok := findWorkload(*name)
 	if !ok || *trace < 0 || *trace > 1 || *seconds <= 0 {
@@ -78,6 +94,13 @@ func main() {
 		os.Exit(2)
 	}
 	runtime.GOMAXPROCS(runtime.NumCPU())
+	if *frozen {
+		if err := serveFrozen(w, os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "perfbench -frozen:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	env := environment{
 		GoVersion:  runtime.Version(),
 		CPUModel:   cpuModel(),
@@ -93,7 +116,13 @@ func main() {
 	if env.Traced {
 		rep, err = traced(w, *seed, filepath.Join(".bench_build", "trace"), &env)
 	} else {
-		rep, err = untraced(w, *seed, &env)
+		var ref *childReference
+		if ref, err = startChildReference(w); err == nil {
+			rep, err = untraced(w, *seed, ref, &env)
+			if cerr := ref.close(); err == nil && cerr != nil {
+				err = fmt.Errorf("frozen reference: %w", cerr)
+			}
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -116,7 +117,7 @@ func TestBenchmarkFileMatchesProgram(t *testing.T) {
 	}
 
 	var env environment
-	e2e, err := untraced(tinyBroadcast, 1, &env)
+	e2e, err := untraced(tinyBroadcast, 1, inProcessReference{tinyBroadcast}, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestTinyBudgetCountsFailures(t *testing.T) {
 	w := tinyBroadcast
 	w.MaxRounds = 3
 	var env environment
-	rep, err := untraced(w, 1, &env)
+	rep, err := untraced(w, 1, inProcessReference{w}, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +241,38 @@ func TestSelfTimes(t *testing.T) {
 	want := map[string]time.Duration{"campaign": 50, "protocol": 30, "radio": 10 + 20}
 	if got := selfTimes(spans); !maps.Equal(got, want) {
 		t.Fatalf("self times %v, want %v", got, want)
+	}
+}
+
+// TestFrozenServesJobs drives the frozen reference's protocol: one reply
+// per job, the same rounds for the same job, and a clean end at EOF.
+func TestFrozenServesJobs(t *testing.T) {
+	plan, err := tinyBroadcast.matrix(1).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := frozenJob{TopoSeed: plan.Configs[0].Key.Seed, TrialSeed: plan.Trials[0].Seed, MaxRounds: plan.Max}
+	var in, out bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for range 2 {
+		if err := enc.Encode(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := serveFrozen(tinyBroadcast, &in, &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&out)
+	var res [2]frozenResult
+	for i := range res {
+		if err := dec.Decode(&res[i]); err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Err != "" || res[i].Rounds <= 0 || res[i].Wall <= 0 || res[i].Setup <= 0 {
+			t.Fatalf("reply %d: %+v", i, res[i])
+		}
+	}
+	if res[0].Rounds != res[1].Rounds {
+		t.Fatalf("the same job ran %d and %d rounds", res[0].Rounds, res[1].Rounds)
 	}
 }

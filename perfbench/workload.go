@@ -29,6 +29,18 @@ type workload struct {
 	Campaigns int
 	// MaxRounds caps every trial; 0 selects the algorithm's whp budget.
 	MaxRounds int64
+	// Ref is what the frozen copy measures on this workload on the
+	// reference host at its usual speed. It sets the scale of the reported
+	// timings, which are Ref times how much faster radionet ran than the
+	// frozen copy in the same run.
+	Ref refFigures
+}
+
+// refFigures are a workload's reference timings.
+type refFigures struct {
+	RoundsPerS    float64
+	CPUUSPerRound float64
+	SetupS        float64
 }
 
 // workloads are the pinned workloads; README.md gives the reason for
@@ -39,9 +51,12 @@ type workload struct {
 // means steady from one seed to the next — cd17's round count has a heavy
 // tail on geometric graphs — while one run stays within about 25 seconds.
 var workloads = []workload{
-	{Name: "cd17_geo", Topology: "geometric:10000:0.03", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 28},
-	{Name: "cd17_leader_grid", Topology: "grid:8x512", Algo: campaign.AlgoSpec{Task: campaign.Leader, Algo: "cd17"}, Trials: 1, Campaigns: 22},
-	{Name: "cd17_gnp_dense", Topology: "gnp:4096:0.05", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 40},
+	{Name: "cd17_geo", Topology: "geometric:10000:0.03", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 14,
+		Ref: refFigures{RoundsPerS: 2800, CPUUSPerRound: 370, SetupS: 0.031}},
+	{Name: "cd17_leader_grid", Topology: "grid:8x512", Algo: campaign.AlgoSpec{Task: campaign.Leader, Algo: "cd17"}, Trials: 1, Campaigns: 11,
+		Ref: refFigures{RoundsPerS: 20000, CPUUSPerRound: 50, SetupS: 0.00043}},
+	{Name: "cd17_gnp_dense", Topology: "gnp:4096:0.05", Algo: campaign.AlgoSpec{Task: campaign.Broadcast, Algo: "cd17"}, Trials: 1, Campaigns: 20,
+		Ref: refFigures{RoundsPerS: 4350, CPUUSPerRound: 336, SetupS: 0.102}},
 }
 
 func workloadNames() []string {
@@ -148,21 +163,41 @@ func tally(runs []campaignRun, again campaignRun) report {
 	return rep
 }
 
-// untraced runs each of the workload's campaigns once, in order, then
-// runs the first campaign again, which must reproduce its sink output.
-// Each timing covers all the campaigns of the first run; setup_s is the
-// median over them.
-func untraced(w workload, seed uint64, env *environment) (report, error) {
+// untraced runs each of the workload's campaigns once, in order, each
+// paired with the same campaign on the frozen reference, then runs the
+// first campaign again, which must reproduce its sink output. Each timing
+// is the workload's reference figure scaled by how much faster radionet
+// ran than the frozen copy: summed over the run for the rates, the median
+// over pairs for setup_s.
+func untraced(w workload, seed uint64, ref reference, env *environment) (report, error) {
 	runs := make([]campaignRun, w.Campaigns)
+	refs := make([]frozenResult, w.Campaigns)
 	for k := range runs {
-		runtime.GC() // every campaign starts from a collected heap
-		r, err := runCampaign(w, campaignSeed(seed, k))
+		plan, err := w.matrix(campaignSeed(seed, k)).Expand()
 		if err != nil {
 			return report{}, err
 		}
-		runs[k] = r
-		fmt.Fprintf(os.Stderr, "campaign %d: %.1f rounds/s, %.2f us CPU/round, run phase %.2f s\n",
-			k, float64(r.rounds)/r.stats.Wall.Seconds(), r.cpu.Seconds()*1e6/float64(max(r.rounds, 1)), r.stats.Wall.Seconds())
+		job := frozenJob{TopoSeed: plan.Configs[0].Key.Seed, TrialSeed: plan.Trials[0].Seed, MaxRounds: plan.Max}
+		// The sides of a pair take turns going first, so that neither
+		// gains from the order.
+		if k%2 == 0 {
+			if refs[k], err = ref.run(job); err != nil {
+				return report{}, err
+			}
+		}
+		runtime.GC() // every campaign starts from a collected heap
+		if runs[k], err = runCampaign(w, campaignSeed(seed, k)); err != nil {
+			return report{}, err
+		}
+		if k%2 == 1 {
+			if refs[k], err = ref.run(job); err != nil {
+				return report{}, err
+			}
+		}
+		r := runs[k]
+		fmt.Fprintf(os.Stderr, "campaign %d: %.1f rounds/s, %.2f us CPU/round, run phase %.2f s; frozen copy %.1f rounds/s\n",
+			k, float64(r.rounds)/r.stats.Wall.Seconds(), r.cpu.Seconds()*1e6/float64(max(r.rounds, 1)), r.stats.Wall.Seconds(),
+			float64(refs[k].Rounds)/refs[k].Wall.Seconds())
 	}
 	runtime.GC()
 	again, err := runCampaign(w, campaignSeed(seed, 0))
@@ -171,27 +206,42 @@ func untraced(w workload, seed uint64, env *environment) (report, error) {
 	}
 	rep := tally(runs, again)
 
-	var rounds int64
+	var rounds, refRounds int64
 	var trials int
-	var wall, cpu time.Duration
+	var wall, cpu, refWall, refCPU time.Duration
 	setup := make([]float64, len(runs))
+	liveSetup := make([]float64, len(runs))
+	refSetup := make([]float64, len(runs))
 	for k, r := range runs {
 		rounds += r.rounds
 		trials += r.sum.Trials
 		wall += r.stats.Wall
 		cpu += r.cpu
-		setup[k] = r.stats.Setup.Seconds()
+		refRounds += refs[k].Rounds
+		refWall += refs[k].Wall
+		refCPU += refs[k].CPU
+		setup[k] = ratio(r.stats.Setup.Seconds(), refs[k].Setup.Seconds())
+		liveSetup[k], refSetup[k] = r.stats.Setup.Seconds(), refs[k].Setup.Seconds()
 		env.SinkSHA256 = append(env.SinkSHA256, r.digest)
 	}
-	n := float64(max(rounds, 1))
+	n, nRef := float64(max(rounds, 1)), float64(max(refRounds, 1))
+	p := &pairing{
+		RoundsPerS:       n / wall.Seconds(),
+		RefRoundsPerS:    nRef / refWall.Seconds(),
+		CPUUSPerRound:    cpu.Seconds() * 1e6 / n,
+		RefCPUUSPerRound: refCPU.Seconds() * 1e6 / nRef,
+		SetupS:           quantile(liveSetup, 0.5),
+		RefSetupS:        quantile(refSetup, 0.5),
+	}
 	m := rep.Metrics
-	m.set("rounds_per_s", "1/s", n/wall.Seconds())
-	m.set("cpu_us_per_round", "us", cpu.Seconds()*1e6/n)
-	m.set("setup_s", "s", quantile(setup, 0.5))
+	m.set("rounds_per_s", "1/s", w.Ref.RoundsPerS*ratio(p.RoundsPerS, p.RefRoundsPerS))
+	m.set("cpu_us_per_round", "us", w.Ref.CPUUSPerRound*ratio(p.CPUUSPerRound, p.RefCPUUSPerRound))
+	m.set("setup_s", "s", w.Ref.SetupS*quantile(setup, 0.5))
 	m.set("max_rss_mb", "MB", maxRSSMB())
 	m.set("sim_rounds", "rounds", float64(rounds)/float64(trials))
 	m.set("success_frac", "frac", 1-float64(rep.Failed)/float64(rep.Attempted))
 	env.Workers, env.Shards = runs[0].stats.Workers, runs[0].stats.Shards
+	env.Pairing = p
 	return rep, nil
 }
 
