@@ -52,7 +52,6 @@ func run() error {
 		task     = flag.String("task", "broadcast", "default task for unqualified -algos entries: any registered task (see -list)")
 		algos    = flag.String("algos", "", "comma-separated algorithms, optionally task-qualified, e.g. cd17,bgi or leader:cd17")
 		faults   = flag.String("faults", "", "comma-separated fault specs crossed with every cell, e.g. none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 ('+'-join terms to compose)")
-		trans    = flag.String("transport", "", "comma-separated transport backends crossed with every cell, e.g. sim,lockstep (see -list; default sim)")
 		seeds    = flag.Int("seeds", 10, "independent trials per configuration")
 		seed     = flag.Uint64("seed", 1, "master seed")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -69,7 +68,7 @@ func run() error {
 		manifest = flag.String("manifest", "", "write a machine-readable run manifest (JSON: config hash, protocols, per-config wall times, metrics) to this file")
 		debug    = flag.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
 		benchOut = flag.String("bench-out", "", "write a bench-schema performance record of this run (grid \"custom\") to this file")
-		list     = flag.Bool("list", false, "print the registered algorithm and transport tables (task, name, aliases, capabilities; backend, description) and exit")
+		list     = flag.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
 	flag.Parse()
 
@@ -119,9 +118,6 @@ func run() error {
 	}
 	if *faults != "" {
 		m.Faults = splitList(*faults)
-	}
-	if *trans != "" {
-		m.Transports = splitList(*trans)
 	}
 	if *algos != "" {
 		specs, err := parseAlgos(*algos, campaign.Task(*task))

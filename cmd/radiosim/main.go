@@ -64,10 +64,9 @@ func run() error {
 		trials   = flag.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
 		workers  = flag.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
-		trans    = flag.String("transport", "", "transport backend for the run, e.g. lockstep (see -list; default sim — results are identical across backends)")
 		manifest = flag.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
 		debug    = flag.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
-		list     = flag.Bool("list", false, "print the registered algorithm and transport tables (task, name, aliases, capabilities; backend, description) and exit")
+		list     = flag.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
 	flag.Parse()
 
@@ -82,15 +81,6 @@ func run() error {
 			return fmt.Errorf("unknown task %q (see -list)", *task)
 		}
 		return fmt.Errorf("unknown %s algorithm %q (known: %s)", *task, *algo, protocol.KnownList(protocol.Task(*task)))
-	}
-
-	if *trans != "" && *trans != campaign.SimTransport {
-		if !radio.KnownTransport(*trans) {
-			return fmt.Errorf("unknown transport %q (known: %s)", *trans, radio.KnownTransports())
-		}
-		if !desc.Caps.Transport {
-			return fmt.Errorf("algorithm %s:%s does not support -transport", *task, desc.Name)
-		}
 	}
 
 	var faultSpec campaign.FaultSpec
@@ -155,7 +145,7 @@ func run() error {
 			if *doTrace {
 				return fmt.Errorf("-trace requires a single run (drop -trials)")
 			}
-			return runTrials(net, desc, *task, *algo, faultSpec, *trans, *seed, *value, *source, *max, *trials, *workers, *shards, reg, tc)
+			return runTrials(net, desc, *task, *algo, faultSpec, *seed, *value, *source, *max, *trials, *workers, *shards, reg, tc)
 		}
 		switch *task {
 		case "broadcast":
@@ -167,7 +157,6 @@ func run() error {
 				Metrics:      reg,
 				Faults:       faultPlan(net, desc, faultSpec, *seed, *source, *value),
 				EngineShards: *shards,
-				Transport:    *trans,
 			}
 			if *doTrace {
 				rec = &trace.Recorder{}
@@ -200,7 +189,6 @@ func run() error {
 				Metrics:      reg,
 				Faults:       faultPlan(net, desc, faultSpec, *seed, *source, *value),
 				EngineShards: *shards,
-				Transport:    *trans,
 			}
 			res, err := net.LeaderElection(opts)
 			if err != nil {
@@ -218,7 +206,7 @@ func run() error {
 			}
 		default:
 			// Any other registered task runs straight off its descriptor.
-			res, err := registryRun(net, desc, faultSpec, *trans, *seed, *value, *source, *max, *shards, reg)
+			res, err := registryRun(net, desc, faultSpec, *seed, *value, *source, *max, *shards, reg)
 			if err != nil {
 				return err
 			}
@@ -252,7 +240,6 @@ func buildManifest(scenario string, n, d, workers int, wall time.Duration, reg *
 	man.Workers = workers
 	man.WallMS = float64(wall.Nanoseconds()) / 1e6
 	man.Protocols = campaign.RegisteredProtocols()
-	man.Transports = campaign.RegisteredTransports()
 	snap := reg.Snapshot()
 	rec := obs.ConfigRecord{
 		Name:     scenario,
@@ -302,30 +289,20 @@ func trialSources(desc *protocol.Descriptor, source int, value int64) map[int]in
 // sugar (multicast, partition, and whatever gets registered next). Done
 // is gated on the descriptor's postcondition check exactly as the
 // campaign and the facade gate it — the CLIs must agree on one seed.
-func registryRun(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, transport string, seed uint64, value int64, source int, max int64, shards int, reg *obs.Registry) (protocol.Result, error) {
-	var tr radio.Transport
-	if transport != "" && transport != campaign.SimTransport {
-		t, err := radio.NewTransport(transport)
-		if err != nil {
-			return protocol.Result{}, err
-		}
-		tr = t
-		defer tr.Close()
-	}
+func registryRun(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, seed uint64, value int64, source int, max int64, shards int, reg *obs.Registry) (protocol.Result, error) {
 	// Sharded engines park resident workers; close them when the run ends
 	// rather than leaving the teardown to GC.
 	var engines radio.EngineSet
 	defer engines.Close()
 	r, err := desc.Build(protocol.BuildParams{
-		G:         net.G,
-		D:         net.Diameter,
-		Seed:      seed,
-		Sources:   trialSources(desc, source, value),
-		Faults:    faultPlan(net, desc, fs, seed, source, value),
-		Hook:      obs.NewEngineCollector(reg).Hook(),
-		Shards:    shards,
-		Transport: tr,
-		Engines:   &engines,
+		G:       net.G,
+		D:       net.Diameter,
+		Seed:    seed,
+		Sources: trialSources(desc, source, value),
+		Faults:  faultPlan(net, desc, fs, seed, source, value),
+		Hook:    obs.NewEngineCollector(reg).Hook(),
+		Shards:  shards,
+		Engines: &engines,
 	})
 	if err != nil {
 		return protocol.Result{}, err
@@ -341,7 +318,7 @@ func registryRun(net *radionet.Network, desc *protocol.Descriptor, fs campaign.F
 // scenario across the campaign worker pool, each with its own RNG stream
 // derived from the master seed, reduced to aggregate round statistics.
 // Output is identical for every -workers value.
-func runTrials(net *radionet.Network, desc *protocol.Descriptor, task, algo string, fs campaign.FaultSpec, transport string, seed uint64, value int64, source int, max int64, trials, workers, shards int, reg *obs.Registry, tc *obs.TrialCollector) error {
+func runTrials(net *radionet.Network, desc *protocol.Descriptor, task, algo string, fs campaign.FaultSpec, seed uint64, value int64, source int, max int64, trials, workers, shards int, reg *obs.Registry, tc *obs.TrialCollector) error {
 	seeds := rng.New(seed).Fork(0x7215)
 	rounds := make([]float64, trials)
 	failed := make([]bool, trials)
@@ -362,7 +339,6 @@ func runTrials(net *radionet.Network, desc *protocol.Descriptor, task, algo stri
 				Metrics:      reg,
 				Faults:       faultPlan(net, desc, fs, trialSeed, source, value),
 				EngineShards: shards,
-				Transport:    transport,
 			})
 		case "leader":
 			var lr radionet.LeaderResult
@@ -373,12 +349,11 @@ func runTrials(net *radionet.Network, desc *protocol.Descriptor, task, algo stri
 				Metrics:      reg,
 				Faults:       faultPlan(net, desc, fs, trialSeed, source, value),
 				EngineShards: shards,
-				Transport:    transport,
 			})
 			res = lr.Result
 		default:
 			var pres protocol.Result
-			pres, err = registryRun(net, desc, fs, transport, trialSeed, value, source, max, shards, reg)
+			pres, err = registryRun(net, desc, fs, trialSeed, value, source, max, shards, reg)
 			res = radionet.Result{Rounds: pres.Rounds, Done: pres.Done}
 		}
 		if err != nil {

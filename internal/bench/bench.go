@@ -21,21 +21,14 @@ import (
 	"radionet/internal/precompute"
 )
 
-// SchemaVersion is bumped on any incompatible File change. Version 2
-// added the Shards field (intra-round engine shard count); version 3
-// added the History trajectory (prior runs' headline measurements,
-// appended by cmd/bench -append); version 4 split the setup phase out
-// of the headline wall time (SetupMS, per-entry setup_ms) and recorded
-// the precompute-cache status (Cache). Older files still parse (see
-// Parse).
+// SchemaVersion is bumped on any incompatible File change, and Parse
+// accepts only the current version. Version 2 added the Shards field
+// (intra-round engine shard count); version 3 added the History
+// trajectory (prior runs' headline measurements, appended by cmd/bench
+// -append); version 4 split the setup phase out of the headline wall
+// time (SetupMS, per-entry setup_ms) and recorded the precompute-cache
+// status (Cache).
 const SchemaVersion = 4
-
-// The older versions Parse still accepts.
-const (
-	schemaV1 = 1
-	schemaV2 = 2
-	schemaV3 = 3
-)
 
 // File is one emitted BENCH_<grid>.json: the grid identity, the execution
 // environment and one record per grid configuration. Entries reuse the
@@ -50,8 +43,7 @@ type File struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
 	// Shards is the largest intra-round engine shard count any
-	// configuration ran with (schema 2+; 0 on parsed version-1 files, 1
-	// when sharding was off).
+	// configuration ran with (1 when sharding was off).
 	Shards int `json:"shards,omitempty"`
 	// ConfigHash fingerprints the expanded matrix (campaign.Matrix.Hash),
 	// so two files are comparable only when their hashes agree.
@@ -64,16 +56,16 @@ type File struct {
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 	// SetupMS is the setup-phase wall time — topology materialization and
 	// scratch construction — measured separately from WallMS, which has
-	// always excluded setup (schema 4+).
+	// always excluded setup.
 	SetupMS float64 `json:"setup_ms,omitempty"`
 	// Cache is the precompute disk-cache status the run executed with:
-	// "off", "cold" or "warm" (schema 4+; see campaign.RunStats.Cache).
+	// "off", "cold" or "warm" (see campaign.RunStats.Cache).
 	Cache string `json:"cache,omitempty"`
 	// Entries are the per-configuration records, in configuration order.
 	Entries []obs.ConfigRecord `json:"entries"`
 	// History is the grid's measurement trajectory: the headline numbers
-	// of prior runs, oldest first (schema 3+; cmd/bench -append moves the
-	// previous file's measurement here instead of discarding it).
+	// of prior runs, oldest first (cmd/bench -append moves the previous
+	// file's measurement here instead of discarding it).
 	History []HistoryEntry `json:"history,omitempty"`
 }
 
@@ -91,8 +83,8 @@ type HistoryEntry struct {
 	Quick        bool    `json:"quick,omitempty"`
 	WallMS       float64 `json:"wall_ms"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// SetupMS and Cache mirror the File fields (schema 4+; zero/empty on
-	// entries snapshotted from older files).
+	// SetupMS and Cache mirror the File fields (zero/empty on entries
+	// snapshotted from runs predating the setup split).
 	SetupMS float64 `json:"setup_ms,omitempty"`
 	Cache   string  `json:"cache,omitempty"`
 }
@@ -283,83 +275,9 @@ func FromStats(grid string, m campaign.Matrix, st *campaign.RunStats, reg *obs.R
 	return f
 }
 
-// fileV1 is the schema-1 wire shape: File without the Shards field. A
-// version-1 file carrying "shards" is schema drift and fails strict
-// parsing, exactly like any other unknown field.
-type fileV1 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-}
-
-// fileV2 is the schema-2 wire shape: File with Shards but without the
-// History trajectory. A version-2 file carrying "history" is schema
-// drift and fails strict parsing.
-type fileV2 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	Shards        int                `json:"shards,omitempty"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-}
-
-// fileV3 is the schema-3 wire shape: File with the History trajectory
-// but without the version-4 setup split (setup_ms, cache). A version-3
-// file carrying either is schema drift and fails strict parsing; the
-// per-entry setup_ms smuggling case — entries share the live
-// obs.ConfigRecord shape — is caught by Validate instead.
-type fileV3 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	Shards        int                `json:"shards,omitempty"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-	History       []historyV3        `json:"history,omitempty"`
-}
-
-// historyV3 is the schema-3 history-entry wire shape: HistoryEntry
-// without setup_ms and cache.
-type historyV3 struct {
-	Generated    string  `json:"generated,omitempty"`
-	Go           string  `json:"go"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards,omitempty"`
-	ConfigHash   string  `json:"config_hash"`
-	Quick        bool    `json:"quick,omitempty"`
-	WallMS       float64 `json:"wall_ms"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-}
-
-// Parse decodes and validates a bench file, rejecting unknown fields so
-// schema drift fails loudly in CI rather than silently dropping data.
-// Every supported schema version parses strictly against its own wire
-// shape: a version-1 file must not carry version-2 fields, a version-2
-// file must not carry a history, a version-3 file must not carry the
-// setup split, and nothing unknown anywhere; parsed version-1 files
-// report Shards 0.
+// Parse decodes and validates a bench file. Only the current schema
+// version parses, and unknown fields are rejected, so schema drift fails
+// loudly in CI rather than silently dropping data.
 func Parse(b []byte) (*File, error) {
 	var ver struct {
 		SchemaVersion int `json:"schema_version"`
@@ -367,88 +285,26 @@ func Parse(b []byte) (*File, error) {
 	if err := json.Unmarshal(b, &ver); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
+	// The version check comes first so a file from another schema fails
+	// on its version rather than on whichever field it added or dropped.
+	if err := checkVersion(ver.SchemaVersion); err != nil {
+		return nil, err
+	}
 	var f File
-	switch ver.SchemaVersion {
-	case schemaV1:
-		var v1 fileV1
-		if err := strictUnmarshal(b, &v1); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV1, err)
-		}
-		f = File{
-			SchemaVersion: v1.SchemaVersion,
-			Grid:          v1.Grid,
-			Generated:     v1.Generated,
-			Go:            v1.Go,
-			GOMAXPROCS:    v1.GOMAXPROCS,
-			Workers:       v1.Workers,
-			ConfigHash:    v1.ConfigHash,
-			Quick:         v1.Quick,
-			WallMS:        v1.WallMS,
-			RoundsPerSec:  v1.RoundsPerSec,
-			Entries:       v1.Entries,
-		}
-	case schemaV2:
-		var v2 fileV2
-		if err := strictUnmarshal(b, &v2); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV2, err)
-		}
-		f = File{
-			SchemaVersion: v2.SchemaVersion,
-			Grid:          v2.Grid,
-			Generated:     v2.Generated,
-			Go:            v2.Go,
-			GOMAXPROCS:    v2.GOMAXPROCS,
-			Workers:       v2.Workers,
-			Shards:        v2.Shards,
-			ConfigHash:    v2.ConfigHash,
-			Quick:         v2.Quick,
-			WallMS:        v2.WallMS,
-			RoundsPerSec:  v2.RoundsPerSec,
-			Entries:       v2.Entries,
-		}
-	case schemaV3:
-		var v3 fileV3
-		if err := strictUnmarshal(b, &v3); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV3, err)
-		}
-		f = File{
-			SchemaVersion: v3.SchemaVersion,
-			Grid:          v3.Grid,
-			Generated:     v3.Generated,
-			Go:            v3.Go,
-			GOMAXPROCS:    v3.GOMAXPROCS,
-			Workers:       v3.Workers,
-			Shards:        v3.Shards,
-			ConfigHash:    v3.ConfigHash,
-			Quick:         v3.Quick,
-			WallMS:        v3.WallMS,
-			RoundsPerSec:  v3.RoundsPerSec,
-			Entries:       v3.Entries,
-		}
-		for _, h := range v3.History {
-			f.History = append(f.History, HistoryEntry{
-				Generated:    h.Generated,
-				Go:           h.Go,
-				GOMAXPROCS:   h.GOMAXPROCS,
-				Workers:      h.Workers,
-				Shards:       h.Shards,
-				ConfigHash:   h.ConfigHash,
-				Quick:        h.Quick,
-				WallMS:       h.WallMS,
-				RoundsPerSec: h.RoundsPerSec,
-			})
-		}
-	default:
-		// Validate reports unsupported versions; current-version files
-		// parse against the full shape.
-		if err := strictUnmarshal(b, &f); err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
+	if err := strictUnmarshal(b, &f); err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	return &f, nil
+}
+
+func checkVersion(v int) error {
+	if v != SchemaVersion {
+		return fmt.Errorf("bench: schema_version %d, supported %d", v, SchemaVersion)
+	}
+	return nil
 }
 
 // ParseFile is Parse over a file path.
@@ -467,33 +323,8 @@ func ParseFile(path string) (*File, error) {
 // Validate checks the file's internal consistency: the supported schema
 // version and sane per-entry invariants.
 func (f *File) Validate() error {
-	if f.SchemaVersion < schemaV1 || f.SchemaVersion > SchemaVersion {
-		return fmt.Errorf("bench: schema_version %d, supported %d-%d", f.SchemaVersion, schemaV1, SchemaVersion)
-	}
-	if f.SchemaVersion < schemaV2 && f.Shards != 0 {
-		return fmt.Errorf("bench: schema_version %d carries shards %d (a version-%d field)", f.SchemaVersion, f.Shards, schemaV2)
-	}
-	if f.SchemaVersion < schemaV3 && len(f.History) != 0 {
-		return fmt.Errorf("bench: schema_version %d carries a %d-entry history (a version-%d field)", f.SchemaVersion, len(f.History), schemaV3)
-	}
-	if f.SchemaVersion < SchemaVersion {
-		// The setup split is a version-4 field everywhere it can appear —
-		// the top level, history entries and per-config entries (whose wire
-		// shape is the live obs.ConfigRecord, so strict parsing alone cannot
-		// catch a smuggled setup_ms there).
-		if f.SetupMS != 0 || f.Cache != "" {
-			return fmt.Errorf("bench: schema_version %d carries the setup split (version-%d fields)", f.SchemaVersion, SchemaVersion)
-		}
-		for i, h := range f.History {
-			if h.SetupMS != 0 || h.Cache != "" {
-				return fmt.Errorf("bench: schema_version %d history entry %d carries the setup split (version-%d fields)", f.SchemaVersion, i, SchemaVersion)
-			}
-		}
-		for i, e := range f.Entries {
-			if e.SetupMS != 0 {
-				return fmt.Errorf("bench: schema_version %d entry %d carries setup_ms (a version-%d field)", f.SchemaVersion, i, SchemaVersion)
-			}
-		}
+	if err := checkVersion(f.SchemaVersion); err != nil {
+		return err
 	}
 	if f.Shards < 0 {
 		return fmt.Errorf("bench: negative shards %d", f.Shards)
@@ -533,8 +364,8 @@ func (f *File) Validate() error {
 	return nil
 }
 
-// validCache checks a cache-status value: empty (older schemas, or a run
-// predating the field) or one of the three campaign statuses.
+// validCache checks a cache-status value: empty (a run predating the
+// field) or one of the three campaign statuses.
 func validCache(c string) error {
 	switch c {
 	case "", "off", "cold", "warm":

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,6 +91,7 @@ func TestParseRejectsBadFiles(t *testing.T) {
 		"trials":   func(f *File) { f.Entries[0].Trials = 0 },
 		"failures": func(f *File) { f.Entries[0].Failures = 3 },
 		"negative": func(f *File) { f.Entries[0].WallMSTotal = -1 },
+		"cache":    func(f *File) { f.Cache = "lukewarm" },
 	}
 	for name, mutate := range cases {
 		f := *good
@@ -98,73 +103,44 @@ func TestParseRejectsBadFiles(t *testing.T) {
 		}
 	}
 	// Unknown fields are schema drift, not data.
-	if _, err := Parse([]byte(`{"schema_version":1,"grid":"g","bogus":true,"entries":[]}`)); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := Parse([]byte(`{"schema_version":4,"grid":"g","bogus":true,"entries":[]}`)); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown field accepted: %v", err)
 	}
 }
 
-// TestParseSchemaVersions pins the two supported wire shapes: version-1
-// files (no shards field) parse with Shards 0, version-2 files carry it,
-// and a version-1 file smuggling the version-2 field fails strict parsing.
+// TestParseSchemaVersions pins the one supported wire shape: a version-4
+// file round-trips through Parse with its setup split and history
+// intact, and every other version — the retired 1–3 and a future 5 —
+// fails with an error naming the supported version.
 func TestParseSchemaVersions(t *testing.T) {
-	entry := `{"name":"randtree:2000/broadcast:bgi","n":2000,"d":20,"trials":2,"rounds_mean":100,"wall_ms_total":1,"wall_ms_mean":0.5}`
-	v1 := `{"schema_version":1,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	f, err := Parse([]byte(v1))
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
+	entry := `{"name":"randtree:2000/broadcast:bgi","n":2000,"d":20,"trials":2,"rounds_mean":100,"wall_ms_total":1,"wall_ms_mean":0.5,"setup_ms":3}`
+	hist := `{"go":"go1.x","gomaxprocs":1,"workers":1,"shards":1,"config_hash":"h","wall_ms":2,"rounds_per_sec":5,"setup_ms":1,"cache":"off"}`
+	file := func(ver int) string {
+		return fmt.Sprintf(`{"schema_version":%d,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7,"cache":"warm","entries":[%s],"history":[%s]}`, ver, entry, hist)
 	}
-	if f.SchemaVersion != 1 || f.Shards != 0 {
-		t.Fatalf("v1 parse: schema %d shards %d", f.SchemaVersion, f.Shards)
-	}
-	v2 := `{"schema_version":2,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	f, err = Parse([]byte(v2))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
-	}
-	if f.SchemaVersion != 2 || f.Shards != 4 {
-		t.Fatalf("v2 parse: schema %d shards %d", f.SchemaVersion, f.Shards)
-	}
-	v1drift := `{"schema_version":1,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	if _, err := Parse([]byte(v1drift)); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("v1 file with v2 field accepted: %v", err)
-	}
-	hist := `{"go":"go1.x","gomaxprocs":1,"workers":1,"shards":1,"config_hash":"h","wall_ms":2,"rounds_per_sec":5}`
-	v3 := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `],"history":[` + hist + `]}`
-	f, err = Parse([]byte(v3))
-	if err != nil {
-		t.Fatalf("v3 file rejected: %v", err)
-	}
-	if f.SchemaVersion != 3 || len(f.History) != 1 || f.History[0].WallMS != 2 {
-		t.Fatalf("v3 parse: %+v", f)
-	}
-	v2drift := `{"schema_version":2,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `],"history":[` + hist + `]}`
-	if _, err := Parse([]byte(v2drift)); err == nil || !strings.Contains(err.Error(), "history") {
-		t.Fatalf("v2 file with v3 field accepted: %v", err)
-	}
-	v4 := `{"schema_version":4,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7,"cache":"warm","entries":[` + entry + `],"history":[` + hist + `]}`
-	f, err = Parse([]byte(v4))
+	f, err := Parse([]byte(file(4)))
 	if err != nil {
 		t.Fatalf("v4 file rejected: %v", err)
 	}
-	if f.SetupMS != 7 || f.Cache != "warm" {
-		t.Fatalf("v4 parse lost the setup split: %+v", f)
+	if f.SetupMS != 7 || f.Cache != "warm" || f.Shards != 4 || f.Entries[0].SetupMS != 3 ||
+		len(f.History) != 1 || f.History[0].WallMS != 2 || f.History[0].Cache != "off" {
+		t.Fatalf("v4 parse lost fields: %+v", f)
 	}
-	// The setup split is a version-4 field everywhere it can appear.
-	v3drift := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7,"entries":[` + entry + `]}`
-	if _, err := Parse([]byte(v3drift)); err == nil || !strings.Contains(err.Error(), "setup_ms") {
-		t.Fatalf("v3 file with top-level setup_ms accepted: %v", err)
+	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	smuggled := `{"name":"x","trials":2,"rounds_mean":1,"wall_ms_total":1,"wall_ms_mean":0.5,"setup_ms":3}`
-	v3smuggle := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + smuggled + `]}`
-	if _, err := Parse([]byte(v3smuggle)); err == nil || !strings.Contains(err.Error(), "setup_ms") {
-		t.Fatalf("v3 file with per-entry setup_ms accepted: %v", err)
+	back, err := Parse(b)
+	if err != nil {
+		t.Fatalf("re-marshalled v4 file rejected: %v", err)
 	}
-	badCache := `{"schema_version":4,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"cache":"lukewarm","entries":[` + entry + `]}`
-	if _, err := Parse([]byte(badCache)); err == nil || !strings.Contains(err.Error(), "cache") {
-		t.Fatalf("unknown cache status accepted: %v", err)
+	if !reflect.DeepEqual(back, f) {
+		t.Fatalf("v4 round trip changed the file:\n%+v\n%+v", back, f)
 	}
-	if _, err := Parse([]byte(`{"schema_version":5,"grid":"g","entries":[` + entry + `]}`)); err == nil {
-		t.Fatal("future schema version accepted")
+	for _, ver := range []int{1, 2, 3, 5} {
+		if _, err := Parse([]byte(file(ver))); err == nil || !strings.Contains(err.Error(), "supported 4") {
+			t.Errorf("schema_version %d: want an error naming the supported version, got %v", ver, err)
+		}
 	}
 }
 
@@ -287,4 +263,43 @@ func TestHugeGridOptIn(t *testing.T) {
 			t.Fatalf("grid %s must not be opt-in", other)
 		}
 	}
+}
+
+// FuzzParse holds Parse to its contract on arbitrary input: an error, or
+// a file that passes Validate and survives a marshal → Parse round trip
+// unchanged; never a panic. Seeded with the committed BENCH files.
+func FuzzParse(f *testing.F) {
+	seeds, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no committed BENCH_*.json seeds: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		file, err := Parse(b)
+		if err != nil {
+			return
+		}
+		if err := file.Validate(); err != nil {
+			t.Fatalf("parsed file fails Validate: %v", err)
+		}
+		out, err := json.Marshal(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-marshalled file rejected: %v", err)
+		}
+		// Compared as JSON: an empty list and an omitted one are the same
+		// file, though not the same Go value.
+		if again, _ := json.Marshal(back); !bytes.Equal(again, out) {
+			t.Fatalf("round trip changed the file:\n%s\n%s", out, again)
+		}
+	})
 }

@@ -86,16 +86,6 @@ type Matrix struct {
 	// seeds and output byte-identical to a pre-fault-axis campaign). The
 	// axis supports broadcast tasks only.
 	Faults []string `json:"faults,omitempty"`
-	// Transports are transport-backend names (see radio.Transports)
-	// crossed with every cell: each name becomes its own configuration,
-	// run over that backend's round executor. Backends are
-	// observationally identical, so the axis changes no sink byte — it
-	// reruns the same trials on a different executor (the CI
-	// backend-equivalence smoke pins exactly that). Empty means the
-	// in-process simulator (and keeps the expansion, trial seeds and
-	// output byte-identical to a pre-transport-axis campaign).
-	// Non-simulator names require the algorithm's Transport capability.
-	Transports []string `json:"transports,omitempty"`
 	// Seeds is the number of independent trials per configuration.
 	Seeds int `json:"seeds"`
 	// MasterSeed determines every random choice of the campaign: topology
@@ -133,29 +123,6 @@ type Config struct {
 	// Fault is the cell's fault scenario; the zero value (Spec "") marks a
 	// campaign without a fault axis.
 	Fault FaultSpec
-	// Transport is the cell's backend name; "" and SimTransport both mean
-	// the in-process simulator (no transport attachment — the engine's
-	// native loops are the simulator).
-	Transport string
-}
-
-// SimTransport is the default in-process backend's name. A config whose
-// Transport is "" or SimTransport runs without a transport attachment.
-const SimTransport = "sim"
-
-// transportCapable renders the task's transport-capable algorithm names
-// for error messages, mirroring faultCapable.
-func transportCapable(task Task) string {
-	var names []string
-	for _, d := range protocol.ByTask(task) {
-		if d.Caps.Transport {
-			names = append(names, d.Name)
-		}
-	}
-	if len(names) == 0 {
-		return "none"
-	}
-	return strings.Join(names, " ")
 }
 
 // Trial is one scheduled protocol run.
@@ -248,7 +215,7 @@ func (m Matrix) Expand() (*Plan, error) {
 // expand is Expand without materialization: configs carry content keys
 // (Config.Key) but no graphs until Plan.Materialize runs. Keys dedup
 // identical topology products at expansion time — every (algorithm,
-// fault, transport) cell of one topology entry references a single
+// fault) cell of one topology entry references a single
 // pending build, which is what makes a wide matrix's setup O(topologies)
 // instead of O(configs).
 func (m Matrix) expand() (*Plan, error) {
@@ -297,33 +264,6 @@ func (m Matrix) expand() (*Plan, error) {
 			}
 		}
 	}
-	// The transport axis mirrors the fault axis: one backend name per
-	// configuration, with the empty axis expanding to the single empty
-	// name so configuration indices — and with them trial seeds — stay
-	// identical to a pre-transport-axis matrix. Crossing a non-simulator
-	// backend with an algorithm whose descriptor lacks the transport
-	// capability is a loud configuration error.
-	transports := []string{""}
-	if len(m.Transports) > 0 {
-		transports = transports[:0]
-		for _, name := range m.Transports {
-			if name != "" && !radio.KnownTransport(name) {
-				return nil, fmt.Errorf("campaign: unknown transport %q (known: %s)", name, radio.KnownTransports())
-			}
-			transports = append(transports, name)
-		}
-		for i, a := range m.Algorithms {
-			if descs[i].Caps.Transport {
-				continue
-			}
-			for _, name := range transports {
-				if name != "" && name != SimTransport {
-					return nil, fmt.Errorf("campaign: algorithm %s does not support the transport axis (backend %q); transport-capable %s algorithms: %s",
-						a, name, a.Task, transportCapable(protocol.Task(a.Task)))
-				}
-			}
-		}
-	}
 	p := &Plan{Seeds: m.Seeds, Max: m.MaxRounds}
 	// Two disjoint stream families derived from the master seed: one per
 	// topology (graph generation), one per trial. Fork's SplitMix64-based
@@ -351,10 +291,8 @@ func (m Matrix) expand() (*Plan, error) {
 		}
 		for _, a := range m.Algorithms {
 			for _, fs := range faults {
-				for _, tn := range transports {
-					p.topos[t].cfgs = append(p.topos[t].cfgs, len(p.Configs))
-					p.Configs = append(p.Configs, Config{Topology: topo.Spec, Key: key, Spec: a, Fault: fs, Transport: tn})
-				}
+				p.topos[t].cfgs = append(p.topos[t].cfgs, len(p.Configs))
+				p.Configs = append(p.Configs, Config{Topology: topo.Spec, Key: key, Spec: a, Fault: fs})
 			}
 		}
 	}

@@ -271,7 +271,14 @@ func TestLoadMatrix(t *testing.T) {
 		m.Algorithms[0].Algo != "cd17" {
 		t.Fatalf("loaded %+v", m)
 	}
-	if _, err := LoadMatrix(strings.NewReader(`{"unknown_field": 1}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	// A matrix file from before the transport axis was retired must fail
+	// loudly rather than quietly run every cell on the simulator.
+	for _, bad := range []string{
+		`{"unknown_field": 1}`,
+		`{"topologies": ["grid:4x8"], "algorithms": [{"task": "broadcast", "algo": "cd17"}], "transports": ["lockstep"], "seeds": 4}`,
+	} {
+		if _, err := LoadMatrix(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("unknown field accepted in %s: %v", bad, err)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"radionet/internal/obs"
 	"radionet/internal/protocol"
-	"radionet/internal/radio"
 )
 
 // Name identifies the configuration in progress lines and manifests:
@@ -99,16 +98,6 @@ func RegisteredProtocols() []string {
 	return out
 }
 
-// RegisteredTransports lists the transport-backend registry by name, the
-// manifest's record of which round executors the binary carried.
-func RegisteredTransports() []string {
-	var out []string
-	for _, t := range radio.Transports() {
-		out = append(out, t.Name)
-	}
-	return out
-}
-
 // Manifest renders the run's machine-readable record from the campaign's
 // configuration, the RunStats a Run filled (nil for a manifest without
 // execution stats) and the campaign's metric registry.
@@ -116,7 +105,6 @@ func (c *Campaign) Manifest(tool string, st *RunStats) *obs.Manifest {
 	m := obs.NewManifest(tool)
 	m.ConfigHash = c.Matrix.Hash()
 	m.Protocols = RegisteredProtocols()
-	m.Transports = RegisteredTransports()
 	if st != nil {
 		m.Workers = st.Workers
 		m.WallMS = durMS(st.Wall)

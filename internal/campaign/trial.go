@@ -94,10 +94,10 @@ func NewScratch(cfg *Config) *Scratch {
 
 // scratchGroupKey identifies one shareable scratch build: the topology
 // product key crossed with the descriptor's declared ScratchKey. Configs
-// differing only in fault spec or transport always group (NewScratch
-// never sees either); configs of different descriptors group exactly when
-// both descriptors declare the same ScratchKey (e.g. broadcast:cd17 and
-// leader:cd17 share "compete/pre").
+// differing only in fault spec always group (NewScratch never sees it);
+// configs of different descriptors group exactly when both descriptors
+// declare the same ScratchKey (e.g. broadcast:cd17 and leader:cd17 share
+// "compete/pre").
 type scratchGroupKey struct {
 	topo    precompute.Key
 	scratch string
@@ -243,19 +243,6 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	if desc.Caps.Faults && !cfg.Fault.None() {
 		plan = trialPlan(cfg, desc, seed, sources)
 	}
-	// Non-simulator cells run over their backend's round executor: one
-	// transport instance per trial (a transport owns per-run goroutines
-	// and sockets), closed when the trial ends — budget-exhausted runs
-	// included.
-	var tr radio.Transport
-	if cfg.Transport != "" && cfg.Transport != SimTransport {
-		t, err := radio.NewTransport(cfg.Transport)
-		if err != nil {
-			return TrialResult{Err: err.Error(), Reason: "error"}
-		}
-		tr = t
-		defer tr.Close()
-	}
 	// Engines built for this trial release their resident shard workers
 	// when the trial ends (sharded engines park k-1 goroutines; without
 	// the deterministic close a long campaign would accumulate them until
@@ -272,7 +259,6 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 		Hook:      opts.hook,
 		Shards:    opts.shards,
 		ShardHook: opts.shardHook,
-		Transport: tr,
 		Engines:   &engines,
 	})
 	if err != nil {

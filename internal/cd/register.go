@@ -22,7 +22,7 @@ func init() {
 		Summary:   "deterministic beep-wave broadcast under collision detection (Section 1.1 model separation): ecc(src) + 3·bits + O(1) rounds",
 		BudgetDoc: "RoundsNeeded(D) + 16",
 		Order:     90,
-		Caps:      protocol.Caps{CollisionDetection: true, Transport: true},
+		Caps:      protocol.Caps{CollisionDetection: true},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Tuning != nil {
 				return nil, fmt.Errorf("cd: the beep-wave broadcast takes no tuning, got %T", p.Tuning)

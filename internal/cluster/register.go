@@ -21,7 +21,7 @@ func init() {
 		Summary:   "distributed Partition(β) of Lemma 2.1 (β defaults to D^-0.5, the pipeline's coarse clustering); completion = every node cluster-assigned",
 		BudgetDoc: "MaxPhases·PhaseLen (capped exponential shifts)",
 		Order:     10,
-		Caps:      protocol.Caps{Transport: true},
+		Caps:      protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			cfg := DistConfig{}
 			switch t := p.Tuning.(type) {

@@ -258,21 +258,6 @@ func NewWithPre(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) 
 // equivalent wrapper chain). A plan is single-use — build one per
 // constructed instance.
 func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
-	return newWithPre(pre, seed, sources, plan, false)
-}
-
-// NewWithPreFaultsRef is NewWithPreFaults on the per-node reference path:
-// the engine hosts the cnode machines directly (no bulk seams) with the
-// fault plan installed as the engine-side overlay. A transport backend
-// that polls nodes individually — any radio.Transport that installs a
-// round-executor driver — requires this path, because the bulk shims
-// refuse per-node Act. Output is bit-identical to the bulk path (pinned
-// by the package's bulk-vs-reference equivalence tests).
-func NewWithPreFaultsRef(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
-	return newWithPre(pre, seed, sources, plan, true)
-}
-
-func newWithPre(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan, ref bool) (*Compete, error) {
 	g, d, cfg := pre.g, pre.d, pre.cfg
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -387,26 +372,18 @@ func newWithPre(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultP
 		}
 	}
 	rn := make([]radio.Node, n)
-	if cfg.Wrap != nil || ref {
-		// Reference path: contiguous per-node machines, the semantic
-		// baseline the bulk fast path is verified against. A Wrap hook
-		// interposes per-node behavior and owns fault realization (the
-		// engine overlay stays uninstalled); the ref flag keeps the plain
-		// reference nodes with the engine-side overlay, for engines a
-		// transport's round executor polls node by node.
+	if cfg.Wrap != nil {
+		// Reference path: contiguous per-node machines behind the
+		// wrappers, the semantic baseline the bulk fast path is verified
+		// against. The bulk seams stay uninstalled, and so does the fault
+		// overlay (the Wrap hook owns per-node behavior).
 		c.refs = make([]cnode, n)
 		for v := 0; v < n; v++ {
 			c.refs[v] = cnode{id: int32(v), c: c}
 			c.refs[v].main.fid = c.mainFid(int32(v), 0)
-			rn[v] = &c.refs[v]
-			if cfg.Wrap != nil {
-				rn[v] = cfg.Wrap(v, &c.refs[v])
-			}
+			rn[v] = cfg.Wrap(v, &c.refs[v])
 		}
 		c.Engine = radio.NewEngine(g, rn)
-		if cfg.Wrap == nil {
-			c.Engine.SetFaults(plan)
-		}
 		return c, nil
 	}
 	c.bulk = newBulkState(c)

@@ -133,17 +133,6 @@ func NewLeaderElectionPre(pre *Pre, cfg LeaderConfig, seed uint64) (*LeaderElect
 // protect-the-winner convention); a crashed winner makes the run exhaust
 // its budget with Done == false rather than elect a wrong leader.
 func NewLeaderElectionPreFaults(pre *Pre, cfg LeaderConfig, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
-	return newLeaderElection(pre, cfg, seed, plan, false)
-}
-
-// NewLeaderElectionPreFaultsRef is NewLeaderElectionPreFaults on the
-// per-node reference path (see NewWithPreFaultsRef): required when a
-// transport's round executor will poll the nodes individually.
-func NewLeaderElectionPreFaultsRef(pre *Pre, cfg LeaderConfig, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
-	return newLeaderElection(pre, cfg, seed, plan, true)
-}
-
-func newLeaderElection(pre *Pre, cfg LeaderConfig, seed uint64, plan *radio.FaultPlan, ref bool) (*LeaderElection, error) {
 	g := pre.g
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -152,7 +141,7 @@ func newLeaderElection(pre *Pre, cfg LeaderConfig, seed uint64, plan *radio.Faul
 	if err != nil {
 		return nil, err
 	}
-	c, err := newWithPre(pre, seed, candidates, plan, ref)
+	c, err := NewWithPreFaults(pre, seed, candidates, plan)
 	if err != nil {
 		return nil, err
 	}

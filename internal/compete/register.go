@@ -22,7 +22,7 @@ func init() {
 		Summary:   "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
 		BudgetDoc: "8×Budget() (Theorem 4.1 with the implementation's constants)",
 		Order:     40,
-		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true, Transport: true},
+		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true},
 		// Shared with leader:cd17 — both default-tuning scratches are
 		// NewPre(g, d, Config{}), so one build serves both descriptors.
 		ScratchKey: "compete/pre",
@@ -44,7 +44,7 @@ func init() {
 		Summary:   "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
 		BudgetDoc: "8×Budget()",
 		Order:     30,
-		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true, Transport: true},
+		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true},
 		// Distinct from cd17's key: CurtailLogLog changes the schedule
 		// lengths baked into the precomputation.
 		ScratchKey: "compete/pre-hw16",
@@ -66,7 +66,7 @@ func init() {
 		Summary:    "Algorithm 6 / Theorem 5.2: Θ(log n) random candidates compete, O(D·log n/log D + polylog n) whp — first LE asymptotically equal to broadcast",
 		BudgetDoc:  "8×Budget()",
 		Order:      40,
-		Caps:       protocol.Caps{Faults: true, Scratch: true, Bulk: true, Transport: true},
+		Caps:       protocol.Caps{Faults: true, Scratch: true, Bulk: true},
 		ScratchKey: "compete/pre", // see broadcast:cd17
 		NewScratch: func(g *graph.Graph, d int, tuning any) any {
 			cfg, err := leaderTuning(tuning)
@@ -176,14 +176,7 @@ func buildBroadcast(p protocol.BuildParams, hw16 bool) (protocol.Runner, error) 
 	if len(p.Sources) == 0 {
 		return nil, errors.New("compete: empty source set")
 	}
-	// A transport's round executor polls nodes individually, which the
-	// bulk shims cannot serve — build the reference machines instead
-	// (bit-identical output, pinned by the equivalence tests).
-	newCompete := NewWithPreFaults
-	if p.Transport != nil {
-		newCompete = NewWithPreFaultsRef
-	}
-	c, err := newCompete(pr, p.Seed, p.Sources, p.Faults)
+	c, err := NewWithPreFaults(pr, p.Seed, p.Sources, p.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +212,7 @@ func buildLeader(p protocol.BuildParams) (protocol.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	newLE := NewLeaderElectionPreFaults
-	if p.Transport != nil {
-		newLE = NewLeaderElectionPreFaultsRef // see buildBroadcast
-	}
-	le, err := newLE(pr, cfg, p.Seed, p.Faults)
+	le, err := NewLeaderElectionPreFaults(pr, cfg, p.Seed, p.Faults)
 	if err != nil {
 		return nil, err
 	}

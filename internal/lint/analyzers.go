@@ -3,7 +3,6 @@ package lint
 // All returns every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BackendIsolation,
 		Determinism,
 		HookNeutrality,
 		HotPath,

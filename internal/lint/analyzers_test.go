@@ -7,9 +7,8 @@ import (
 	"radionet/internal/lint/linttest"
 )
 
-func TestBackendIsolation(t *testing.T) { linttest.Run(t, lint.BackendIsolation, "backiso/...") }
-func TestDeterminism(t *testing.T)      { linttest.Run(t, lint.Determinism, "determ") }
-func TestRNGDiscipline(t *testing.T)    { linttest.Run(t, lint.RNGDiscipline, "rngfix") }
-func TestRegisterInit(t *testing.T)     { linttest.Run(t, lint.RegisterInit, "reginit") }
-func TestHookNeutrality(t *testing.T)   { linttest.Run(t, lint.HookNeutrality, "hookfix") }
-func TestHotPath(t *testing.T)          { linttest.Run(t, lint.HotPath, "hotfix") }
+func TestDeterminism(t *testing.T)    { linttest.Run(t, lint.Determinism, "determ") }
+func TestRNGDiscipline(t *testing.T)  { linttest.Run(t, lint.RNGDiscipline, "rngfix") }
+func TestRegisterInit(t *testing.T)   { linttest.Run(t, lint.RegisterInit, "reginit") }
+func TestHookNeutrality(t *testing.T) { linttest.Run(t, lint.HookNeutrality, "hookfix") }
+func TestHotPath(t *testing.T)        { linttest.Run(t, lint.HotPath, "hotfix") }

@@ -14,24 +14,21 @@ import (
 // CLIs sit outside — they are telemetry and presentation layers, policed
 // by hookneutrality instead.
 var simPackages = map[string]bool{
-	"radionet/internal/radio":            true,
-	"radionet/internal/radio/simbackend": true,
-	"radionet/internal/radio/lockstep":   true,
-	"radionet/internal/radio/backends":   true,
-	"radionet/internal/rng":              true,
-	"radionet/internal/graph":            true,
-	"radionet/internal/schedule":         true,
-	"radionet/internal/cluster":          true,
-	"radionet/internal/decay":            true,
-	"radionet/internal/compete":          true,
-	"radionet/internal/multicast":        true,
-	"radionet/internal/baseline":         true,
-	"radionet/internal/cd":               true,
-	"radionet/internal/ghle":             true,
-	"radionet/internal/protocol":         true,
-	"radionet/internal/protocol/all":     true,
-	"radionet/internal/campaign":         true,
-	"radionet/internal/precompute":       true,
+	"radionet/internal/radio":        true,
+	"radionet/internal/rng":          true,
+	"radionet/internal/graph":        true,
+	"radionet/internal/schedule":     true,
+	"radionet/internal/cluster":      true,
+	"radionet/internal/decay":        true,
+	"radionet/internal/compete":      true,
+	"radionet/internal/multicast":    true,
+	"radionet/internal/baseline":     true,
+	"radionet/internal/cd":           true,
+	"radionet/internal/ghle":         true,
+	"radionet/internal/protocol":     true,
+	"radionet/internal/protocol/all": true,
+	"radionet/internal/campaign":     true,
+	"radionet/internal/precompute":   true,
 }
 
 // SimScope reports whether pkgPath is inside the determinism perimeter.

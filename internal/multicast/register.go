@@ -90,7 +90,7 @@ func init() {
 		Summary:   "Lemma 2.3-shaped random-push epidemic: all k messages propagate concurrently, additive in k",
 		BudgetDoc: "20·(D + k·L)·L",
 		Order:     20,
-		Caps:      protocol.Caps{Transport: true},
+		Caps:      protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Faults != nil {
 				return nil, fmt.Errorf("multicast: pipelined does not support fault plans yet")

@@ -60,10 +60,6 @@ type Manifest struct {
 	Workers    int    `json:"workers"`
 	// Protocols is the registered (task:name) set the binary carried.
 	Protocols []string `json:"protocols"`
-	// Transports is the registered transport-backend name set the binary
-	// carried (omitted by producers predating the transport seam, keeping
-	// their manifests byte-stable).
-	Transports []string `json:"transports,omitempty"`
 	// WallMS is the whole run's wall time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// SetupMS is the setup-phase wall time (topology materialization plus

@@ -7,7 +7,7 @@
 // every config/trial that references it. A store may additionally be
 // backed by an on-disk cache directory, in which case products persist
 // across processes under a stable content hash — a warm rerun of a pinned
-// grid skips graph construction entirely (see DESIGN.md §13).
+// grid skips graph construction entirely (see DESIGN.md §12).
 //
 // Determinism contract: a product loaded from disk is byte-equivalent to
 // one built from source (the codec round-trips the exact CSR arrays, and

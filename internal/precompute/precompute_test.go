@@ -1,6 +1,8 @@
 package precompute
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"sync"
@@ -220,4 +222,33 @@ func TestHashStability(t *testing.T) {
 	if h2 := (Key{Spec: "randtree:100001", Seed: 42}).Hash(); h2 == h {
 		t.Fatal("spec change did not change hash")
 	}
+}
+
+// FuzzDecode holds the cache-file decoder to its contract on arbitrary
+// bytes: an error, or a product whose CSR passes graph.FromCSR and which
+// re-encodes to exactly the decoded bytes; never a panic. Each input is
+// tried as a whole file and, because random bytes almost never match the
+// trailing sha256, once more resealed with a fresh checksum so the
+// structural checks behind it get exercised too.
+func FuzzDecode(f *testing.F) {
+	k := Key{Spec: "randtree:16", Seed: 3}
+	g := buildRandTree(16, 3)()
+	f.Add(encode(k, Product{G: g, D: g.DiameterEstimate()}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum := sha256.Sum256(data)
+		resealed := append(append([]byte(nil), data...), sum[:]...)
+		for _, file := range [][]byte{data, resealed} {
+			p, err := decode(file, k)
+			if err != nil {
+				continue
+			}
+			off, adj := p.G.CSR()
+			if _, err := graph.FromCSR(p.G.Name(), p.G.N(), off, adj); err != nil {
+				t.Fatalf("decoded CSR fails FromCSR: %v", err)
+			}
+			if !bytes.Equal(encode(k, p), file) {
+				t.Fatal("decoded product re-encodes to different bytes")
+			}
+		}
+	})
 }

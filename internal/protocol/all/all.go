@@ -1,9 +1,7 @@
-// Package all links every algorithm package into the protocol registry
-// and every backend package into the transport registry. Importing it
-// (blank) is how an executable or library layer opts into the full
-// algorithm and backend catalogue; adding a new algorithm or backend
-// package means adding exactly one import line here or in
-// radionet/internal/radio/backends — no dispatch code changes.
+// Package all links every algorithm package into the protocol registry.
+// Importing it (blank) is how an executable or library layer opts into
+// the full algorithm catalogue; adding a new algorithm package means
+// adding exactly one import line here — no dispatch code changes.
 package all
 
 import (
@@ -14,5 +12,4 @@ import (
 	_ "radionet/internal/decay"
 	_ "radionet/internal/ghle"
 	_ "radionet/internal/multicast"
-	_ "radionet/internal/radio/backends"
 )

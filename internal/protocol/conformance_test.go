@@ -25,22 +25,14 @@ const conformanceSeed = 5
 
 func buildRunner(t *testing.T, d *protocol.Descriptor, plan *radio.FaultPlan, scratch any) protocol.Runner {
 	t.Helper()
-	return buildRunnerT(t, d, plan, scratch, nil)
-}
-
-// buildRunnerT is buildRunner with an explicit transport backend; the
-// caller owns the transport's lifecycle (Close after the run).
-func buildRunnerT(t *testing.T, d *protocol.Descriptor, plan *radio.FaultPlan, scratch any, tr radio.Transport) protocol.Runner {
-	t.Helper()
 	g := conformanceGraph()
 	r, err := d.Build(protocol.BuildParams{
-		G:         g,
-		D:         g.DiameterEstimate(),
-		Seed:      conformanceSeed,
-		Sources:   d.DefaultSources(),
-		Faults:    plan,
-		Scratch:   scratch,
-		Transport: tr,
+		G:       g,
+		D:       g.DiameterEstimate(),
+		Seed:    conformanceSeed,
+		Sources: d.DefaultSources(),
+		Faults:  plan,
+		Scratch: scratch,
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -179,51 +171,6 @@ func crashPlan(g *graph.Graph, d *protocol.Descriptor, sources map[int]int64) *r
 		k--
 	}
 	return plan
-}
-
-// TestConformanceTransportParity: every transport-capable descriptor
-// produces the identical Result over every registered backend, plain and
-// crash-faulted, with zero edits to the algorithm packages — the backends
-// may only change where node code executes, never what it observes. This
-// is the whole conformance suite's determinism contract re-run per
-// backend: transports that reorder randomness, drop observations, or leak
-// scheduling into delivery order fail here.
-func TestConformanceTransportParity(t *testing.T) {
-	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		if !d.Caps.Transport {
-			t.Skip("descriptor does not advertise the transport capability")
-		}
-		variants := []string{"plain"}
-		if d.Caps.Faults {
-			variants = append(variants, "faulted")
-		}
-		for _, variant := range variants {
-			t.Run(variant, func(t *testing.T) {
-				// Fault plans carry run state (the crash cursor), so every
-				// build gets a fresh one.
-				mkPlan := func() *radio.FaultPlan {
-					if variant != "faulted" {
-						return nil
-					}
-					return crashPlan(conformanceGraph(), d, d.DefaultSources())
-				}
-				want := fields(buildRunnerT(t, d, mkPlan(), nil, nil).Run(0))
-				for _, info := range radio.Transports() {
-					tr, err := radio.NewTransport(info.Name)
-					if err != nil {
-						t.Fatalf("NewTransport(%s): %v", info.Name, err)
-					}
-					got := fields(buildRunnerT(t, d, mkPlan(), nil, tr).Run(0))
-					if err := tr.Close(); err != nil {
-						t.Errorf("%s: Close: %v", info.Name, err)
-					}
-					if got != want {
-						t.Errorf("%s: result diverges from the in-process run: %v vs %v", info.Name, got, want)
-					}
-				}
-			})
-		}
-	})
 }
 
 // TestConformanceScratchNeutral: sharing a descriptor-built scratch across

@@ -90,13 +90,6 @@ type Caps struct {
 	// Bulk: the runner drives the engine's BulkActor/BulkReceiver fast
 	// paths (informational; see DESIGN.md §5).
 	Bulk bool
-	// Transport: the runner drives a single engine through ApplyEngine and
-	// therefore runs unchanged on any registered transport backend (see
-	// radio.Transport and DESIGN.md §12). Composite multi-engine runners
-	// and descriptors that bypass ApplyEngine leave it false; the campaign
-	// rejects non-simulator transports on them rather than silently
-	// running in-process.
-	Transport bool
 }
 
 // Result is the uniform outcome of one protocol run.
@@ -197,13 +190,6 @@ type BuildParams struct {
 	// ShardHook, if set alongside Shards > 1, receives per-shard busy-time
 	// telemetry (see radio.ShardHook).
 	ShardHook radio.ShardHook
-	// Transport, if non-nil, is the round-executor backend the runner's
-	// engine binds to (see radio.Transport). ApplyEngine attaches it last,
-	// after the protocol has installed nodes, bulk paths, faults and
-	// shards. Only valid on descriptors with Caps.Transport; the caller
-	// owns the transport's lifecycle (one engine per transport, Close when
-	// the run ends). nil runs in-process, exactly as before the seam.
-	Transport radio.Transport
 	// Engines, if non-nil, collects every engine the runner constructs
 	// (ApplyEngine registers automatically) so the caller can release
 	// their resident shard workers deterministically when the trial ends
@@ -212,20 +198,14 @@ type BuildParams struct {
 }
 
 // ApplyEngine wires the params' engine-level knobs (round hook, shard
-// count, shard telemetry, transport backend) into e — the one call every
-// single-engine descriptor's Build makes after constructing its
-// protocol, so new knobs reach all algorithms without touching each
-// register.go. The transport attaches last: by then the protocol has
-// finished configuring the engine, so a message-passing backend sees the
-// final node set and bulk-actor capabilities.
+// count, shard telemetry) into e — the one call every single-engine
+// descriptor's Build makes after constructing its protocol, so new knobs
+// reach all algorithms without touching each register.go.
 func (p BuildParams) ApplyEngine(e *radio.Engine) {
 	e.Hook = p.Hook
 	if p.Shards > 1 {
 		e.SetShards(p.Shards)
 		e.ShardHook = p.ShardHook
-	}
-	if p.Transport != nil {
-		p.Transport.Attach(e)
 	}
 	p.Engines.Add(e)
 }

@@ -3,8 +3,6 @@ package protocol
 import (
 	"fmt"
 	"strings"
-
-	"radionet/internal/radio"
 )
 
 // capString renders a descriptor's capability flags for the table.
@@ -22,20 +20,16 @@ func capString(c Caps) string {
 	if c.Bulk {
 		parts = append(parts, "bulk")
 	}
-	if c.Transport {
-		parts = append(parts, "transport")
-	}
 	if len(parts) == 0 {
 		return "—"
 	}
 	return strings.Join(parts, ", ")
 }
 
-// MarkdownTable renders the full registry — the algorithm table plus the
-// transport-backend table — as the markdown shared by
+// MarkdownTable renders the algorithm registry as the markdown shared by
 // `cmd/radiosim -list`, `cmd/campaign -list` and the README (CI pins all
 // three to byte equality; regenerate the README block from either CLI
-// when either registry changes).
+// when the registry changes).
 func MarkdownTable() string {
 	var b strings.Builder
 	b.WriteString("| task | algorithm | aliases | capabilities | default budget | description |\n")
@@ -48,13 +42,6 @@ func MarkdownTable() string {
 			}
 			fmt.Fprintf(&b, "| %s | `%s` | %s | %s | %s | %s |\n",
 				task, d.Name, aliases, capString(d.Caps), d.BudgetDoc, d.Summary)
-		}
-	}
-	if ts := radio.Transports(); len(ts) > 0 {
-		b.WriteString("\n| transport | description |\n")
-		b.WriteString("|---|---|\n")
-		for _, t := range ts {
-			fmt.Fprintf(&b, "| `%s` | %s |\n", t.Name, t.Summary)
 		}
 	}
 	return b.String()

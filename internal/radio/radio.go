@@ -269,12 +269,6 @@ type Engine struct {
 	workerCmds    []chan uint8
 	workerCleanup runtime.Cleanup
 
-	// Round-executor driver (see SetDriver): when non-nil the Act and
-	// Recv halves of Step route through it instead of touching e.Nodes;
-	// live is the reused per-round scratch of pollable node ids.
-	driver Driver
-	live   []int32
-
 	// Fault state: deadw is the union of the overlay's crash schedule and
 	// the Mortal wrappers' reports; a dead node is off the air and out of
 	// the listener pass. anyDead gates the per-node Act check so unfaulted
@@ -440,24 +434,7 @@ func (e *Engine) Step() {
 	}
 	e.transmit = e.transmit[:0]
 	e.txmsg = e.txmsg[:0]
-	if e.driver != nil {
-		// Driver path: the live list mirrors the per-node loop's skip of
-		// dead nodes (dormant nodes are polled — the Sleeper contract
-		// makes that free and silent), and the driver's ActAll contract
-		// pins its output to the per-node loop's, so the two realizations
-		// of the Act half cannot diverge.
-		e.live = e.live[:0]
-		for i := range e.Nodes {
-			if e.anyDead && e.deadw[i>>6]&(1<<(uint(i)&63)) != 0 {
-				continue // dead nodes are off the air
-			}
-			e.live = append(e.live, int32(i))
-		}
-		e.transmit, e.txmsg = e.driver.ActAll(t, e.live, e.transmit, e.txmsg)
-		for _, u := range e.transmit {
-			e.txw[u>>6] |= 1 << (uint(u) & 63)
-		}
-	} else if e.Bulk != nil {
+	if e.Bulk != nil {
 		if e.shards > 1 {
 			if rb, ok := e.Bulk.(BulkRangeActor); ok {
 				e.rangeBulk = rb
@@ -536,13 +513,6 @@ func (e *Engine) Step() {
 		deliveries += st.deliveries
 		collisions += st.collisions
 		switch {
-		case e.driver != nil:
-			// The driver owns the nodes (they may live on other
-			// goroutines); no dormancy recheck is owed because SetDriver
-			// retired the dormancy skip-list.
-			for k, v := range st.rcvID {
-				e.driver.Observe(t, v, &e.txmsg[st.rcvIdx[k]], false)
-			}
 		case !bulkRecv:
 			for k, v := range st.rcvID {
 				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]], false)
@@ -561,10 +531,6 @@ func (e *Engine) Step() {
 	if e.CollisionDetection {
 		for s := range e.sh {
 			for _, v := range e.sh[s].coll {
-				if e.driver != nil {
-					e.driver.Observe(t, v, nil, true)
-					continue
-				}
 				e.Nodes[v].Recv(t, nil, true)
 				e.recheckDormant(v)
 			}
@@ -572,14 +538,8 @@ func (e *Engine) Step() {
 	}
 	for s := range e.sh {
 		// Silence reports never reach dormant or quiet nodes (classify
-		// masked them out), so no dormancy recheck is owed here. (Under a
-		// driver the dormancy mask is retired, so dormant non-quiet nodes
-		// do get the report — a no-op by their Sleeper promise.)
+		// masked them out), so no dormancy recheck is owed here.
 		for _, v := range e.sh[s].silent {
-			if e.driver != nil {
-				e.driver.Observe(t, v, nil, false)
-				continue
-			}
 			e.Nodes[v].Recv(t, nil, false)
 		}
 	}

@@ -260,13 +260,6 @@ type BroadcastOptions struct {
 	// that many goroutines (see radio.Engine.SetShards). Output is
 	// byte-identical at any value; 0 and 1 both mean unsharded.
 	EngineShards int
-	// Transport names the round-executor backend the run executes on:
-	// "" and "sim" mean the in-process simulator, any other registered
-	// backend ("lockstep", "lockstep-tcp"; see radio.Transports) runs each
-	// node as its own goroutine behind the engine's round barrier.
-	// Results are identical across backends; transport-capable algorithms
-	// only.
-	Transport string
 }
 
 // Broadcast delivers value from node src to every node and returns the
@@ -295,29 +288,6 @@ func tuning(cfg Config) any {
 	return cfg
 }
 
-// resolveTransport maps an options-level transport name to a backend
-// instance: nil for the in-process simulator ("" or "sim" — the engine's
-// native loops are the simulator), a fresh radio.Transport otherwise.
-// Non-simulator backends require the descriptor's transport capability.
-func resolveTransport(name string, desc *protocol.Descriptor) (radio.Transport, error) {
-	if name == "" || name == "sim" {
-		return nil, nil
-	}
-	if !desc.Caps.Transport {
-		return nil, fmt.Errorf("radionet: algorithm %q does not support transport backends", desc.Name)
-	}
-	return radio.NewTransport(name)
-}
-
-// closeTransport tears a run's backend down (joining its node goroutines
-// and closing its sockets); reading results only after it returns is what
-// makes them race-free. nil-safe for the simulator.
-func closeTransport(tr radio.Transport) {
-	if tr != nil {
-		tr.Close()
-	}
-}
-
 // Compete runs the paper's generalized primitive: every source in sources
 // holds a message, and on completion all nodes know the highest one
 // (Theorem 4.1). The oblivious baselines run their multi-source
@@ -341,10 +311,6 @@ func (n *Network) Compete(sources map[int]int64, o BroadcastOptions) (Result, er
 	if o.Faults != nil && !desc.Caps.Faults {
 		return Result{}, fmt.Errorf("radionet: algorithm %q does not support fault injection", name)
 	}
-	tr, err := resolveTransport(o.Transport, desc)
-	if err != nil {
-		return Result{}, err
-	}
 	// Sharded engines park resident workers; close them when the run
 	// ends rather than leaving the teardown to GC.
 	var engines radio.EngineSet
@@ -353,18 +319,15 @@ func (n *Network) Compete(sources map[int]int64, o BroadcastOptions) (Result, er
 	r, err := desc.Build(protocol.BuildParams{
 		G: n.G, D: n.Diameter, Seed: o.Seed,
 		Sources: sources, Faults: o.Faults, Tuning: tun,
-		Scratch:   n.scratchFor(desc, tun),
-		Hook:      radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
-		Shards:    o.EngineShards,
-		Transport: tr,
-		Engines:   &engines,
+		Scratch: n.scratchFor(desc, tun),
+		Hook:    radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
+		Shards:  o.EngineShards,
+		Engines: &engines,
 	})
 	if err != nil {
-		closeTransport(tr)
 		return Result{}, err
 	}
 	res := r.Run(o.MaxRounds)
-	closeTransport(tr)
 	return Result{
 		Rounds: res.Rounds, PrecomputeRounds: res.Precompute, Done: res.Done,
 		Reached: res.Reached, ReachTarget: res.ReachTarget,
@@ -415,9 +378,6 @@ type LeaderOptions struct {
 	// that many goroutines (see radio.Engine.SetShards). Output is
 	// byte-identical at any value; 0 and 1 both mean unsharded.
 	EngineShards int
-	// Transport names the round-executor backend (see
-	// BroadcastOptions.Transport).
-	Transport string
 }
 
 // LeaderResult reports a leader election run.
@@ -449,10 +409,6 @@ func (n *Network) LeaderElection(o LeaderOptions) (LeaderResult, error) {
 	if o.Faults != nil && !desc.Caps.Faults {
 		return LeaderResult{}, fmt.Errorf("radionet: leader algorithm %q does not support fault injection", name)
 	}
-	tr, err := resolveTransport(o.Transport, desc)
-	if err != nil {
-		return LeaderResult{}, err
-	}
 	// See Compete: deterministic resident-worker teardown.
 	var engines radio.EngineSet
 	defer engines.Close()
@@ -460,18 +416,15 @@ func (n *Network) LeaderElection(o LeaderOptions) (LeaderResult, error) {
 	r, err := desc.Build(protocol.BuildParams{
 		G: n.G, D: n.Diameter, Seed: o.Seed,
 		Faults: o.Faults, Tuning: tun,
-		Scratch:   n.scratchFor(desc, tun),
-		Hook:      radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
-		Shards:    o.EngineShards,
-		Transport: tr,
-		Engines:   &engines,
+		Scratch: n.scratchFor(desc, tun),
+		Hook:    radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
+		Shards:  o.EngineShards,
+		Engines: &engines,
 	})
 	if err != nil {
-		closeTransport(tr)
 		return LeaderResult{}, err
 	}
 	res := r.Run(o.MaxRounds)
-	closeTransport(tr)
 	done := res.Done
 	if done && res.Verify != nil && res.Verify() != nil {
 		done = false
