@@ -17,8 +17,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"radionet/internal/graph"
 	"radionet/internal/rng"
@@ -30,68 +32,40 @@ import (
 // to the center.
 type Result struct {
 	Beta   float64
-	Center []int32   // Center[v] = v's cluster center
-	Parent []int32   // forest edges toward the center; Parent[center] = -1
+	Center []int32 // Center[v] = v's cluster center
+	// Parent holds forest edges toward the center; Parent[center] = -1.
+	// Parent[v] is a neighbour of v in its cluster with Dist one less. When
+	// several qualify, Partition picks the one it settled first.
+	Parent []int32
 	Dist   []int32   // hop distance from v to Center[v]
 	Delta  []float64 // the exponential shifts used
 
 	g *graph.Graph
 }
 
-// item is a priority-queue entry for the multi-source Dijkstra.
-type item struct {
-	key    float64 // dist(u, v) - δ_v, to be minimized
-	node   int32
-	center int32
-	parent int32
-	dist   int32
+// entry is a Partition queue entry: a node and its candidate key
+// dist(c, node) - δ_c for some center c, to be minimized.
+type entry struct {
+	key  float64
+	node int32
 }
 
-// The priority queue is a hand-rolled binary min-heap over the concrete
-// item type. The sift routines replicate container/heap's up/down moves
-// (same comparisons, same swaps), so the pop order — including the order
-// of equal keys — is exactly what heap.Init/Push/Pop produced before the
-// rewrite; what changed is that pushes no longer box every item through
-// an interface allocation, which dominated Partition's cost.
+// Per-node states of the Partition build.
+const (
+	unseen  uint8 = iota
+	queued        // in the FIFO, with a tentative center, parent and dist
+	settled       // center, parent and dist are final
+)
 
-func heapUp(q []item, j int) {
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if q[j].key >= q[i].key {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func heapDown(q []item, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q[j2].key < q[j1].key {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if q[j].key >= q[i].key {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-// Scratch holds reusable Partition buffers (the priority-queue backing
-// array and the settled bitmap), letting callers that build many
-// partitions of one graph — the Compete precomputation, trial campaigns —
-// skip the per-call allocations. The zero value is ready to use; a Scratch
-// is not safe for concurrent use.
+// Scratch holds reusable Partition buffers (the sorted sources, the FIFO
+// of nodes reached through an edge and the per-node state array), letting
+// callers that build many partitions of one graph — the Compete
+// precomputation, trial campaigns — skip the per-call allocations. The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
-	pq      []item
-	settled []bool
+	src   []entry
+	fifo  []entry
+	state []uint8
 }
 
 // Partition runs the centralized Partition(β) on g using randomness from
@@ -116,80 +90,80 @@ func PartitionScratch(g *graph.Graph, beta float64, r *rng.Rand, scr *Scratch) *
 		Delta:  make([]float64, n),
 		g:      g,
 	}
-	var q []item
-	var settled []bool
-	if scr != nil {
-		q = scr.pq[:0]
-		if cap(scr.settled) >= n {
-			settled = scr.settled[:n]
-			clear(settled)
-		}
+	if scr == nil {
+		scr = new(Scratch)
 	}
-	if settled == nil {
-		settled = make([]bool, n)
+	if cap(scr.src) < n {
+		scr.src = make([]entry, n)
+		scr.fifo = make([]entry, 0, n)
+		scr.state = make([]uint8, n)
 	}
-	if cap(q) < n {
-		q = make([]item, 0, n)
-	}
+	src, fifo, state := scr.src[:n], scr.fifo[:0], scr.state[:n]
+	clear(state)
 	for v := 0; v < n; v++ {
-		res.Center[v] = -1
-		res.Parent[v] = -1
 		res.Delta[v] = r.Exp(beta)
+		src[v] = entry{key: -res.Delta[v], node: int32(v)}
 	}
-	// Multi-source Dijkstra: node v is a virtual source with offset -δ_v;
-	// the first settlement of u determines its center. Unit edge weights
-	// mean the settled path is a shortest path to the center, and by the
-	// MPX argument every node on it belongs to the same cluster, so Dist
-	// is the strong (intra-cluster) distance to the center.
-	for v := 0; v < n; v++ {
-		q = append(q, item{key: -res.Delta[v], node: int32(v), center: int32(v), parent: -1})
-	}
-	for i := n/2 - 1; i >= 0; i-- { // heap.Init
-		heapDown(q, i, n)
-	}
-	remaining := n
-	for remaining > 0 && len(q) > 0 {
-		last := len(q) - 1 // heap.Pop
-		q[0], q[last] = q[last], q[0]
-		heapDown(q, 0, last)
-		it := q[last]
-		q = q[:last]
-		v := it.node
-		if settled[v] {
-			continue
+	// Multi-source Dijkstra with unit edge weights: node v is a virtual
+	// source with key -δ_v, and the first settlement of u determines its
+	// center. The settled path is a shortest path to the center, and by
+	// the MPX argument every node on it belongs to the same cluster, so
+	// Dist is the strong (intra-cluster) distance to the center.
+	//
+	// No heap is needed. Every push has key popped.key + 1, and popped
+	// keys never decrease, so pushes arrive in key order: the FIFO stays
+	// sorted, and merging it with the sorted sources pops in Dijkstra
+	// order. A node's first push therefore carries its smallest pushed
+	// key, so each node is queued at most once, and its tentative center,
+	// parent and dist are written to res at that push.
+	slices.SortFunc(src, func(a, b entry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		settled[v] = true
-		remaining--
-		res.Center[v] = it.center
-		res.Parent[v] = it.parent
-		res.Dist[v] = it.dist
+		return cmp.Compare(a.node, b.node)
+	})
+	i, h := 0, 0
+	for left := n; left > 0; {
+		var e entry
+		if h < len(fifo) && (i == n || fifo[h].key < src[i].key) {
+			e = fifo[h]
+			h++
+			if state[e.node] == settled {
+				continue
+			}
+		} else {
+			e = src[i]
+			i++
+			if state[e.node] == settled {
+				continue
+			}
+			res.Center[e.node], res.Parent[e.node], res.Dist[e.node] = e.node, -1, 0
+		}
+		v := e.node
+		state[v] = settled
+		left--
+		c, d := res.Center[v], res.Dist[v]+1
 		for _, w := range g.Neighbors(int(v)) {
-			if !settled[w] {
-				q = append(q, item{ // heap.Push
-					key:    it.key + 1,
-					node:   w,
-					center: it.center,
-					parent: v,
-					dist:   it.dist + 1,
-				})
-				heapUp(q, len(q)-1)
+			if state[w] == unseen {
+				state[w] = queued
+				res.Center[w], res.Parent[w], res.Dist[w] = c, v, d
+				fifo = append(fifo, entry{key: e.key + 1, node: w})
 			}
 		}
-	}
-	if scr != nil {
-		scr.pq = q[:0]
-		scr.settled = settled
 	}
 	return res
 }
 
-// NumClusters returns the number of distinct cluster centers.
+// NumClusters returns the number of clusters: the nodes that are their
+// own center (on a Result that passes Validate, the distinct centers).
 func (r *Result) NumClusters() int {
-	seen := make(map[int32]bool)
-	for _, c := range r.Center {
-		seen[c] = true
+	k := 0
+	for v, c := range r.Center {
+		if int(c) == v {
+			k++
+		}
 	}
-	return len(seen)
+	return k
 }
 
 // Clusters returns the members of every cluster keyed by center.
@@ -228,7 +202,6 @@ func (r *Result) StrongRadius() map[int32]int32 {
 		if r.Dist[v] > out[c] {
 			out[c] = r.Dist[v]
 		}
-		_ = v
 	}
 	return out
 }

@@ -48,10 +48,46 @@ func TestPartitionPanicsOnBadBeta(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	g := graph.Grid(10, 10)
 	p1 := Partition(g, 0.3, rng.New(7))
-	p2 := Partition(g, 0.3, rng.New(7))
+	var scr Scratch
+	PartitionScratch(graph.Path(300), 0.1, rng.New(8), &scr) // leave stale state behind
+	p2 := PartitionScratch(g, 0.3, rng.New(7), &scr)
 	for v := range p1.Center {
-		if p1.Center[v] != p2.Center[v] {
-			t.Fatalf("center of %d differs across identical runs", v)
+		if p1.Center[v] != p2.Center[v] || p1.Parent[v] != p2.Parent[v] || p1.Dist[v] != p2.Dist[v] {
+			t.Fatalf("node %d: (center, parent, dist) = (%d, %d, %d) then (%d, %d, %d) across identical runs",
+				v, p1.Center[v], p1.Parent[v], p1.Dist[v], p2.Center[v], p2.Parent[v], p2.Dist[v])
+		}
+	}
+}
+
+// TestPartitionMatchesHeapOracle pins the two-queue Partition to the
+// heap-based reference: Center, Dist and Delta are identical. Parent may
+// differ from the oracle's where several neighbours tie; Validate checks
+// that every Parent[v] is a neighbour in v's cluster with Dist[v]-1.
+func TestPartitionMatchesHeapOracle(t *testing.T) {
+	r := rng.New(2024)
+	graphs := append(testGraphs(t),
+		graph.RandomGeometric(2000, 0.05, r.Fork(1)),
+		graph.Gnp(1024, 0.05, r.Fork(2)),
+		graph.Grid(8, 128),
+		graph.RandomTree(5000, r.Fork(3)),
+	)
+	var scr Scratch
+	for _, g := range graphs {
+		for _, beta := range []float64{1.5, 0.5, 0.2, 1.0 / 32} {
+			for seed := uint64(0); seed < 20; seed++ {
+				want := heapPartition(g, beta, rng.New(seed))
+				got := PartitionScratch(g, beta, rng.New(seed), &scr)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%v beta=%v seed=%d: %v", g, beta, seed, err)
+				}
+				for v := 0; v < g.N(); v++ {
+					if got.Center[v] != want.Center[v] || got.Dist[v] != want.Dist[v] || got.Delta[v] != want.Delta[v] {
+						t.Fatalf("%v beta=%v seed=%d node %d: (center, dist, delta) = (%d, %d, %v), oracle (%d, %d, %v)",
+							g, beta, seed, v, got.Center[v], got.Dist[v], got.Delta[v],
+							want.Center[v], want.Dist[v], want.Delta[v])
+					}
+				}
+			}
 		}
 	}
 }

@@ -138,3 +138,21 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		})
 	}
 }
+
+func TestF5VerdictFollowsSlopes(t *testing.T) {
+	tests := []struct {
+		cd17, bgi float64
+		ok        bool
+		want      string
+	}{
+		{0.5, 1.54, true, "verdict: reproduced;"},
+		{2.45, 1.54, true, "verdict: not reproduced at this scale;"},
+		{1.54, 1.54, true, "verdict: not reproduced at this scale;"},
+		{0.5, 1.54, false, "verdict: inconclusive;"},
+	}
+	for _, tc := range tests {
+		if got := f5Verdict(tc.cd17, tc.bgi, tc.ok); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("f5Verdict(%v, %v, %v) = %q, want prefix %q", tc.cd17, tc.bgi, tc.ok, got, tc.want)
+		}
+	}
+}

@@ -293,14 +293,33 @@ func runF5(o Options) *Table {
 			}
 		}
 	}
+	slopes := map[string]float64{}
 	for _, a := range algos {
 		ph := perHop[a.name]
 		if len(ph) >= 2 {
 			slope := (ph[len(ph)-1] - ph[0]) / (logns[a.name][len(ph)-1] - logns[a.name][0])
-			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 n); CD17 flat, BGI growing reproduces the O(D) optimality claim; extrapolated crossover where BGI's ~1.4·log2 n exceeds CD17's flat constant", a.name, ph[0], ph[len(ph)-1], slope)
+			slopes[a.name] = slope
+			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 n)", a.name, ph[0], ph[len(ph)-1], slope)
 		}
 	}
+	bgi, bgiOK := slopes[algos[0].name]
+	cd17, cd17OK := slopes[algos[1].name]
+	t.Note("%s", f5Verdict(cd17, bgi, bgiOK && cd17OK))
 	return t
+}
+
+// f5Verdict judges F5's O(D) claim from the fitted rounds/D slopes per
+// log2 n: the claim predicts CD17's rounds/D grows more slowly than BGI's.
+// ok is false when either algorithm completed fewer than two sweep points.
+func f5Verdict(cd17, bgi float64, ok bool) string {
+	switch {
+	case !ok:
+		return "verdict: inconclusive; BGI or CD17 completed fewer than two sweep points"
+	case cd17 < bgi:
+		return fmt.Sprintf("verdict: reproduced; CD17's rounds/D slope %.2f per log2 n is below BGI's %.2f, so BGI's rounds/D overtakes CD17's as n grows", cd17, bgi)
+	default:
+		return fmt.Sprintf("verdict: not reproduced at this scale; CD17's rounds/D slope %.2f per log2 n is not below BGI's %.2f", cd17, bgi)
+	}
 }
 
 // runF6 toggles the paper's design choices one at a time (Section 2.3's

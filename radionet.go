@@ -459,7 +459,11 @@ func (n *Network) BroadcastCD(src int, value int64) (Result, error) {
 // Clustering re-exports the Miller–Peng–Xu Partition(β) result type.
 type Clustering = cluster.Result
 
-// PartitionGraph runs the centralized Partition(β) of Lemma 2.1 on g.
+// PartitionGraph runs the centralized Partition(β) of Lemma 2.1 on g: a
+// multi-source BFS from every node v shifted by an exponential δ_v, in
+// O(n log n + m) time. The result is a pure function of g, beta and seed;
+// each Parent is a shortest-path parent inside the cluster, the first
+// settled where several tie.
 func PartitionGraph(g *Graph, beta float64, seed uint64) *Clustering {
 	return cluster.Partition(g, beta, rng.New(seed))
 }
