@@ -15,7 +15,10 @@ import (
 // lane clocks); the ...PerNode variants force the per-node reference path
 // via an identity Wrap hook, which is the pre-bulk engine configuration.
 // Round counts are identical by construction; only wall time and
-// allocations differ. See DESIGN.md §5 for recorded numbers.
+// allocations differ. BenchmarkCD17LeaderGrid8x512 and
+// BenchmarkCD17BroadcastGeo10k are the perfbench workload shapes
+// (leader:cd17 on grid:8x512, broadcast:cd17 on geometric:10000:0.03).
+// See DESIGN.md §5 for recorded numbers.
 
 func benchCompete(b *testing.B, g *graph.Graph, hw16, perNode bool) {
 	b.Helper()
@@ -25,18 +28,31 @@ func benchCompete(b *testing.B, g *graph.Graph, hw16, perNode bool) {
 		cfg.Wrap = func(_ int, n radio.Node) radio.Node { return n }
 	}
 	pre := NewPre(g, d, cfg)
+	benchRuns(b, func() (*Compete, error) {
+		bc, err := NewBroadcastPre(pre, 1, 0, 9)
+		if err != nil {
+			return nil, err
+		}
+		return bc.Compete, nil
+	})
+}
+
+// benchRuns times b.N instances from build, each constructed and run to
+// completion.
+func benchRuns(b *testing.B, build func() (*Compete, error)) {
+	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var rounds int64
 	for i := 0; i < b.N; i++ {
-		bc, err := NewBroadcastPre(pre, 1, 0, 9)
+		c, err := build()
 		if err != nil {
 			b.Fatal(err)
 		}
 		var done bool
-		rounds, done = bc.Run(8 * bc.Budget())
+		rounds, done = c.Run(8 * c.Budget())
 		if !done {
-			b.Fatal("broadcast incomplete")
+			b.Fatal("run incomplete")
 		}
 	}
 	b.ReportMetric(float64(rounds), "radio-rounds")
@@ -63,4 +79,25 @@ func BenchmarkHW16Broadcast100kRandTree(b *testing.B) {
 // visible at this scale.
 func BenchmarkCD17Broadcast10kRandTreePerNode(b *testing.B) {
 	benchCompete(b, graph.RandomTree(10_000, rng.New(7)), false, true)
+}
+
+// BenchmarkCD17LeaderGrid8x512 is leader election in the paper's headline
+// regime, D polynomial in n (n = 4096, D ≈ 518): many light rounds, so
+// the per-round Act cost dominates.
+func BenchmarkCD17LeaderGrid8x512(b *testing.B) {
+	g := graph.Grid(8, 512)
+	pre := NewPre(g, g.DiameterEstimate(), Config{})
+	benchRuns(b, func() (*Compete, error) {
+		le, err := NewLeaderElectionPre(pre, LeaderConfig{}, 1)
+		if err != nil {
+			return nil, err
+		}
+		return le.Compete, nil
+	})
+}
+
+// BenchmarkCD17BroadcastGeo10k is broadcast on a unit-disk graph, the
+// deployment model radio networks exist for (n = 10^4, D ≈ 53).
+func BenchmarkCD17BroadcastGeo10k(b *testing.B) {
+	benchCompete(b, graph.RandomGeometric(10_000, 0.03, rng.New(3)), false, false)
 }

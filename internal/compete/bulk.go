@@ -2,6 +2,7 @@ package compete
 
 import (
 	"math"
+	"math/bits"
 
 	"radionet/internal/decay"
 	"radionet/internal/radio"
@@ -17,10 +18,16 @@ import (
 // lengths depend only on the fine clustering in play), and the background
 // lane's clock is global (round-robin fids, shared slot lengths). The bulk
 // path therefore keeps one clock per coarse cluster plus one background
-// clock, and each round's transmitters come from a single pass over the
-// flat storage in increasing id order, drawing per-node randomness under
-// exactly the reference implementation's gates — observational identity is
-// enforced by the equivalence tests in bulk_test.go.
+// clock.
+//
+// A round visits only the nodes that can draw a coin. An ICP round walks
+// the set bits of the lane's heard bitset, after resetting the members of
+// every clock that starts an outward sub-phase; a helper round walks the
+// intersection of the heard bitset with the lane's firing set, the nodes
+// whose fine cluster won this Decay window's shared coin. Both walks run
+// in increasing id order and draw per-node randomness under exactly the
+// reference implementation's gates — observational identity is enforced
+// by the equivalence tests in bulk_test.go.
 type bulkState struct {
 	c     *Compete
 	shims []bnode
@@ -28,11 +35,21 @@ type bulkState struct {
 	ci      []int32     // node -> main-lane clock index (compact coarse id)
 	mainClk []laneClock // one main-lane clock per coarse cluster
 	bgClk   laneClock   // the global background-lane clock
+	// members lists each main clock's nodes in increasing id order, CSR
+	// style: clock i owns members[memberOff[i]:memberOff[i+1]].
+	memberOff []int32
+	members   []int32
 
-	mainHeard []bool  // main lane: heard the cluster flood this slot
-	mainFlood []int64 // main lane: the flooded value
-	bgHeard   []bool  // background lane: heard the cluster flood this slot
-	bgFlood   []int64 // background lane: the flooded value
+	mainHeard []uint64 // main lane bitset: heard the cluster flood this slot
+	mainFlood []int64  // main lane: the flooded value
+	bgHeard   []uint64 // background lane bitset: heard the cluster flood this slot
+	bgFlood   []int64  // background lane: the flooded value
+
+	// Per helper lane, the nodes that would pass the Algorithm-4 gates
+	// other than heard: within the curtailment radius of their current
+	// fine clustering, in a cluster whose coin is below this window's p.
+	mainFiring firingSet
+	bgFiring   firingSet
 
 	// thr[s] is the integer Bernoulli threshold for the schedule sweep
 	// probability 2^-(s+1): rnd.Uint64()>>11 < thr[s] is the same draw and
@@ -41,15 +58,13 @@ type bulkState struct {
 	// helperThr is the same table for the Algorithm-4 decay steps.
 	helperThr []uint64
 
-	scratch []clkInfo // per-main-clock derived values for the current round
-
-	// Helper-lane cluster-coin cache: every member of a fine cluster
-	// computes the same HashFloat(coinSeed, fid, center, window), so the
-	// hash is evaluated once per (center, fid, window) and memoized under
-	// a stamp that encodes (window, fid). One cache per helper lane —
-	// the lanes differ in coin seed and fid space.
-	mainCoin coinCache
-	bgCoin   coinCache
+	// scratch holds every clock's derived values for the current round:
+	// one entry per main clock, then the background clock's. levelThr
+	// backs their thr tables, levelStride entries per clock in the same
+	// order.
+	scratch     []clkInfo
+	levelThr    []uint64
+	levelStride int
 }
 
 // laneClock is one shared Intra-Cluster Propagation clock (see icpState;
@@ -67,12 +82,47 @@ type clkInfo struct {
 	f        *fine
 	boundary bool
 	subphase int8
-	step     int64 // offset within the current sub-phase
+	// thr[l] is the sweep threshold of a node with ladder length l at this
+	// round's offset within the sub-phase, so the node pass looks it up
+	// instead of dividing per node.
+	thr []uint64
 }
 
-// coinCache memoizes the shared per-cluster helper coin, keyed by fine
-// cluster center and stamped by (window, fid) so stale windows and
-// clustering switches invalidate lazily.
+// derive returns clock cl's values for this round on clustering f,
+// filling tab (one entry per ladder length 0..f.sched.MaxLevel) with the
+// per-ladder sweep thresholds.
+//
+//radionet:hotpath
+func (s *bulkState) derive(cl *laneClock, f *fine, tab []uint64) clkInfo {
+	step := cl.offset % f.subLen
+	tab = tab[:f.sched.MaxLevel+1]
+	for l := 1; l < len(tab); l++ {
+		tab[l] = s.thr[step%int64(l)]
+	}
+	return clkInfo{
+		f:        f,
+		boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
+		subphase: int8(cl.offset / f.subLen),
+		thr:      tab,
+	}
+}
+
+// firingSet is one helper lane's bitset of nodes that may draw in the
+// current Decay window, valid for window and the lane clocks' current
+// fids. The window's first helper round rebuilds it; a clock rolling over
+// to a new fid re-derives that clock's nodes.
+type firingSet struct {
+	bits   []uint64
+	window int64 // the window bits were derived for; -1 = none yet
+	// coin is the lane's own cache: the two helper lanes differ in coin
+	// seed and fid space.
+	coin coinCache
+}
+
+// coinCache memoizes the shared per-cluster helper coin: every member of
+// a fine cluster computes the same HashFloat(coinSeed, fid, center,
+// window), so the cache is keyed by fine cluster center and stamped by
+// (window, fid); stale windows and clustering switches invalidate lazily.
 type coinCache struct {
 	coin  []float64
 	stamp []uint64 // 0 = empty; otherwise 1 + window*numFine + fid
@@ -98,12 +148,13 @@ func (cc *coinCache) get(seed uint64, numFine int, fid int32, center int32, wind
 
 func newBulkState(c *Compete) *bulkState {
 	n := c.g.N()
+	words := (n + 63) / 64
 	s := &bulkState{
 		c:         c,
 		ci:        make([]int32, n),
-		mainHeard: make([]bool, n),
+		mainHeard: make([]uint64, words),
 		mainFlood: make([]int64, n),
-		bgHeard:   make([]bool, n),
+		bgHeard:   make([]uint64, words),
 		bgFlood:   make([]int64, n),
 	}
 	// Compact clock ids per coarse cluster, assigned in first-member order.
@@ -119,7 +170,22 @@ func newBulkState(c *Compete) *bulkState {
 		}
 		s.ci[v] = compact[ctr]
 	}
-	s.scratch = make([]clkInfo, len(s.mainClk))
+	// Member lists by counting sort on the clock index; filling in id
+	// order keeps every list ascending.
+	s.memberOff = make([]int32, len(s.mainClk)+1)
+	for _, i := range s.ci {
+		s.memberOff[i+1]++
+	}
+	for i := range s.mainClk {
+		s.memberOff[i+1] += s.memberOff[i]
+	}
+	s.members = make([]int32, n)
+	fill := append([]int32(nil), s.memberOff[:len(s.mainClk)]...)
+	for v, i := range s.ci {
+		s.members[fill[i]] = int32(v)
+		fill[i]++
+	}
+	s.scratch = make([]clkInfo, len(s.mainClk)+1)
 	maxLevel := 1
 	for i := range c.mains {
 		if l := c.mains[i].sched.MaxLevel; l > maxLevel {
@@ -138,12 +204,17 @@ func newBulkState(c *Compete) *bulkState {
 		// same outcome as the reference rnd.Bernoulli (cf. decay's table).
 		s.thr[i] = uint64(math.Ceil(math.Ldexp(1, -(i+1)) * (1 << 53)))
 	}
+	s.levelStride = maxLevel + 1
+	s.levelThr = make([]uint64, len(s.scratch)*s.levelStride)
 	s.helperThr = make([]uint64, c.l4)
 	for i := range s.helperThr {
 		s.helperThr[i] = uint64(math.Ceil(decay.Prob(i) * (1 << 53)))
 	}
-	s.mainCoin.init(n)
-	s.bgCoin.init(n)
+	for _, fs := range []*firingSet{&s.mainFiring, &s.bgFiring} {
+		fs.bits = make([]uint64, words)
+		fs.window = -1
+		fs.coin.init(n)
+	}
 	s.shims = make([]bnode, n)
 	for v := range s.shims {
 		s.shims[v] = bnode{s: s, id: int32(v)}
@@ -151,7 +222,7 @@ func newBulkState(c *Compete) *bulkState {
 	return s
 }
 
-// ActBulk implements radio.BulkActor: one pass over the flat node state in
+// ActBulk implements radio.BulkActor: one round's transmitters in
 // increasing id order, mirroring cnode.Act exactly (same gates, same RNG
 // draws per node, same messages).
 //
@@ -181,19 +252,29 @@ func (s *bulkState) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32,
 	}
 }
 
+// clockMembers returns main clock i's nodes in increasing id order.
+//
+//radionet:hotpath
+func (s *bulkState) clockMembers(i int) []int32 {
+	return s.members[s.memberOff[i]:s.memberOff[i+1]]
+}
+
 // actMain runs one main-lane ICP round: derive each coarse clock's slot
-// position, pass over the nodes, then advance the clocks (post-pass, so a
-// same-round Recv sees the rolled-over fid exactly as the reference does).
+// position, reset the members of every clock that starts an outward
+// sub-phase, pass over the heard nodes, then advance the clocks (post-pass,
+// so a same-round Recv sees the rolled-over fid exactly as the reference
+// does).
+//
+//radionet:hotpath
 func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
 		f := &c.mains[cl.fid]
-		s.scratch[i] = clkInfo{
-			f:        f,
-			boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
-			subphase: int8(cl.offset / f.subLen),
-			step:     cl.offset % f.subLen,
+		info := &s.scratch[i]
+		*info = s.derive(cl, f, s.levelThr[i*s.levelStride:])
+		if info.boundary {
+			s.resetFlood(f, s.clockMembers(i), s.mainHeard, s.mainFlood)
 		}
 	}
 	tx, msgs = s.icpPass(s.ci, s.scratch, s.mainHeard, s.mainFlood, tx, msgs)
@@ -205,126 +286,176 @@ func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.
 			cl.offset = 0
 			cl.k++
 			cl.fid = c.mainFid(cl.center, cl.k)
+			if fs := &s.mainFiring; fs.window >= 0 {
+				s.deriveFiring(fs, c.mains, cl.fid, c.coinMain, s.clockMembers(i))
+			}
 		}
 	}
 	return tx, msgs
 }
 
-// actBg is actMain for the background lane's single global clock.
+// actBg is actMain for the background lane's single global clock. A
+// rollover invalidates the background firing set, which every node
+// shares a fid in; the next helper round rebuilds it.
+//
+//radionet:hotpath
 func (s *bulkState) actBg(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	cl := &s.bgClk
 	f := &c.bgs[cl.fid]
-	info := clkInfo{
-		f:        f,
-		boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
-		subphase: int8(cl.offset / f.subLen),
-		step:     cl.offset % f.subLen,
+	bg := len(s.mainClk)
+	info := &s.scratch[bg]
+	*info = s.derive(cl, f, s.levelThr[bg*s.levelStride:])
+	if info.boundary {
+		s.resetFlood(f, s.members, s.bgHeard, s.bgFlood)
 	}
-	tx, msgs = s.icpPass(nil, []clkInfo{info}, s.bgHeard, s.bgFlood, tx, msgs)
+	tx, msgs = s.icpPass(nil, s.scratch[bg:], s.bgHeard, s.bgFlood, tx, msgs)
 	cl.subphase = info.subphase
 	cl.offset++
 	if cl.offset >= f.slotLen {
 		cl.offset = 0
 		cl.k++
 		cl.fid = c.bgFid(cl.k)
+		s.bgFiring.window = -1
 	}
 	return tx, msgs
 }
 
-// icpPass is the shared per-node loop of one ICP lane round. ci maps each
-// node to its clock in clks; a nil ci means every node shares clks[0]
-// (the background lane).
+// resetFlood starts an outward sub-phase of clustering f for the given
+// nodes (s.members for every node): only the cluster centers hold the
+// flood, seeded with their best known value.
 //
 //radionet:hotpath
-func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []bool, flood []int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) resetFlood(f *fine, nodes []int32, heard []uint64, flood []int64) {
+	gm := s.c.globalMax
+	center := f.part.Center
+	for _, v := range nodes {
+		bit := uint64(1) << (v & 63)
+		if center[v] == v {
+			heard[v>>6] |= bit
+			flood[v] = gm[v]
+		} else {
+			heard[v>>6] &^= bit
+			flood[v] = Uninformed
+		}
+	}
+}
+
+// icpPass is the shared per-node loop of one ICP lane round over the
+// heard nodes. ci maps each node to its clock in clks; a nil ci means
+// every node shares clks[0] (the background lane). A node that has not
+// heard its cluster flood never transmits, so skipping it changes nothing:
+// every per-node effect (gates, RNG draw, message) is node-local. The
+// reference's curtailment gate (Dist <= curtail) always passes here: a
+// clock's members are reset before its first pass on a new clustering,
+// which marks only centers heard, and recvOne marks a node heard only
+// within the curtailment radius of the clustering its clock is on.
+//
+//radionet:hotpath
+func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []uint64, flood []int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	gm := c.globalMax
-	for v := range gm {
-		info := &clks[0]
-		if ci != nil {
-			info = &clks[ci[v]]
-		}
-		f := info.f
-		if info.boundary {
-			// Outward sub-phase begins: only the center holds the flood.
-			if f.part.Center[v] == int32(v) {
-				heard[v] = true
-				flood[v] = gm[v]
-			} else {
-				heard[v] = false
-				flood[v] = Uninformed
+	info := &clks[0]
+	for w, word := range heard {
+		for word != 0 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if ci != nil {
+				info = &clks[ci[v]]
 			}
-		}
-		if f.part.Dist[v] > f.curtail || !heard[v] {
-			continue
-		}
-		a := flood[v] // outward sub-phases flood the cluster value
-		if info.subphase == 1 {
-			// Inward sub-phase: relay only strictly better knowledge.
-			if gm[v] <= flood[v] {
-				continue
+			f := info.f
+			a := flood[v] // outward sub-phases flood the cluster value
+			if info.subphase == 1 {
+				// Inward sub-phase: relay only strictly better knowledge.
+				if gm[v] <= flood[v] {
+					continue
+				}
+				a = gm[v]
 			}
-			a = gm[v]
-		}
-		level := int64(f.sched.Levels[v])
-		if c.rnd[v].Uint64()>>11 < s.thr[info.step%level] {
-			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(f.part.Center[v])})
+			if c.rnd[v].Uint64()>>11 < info.thr[f.sched.Levels[v]] {
+				tx = append(tx, int32(v))
+				msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(f.part.Center[v])})
+			}
 		}
 	}
 	return tx, msgs
 }
 
 // actHelper runs one Algorithm-4 helper round for the main or background
-// companion lane (cf. cnode.actHelper; the window/step/phase values are
-// lane-global and hoisted out of the node loop).
+// companion lane (cf. cnode.actHelper): the nodes that both heard their
+// cluster flood and are in the lane's firing set for this window draw the
+// window step's Decay coin.
 //
 //radionet:hotpath
 func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	l4 := int64(c.l4)
 	window := lt / l4
-	step := int(lt % l4)
-	i := int(window%l4) + 1
-	p := decay.Prob(i - 1) // 2^-i, shift-clamped for large phase lengths
-	coinSeed := c.coinMain
-	heard, flood := s.mainHeard, s.mainFlood
-	cache, numFine := &s.mainCoin, len(c.mains)
+	thr := s.helperThr[lt%l4]
+	fs, heard, flood := &s.mainFiring, s.mainHeard, s.mainFlood
 	if !isMain {
-		coinSeed = c.coinBg
-		heard, flood = s.bgHeard, s.bgFlood
-		cache, numFine = &s.bgCoin, len(c.bgs)
+		fs, heard, flood = &s.bgFiring, s.bgHeard, s.bgFlood
 	}
-	thr := s.helperThr[step]
-	bgFid := s.bgClk.fid
-	for v := range heard {
-		if !heard[v] {
-			continue
-		}
-		fid := bgFid
-		if isMain {
-			fid = s.mainClk[s.ci[v]].fid
-		}
-		var f *fine
-		if isMain {
-			f = &c.mains[fid]
-		} else {
-			f = &c.bgs[fid]
-		}
-		if f.part.Dist[v] > f.curtail {
-			continue
-		}
-		center := f.part.Center[v]
-		if cache.get(coinSeed, numFine, fid, center, window) >= p {
-			continue // cluster sat this Decay phase out
-		}
-		if c.rnd[v].Uint64()>>11 < thr {
-			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(center)})
+	if fs.window != window {
+		s.rebuildFiring(fs, isMain, window)
+	}
+	for w, word := range fs.bits {
+		word &= heard[w]
+		for word != 0 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if c.rnd[v].Uint64()>>11 < thr {
+				var center int32
+				if isMain {
+					center = c.mains[s.mainClk[s.ci[v]].fid].part.Center[v]
+				} else {
+					center = c.bgs[s.bgClk.fid].part.Center[v]
+				}
+				tx = append(tx, int32(v))
+				msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(center)})
+			}
 		}
 	}
 	return tx, msgs
+}
+
+// rebuildFiring re-derives a helper lane's whole firing set for a new
+// Decay window: per main clock on its members, or for every node at once
+// on the background lane's shared fid.
+//
+//radionet:hotpath
+func (s *bulkState) rebuildFiring(fs *firingSet, isMain bool, window int64) {
+	c := s.c
+	fs.window = window
+	if !isMain {
+		s.deriveFiring(fs, c.bgs, s.bgClk.fid, c.coinBg, s.members)
+		return
+	}
+	for i := range s.mainClk {
+		s.deriveFiring(fs, c.mains, s.mainClk[i].fid, c.coinMain, s.clockMembers(i))
+	}
+}
+
+// deriveFiring sets the firing bits of the given nodes (s.members for
+// every node), all on clustering fid of fines, for fs.window: a node fires if it lies
+// within the curtailment radius and its cluster's shared coin
+// HashFloat(seed, fid, center, window) is below the window's participation
+// probability 2^-i (cnode.actHelper's gates other than heard).
+//
+//radionet:hotpath
+func (s *bulkState) deriveFiring(fs *firingSet, fines []fine, fid int32, seed uint64, nodes []int32) {
+	f := &fines[fid]
+	p := decay.Prob(int(fs.window % int64(s.c.l4))) // 2^-i, shift-clamped for large phase lengths
+	dist, center := f.part.Dist, f.part.Center
+	numFine := len(fines)
+	for _, v := range nodes {
+		bit := uint64(1) << (v & 63)
+		if dist[v] <= f.curtail && fs.coin.get(seed, numFine, fid, center[v], fs.window) < p {
+			fs.bits[v>>6] |= bit
+		} else {
+			fs.bits[v>>6] &^= bit
+		}
+	}
 }
 
 // RecvBulk implements radio.BulkReceiver: the round's deliveries in one
@@ -355,7 +486,7 @@ func (s *bulkState) recvOne(t int64, v int, msg *radio.Message) {
 	lane := t % numLanes
 	var cl *laneClock
 	var f *fine
-	var heard []bool
+	var heard []uint64
 	var flood []int64
 	switch lane {
 	case laneMain, laneHelper:
@@ -371,7 +502,7 @@ func (s *bulkState) recvOne(t int64, v int, msg *radio.Message) {
 		return
 	}
 	if cl.subphase != 1 || lane == laneHelper || lane == laneBgHelper {
-		heard[v] = true
+		heard[v>>6] |= 1 << (v & 63)
 		if msg.A > flood[v] {
 			flood[v] = msg.A
 		}

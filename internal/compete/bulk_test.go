@@ -27,7 +27,10 @@ func hookInto(e *radio.Engine, log *[]roundLog) {
 }
 
 // bulkEquivGraphs builds the randomized sparse topologies the
-// bulk-vs-reference sweeps run on (cf. decay's equivalenceGraphs).
+// bulk-vs-reference sweeps run on (cf. decay's equivalenceGraphs). The
+// last two span several 64-bit words of the bulk path's bitsets with an n
+// that is not a multiple of 64 (207 and 301 nodes), and hold several
+// coarse clusters, so word-boundary and per-clock member-list bugs show.
 func bulkEquivGraphs(seed uint64) []*graph.Graph {
 	r := rng.New(seed)
 	return []*graph.Graph{
@@ -35,15 +38,17 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 		graph.Gnp(56, 0.07, r.Fork(2)),
 		graph.Grid(5, 8),
 		graph.PathOfCliques(5, 4),
+		graph.Grid(9, 23),
+		graph.RandomGeometric(301, 0.1, r.Fork(3)),
 	}
 }
 
 // The bulk fast path (contiguous state, shared lane clocks, ActBulk +
 // RecvBulk) must be observationally identical to the retained per-node
 // reference implementation, round for round: same transmitter sets, same
-// delivery/collision counts, same metrics, same final values — across
-// graphs, seeds, source patterns, every ablation flag, and collision
-// detection.
+// delivery/collision counts, same node values after every round, same
+// metrics — across graphs, seeds, source patterns, every ablation flag,
+// and collision detection.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 	identity := func(_ int, n radio.Node) radio.Node { return n }
 	variants := []struct {
@@ -123,19 +128,21 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 								g, vr.name, seed, r, i, b.tx[i], p.tx[i])
 						}
 					}
+					// A wrong message A shows in the listeners' values the
+					// round it is delivered.
+					bv, rv := bc.Values(), rc.Values()
+					for v := range bv {
+						if bv[v] != rv[v] {
+							t.Fatalf("%s %s seed=%d round %d node %d: value %d (bulk) vs %d (reference)",
+								g, vr.name, seed, r, v, bv[v], rv[v])
+						}
+					}
 				}
 				// Ablated runs may legitimately not complete; identity is
 				// still required for everything that executed.
 				if bc.Engine.Metrics != rc.Engine.Metrics {
 					t.Fatalf("%s %s seed=%d: metrics: bulk %+v, reference %+v",
 						g, vr.name, seed, bc.Engine.Metrics, rc.Engine.Metrics)
-				}
-				bv, rv := bc.Values(), rc.Values()
-				for v := range bv {
-					if bv[v] != rv[v] {
-						t.Fatalf("%s %s seed=%d node %d: value %d (bulk) vs %d (reference)",
-							g, vr.name, seed, v, bv[v], rv[v])
-					}
 				}
 				if bc.InformedCount() != rc.InformedCount() {
 					t.Fatalf("%s %s seed=%d: InformedCount %d vs %d",

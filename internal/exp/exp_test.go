@@ -139,6 +139,28 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+func TestF1VerdictFollowsData(t *testing.T) {
+	tests := []struct {
+		slope       float64
+		ok          bool
+		below, rows int
+		want        string
+	}{
+		{-0.8, true, 3, 3, "verdict: reproduced;"},
+		{0, true, 3, 3, "verdict: reproduced;"},
+		{3.78, true, 2, 3, "verdict: not reproduced at this scale;"},
+		{3.78, true, 3, 3, "verdict: not reproduced at this scale;"},
+		{-0.8, true, 2, 3, "verdict: not reproduced at this scale;"},
+		{-0.8, false, 3, 3, "verdict: inconclusive;"},
+		{-0.8, true, 0, 0, "verdict: inconclusive;"},
+	}
+	for _, tc := range tests {
+		if got := f1Verdict(tc.slope, tc.ok, tc.below, tc.rows); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("f1Verdict(%v, %v, %d, %d) = %q, want prefix %q", tc.slope, tc.ok, tc.below, tc.rows, got, tc.want)
+		}
+	}
+}
+
 func TestF5VerdictFollowsSlopes(t *testing.T) {
 	tests := []struct {
 		cd17, bgi float64

@@ -112,15 +112,55 @@ func runF1(o Options) *Table {
 		seeds = 2
 	}
 	algos := comparableBroadcastAlgos()
+	cd17, hw16 := namedAlgo("cd17").name, namedAlgo("hw16").name
+	var perHop, logDs []float64 // CD17's completed rows
+	below, rows := 0, 0         // rows with CD17 < HW16-mode, of rows where both completed
 	for _, g := range gridFamily(o.Quick) {
 		d := g.DiameterEstimate()
+		mean := map[string]float64{}
+		done := map[string]bool{}
 		for _, a := range algos {
 			m, all := meanRounds(o, a, g, d, o.Seed+1, seeds)
 			t.AddRow(g.Name(), g.N(), d, a.name, m, m/float64(d), all)
+			mean[a.name], done[a.name] = m, all
+		}
+		if done[cd17] {
+			perHop = append(perHop, mean[cd17]/float64(d))
+			logDs = append(logDs, math.Log2(float64(d)))
+		}
+		if done[cd17] && done[hw16] {
+			rows++
+			if mean[cd17] < mean[hw16] {
+				below++
+			}
 		}
 	}
-	t.Note("constants at simulable scale favor the oblivious baselines; the reproduced shape is rounds/D flat in D for CD17 and the CD17 < HW16-mode ordering (see F5 for the n-scaling crossover)")
+	t.Note("constants at simulable scale favor the oblivious baselines (see F5 for the n-scaling crossover)")
+	slope, ok := 0.0, len(perHop) >= 2
+	if ok {
+		last := len(perHop) - 1
+		slope = (perHop[last] - perHop[0]) / (logDs[last] - logDs[0])
+		t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 D)", cd17, perHop[0], perHop[last], slope)
+	}
+	t.Note("%s", f1Verdict(slope, ok, below, rows))
 	return t
+}
+
+// f1Verdict judges F1's shape claim at fixed n: Theorem 5.1's
+// O(D log n/log D) makes CD17's rounds/D non-increasing in D, and
+// CD17's curtailment beats HW16-mode's log log n longer one. slope is
+// CD17's rounds/D slope per log2 D (ok is false when CD17 completed
+// fewer than two rows); below counts the rows, of the rows where both
+// completed, in which CD17 used fewer rounds than HW16-mode.
+func f1Verdict(slope float64, ok bool, below, rows int) string {
+	switch {
+	case !ok || rows == 0:
+		return "verdict: inconclusive; CD17 completed fewer than two rows or no row completed for both CD17 and HW16-mode"
+	case slope <= 0 && below == rows:
+		return fmt.Sprintf("verdict: reproduced; CD17's rounds/D slope %.2f per log2 D does not grow, and CD17 < HW16-mode in %d of %d rows", slope, below, rows)
+	default:
+		return fmt.Sprintf("verdict: not reproduced at this scale; CD17's rounds/D slope is %.2f per log2 D, and CD17 < HW16-mode in %d of %d rows", slope, below, rows)
+	}
 }
 
 // runF2 fixes D (caterpillar spine) and grows n via pendant legs.
