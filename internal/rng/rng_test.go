@@ -15,6 +15,41 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestUint64KnownAnswers pins the first outputs of three streams, so a
+// change to the xoshiro256** step or the SplitMix64 seeding that stays
+// deterministic still fails here. Float64 is the ninth draw of each stream.
+func TestUint64KnownAnswers(t *testing.T) {
+	cases := []struct {
+		name  string
+		r     *Rand
+		want  [8]uint64
+		float float64
+	}{
+		{"New(1)", New(1), [8]uint64{
+			0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
+			0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d,
+		}, 0.8671524847686004},
+		{"New(0)", New(0), [8]uint64{
+			0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c,
+			0xbba5ad4a1f842e59, 0xffef8375d9ebcaca, 0x6c160deed2f54c98, 0x8920ad648fc30a3f,
+		}, 0.8555171516848772},
+		{"New(7).Fork(3)", New(7).Fork(3), [8]uint64{
+			0x7e36e893adf4a907, 0x8258acf4d0e9925e, 0xc1d3412ba4cc6287, 0xc3565f8aab9f20bf,
+			0x835aa45be5cf61fa, 0x90a7abe037399af3, 0xb76e0e94fcc90b61, 0xffa554c50e27e559,
+		}, 0.11928882062159962},
+	}
+	for _, tc := range cases {
+		for i, want := range tc.want {
+			if got := tc.r.Uint64(); got != want {
+				t.Errorf("%s: Uint64 #%d = %#016x, want %#016x", tc.name, i, got, want)
+			}
+		}
+		if got := tc.r.Float64(); got != tc.float {
+			t.Errorf("%s: Float64 = %v, want %v", tc.name, got, tc.float)
+		}
+	}
+}
+
 func TestDistinctSeedsDiverge(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
