@@ -15,9 +15,10 @@ import (
 // lane clocks); the ...PerNode variants force the per-node reference path
 // via an identity Wrap hook, which is the pre-bulk engine configuration.
 // Round counts are identical by construction; only wall time and
-// allocations differ. BenchmarkCD17LeaderGrid8x512 and
-// BenchmarkCD17BroadcastGeo10k are the perfbench workload shapes
-// (leader:cd17 on grid:8x512, broadcast:cd17 on geometric:10000:0.03).
+// allocations differ. BenchmarkCD17LeaderGrid8x512,
+// BenchmarkCD17BroadcastGeo10k and BenchmarkCD17BroadcastGnpDense4096 are
+// the perfbench workload shapes (leader:cd17 on grid:8x512, broadcast:cd17
+// on geometric:10000:0.03 and on gnp:4096:0.05).
 // See DESIGN.md §5 for recorded numbers.
 
 func benchCompete(b *testing.B, g *graph.Graph, hw16, perNode bool) {
@@ -100,4 +101,11 @@ func BenchmarkCD17LeaderGrid8x512(b *testing.B) {
 // deployment model radio networks exist for (n = 10^4, D ≈ 53).
 func BenchmarkCD17BroadcastGeo10k(b *testing.B) {
 	benchCompete(b, graph.RandomGeometric(10_000, 0.03, rng.New(3)), false, false)
+}
+
+// BenchmarkCD17BroadcastGnpDense4096 is broadcast in the polylog regime
+// (n = 4096, p = 0.05, D = 2): the one shape whose nodes have dense
+// adjacency rows, so marking runs word-at-a-time.
+func BenchmarkCD17BroadcastGnpDense4096(b *testing.B) {
+	benchCompete(b, graph.Gnp(4096, 0.05, rng.New(5)), false, false)
 }

@@ -27,7 +27,9 @@ import (
 // whose fine cluster won this Decay window's shared coin. Both walks run
 // in increasing id order and draw per-node randomness under exactly the
 // reference implementation's gates — observational identity is enforced
-// by the equivalence tests in bulk_test.go.
+// by the equivalence tests in bulk_test.go. Each 64-node word is walked
+// twice: a draw pass collects the coin outcomes in a bit mask without
+// branching on them, then an emit pass appends the transmitters.
 type bulkState struct {
 	c     *Compete
 	shims []bnode
@@ -277,7 +279,7 @@ func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.
 			s.resetFlood(f, s.clockMembers(i), s.mainHeard, s.mainFlood)
 		}
 	}
-	tx, msgs = s.icpPass(s.ci, s.scratch, s.mainHeard, s.mainFlood, tx, msgs)
+	tx, msgs = s.icpMain(tx, msgs)
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
 		cl.subphase = s.scratch[i].subphase
@@ -309,7 +311,7 @@ func (s *bulkState) actBg(tx []int32, msgs []radio.Message) ([]int32, []radio.Me
 	if info.boundary {
 		s.resetFlood(f, s.members, s.bgHeard, s.bgFlood)
 	}
-	tx, msgs = s.icpPass(nil, s.scratch[bg:], s.bgHeard, s.bgFlood, tx, msgs)
+	tx, msgs = s.icpBg(info, tx, msgs)
 	cl.subphase = info.subphase
 	cl.offset++
 	if cl.offset >= f.slotLen {
@@ -341,41 +343,90 @@ func (s *bulkState) resetFlood(f *fine, nodes []int32, heard []uint64, flood []i
 	}
 }
 
-// icpPass is the shared per-node loop of one ICP lane round over the
-// heard nodes. ci maps each node to its clock in clks; a nil ci means
-// every node shares clks[0] (the background lane). A node that has not
-// heard its cluster flood never transmits, so skipping it changes nothing:
-// every per-node effect (gates, RNG draw, message) is node-local. The
-// reference's curtailment gate (Dist <= curtail) always passes here: a
+// coin draws one coin from r against the integer threshold thr (see
+// bulkState.thr) and returns the outcome as a bit, 1 for a hit. The draw
+// Uint64>>11 is below 2^53 and thr is at most 2^53, so the sign bit of
+// their difference is the comparison: no branch on the outcome.
+//
+//radionet:hotpath
+func coin(r *rng.Rand, thr uint64) uint64 {
+	return (r.Uint64()>>11 - thr) >> 63
+}
+
+// icpMain is the per-node pass of one main-lane ICP round over the heard
+// nodes, each on its coarse clock's values in s.scratch. A node that has
+// not heard its cluster flood never transmits, so skipping it changes
+// nothing: every per-node effect (gates, RNG draw, message) is node-local.
+// The reference's curtailment gate (Dist <= curtail) always passes here: a
 // clock's members are reset before its first pass on a new clustering,
 // which marks only centers heard, and recvOne marks a node heard only
 // within the curtailment radius of the clustering its clock is on.
 //
+// Each heard word is handled in two passes. The draw pass gives every node
+// that passes the gates its coin, collecting the hits in a word-local fire
+// mask without branching on them; the emit pass then appends the hits in
+// increasing id order. Streams advance exactly as in the reference, which
+// draws under the same gates.
+//
 //radionet:hotpath
-func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []uint64, flood []int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) icpMain(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
-	gm := c.globalMax
-	info := &clks[0]
-	for w, word := range heard {
-		for word != 0 {
-			v := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if ci != nil {
-				info = &clks[ci[v]]
+	gm, flood, ci, clks := c.globalMax, s.mainFlood, s.ci, s.scratch
+	for w, word := range s.mainHeard {
+		var fire uint64
+		for m := word; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			v := w<<6 + b
+			info := &clks[ci[v]]
+			// Inward sub-phase: relay only strictly better knowledge.
+			if info.subphase == 1 && gm[v] <= flood[v] {
+				continue
 			}
-			f := info.f
+			fire |= coin(&c.rnd[v], info.thr[info.f.sched.Levels[v]]) << b
+		}
+		for ; fire != 0; fire &= fire - 1 {
+			v := w<<6 + bits.TrailingZeros64(fire)
+			info := &clks[ci[v]]
 			a := flood[v] // outward sub-phases flood the cluster value
 			if info.subphase == 1 {
-				// Inward sub-phase: relay only strictly better knowledge.
-				if gm[v] <= flood[v] {
-					continue
-				}
 				a = gm[v]
 			}
-			if c.rnd[v].Uint64()>>11 < info.thr[f.sched.Levels[v]] {
-				tx = append(tx, int32(v))
-				msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(f.part.Center[v])})
+			tx = append(tx, int32(v))
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(info.f.part.Center[v])})
+		}
+	}
+	return tx, msgs
+}
+
+// icpBg is icpMain for the background lane, whose nodes all share the
+// clock values in info: the threshold table, ladder lengths, centers and
+// the inward flag are read once per round rather than once per node.
+//
+//radionet:hotpath
+func (s *bulkState) icpBg(info *clkInfo, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+	c := s.c
+	gm, flood := c.globalMax, s.bgFlood
+	thr, levels, center := info.thr, info.f.sched.Levels, info.f.part.Center
+	inward := info.subphase == 1
+	val := flood // outward sub-phases flood the cluster value
+	if inward {
+		val = gm
+	}
+	for w, word := range s.bgHeard {
+		var fire uint64
+		for m := word; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			v := w<<6 + b
+			// Inward sub-phase: relay only strictly better knowledge.
+			if inward && gm[v] <= flood[v] {
+				continue
 			}
+			fire |= coin(&c.rnd[v], thr[levels[v]]) << b
+		}
+		for ; fire != 0; fire &= fire - 1 {
+			v := w<<6 + bits.TrailingZeros64(fire)
+			tx = append(tx, int32(v))
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(center[v])})
 		}
 	}
 	return tx, msgs
@@ -384,7 +435,8 @@ func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []uint64, flood []
 // actHelper runs one Algorithm-4 helper round for the main or background
 // companion lane (cf. cnode.actHelper): the nodes that both heard their
 // cluster flood and are in the lane's firing set for this window draw the
-// window step's Decay coin.
+// window step's Decay coin, then the hits are emitted in increasing id
+// order (the draw/emit split of icpMain).
 //
 //radionet:hotpath
 func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
@@ -399,21 +451,24 @@ func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Me
 	if fs.window != window {
 		s.rebuildFiring(fs, isMain, window)
 	}
+	var center []int32 // the background lane's shared clustering
+	if !isMain {
+		center = c.bgs[s.bgClk.fid].part.Center
+	}
 	for w, word := range fs.bits {
-		word &= heard[w]
-		for word != 0 {
-			v := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if c.rnd[v].Uint64()>>11 < thr {
-				var center int32
-				if isMain {
-					center = c.mains[s.mainClk[s.ci[v]].fid].part.Center[v]
-				} else {
-					center = c.bgs[s.bgClk.fid].part.Center[v]
-				}
-				tx = append(tx, int32(v))
-				msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(center)})
+		var fire uint64
+		for m := word & heard[w]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			fire |= coin(&c.rnd[w<<6+b], thr) << b
+		}
+		for ; fire != 0; fire &= fire - 1 {
+			v := w<<6 + bits.TrailingZeros64(fire)
+			ctr := center
+			if isMain {
+				ctr = c.mains[s.mainClk[s.ci[v]].fid].part.Center
 			}
+			tx = append(tx, int32(v))
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(ctr[v])})
 		}
 	}
 	return tx, msgs

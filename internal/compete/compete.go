@@ -120,16 +120,23 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
+// DefaultFineLoFrac and DefaultFineHiFrac are the default bounds of the
+// fine exponent range, j ∈ [lo·log2 D, hi·log2 D] (cluster.JRange).
+const (
+	DefaultFineLoFrac = 0.25
+	DefaultFineHiFrac = 0.75
+)
+
 // withDefaults fills zero fields with defaults for an (n, d) network.
 func (c Config) withDefaults(d int) Config {
 	if c.CoarseBetaExp == 0 {
 		c.CoarseBetaExp = 0.5
 	}
 	if c.FineLoFrac == 0 {
-		c.FineLoFrac = 0.25
+		c.FineLoFrac = DefaultFineLoFrac
 	}
 	if c.FineHiFrac == 0 {
-		c.FineHiFrac = 0.75
+		c.FineHiFrac = DefaultFineHiFrac
 	}
 	if c.FinePerJ == 0 {
 		c.FinePerJ = clampInt(int(math.Round(math.Pow(float64(d), 0.2))), 2, 4)

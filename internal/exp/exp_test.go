@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"radionet/internal/cluster"
+	"radionet/internal/compete"
+	"radionet/internal/graph"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -175,6 +179,29 @@ func TestF5VerdictFollowsSlopes(t *testing.T) {
 	for _, tc := range tests {
 		if got := f5Verdict(tc.cd17, tc.bgi, tc.ok); !strings.HasPrefix(got, tc.want) {
 			t.Errorf("f5Verdict(%v, %v, %v) = %q, want prefix %q", tc.cd17, tc.bgi, tc.ok, got, tc.want)
+		}
+	}
+}
+
+// TestF6MidJInRange checks that F6's "fixed j" ablation pins an exponent
+// cd17 can draw at any diameter, and the middle one on both F6 grids.
+func TestF6MidJInRange(t *testing.T) {
+	for _, tc := range []struct {
+		g    *graph.Graph
+		want int
+	}{
+		{graph.Grid(8, 48), 3},  // D = 54, j in [1, 5]
+		{graph.Grid(8, 128), 3}, // D = 134, j in [1, 6]
+	} {
+		if got := f6MidJ(tc.g.DiameterEstimate()); got != tc.want {
+			t.Errorf("f6MidJ(%d) = %d, want %d", tc.g.DiameterEstimate(), got, tc.want)
+		}
+	}
+	for d := 0; d <= 5000; d++ {
+		jmin, jmax := cluster.JRange(d, compete.DefaultFineLoFrac, compete.DefaultFineHiFrac)
+		j := f6MidJ(d)
+		if j < jmin || j > jmax {
+			t.Fatalf("f6MidJ(%d) = %d, outside [%d, %d]", d, j, jmin, jmax)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"radionet/internal/cluster"
 	"radionet/internal/compete"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
@@ -362,6 +363,13 @@ func f5Verdict(cd17, bgi float64, ok bool) string {
 	}
 }
 
+// f6MidJ is the fine exponent F6's "fixed j" ablation pins: the middle of
+// the range cd17 draws j from at diameter d under its default fractions.
+func f6MidJ(d int) int {
+	jmin, jmax := cluster.JRange(d, compete.DefaultFineLoFrac, compete.DefaultFineHiFrac)
+	return (jmin + jmax) / 2
+}
+
 // runF6 toggles the paper's design choices one at a time (Section 2.3's
 // claimed advances).
 func runF6(o Options) *Table {
@@ -380,14 +388,7 @@ func runF6(o Options) *Table {
 		}
 	}
 	d := g.DiameterEstimate()
-	jmid := 0
-	{
-		c, err := compete.New(g, d, compete.Config{}, o.Seed, map[int]int64{0: 9})
-		if err == nil {
-			_ = c
-		}
-		jmid = 2 // middle of the default [0.25,0.75]·log2 D range at these scales
-	}
+	jmid := f6MidJ(d)
 	variants := []struct {
 		name string
 		cfg  compete.Config

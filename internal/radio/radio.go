@@ -29,15 +29,14 @@ import (
 type Kind int16
 
 // Message is the unit of transmission. The model does not restrict message
-// size; most protocol messages fit the two integer payload fields, and the
-// rare large payloads (e.g. a clustering sequence) ride in Payload.
+// size, but every protocol here fits its data in the two integer fields.
+// Message is 24 bytes and holds no pointers, so appending one to the
+// engine's per-round transmit buffer needs no write barrier and the
+// garbage collector never scans that buffer (TestMessageIsPointerFree).
 type Message struct {
 	Kind Kind
 	Src  int32 // sender id, stamped by the engine
 	A, B int64 // protocol-defined payload
-	// Payload carries large protocol data. It must be treated as
-	// immutable by receivers.
-	Payload any
 }
 
 // Action is a node's choice for one round: transmit Msg, or listen.
@@ -254,7 +253,8 @@ type Engine struct {
 	rcvIdx   []int32   // scratch: txmsg index heard by each bulk listener
 	sleeper  []Sleeper // nil for nodes without the Sleeper extension
 	allQuiet bool      // every node ignores silence: classify touched words only
-	dense    *graph.AdjBits
+	// dense is the graph's dense-adjacency layer, nil when it has no rows.
+	dense *graph.AdjBits
 
 	// Intra-round sharding (see SetShards): sh[0] is always present and
 	// runs on the caller's goroutine; rangeBulk caches the per-round
@@ -321,7 +321,11 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		// engines never install BulkRecv and should not carry the buffers.
 		sleeper:  make([]Sleeper, n),
 		allQuiet: true,
-		dense:    g.DenseAdj(),
+	}
+	// A graph without dense rows leaves dense nil, so each transmitter's
+	// row lookup in the marking and resolve passes is one nil check.
+	if d := g.DenseAdj(); d.Rows() > 0 {
+		e.dense = d
 	}
 	if n > 0 {
 		e.tailMask = ^uint64(0)

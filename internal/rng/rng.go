@@ -14,7 +14,10 @@
 // BigCrush, which is what a discrete-event simulator needs.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used for seeding and for stream derivation.
@@ -58,18 +61,16 @@ func (r *Rand) Fork(id uint64) *Rand {
 	return New(splitMix64(&sm) ^ id)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. The xoshiro256** step
+// reads the state into locals and writes it back in one store, which keeps
+// it within the compiler's inlining budget: per-round coin loops pay no
+// call and spill no registers.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
