@@ -57,13 +57,15 @@ const (
 	settled       // center, parent and dist are final
 )
 
-// Scratch holds reusable Partition buffers (the sorted sources, the FIFO
-// of nodes reached through an edge and the per-node state array), letting
-// callers that build many partitions of one graph — the Compete
-// precomputation, trial campaigns — skip the per-call allocations. The
-// zero value is ready to use; a Scratch is not safe for concurrent use.
+// Scratch holds reusable Partition buffers (the bucketed sources and their
+// bucket bounds, the FIFO of nodes reached through an edge and the
+// per-node state array), letting callers that build many partitions of
+// one graph — the Compete precomputation, trial campaigns — skip the
+// per-call allocations. The zero value is ready to use; a Scratch is not
+// safe for concurrent use.
 type Scratch struct {
 	src   []entry
+	ends  []int32 // bucket b of src ends at ends[b]
 	fifo  []entry
 	state []uint8
 }
@@ -90,20 +92,27 @@ func PartitionScratch(g *graph.Graph, beta float64, r *rng.Rand, scr *Scratch) *
 		Delta:  make([]float64, n),
 		g:      g,
 	}
+	if n == 0 {
+		return res
+	}
 	if scr == nil {
 		scr = new(Scratch)
 	}
 	if cap(scr.src) < n {
 		scr.src = make([]entry, n)
+		scr.ends = make([]int32, n+1)
 		scr.fifo = make([]entry, 0, n)
 		scr.state = make([]uint8, n)
 	}
 	src, fifo, state := scr.src[:n], scr.fifo[:0], scr.state[:n]
 	clear(state)
+	minDelta, maxDelta := math.Inf(1), 0.0
 	for v := 0; v < n; v++ {
-		res.Delta[v] = r.Exp(beta)
-		src[v] = entry{key: -res.Delta[v], node: int32(v)}
+		d := r.Exp(beta)
+		res.Delta[v] = d
+		minDelta, maxDelta = min(minDelta, d), max(maxDelta, d)
 	}
+	ends := bucketSources(src, scr.ends, res.Delta, minDelta, maxDelta)
 	// Multi-source Dijkstra with unit edge weights: node v is a virtual
 	// source with key -δ_v, and the first settlement of u determines its
 	// center. The settled path is a shortest path to the center, and by
@@ -112,18 +121,26 @@ func PartitionScratch(g *graph.Graph, beta float64, r *rng.Rand, scr *Scratch) *
 	//
 	// No heap is needed. Every push has key popped.key + 1, and popped
 	// keys never decrease, so pushes arrive in key order: the FIFO stays
-	// sorted, and merging it with the sorted sources pops in Dijkstra
-	// order. A node's first push therefore carries its smallest pushed
-	// key, so each node is queued at most once, and its tentative center,
-	// parent and dist are written to res at that push.
-	slices.SortFunc(src, func(a, b entry) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.node, b.node)
-	})
-	i, h := 0, 0
+	// sorted, and merging it with the sources in (key, node) order pops
+	// in Dijkstra order. A node's first push therefore carries its
+	// smallest pushed key, so each node is queued at most once, and its
+	// tentative center, parent and dist are written to res at that push.
+	//
+	// The sources are bucketed by key, and a bucket is sorted only when
+	// the merge first reads from it: src[:sorted] is in final order, and
+	// the merge usually settles every node long before it reaches the
+	// last bucket. Once no node is unseen, a pop can push nothing, so the
+	// remaining pops settle their node without scanning its neighbours.
+	i, h, sorted, bk := 0, 0, 0, 0
+	fresh := n // nodes still unseen
 	for left := n; left > 0; {
+		if i == sorted && i < n {
+			for int(ends[bk]) == sorted {
+				bk++
+			}
+			sorted = int(ends[bk])
+			slices.SortFunc(src[i:sorted], compareEntries)
+		}
 		var e entry
 		if h < len(fifo) && (i == n || fifo[h].key < src[i].key) {
 			e = fifo[h]
@@ -134,24 +151,85 @@ func PartitionScratch(g *graph.Graph, beta float64, r *rng.Rand, scr *Scratch) *
 		} else {
 			e = src[i]
 			i++
-			if state[e.node] == settled {
+			switch state[e.node] {
+			case settled:
 				continue
+			case unseen:
+				fresh--
 			}
 			res.Center[e.node], res.Parent[e.node], res.Dist[e.node] = e.node, -1, 0
 		}
 		v := e.node
 		state[v] = settled
 		left--
+		if fresh == 0 {
+			continue
+		}
 		c, d := res.Center[v], res.Dist[v]+1
 		for _, w := range g.Neighbors(int(v)) {
 			if state[w] == unseen {
 				state[w] = queued
+				fresh--
 				res.Center[w], res.Parent[w], res.Dist[w] = c, v, d
 				fifo = append(fifo, entry{key: e.key + 1, node: w})
 			}
 		}
 	}
 	return res
+}
+
+// bucketSources fills src with the n sources entry{-delta[v], v} grouped
+// into buckets of ascending key, in one counting pass in node order, and
+// returns the bucket ends: bucket b is src[ends[b-1]:ends[b]] (from 0
+// for b = 0). Bucket b holds the keys with ⌊(key − min key)/w⌋ = b, where
+// the width w is 1 unless that would make more than n buckets, in which
+// case it widens to give exactly n. Every key in a bucket is at most
+// every key in the next, and a bucket lists its nodes in ascending order,
+// so sorting the buckets one by one on (key, node) yields the full sorted
+// order. ends must have room for n+1 entries.
+func bucketSources(src []entry, ends []int32, delta []float64, minDelta, maxDelta float64) []int32 {
+	n := len(src)
+	// key − min key = maxDelta − δ_v lies in [0, span].
+	span := maxDelta - minDelta
+	nb, scale := 1, 0.0
+	switch {
+	case !(span < math.MaxFloat64): // an infinite δ: one bucket, sorted whole
+	case span < float64(n):
+		nb, scale = int(span)+1, 1
+	default:
+		nb, scale = n, float64(n-1)/span
+	}
+	bucket := func(d float64) int {
+		if nb == 1 {
+			return 0
+		}
+		return min(int((maxDelta-d)*scale), nb-1)
+	}
+	// Count into ends[b+1], prefix-sum so ends[b] is bucket b's start,
+	// then place: each placement advances ends[b], which ends at the
+	// bucket's end.
+	cnt := ends[:nb+1]
+	clear(cnt)
+	for _, d := range delta {
+		cnt[bucket(d)+1]++
+	}
+	for b := 1; b < nb; b++ {
+		cnt[b] += cnt[b-1]
+	}
+	for v, d := range delta {
+		b := bucket(d)
+		src[cnt[b]] = entry{key: -d, node: int32(v)}
+		cnt[b]++
+	}
+	return cnt[:nb]
+}
+
+// compareEntries orders sources by key, then node.
+func compareEntries(a, b entry) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.node, b.node)
 }
 
 // NumClusters returns the number of clusters: the nodes that are their

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,44 @@ func TestPartitionMatchesHeapOracle(t *testing.T) {
 							g, beta, seed, v, got.Center[v], got.Dist[v], got.Delta[v],
 							want.Center[v], want.Dist[v], want.Delta[v])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionMatchesFullSort pins the lazily sorted Partition to
+// fullSortPartition, which sorts every source up front and scans the
+// neighbours of every popped node: Center, Parent, Dist and Delta are
+// byte-identical. The graphs are the perfbench shapes plus a path, built
+// largest first so one Scratch is reused on smaller graphs. β = 1e-4
+// spreads the keys over more than n, so the bucket width widens; β = 1e6
+// puts every key in one bucket and makes every node its own center;
+// β = 1e-308 overflows some δ to +Inf.
+func TestPartitionMatchesFullSort(t *testing.T) {
+	r := rng.New(2025)
+	graphs := []*graph.Graph{
+		graph.RandomGeometric(10000, 0.03, r.Fork(1)),
+		graph.Gnp(4096, 0.05, r.Fork(2)),
+		graph.Grid(8, 512),
+		graph.Path(1000),
+	}
+	betas := []float64{1e-4, 1e6, 1e-308}
+	for j := 1; j <= 8; j++ {
+		betas = append(betas, math.Ldexp(1, -j))
+	}
+	var scr Scratch
+	for _, g := range graphs {
+		for _, beta := range betas {
+			for seed := uint64(1); seed <= 2; seed++ {
+				want := fullSortPartition(g, beta, rng.New(seed))
+				got := PartitionScratch(g, beta, rng.New(seed), &scr)
+				if !slices.Equal(got.Center, want.Center) || !slices.Equal(got.Parent, want.Parent) ||
+					!slices.Equal(got.Dist, want.Dist) ||
+					!slices.EqualFunc(got.Delta, want.Delta, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+					t.Fatalf("%v beta=%v seed=%d: result differs from the full-sort build", g, beta, seed)
 				}
 			}
 		}

@@ -1,9 +1,72 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
+
 	"radionet/internal/graph"
 	"radionet/internal/rng"
 )
+
+// fullSortPartition is the two-queue Partition(β) with every source
+// sorted up front: the n virtual sources are sorted by (key, node) in one
+// pass, then merged with the FIFO of edge pushes, scanning the
+// neighbours of every popped node. PartitionScratch must match its
+// Center, Parent, Dist and Delta exactly.
+func fullSortPartition(g *graph.Graph, beta float64, r *rng.Rand) *Result {
+	n := g.N()
+	res := &Result{
+		Beta:   beta,
+		Center: make([]int32, n),
+		Parent: make([]int32, n),
+		Dist:   make([]int32, n),
+		Delta:  make([]float64, n),
+		g:      g,
+	}
+	src := make([]entry, n)
+	fifo := make([]entry, 0, n)
+	state := make([]uint8, n)
+	for v := 0; v < n; v++ {
+		res.Delta[v] = r.Exp(beta)
+		src[v] = entry{key: -res.Delta[v], node: int32(v)}
+	}
+	slices.SortFunc(src, func(a, b entry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.node, b.node)
+	})
+	i, h := 0, 0
+	for left := n; left > 0; {
+		var e entry
+		if h < len(fifo) && (i == n || fifo[h].key < src[i].key) {
+			e = fifo[h]
+			h++
+			if state[e.node] == settled {
+				continue
+			}
+		} else {
+			e = src[i]
+			i++
+			if state[e.node] == settled {
+				continue
+			}
+			res.Center[e.node], res.Parent[e.node], res.Dist[e.node] = e.node, -1, 0
+		}
+		v := e.node
+		state[v] = settled
+		left--
+		c, d := res.Center[v], res.Dist[v]+1
+		for _, w := range g.Neighbors(int(v)) {
+			if state[w] == unseen {
+				state[w] = queued
+				res.Center[w], res.Parent[w], res.Dist[w] = c, v, d
+				fifo = append(fifo, entry{key: e.key + 1, node: w})
+			}
+		}
+	}
+	return res
+}
 
 // heapPartition is the reference Partition(β): a multi-source Dijkstra
 // on a binary min-heap that pushes one item per arc. PartitionScratch must

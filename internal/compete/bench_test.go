@@ -109,3 +109,39 @@ func BenchmarkCD17BroadcastGeo10k(b *testing.B) {
 func BenchmarkCD17BroadcastGnpDense4096(b *testing.B) {
 	benchCompete(b, graph.Gnp(4096, 0.05, rng.New(5)), false, false)
 }
+
+// The build-layer benchmarks time construction alone on the three
+// perfbench shapes: the trial's coarse, fine and background
+// Partition(β) clusterings, their schedules and the engine, with no
+// round run. The Pre is shared across iterations, as a campaign shares
+// it across trials, so its pooled build scratch is warm after the first.
+
+// benchBuild times b.N constructions by build.
+func benchBuild[T any](b *testing.B, build func() (T, error)) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCD17BuildLeaderGrid8x512(b *testing.B) {
+	g := graph.Grid(8, 512)
+	pre := NewPre(g, g.DiameterEstimate(), Config{})
+	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElectionPre(pre, LeaderConfig{}, 1) })
+}
+
+func BenchmarkCD17BuildGeo10k(b *testing.B) {
+	g := graph.RandomGeometric(10_000, 0.03, rng.New(3))
+	pre := NewPre(g, g.DiameterEstimate(), Config{})
+	benchBuild(b, func() (*Broadcast, error) { return NewBroadcastPre(pre, 1, 0, 9) })
+}
+
+func BenchmarkCD17BuildGnpDense4096(b *testing.B) {
+	g := graph.Gnp(4096, 0.05, rng.New(5))
+	pre := NewPre(g, g.DiameterEstimate(), Config{})
+	benchBuild(b, func() (*Broadcast, error) { return NewBroadcastPre(pre, 1, 0, 9) })
+}

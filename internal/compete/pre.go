@@ -41,7 +41,7 @@ type Pre struct {
 }
 
 // buildScratch is the per-construction mutable state recycled through
-// Pre.pool: the Partition priority-queue/settled buffers and the
+// Pre.pool: the Partition source, FIFO and node-state buffers and the
 // schedule contention buffer. Not safe for concurrent use; NewWithPre
 // checks one out for the duration of a single construction.
 type buildScratch struct {

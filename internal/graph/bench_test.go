@@ -8,8 +8,8 @@ import (
 
 // BenchmarkBuilderBuild measures CSR construction at n = 10^5 on a sparse
 // random edge set (~3 edges per node, duplicates included, the generator
-// workload): dominated by the edge sort, where slices.SortFunc's concrete
-// comparison replaced sort.Slice's reflection-based swaps. ReportAllocs
+// workload): dominated by the edge sort, a closure-free slices.Sort over
+// the builder's packed uint64 edge keys. ReportAllocs
 // pins the allocation profile: Build now sizes the adjacency array from
 // exact degree counts and reuses the offset array as the insertion cursor,
 // so the steady state is three allocations (off, adj, Graph) plus whatever

@@ -91,9 +91,11 @@ func (g *Graph) String() string {
 // Builder accumulates edges and produces a Graph. Duplicate edges and
 // self-loops are discarded.
 type Builder struct {
-	n     int
-	name  string
-	edges [][2]int32
+	n    int
+	name string
+	// edges packs each edge {u, v}, u < v, as uint64(u)<<32 | v, so the
+	// numeric order of the keys is the lexicographic order of the pairs.
+	edges []uint64
 }
 
 // NewBuilder returns a builder for a graph on n nodes.
@@ -113,7 +115,7 @@ func (b *Builder) Reserve(m int) {
 		return
 	}
 	if need := len(b.edges) + m; cap(b.edges) < need {
-		edges := make([][2]int32, len(b.edges), need)
+		edges := make([]uint64, len(b.edges), need)
 		copy(edges, b.edges)
 		b.edges = edges
 	}
@@ -131,22 +133,18 @@ func (b *Builder) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 }
+
+// unpackEdge splits a packed Builder edge into its endpoints u < v.
+func unpackEdge(e uint64) (u, v int32) { return int32(e >> 32), int32(uint32(e)) }
 
 // Build finalizes the graph. The builder may not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	// slices.SortFunc compiles a concrete comparison instead of sort.Slice's
-	// reflection-based swaps — see BenchmarkBuilderBuild for the effect at
-	// n = 10^5. Neither sort is stable, but equal elements here are
-	// identical [2]int32 values, so any order among them builds the same
-	// graph.
-	slices.SortFunc(b.edges, func(x, y [2]int32) int {
-		if x[0] != y[0] {
-			return int(x[0]) - int(y[0])
-		}
-		return int(x[1]) - int(y[1])
-	})
+	// The packed keys sort as plain integers: slices.Sort on an ordered
+	// type compares inline, with no comparison closure. Equal keys are
+	// duplicate edges, which the pass below drops.
+	slices.Sort(b.edges)
 	// Deduplicate in place.
 	uniq := b.edges[:0]
 	for i, e := range b.edges {
@@ -156,8 +154,9 @@ func (b *Builder) Build() *Graph {
 	}
 	off := make([]int32, b.n+1)
 	for _, e := range uniq {
-		off[e[0]+1]++
-		off[e[1]+1]++
+		u, v := unpackEdge(e)
+		off[u+1]++
+		off[v+1]++
 	}
 	for i := 0; i < b.n; i++ {
 		off[i+1] += off[i]
@@ -168,10 +167,11 @@ func (b *Builder) Build() *Graph {
 	// restores the CSR offsets without a separate cursor allocation.
 	adj := make([]int32, 2*len(uniq))
 	for _, e := range uniq {
-		adj[off[e[0]]] = e[1]
-		off[e[0]]++
-		adj[off[e[1]]] = e[0]
-		off[e[1]]++
+		u, v := unpackEdge(e)
+		adj[off[u]] = v
+		off[u]++
+		adj[off[v]] = u
+		off[v]++
 	}
 	for v := b.n; v > 0; v-- {
 		off[v] = off[v-1]
