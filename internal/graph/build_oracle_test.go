@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // comparatorBuild is the reference CSR build: edges are normalized as
 // AddEdge does (self-loops dropped, u < v), sorted as [2]int32 pairs with
 // a comparison closure, deduplicated, and filled into off/adj. Builder's
-// packed-key sort must produce the same arrays.
+// counting-sort build must produce the same arrays.
 func comparatorBuild(n int, edges [][2]int32) (off, adj []int32) {
 	var es [][2]int32
 	for _, e := range edges {
@@ -90,4 +91,41 @@ func TestBuildMatchesComparatorSort(t *testing.T) {
 			t.Fatalf("trial %d (n=%d, %d edges): CSR differs from the comparator-sort build", trial, n, m)
 		}
 	}
+}
+
+// FuzzBuild decodes data into a node count n in [1, 4096] (the first two
+// bytes, little-endian, mod 4096, plus one) and an edge list (each further
+// four bytes, two little-endian endpoints mod n), then checks Builder
+// against comparatorBuild.
+func FuzzBuild(f *testing.F) {
+	enc := func(n int, edges ...[2]uint16) []byte {
+		data := binary.LittleEndian.AppendUint16(nil, uint16(n-1))
+		for _, e := range edges {
+			data = binary.LittleEndian.AppendUint16(data, e[0])
+			data = binary.LittleEndian.AppendUint16(data, e[1])
+		}
+		return data
+	}
+	f.Add(enc(1))
+	f.Add(enc(6, [2]uint16{5, 0}, [2]uint16{1, 5}, [2]uint16{5, 2}, [2]uint16{3, 5}, [2]uint16{5, 4}, [2]uint16{5, 5}))
+	f.Add(enc(4096, [2]uint16{7, 4095}, [2]uint16{4095, 7}, [2]uint16{7, 4095}, [2]uint16{4095, 7}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(binary.LittleEndian.Uint16(data)%4096)
+		var edges [][2]int32
+		b := NewBuilder("fuzz", n)
+		for rest := data[2:]; len(rest) >= 4; rest = rest[4:] {
+			u := int(binary.LittleEndian.Uint16(rest)) % n
+			v := int(binary.LittleEndian.Uint16(rest[2:])) % n
+			edges = append(edges, [2]int32{int32(u), int32(v)})
+			b.AddEdge(u, v)
+		}
+		g := b.Build()
+		off, adj := comparatorBuild(n, edges)
+		if !slices.Equal(g.off, off) || !slices.Equal(g.adj, adj) {
+			t.Fatalf("n=%d, %d edges: CSR differs from the comparator-sort build", n, len(edges))
+		}
+	})
 }

@@ -204,10 +204,12 @@ func RandomTree(n int, r *rng.Rand) *Graph {
 // connectivity threshold the extra tree edges are a vanishing fraction.
 func Gnp(n int, p float64, r *rng.Rand) *Graph {
 	b := NewBuilder(fmt.Sprintf("gnp%.3f", p), n)
-	// n-1 spanning-tree edges plus the expected G(n,p) edge count; the
-	// geometric-skip loop may overshoot slightly, which just falls back to
-	// one append growth step.
-	b.Reserve(n - 1 + int(p*float64(n)*float64(n-1)/2))
+	// n-1 spanning-tree edges plus the G(n,p) edge count's mean and six
+	// standard deviations (capped at all pairs), so no seed regrows the
+	// edge buffer: the count is Binomial(n(n-1)/2, p).
+	pairs := float64(n) * float64(n-1) / 2
+	q := math.Min(math.Max(p, 0), 1)
+	b.Reserve(n - 1 + int(math.Min(pairs, q*pairs+6*math.Sqrt(q*(1-q)*pairs))))
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, r.Intn(i)) // spanning tree for connectivity
 	}
@@ -254,22 +256,43 @@ func RandomGeometric(n int, radius float64, r *rng.Rand) *Graph {
 		xs[i] = r.Float64()
 		ys[i] = r.Float64()
 	}
-	b := NewBuilder(fmt.Sprintf("geometric%.3f", radius), n)
-	// Grid-bucket the points so neighbor search is O(n) expected.
-	cell := radius
+	// Flat cell lists make neighbour search O(n) expected: a counting
+	// sort drops the points into square cells (pts holds cell c's points
+	// at pts[start[c]:start[c+1]], in id order). Any side >= radius keeps
+	// the 3x3 search exact; the 1/sqrt(n) floor caps the cell count near
+	// n for tiny radii.
+	cell := math.Max(radius, 1/math.Sqrt(float64(n)))
 	cols := int(1/cell) + 1
-	buckets := make(map[int][]int32, n)
-	key := func(cx, cy int) int { return cy*cols + cx }
+	cellOf := func(i int) int { return int(ys[i]/cell)*cols + int(xs[i]/cell) }
+	start := make([]int32, cols*cols+1)
 	for i := 0; i < n; i++ {
-		cx, cy := int(xs[i]/cell), int(ys[i]/cell)
-		buckets[key(cx, cy)] = append(buckets[key(cx, cy)], int32(i))
+		start[cellOf(i)+1]++
 	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	// start doubles as the fill cursor: each start[c] advances to
+	// start[c+1], and one downward shift restores the cell starts.
+	pts := make([]int32, n)
+	for i := 0; i < n; i++ {
+		c := cellOf(i)
+		pts[start[c]] = int32(i)
+		start[c]++
+	}
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
+	b := NewBuilder(fmt.Sprintf("geometric%.3f", radius), n)
+	// Expected pairs within radius ignoring the boundary, n²πr²/2, capped
+	// at all pairs, plus slack.
+	pairs := float64(n) * float64(n-1) / 2
+	b.Reserve(int(math.Min(pairs, math.Pi*radius*radius*float64(n)*float64(n)/2)) + n)
 	r2 := radius * radius
 	for i := 0; i < n; i++ {
 		cx, cy := int(xs[i]/cell), int(ys[i]/cell)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range buckets[key(cx+dx, cy+dy)] {
+		for ny := max(cy-1, 0); ny <= min(cy+1, cols-1); ny++ {
+			for nx := max(cx-1, 0); nx <= min(cx+1, cols-1); nx++ {
+				c := ny*cols + nx
+				for _, j := range pts[start[c]:start[c+1]] {
 					if int(j) <= i {
 						continue
 					}
@@ -281,12 +304,17 @@ func RandomGeometric(n int, radius float64, r *rng.Rand) *Graph {
 			}
 		}
 	}
-	g := b.Build()
+	return stitchNearest(b.Build(), xs, ys)
+}
+
+// stitchNearest makes a geometric graph on the points (xs[i], ys[i])
+// connected: it repeatedly joins the component of node 0 to the
+// geometrically nearest node outside it.
+func stitchNearest(g *Graph, xs, ys []float64) *Graph {
 	if g.IsConnected() {
 		return g
 	}
-	// Stitch components: repeatedly connect the component of node 0 to the
-	// geometrically nearest node outside it.
+	n := g.N()
 	extra := make([][2]int, 0, 8)
 	for {
 		dist := g.BFS(0)

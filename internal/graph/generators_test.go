@@ -4,6 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"radionet/internal/rng"
@@ -50,6 +55,98 @@ func TestGeneratorCSRKnownAnswers(t *testing.T) {
 		g := tc.gen()
 		if got := csrHash(g); g.M() != tc.m || got != tc.want {
 			t.Errorf("%s: m = %d, sha256(off‖adj) = %s; want m = %d, %s", tc.name, g.M(), got, tc.m, tc.want)
+		}
+	}
+}
+
+// mapBucketGeometric is the reference RandomGeometric: the same point
+// draws, bucketed into cells of side radius through a map keyed by
+// cy*cols + cx. Its neighbour keys for cx±1 at a row edge alias the far
+// cell of the adjacent row, which the distance test rejects.
+func mapBucketGeometric(n int, radius float64, r *rng.Rand) *Graph {
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = r.Float64()
+		ys[i] = r.Float64()
+	}
+	b := NewBuilder(fmt.Sprintf("geometric%.3f", radius), n)
+	cell := radius
+	cols := int(1/cell) + 1
+	buckets := make(map[int][]int32, n)
+	key := func(cx, cy int) int { return cy*cols + cx }
+	for i := 0; i < n; i++ {
+		cx, cy := int(xs[i]/cell), int(ys[i]/cell)
+		buckets[key(cx, cy)] = append(buckets[key(cx, cy)], int32(i))
+	}
+	r2 := radius * radius
+	for i := 0; i < n; i++ {
+		cx, cy := int(xs[i]/cell), int(ys[i]/cell)
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				for _, j := range buckets[key(cx+dx, cy+dy)] {
+					if int(j) <= i {
+						continue
+					}
+					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
+					if ddx*ddx+ddy*ddy <= r2 {
+						b.AddEdge(i, int(j))
+					}
+				}
+			}
+		}
+	}
+	return stitchNearest(b.Build(), xs, ys)
+}
+
+// TestGeometricMatchesMapBuckets checks the flat cell lists of
+// RandomGeometric against mapBucketGeometric: equal off and adj for
+// radii below the 1/sqrt(n) cell floor (with stitching), near the
+// connectivity threshold, dense, and at or above 1 (a single cell).
+func TestGeometricMatchesMapBuckets(t *testing.T) {
+	r := rng.New(31)
+	cases := []struct {
+		maxN  int
+		radii []float64
+	}{
+		{200, []float64{1e-9, 1e-3, 0.02}},
+		{2000, []float64{0.03}},
+		{1000, []float64{0.3}},
+		{300, []float64{1, 1.5}},
+	}
+	for _, tc := range cases {
+		for _, radius := range tc.radii {
+			for trial := 0; trial < 3; trial++ {
+				n := 1 + r.Intn(tc.maxN)
+				seed := r.Uint64()
+				g := RandomGeometric(n, radius, rng.New(seed))
+				want := mapBucketGeometric(n, radius, rng.New(seed))
+				if !slices.Equal(g.off, want.off) || !slices.Equal(g.adj, want.adj) {
+					t.Fatalf("n=%d radius=%g seed=%d: CSR differs from the map-bucket build", n, radius, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestGnpAllocsSeedIndependent checks that Gnp's edge reservation covers
+// every seed: an overshoot would regrow the builder's edge buffer and add
+// an allocation on some seeds only. Runtime work can only add to a count,
+// so each seed takes the least of three measurements, and the collector
+// runs only between them.
+func TestGnpAllocsSeedIndependent(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var first float64
+	for seed := uint64(1); seed <= 12; seed++ {
+		a := math.Inf(1)
+		for range 3 {
+			runtime.GC()
+			a = min(a, testing.AllocsPerRun(1, func() { Gnp(2048, 0.05, rng.New(seed)) }))
+		}
+		if seed == 1 {
+			first = a
+		} else if a != first {
+			t.Errorf("seed %d: %v allocations, seed 1: %v", seed, a, first)
 		}
 	}
 }

@@ -93,8 +93,8 @@ func (g *Graph) String() string {
 type Builder struct {
 	n    int
 	name string
-	// edges packs each edge {u, v}, u < v, as uint64(u)<<32 | v, so the
-	// numeric order of the keys is the lexicographic order of the pairs.
+	// edges packs each edge {u, v}, u < v, as uint64(u)<<32 | v; Build
+	// puts the keys in (u, v) order in place (see sortEdges).
 	edges []uint64
 }
 
@@ -140,11 +140,17 @@ func (b *Builder) AddEdge(u, v int) {
 func unpackEdge(e uint64) (u, v int32) { return int32(e >> 32), int32(uint32(e)) }
 
 // Build finalizes the graph. The builder may not be reused afterwards.
+//
+// Construction is O(n + m). The adjacency array is allocated once, at 2m
+// entries, and its first half stages sortEdges's scatter before the CSR
+// fill overwrites it. Keys that arrive in order, as most deterministic
+// generators' do, skip the sort.
 func (b *Builder) Build() *Graph {
-	// The packed keys sort as plain integers: slices.Sort on an ordered
-	// type compares inline, with no comparison closure. Equal keys are
-	// duplicate edges, which the pass below drops.
-	slices.Sort(b.edges)
+	adj := make([]int32, 2*len(b.edges))
+	off := make([]int32, b.n+1)
+	if !slices.IsSorted(b.edges) {
+		sortEdges(b.edges, b.n, adj[:len(b.edges)], off)
+	}
 	// Deduplicate in place.
 	uniq := b.edges[:0]
 	for i, e := range b.edges {
@@ -152,7 +158,6 @@ func (b *Builder) Build() *Graph {
 			uniq = append(uniq, e)
 		}
 	}
-	off := make([]int32, b.n+1)
 	for _, e := range uniq {
 		u, v := unpackEdge(e)
 		off[u+1]++
@@ -161,11 +166,11 @@ func (b *Builder) Build() *Graph {
 	for i := 0; i < b.n; i++ {
 		off[i+1] += off[i]
 	}
-	// The adjacency array is sized exactly from the degree counts, and the
-	// offset array doubles as the insertion cursor: after the fill, off[v]
-	// has advanced to the start of v+1's block, so one downward shift
-	// restores the CSR offsets without a separate cursor allocation.
-	adj := make([]int32, 2*len(uniq))
+	// The adjacency array is resliced to the deduplicated edge count, and
+	// the offset array doubles as the insertion cursor: after the fill,
+	// off[v] has advanced to the start of v+1's block, so one downward
+	// shift restores the CSR offsets without a separate cursor allocation.
+	adj = adj[:2*len(uniq)]
 	for _, e := range uniq {
 		u, v := unpackEdge(e)
 		adj[off[u]] = v
@@ -197,4 +202,43 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	return g
+}
+
+// sortEdges orders packed edge keys on n nodes by (u, v) with two stable
+// counting passes. stage must hold len(edges) entries and off n+1 zeros;
+// both are scratch, and off is zeroed again on return. Besides them it
+// allocates one n+1 counter and no m-sized temporary: the keys are
+// written back into edges itself.
+func sortEdges(edges []uint64, n int, stage, off []int32) {
+	cnt := make([]int32, n+1)
+	// Pass 1 buckets the keys by v: cnt becomes the v-bucket starts and
+	// off the u-bucket starts, then each key's u is staged at its
+	// v-cursor. Afterwards cnt[v] is the end of v's bucket.
+	for _, e := range edges {
+		u, v := unpackEdge(e)
+		cnt[v+1]++
+		off[u+1]++
+	}
+	for i := 0; i < n; i++ {
+		cnt[i+1] += cnt[i]
+		off[i+1] += off[i]
+	}
+	for _, e := range edges {
+		u, v := unpackEdge(e)
+		stage[cnt[v]] = u
+		cnt[v]++
+	}
+	// Pass 2 walks the v-buckets in ascending v and writes each key back
+	// at its u-cursor. Within a u-bucket the keys arrive in ascending v,
+	// so edges ends up sorted by (u, v).
+	lo := int32(0)
+	for v := 0; v < n; v++ {
+		hi := cnt[v]
+		for _, u := range stage[lo:hi] {
+			edges[off[u]] = uint64(u)<<32 | uint64(v)
+			off[u]++
+		}
+		lo = hi
+	}
+	clear(off)
 }
