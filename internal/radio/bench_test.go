@@ -9,8 +9,8 @@ import (
 
 // Delivery-kernel microbenchmarks: the word-parallel bitset kernel against
 // a reference per-edge scatter (the pre-bitset engine's stamp/hits
-// algorithm), on a sparse random tree (CSR neighbor walks) and a dense
-// Gnp graph (per-node adjacency bitmask rows). DESIGN.md §5 cites these
+// algorithm), on a sparse random tree (CSR neighbor walks) and two dense
+// Gnp graphs (per-node adjacency bitmask rows). DESIGN.md §5 cites these
 // numbers; regenerate with
 //
 //	go test ./internal/radio -bench StepDelivery -benchmem
@@ -95,15 +95,7 @@ func benchEngine(g *graph.Graph) *Engine {
 // delivery kernel for a fixed transmitter set, bypassing Act and replay —
 // the same slice of work scatterKernel.run times.
 func runBitsetKernel(e *Engine, tx []int32) (deliveries, collisions int) {
-	for _, u := range e.transmit {
-		e.txw[uint32(u)>>6] &^= 1 << (uint32(u) & 63)
-	}
-	e.transmit = append(e.transmit[:0], tx...)
-	for _, u := range tx {
-		e.txw[uint32(u)>>6] |= 1 << (uint32(u) & 63)
-	}
-	e.round++
-	e.markAll()
+	markRound(e, tx)
 	st := &e.sh[0]
 	st.runClassify()
 	deliveries, collisions = st.deliveries, st.collisions
@@ -148,12 +140,17 @@ func benchmarkDelivery(b *testing.B, g *graph.Graph, density float64, bitset boo
 // BenchmarkStepDelivery compares the delivery kernels head-to-head.
 // "sparse" is a 1e5-node random tree (all-CSR adjacency); "dense" is a
 // 4096-node Gnp with mean degree ~80, above the dense-row threshold, so
-// the bitset kernel ORs adjacency rows word-at-a-time.
+// the bitset kernel ORs adjacency rows word-at-a-time; "gnp4096p05" is
+// the shape of the cd17_gnp_dense perfbench workload (mean degree ~205,
+// every row dense) at its traced ~3% transmitters per round.
 func BenchmarkStepDelivery(b *testing.B) {
 	sparse := graph.RandomTree(100000, rng.New(7))
 	dense := graph.Gnp(4096, 0.02, rng.New(7))
+	gnp := graph.Gnp(4096, 0.05, rng.New(7))
 	b.Run("bitset/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, true) })
 	b.Run("scatter/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, false) })
 	b.Run("bitset/dense", func(b *testing.B) { benchmarkDelivery(b, dense, 0.05, true) })
 	b.Run("scatter/dense", func(b *testing.B) { benchmarkDelivery(b, dense, 0.05, false) })
+	b.Run("bitset/gnp4096p05", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.03, true) })
+	b.Run("scatter/gnp4096p05", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.03, false) })
 }

@@ -14,8 +14,11 @@
 // CSR transmitter sets collided where onair was already set before OR-ing
 // its own bit in; a dense transmitter (degree above the graph.AdjBits
 // threshold) does the same word-at-a-time with its adjacency row. A dirty
-// summary bitset (one bit per engine word) records which words were
-// touched, so sparse rounds scan and clear O(touched) words, not O(n/64).
+// summary bitset (one bit per engine word) covers every touched word — a
+// CSR mark flags its own word, a dense row flags its whole word range at
+// once, so the summary is a superset — and sparse rounds scan and clear
+// O(touched) words, not O(n/64). A dirty word whose onair is zero
+// classifies, merges and clears to nothing.
 //
 // Sharding splits the marking pass over contiguous chunks of the transmit
 // list and the classify pass over contiguous word ranges, across k
@@ -189,18 +192,29 @@ func (e *Engine) markAll() {
 }
 
 // orRow folds one dense transmitter's adjacency row into the shard's
-// marking bitsets, word-at-a-time: bits already on the air collide.
+// marking bitsets, word-at-a-time: bits already on the air collide. The
+// word loop has no branch, no bounds check (CI checks) and no store that
+// a later iteration reloads, so iterations overlap. Flagging dirty per
+// word would break that: up to 64 consecutive words share one summary
+// word, a store-to-load chain through the whole row. So the row's whole
+// word range is flagged dirty once, up front, zero words of the row
+// included; every reader tolerates that superset (see the package
+// comment). orRow must stay within the inlining budget (CI checks): as an
+// out-of-line call it changes markAll's register allocation and slows the
+// CSR walk of graphs that have no dense rows at all. Flagging before the
+// word loop rather than after it is also a layout choice: it keeps that
+// inlined CSR walk at the code alignment it had (DESIGN.md §5).
 //
 //radionet:hotpath
 func (st *shardState) orRow(row []uint64) {
-	onair, collided := st.onair, st.collided
+	dirty := st.dirty[:(len(row)+63)>>6]
+	for ws := range dirty {
+		dirty[ws] = 1<<min(uint(len(row)-ws<<6), 64) - 1 // all ones but in the tail word
+	}
+	onair, collided := st.onair[:len(row)], st.collided[:len(row)]
 	for w, rw := range row {
-		if rw == 0 {
-			continue
-		}
 		collided[w] |= onair[w] & rw
 		onair[w] |= rw
-		st.dirty[w>>6] |= 1 << (uint(w) & 63)
 	}
 }
 

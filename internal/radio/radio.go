@@ -242,7 +242,7 @@ type Engine struct {
 	deadw    []uint64 // crashed (overlay schedule or Mortal wrapper)
 	dormw    []uint64 // dormant Sleeper nodes
 	quietw   []uint64 // SilenceOblivious nodes
-	dirty    []uint64 // summary: bit w set iff onair word w was touched
+	dirty    []uint64 // summary: bit w set if onair word w was touched (a superset, see kernel.go)
 
 	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking)
 	instamp  []int64   // round stamp validating inbox
