@@ -20,7 +20,6 @@
 //	         -faults none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 -seeds 10
 //	campaign -preset large-n-broadcast -progress -manifest run.json
 //	campaign -preset huge-n-broadcast -debug-addr :6060 -progress
-//	campaign -topos grid:64x64 -algos bgi -seeds 20 -bench-out bench.json
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"radionet/internal/bench"
 	"radionet/internal/campaign"
 	"radionet/internal/obs"
 	"radionet/internal/precompute"
@@ -67,7 +65,6 @@ func run() error {
 		progress = flag.Bool("progress", false, "stream a live progress line (trials done/total, ETA, current config) to stderr")
 		manifest = flag.String("manifest", "", "write a machine-readable run manifest (JSON: config hash, protocols, per-config wall times, metrics) to this file")
 		debug    = flag.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
-		benchOut = flag.String("bench-out", "", "write a bench-schema performance record of this run (grid \"custom\") to this file")
 		list     = flag.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
 	flag.Parse()
@@ -168,7 +165,7 @@ func run() error {
 	// The telemetry surface: all of it observes the run without touching
 	// the sink stream, so stdout stays byte-identical with or without it.
 	var st campaign.RunStats
-	if *manifest != "" || *debug != "" || *benchOut != "" {
+	if *manifest != "" || *debug != "" {
 		c.Obs = obs.NewRegistry()
 		c.Stats = &st
 	}
@@ -186,18 +183,10 @@ func run() error {
 	if _, err = c.Run(sink); err != nil {
 		return err
 	}
-	now := time.Now().UTC().Format(time.RFC3339)
 	if *manifest != "" {
 		man := c.Manifest("campaign", &st)
-		man.Generated = now
+		man.Generated = time.Now().UTC().Format(time.RFC3339)
 		if err := man.WriteFile(*manifest); err != nil {
-			return err
-		}
-	}
-	if *benchOut != "" {
-		f := bench.FromStats("custom", m, &st, c.Obs)
-		f.Generated = now
-		if err := f.WriteFile(*benchOut); err != nil {
 			return err
 		}
 	}

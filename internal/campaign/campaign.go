@@ -185,9 +185,9 @@ func (p *Plan) Materialize(store *precompute.Store, workers int) []TopoBuild {
 	builds := make([]TopoBuild, len(p.topos))
 	ForEachWorker(workers, len(p.topos), func(_, i int) {
 		t := &p.topos[i]
-		start := time.Now() //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
+		start := time.Now() //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
 		prod, out := store.GetOrBuild(t.key, t.build)
-		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
+		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
 		for _, ci := range t.cfgs {
 			p.Configs[ci].G = prod.G
 			p.Configs[ci].D = prod.D
@@ -386,8 +386,8 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 	// Setup phase: materialize the deduplicated topology products through
 	// the precompute store (cache-backed when Cache is set), then build
 	// the deduplicated scratches — both across the worker pool. Setup is
-	// timed separately from the run wall (RunStats.Setup vs .Wall,
-	// bench schema v4's setup_ms split); the run wall has excluded setup
+	// timed separately from the run wall (RunStats.Setup vs .Wall, the
+	// manifest's setup_ms split); the run wall has excluded setup
 	// since the eager-build era, so the split adds data without moving
 	// any existing measurement's meaning.
 	setupStart := time.Now() //lint:wallclock setup wall time is telemetry, never part of trial output

@@ -107,6 +107,7 @@ func (c *Campaign) Manifest(tool string, st *RunStats) *obs.Manifest {
 	m.Protocols = RegisteredProtocols()
 	if st != nil {
 		m.Workers = st.Workers
+		m.Shards = st.Shards
 		m.WallMS = durMS(st.Wall)
 		m.SetupMS = durMS(st.Setup)
 		m.Cache = st.Cache

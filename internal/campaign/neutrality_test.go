@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -115,5 +118,43 @@ func TestCampaignTelemetryContent(t *testing.T) {
 		if cs.Name == "" || cs.Wall <= 0 {
 			t.Errorf("config %d stats incomplete: %+v", i, cs)
 		}
+	}
+
+	// The manifest is the run's machine-readable record: it must survive
+	// a write/read round trip under the strict schema and carry RunStats
+	// through unchanged.
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := c.Manifest("campaign", &st).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var man obs.Manifest
+	if err := dec.Decode(&man); err != nil {
+		t.Fatalf("manifest does not decode strictly: %v", err)
+	}
+	if man.ConfigHash != m.Hash() || man.Workers != 2 || man.Cache != "off" {
+		t.Errorf("manifest header: hash=%q workers=%d cache=%q, want %q/2/off",
+			man.ConfigHash, man.Workers, man.Cache, m.Hash())
+	}
+	if len(man.Configs) != len(st.Configs) {
+		t.Fatalf("manifest configs = %d, want %d", len(man.Configs), len(st.Configs))
+	}
+	for i, rec := range man.Configs {
+		cs := st.Configs[i]
+		if rec.Name != cs.Name || rec.Trials != cs.Trials || rec.Failures != cs.Failures || rec.RoundsMean != cs.RoundsMean {
+			t.Errorf("manifest config %d diverges from stats: %+v vs %+v", i, rec, cs)
+		}
+		if rec.WallMSMean != rec.WallMSTotal/float64(rec.Trials) {
+			t.Errorf("manifest config %d: wall_ms_mean %v != wall_ms_total %v / %d trials",
+				i, rec.WallMSMean, rec.WallMSTotal, rec.Trials)
+		}
+	}
+	if rps := man.Metrics.Gauges[obs.EngineRoundsPerSec]; rps <= 0 {
+		t.Errorf("manifest %s = %d, want > 0", obs.EngineRoundsPerSec, rps)
 	}
 }

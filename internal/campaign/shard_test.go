@@ -41,6 +41,9 @@ func TestEngineShardsOutputNeutral(t *testing.T) {
 		if shards == 0 && st.Shards < 1 {
 			t.Errorf("auto split: RunStats.Shards = %d, want >= 1", st.Shards)
 		}
+		if got := c.Manifest("campaign", &st).Shards; got != st.Shards {
+			t.Errorf("EngineShards=%d: manifest shards = %d, want RunStats.Shards %d", shards, got, st.Shards)
+		}
 	}
 }
 

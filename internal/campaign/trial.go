@@ -142,9 +142,9 @@ func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratc
 	}
 	ForEachWorker(workers, len(groups), func(_, gi int) {
 		g := &groups[gi]
-		start := time.Now() //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
+		start := time.Now() //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
 		scr := NewScratch(&plan.Configs[g.first])
-		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
+		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
 		for _, ci := range g.cfgs {
 			scratches[ci] = scr
 		}

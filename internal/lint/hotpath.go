@@ -1,7 +1,7 @@
 // The hotpath analyzer: functions annotated //radionet:hotpath run once
 // per simulated round across millions of rounds; a single allocation or
-// interface boxing there dominates the profile. The bench trajectory
-// (PR 6) measures the symptom; this analyzer pins the cause.
+// interface boxing there dominates the profile. perfbench measures the
+// symptom; this analyzer pins the cause.
 
 package lint
 

@@ -37,7 +37,7 @@ const (
 	// documented per-unit floor overshot an explicit budget.
 	TrialBudgetPermille = "trial.budget_used_permille"
 
-	// Precompute cache counters, fed by the campaign/bench setup phase
+	// Precompute cache counters, fed by the campaign setup phase
 	// when a disk-backed precompute store is attached (-cache-dir): cache
 	// files loaded, products rebuilt from source, and cache bytes moved
 	// (read on hits, written on misses). Like every metric they are

@@ -46,7 +46,7 @@ type ConfigRecord struct {
 // Manifest is the machine-readable record of one run.
 type Manifest struct {
 	SchemaVersion int    `json:"schema_version"`
-	Tool          string `json:"tool"` // "campaign", "radiosim", "bench"
+	Tool          string `json:"tool"` // "campaign", "radiosim"
 	// ConfigHash fingerprints the run's full configuration (for a
 	// campaign: the canonical matrix JSON), so manifests from identical
 	// setups are linkable across machines and commits.
@@ -58,6 +58,10 @@ type Manifest struct {
 	GoVersion  string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
+	// Shards is the largest intra-round engine shard count any campaign
+	// configuration ran with, so multi-core runs can be attributed.
+	// radiosim manifests leave it zero, so it is omitted there.
+	Shards int `json:"shards,omitempty"`
 	// Protocols is the registered (task:name) set the binary carried.
 	Protocols []string `json:"protocols"`
 	// WallMS is the whole run's wall time in milliseconds.

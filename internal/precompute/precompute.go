@@ -1,5 +1,5 @@
 // Package precompute is the keyed, shared, cache-backed store for the
-// expensive topology products the campaign and bench setup phases need
+// expensive topology products the campaign setup phase needs
 // before the first simulated round: the built graph, its diameter
 // estimate, and the warmed dense-adjacency layer. Products are identified
 // by a content key (canonical topology spec + topology seed); each key is

@@ -2,16 +2,16 @@
 //
 // The first sharded engine spawned 3·(k-1) goroutines per round (one per
 // spawned shard per wave), ~1000 rounds per trial — cheap individually,
-// but measurable single-core overhead at k = 4 (see BENCH_huge.json's
-// gomaxprocs: 1 trajectory). SetShards now spawns k-1 workers once; each
+// but measurable overhead on a single core, where the spawned waves cannot
+// run in parallel. SetShards now spawns k-1 workers once; each
 // parks on a one-slot command channel and executes whatever wave command
 // arrives, so a wave costs k-1 channel sends and one WaitGroup barrier
 // instead of k-1 goroutine creations.
 //
 // Lifecycle: workers hold only a weak pointer to the engine plus their
 // command channel, so a worker never keeps its engine alive. Engines are
-// torn down two ways: deterministically by Engine.Close (the campaign,
-// facade and bench paths close every engine when a trial ends, via
+// torn down two ways: deterministically by Engine.Close (the campaign and
+// facade paths close every engine when a trial ends, via
 // radio.EngineSet), or — for API users who drop an engine on the floor —
 // by a runtime.AddCleanup that closes the command channels once the
 // engine is unreachable, unparking the workers into channel-close exit.
