@@ -19,15 +19,30 @@ import (
 	"math/bits"
 )
 
-// splitMix64 advances a SplitMix64 state and returns the next output.
-// It is used for seeding and for stream derivation.
-func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// golden is SplitMix64's state increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's output function, a bijection on 64-bit words
+// whose every output bit depends on every input bit. It is the one mixer
+// behind seeding, stream derivation and the stateless hashes.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// splitMix64 advances a SplitMix64 state and returns the next output.
+// It is used for seeding and for stream derivation.
+func splitMix64(state *uint64) uint64 {
+	*state += golden
+	return mix64(*state)
+}
+
+// hashInit is Hash64's initial state (the first SHA-512 IV word).
+const hashInit = 0x6a09e667f3bcc909
+
+// absorb mixes one key word into a Hash64 state.
+func absorb(h, w uint64) uint64 { return mix64((h ^ w) + golden) }
 
 // Rand is a deterministic pseudo-random stream. The zero value is not
 // usable; construct streams with New or Fork.
@@ -125,13 +140,17 @@ func (r *Rand) Exp(beta float64) float64 {
 // of a cluster computes the same hash of (seed, cluster, epoch) and hence
 // the same coin, modeling randomness distributed by the cluster center
 // during precomputation.
+//
+// Every word is mixed into the state before the next is absorbed, so
+// keys that differ in any word hash apart: distinct small keys such as
+// (seed, center, slot) give distinct, unrelated outputs, not shifted
+// copies of one sequence.
 func Hash64(words ...uint64) uint64 {
-	state := uint64(0x6a09e667f3bcc909)
+	h := uint64(hashInit)
 	for _, w := range words {
-		state ^= w
-		_ = splitMix64(&state)
+		h = absorb(h, w)
 	}
-	return splitMix64(&state)
+	return h
 }
 
 // HashFloat maps Hash64 of the words to a uniform float64 in [0, 1).

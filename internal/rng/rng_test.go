@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +253,51 @@ func BenchmarkExp(b *testing.B) {
 		sink = r.Exp(0.1)
 	}
 	_ = sink
+}
+
+// TestHash64DistinctOnSmallKeys hashes the key shape behind cd17's
+// clustering sequences, (seed, center, slot), over 4096 centers and 256
+// slots: all 1,048,576 outputs must be distinct. A Hash64 that mixed only
+// after the last word collapsed this grid to a few thousand values.
+func TestHash64DistinctOnSmallKeys(t *testing.T) {
+	const centers, slots = 4096, 256
+	hs := make([]uint64, 0, centers*slots)
+	for c := uint64(0); c < centers; c++ {
+		for k := uint64(0); k < slots; k++ {
+			hs = append(hs, Hash64(0x5eed, c, k))
+		}
+	}
+	slices.Sort(hs)
+	dups := 0
+	for i := 1; i < len(hs); i++ {
+		if hs[i] == hs[i-1] {
+			dups++
+		}
+	}
+	if dups != 0 {
+		t.Fatalf("%d of %d Hash64 outputs repeat an earlier one", dups, len(hs))
+	}
+}
+
+// TestHash64KnownAnswers pins Hash64 and HashFloat on a few keys, so a
+// change to the mixer or the absorb step that stays deterministic still
+// fails here.
+func TestHash64KnownAnswers(t *testing.T) {
+	cases := []struct {
+		words []uint64
+		want  uint64
+	}{
+		{nil, 0x6a09e667f3bcc909},
+		{[]uint64{0}, 0x63cfc62a2b097592},
+		{[]uint64{1, 2, 3}, 0xac353cecc6b8f974},
+		{[]uint64{0x5eed, 4095, 255}, 0xb62f98f1784558be},
+	}
+	for _, tc := range cases {
+		if got := Hash64(tc.words...); got != tc.want {
+			t.Errorf("Hash64(%v) = %#016x, want %#016x", tc.words, got, tc.want)
+		}
+	}
+	if got, want := HashFloat(7, 11), 0.6044825502588129; got != want {
+		t.Errorf("HashFloat(7, 11) = %v, want %v", got, want)
+	}
 }
