@@ -1,12 +1,12 @@
 package compete
 
 import (
-	"math"
 	"math/bits"
 
 	"radionet/internal/decay"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
+	"radionet/internal/schedule"
 )
 
 // bulkState is the contiguous fast-path node state behind the engine's
@@ -20,16 +20,17 @@ import (
 // path therefore keeps one clock per coarse cluster plus one background
 // clock.
 //
-// A round visits only the nodes that can draw a coin. An ICP round walks
-// the set bits of the lane's heard bitset, after resetting the members of
-// every clock that starts an outward sub-phase; a helper round walks the
-// intersection of the heard bitset with the lane's firing set, the nodes
-// whose fine cluster won this Decay window's shared coin. Both walks run
-// in increasing id order and draw per-node randomness under exactly the
-// reference implementation's gates — observational identity is enforced
-// by the equivalence tests in bulk_test.go. Each 64-node word is walked
-// twice: a draw pass collects the coin outcomes in a bit mask without
-// branching on them, then an emit pass appends the transmitters.
+// A round works a 64-node word at a time and visits only the words that
+// hold a node that can transmit. An ICP round reads the lane's heard
+// bitset, after resetting the members of every clock that starts an
+// outward sub-phase; a helper round reads the intersection of the heard
+// bitset with the lane's firing set, the nodes whose fine cluster won this
+// Decay window's shared coin. The gates are exactly the reference
+// implementation's, and every coin is a bit of the round's keyed word
+// coins (rng.WordCoins), the same bit the reference reads per node, so
+// one hash per word and step replaces a draw per node. Transmitters are
+// emitted in increasing id order. Observational identity is enforced by
+// the equivalence tests in bulk_test.go.
 type bulkState struct {
 	c     *Compete
 	shims []bnode
@@ -41,6 +42,17 @@ type bulkState struct {
 	// style: clock i owns members[memberOff[i]:memberOff[i+1]].
 	memberOff []int32
 	members   []int32
+	// wordClk lists, per 64-node word, the main clocks with members in
+	// that word and each one's member mask, CSR style: word w owns
+	// entries wordClkOff[w]:wordClkOff[w+1].
+	wordClkOff  []int32
+	wordClk     []int32
+	wordClkMask []uint64
+
+	// mainLadders[fid] and bgLadders[fid] group the nodes of each fine
+	// clustering by ladder length, word by word.
+	mainLadders []ladderSet
+	bgLadders   []ladderSet
 
 	mainHeard []uint64 // main lane bitset: heard the cluster flood this slot
 	mainFlood []int64  // main lane: the flooded value
@@ -53,21 +65,19 @@ type bulkState struct {
 	mainFiring firingSet
 	bgFiring   firingSet
 
-	// thr[s] is the integer Bernoulli threshold for the schedule sweep
-	// probability 2^-(s+1): rnd.Uint64()>>11 < thr[s] is the same draw and
-	// outcome as rnd.Bernoulli(schedule.Prob(level, t)) at s = t%level.
-	thr []uint64
-	// helperThr is the same table for the Algorithm-4 decay steps.
-	helperThr []uint64
-
 	// scratch holds every clock's derived values for the current round:
-	// one entry per main clock, then the background clock's. levelThr
-	// backs their thr tables, levelStride entries per clock in the same
+	// one entry per main clock, then the background clock's. levelStep
+	// backs their step tables, levelStride entries per clock in the same
 	// order.
 	scratch     []clkInfo
-	levelThr    []uint64
+	levelStep   []uint8
 	levelStride int
 }
+
+// maxSteps bounds every coin step plus one, sizing the per-word coin
+// prefix arrays: a sweep step is below its ladder length and a helper
+// step below l4, and both are at most 32 for int32 node ids.
+const maxSteps = 64
 
 // laneClock is one shared Intra-Cluster Propagation clock (see icpState;
 // the per-node heard/floodVal live in the bulkState flat slices).
@@ -79,33 +89,72 @@ type laneClock struct {
 	subphase int8  // set by the lane's most recent ActBulk, pre-advance
 }
 
+// ladderSet is one fine clustering's nodes grouped by ladder length,
+// word by word: word w's groups are entries off[w]:off[w+1], each a ladder
+// length and the mask of the word's nodes with that ladder. A node's sweep
+// step depends only on its clock and its ladder, so a coin pass handles a
+// word one group at a time instead of one node at a time.
+type ladderSet struct {
+	off    []int32
+	ladder []uint8
+	mask   []uint64
+}
+
+func newLadderSet(sch *schedule.Schedule) ladderSet {
+	n := len(sch.Levels)
+	words := (n + 63) / 64
+	ls := ladderSet{
+		off:    make([]int32, words+1),
+		ladder: make([]uint8, 0, 2*words),
+		mask:   make([]uint64, 0, 2*words),
+	}
+	by := make([]uint64, sch.MaxLevel+1)
+	for w := range words {
+		for v := w << 6; v < min(n, w<<6+64); v++ {
+			by[sch.Levels[v]] |= 1 << (v & 63)
+		}
+		for l, m := range by {
+			if m != 0 {
+				ls.ladder = append(ls.ladder, uint8(l))
+				ls.mask = append(ls.mask, m)
+				by[l] = 0
+			}
+		}
+		ls.off[w+1] = int32(len(ls.ladder))
+	}
+	return ls
+}
+
 // clkInfo carries one clock's per-round derived values into the node pass.
 type clkInfo struct {
 	f        *fine
+	lad      *ladderSet // f's nodes by ladder length
 	boundary bool
 	subphase int8
-	// thr[l] is the sweep threshold of a node with ladder length l at this
-	// round's offset within the sub-phase, so the node pass looks it up
-	// instead of dividing per node.
-	thr []uint64
+	// step[l] is the sweep step of a node with ladder length l at this
+	// round's offset within the sub-phase (its coin is Bernoulli
+	// 2^-(step+1)), so the node pass looks it up instead of dividing per
+	// node.
+	step []uint8
 }
 
 // derive returns clock cl's values for this round on clustering f,
 // filling tab (one entry per ladder length 0..f.sched.MaxLevel) with the
-// per-ladder sweep thresholds.
+// per-ladder sweep steps.
 //
 //radionet:hotpath
-func (s *bulkState) derive(cl *laneClock, f *fine, tab []uint64) clkInfo {
-	step := cl.offset % f.subLen
+func (s *bulkState) derive(cl *laneClock, f *fine, lad *ladderSet, tab []uint8) clkInfo {
+	off := cl.offset % f.subLen
 	tab = tab[:f.sched.MaxLevel+1]
 	for l := 1; l < len(tab); l++ {
-		tab[l] = s.thr[step%int64(l)]
+		tab[l] = uint8(off % int64(l))
 	}
 	return clkInfo{
 		f:        f,
+		lad:      lad,
 		boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
 		subphase: int8(cl.offset / f.subLen),
-		thr:      tab,
+		step:     tab,
 	}
 }
 
@@ -187,31 +236,36 @@ func newBulkState(c *Compete) *bulkState {
 		s.members[fill[i]] = int32(v)
 		fill[i]++
 	}
+	// Per-word clock lists: a word's clocks are few, so a linear search
+	// finds a node's entry.
+	s.wordClkOff = make([]int32, words+1)
+	for w := range words {
+		lo := len(s.wordClk)
+		for v := w << 6; v < min(n, w<<6+64); v++ {
+			k := lo
+			for k < len(s.wordClk) && s.wordClk[k] != s.ci[v] {
+				k++
+			}
+			if k == len(s.wordClk) {
+				s.wordClk = append(s.wordClk, s.ci[v])
+				s.wordClkMask = append(s.wordClkMask, 0)
+			}
+			s.wordClkMask[k] |= 1 << (v & 63)
+		}
+		s.wordClkOff[w+1] = int32(len(s.wordClk))
+	}
 	s.scratch = make([]clkInfo, len(s.mainClk)+1)
 	maxLevel := 1
 	for i := range c.mains {
-		if l := c.mains[i].sched.MaxLevel; l > maxLevel {
-			maxLevel = l
-		}
+		s.mainLadders = append(s.mainLadders, newLadderSet(c.mains[i].sched))
+		maxLevel = max(maxLevel, c.mains[i].sched.MaxLevel)
 	}
 	for i := range c.bgs {
-		if l := c.bgs[i].sched.MaxLevel; l > maxLevel {
-			maxLevel = l
-		}
-	}
-	s.thr = make([]uint64, maxLevel)
-	for i := range s.thr {
-		// 2^-(i+1) and 2^53 are exact powers of two, so the integer test
-		// (Uint64>>11) < ceil(p*2^53) equals Float64() < p — same draw,
-		// same outcome as the reference rnd.Bernoulli (cf. decay's table).
-		s.thr[i] = uint64(math.Ceil(math.Ldexp(1, -(i+1)) * (1 << 53)))
+		s.bgLadders = append(s.bgLadders, newLadderSet(c.bgs[i].sched))
+		maxLevel = max(maxLevel, c.bgs[i].sched.MaxLevel)
 	}
 	s.levelStride = maxLevel + 1
-	s.levelThr = make([]uint64, len(s.scratch)*s.levelStride)
-	s.helperThr = make([]uint64, c.l4)
-	for i := range s.helperThr {
-		s.helperThr[i] = uint64(math.Ceil(decay.Prob(i) * (1 << 53)))
-	}
+	s.levelStep = make([]uint8, len(s.scratch)*s.levelStride)
 	for _, fs := range []*firingSet{&s.mainFiring, &s.bgFiring} {
 		fs.bits = make([]uint64, words)
 		fs.window = -1
@@ -225,32 +279,33 @@ func newBulkState(c *Compete) *bulkState {
 }
 
 // ActBulk implements radio.BulkActor: one round's transmitters in
-// increasing id order, mirroring cnode.Act exactly (same gates, same RNG
-// draws per node, same messages).
+// increasing id order, mirroring cnode.Act exactly (same gates, same
+// coins, same messages).
 //
 //radionet:hotpath
 func (s *bulkState) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	cfg := &s.c.cfg
 	lane := t % numLanes
 	lt := t / numLanes
+	coins := rng.NewWordCoins(s.c.coinKey, t)
 	switch lane {
 	case laneMain:
-		return s.actMain(tx, msgs)
+		return s.actMain(coins, tx, msgs)
 	case laneHelper:
 		if cfg.DisableHelper {
 			return tx, msgs
 		}
-		return s.actHelper(true, lt, tx, msgs)
+		return s.actHelper(coins, true, lt, tx, msgs)
 	case laneBg:
 		if cfg.DisableBackground {
 			return tx, msgs
 		}
-		return s.actBg(tx, msgs)
+		return s.actBg(coins, tx, msgs)
 	default:
 		if cfg.DisableBackground || cfg.DisableHelper {
 			return tx, msgs
 		}
-		return s.actHelper(false, lt, tx, msgs)
+		return s.actHelper(coins, false, lt, tx, msgs)
 	}
 }
 
@@ -268,18 +323,18 @@ func (s *bulkState) clockMembers(i int) []int32 {
 // does).
 //
 //radionet:hotpath
-func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) actMain(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
 		f := &c.mains[cl.fid]
 		info := &s.scratch[i]
-		*info = s.derive(cl, f, s.levelThr[i*s.levelStride:])
+		*info = s.derive(cl, f, &s.mainLadders[cl.fid], s.levelStep[i*s.levelStride:])
 		if info.boundary {
 			s.resetFlood(f, s.clockMembers(i), s.mainHeard, s.mainFlood)
 		}
 	}
-	tx, msgs = s.icpMain(tx, msgs)
+	tx, msgs = s.icpMain(coins, tx, msgs)
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
 		cl.subphase = s.scratch[i].subphase
@@ -301,17 +356,17 @@ func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.
 // shares a fid in; the next helper round rebuilds it.
 //
 //radionet:hotpath
-func (s *bulkState) actBg(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) actBg(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	cl := &s.bgClk
 	f := &c.bgs[cl.fid]
 	bg := len(s.mainClk)
 	info := &s.scratch[bg]
-	*info = s.derive(cl, f, s.levelThr[bg*s.levelStride:])
+	*info = s.derive(cl, f, &s.bgLadders[cl.fid], s.levelStep[bg*s.levelStride:])
 	if info.boundary {
 		s.resetFlood(f, s.members, s.bgHeard, s.bgFlood)
 	}
-	tx, msgs = s.icpBg(info, tx, msgs)
+	tx, msgs = s.icpBg(coins, info, tx, msgs)
 	cl.subphase = info.subphase
 	cl.offset++
 	if cl.offset >= f.slotLen {
@@ -343,48 +398,47 @@ func (s *bulkState) resetFlood(f *fine, nodes []int32, heard []uint64, flood []i
 	}
 }
 
-// coin draws one coin from r against the integer threshold thr (see
-// bulkState.thr) and returns the outcome as a bit, 1 for a hit. The draw
-// Uint64>>11 is below 2^53 and thr is at most 2^53, so the sign bit of
-// their difference is the comparison: no branch on the outcome.
+// icpMain is one main-lane ICP round over the heard nodes, each on its
+// coarse clock's values in s.scratch. A node that has not heard its
+// cluster flood never transmits, so skipping it changes nothing: every
+// per-node effect (gates, coin, message) is node-local. The reference's
+// curtailment gate (Dist <= curtail) always passes here: a clock's members
+// are reset before its first pass on a new clustering, which marks only
+// centers heard, and recvOne marks a node heard only within the
+// curtailment radius of the clustering its clock is on.
+//
+// Each heard word is handled a group of nodes at a time: per clock in the
+// word, its heard members pass the inward gate, then split by ladder
+// length into step classes (addClasses). The word's coins are hashed up
+// to the largest step in use and ANDed with the classes (fireMask), and
+// the hits are emitted in increasing id order. A word with no gated node
+// is never hashed.
 //
 //radionet:hotpath
-func coin(r *rng.Rand, thr uint64) uint64 {
-	return (r.Uint64()>>11 - thr) >> 63
-}
-
-// icpMain is the per-node pass of one main-lane ICP round over the heard
-// nodes, each on its coarse clock's values in s.scratch. A node that has
-// not heard its cluster flood never transmits, so skipping it changes
-// nothing: every per-node effect (gates, RNG draw, message) is node-local.
-// The reference's curtailment gate (Dist <= curtail) always passes here: a
-// clock's members are reset before its first pass on a new clustering,
-// which marks only centers heard, and recvOne marks a node heard only
-// within the curtailment radius of the clustering its clock is on.
-//
-// Each heard word is handled in two passes. The draw pass gives every node
-// that passes the gates its coin, collecting the hits in a word-local fire
-// mask without branching on them; the emit pass then appends the hits in
-// increasing id order. Streams advance exactly as in the reference, which
-// draws under the same gates.
-//
-//radionet:hotpath
-func (s *bulkState) icpMain(tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	gm, flood, ci, clks := c.globalMax, s.mainFlood, s.ci, s.scratch
-	for w, word := range s.mainHeard {
-		var fire uint64
-		for m := word; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			v := w<<6 + b
-			info := &clks[ci[v]]
-			// Inward sub-phase: relay only strictly better knowledge.
-			if info.subphase == 1 && gm[v] <= flood[v] {
+	var cls, p [maxSteps]uint64
+	for w, heard := range s.mainHeard {
+		if heard == 0 {
+			continue
+		}
+		top := -1
+		for k := s.wordClkOff[w]; k < s.wordClkOff[w+1]; k++ {
+			h := heard & s.wordClkMask[k]
+			if h == 0 {
 				continue
 			}
-			fire |= coin(&c.rnd[v], info.thr[info.f.sched.Levels[v]]) << b
+			info := &clks[s.wordClk[k]]
+			if info.subphase == 1 {
+				h = inwardGate(h, w, gm, flood)
+			}
+			top = info.addClasses(h, w, &cls, top)
 		}
-		for ; fire != 0; fire &= fire - 1 {
+		if top < 0 {
+			continue
+		}
+		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
 			v := w<<6 + bits.TrailingZeros64(fire)
 			info := &clks[ci[v]]
 			a := flood[v] // outward sub-phases flood the cluster value
@@ -399,31 +453,30 @@ func (s *bulkState) icpMain(tx []int32, msgs []radio.Message) ([]int32, []radio.
 }
 
 // icpBg is icpMain for the background lane, whose nodes all share the
-// clock values in info: the threshold table, ladder lengths, centers and
-// the inward flag are read once per round rather than once per node.
+// clock values in info.
 //
 //radionet:hotpath
-func (s *bulkState) icpBg(info *clkInfo, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) icpBg(coins rng.WordCoins, info *clkInfo, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
-	gm, flood := c.globalMax, s.bgFlood
-	thr, levels, center := info.thr, info.f.sched.Levels, info.f.part.Center
+	gm, flood, center := c.globalMax, s.bgFlood, info.f.part.Center
 	inward := info.subphase == 1
 	val := flood // outward sub-phases flood the cluster value
 	if inward {
 		val = gm
 	}
-	for w, word := range s.bgHeard {
-		var fire uint64
-		for m := word; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			v := w<<6 + b
-			// Inward sub-phase: relay only strictly better knowledge.
-			if inward && gm[v] <= flood[v] {
-				continue
-			}
-			fire |= coin(&c.rnd[v], thr[levels[v]]) << b
+	var cls, p [maxSteps]uint64
+	for w, h := range s.bgHeard {
+		if h == 0 {
+			continue
 		}
-		for ; fire != 0; fire &= fire - 1 {
+		if inward {
+			h = inwardGate(h, w, gm, flood)
+		}
+		top := info.addClasses(h, w, &cls, -1)
+		if top < 0 {
+			continue
+		}
+		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
 			v := w<<6 + bits.TrailingZeros64(fire)
 			tx = append(tx, int32(v))
 			msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(center[v])})
@@ -432,18 +485,66 @@ func (s *bulkState) icpBg(info *clkInfo, tx []int32, msgs []radio.Message) ([]in
 	return tx, msgs
 }
 
+// inwardGate drops from h, the gated nodes of word w, those whose best
+// known value is not strictly above the lane's flood value: in the inward
+// sub-phase a node relays only strictly better knowledge.
+//
+//radionet:hotpath
+func inwardGate(h uint64, w int, gm, flood []int64) uint64 {
+	for m := h; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if v := w<<6 + b; gm[v] <= flood[v] {
+			h &^= 1 << b
+		}
+	}
+	return h
+}
+
+// addClasses ORs the gated nodes h of word w into cls by sweep step, one
+// ladder group at a time, and returns the largest step in use (top, if
+// no group of h is larger).
+//
+//radionet:hotpath
+func (info *clkInfo) addClasses(h uint64, w int, cls *[maxSteps]uint64, top int) int {
+	ls := info.lad
+	for j := ls.off[w]; j < ls.off[w+1]; j++ {
+		if g := h & ls.mask[j]; g != 0 {
+			st := int(info.step[ls.ladder[j]])
+			cls[st%maxSteps] |= g
+			top = max(top, st)
+		}
+	}
+	return top
+}
+
+// fireMask hashes word w's coins up to step top and returns the nodes of
+// cls whose coin at their class's step is a hit. It clears cls for the
+// next word.
+//
+//radionet:hotpath
+func fireMask(coins rng.WordCoins, w int, cls, p *[maxSteps]uint64, top int) uint64 {
+	coins.Fill(w, p[:top+1])
+	var fire uint64
+	for st := range top + 1 {
+		fire |= cls[st] & p[st]
+		cls[st] = 0
+	}
+	return fire
+}
+
 // actHelper runs one Algorithm-4 helper round for the main or background
 // companion lane (cf. cnode.actHelper): the nodes that both heard their
 // cluster flood and are in the lane's firing set for this window draw the
 // window step's Decay coin, then the hits are emitted in increasing id
-// order (the draw/emit split of icpMain).
+// order. Every node shares the step, so a word's hits are one AND with
+// its coins at that step.
 //
 //radionet:hotpath
-func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) actHelper(coins rng.WordCoins, isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	l4 := int64(c.l4)
 	window := lt / l4
-	thr := s.helperThr[lt%l4]
+	step := lt % l4
 	fs, heard, flood := &s.mainFiring, s.mainHeard, s.mainFlood
 	if !isMain {
 		fs, heard, flood = &s.bgFiring, s.bgHeard, s.bgFlood
@@ -455,13 +556,14 @@ func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Me
 	if !isMain {
 		center = c.bgs[s.bgClk.fid].part.Center
 	}
+	var p [maxSteps]uint64
 	for w, word := range fs.bits {
-		var fire uint64
-		for m := word & heard[w]; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			fire |= coin(&c.rnd[w<<6+b], thr) << b
+		m := word & heard[w]
+		if m == 0 {
+			continue
 		}
-		for ; fire != 0; fire &= fire - 1 {
+		coins.Fill(w, p[:step+1])
+		for fire := m & p[step]; fire != 0; fire &= fire - 1 {
 			v := w<<6 + bits.TrailingZeros64(fire)
 			ctr := center
 			if isMain {

@@ -203,8 +203,12 @@ type Compete struct {
 	seqSeed  uint64
 	coinMain uint64
 	coinBg   uint64
-	trueMax  int64
-	nsrc     int
+	// coinKey keys every node's transmission coins (rng.WordCoins): the
+	// ICP sweep and Algorithm-4 Decay coins of all four lanes, which the
+	// engine round t keeps apart.
+	coinKey uint64
+	trueMax int64
+	nsrc    int
 	// prog counts nodes whose globalMax has reached trueMax (the
 	// radio.Progress incremental-termination convention): globalMax only
 	// grows and never exceeds trueMax, so Recv can count the threshold
@@ -219,10 +223,9 @@ type Compete struct {
 
 	// Contiguous per-node protocol state, shared by the bulk fast path
 	// (bulk.go) and the retained per-node reference implementation
-	// (node.go): both operate on the same flat slices, indexed by node id,
+	// (node.go): both operate on the same flat slice, indexed by node id,
 	// so accessors and completion tracking are path-independent.
-	globalMax []int64    // best known value per node (Uninformed sentinel)
-	rnd       []rng.Rand // per-node transmission-coin streams
+	globalMax []int64 // best known value per node (Uninformed sentinel)
 
 	// Exactly one of the two is populated: refs when a Wrap hook forces
 	// the per-node engine path, bulk otherwise.
@@ -283,6 +286,7 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 		seqSeed:  master.Fork(1).Uint64(),
 		coinMain: master.Fork(2).Uint64(),
 		coinBg:   master.Fork(3).Uint64(),
+		coinKey:  master.Fork(4).Uint64(),
 		byJ:      make(map[int][]int32),
 		trueMax:  Uninformed,
 		nsrc:     len(sources),
@@ -340,10 +344,8 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 	// Per-node protocol state: flat slices indexed by node id, shared by
 	// whichever engine path runs (bulk or per-node reference).
 	c.globalMax = make([]int64, n)
-	c.rnd = make([]rng.Rand, n)
-	for v := 0; v < n; v++ {
+	for v := range c.globalMax {
 		c.globalMax[v] = Uninformed
-		c.rnd[v] = *master.Fork(0x1_0000_0000 + uint64(v))
 	}
 	// Iterate sources in sorted order so the first validation error — and
 	// with it the constructor's behavior — does not depend on map order.

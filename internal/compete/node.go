@@ -4,7 +4,6 @@ import (
 	"radionet/internal/decay"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
-	"radionet/internal/schedule"
 )
 
 // cnode is the per-node reference implementation of the protocol: a 4-lane
@@ -12,10 +11,11 @@ import (
 // and its helper, with the node's own lane clocks in per-node icpState.
 // It is the semantic baseline the bulk fast path (bulk.go) is verified
 // against round-for-round, and the path taken whenever a Wrap hook
-// (fault injection) interposes per-node behavior. Node value state and
-// randomness live in the instance-wide flat slices (Compete.globalMax,
-// Compete.rnd), shared with the bulk path, so accessors and completion
-// tracking are identical on both paths.
+// (fault injection) interposes per-node behavior. Node value state lives
+// in the instance-wide flat slice Compete.globalMax, shared with the bulk
+// path, so accessors and completion tracking are identical on both paths;
+// transmission coins are the bulk path's keyed word coins, read one bit
+// at a time (cnode.coin).
 type cnode struct {
 	id   int32
 	c    *Compete
@@ -31,25 +31,24 @@ func (nd *cnode) IgnoresSilence() bool { return true }
 // Act implements radio.Node.
 func (nd *cnode) Act(t int64) radio.Action {
 	lane := t % numLanes
-	lt := t / numLanes
 	switch lane {
 	case laneMain:
-		return nd.actICP(&nd.main, nd.c.mains, true)
+		return nd.actICP(t, &nd.main, nd.c.mains, true)
 	case laneHelper:
 		if nd.c.cfg.DisableHelper {
 			return radio.Listen
 		}
-		return nd.actHelper(&nd.main, nd.c.mains, nd.c.coinMain, lt)
+		return nd.actHelper(t, &nd.main, nd.c.mains, nd.c.coinMain)
 	case laneBg:
 		if nd.c.cfg.DisableBackground {
 			return radio.Listen
 		}
-		return nd.actICP(&nd.bg, nd.c.bgs, false)
+		return nd.actICP(t, &nd.bg, nd.c.bgs, false)
 	default:
 		if nd.c.cfg.DisableBackground || nd.c.cfg.DisableHelper {
 			return radio.Listen
 		}
-		return nd.actHelper(&nd.bg, nd.c.bgs, nd.c.coinBg, lt)
+		return nd.actHelper(t, &nd.bg, nd.c.bgs, nd.c.coinBg)
 	}
 }
 
@@ -89,9 +88,15 @@ func (nd *cnode) Recv(t int64, msg *radio.Message, _ bool) {
 	}
 }
 
+// coin reports the node's round-t transmission coin at step s: true with
+// probability 2^-(s+1).
+func (nd *cnode) coin(t, s int64) bool {
+	return rng.NewWordCoins(nd.c.coinKey, t).Coin(int(nd.id), int(s))
+}
+
 // actICP advances one lane-local round of Intra-Cluster Propagation
-// (Algorithm 3) and returns the node's action.
-func (nd *cnode) actICP(st *icpState, fines []fine, isMain bool) radio.Action {
+// (Algorithm 3) at engine round t and returns the node's action.
+func (nd *cnode) actICP(t int64, st *icpState, fines []fine, isMain bool) radio.Action {
 	f := &fines[st.fid]
 	globalMax := nd.c.globalMax[nd.id]
 	// Slot and sub-phase boundaries.
@@ -109,17 +114,17 @@ func (nd *cnode) actICP(st *icpState, fines []fine, isMain bool) radio.Action {
 	action := radio.Listen
 	dist := f.part.Dist[nd.id]
 	if dist <= f.curtail {
-		level := f.sched.Levels[nd.id]
+		// The schedule sweep: probability 2^-(step+1) at this offset.
+		step := st.offset % f.subLen % int64(f.sched.Levels[nd.id])
 		switch st.subphase {
 		case 0, 2: // outward flood of the center's value
-			if st.heard && nd.c.rnd[nd.id].Bernoulli(schedule.Prob(level, st.offset%f.subLen)) {
+			if st.heard && nd.coin(t, step) {
 				action = radio.Transmit(radio.Message{
 					Kind: KindICP, A: st.floodVal, B: int64(f.part.Center[nd.id]),
 				})
 			}
 		case 1: // inward flood of any higher message toward the center
-			if st.heard && globalMax > st.floodVal &&
-				nd.c.rnd[nd.id].Bernoulli(schedule.Prob(level, st.offset%f.subLen)) {
+			if st.heard && globalMax > st.floodVal && nd.coin(t, step) {
 				action = radio.Transmit(radio.Message{
 					Kind: KindICP, A: globalMax, B: int64(f.part.Center[nd.id]),
 				})
@@ -148,7 +153,7 @@ func (nd *cnode) actICP(st *icpState, fines []fine, isMain bool) radio.Action {
 // node's cluster participates with (cluster-shared) probability 2^-i, and
 // a participating cluster performs one round of Decay announcing its flood
 // value, repairing border nodes that collisions starve in the main lane.
-func (nd *cnode) actHelper(st *icpState, fines []fine, coinSeed uint64, lt int64) radio.Action {
+func (nd *cnode) actHelper(t int64, st *icpState, fines []fine, coinSeed uint64) radio.Action {
 	if !st.heard {
 		return radio.Listen
 	}
@@ -157,15 +162,16 @@ func (nd *cnode) actHelper(st *icpState, fines []fine, coinSeed uint64, lt int64
 		return radio.Listen
 	}
 	l4 := int64(nd.c.l4)
+	lt := t / numLanes
 	window := lt / l4
-	step := int(lt % l4)
+	step := lt % l4
 	i := int(window%l4) + 1
 	p := decay.Prob(i - 1) // 2^-i, shift-clamped for large phase lengths
 	center := f.part.Center[nd.id]
 	if rng.HashFloat(coinSeed, uint64(st.fid), uint64(center), uint64(window)) >= p {
 		return radio.Listen // cluster sat this Decay phase out
 	}
-	if nd.c.rnd[nd.id].Bernoulli(decay.Prob(step)) {
+	if nd.coin(t, step) { // Decay step: probability 2^-(step+1)
 		return radio.Transmit(radio.Message{
 			Kind: KindICP, A: st.floodVal, B: int64(center),
 		})

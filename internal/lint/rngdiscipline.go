@@ -13,11 +13,12 @@ import (
 //   - rng.Rand is never constructed as a zero value (composite literal
 //     or new(rng.Rand)) — the zero state is unusable by documented
 //     contract; streams come from rng.New or Rand.Fork,
-//   - the seed argument of rng.New (and the id argument of Fork) is
-//     derived only from parameters, locals, fields, constants and other
-//     rng calls — never from ambient state (any non-rng call, or a
-//     mutable package-level variable, in the seed expression is
-//     flagged). //lint:seedroot marks a reviewed exception.
+//   - the seed argument of rng.New (and the id argument of Fork), and
+//     the key argument of rng.NewWordCoins, is derived only from
+//     parameters, locals, fields, constants and other rng calls — never
+//     from ambient state (any non-rng call, or a mutable package-level
+//     variable, in the seed expression is flagged). //lint:seedroot
+//     marks a reviewed exception.
 var RNGDiscipline = &Analyzer{
 	Name:      "rngdiscipline",
 	Doc:       "rng.Rand streams are built by New/Fork from explicit seeds, never from ambient state or the zero value",
@@ -50,7 +51,8 @@ func runRNGDiscipline(pass *Pass) {
 				}
 				seedFunc := isPkgFunc(fn, rngPath, "New") && methodRecvNamed(fn) == nil ||
 					isMethodOf(fn, rngPath, "Rand", "Fork")
-				if seedFunc && len(n.Args) == 1 {
+				keyFunc := isPkgFunc(fn, rngPath, "NewWordCoins") && methodRecvNamed(fn) == nil
+				if seedFunc && len(n.Args) == 1 || keyFunc && len(n.Args) == 2 {
 					checkSeedExpr(pass, n.Args[0])
 				}
 			}

@@ -34,6 +34,19 @@ func hashed(seed uint64, v int) *rng.Rand {
 	return rng.New(rng.Hash64(seed, uint64(v)))
 }
 
+func coinsAmbient(t int64) rng.WordCoins {
+	return rng.NewWordCoins(globalSeed, t) // want "package-level variable globalSeed"
+}
+
+func coinsDerived(t int64) rng.WordCoins {
+	return rng.NewWordCoins(seedOf(), t) // want "call outside radionet/internal/rng"
+}
+
+// Only the key is a seed; the round may come from anywhere.
+func coinsClean(master *rng.Rand) rng.WordCoins {
+	return rng.NewWordCoins(master.Fork(4).Uint64(), int64(seedOf()))
+}
+
 func sanctioned() *rng.Rand {
 	//lint:seedroot fixture: reviewed ambient seed
 	return rng.New(globalSeed)

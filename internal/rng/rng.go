@@ -6,7 +6,10 @@
 // network, and each logical subsystem (clustering, schedules, protocol
 // lanes), derives an independent stream from the master seed via Fork, so
 // adding or removing one consumer never perturbs the randomness seen by
-// another.
+// another. Where a value must be the same wherever it is computed, it is
+// a stateless hash of an explicit key instead: Hash64 for shared cluster
+// coins and sequences, WordCoins for per-node transmission coins drawn 64
+// nodes at a time.
 //
 // The generator is xoshiro256** seeded through SplitMix64, the standard
 // construction recommended by the xoshiro authors. It is not
@@ -151,6 +154,49 @@ func Hash64(words ...uint64) uint64 {
 		h = absorb(h, w)
 	}
 	return h
+}
+
+// WordCoins is one round's keyed word coins: the transmission coins of
+// every node in round t under one key, drawn 64 nodes at a time. Word w
+// covers nodes 64w … 64w+63, and Fill gives it a prefix array p whose
+// entry p[s] is the AND of s+1 independently mixed 64-bit words. So bit b
+// of p[s] is node 64w+b's coin at step s, set with probability exactly
+// 2^-(s+1), independently across bits, words, rounds and keys (as far as
+// the mixer is ideal). A coin is a pure function of (key, t, node, step),
+// so a per-node caller (Coin) and a per-word caller (Fill) see the same
+// bit, in any order and at any shard count.
+type WordCoins struct{ k uint64 }
+
+// NewWordCoins returns round t's coins under key: Hash64(key, t), with
+// the word absorbed per Fill.
+func NewWordCoins(key uint64, t int64) WordCoins {
+	return WordCoins{absorb(absorb(hashInit, key), uint64(t))}
+}
+
+// Fill sets p[s], for every s < len(p), to word w's coins at step s. A
+// shorter p is a prefix of a longer one, so a caller hashes only up to the
+// largest step it needs. The words are a SplitMix64 stream seeded with
+// Hash64(key, t, w).
+func (c WordCoins) Fill(w int, p []uint64) {
+	st := absorb(c.k, uint64(w))
+	acc := ^uint64(0)
+	for s := range p {
+		st += golden
+		acc &= mix64(st)
+		p[s] = acc
+	}
+}
+
+// Coin reports node v's coin at step s: bit v%64 of the p[s] that Fill
+// gives word v/64.
+func (c WordCoins) Coin(v, s int) bool {
+	st := absorb(c.k, uint64(v>>6))
+	bit := uint64(1) << (v & 63)
+	for i := 0; i <= s && bit != 0; i++ {
+		st += golden
+		bit &= mix64(st)
+	}
+	return bit != 0
 }
 
 // HashFloat maps Hash64 of the words to a uniform float64 in [0, 1).
