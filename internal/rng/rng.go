@@ -181,8 +181,7 @@ func (c WordCoins) Fill(w int, p []uint64) {
 	st := absorb(c.k, uint64(w))
 	acc := ^uint64(0)
 	for s := range p {
-		st += golden
-		acc &= mix64(st)
+		acc &= splitMix64(&st)
 		p[s] = acc
 	}
 }
@@ -193,8 +192,7 @@ func (c WordCoins) Coin(v, s int) bool {
 	st := absorb(c.k, uint64(v>>6))
 	bit := uint64(1) << (v & 63)
 	for i := 0; i <= s && bit != 0; i++ {
-		st += golden
-		bit &= mix64(st)
+		bit &= splitMix64(&st)
 	}
 	return bit != 0
 }
