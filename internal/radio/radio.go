@@ -252,7 +252,10 @@ type Engine struct {
 	rcvID    []int32   // scratch: shard-concatenated bulk-delivery listeners
 	rcvIdx   []int32   // scratch: txmsg index heard by each bulk listener
 	sleeper  []Sleeper // nil for nodes without the Sleeper extension
-	allQuiet bool      // every node ignores silence: classify touched words only
+	// anySleeper records whether any node implements Sleeper; without one
+	// no node can be dormant, so Step skips the dormancy rechecks.
+	anySleeper bool
+	allQuiet   bool // every node ignores silence: classify touched words only
 	// dense is the graph's dense-adjacency layer, nil when it has no rows.
 	dense *graph.AdjBits
 
@@ -338,6 +341,7 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		b := uint64(1) << (uint(i) & 63)
 		if s, ok := nd.(Sleeper); ok {
 			e.sleeper[i] = s
+			e.anySleeper = true
 			if s.Dormant() {
 				e.dormw[w] |= b
 			}
@@ -520,7 +524,9 @@ func (e *Engine) Step() {
 		case !bulkRecv:
 			for k, v := range st.rcvID {
 				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]], false)
-				e.recheckDormant(v)
+				if e.anySleeper {
+					e.recheckDormant(v)
+				}
 			}
 		case e.shards > 1:
 			e.rcvID = append(e.rcvID, st.rcvID...)
@@ -536,7 +542,9 @@ func (e *Engine) Step() {
 		for s := range e.sh {
 			for _, v := range e.sh[s].coll {
 				e.Nodes[v].Recv(t, nil, true)
-				e.recheckDormant(v)
+				if e.anySleeper {
+					e.recheckDormant(v)
+				}
 			}
 		}
 	}
@@ -549,8 +557,10 @@ func (e *Engine) Step() {
 	}
 	if bulkRecv && len(rid) > 0 {
 		e.BulkRecv.RecvBulk(t, rid, ridx, e.txmsg)
-		for _, v := range rid {
-			e.recheckDormant(v)
+		if e.anySleeper {
+			for _, v := range rid {
+				e.recheckDormant(v)
+			}
 		}
 	}
 	e.clearRound()
