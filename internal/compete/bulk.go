@@ -20,17 +20,29 @@ import (
 // path therefore keeps one clock per coarse cluster plus one background
 // clock.
 //
+// Each lane also keeps two flat views of its clocks and values (see
+// lane): key, every node's fine-cluster center on the clustering its
+// clock is on now (-1 beyond the curtailment radius), rewritten only when
+// a clock rolls over; and better, the bitset of nodes whose best known
+// value is strictly above their flood value, updated wherever either
+// value changes (delivery and resetFlood). Neither a pass nor a delivery
+// therefore reads a clock's clustering per node.
+//
 // A round works a 64-node word at a time and visits only the words that
 // hold a node that can transmit. An ICP round reads the lane's heard
 // bitset, after resetting the members of every clock that starts an
-// outward sub-phase; a helper round reads the intersection of the heard
-// bitset with the lane's firing set, the nodes whose fine cluster won this
-// Decay window's shared coin. The gates are exactly the reference
-// implementation's, and every coin is a bit of the round's keyed word
-// coins (rng.WordCoins), the same bit the reference reads per node, so
-// one hash per word and step replaces a draw per node. Transmitters are
-// emitted in increasing id order. Observational identity is enforced by
-// the equivalence tests in bulk_test.go.
+// outward sub-phase, and ANDs in the lane's better word for the clocks in
+// the inward sub-phase; a helper round reads the intersection of the
+// heard bitset with the lane's firing set, the nodes whose fine cluster
+// won this Decay window's shared coin. The gates are exactly the
+// reference implementation's, and every coin is a bit of the round's
+// keyed word coins (rng.WordCoins), the same bit the reference reads per
+// node, so one hash per word and step replaces a draw per node.
+// Transmitters are emitted in increasing id order. RecvBulk picks the
+// listeners' lane once per round and matches each sender's center against
+// key. Observational identity is enforced by the equivalence tests in
+// bulk_test.go, and the lane views by checkLaneViews after every round of
+// them.
 type bulkState struct {
 	c     *Compete
 	shims []bnode
@@ -54,16 +66,8 @@ type bulkState struct {
 	mainLadders []ladderSet
 	bgLadders   []ladderSet
 
-	mainHeard []uint64 // main lane bitset: heard the cluster flood this slot
-	mainFlood []int64  // main lane: the flooded value
-	bgHeard   []uint64 // background lane bitset: heard the cluster flood this slot
-	bgFlood   []int64  // background lane: the flooded value
-
-	// Per helper lane, the nodes that would pass the Algorithm-4 gates
-	// other than heard: within the curtailment radius of their current
-	// fine clustering, in a cluster whose coin is below this window's p.
-	mainFiring firingSet
-	bgFiring   firingSet
+	main lane // the main process and its Algorithm-4 helper
+	bg   lane // the background process and its Algorithm-4 helper
 
 	// scratch holds every clock's derived values for the current round:
 	// one entry per main clock, then the background clock's. levelStep
@@ -79,8 +83,61 @@ type bulkState struct {
 // step below l4, and both are at most 32 for int32 node ids.
 const maxSteps = 64
 
+// lane is one ICP process's flat per-node state, shared with its
+// Algorithm-4 helper lane, which floods the same clustering.
+type lane struct {
+	heard []uint64 // bitset: heard the cluster flood this slot
+	flood []int64  // the flooded value
+	// key[v] is v's fine-cluster center on the clustering v's clock is on
+	// now, or -1 when v lies beyond that clustering's curtailment radius.
+	// A delivery is in-cluster exactly when the sender's center (message
+	// B, never negative) equals it. A clock rollover rewrites its nodes.
+	key []int32
+	// better is the bitset of nodes with globalMax[v] > flood[v]: the
+	// inward sub-phase's relay gate. Deliveries (both lanes' bits, since
+	// globalMax is shared) and resetFlood keep it current.
+	better []uint64
+	// firing holds the nodes that would pass the Algorithm-4 gates other
+	// than heard: within the curtailment radius of their current fine
+	// clustering, in a cluster whose coin is below this window's p.
+	firing firingSet
+}
+
+func newLane(n int, gm []int64) lane {
+	words := (n + 63) / 64
+	ln := lane{
+		heard:  make([]uint64, words),
+		flood:  make([]int64, n),
+		key:    make([]int32, n),
+		better: make([]uint64, words),
+		firing: firingSet{bits: make([]uint64, words), window: -1},
+	}
+	ln.firing.coin.init(n)
+	for v := range ln.flood {
+		ln.flood[v] = Uninformed
+		if gm[v] > Uninformed {
+			ln.better[v>>6] |= 1 << (v & 63)
+		}
+	}
+	return ln
+}
+
+// setKeys rewrites key for the given nodes, all on clustering f.
+//
+//radionet:hotpath
+func (ln *lane) setKeys(f *fine, nodes []int32) {
+	center, dist := f.part.Center, f.part.Dist
+	for _, v := range nodes {
+		k := center[v]
+		if dist[v] > f.curtail {
+			k = -1
+		}
+		ln.key[v] = k
+	}
+}
+
 // laneClock is one shared Intra-Cluster Propagation clock (see icpState;
-// the per-node heard/floodVal live in the bulkState flat slices).
+// the per-node heard/floodVal live in the lane's flat slices).
 type laneClock struct {
 	center   int32 // owning coarse center (main clocks; unused for bg)
 	fid      int32 // index into the lane's fine set
@@ -201,12 +258,10 @@ func newBulkState(c *Compete) *bulkState {
 	n := c.g.N()
 	words := (n + 63) / 64
 	s := &bulkState{
-		c:         c,
-		ci:        make([]int32, n),
-		mainHeard: make([]uint64, words),
-		mainFlood: make([]int64, n),
-		bgHeard:   make([]uint64, words),
-		bgFlood:   make([]int64, n),
+		c:    c,
+		ci:   make([]int32, n),
+		main: newLane(n, c.globalMax),
+		bg:   newLane(n, c.globalMax),
 	}
 	// Compact clock ids per coarse cluster, assigned in first-member order.
 	compact := make([]int32, n)
@@ -266,11 +321,10 @@ func newBulkState(c *Compete) *bulkState {
 	}
 	s.levelStride = maxLevel + 1
 	s.levelStep = make([]uint8, len(s.scratch)*s.levelStride)
-	for _, fs := range []*firingSet{&s.mainFiring, &s.bgFiring} {
-		fs.bits = make([]uint64, words)
-		fs.window = -1
-		fs.coin.init(n)
+	for i := range s.mainClk {
+		s.main.setKeys(&c.mains[s.mainClk[i].fid], s.clockMembers(i))
 	}
+	s.bg.setKeys(&c.bgs[s.bgClk.fid], s.members)
 	s.shims = make([]bnode, n)
 	for v := range s.shims {
 		s.shims[v] = bnode{s: s, id: int32(v)}
@@ -331,7 +385,7 @@ func (s *bulkState) actMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 		info := &s.scratch[i]
 		*info = s.derive(cl, f, &s.mainLadders[cl.fid], s.levelStep[i*s.levelStride:])
 		if info.boundary {
-			s.resetFlood(f, s.clockMembers(i), s.mainHeard, s.mainFlood)
+			s.resetFlood(s.clockMembers(i), &s.main)
 		}
 	}
 	tx, msgs = s.icpMain(coins, tx, msgs)
@@ -343,8 +397,10 @@ func (s *bulkState) actMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 			cl.offset = 0
 			cl.k++
 			cl.fid = c.mainFid(cl.center, cl.k)
-			if fs := &s.mainFiring; fs.window >= 0 {
-				s.deriveFiring(fs, c.mains, cl.fid, c.coinMain, s.clockMembers(i))
+			members := s.clockMembers(i)
+			s.main.setKeys(&c.mains[cl.fid], members)
+			if s.main.firing.window >= 0 {
+				s.deriveFiring(&s.main, len(c.mains), cl.fid, c.coinMain, members)
 			}
 		}
 	}
@@ -352,8 +408,9 @@ func (s *bulkState) actMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 }
 
 // actBg is actMain for the background lane's single global clock. A
-// rollover invalidates the background firing set, which every node
-// shares a fid in; the next helper round rebuilds it.
+// rollover rewrites every node's key and invalidates the background
+// firing set, which every node shares a fid in; the next helper round
+// rebuilds it.
 //
 //radionet:hotpath
 func (s *bulkState) actBg(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
@@ -364,7 +421,7 @@ func (s *bulkState) actBg(coins rng.WordCoins, tx []int32, msgs []radio.Message)
 	info := &s.scratch[bg]
 	*info = s.derive(cl, f, &s.bgLadders[cl.fid], s.levelStep[bg*s.levelStride:])
 	if info.boundary {
-		s.resetFlood(f, s.members, s.bgHeard, s.bgFlood)
+		s.resetFlood(s.members, &s.bg)
 	}
 	tx, msgs = s.icpBg(coins, info, tx, msgs)
 	cl.subphase = info.subphase
@@ -373,27 +430,35 @@ func (s *bulkState) actBg(coins rng.WordCoins, tx []int32, msgs []radio.Message)
 		cl.offset = 0
 		cl.k++
 		cl.fid = c.bgFid(cl.k)
-		s.bgFiring.window = -1
+		s.bg.setKeys(&c.bgs[cl.fid], s.members)
+		s.bg.firing.window = -1
 	}
 	return tx, msgs
 }
 
-// resetFlood starts an outward sub-phase of clustering f for the given
-// nodes (s.members for every node): only the cluster centers hold the
-// flood, seeded with their best known value.
+// resetFlood starts an outward sub-phase of the lane's current clustering
+// for the given nodes (s.members for every node): only the cluster
+// centers (key[v] == v, which the curtailment radius always admits) hold
+// the flood, seeded with their best known value, so only the others can
+// know better.
 //
 //radionet:hotpath
-func (s *bulkState) resetFlood(f *fine, nodes []int32, heard []uint64, flood []int64) {
+func (s *bulkState) resetFlood(nodes []int32, ln *lane) {
 	gm := s.c.globalMax
-	center := f.part.Center
 	for _, v := range nodes {
-		bit := uint64(1) << (v & 63)
-		if center[v] == v {
-			heard[v>>6] |= bit
-			flood[v] = gm[v]
+		w, bit := v>>6, uint64(1)<<(v&63)
+		if ln.key[v] == v {
+			ln.heard[w] |= bit
+			ln.flood[v] = gm[v]
+			ln.better[w] &^= bit
+			continue
+		}
+		ln.heard[w] &^= bit
+		ln.flood[v] = Uninformed
+		if gm[v] > Uninformed {
+			ln.better[w] |= bit
 		} else {
-			heard[v>>6] &^= bit
-			flood[v] = Uninformed
+			ln.better[w] &^= bit
 		}
 	}
 }
@@ -404,26 +469,28 @@ func (s *bulkState) resetFlood(f *fine, nodes []int32, heard []uint64, flood []i
 // per-node effect (gates, coin, message) is node-local. The reference's
 // curtailment gate (Dist <= curtail) always passes here: a clock's members
 // are reset before its first pass on a new clustering, which marks only
-// centers heard, and recvOne marks a node heard only within the
-// curtailment radius of the clustering its clock is on.
+// centers heard, and RecvBulk marks a node heard only when the sender's
+// center matches its key, which is -1 beyond the curtailment radius. So
+// every heard node's key is its center.
 //
 // Each heard word is handled a group of nodes at a time: per clock in the
-// word, its heard members pass the inward gate, then split by ladder
-// length into step classes (addClasses). The word's coins are hashed up
-// to the largest step in use and ANDed with the classes (fireMask), and
-// the hits are emitted in increasing id order. A word with no gated node
-// is never hashed.
+// word, its heard members pass the inward gate (in the inward sub-phase a
+// node relays only strictly better knowledge: an AND with the lane's
+// better word), then split by ladder length into step classes
+// (addClasses). The word's coins are hashed up to the largest step in use
+// and ANDed with the classes (fireMask), and the hits are emitted in
+// increasing id order. A word with no gated node is never hashed.
 //
 //radionet:hotpath
 func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	c := s.c
-	gm, flood, ci, clks := c.globalMax, s.mainFlood, s.ci, s.scratch
+	gm, ln, clks := s.c.globalMax, &s.main, s.scratch
 	var cls, p [maxSteps]uint64
-	for w, heard := range s.mainHeard {
+	for w, heard := range ln.heard {
 		if heard == 0 {
 			continue
 		}
 		top := -1
+		var inward uint64 // gated nodes whose clock is in the inward sub-phase
 		for k := s.wordClkOff[w]; k < s.wordClkOff[w+1]; k++ {
 			h := heard & s.wordClkMask[k]
 			if h == 0 {
@@ -431,7 +498,8 @@ func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 			}
 			info := &clks[s.wordClk[k]]
 			if info.subphase == 1 {
-				h = inwardGate(h, w, gm, flood)
+				h &= ln.better[w]
+				inward |= h
 			}
 			top = info.addClasses(h, w, &cls, top)
 		}
@@ -439,14 +507,14 @@ func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 			continue
 		}
 		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
-			v := w<<6 + bits.TrailingZeros64(fire)
-			info := &clks[ci[v]]
-			a := flood[v] // outward sub-phases flood the cluster value
-			if info.subphase == 1 {
+			b := bits.TrailingZeros64(fire)
+			v := w<<6 + b
+			a := ln.flood[v] // outward sub-phases flood the cluster value
+			if inward&(1<<b) != 0 {
 				a = gm[v]
 			}
 			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(info.f.part.Center[v])})
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(ln.key[v])})
 		}
 	}
 	return tx, msgs
@@ -457,20 +525,19 @@ func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 //
 //radionet:hotpath
 func (s *bulkState) icpBg(coins rng.WordCoins, info *clkInfo, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	c := s.c
-	gm, flood, center := c.globalMax, s.bgFlood, info.f.part.Center
+	ln := &s.bg
 	inward := info.subphase == 1
-	val := flood // outward sub-phases flood the cluster value
+	val := ln.flood // outward sub-phases flood the cluster value
 	if inward {
-		val = gm
+		val = s.c.globalMax
 	}
 	var cls, p [maxSteps]uint64
-	for w, h := range s.bgHeard {
+	for w, h := range ln.heard {
+		if inward {
+			h &= ln.better[w]
+		}
 		if h == 0 {
 			continue
-		}
-		if inward {
-			h = inwardGate(h, w, gm, flood)
 		}
 		top := info.addClasses(h, w, &cls, -1)
 		if top < 0 {
@@ -479,25 +546,10 @@ func (s *bulkState) icpBg(coins rng.WordCoins, info *clkInfo, tx []int32, msgs [
 		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
 			v := w<<6 + bits.TrailingZeros64(fire)
 			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(center[v])})
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(ln.key[v])})
 		}
 	}
 	return tx, msgs
-}
-
-// inwardGate drops from h, the gated nodes of word w, those whose best
-// known value is not strictly above the lane's flood value: in the inward
-// sub-phase a node relays only strictly better knowledge.
-//
-//radionet:hotpath
-func inwardGate(h uint64, w int, gm, flood []int64) uint64 {
-	for m := h; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		if v := w<<6 + b; gm[v] <= flood[v] {
-			h &^= 1 << b
-		}
-	}
-	return h
 }
 
 // addClasses ORs the gated nodes h of word w into cls by sweep step, one
@@ -541,36 +593,27 @@ func fireMask(coins rng.WordCoins, w int, cls, p *[maxSteps]uint64, top int) uin
 //
 //radionet:hotpath
 func (s *bulkState) actHelper(coins rng.WordCoins, isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	c := s.c
-	l4 := int64(c.l4)
+	l4 := int64(s.c.l4)
 	window := lt / l4
 	step := lt % l4
-	fs, heard, flood := &s.mainFiring, s.mainHeard, s.mainFlood
+	ln := &s.main
 	if !isMain {
-		fs, heard, flood = &s.bgFiring, s.bgHeard, s.bgFlood
+		ln = &s.bg
 	}
-	if fs.window != window {
-		s.rebuildFiring(fs, isMain, window)
-	}
-	var center []int32 // the background lane's shared clustering
-	if !isMain {
-		center = c.bgs[s.bgClk.fid].part.Center
+	if ln.firing.window != window {
+		s.rebuildFiring(ln, isMain, window)
 	}
 	var p [maxSteps]uint64
-	for w, word := range fs.bits {
-		m := word & heard[w]
+	for w, word := range ln.firing.bits {
+		m := word & ln.heard[w]
 		if m == 0 {
 			continue
 		}
 		coins.Fill(w, p[:step+1])
 		for fire := m & p[step]; fire != 0; fire &= fire - 1 {
 			v := w<<6 + bits.TrailingZeros64(fire)
-			ctr := center
-			if isMain {
-				ctr = c.mains[s.mainClk[s.ci[v]].fid].part.Center
-			}
 			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(ctr[v])})
+			msgs = append(msgs, radio.Message{Kind: KindICP, A: ln.flood[v], B: int64(ln.key[v])})
 		}
 	}
 	return tx, msgs
@@ -581,33 +624,32 @@ func (s *bulkState) actHelper(coins rng.WordCoins, isMain bool, lt int64, tx []i
 // on the background lane's shared fid.
 //
 //radionet:hotpath
-func (s *bulkState) rebuildFiring(fs *firingSet, isMain bool, window int64) {
+func (s *bulkState) rebuildFiring(ln *lane, isMain bool, window int64) {
 	c := s.c
-	fs.window = window
+	ln.firing.window = window
 	if !isMain {
-		s.deriveFiring(fs, c.bgs, s.bgClk.fid, c.coinBg, s.members)
+		s.deriveFiring(ln, len(c.bgs), s.bgClk.fid, c.coinBg, s.members)
 		return
 	}
 	for i := range s.mainClk {
-		s.deriveFiring(fs, c.mains, s.mainClk[i].fid, c.coinMain, s.clockMembers(i))
+		s.deriveFiring(ln, len(c.mains), s.mainClk[i].fid, c.coinMain, s.clockMembers(i))
 	}
 }
 
-// deriveFiring sets the firing bits of the given nodes (s.members for
-// every node), all on clustering fid of fines, for fs.window: a node fires if it lies
-// within the curtailment radius and its cluster's shared coin
+// deriveFiring sets the lane's firing bits for the given nodes (s.members
+// for every node), whose clock is on clustering fid of the lane's numFine
+// clusterings, for the window in ln.firing. A node fires when it lies
+// within the curtailment radius (key >= 0) and its cluster's shared coin
 // HashFloat(seed, fid, center, window) is below the window's participation
-// probability 2^-i (cnode.actHelper's gates other than heard).
+// probability 2^-i: cnode.actHelper's gates other than heard.
 //
 //radionet:hotpath
-func (s *bulkState) deriveFiring(fs *firingSet, fines []fine, fid int32, seed uint64, nodes []int32) {
-	f := &fines[fid]
+func (s *bulkState) deriveFiring(ln *lane, numFine int, fid int32, seed uint64, nodes []int32) {
+	fs := &ln.firing
 	p := decay.Prob(int(fs.window % int64(s.c.l4))) // 2^-i, shift-clamped for large phase lengths
-	dist, center := f.part.Dist, f.part.Center
-	numFine := len(fines)
 	for _, v := range nodes {
 		bit := uint64(1) << (v & 63)
-		if dist[v] <= f.curtail && fs.coin.get(seed, numFine, fid, center[v], fs.window) < p {
+		if k := ln.key[v]; k >= 0 && fs.coin.get(seed, numFine, fid, k, fs.window) < p {
 			fs.bits[v>>6] |= bit
 		} else {
 			fs.bits[v>>6] &^= bit
@@ -616,52 +658,55 @@ func (s *bulkState) deriveFiring(fs *firingSet, fines []fine, fid int32, seed ui
 }
 
 // RecvBulk implements radio.BulkReceiver: the round's deliveries in one
-// pass, mirroring cnode.Recv per listener.
+// pass, mirroring cnode.Recv per listener. Each listener adopts a better
+// value; an in-cluster sender (its center equals the listener's key on the
+// round's lane) also marks the listener heard and raises its flood value,
+// except on an ICP lane whose clock is in the inward sub-phase. The lane
+// keys were already advanced by this round's ActBulk, exactly like the
+// per-node reference, which advances st.fid before the engine delivers.
+// A rising globalMax can set either lane's better bit; a rising flood
+// value can clear the round lane's.
 //
 //radionet:hotpath
 func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
-	for k, vi := range listeners {
-		s.recvOne(t, int(vi), &msgs[msgIdx[k]])
-	}
-}
-
-// recvOne is cnode.Recv against the flat state: value adoption plus the
-// lane-local flood update, reading the shared clock the listener's lane is
-// on (already advanced by this round's ActBulk, exactly like the per-node
-// reference, which advances st.fid before the engine delivers).
-func (s *bulkState) recvOne(t int64, v int, msg *radio.Message) {
 	c := s.c
-	if msg.Kind != KindICP {
-		return
+	gm := c.globalMax
+	phase := t % numLanes
+	ln, other := &s.main, &s.bg
+	if phase == laneBg || phase == laneBgHelper {
+		ln, other = &s.bg, &s.main
 	}
-	if msg.A > c.globalMax[v] {
-		c.globalMax[v] = msg.A
-		if msg.A == c.trueMax && (c.counted == nil || c.counted[v]) {
-			c.prog.Add(1)
+	// The background clock's sub-phase holds for every listener; a main
+	// clock's only for its members, so the main ICP lane reads it per node.
+	mainICP := phase == laneMain
+	bgInward := phase == laneBg && s.bgClk.subphase == 1
+	for k, v := range listeners {
+		msg := &msgs[msgIdx[k]]
+		if msg.Kind != KindICP {
+			continue
 		}
-	}
-	lane := t % numLanes
-	var cl *laneClock
-	var f *fine
-	var heard []uint64
-	var flood []int64
-	switch lane {
-	case laneMain, laneHelper:
-		cl = &s.mainClk[s.ci[v]]
-		f = &c.mains[cl.fid]
-		heard, flood = s.mainHeard, s.mainFlood
-	default:
-		cl = &s.bgClk
-		f = &c.bgs[cl.fid]
-		heard, flood = s.bgHeard, s.bgFlood
-	}
-	if f.part.Center[v] != int32(msg.B) || f.part.Dist[v] > f.curtail {
-		return
-	}
-	if cl.subphase != 1 || lane == laneHelper || lane == laneBgHelper {
-		heard[v>>6] |= 1 << (v & 63)
-		if msg.A > flood[v] {
-			flood[v] = msg.A
+		w, bit := v>>6, uint64(1)<<(v&63)
+		if msg.A > gm[v] {
+			gm[v] = msg.A
+			if msg.A == c.trueMax && (c.counted == nil || c.counted[v]) {
+				c.prog.Add(1)
+			}
+			if msg.A > ln.flood[v] {
+				ln.better[w] |= bit
+			}
+			if msg.A > other.flood[v] {
+				other.better[w] |= bit
+			}
+		}
+		if ln.key[v] != int32(msg.B) || bgInward || mainICP && s.mainClk[s.ci[v]].subphase == 1 {
+			continue
+		}
+		ln.heard[w] |= bit
+		if msg.A > ln.flood[v] {
+			ln.flood[v] = msg.A
+			if msg.A == gm[v] {
+				ln.better[w] &^= bit
+			}
 		}
 	}
 }
@@ -685,13 +730,13 @@ func (nd *bnode) Act(int64) radio.Action {
 	panic("compete: per-node Act on the bulk path (engine must use ActBulk)")
 }
 
-// Recv implements radio.Node for the residual per-node deliveries outside
-// the bulk seam.
+// Recv implements radio.Node: a collision report is a no-op, and a
+// delivery outside the bulk seam is a one-listener RecvBulk.
 func (nd *bnode) Recv(t int64, msg *radio.Message, _ bool) {
 	if msg == nil {
 		return
 	}
-	nd.s.recvOne(t, int(nd.id), msg)
+	nd.s.RecvBulk(t, []int32{nd.id}, []int32{0}, []radio.Message{*msg})
 }
 
 var _ radio.BulkActor = (*bulkState)(nil)

@@ -2,6 +2,7 @@ package compete
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"radionet/internal/cluster"
@@ -43,19 +44,154 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 	}
 }
 
+// lockstep runs a bulk-path instance and its per-node reference (built
+// with an identity Wrap) side by side, one round at a time, until both are
+// Done or budget rounds elapse. It fails unless they agree round for
+// round: same transmitter sets, same delivery/collision counts, same node
+// values after every round, and the same metrics and InformedCount at the
+// end. After every round it also checks the bulk path's lane views
+// (checkLaneViews), and it returns the lane clocks' coverage.
+func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64) laneCoverage {
+	t.Helper()
+	if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
+		t.Fatalf("%s: bulk seams not installed on the unwrapped path", label)
+	}
+	if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
+		t.Fatalf("%s: bulk seams installed despite Wrap", label)
+	}
+	bc.Engine.CollisionDetection = cd
+	rc.Engine.CollisionDetection = cd
+	var blog, rlog []roundLog
+	hookInto(bc.Engine, &blog)
+	hookInto(rc.Engine, &rlog)
+	var cov laneCoverage
+	for r := int64(0); r < budget; r++ {
+		if bc.Done() != rc.Done() {
+			t.Fatalf("%s round %d: bulk Done=%v, reference Done=%v", label, r, bc.Done(), rc.Done())
+		}
+		if bc.Done() && rc.Done() {
+			break
+		}
+		bc.Engine.Step()
+		rc.Engine.Step()
+		b, p := blog[len(blog)-1], rlog[len(rlog)-1]
+		if b.deliveries != p.deliveries || b.collisions != p.collisions {
+			t.Fatalf("%s round %d: bulk %d/%d deliveries/collisions, reference %d/%d",
+				label, r, b.deliveries, b.collisions, p.deliveries, p.collisions)
+		}
+		if len(b.tx) != len(p.tx) {
+			t.Fatalf("%s round %d: %d vs %d transmitters", label, r, len(b.tx), len(p.tx))
+		}
+		for i := range b.tx {
+			if b.tx[i] != p.tx[i] {
+				t.Fatalf("%s round %d: transmitter %d is %d (bulk) vs %d (reference)",
+					label, r, i, b.tx[i], p.tx[i])
+			}
+		}
+		// A wrong message A shows in the listeners' values the round it
+		// is delivered.
+		bv, rv := bc.Values(), rc.Values()
+		for v := range bv {
+			if bv[v] != rv[v] {
+				t.Fatalf("%s round %d node %d: value %d (bulk) vs %d (reference)", label, r, v, bv[v], rv[v])
+			}
+		}
+		if err := checkLaneViews(bc); err != nil {
+			t.Fatalf("%s round %d: %v", label, r, err)
+		}
+		cov.observe(bc.bulk)
+	}
+	// Ablated runs may legitimately not complete; identity is still
+	// required for everything that executed.
+	if bc.Engine.Metrics != rc.Engine.Metrics {
+		t.Fatalf("%s: metrics: bulk %+v, reference %+v", label, bc.Engine.Metrics, rc.Engine.Metrics)
+	}
+	if bc.InformedCount() != rc.InformedCount() {
+		t.Fatalf("%s: InformedCount %d vs %d", label, bc.InformedCount(), rc.InformedCount())
+	}
+	return cov
+}
+
+// checkLaneViews recomputes the bulk path's lane views from first
+// principles and reports the first mismatch: each node's key from the
+// clustering its clock is on now (its center, or -1 beyond the curtailment
+// radius), and each better bit from globalMax and the lane's flood value.
+func checkLaneViews(c *Compete) error {
+	s := c.bulk
+	gm := c.globalMax
+	for v := range gm {
+		views := []struct {
+			name string
+			ln   *lane
+			f    *fine
+		}{
+			{"main", &s.main, &c.mains[s.mainClk[s.ci[v]].fid]},
+			{"background", &s.bg, &c.bgs[s.bgClk.fid]},
+		}
+		for _, vw := range views {
+			want := vw.f.part.Center[v]
+			if vw.f.part.Dist[v] > vw.f.curtail {
+				want = -1
+			}
+			if got := vw.ln.key[v]; got != want {
+				return fmt.Errorf("%s lane node %d: key %d, want %d", vw.name, v, got, want)
+			}
+			want2 := gm[v] > vw.ln.flood[v]
+			if got := vw.ln.better[v>>6]&(1<<(v&63)) != 0; got != want2 {
+				return fmt.Errorf("%s lane node %d: better bit %v, want %v (globalMax %d, flood %d)",
+					vw.name, v, got, want2, gm[v], vw.ln.flood[v])
+			}
+		}
+	}
+	return nil
+}
+
+// laneCoverage tallies what a lockstep run exercised: main-clock and
+// background rollovers (each rewrites keys) and boundary resets (each
+// rewrites better bits), counted after the round that caused them.
+type laneCoverage struct {
+	mainRollovers, bgRollovers, resets int
+}
+
+func (cov *laneCoverage) observe(s *bulkState) {
+	for i := range s.mainClk {
+		switch cl := &s.mainClk[i]; {
+		case cl.offset == 0 && cl.k > 0:
+			cov.mainRollovers++
+			cov.resets++
+		case cl.offset == 1:
+			cov.resets++
+		}
+	}
+	if cl := &s.bgClk; cl.offset == 0 && cl.k > 0 {
+		cov.bgRollovers++
+	}
+}
+
+func (cov *laneCoverage) add(o laneCoverage) {
+	cov.mainRollovers += o.mainRollovers
+	cov.bgRollovers += o.bgRollovers
+	cov.resets += o.resets
+}
+
+// equivVariant is one configuration of the bulk-vs-reference sweeps.
+type equivVariant struct {
+	name string
+	cfg  Config
+	cd   bool
+}
+
 // The bulk fast path (contiguous state, shared lane clocks, ActBulk +
 // RecvBulk) must be observationally identical to the retained per-node
 // reference implementation, round for round: same transmitter sets, same
 // delivery/collision counts, same node values after every round, same
 // metrics — across graphs, seeds, source patterns, every ablation flag,
-// and collision detection.
+// and collision detection. The lane views must hold after every round,
+// and the sweep must roll clocks over on both lanes, including under the
+// DisableCurtail and FixedJ ablations.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 	identity := func(_ int, n radio.Node) radio.Node { return n }
-	variants := []struct {
-		name string
-		cfg  Config
-		cd   bool
-	}{
+	variants := []equivVariant{
 		{"default", Config{}, false},
 		{"hw16", Config{CurtailLogLog: true}, false},
 		{"no-background", Config{DisableBackground: true}, false},
@@ -63,6 +199,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 		{"no-curtail", Config{DisableCurtail: true}, false},
 		{"collision-detection", Config{}, true},
 	}
+	cover := map[string]*laneCoverage{}
 	for seed := uint64(1); seed <= 2; seed++ {
 		for gi, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
@@ -70,16 +207,9 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 			if gi%2 == 1 { // multi-source with distinct values
 				sources = map[int]int64{0: 5, g.N() / 2: 9, g.N() - 1: 2}
 			}
-			vars := variants
-			if gi == 0 {
-				// The FixedJ ablation needs a valid exponent for this d.
-				jmin, _ := cluster.JRange(d, 0.25, 0.75)
-				vars = append(vars, struct {
-					name string
-					cfg  Config
-					cd   bool
-				}{fmt.Sprintf("fixed-j=%d", jmin), Config{FixedJ: jmin}, false})
-			}
+			// The FixedJ ablation needs a valid exponent for this d.
+			jmin, _ := cluster.JRange(d, 0.25, 0.75)
+			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}, false})
 			for _, vr := range vars {
 				refCfg := vr.cfg
 				refCfg.Wrap = identity
@@ -91,65 +221,66 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
-					t.Fatalf("%s %s: bulk seams not installed on the unwrapped path", g, vr.name)
+				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
+				cov := lockstep(t, label, bc, rc, vr.cd, 8*bc.Budget())
+				if cover[vr.name] == nil {
+					cover[vr.name] = &laneCoverage{}
 				}
-				if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
-					t.Fatalf("%s %s: bulk seams installed despite Wrap", g, vr.name)
-				}
-				bc.Engine.CollisionDetection = vr.cd
-				rc.Engine.CollisionDetection = vr.cd
-				var blog, rlog []roundLog
-				hookInto(bc.Engine, &blog)
-				hookInto(rc.Engine, &rlog)
-				budget := 8 * bc.Budget()
-				for r := int64(0); r < budget; r++ {
-					if bc.Done() != rc.Done() {
-						t.Fatalf("%s %s seed=%d round %d: bulk Done=%v, reference Done=%v",
-							g, vr.name, seed, r, bc.Done(), rc.Done())
-					}
-					if bc.Done() && rc.Done() {
-						break
-					}
-					bc.Engine.Step()
-					rc.Engine.Step()
-					b, p := blog[len(blog)-1], rlog[len(rlog)-1]
-					if b.deliveries != p.deliveries || b.collisions != p.collisions {
-						t.Fatalf("%s %s seed=%d round %d: bulk %d/%d deliveries/collisions, reference %d/%d",
-							g, vr.name, seed, r, b.deliveries, b.collisions, p.deliveries, p.collisions)
-					}
-					if len(b.tx) != len(p.tx) {
-						t.Fatalf("%s %s seed=%d round %d: %d vs %d transmitters",
-							g, vr.name, seed, r, len(b.tx), len(p.tx))
-					}
-					for i := range b.tx {
-						if b.tx[i] != p.tx[i] {
-							t.Fatalf("%s %s seed=%d round %d: transmitter %d is %d (bulk) vs %d (reference)",
-								g, vr.name, seed, r, i, b.tx[i], p.tx[i])
-						}
-					}
-					// A wrong message A shows in the listeners' values the
-					// round it is delivered.
-					bv, rv := bc.Values(), rc.Values()
-					for v := range bv {
-						if bv[v] != rv[v] {
-							t.Fatalf("%s %s seed=%d round %d node %d: value %d (bulk) vs %d (reference)",
-								g, vr.name, seed, r, v, bv[v], rv[v])
-						}
-					}
-				}
-				// Ablated runs may legitimately not complete; identity is
-				// still required for everything that executed.
-				if bc.Engine.Metrics != rc.Engine.Metrics {
-					t.Fatalf("%s %s seed=%d: metrics: bulk %+v, reference %+v",
-						g, vr.name, seed, bc.Engine.Metrics, rc.Engine.Metrics)
-				}
-				if bc.InformedCount() != rc.InformedCount() {
-					t.Fatalf("%s %s seed=%d: InformedCount %d vs %d",
-						g, vr.name, seed, bc.InformedCount(), rc.InformedCount())
-				}
+				cover[vr.name].add(cov)
 				if vr.name == "default" && !bc.Done() {
-					t.Fatalf("%s seed=%d: default run incomplete within budget", g, seed)
+					t.Fatalf("%s: default run incomplete within budget", label)
+				}
+			}
+		}
+	}
+	var total laneCoverage
+	for _, cov := range cover {
+		total.add(*cov)
+	}
+	if total.mainRollovers == 0 || total.bgRollovers == 0 || total.resets == 0 {
+		t.Errorf("sweep exercised %d main rollovers, %d background rollovers, %d resets",
+			total.mainRollovers, total.bgRollovers, total.resets)
+	}
+	for _, name := range []string{"no-curtail", "fixed-j"} {
+		if cover[name].mainRollovers == 0 {
+			t.Errorf("%s: no main clock rolled over, so its lane keys were never rewritten", name)
+		}
+	}
+}
+
+// TestBulkLeaderMatchesPerNodeRoundForRound is the same oracle for leader
+// election (Algorithm 6): many candidates with distinct IDs, so values
+// keep rising and the inward sub-phase's better gate is busy. The bulk
+// path and an identity-Wrap reference built by NewLeaderElectionPre from
+// the same seed must agree round for round, and the bulk run must elect
+// a leader.
+func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
+	identity := func(_ int, n radio.Node) radio.Node { return n }
+	variants := []equivVariant{
+		{"default", Config{}, false},
+		{"hw16", Config{CurtailLogLog: true}, false},
+		{"no-background", Config{DisableBackground: true}, false},
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		for _, g := range bulkEquivGraphs(seed) {
+			d := g.DiameterEstimate()
+			for _, vr := range variants {
+				refCfg := vr.cfg
+				refCfg.Wrap = identity
+				bl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), LeaderConfig{Config: vr.cfg}, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rl, err := NewLeaderElectionPre(NewPre(g, d, refCfg), LeaderConfig{Config: refCfg}, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates))
+				lockstep(t, label, bl.Compete, rl.Compete, vr.cd, 8*bl.Budget())
+				if vr.name == "default" {
+					if err := bl.Verify(); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
 				}
 			}
 		}
