@@ -20,29 +20,28 @@ import (
 // path therefore keeps one clock per coarse cluster plus one background
 // clock.
 //
-// Each lane also keeps two flat views of its clocks and values (see
-// lane): key, every node's fine-cluster center on the clustering its
-// clock is on now (-1 beyond the curtailment radius), rewritten only when
-// a clock rolls over; and better, the bitset of nodes whose best known
-// value is strictly above their flood value, updated wherever either
-// value changes (delivery and resetFlood). Neither a pass nor a delivery
-// therefore reads a clock's clustering per node.
+// Each lane keeps two flat views beside its heard bitset and flood values
+// (see lane): key, every node's fine-cluster center on the clustering its
+// clock is on now, rewritten only when a clock rolls over; and better, the
+// nodes whose best known value beats their flood value, updated wherever
+// either value changes (delivery and resetFlood). So neither a pass nor a
+// delivery looks up a clock's clustering per node.
 //
 // A round works a 64-node word at a time and visits only the words that
 // hold a node that can transmit. An ICP round reads the lane's heard
 // bitset, after resetting the members of every clock that starts an
-// outward sub-phase, and ANDs in the lane's better word for the clocks in
-// the inward sub-phase; a helper round reads the intersection of the
-// heard bitset with the lane's firing set, the nodes whose fine cluster
-// won this Decay window's shared coin. The gates are exactly the
-// reference implementation's, and every coin is a bit of the round's
-// keyed word coins (rng.WordCoins), the same bit the reference reads per
-// node, so one hash per word and step replaces a draw per node.
-// Transmitters are emitted in increasing id order. RecvBulk picks the
-// listeners' lane once per round and matches each sender's center against
-// key. Observational identity is enforced by the equivalence tests in
-// bulk_test.go, and the lane views by checkLaneViews after every round of
-// them.
+// outward sub-phase, and ANDs in the better word for clocks in the inward
+// sub-phase; a helper round reads the intersection of the heard bitset
+// with the lane's firing set, the nodes whose fine cluster won this Decay
+// window's shared coin. The gates are exactly the reference
+// implementation's, and every coin is a bit of the round's keyed word
+// coins (rng.WordCoins), the same bit the reference reads per node, so
+// one hash per word and step replaces a draw per node. Transmitters are
+// emitted in increasing id order. RecvBulk, the only delivery routine,
+// picks the round's lane once and matches each sender's center against
+// the listener's key. The equivalence tests in bulk_test.go enforce
+// observational identity, and checkLaneViews the two views, after every
+// round.
 type bulkState struct {
 	c     *Compete
 	shims []bnode

@@ -50,8 +50,8 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 // round: same transmitter sets, same delivery/collision counts, same node
 // values after every round, and the same metrics and InformedCount at the
 // end. After every round it also checks the bulk path's lane views
-// (checkLaneViews), and it returns the lane clocks' coverage.
-func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64) laneCoverage {
+// (checkLaneViews).
+func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64) {
 	t.Helper()
 	if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
 		t.Fatalf("%s: bulk seams not installed on the unwrapped path", label)
@@ -64,7 +64,6 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64
 	var blog, rlog []roundLog
 	hookInto(bc.Engine, &blog)
 	hookInto(rc.Engine, &rlog)
-	var cov laneCoverage
 	for r := int64(0); r < budget; r++ {
 		if bc.Done() != rc.Done() {
 			t.Fatalf("%s round %d: bulk Done=%v, reference Done=%v", label, r, bc.Done(), rc.Done())
@@ -99,7 +98,6 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64
 		if err := checkLaneViews(bc); err != nil {
 			t.Fatalf("%s round %d: %v", label, r, err)
 		}
-		cov.observe(bc.bulk)
 	}
 	// Ablated runs may legitimately not complete; identity is still
 	// required for everything that executed.
@@ -109,7 +107,6 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64
 	if bc.InformedCount() != rc.InformedCount() {
 		t.Fatalf("%s: InformedCount %d vs %d", label, bc.InformedCount(), rc.InformedCount())
 	}
-	return cov
 }
 
 // checkLaneViews recomputes the bulk path's lane views from first
@@ -136,42 +133,14 @@ func checkLaneViews(c *Compete) error {
 			if got := vw.ln.key[v]; got != want {
 				return fmt.Errorf("%s lane node %d: key %d, want %d", vw.name, v, got, want)
 			}
-			want2 := gm[v] > vw.ln.flood[v]
-			if got := vw.ln.better[v>>6]&(1<<(v&63)) != 0; got != want2 {
+			wantBit := gm[v] > vw.ln.flood[v]
+			if got := vw.ln.better[v>>6]&(1<<(v&63)) != 0; got != wantBit {
 				return fmt.Errorf("%s lane node %d: better bit %v, want %v (globalMax %d, flood %d)",
-					vw.name, v, got, want2, gm[v], vw.ln.flood[v])
+					vw.name, v, got, wantBit, gm[v], vw.ln.flood[v])
 			}
 		}
 	}
 	return nil
-}
-
-// laneCoverage tallies what a lockstep run exercised: main-clock and
-// background rollovers (each rewrites keys) and boundary resets (each
-// rewrites better bits), counted after the round that caused them.
-type laneCoverage struct {
-	mainRollovers, bgRollovers, resets int
-}
-
-func (cov *laneCoverage) observe(s *bulkState) {
-	for i := range s.mainClk {
-		switch cl := &s.mainClk[i]; {
-		case cl.offset == 0 && cl.k > 0:
-			cov.mainRollovers++
-			cov.resets++
-		case cl.offset == 1:
-			cov.resets++
-		}
-	}
-	if cl := &s.bgClk; cl.offset == 0 && cl.k > 0 {
-		cov.bgRollovers++
-	}
-}
-
-func (cov *laneCoverage) add(o laneCoverage) {
-	cov.mainRollovers += o.mainRollovers
-	cov.bgRollovers += o.bgRollovers
-	cov.resets += o.resets
 }
 
 // equivVariant is one configuration of the bulk-vs-reference sweeps.
@@ -187,8 +156,9 @@ type equivVariant struct {
 // delivery/collision counts, same node values after every round, same
 // metrics — across graphs, seeds, source patterns, every ablation flag,
 // and collision detection. The lane views must hold after every round,
-// and the sweep must roll clocks over on both lanes, including under the
-// DisableCurtail and FixedJ ablations.
+// and the sweep must roll clocks over on both lanes, including main
+// clocks under the DisableCurtail and FixedJ ablations. A clock resets its
+// flood at offsets 0 and 2*subLen, so a rollover also covers both resets.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 	identity := func(_ int, n radio.Node) radio.Node { return n }
 	variants := []equivVariant{
@@ -199,7 +169,9 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 		{"no-curtail", Config{DisableCurtail: true}, false},
 		{"collision-detection", Config{}, true},
 	}
-	cover := map[string]*laneCoverage{}
+	// mainRolled records, per variant, whether some main clock rolled over.
+	mainRolled := map[string]bool{}
+	bgRolled := false
 	for seed := uint64(1); seed <= 2; seed++ {
 		for gi, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
@@ -222,27 +194,22 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
-				cov := lockstep(t, label, bc, rc, vr.cd, 8*bc.Budget())
-				if cover[vr.name] == nil {
-					cover[vr.name] = &laneCoverage{}
+				lockstep(t, label, bc, rc, vr.cd, 8*bc.Budget())
+				if slices.ContainsFunc(bc.bulk.mainClk, func(cl laneClock) bool { return cl.k > 0 }) {
+					mainRolled[vr.name] = true
 				}
-				cover[vr.name].add(cov)
+				bgRolled = bgRolled || bc.bulk.bgClk.k > 0
 				if vr.name == "default" && !bc.Done() {
 					t.Fatalf("%s: default run incomplete within budget", label)
 				}
 			}
 		}
 	}
-	var total laneCoverage
-	for _, cov := range cover {
-		total.add(*cov)
+	if !bgRolled {
+		t.Error("the background clock never rolled over, so its lane keys were never rewritten")
 	}
-	if total.mainRollovers == 0 || total.bgRollovers == 0 || total.resets == 0 {
-		t.Errorf("sweep exercised %d main rollovers, %d background rollovers, %d resets",
-			total.mainRollovers, total.bgRollovers, total.resets)
-	}
-	for _, name := range []string{"no-curtail", "fixed-j"} {
-		if cover[name].mainRollovers == 0 {
+	for _, name := range []string{"default", "no-curtail", "fixed-j"} {
+		if !mainRolled[name] {
 			t.Errorf("%s: no main clock rolled over, so its lane keys were never rewritten", name)
 		}
 	}
