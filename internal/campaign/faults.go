@@ -40,7 +40,7 @@ func (fs *FaultSpec) None() bool {
 //	none      — explicit unfaulted baseline (keeps the campaign's schema)
 //
 // e.g. "crash:0.3@50", "jam:0.05:p0.2", "crash:0.2@100+loss:0.1".
-// Fractions must be in [0, 1), probabilities in (0, 1].
+// Fractions must be in (0, 1), probabilities in (0, 1].
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	spec := strings.TrimSpace(s)
 	fs := FaultSpec{Spec: spec}

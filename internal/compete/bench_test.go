@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"radionet/internal/graph"
-	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
 
@@ -12,8 +11,8 @@ import (
 // on the sparse families (random recursive tree, sparse G(n,p)), matching
 // the style of internal/decay/bench_test.go. The default configuration
 // runs the bulk fast path (contiguous state + ActBulk/RecvBulk, shared
-// lane clocks); the ...PerNode variants force the per-node reference path
-// via an identity Wrap hook, which is the pre-bulk engine configuration.
+// lane clocks); the ...PerNode variants swap in the per-node reference
+// engine (perNode), which is the pre-bulk engine configuration.
 // Round counts are identical by construction; only wall time and
 // allocations differ. BenchmarkCD17LeaderGrid8x512,
 // BenchmarkCD17BroadcastGeo10k and BenchmarkCD17BroadcastGnpDense4096 are
@@ -21,18 +20,17 @@ import (
 // on geometric:10000:0.03 and on gnp:4096:0.05).
 // See DESIGN.md §5 for recorded numbers.
 
-func benchCompete(b *testing.B, g *graph.Graph, hw16, perNode bool) {
+func benchCompete(b *testing.B, g *graph.Graph, hw16, ref bool) {
 	b.Helper()
 	d := g.DiameterEstimate()
-	cfg := Config{CurtailLogLog: hw16}
-	if perNode {
-		cfg.Wrap = func(_ int, n radio.Node) radio.Node { return n }
-	}
-	pre := NewPre(g, d, cfg)
+	pre := NewPre(g, d, Config{CurtailLogLog: hw16})
 	benchRuns(b, func() (*Compete, error) {
 		bc, err := NewBroadcastPre(pre, 1, 0, 9)
 		if err != nil {
 			return nil, err
+		}
+		if ref {
+			return perNode(bc.Compete, nil), nil
 		}
 		return bc.Compete, nil
 	})

@@ -12,13 +12,13 @@ import (
 // bulkState is the contiguous fast-path node state behind the engine's
 // BulkActor/BulkReceiver seams: flat per-node slices for the lane-local
 // flood state, plus shared lane clocks. It exists because the per-node
-// icpState clocks of the reference implementation are redundant — a node's
-// main-lane (fid, slot, offset) is a pure function of its coarse cluster
-// (every member follows the coarse center's clustering sequence, and slot
-// lengths depend only on the fine clustering in play), and the background
-// lane's clock is global (round-robin fids, shared slot lengths). The bulk
-// path therefore keeps one clock per coarse cluster plus one background
-// clock.
+// icpState clocks of the reference implementation (node_test.go) are
+// redundant — a node's main-lane (fid, slot, offset) is a pure function of
+// its coarse cluster (every member follows the coarse center's clustering
+// sequence, and slot lengths depend only on the fine clustering in play),
+// and the background lane's clock is global (round-robin fids, shared slot
+// lengths). The bulk path therefore keeps one clock per coarse cluster
+// plus one background clock.
 //
 // Each lane keeps two flat views beside its heard bitset and flood values
 // (see lane): key, every node's fine-cluster center on the clustering its
@@ -135,8 +135,9 @@ func (ln *lane) setKeys(f *fine, nodes []int32) {
 	}
 }
 
-// laneClock is one shared Intra-Cluster Propagation clock (see icpState;
-// the per-node heard/floodVal live in the lane's flat slices).
+// laneClock is one shared Intra-Cluster Propagation clock (cf. the
+// reference's per-node icpState; heard/floodVal live in the lane's flat
+// slices).
 type laneClock struct {
 	center   int32 // owning coarse center (main clocks; unused for bg)
 	fid      int32 // index into the lane's fine set

@@ -45,7 +45,7 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 }
 
 // lockstep runs a bulk-path instance and its per-node reference (built
-// with an identity Wrap) side by side, one round at a time, until both are
+// through perNode) side by side, one round at a time, until both are
 // Done or budget rounds elapse. It fails unless they agree round for
 // round: same transmitter sets, same delivery/collision counts, same node
 // values after every round, and the same metrics and InformedCount at the
@@ -54,10 +54,10 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64) {
 	t.Helper()
 	if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
-		t.Fatalf("%s: bulk seams not installed on the unwrapped path", label)
+		t.Fatalf("%s: bulk seams not installed on the bulk path", label)
 	}
 	if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
-		t.Fatalf("%s: bulk seams installed despite Wrap", label)
+		t.Fatalf("%s: bulk seams installed on the reference path", label)
 	}
 	bc.Engine.CollisionDetection = cd
 	rc.Engine.CollisionDetection = cd
@@ -160,7 +160,6 @@ type equivVariant struct {
 // clocks under the DisableCurtail and FixedJ ablations. A clock resets its
 // flood at offsets 0 and 2*subLen, so a rollover also covers both resets.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
-	identity := func(_ int, n radio.Node) radio.Node { return n }
 	variants := []equivVariant{
 		{"default", Config{}, false},
 		{"hw16", Config{CurtailLogLog: true}, false},
@@ -183,18 +182,16 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 			jmin, _ := cluster.JRange(d, 0.25, 0.75)
 			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}, false})
 			for _, vr := range vars {
-				refCfg := vr.cfg
-				refCfg.Wrap = identity
 				bc, err := New(g, d, vr.cfg, seed, sources)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc, err := New(g, d, refCfg, seed, sources)
+				rc, err := New(g, d, vr.cfg, seed, sources)
 				if err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
-				lockstep(t, label, bc, rc, vr.cd, 8*bc.Budget())
+				lockstep(t, label, bc, perNode(rc, nil), vr.cd, 8*bc.Budget())
 				if slices.ContainsFunc(bc.bulk.mainClk, func(cl laneClock) bool { return cl.k > 0 }) {
 					mainRolled[vr.name] = true
 				}
@@ -218,11 +215,10 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 // TestBulkLeaderMatchesPerNodeRoundForRound is the same oracle for leader
 // election (Algorithm 6): many candidates with distinct IDs, so values
 // keep rising and the inward sub-phase's better gate is busy. The bulk
-// path and an identity-Wrap reference built by NewLeaderElectionPre from
-// the same seed must agree round for round, and the bulk run must elect
-// a leader.
+// path and a perNode reference built by NewLeaderElectionPre from the
+// same seed must agree round for round, and the bulk run must elect a
+// leader.
 func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
-	identity := func(_ int, n radio.Node) radio.Node { return n }
 	variants := []equivVariant{
 		{"default", Config{}, false},
 		{"hw16", Config{CurtailLogLog: true}, false},
@@ -232,18 +228,16 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 		for _, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
 			for _, vr := range variants {
-				refCfg := vr.cfg
-				refCfg.Wrap = identity
 				bl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), LeaderConfig{Config: vr.cfg}, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rl, err := NewLeaderElectionPre(NewPre(g, d, refCfg), LeaderConfig{Config: refCfg}, seed)
+				rl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), LeaderConfig{Config: vr.cfg}, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates))
-				lockstep(t, label, bl.Compete, rl.Compete, vr.cd, 8*bl.Budget())
+				lockstep(t, label, bl.Compete, perNode(rl.Compete, nil), vr.cd, 8*bl.Budget())
 				if vr.name == "default" {
 					if err := bl.Verify(); err != nil {
 						t.Fatalf("%s: %v", label, err)

@@ -18,13 +18,14 @@
 //     itself notes collisions during precomputation can be ignored at an
 //     O(log n) simulation cost (Section 4).
 //   - The propagation phase runs packet-level on the true collision model
-//     as four interleaved TDM lanes: the main process (Intra-Cluster
-//     Propagation on the coarse cluster's random sequence of fine
-//     clusterings, curtailed after O(log n/(β·log D)) per Theorem 2.2),
-//     its Algorithm-4 Decay background that informs cluster-border nodes,
-//     the background Compete process (Algorithm 2: fixed β, round-robin
-//     clusterings, longer curtailment) that passes messages across coarse
-//     cluster boundaries, and that process's own Algorithm-4 lane.
+//     as four time-division lanes (engine round t runs lane t mod 4): the
+//     main process (Intra-Cluster Propagation on the coarse cluster's
+//     random sequence of fine clusterings, curtailed after
+//     O(log n/(β·log D)) per Theorem 2.2), its Algorithm-4 Decay
+//     background that informs cluster-border nodes, the background
+//     Compete process (Algorithm 2: fixed β, round-robin clusterings,
+//     longer curtailment) that passes messages across coarse cluster
+//     boundaries, and that process's own Algorithm-4 lane.
 //
 // Intra-Cluster Propagation (Algorithm 3) is realized as three sub-phases
 // per clustering slot: outward flood of the center's best message along
@@ -105,9 +106,6 @@ type Config struct {
 	// FixedJ forces every main-process slot to use fine exponent j
 	// (ablation for the random-β choice of Theorem 2.2); 0 means random.
 	FixedJ int
-	// Wrap, if set, wraps each node's protocol before it is installed in
-	// the engine — the fault-injection hook (see radio.CrashNode et al.).
-	Wrap func(v int, n radio.Node) radio.Node
 }
 
 func clampInt(v, lo, hi int) int {
@@ -173,16 +171,6 @@ type fine struct {
 	slotLen int64 // 3 * subLen
 }
 
-// icpState is one lane's Intra-Cluster Propagation position for a node.
-type icpState struct {
-	fid      int32 // index into the lane's fine set
-	k        int64 // slot index
-	offset   int64 // round offset within the slot
-	subphase int8  // 0 out, 1 in, 2 out — valid after the lane's Act
-	heard    bool  // heard the cluster flood this slot
-	floodVal int64 // the cluster center's flooded value
-}
-
 // Compete is a running Compete(S) instance.
 type Compete struct {
 	Engine *radio.Engine
@@ -221,15 +209,12 @@ type Compete struct {
 	// budget.
 	counted []bool
 
-	// Contiguous per-node protocol state, shared by the bulk fast path
-	// (bulk.go) and the retained per-node reference implementation
-	// (node.go): both operate on the same flat slice, indexed by node id,
-	// so accessors and completion tracking are path-independent.
+	// Contiguous per-node protocol state, indexed by node id: the bulk
+	// path (bulk.go) owns it, and the per-node reference implementation
+	// the tests pin it to (node_test.go) shares the same slice, so
+	// accessors and completion tracking are path-independent.
 	globalMax []int64 // best known value per node (Uninformed sentinel)
 
-	// Exactly one of the two is populated: refs when a Wrap hook forces
-	// the per-node engine path, bulk otherwise.
-	refs []cnode
 	bulk *bulkState
 }
 
@@ -261,12 +246,9 @@ func NewWithPre(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) 
 // Completion becomes survivor-scoped: the Progress target is the set of
 // nodes reachable from the (surviving) sources in the survivor graph, so
 // Done/Run keep their meaning when crashed nodes can never learn the
-// message. With the default bulk path the plan is installed as the
-// engine-side overlay (radio.FaultPlan), keeping the bulk-path speed; with
-// a Wrap hook the overlay is left uninstalled and the hook is expected to
-// realize the same faults per node (radio.FaultPlan.Wrap builds the
-// equivalent wrapper chain). A plan is single-use — build one per
-// constructed instance.
+// message. The plan is installed as the engine-side overlay
+// (radio.FaultPlan), which keeps the bulk-path speed. A plan is
+// single-use — build one per constructed instance.
 func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
 	g, d, cfg := pre.g, pre.d, pre.cfg
 	if g.N() == 0 {
@@ -341,8 +323,7 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 
 	c.PrecomputeRounds = c.precomputeCharge()
 
-	// Per-node protocol state: flat slices indexed by node id, shared by
-	// whichever engine path runs (bulk or per-node reference).
+	// Per-node protocol state: flat slices indexed by node id.
 	c.globalMax = make([]int64, n)
 	for v := range c.globalMax {
 		c.globalMax[v] = Uninformed
@@ -380,22 +361,8 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 			c.prog.Add(1)
 		}
 	}
-	rn := make([]radio.Node, n)
-	if cfg.Wrap != nil {
-		// Reference path: contiguous per-node machines behind the
-		// wrappers, the semantic baseline the bulk fast path is verified
-		// against. The bulk seams stay uninstalled, and so does the fault
-		// overlay (the Wrap hook owns per-node behavior).
-		c.refs = make([]cnode, n)
-		for v := 0; v < n; v++ {
-			c.refs[v] = cnode{id: int32(v), c: c}
-			c.refs[v].main.fid = c.mainFid(int32(v), 0)
-			rn[v] = cfg.Wrap(v, &c.refs[v])
-		}
-		c.Engine = radio.NewEngine(g, rn)
-		return c, nil
-	}
 	c.bulk = newBulkState(c)
+	rn := make([]radio.Node, n)
 	for v := 0; v < n; v++ {
 		rn[v] = &c.bulk.shims[v]
 	}

@@ -24,16 +24,12 @@ func competeTestPlan(n int) *radio.FaultPlan {
 	return p
 }
 
-// TestCompeteFaultOverlayMatchesWrapPath is the bulk-vs-per-node fault
-// equivalence test for the paper's pipeline: the engine-side FaultPlan
-// overlay on the bulk path must match a Wrap-based run of the equivalent
-// CrashNode/JamNode/LossyNode chain round for round — same transmitter
-// sets, same deliveries, same completion round, same survivor values.
-func TestCompeteFaultOverlayMatchesWrapPath(t *testing.T) {
-	g := graph.Caterpillar(15, 2) // spine 0..14, legs 15..44
-	d := g.Diameter()
-	n := g.N()
-	const seed = 31
+// TestCompeteFaultOverlayMatchesReference is the bulk-vs-per-node fault
+// equivalence test for the paper's pipeline: under equal FaultPlan
+// overlays, the bulk path must match the per-node reference (perNode)
+// round for round — same transmitter sets, same deliveries, same
+// completion round, same survivor values.
+func TestCompeteFaultOverlayMatchesReference(t *testing.T) {
 	record := func(e *radio.Engine) func() []string {
 		var rounds []string
 		e.Hook = func(_ int64, tx []int32, deliveries, collisions int) {
@@ -43,54 +39,59 @@ func TestCompeteFaultOverlayMatchesWrapPath(t *testing.T) {
 		}
 		return func() []string { return rounds }
 	}
-
-	bulk, err := NewWithPreFaults(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logA := record(bulk.Engine)
-
-	wrapPlan := competeTestPlan(n)
-	pernode, err := NewWithPreFaults(NewPre(g, d, Config{Wrap: wrapPlan.Wrap}), seed,
-		map[int]int64{0: 9}, competeTestPlan(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logB := record(pernode.Engine)
-
-	if bulk.ReachTarget() != pernode.ReachTarget() {
-		t.Fatalf("targets differ: bulk %d, per-node %d", bulk.ReachTarget(), pernode.ReachTarget())
-	}
-	budget := 8 * bulk.Budget()
-	var doneAt int64 = -1
-	for i := int64(0); i < budget; i++ {
-		bulk.Engine.Step()
-		pernode.Engine.Step()
-		if bulk.Done() != pernode.Done() {
-			t.Fatalf("round %d: Done diverged (bulk %v, per-node %v)", i, bulk.Done(), pernode.Done())
+	for _, g := range []*graph.Graph{
+		graph.Caterpillar(15, 2), // spine 0..14, legs 15..44
+		graph.Grid(9, 23),
+	} {
+		d := g.Diameter()
+		n := g.N()
+		const seed = 31
+		bulk, err := NewWithPreFaults(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if bulk.Done() {
-			doneAt = i
-			break
+		logA := record(bulk.Engine)
+		ref, err := NewWithPreFaults(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if doneAt < 0 {
-		t.Fatalf("faulted compete incomplete after %d rounds (%d/%d)", budget, bulk.Reached(), bulk.ReachTarget())
-	}
-	a, b := logA(), logB()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round %d diverged:\nbulk+overlay: %s\nwrap path:    %s", i, a[i], b[i])
+		pernode := perNode(ref, competeTestPlan(n))
+		logB := record(pernode.Engine)
+
+		if bulk.ReachTarget() != pernode.ReachTarget() {
+			t.Fatalf("%s: targets differ: bulk %d, per-node %d", g, bulk.ReachTarget(), pernode.ReachTarget())
 		}
-	}
-	if bulk.Engine.Metrics != pernode.Engine.Metrics {
-		t.Fatalf("metrics diverged:\nbulk+overlay: %+v\nwrap path:    %+v", bulk.Engine.Metrics, pernode.Engine.Metrics)
-	}
-	av, bv := bulk.Values(), pernode.Values()
-	alive := competeTestPlan(n).SurvivorMask()
-	for v := range av {
-		if alive[v] && av[v] != bv[v] {
-			t.Fatalf("survivor %d values diverged: %d vs %d", v, av[v], bv[v])
+		budget := 8 * bulk.Budget()
+		var doneAt int64 = -1
+		for i := int64(0); i < budget; i++ {
+			bulk.Engine.Step()
+			pernode.Engine.Step()
+			if bulk.Done() != pernode.Done() {
+				t.Fatalf("%s round %d: Done diverged (bulk %v, per-node %v)", g, i, bulk.Done(), pernode.Done())
+			}
+			if bulk.Done() {
+				doneAt = i
+				break
+			}
+		}
+		if doneAt < 0 {
+			t.Fatalf("%s: faulted compete incomplete after %d rounds (%d/%d)", g, budget, bulk.Reached(), bulk.ReachTarget())
+		}
+		a, b := logA(), logB()
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s round %d diverged:\nbulk:      %s\nreference: %s", g, i, a[i], b[i])
+			}
+		}
+		if bulk.Engine.Metrics != pernode.Engine.Metrics {
+			t.Fatalf("%s: metrics diverged:\nbulk:      %+v\nreference: %+v", g, bulk.Engine.Metrics, pernode.Engine.Metrics)
+		}
+		av, bv := bulk.Values(), pernode.Values()
+		alive := competeTestPlan(n).SurvivorMask()
+		for v := range av {
+			if alive[v] && av[v] != bv[v] {
+				t.Fatalf("%s: survivor %d values diverged: %d vs %d", g, v, av[v], bv[v])
+			}
 		}
 	}
 }
@@ -98,9 +99,10 @@ func TestCompeteFaultOverlayMatchesWrapPath(t *testing.T) {
 // TestFaultedBroadcastTerminatesBothPaths is the acceptance criterion: a
 // crash-fault broadcast (30% of non-source nodes crashing at round 50)
 // terminates with Done=true well under budget and reaches every
-// survivor-reachable node, on both the bulk path (engine overlay) and the
-// per-node Wrap path — before the survivor-scoped target, both could only
-// exhaust the whole whp budget and report failure.
+// survivor-reachable node, on both the bulk path and the per-node
+// reference (perNode), each under the engine overlay — before the
+// survivor-scoped target, both could only exhaust the whole whp budget and
+// report failure.
 func TestFaultedBroadcastTerminatesBothPaths(t *testing.T) {
 	g := graph.Grid(6, 10)
 	d := g.Diameter()
@@ -122,13 +124,11 @@ func TestFaultedBroadcastTerminatesBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapPlan := mkPlan()
-	pernode, err := NewWithPreFaults(NewPre(g, d, Config{Wrap: wrapPlan.Wrap}), 13,
-		map[int]int64{0: 9}, mkPlan())
+	ref, err := NewWithPreFaults(NewPre(g, d, Config{}), 13, map[int]int64{0: 9}, mkPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*Compete{"bulk": bulk, "per-node": pernode} {
+	for name, c := range map[string]*Compete{"bulk": bulk, "per-node": perNode(ref, mkPlan())} {
 		budget := 8 * c.Budget()
 		rounds, done := c.Run(budget)
 		if !done {
@@ -155,31 +155,25 @@ func TestBroadcastSurvivesCrashes(t *testing.T) {
 	g := graph.Caterpillar(30, 2) // spine 0..29, legs 30..89
 	d := g.Diameter()
 	// Crash a third of the legs early; legs are never cut vertices.
-	crashed := map[int]bool{}
+	plan := radio.NewFaultPlan(g.N(), 17)
 	for v := 30; v < 90; v += 3 {
-		crashed[v] = true
+		plan.Crash(v, 50)
 	}
-	cfg := Config{Wrap: func(v int, n radio.Node) radio.Node {
-		if crashed[v] {
-			return &radio.CrashNode{Inner: n, CrashAt: 50}
-		}
-		return n
-	}}
-	c, err := New(g, d, cfg, 17, map[int]int64{0: 9})
+	c, err := NewWithPreFaults(NewPre(g, d, Config{}), 17, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aliveDone := func() bool {
-		for v, val := range c.Values() {
-			if !crashed[v] && val != c.TrueMax() {
-				return false
-			}
-		}
-		return true
+	if c.ReachTarget() != 70 {
+		t.Fatalf("ReachTarget = %d, want the 70 survivors", c.ReachTarget())
 	}
-	rounds, done := c.Engine.Run(8*c.Budget(), aliveDone)
+	rounds, done := c.Run(8 * c.Budget())
 	if !done {
-		t.Fatalf("surviving nodes not informed after %d rounds", rounds)
+		t.Fatalf("surviving nodes not informed after %d rounds (%d/%d)", rounds, c.Reached(), c.ReachTarget())
+	}
+	for v, val := range c.Values() {
+		if plan.Alive(v) && val != c.TrueMax() {
+			t.Fatalf("survivor %d holds %d at Done, want %d", v, val, c.TrueMax())
+		}
 	}
 }
 
@@ -188,14 +182,11 @@ func TestBroadcastSurvivesCrashes(t *testing.T) {
 func TestBroadcastSurvivesJamming(t *testing.T) {
 	g := graph.Grid(6, 20)
 	d := g.Diameter()
-	jr := rng.New(5)
-	cfg := Config{Wrap: func(v int, n radio.Node) radio.Node {
-		if v%10 == 3 { // every tenth node doubles as a jammer
-			return &radio.JamNode{Inner: n, P: 0.2, Rnd: jr.Fork(uint64(v))}
-		}
-		return n
-	}}
-	c, err := New(g, d, cfg, 23, map[int]int64{0: 9})
+	plan := radio.NewFaultPlan(g.N(), 5)
+	for v := 3; v < g.N(); v += 10 { // every tenth node doubles as a jammer
+		plan.Jam(v, 0.2)
+	}
+	c, err := NewWithPreFaults(NewPre(g, d, Config{}), 23, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +201,11 @@ func TestBroadcastSurvivesJamming(t *testing.T) {
 // reception loss.
 func TestBroadcastSurvivesLossyReceivers(t *testing.T) {
 	g := graph.Path(40)
-	lr := rng.New(6)
-	cfg := Config{Wrap: func(v int, n radio.Node) radio.Node {
-		return &radio.LossyNode{Inner: n, P: 0.2, Rnd: lr.Fork(uint64(v))}
-	}}
-	c, err := New(g, 39, cfg, 29, map[int]int64{0: 9})
+	plan := radio.NewFaultPlan(g.N(), 6)
+	for v := range g.N() {
+		plan.Loss(v, 0.2)
+	}
+	c, err := NewWithPreFaults(NewPre(g, 39, Config{}), 29, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

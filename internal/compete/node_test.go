@@ -7,20 +7,51 @@ import (
 )
 
 // cnode is the per-node reference implementation of the protocol: a 4-lane
-// TDM of the main process, its Algorithm-4 helper, the background process,
-// and its helper, with the node's own lane clocks in per-node icpState.
-// It is the semantic baseline the bulk fast path (bulk.go) is verified
-// against round-for-round, and the path taken whenever a Wrap hook
-// (fault injection) interposes per-node behavior. Node value state lives
-// in the instance-wide flat slice Compete.globalMax, shared with the bulk
-// path, so accessors and completion tracking are identical on both paths;
-// transmission coins are the bulk path's keyed word coins, read one bit
-// at a time (cnode.coin).
+// time-division interleave of the main process, its Algorithm-4 helper,
+// the background process, and its helper, with the node's own lane clocks
+// in per-node icpState. It is the semantic baseline the bulk path
+// (bulk.go) is verified against round for round (see perNode). Node value
+// state lives in the instance-wide flat slice Compete.globalMax, shared
+// with the bulk path, so accessors and completion tracking are identical
+// on both paths; transmission coins are the bulk path's keyed word coins,
+// read one bit at a time (cnode.coin).
 type cnode struct {
 	id   int32
 	c    *Compete
 	main icpState
 	bg   icpState
+}
+
+// icpState is one lane's Intra-Cluster Propagation position for a node.
+type icpState struct {
+	fid      int32 // index into the lane's fine set
+	k        int64 // slot index
+	offset   int64 // round offset within the slot
+	subphase int8  // 0 out, 1 in, 2 out — valid after the lane's Act
+	heard    bool  // heard the cluster flood this slot
+	floodVal int64 // the cluster center's flooded value
+}
+
+// perNode swaps a freshly built c's engine for one over cnode reference
+// machines, with no bulk seams, and returns c. plan, when non-nil, is
+// installed as the new engine's fault overlay: it must equal the plan c
+// was built with, as a fresh instance (plans are single-use).
+func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
+	if c.Engine.Round() != 0 {
+		panic("compete: perNode after the first Step")
+	}
+	n := c.g.N()
+	refs := make([]cnode, n)
+	rn := make([]radio.Node, n)
+	for v := range refs {
+		refs[v] = cnode{id: int32(v), c: c}
+		refs[v].main.fid = c.mainFid(int32(v), 0)
+		rn[v] = &refs[v]
+	}
+	c.Engine = radio.NewEngine(c.g, rn)
+	c.Engine.SetFaults(plan)
+	c.bulk = nil
+	return c
 }
 
 // IgnoresSilence implements radio.SilenceOblivious: Recv without a

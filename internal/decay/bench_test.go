@@ -16,9 +16,9 @@ import (
 // only wall time differs. See DESIGN.md §5 for recorded numbers — the
 // fast path is the ≥3x win this layer exists for.
 
-// opaqueNode hides the Sleeper/SilenceOblivious extensions (and, via
-// Config.Wrap, disables the BulkActor install), reproducing the seed
-// engine configuration: dense per-node Act and Recv loops every round.
+// opaqueNode hides the Sleeper/SilenceOblivious extensions; an engine
+// built over opaqueNodes, with no bulk seams, reproduces the seed engine
+// configuration: dense per-node Act and Recv loops every round.
 type opaqueNode struct{ inner radio.Node }
 
 func (o *opaqueNode) Act(t int64) radio.Action { return o.inner.Act(t) }
@@ -30,12 +30,15 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 	b.Helper()
 	var rounds int64
 	for i := 0; i < b.N; i++ {
-		var cfg Config
-		if fullScan {
-			cfg.Wrap = func(_ int, n radio.Node) radio.Node { return &opaqueNode{inner: n} }
-		}
 		b.StopTimer()
-		bc := NewBroadcast(g, cfg, 1, map[int]int64{0: 5})
+		bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
+		if fullScan {
+			rn := make([]radio.Node, len(bc.nodes))
+			for v := range bc.nodes {
+				rn[v] = &opaqueNode{inner: &bc.nodes[v]}
+			}
+			bc.Engine = radio.NewEngine(g, rn)
+		}
 		b.StartTimer()
 		var done bool
 		if fullScan {

@@ -55,17 +55,11 @@ type Config struct {
 	// current phase instead of waiting for the next phase boundary. The
 	// classical analysis assumes phase-aligned joins; both succeed.
 	JoinMidPhase bool
-	// Wrap, if set, wraps each node's protocol before it is installed in
-	// the engine — the fault-injection hook (see radio.CrashNode et al.).
-	Wrap func(v int, n radio.Node) radio.Node
-	// Faults, if set, is a whole-network fault scenario. Completion becomes
-	// survivor-scoped: the Progress target is the set of nodes reachable
-	// from the (surviving) sources in the survivor graph, so Done keeps
-	// its meaning when crashed nodes can never be informed. With a nil
-	// Wrap the plan is installed as the engine-side overlay (keeping the
-	// bulk fast path); with a Wrap hook the overlay is left uninstalled
-	// and the hook is expected to realize the same faults per node
-	// (radio.FaultPlan.Wrap builds the equivalent wrapper chain).
+	// Faults, if set, is a whole-network fault scenario, installed as the
+	// engine-side overlay. Completion becomes survivor-scoped: the
+	// Progress target is the set of nodes reachable from the (surviving)
+	// sources in the survivor graph, so Done keeps its meaning when
+	// crashed nodes can never be informed.
 	Faults *radio.FaultPlan
 }
 
@@ -130,8 +124,8 @@ func (b *node) Act(t int64) radio.Action {
 		return radio.Listen
 	}
 	// step = t mod levels, tracked via the phase start to keep an integer
-	// division off the hot path. The loop self-resyncs after Act gaps
-	// (fault wrappers may swallow rounds) and normally runs 0 or 1 times.
+	// division off the hot path. The loop crosses phase boundaries and
+	// normally runs 0 or 1 times.
 	L := int64(b.tr.levels)
 	for t-b.phaseStart >= L {
 		b.phaseStart += L
@@ -208,9 +202,6 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 	for i := 0; i < n; i++ {
 		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), joinMid: cfg.JoinMidPhase, val: -1}
 		rn[i] = &b.nodes[i]
-		if cfg.Wrap != nil {
-			rn[i] = cfg.Wrap(i, rn[i])
-		}
 	}
 	first := true
 	//lint:ordered max reduction over the values; order cannot change the maximum
@@ -246,15 +237,12 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 	}
 	b.tr.prog = *radio.NewProgress(target)
 	b.tr.prog.Add(atMax)
+	// All engine nodes are exactly &b.nodes[i], so the bulk Act and Recv
+	// fast paths are observationally identical to the per-node calls.
 	b.Engine = radio.NewEngine(g, rn)
-	if cfg.Wrap == nil {
-		// All engine nodes are exactly &b.nodes[i], so the bulk Act and
-		// Recv fast paths are observationally identical; a Wrap hook
-		// interposes per-node behavior and disables them.
-		b.Engine.Bulk = b
-		b.Engine.BulkRecv = b
-		b.Engine.SetFaults(cfg.Faults)
-	}
+	b.Engine.Bulk = b
+	b.Engine.BulkRecv = b
+	b.Engine.SetFaults(cfg.Faults)
 	return b
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"radionet/internal/graph"
 	"radionet/internal/radio"
-	"radionet/internal/rng"
 )
 
 // decayTestPlan is the crash+jam+loss scenario shared by the overlay
@@ -25,12 +24,11 @@ func decayTestPlan(n int) *radio.FaultPlan {
 	return p
 }
 
-// TestDecayFaultOverlayMatchesWrapPath is the bulk-vs-per-node fault
-// equivalence test: the engine-side FaultPlan overlay on the bulk path
-// must match a Wrap-based CrashNode/JamNode/LossyNode run round for round
-// — same transmitter sets, same deliveries, same rounds to completion,
-// same survivor reach.
-func TestDecayFaultOverlayMatchesWrapPath(t *testing.T) {
+// TestDecayFaultOverlayMatchesReference is the bulk-vs-per-node fault
+// equivalence test: under equal FaultPlan overlays, the bulk path must
+// match the per-node path round for round — same transmitter sets, same
+// deliveries, same rounds to completion, same survivor reach.
+func TestDecayFaultOverlayMatchesReference(t *testing.T) {
 	g := graph.Grid(6, 8)
 	n := g.N()
 	record := func(e *radio.Engine) func() []string {
@@ -47,11 +45,7 @@ func TestDecayFaultOverlayMatchesWrapPath(t *testing.T) {
 	bulk := NewBroadcast(g, Config{Faults: decayTestPlan(n)}, 17, sources)
 	logA := record(bulk.Engine)
 
-	wrapPlan := decayTestPlan(n)
-	pernode := NewBroadcast(g, Config{
-		Faults: decayTestPlan(n),
-		Wrap:   wrapPlan.Wrap,
-	}, 17, sources)
+	pernode := perNode(NewBroadcast(g, Config{Faults: decayTestPlan(n)}, 17, sources))
 	logB := record(pernode.Engine)
 
 	if bulk.ReachTarget() != pernode.ReachTarget() {
@@ -76,11 +70,11 @@ func TestDecayFaultOverlayMatchesWrapPath(t *testing.T) {
 	a, b := logA(), logB()
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("round %d diverged:\nbulk+overlay: %s\nwrap path:    %s", i, a[i], b[i])
+			t.Fatalf("round %d diverged:\nbulk+overlay: %s\nreference:    %s", i, a[i], b[i])
 		}
 	}
 	if bulk.Engine.Metrics != pernode.Engine.Metrics {
-		t.Fatalf("metrics diverged:\nbulk+overlay: %+v\nwrap path:    %+v", bulk.Engine.Metrics, pernode.Engine.Metrics)
+		t.Fatalf("metrics diverged:\nbulk+overlay: %+v\nreference:    %+v", bulk.Engine.Metrics, pernode.Engine.Metrics)
 	}
 	if bulk.Reached() != pernode.Reached() || bulk.Reached() != bulk.ReachTarget() {
 		t.Fatalf("reach diverged: bulk %d/%d, per-node %d/%d",
@@ -126,41 +120,38 @@ func TestDecaySurvivorScopedTermination(t *testing.T) {
 	}
 }
 
+// TestDecayBroadcastSurvivesCrashes: a grid stays connected after losing
+// scattered interior nodes, and every survivor learns the message.
 func TestDecayBroadcastSurvivesCrashes(t *testing.T) {
-	// Grid stays connected after losing scattered interior nodes.
 	g := graph.Grid(10, 10)
-	crashed := map[int]bool{33: true, 44: true, 55: true, 66: true}
-	cfg := Config{Wrap: func(v int, n radio.Node) radio.Node {
-		if crashed[v] {
-			return &radio.CrashNode{Inner: n, CrashAt: 20}
-		}
-		return n
-	}}
-	b := NewBroadcast(g, cfg, 3, map[int]int64{0: 9})
-	aliveDone := func() bool {
-		for v, val := range b.Values() {
-			if !crashed[v] && val != 9 {
-				return false
-			}
-		}
-		return true
+	plan := radio.NewFaultPlan(g.N(), 3)
+	for _, v := range []int{33, 44, 55, 66} {
+		plan.Crash(v, 20)
 	}
-	rounds, done := b.Engine.Run(1<<22, aliveDone)
+	b := NewBroadcast(g, Config{Faults: plan}, 3, map[int]int64{0: 9})
+	if b.ReachTarget() != 96 {
+		t.Fatalf("ReachTarget = %d, want the 96 survivors", b.ReachTarget())
+	}
+	rounds, done := b.Run(1 << 22)
 	if !done {
-		t.Fatalf("survivors uninformed after %d rounds", rounds)
+		t.Fatalf("survivors uninformed after %d rounds (%d/%d)", rounds, b.Reached(), b.ReachTarget())
+	}
+	for v, val := range b.Values() {
+		if plan.Alive(v) && val != 9 {
+			t.Fatalf("survivor %d holds %d at Done, want 9", v, val)
+		}
 	}
 }
 
+// TestDecayBroadcastSurvivesJamming: every seventh node of a path jams a
+// quarter of the rounds, and the broadcast still completes.
 func TestDecayBroadcastSurvivesJamming(t *testing.T) {
 	g := graph.Path(50)
-	jr := rng.New(4)
-	cfg := Config{Wrap: func(v int, n radio.Node) radio.Node {
-		if v%7 == 3 {
-			return &radio.JamNode{Inner: n, P: 0.25, Rnd: jr.Fork(uint64(v))}
-		}
-		return n
-	}}
-	b := NewBroadcast(g, cfg, 9, map[int]int64{0: 9})
+	plan := radio.NewFaultPlan(g.N(), 4)
+	for v := 3; v < g.N(); v += 7 {
+		plan.Jam(v, 0.25)
+	}
+	b := NewBroadcast(g, Config{Faults: plan}, 9, map[int]int64{0: 9})
 	if _, done := b.Run(1 << 22); !done {
 		t.Fatalf("broadcast under jamming incomplete: %d/%d informed", b.InformedCount(), g.N())
 	}

@@ -63,51 +63,52 @@ func equivalenceGraphs(seed uint64) []*graph.Graph {
 	}
 }
 
+// perNode clears b's bulk seams before the first Step, so its engine runs
+// the per-node Act and Recv of every node: the reference path the bulk
+// seams are pinned to.
+func perNode(b *Broadcast) *Broadcast {
+	b.Engine.Bulk, b.Engine.BulkRecv = nil, nil
+	return b
+}
+
 // Incremental Done must agree with the O(n) reference scan after every
 // single round, across graphs, seeds, source patterns and both engine
-// paths (bulk and wrapped per-node).
+// paths (bulk and per-node).
 func TestDoneMatchesFullScanEveryRound(t *testing.T) {
-	identity := func(_ int, n radio.Node) radio.Node { return n }
 	for seed := uint64(1); seed <= 3; seed++ {
 		for gi, g := range equivalenceGraphs(seed) {
-			for _, wrap := range []bool{false, true} {
-				cfg := Config{}
-				if wrap {
-					// Exercises the per-node engine path (Bulk disabled).
-					cfg.Wrap = identity
-				}
+			for _, ref := range []bool{false, true} {
 				sources := map[int]int64{0: 9}
 				if gi%2 == 1 { // multi-source with distinct values
 					sources = map[int]int64{0: 5, g.N() / 2: 9, g.N() - 1: 2}
 				}
-				bc := NewBroadcast(g, cfg, seed, sources)
-				if wrap == (bc.Engine.Bulk != nil) {
-					t.Fatalf("Bulk fast path: wrap=%v but Bulk=%v", wrap, bc.Engine.Bulk)
+				bc := NewBroadcast(g, Config{}, seed, sources)
+				if ref {
+					perNode(bc)
 				}
 				for r := 0; r < 1<<14; r++ {
-					inc, ref := bc.Done(), bc.doneFullScan()
-					if inc != ref {
-						t.Fatalf("%s seed=%d wrap=%v round %d: incremental Done=%v, full scan=%v",
-							g, seed, wrap, r, inc, ref)
+					inc, full := bc.Done(), bc.doneFullScan()
+					if inc != full {
+						t.Fatalf("%s seed=%d per-node=%v round %d: incremental Done=%v, full scan=%v",
+							g, seed, ref, r, inc, full)
 					}
-					if ref {
+					if full {
 						break
 					}
 					bc.Engine.Step()
 				}
 				if !bc.doneFullScan() {
-					t.Fatalf("%s seed=%d wrap=%v: broadcast did not complete", g, seed, wrap)
+					t.Fatalf("%s seed=%d per-node=%v: broadcast did not complete", g, seed, ref)
 				}
 			}
 		}
 	}
 }
 
-// The bulk path (ActBulk + RecvBulk) must match the wrapped per-node path
-// round for round: same transmitter sets and delivery/collision counts in
-// every round, not just at completion.
+// The bulk path (ActBulk + RecvBulk) must match the per-node path round
+// for round: same transmitter sets and delivery/collision counts in every
+// round, not just at completion.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
-	identity := func(_ int, n radio.Node) radio.Node { return n }
 	for seed := uint64(1); seed <= 3; seed++ {
 		for gi, g := range equivalenceGraphs(seed) {
 			sources := map[int]int64{0: 9}
@@ -115,12 +116,9 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				sources = map[int]int64{0: 5, g.N() / 2: 9}
 			}
 			bb := NewBroadcast(g, Config{}, seed, sources)
-			pb := NewBroadcast(g, Config{Wrap: identity}, seed, sources)
+			pb := perNode(NewBroadcast(g, Config{}, seed, sources))
 			if bb.Engine.Bulk == nil || bb.Engine.BulkRecv == nil {
-				t.Fatal("bulk seams not installed on the unwrapped path")
-			}
-			if pb.Engine.Bulk != nil || pb.Engine.BulkRecv != nil {
-				t.Fatal("bulk seams installed despite Wrap")
+				t.Fatal("bulk seams not installed by NewBroadcast")
 			}
 			type round struct {
 				tx         []int32
@@ -156,22 +154,24 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 	}
 }
 
-// The wrapped per-node path and the bulk path must stay bit-identical:
-// same completion round, same metrics, same final values.
+// The per-node path and the bulk path must stay bit-identical: same
+// completion round, same metrics, same final values.
 func TestBulkAndPerNodePathsIdentical(t *testing.T) {
-	identity := func(_ int, n radio.Node) radio.Node { return n }
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, g := range equivalenceGraphs(seed) {
-			run := func(cfg Config) (int64, radio.Metrics, []int64) {
-				bc := NewBroadcast(g, cfg, seed, map[int]int64{0: 9})
+			run := func(ref bool) (int64, radio.Metrics, []int64) {
+				bc := NewBroadcast(g, Config{}, seed, map[int]int64{0: 9})
+				if ref {
+					perNode(bc)
+				}
 				rounds, done := bc.Run(1 << 20)
 				if !done {
 					t.Fatalf("%s seed=%d: incomplete", g, seed)
 				}
 				return rounds, bc.Engine.Metrics, bc.Values()
 			}
-			r1, m1, v1 := run(Config{})
-			r2, m2, v2 := run(Config{Wrap: identity})
+			r1, m1, v1 := run(false)
+			r2, m2, v2 := run(true)
 			if r1 != r2 || m1 != m2 {
 				t.Fatalf("%s seed=%d: bulk (%d rounds, %+v) vs per-node (%d rounds, %+v)",
 					g, seed, r1, m1, r2, m2)

@@ -12,10 +12,13 @@ import (
 // NoCrash is the CrashRound value of a node that never crashes.
 const NoCrash = int64(math.MaxInt64)
 
-// Stream-derivation tags for the plan's per-node fault coins. Wrap and the
-// engine overlay derive the same streams from the same (seed, node) pair,
-// which is what makes the two realizations of a plan observationally
-// identical.
+// KindNoise tags transmissions that carry no protocol content (jamming).
+// Protocols must ignore unknown kinds, so noise only causes collisions.
+const KindNoise Kind = -1
+
+// Stream-derivation tags for the plan's per-node fault coins: node v's jam
+// coins come from the plan seed forked with jamStreamTag|v, its loss coins
+// from lossStreamTag|v.
 const (
 	jamStreamTag  = 0x4a6d_0000_0000_0000
 	lossStreamTag = 0x1055_0000_0000_0000
@@ -25,11 +28,10 @@ const (
 // scenario — per-node crash rounds, a jammer set with per-round noise
 // probability, and per-node reception-loss probability — that the engine
 // applies inside Step as masks over the transmit list and the delivery
-// pass. Unlike per-node fault wrappers (CrashNode et al.), the overlay
-// composes with the BulkActor/BulkReceiver fast paths: the protocol
-// computes its round obliviously and the engine masks dead transmitters,
-// injects noise, and fades receptions afterwards, so faulted runs keep the
-// bulk-path speed.
+// pass. It is the repository's only fault mechanism, and it composes with
+// the BulkActor/BulkReceiver fast paths: the protocol computes its round
+// obliviously and the engine masks dead transmitters, injects noise, and
+// fades receptions afterwards, so faulted runs keep the bulk-path speed.
 //
 // Semantics, round by round (all rounds are global engine rounds):
 //
@@ -42,16 +44,16 @@ const (
 //     network.
 //   - A live jammer draws one noise coin per round; when it fires, the
 //     node transmits KindNoise this round regardless of what its protocol
-//     chose (the protocol machine still stepped — see JamNode, which
-//     mirrors this).
+//     chose (the protocol machine still stepped: a bulk Act pass cannot
+//     suppress a single node's draws, so the per-node path does not
+//     either).
 //   - A lossy node draws one fade coin per successful reception; a faded
 //     reception still counts as an engine delivery (the message was on the
-//     air) but never reaches the protocol. The overlay skips the Recv call
-//     outright, which is equivalent to LossyNode's silence hand-off for
-//     every protocol in this repository (all are silence-oblivious).
+//     air) but never reaches the protocol: the Recv call is skipped
+//     outright.
 //
 // A plan is single-use: its jam/loss coin streams advance as the run
-// executes. Build one plan per engine (or per Wrap-based construction).
+// executes. Build one plan per engine.
 type FaultPlan struct {
 	n    int
 	base rng.Rand // fault-coin stream root, derived from the plan seed
@@ -222,33 +224,9 @@ func (p *FaultPlan) CountedTarget(g *graph.Graph, sources map[int]int64) (counte
 	return counted, target
 }
 
-// Wrap builds the per-node wrapper chain realizing the plan for node v —
-// CrashNode outermost, then JamNode, then LossyNode around inner — with
-// coin streams derived exactly as the engine overlay derives them, so a
-// Wrap-based run and an overlay run of equal plans are observationally
-// identical round for round (the equivalence the fault tests pin). The
-// wrappers draw from freshly forked streams, leaving the plan's own
-// streams untouched; still, do not both install a plan in an engine and
-// Wrap with the same plan instance — use two plans built with equal
-// parameters.
-func (p *FaultPlan) Wrap(v int, inner Node) Node {
-	p.check(v)
-	nd := inner
-	if p.lossP != nil && p.lossP[v] > 0 {
-		nd = &LossyNode{Inner: nd, P: p.lossP[v], Rnd: p.base.Fork(lossStreamTag | uint64(v))}
-	}
-	if p.jamP != nil && p.jamP[v] > 0 {
-		nd = &JamNode{Inner: nd, P: p.jamP[v], Rnd: p.base.Fork(jamStreamTag | uint64(v))}
-	}
-	if r := p.CrashRound(v); r != NoCrash {
-		nd = &CrashNode{Inner: nd, CrashAt: r}
-	}
-	return nd
-}
-
 // dropRecv draws node v's fade coin for a delivery and reports whether the
-// reception is lost. Only lossy nodes consume randomness, mirroring
-// LossyNode's msg != nil gate.
+// reception is lost. Only lossy nodes consume randomness, and only for
+// deliveries (never for silence or collisions).
 func (p *FaultPlan) dropRecv(v int) bool {
 	return p.lossP != nil && p.lossP[v] > 0 && p.lossRnd[v].Bernoulli(p.lossP[v])
 }

@@ -1,12 +1,9 @@
 package radio
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 
 	"radionet/internal/graph"
-	"radionet/internal/rng"
 )
 
 // TestOverlayCrashMasksTransmitter: a crashed beacon goes off the air at
@@ -35,40 +32,19 @@ func TestOverlayCrashMasksTransmitter(t *testing.T) {
 	}
 }
 
-// TestCrashedListenerStopsCounting is the satellite-1 regression: a
-// crashed node must stop counting toward Deliveries/Collisions, on both
-// the wrapper path (CrashNode via the Mortal seam) and the overlay path.
-// Before the fix a crashed node stayed a delivery-counting listener for
-// the rest of the run.
+// TestCrashedListenerStopsCounting: a crashed listener stops counting
+// toward Deliveries. Before the fix a crashed node stayed a
+// delivery-counting listener for the rest of the run.
 func TestCrashedListenerStopsCounting(t *testing.T) {
-	run := func(build func(listener Node) (*Engine, func())) Metrics {
-		e, _ := build(Silent{})
-		for i := 0; i < 10; i++ {
-			e.Step()
-		}
-		return e.Metrics
+	p := NewFaultPlan(2, 1)
+	p.Crash(1, 6)
+	e := NewEngine(graph.Path(2), []Node{&beacon{v: 9}, Silent{}})
+	e.SetFaults(p)
+	for i := 0; i < 10; i++ {
+		e.Step()
 	}
-	// Baseline: a healthy listener next to a beacon hears all 10 rounds.
-	base := run(func(l Node) (*Engine, func()) {
-		return NewEngine(graph.Path(2), []Node{&beacon{v: 9}, l}), nil
-	})
-	if base.Deliveries != 10 {
-		t.Fatalf("baseline deliveries = %d, want 10", base.Deliveries)
-	}
-	wrapper := run(func(l Node) (*Engine, func()) {
-		return NewEngine(graph.Path(2), []Node{&beacon{v: 9}, &CrashNode{Inner: l, CrashAt: 6}}), nil
-	})
-	overlay := run(func(l Node) (*Engine, func()) {
-		p := NewFaultPlan(2, 1)
-		p.Crash(1, 6)
-		e := NewEngine(graph.Path(2), []Node{&beacon{v: 9}, l})
-		e.SetFaults(p)
-		return e, nil
-	})
-	for name, m := range map[string]Metrics{"wrapper": wrapper, "overlay": overlay} {
-		if m.Deliveries != 6 {
-			t.Errorf("%s: deliveries = %d, want 6 (dead listeners must not count)", name, m.Deliveries)
-		}
+	if e.Metrics.Deliveries != 6 {
+		t.Errorf("deliveries = %d, want 6 (dead listeners must not count)", e.Metrics.Deliveries)
 	}
 }
 
@@ -76,7 +52,10 @@ func TestCrashedListenerStopsCounting(t *testing.T) {
 // collision counter (two beacons collide at a third node forever).
 func TestCrashedListenerStopsCountingCollisions(t *testing.T) {
 	g := graph.Star(3) // center 0 hears both leaves
-	e := NewEngine(g, []Node{&CrashNode{Inner: Silent{}, CrashAt: 3}, &beacon{v: 1}, &beacon{v: 2}})
+	p := NewFaultPlan(3, 1)
+	p.Crash(0, 3)
+	e := NewEngine(g, []Node{Silent{}, &beacon{v: 1}, &beacon{v: 2}})
+	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
 	}
@@ -85,8 +64,145 @@ func TestCrashedListenerStopsCountingCollisions(t *testing.T) {
 	}
 }
 
-// TestOverlayJamCausesCollisions mirrors TestJamNodeCausesCollisions on
-// the overlay path: a constant jammer leaf blanks out the star center.
+// TestCrashNodeStopsActingAndReceiving: from its crash round on, a node is
+// no longer asked to act and hears nothing, although its neighbor keeps
+// transmitting to it.
+func TestCrashNodeStopsActingAndReceiving(t *testing.T) {
+	acts, recvs := 0, 0
+	nd := &FuncNode{
+		ActFn:  func(int64) Action { acts++; return Listen },
+		RecvFn: func(int64, *Message, bool) { recvs++ },
+	}
+	p := NewFaultPlan(2, 1)
+	p.Crash(0, 3)
+	e := NewEngine(graph.Path(2), []Node{nd, &beacon{v: 9}})
+	e.SetFaults(p)
+	for i := 0; i < 10; i++ {
+		e.Step()
+	}
+	if acts != 3 || recvs != 3 {
+		t.Fatalf("node acted %d times and received %d times, want 3 and 3", acts, recvs)
+	}
+	if p.CrashRound(0) != 3 || p.Alive(0) || !p.Alive(1) {
+		t.Fatal("crash schedule boundary wrong")
+	}
+}
+
+// TestCrashedNodeIsSilentOnAir: a crashed node's transmissions computed by
+// a BulkActor are masked off the air from its crash round on (the
+// per-node path is TestOverlayCrashMasksTransmitter).
+func TestCrashedNodeIsSilentOnAir(t *testing.T) {
+	heard := 0
+	rx := &FuncNode{RecvFn: func(_ int64, m *Message, _ bool) {
+		if m != nil {
+			heard++
+		}
+	}}
+	p := NewFaultPlan(2, 1)
+	p.Crash(0, 4)
+	e := NewEngine(graph.Path(2), []Node{Silent{}, rx})
+	e.Bulk = &bulkBeacons{ids: []int32{0}}
+	e.SetFaults(p)
+	for i := 0; i < 10; i++ {
+		e.Step()
+	}
+	if heard != 4 || e.Metrics.Transmissions != 4 {
+		t.Fatalf("receiver heard %d of %d transmissions, want 4 of 4", heard, e.Metrics.Transmissions)
+	}
+}
+
+// TestJamNodeStepsInnerEveryRound: a jammer's protocol is still asked to
+// act in every round, also in rounds where its jam coin fires and noise
+// replaces its action.
+func TestJamNodeStepsInnerEveryRound(t *testing.T) {
+	acts := 0
+	nd := &FuncNode{ActFn: func(int64) Action { acts++; return Transmit(Message{Kind: 1, A: 7}) }}
+	noise := 0
+	rx := &FuncNode{RecvFn: func(_ int64, m *Message, _ bool) {
+		if m != nil && m.Kind == KindNoise {
+			noise++
+		}
+	}}
+	p := NewFaultPlan(2, 8)
+	p.Jam(0, 1)
+	e := NewEngine(graph.Path(2), []Node{nd, rx})
+	e.SetFaults(p)
+	for i := 0; i < 6; i++ {
+		e.Step()
+	}
+	if acts != 6 {
+		t.Fatalf("jammer's protocol acted %d times under constant jamming, want 6", acts)
+	}
+	if noise != 6 || e.Metrics.Transmissions != 6 {
+		t.Fatalf("%d noise receptions of %d transmissions, want 6 of 6", noise, e.Metrics.Transmissions)
+	}
+}
+
+// TestJamNodeCausesCollisions: with collision detection on, a constant
+// jammer leaf turns every beacon round at the star center into a
+// reported collision (TestOverlayJamCausesCollisions is the model
+// without detection).
+func TestJamNodeCausesCollisions(t *testing.T) {
+	rx := &collector{}
+	p := NewFaultPlan(3, 1)
+	p.Jam(2, 1)
+	e := NewEngine(graph.Star(3), []Node{rx, &beacon{v: 5}, Silent{}})
+	e.CollisionDetection = true
+	e.SetFaults(p)
+	for i := 0; i < 20; i++ {
+		e.Step()
+	}
+	if len(rx.heard) != 0 || rx.collided != 20 || e.Metrics.Collisions != 20 {
+		t.Fatalf("center heard %d messages and %d collision reports (%d counted), want 0, 20, 20",
+			len(rx.heard), rx.collided, e.Metrics.Collisions)
+	}
+}
+
+// TestJamNodePassThrough: a zero jam probability installs no jammer, so
+// the node acts as its protocol says.
+func TestJamNodePassThrough(t *testing.T) {
+	acts := 0
+	nd := &FuncNode{ActFn: func(int64) Action { acts++; return Listen }}
+	p := NewFaultPlan(2, 2)
+	p.Jam(0, 0)
+	e := NewEngine(graph.Path(2), []Node{nd, Silent{}})
+	e.SetFaults(p)
+	for i := 0; i < 5; i++ {
+		e.Step()
+	}
+	if acts != 5 || e.Metrics.Transmissions != 0 {
+		t.Fatalf("node acted %d times with %d transmissions, want 5 and 0", acts, e.Metrics.Transmissions)
+	}
+}
+
+// recvCount is a BulkReceiver that counts the deliveries it is handed.
+type recvCount struct{ n int }
+
+func (r *recvCount) RecvBulk(_ int64, listeners, _ []int32, _ []Message) { r.n += len(listeners) }
+
+// TestLossyNodeDropsReceptions: on the BulkReceiver path a faded reception
+// is dropped before the call, while it still counts as an engine delivery
+// (TestOverlayLossDropsReceptions is the per-node path).
+func TestLossyNodeDropsReceptions(t *testing.T) {
+	rc := &recvCount{}
+	p := NewFaultPlan(2, 3)
+	p.Loss(0, 0.5)
+	e := NewEngine(graph.Path(2), []Node{Silent{}, &beacon{v: 5}})
+	e.BulkRecv = rc
+	e.SetFaults(p)
+	for i := 0; i < 400; i++ {
+		e.Step()
+	}
+	if frac := float64(rc.n) / 400; frac < 0.35 || frac > 0.65 {
+		t.Fatalf("delivery fraction %.2f, want ~0.5", frac)
+	}
+	if e.Metrics.Deliveries != 400 {
+		t.Fatalf("Deliveries = %d, want 400 (fades count as on-air deliveries)", e.Metrics.Deliveries)
+	}
+}
+
+// TestOverlayJamCausesCollisions: a constant jammer leaf blanks out the
+// star center.
 func TestOverlayJamCausesCollisions(t *testing.T) {
 	g := graph.Star(3)
 	heard := 0
@@ -110,9 +226,9 @@ func TestOverlayJamCausesCollisions(t *testing.T) {
 	}
 }
 
-// TestOverlayLossDropsReceptions mirrors TestLossyNodeDropsReceptions on
-// the overlay path; faded receptions still count as engine deliveries
-// (the message was on the air), matching the wrapper path's accounting.
+// TestOverlayLossDropsReceptions: a lossy listener hears about half of a
+// beacon's messages; faded receptions still count as engine deliveries
+// (the message was on the air).
 func TestOverlayLossDropsReceptions(t *testing.T) {
 	g := graph.Path(2)
 	heard := 0
@@ -133,107 +249,6 @@ func TestOverlayLossDropsReceptions(t *testing.T) {
 	}
 	if e.Metrics.Deliveries != 400 {
 		t.Fatalf("Deliveries = %d, want 400 (fades count as on-air deliveries)", e.Metrics.Deliveries)
-	}
-}
-
-// chatter is a minimal randomized protocol for the overlay-vs-wrapper
-// equivalence test: transmits its best known value with probability 0.3
-// every round and adopts any higher value it hears.
-type chatter struct {
-	rnd  rng.Rand
-	best int64
-}
-
-func (c *chatter) Act(int64) Action {
-	if c.rnd.Bernoulli(0.3) {
-		return Transmit(Message{Kind: 1, A: c.best})
-	}
-	return Listen
-}
-
-func (c *chatter) Recv(_ int64, m *Message, _ bool) {
-	if m != nil && m.Kind == 1 && m.A > c.best {
-		c.best = m.A
-	}
-}
-
-// TestOverlayMatchesWrappers: the engine-side FaultPlan overlay and the
-// plan's Wrap chain (CrashNode/JamNode/LossyNode with identically derived
-// coin streams) produce the same on-air trajectory round for round — same
-// transmitter sets, same live-node states, same metrics.
-func TestOverlayMatchesWrappers(t *testing.T) {
-	g := graph.Grid(4, 5)
-	n := g.N()
-	const faultSeed = 99
-	mkPlan := func() *FaultPlan {
-		p := NewFaultPlan(n, faultSeed)
-		p.Crash(3, 25)
-		p.Crash(7, 0)
-		p.Crash(12, 60)
-		p.Jam(5, 0.3)
-		p.Jam(9, 0.15)
-		for v := 0; v < n; v += 2 {
-			p.Loss(v, 0.2)
-		}
-		return p
-	}
-	mkNodes := func() []*chatter {
-		nodes := make([]*chatter, n)
-		master := rng.New(42)
-		for v := range nodes {
-			nodes[v] = &chatter{rnd: *master.Fork(uint64(v)), best: int64(v)}
-		}
-		return nodes
-	}
-	record := func(e *Engine) func() []string {
-		var rounds []string
-		e.Hook = func(_ int64, tx []int32, deliveries, collisions int) {
-			ids := slices.Clone(tx)
-			slices.Sort(ids)
-			rounds = append(rounds, fmt.Sprintf("%v d%d c%d", ids, deliveries, collisions))
-		}
-		return func() []string { return rounds }
-	}
-
-	overlayNodes := mkNodes()
-	rnA := make([]Node, n)
-	for v := range rnA {
-		rnA[v] = overlayNodes[v]
-	}
-	eA := NewEngine(g, rnA)
-	eA.SetFaults(mkPlan())
-	logA := record(eA)
-
-	wrapPlan := mkPlan()
-	wrapNodes := mkNodes()
-	rnB := make([]Node, n)
-	for v := range rnB {
-		rnB[v] = wrapPlan.Wrap(v, wrapNodes[v])
-	}
-	eB := NewEngine(g, rnB)
-	logB := record(eB)
-
-	dead := mkPlan()
-	for i := 0; i < 200; i++ {
-		eA.Step()
-		eB.Step()
-	}
-	a, b := logA(), logB()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round %d diverged:\noverlay: %s\nwrapper: %s", i, a[i], b[i])
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !dead.Alive(v) {
-			continue // dead nodes' private state may legally differ
-		}
-		if overlayNodes[v].best != wrapNodes[v].best {
-			t.Errorf("node %d state diverged: overlay %d, wrapper %d", v, overlayNodes[v].best, wrapNodes[v].best)
-		}
-	}
-	if eA.Metrics != eB.Metrics {
-		t.Errorf("metrics diverged:\noverlay: %+v\nwrapper: %+v", eA.Metrics, eB.Metrics)
 	}
 }
 

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,14 +10,16 @@ import (
 )
 
 // scripted transmits according to a fixed per-round schedule and records
-// everything it hears.
+// the rounds it acts in and everything it hears.
 type scripted struct {
 	plan  []bool
 	val   int64
-	heard []int64 // -1 silence, -2 collision-detected, else message value
+	acts  []int64
+	heard []int64 // -1 silence, -2 collision-detected, else message value (noise is 0)
 }
 
 func (s *scripted) Act(t int64) Action {
+	s.acts = append(s.acts, t)
 	if t < int64(len(s.plan)) && s.plan[t] {
 		return Transmit(Message{A: s.val})
 	}
@@ -36,8 +39,20 @@ func (s *scripted) Recv(_ int64, msg *Message, collided bool) {
 
 // matchesBruteForce runs an engine over g for len(plans[v]) rounds — node
 // v transmits its id+1 in the rounds its plan marks — at shard count k,
-// and checks every node's Recv log against a naive per-round reference.
-func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd bool) bool {
+// with the fault plan fp installed when it is non-nil, and checks every
+// node's Act rounds, its Recv log and the engine Metrics against a naive
+// per-round reference. The reference models the overlay's three rules
+// from the plan's parameters alone, deriving its own coin streams from the
+// plan seed:
+//
+//   - crash: from its crash round on a node is dead — it is not asked to
+//     act, does not transmit, hears nothing and is not counted;
+//   - jam: each live jammer draws one coin per round from its jam stream
+//     and, when the coin fires, transmits noise whatever its own action;
+//   - loss: each delivery to a lossy node draws one coin from its loss
+//     stream, and a lost delivery never reaches Recv (it still counts as a
+//     delivery: the message was on the air).
+func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd bool, fp *FaultPlan) bool {
 	n := g.N()
 	T := len(plans[0])
 	nodes := make([]*scripted, n)
@@ -49,46 +64,98 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 	e := NewEngine(g, rn)
 	defer e.Close()
 	e.CollisionDetection = cd
+	e.SetFaults(fp)
 	if k > 1 {
 		e.SetShards(k)
 	}
 	for i := 0; i < T; i++ {
 		e.Step()
 	}
-	// Brute-force reference.
-	for v := 0; v < n; v++ {
-		got := nodes[v].heard
-		gi := 0
-		for round := 0; round < T; round++ {
-			if nodes[v].plan[round] {
-				continue // transmitters do not listen
+	// Brute-force reference: per-round actions, then per-listener outcomes.
+	crashAt := make([]int64, n)
+	jamP := make([]float64, n)
+	lossP := make([]float64, n)
+	jamRnd := make([]*rng.Rand, n)
+	lossRnd := make([]*rng.Rand, n)
+	for v := range crashAt {
+		crashAt[v] = NoCrash
+		if fp == nil {
+			continue
+		}
+		crashAt[v] = fp.CrashRound(v)
+		if fp.jamP != nil && fp.jamP[v] > 0 {
+			jamP[v] = fp.jamP[v]
+			jamRnd[v] = fp.base.Fork(jamStreamTag | uint64(v))
+		}
+		if fp.lossP != nil && fp.lossP[v] > 0 {
+			lossP[v] = fp.lossP[v]
+			lossRnd[v] = fp.base.Fork(lossStreamTag | uint64(v))
+		}
+	}
+	wantActs := make([][]int64, n)
+	wantHeard := make([][]int64, n)
+	var want Metrics
+	tx := make([]bool, n)
+	txVal := make([]int64, n)
+	for round := 0; round < T; round++ {
+		want.Rounds++
+		for v := 0; v < n; v++ {
+			tx[v] = false
+			if int64(round) >= crashAt[v] {
+				continue
+			}
+			wantActs[v] = append(wantActs[v], int64(round))
+			tx[v], txVal[v] = nodes[v].plan[round], nodes[v].val
+			if jamRnd[v] != nil && jamRnd[v].Bernoulli(jamP[v]) {
+				tx[v], txVal[v] = true, 0
+			}
+			if tx[v] {
+				want.Transmissions++
+			}
+		}
+		for v := 0; v < n; v++ {
+			if tx[v] || int64(round) >= crashAt[v] {
+				continue // transmitters and dead nodes do not listen
 			}
 			txNeighbors := 0
-			var txVal int64
+			var heard int64
 			for _, w := range g.Neighbors(v) {
-				if nodes[w].plan[round] {
+				if tx[w] {
 					txNeighbors++
-					txVal = nodes[w].val
+					heard = txVal[w]
 				}
 			}
-			var want int64
 			switch {
 			case txNeighbors == 1:
-				want = txVal
-			case txNeighbors > 1 && cd:
-				want = -2
+				want.Deliveries++
+				if lossRnd[v] != nil && lossRnd[v].Bernoulli(lossP[v]) {
+					continue // faded: no Recv at all
+				}
+			case txNeighbors > 1:
+				want.Collisions++
+				heard = -1
+				if cd {
+					heard = -2
+				}
 			default:
-				want = -1
+				heard = -1
 			}
-			if gi >= len(got) || got[gi] != want {
-				t.Logf("node %d round %d: got %v want %d (cd=%v, k=%d)", v, round, got, want, cd, k)
-				return false
-			}
-			gi++
+			wantHeard[v] = append(wantHeard[v], heard)
 		}
-		if gi != len(got) {
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(nodes[v].acts, wantActs[v]) {
+			t.Logf("node %d acted in rounds %v, want %v (cd=%v, k=%d)", v, nodes[v].acts, wantActs[v], cd, k)
 			return false
 		}
+		if !slices.Equal(nodes[v].heard, wantHeard[v]) {
+			t.Logf("node %d heard %v, want %v (cd=%v, k=%d)", v, nodes[v].heard, wantHeard[v], cd, k)
+			return false
+		}
+	}
+	if e.Metrics != want {
+		t.Logf("metrics %+v, want %+v (cd=%v, k=%d)", e.Metrics, want, cd, k)
+		return false
 	}
 	return true
 }
@@ -119,7 +186,48 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
 		g := graph.Gnp(n, 0.3, r.Fork(1))
-		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, cd)
+		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, cd, nil)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomFaultPlan draws a plan over n nodes and T rounds: each node
+// crashes with probability 0.15 at a round in [0, T], jams with
+// probability 0.15 and loses receptions with probability 0.25, each at a
+// probability in (0, 1).
+func randomFaultPlan(r *rng.Rand, n, T int) *FaultPlan {
+	p := NewFaultPlan(n, r.Uint64())
+	for v := 0; v < n; v++ {
+		if r.Bernoulli(0.15) {
+			p.Crash(v, int64(r.Intn(T+1)))
+		}
+		if r.Bernoulli(0.15) {
+			p.Jam(v, 0.05+0.9*r.Float64())
+		}
+		if r.Bernoulli(0.25) {
+			p.Loss(v, 0.05+0.9*r.Float64())
+		}
+	}
+	return p
+}
+
+// TestEngineMatchesBruteForceUnderFaults is the brute-force cross-check
+// with the fault overlay installed: random graphs, random transmission
+// schedules and random crash/jam/loss plans, at shard counts 1 to 4, with
+// collision detection on and off. The reference models each fault rule
+// independently of the engine (see matchesBruteForce), so dropping any
+// one rule from the engine fails this test.
+func TestEngineMatchesBruteForceUnderFaults(t *testing.T) {
+	master := rng.New(20261018)
+	check := func(seed uint64, nRaw, rounds, shardRaw uint8, cd bool) bool {
+		r := master.Fork(seed)
+		n := int(nRaw)%180 + 2
+		T := int(rounds%20) + 1
+		k := int(shardRaw%4) + 1
+		g := graph.Gnp(n, 0.3, r.Fork(1))
+		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, cd, randomFaultPlan(r.Fork(2), n, T))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -168,7 +276,7 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 		if d, c := rowKinds(g); len(d) > 0 && len(c) > 0 {
 			mixed++
 		}
-		return matchesBruteForce(t, g, randomPlans(r, n, T, q), k, cd)
+		return matchesBruteForce(t, g, randomPlans(r, n, T, q), k, cd, nil)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@
 //
 // Protocols are per-node state machines (the Node interface). The Engine
 // advances all nodes in lock step, applies the collision semantics, and
-// accounts rounds, transmissions, deliveries and collisions. A TDM
-// multiplexer composes sub-protocols into interleaved "lanes", which is how
-// the paper alternates its main and background processes.
+// accounts rounds, transmissions, deliveries and collisions. Protocols
+// that alternate several processes (the paper's main and background
+// lanes) interleave them in time themselves, by engine round.
 package radio
 
 import (
@@ -82,8 +82,8 @@ type Node interface {
 // (at construction or after a wake-up) stays awake for the rest of the
 // run — dormancy is exited at most once.
 //
-// Wrapped nodes (fault injection, TDM) do not implement Sleeper and are
-// simply always awake; correctness never depends on the extension.
+// Nodes without the extension (test doubles) are simply always awake;
+// correctness never depends on it.
 type Sleeper interface {
 	Node
 	// Dormant reports whether the node is in its dormant state.
@@ -96,8 +96,8 @@ type Sleeper interface {
 // Recv calls. When every node of an engine declares it, the per-round
 // listener pass shrinks from O(n) to O(nodes with a transmitting
 // neighbor). Every protocol node in this repository qualifies; test
-// doubles and fault wrappers simply don't implement the marker and keep
-// the full per-round Recv contract.
+// doubles simply don't implement the marker and keep the full per-round
+// Recv contract.
 type SilenceOblivious interface {
 	Node
 	// IgnoresSilence reports whether Recv(t, nil, false) is a no-op for
@@ -173,9 +173,8 @@ func (e *Engine) AddHook(h RoundHook) {
 // implementation MUST be observationally identical to calling Act on every
 // node in increasing id order — same transmitters, same messages, same
 // randomness consumed — it is an optimization seam, never a semantic one.
-// Protocols install it via Engine.Bulk before the first Step; wrapped
-// nodes (fault injection) cannot use it, so constructors leave Bulk nil
-// whenever a Wrap hook is set.
+// Protocols install it via Engine.Bulk before the first Step; faults stay
+// engine-side (SetFaults), so a protocol's bulk pass never models them.
 type BulkActor interface {
 	// ActBulk appends the ids (ascending) and messages of this round's
 	// transmitters to tx and msgs and returns the extended slices.
@@ -195,10 +194,9 @@ type BulkActor interface {
 // like the engine's sparse listener pass, the seam assumes per-listener
 // effects are node-local (no protocol draws randomness or touches another
 // node's state in Recv). A protocol installs it via Engine.BulkRecv only
-// when it owns every engine node — wrapped/fault-injected nodes keep the
-// existing per-node path, so constructors leave BulkRecv nil whenever a
-// Wrap hook is set. The engine re-queries Sleeper dormancy for delivered
-// nodes after the call, preserving the wake-up contract.
+// when it owns every engine node; faded receptions (FaultPlan loss) are
+// dropped before the call. The engine re-queries Sleeper dormancy for
+// delivered nodes after the call, preserving the wake-up contract.
 type BulkReceiver interface {
 	// RecvBulk delivers this round's receptions: for each k, node
 	// listeners[k] heard msgs[msgIdx[k]]. All three slices are engine
@@ -239,7 +237,7 @@ type Engine struct {
 	onair    []uint64 // >= 1 transmitting neighbor this round
 	collided []uint64 // >= 2 transmitting neighbors (subset of onair)
 	txw      []uint64 // transmitted this round
-	deadw    []uint64 // crashed (overlay schedule or Mortal wrapper)
+	deadw    []uint64 // crashed (the fault overlay's crash schedule)
 	dormw    []uint64 // dormant Sleeper nodes
 	quietw   []uint64 // SilenceOblivious nodes
 	dirty    []uint64 // summary: bit w set if onair word w was touched (a superset, see kernel.go)
@@ -272,28 +270,20 @@ type Engine struct {
 	workerCmds    []chan uint8
 	workerCleanup runtime.Cleanup
 
-	// Fault state: deadw is the union of the overlay's crash schedule and
-	// the Mortal wrappers' reports; a dead node is off the air and out of
-	// the listener pass. anyDead gates the per-node Act check so unfaulted
-	// runs pay one predictable branch.
+	// Fault state: deadw accumulates the overlay's crash schedule; a dead
+	// node is off the air and out of the listener pass. anyDead gates the
+	// per-node Act check so unfaulted runs pay one predictable branch.
 	fault      *FaultPlan
 	hasLoss    bool
 	anyDead    bool
 	crashSched []crashEvent
 	crashCur   int
-	mortals    []mortalRef
 }
 
 // crashEvent is one overlay crash, sorted by round for the Step cursor.
 type crashEvent struct {
 	round int64
 	node  int32
-}
-
-// mortalRef pairs a Mortal wrapper with its node id for the per-round poll.
-type mortalRef struct {
-	id int32
-	nd Mortal
 }
 
 // NewEngine returns an engine running nodes on g. len(nodes) must equal
@@ -350,9 +340,6 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 			e.quietw[w] |= b
 		} else {
 			e.allQuiet = false
-		}
-		if m, ok := nd.(Mortal); ok {
-			e.mortals = append(e.mortals, mortalRef{id: int32(i), nd: m})
 		}
 	}
 	// Shard state 0 always exists and aliases the engine bitsets: the
@@ -425,14 +412,6 @@ func (e *Engine) Step() {
 			e.deadw[v>>6] |= 1 << (uint(v) & 63)
 			e.anyDead = true
 			e.crashCur++
-		}
-	}
-	for _, m := range e.mortals {
-		w := m.id >> 6
-		b := uint64(1) << (uint(m.id) & 63)
-		if e.deadw[w]&b == 0 && m.nd.Crashed(t) {
-			e.deadw[w] |= b
-			e.anyDead = true
 		}
 	}
 	// txw is maintained differentially: the bits set last round are
@@ -578,8 +557,7 @@ func (e *Engine) Step() {
 // replaces the node's action for the round with a KindNoise transmission
 // (overriding a protocol transmission in place, or putting a listener on
 // the air). Jammers are visited in ascending id order and each live jammer
-// draws exactly one coin per round, matching JamNode's wrapper semantics
-// coin for coin.
+// draws exactly one coin per round from its own stream.
 //
 //radionet:hotpath
 func (e *Engine) applyJam() {
@@ -685,52 +663,4 @@ func (e *Engine) RunUntil(maxRounds int64, p *Progress) (rounds int64, done bool
 	return rounds, false
 }
 
-// TDM interleaves k sub-protocols in time-division lanes: global round t
-// is lane t mod k, executing sub-round t / k of that lane. This is exactly
-// how the paper runs its main and background processes "concurrently,
-// alternating between steps of each".
-type TDM struct {
-	Lanes []Node
-}
-
-// NewTDM returns a TDM node over the given lanes.
-func NewTDM(lanes ...Node) *TDM { return &TDM{Lanes: lanes} }
-
-// Act implements Node.
-func (m *TDM) Act(round int64) Action {
-	k := int64(len(m.Lanes))
-	return m.Lanes[round%k].Act(round / k)
-}
-
-// Recv implements Node.
-func (m *TDM) Recv(round int64, msg *Message, collided bool) {
-	k := int64(len(m.Lanes))
-	m.Lanes[round%k].Recv(round/k, msg, collided)
-}
-
-// FuncNode adapts plain functions to the Node interface; handy in tests.
-type FuncNode struct {
-	ActFn  func(round int64) Action
-	RecvFn func(round int64, msg *Message, collided bool)
-}
-
-// Act implements Node.
-func (f *FuncNode) Act(round int64) Action {
-	if f.ActFn == nil {
-		return Listen
-	}
-	return f.ActFn(round)
-}
-
-// Recv implements Node.
-func (f *FuncNode) Recv(round int64, msg *Message, collided bool) {
-	if f.RecvFn != nil {
-		f.RecvFn(round, msg, collided)
-	}
-}
-
-var (
-	_ Node = Silent{}
-	_ Node = (*TDM)(nil)
-	_ Node = (*FuncNode)(nil)
-)
+var _ Node = Silent{}

@@ -31,6 +31,26 @@ type beacon struct{ v int64 }
 func (b *beacon) Act(int64) Action           { return Transmit(Message{A: b.v}) }
 func (b *beacon) Recv(int64, *Message, bool) {}
 
+// FuncNode adapts plain functions to the Node interface: a nil ActFn
+// listens, a nil RecvFn ignores every report.
+type FuncNode struct {
+	ActFn  func(round int64) Action
+	RecvFn func(round int64, msg *Message, collided bool)
+}
+
+func (f *FuncNode) Act(round int64) Action {
+	if f.ActFn == nil {
+		return Listen
+	}
+	return f.ActFn(round)
+}
+
+func (f *FuncNode) Recv(round int64, msg *Message, collided bool) {
+	if f.RecvFn != nil {
+		f.RecvFn(round, msg, collided)
+	}
+}
+
 func TestSingleTransmitterDelivers(t *testing.T) {
 	g := graph.Star(4) // center 0
 	c1, c2, c3 := &collector{}, &collector{}, &collector{}
@@ -320,55 +340,6 @@ func TestBulkActorMatchesPerNode(t *testing.T) {
 		if h1[i] != h2[i] {
 			t.Fatalf("node %d heard %d per-node vs %d bulk", i, h1[i], h2[i])
 		}
-	}
-}
-
-func TestTDMRoutesLanes(t *testing.T) {
-	g := graph.Path(2)
-	var laneARounds, laneBRounds []int64
-	laneA := &FuncNode{ActFn: func(r int64) Action { laneARounds = append(laneARounds, r); return Listen }}
-	laneB := &FuncNode{ActFn: func(r int64) Action { laneBRounds = append(laneBRounds, r); return Listen }}
-	e := NewEngine(g, []Node{NewTDM(laneA, laneB), Silent{}})
-	for i := 0; i < 6; i++ {
-		e.Step()
-	}
-	for i, r := range laneARounds {
-		if r != int64(i) {
-			t.Fatalf("lane A rounds %v", laneARounds)
-		}
-	}
-	if len(laneARounds) != 3 || len(laneBRounds) != 3 {
-		t.Fatalf("lane calls %d/%d, want 3/3", len(laneARounds), len(laneBRounds))
-	}
-}
-
-func TestTDMIsolatesTransmissions(t *testing.T) {
-	// Lane 0 of node 0 transmits; the peer's lane 0 should hear it on even
-	// global rounds and lane 1 should hear silence on odd ones.
-	g := graph.Path(2)
-	var lane0Heard, lane1Heard int
-	tx := NewTDM(
-		&FuncNode{ActFn: func(int64) Action { return Transmit(Message{A: 1}) }},
-		Silent{},
-	)
-	rx := NewTDM(
-		&FuncNode{RecvFn: func(_ int64, m *Message, _ bool) {
-			if m != nil {
-				lane0Heard++
-			}
-		}},
-		&FuncNode{RecvFn: func(_ int64, m *Message, _ bool) {
-			if m != nil {
-				lane1Heard++
-			}
-		}},
-	)
-	e := NewEngine(g, []Node{tx, rx})
-	for i := 0; i < 10; i++ {
-		e.Step()
-	}
-	if lane0Heard != 5 || lane1Heard != 0 {
-		t.Fatalf("lane0 = %d lane1 = %d, want 5 0", lane0Heard, lane1Heard)
 	}
 }
 

@@ -36,7 +36,6 @@ package radionet
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 
 	"radionet/internal/cluster"
@@ -277,12 +276,9 @@ func (n *Network) Broadcast(src int, value int64, o BroadcastOptions) (Result, e
 // tuning converts the facade's typed Config into a BuildParams.Tuning
 // value: nil for the zero value (every algorithm's defaults), the Config
 // itself otherwise. Descriptors that don't take a compete.Config reject a
-// non-zero one loudly instead of silently ignoring it. The zero test
-// needs reflect.DeepEqual because Config carries a func field (Wrap),
-// which rules out ==; DeepEqual treats funcs as equal only when both are
-// nil, which is exactly the zero-value semantics wanted here.
+// non-zero one loudly instead of silently ignoring it.
 func tuning(cfg Config) any {
-	if reflect.DeepEqual(cfg, Config{}) {
+	if cfg == (Config{}) {
 		return nil
 	}
 	return cfg

@@ -1,6 +1,7 @@
 package radionet
 
 import (
+	"strings"
 	"testing"
 
 	"radionet/internal/compete"
@@ -230,5 +231,31 @@ func TestFacadeMetrics(t *testing.T) {
 	}
 	if got := lreg.Snapshot().Counters["engine.rounds"]; got <= 0 || !lres.Done {
 		t.Fatalf("leader metrics missing: rounds=%d done=%v", got, lres.Done)
+	}
+}
+
+// TestConfigTuningRouting pins how BroadcastOptions.Config reaches the
+// protocol registry: a zero Config means "defaults" (no tuning, so the
+// network's memoized precomputation is shared), a non-zero one is handed
+// to the descriptor, and descriptors that take no tuning reject it.
+func TestConfigTuningRouting(t *testing.T) {
+	net := NewNetwork(Grid(6, 10))
+	if tun := tuning(Config{}); tun != nil {
+		t.Fatalf("tuning(Config{}) = %v, want nil", tun)
+	}
+	res, err := net.Broadcast(0, 42, BroadcastOptions{Algorithm: CD17, Seed: 3})
+	if err != nil || !res.Done {
+		t.Fatalf("zero Config with CD17: done=%v err=%v", res.Done, err)
+	}
+	if len(net.scratches) != 1 {
+		t.Fatalf("zero Config with CD17 memoized %d precomputations, want 1", len(net.scratches))
+	}
+	_, err = net.Broadcast(0, 42, BroadcastOptions{Algorithm: BGI, Seed: 3, Config: Config{CurtailLogLog: true}})
+	if err == nil || !strings.Contains(err.Error(), "take no tuning") {
+		t.Fatalf("non-zero Config with BGI: err = %v, want the Decay descriptors' no-tuning error", err)
+	}
+	res, err = net.Broadcast(0, 42, BroadcastOptions{Algorithm: CD17, Seed: 3, Config: Config{CurtailLogLog: true}})
+	if err != nil || !res.Done {
+		t.Fatalf("Config{CurtailLogLog: true} with CD17: done=%v err=%v", res.Done, err)
 	}
 }
