@@ -23,7 +23,7 @@ func init() {
 		Summary:   "Czumaj–Rytter/Kowalski–Pelc-flavored surrogate: Decay phases truncated to the log(n/D) contention scale, O(D·log(n/D) + log²n)-style",
 		BudgetDoc: "20·(D+L)·L",
 		Order:     20,
-		Caps:      protocol.Caps{Faults: true, Bulk: true},
+		Caps:      protocol.Caps{Faults: true},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return decay.BuildRunner(p, decay.Config{Levels: TruncatedDecayLevels(p.G.N(), p.D)})
 		},
@@ -59,7 +59,7 @@ func init() {
 		Summary:   "expected-O(T_BC) election in the style of Czumaj–Davies'19 [8]: one multi-source max-propagating Decay broadcast of candidate IDs",
 		BudgetDoc: "6·(D+L)·L",
 		Order:     20,
-		Caps:      protocol.Caps{Faults: true, Bulk: true},
+		Caps:      protocol.Caps{Faults: true},
 		Protect:   protectMaxCandidate,
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Tuning != nil {

@@ -22,7 +22,7 @@ func init() {
 		Summary:   "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
 		BudgetDoc: "8×Budget() (Theorem 4.1 with the implementation's constants)",
 		Order:     40,
-		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true},
+		Caps:      protocol.Caps{Faults: true, Scratch: true},
 		// Shared with leader:cd17 — both default-tuning scratches are
 		// NewPre(g, d, Config{}), so one build serves both descriptors.
 		ScratchKey: "compete/pre",
@@ -44,7 +44,7 @@ func init() {
 		Summary:   "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
 		BudgetDoc: "8×Budget()",
 		Order:     30,
-		Caps:      protocol.Caps{Faults: true, Scratch: true, Bulk: true},
+		Caps:      protocol.Caps{Faults: true, Scratch: true},
 		// Distinct from cd17's key: CurtailLogLog changes the schedule
 		// lengths baked into the precomputation.
 		ScratchKey: "compete/pre-hw16",
@@ -66,7 +66,7 @@ func init() {
 		Summary:    "Algorithm 6 / Theorem 5.2: Θ(log n) random candidates compete, O(D·log n/log D + polylog n) whp — first LE asymptotically equal to broadcast",
 		BudgetDoc:  "8×Budget()",
 		Order:      40,
-		Caps:       protocol.Caps{Faults: true, Scratch: true, Bulk: true},
+		Caps:       protocol.Caps{Faults: true, Scratch: true},
 		ScratchKey: "compete/pre", // see broadcast:cd17
 		NewScratch: func(g *graph.Graph, d int, tuning any) any {
 			cfg, err := leaderTuning(tuning)

@@ -21,7 +21,7 @@ func init() {
 		Summary:   "classical Decay broadcast of Bar-Yehuda–Goldreich–Itai, O((D+log n)·log n); no spontaneous transmissions",
 		BudgetDoc: "20·(D+L)·L",
 		Order:     10,
-		Caps:      protocol.Caps{Faults: true, Bulk: true},
+		Caps:      protocol.Caps{Faults: true},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return BuildRunner(p, Config{})
 		},

@@ -66,7 +66,7 @@ func init() {
 		Summary:   "classical reduction: k successive single-message Decay broadcasts, Θ(k·(D+log n)·log n)",
 		BudgetDoc: "k · 40·(n+L)·L per message (explicit budgets split evenly per message)",
 		Order:     10,
-		Caps:      protocol.Caps{Bulk: true},
+		Caps:      protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Faults != nil {
 				return nil, fmt.Errorf("multicast: sequential does not support fault plans (each broadcast restarts the round clock)")

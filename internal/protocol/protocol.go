@@ -87,9 +87,6 @@ type Caps struct {
 	// (the campaign builds one per configuration and shares it across the
 	// seed axis).
 	Scratch bool
-	// Bulk: the runner drives the engine's BulkActor/BulkReceiver fast
-	// paths (informational; see DESIGN.md §5).
-	Bulk bool
 }
 
 // Result is the uniform outcome of one protocol run.

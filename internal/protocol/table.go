@@ -17,9 +17,6 @@ func capString(c Caps) string {
 	if c.Scratch {
 		parts = append(parts, "scratch")
 	}
-	if c.Bulk {
-		parts = append(parts, "bulk")
-	}
 	if len(parts) == 0 {
 		return "—"
 	}
