@@ -47,11 +47,6 @@ type node struct {
 	heard  map[int64]bool
 }
 
-// IgnoresSilence implements radio.SilenceOblivious: the protocol decodes
-// beeps and collisions only; silence carries the zero bit implicitly via
-// the wave schedule, so a no-reception Recv is a no-op.
-func (nd *node) IgnoresSilence() bool { return true }
-
 func (nd *node) Act(t int64) radio.Action {
 	if nd.isSource {
 		k := t / waveSpacing

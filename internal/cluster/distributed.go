@@ -59,11 +59,6 @@ type distNode struct {
 
 func (d *distNode) assigned() bool { return d.center >= 0 }
 
-// IgnoresSilence implements radio.SilenceOblivious: Recv without a
-// message is always a no-op. (distNode is not a radio.Sleeper: unassigned
-// nodes wake on a time trigger, not a reception.)
-func (d *distNode) IgnoresSilence() bool { return true }
-
 func (d *distNode) Act(t int64) radio.Action {
 	phase := t / d.phaseLen
 	if !d.assigned() && phase >= d.wakePhase {

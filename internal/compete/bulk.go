@@ -720,9 +720,6 @@ type bnode struct {
 	id int32
 }
 
-// IgnoresSilence implements radio.SilenceOblivious (cf. cnode).
-func (nd *bnode) IgnoresSilence() bool { return true }
-
 // Act implements radio.Node. It is unreachable: the engine never calls
 // per-node Act while a BulkActor is installed, and the bulk path installs
 // one unconditionally.
@@ -742,4 +739,3 @@ func (nd *bnode) Recv(t int64, msg *radio.Message, _ bool) {
 var _ radio.BulkActor = (*bulkState)(nil)
 var _ radio.BulkReceiver = (*bulkState)(nil)
 var _ radio.Node = (*bnode)(nil)
-var _ radio.SilenceOblivious = (*bnode)(nil)

@@ -54,11 +54,6 @@ func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
 	return c
 }
 
-// IgnoresSilence implements radio.SilenceOblivious: Recv without a
-// message is always a no-op (cnode is never dormant, though — centers
-// transmit spontaneously).
-func (nd *cnode) IgnoresSilence() bool { return true }
-
 // Act implements radio.Node.
 func (nd *cnode) Act(t int64) radio.Action {
 	lane := t % numLanes
@@ -211,4 +206,3 @@ func (nd *cnode) actHelper(t int64, st *icpState, fines []fine, coinSeed uint64)
 }
 
 var _ radio.Node = (*cnode)(nil)
-var _ radio.SilenceOblivious = (*cnode)(nil)

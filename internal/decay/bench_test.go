@@ -4,27 +4,16 @@ import (
 	"testing"
 
 	"radionet/internal/graph"
-	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
 
 // The incremental-termination benchmarks: Decay broadcast at n = 10^5 on
 // sparse topologies, comparing the hot path (O(1) Done via radio.Progress
-// + engine Sleeper/SilenceOblivious/BulkActor fast paths) against the
-// seed-style configuration (per-round O(n) full-scan stop predicate on
-// the per-node engine path). Round counts are identical by construction;
-// only wall time differs. See DESIGN.md §5 for recorded numbers — the
-// fast path is the ≥3x win this layer exists for.
-
-// opaqueNode hides the Sleeper/SilenceOblivious extensions; an engine
-// built over opaqueNodes, with no bulk seams, reproduces the seed engine
-// configuration: dense per-node Act and Recv loops every round.
-type opaqueNode struct{ inner radio.Node }
-
-func (o *opaqueNode) Act(t int64) radio.Action { return o.inner.Act(t) }
-func (o *opaqueNode) Recv(t int64, m *radio.Message, c bool) {
-	o.inner.Recv(t, m, c)
-}
+// + the engine's BulkActor/BulkReceiver seams) against the seed-style
+// configuration (per-round O(n) full-scan stop predicate on the per-node
+// engine path: an Act call for every node every round). Round counts are
+// identical by construction; only wall time differs. See DESIGN.md §5 for
+// recorded numbers.
 
 func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 	b.Helper()
@@ -33,11 +22,7 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 		b.StopTimer()
 		bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
 		if fullScan {
-			rn := make([]radio.Node, len(bc.nodes))
-			for v := range bc.nodes {
-				rn[v] = &opaqueNode{inner: &bc.nodes[v]}
-			}
-			bc.Engine = radio.NewEngine(g, rn)
+			perNode(bc)
 		}
 		b.StartTimer()
 		var done bool

@@ -108,14 +108,6 @@ type node struct {
 
 func (b *node) informed() bool { return b.tr.isInformed[b.idx] }
 
-// Dormant implements radio.Sleeper: an uninformed node always listens,
-// ignores silence, and consumes no randomness, so the engine may skip it.
-func (b *node) Dormant() bool { return !b.informed() }
-
-// IgnoresSilence implements radio.SilenceOblivious: Recv without a message
-// is always a no-op.
-func (b *node) IgnoresSilence() bool { return true }
-
 func (b *node) Act(t int64) radio.Action {
 	if !b.informed() {
 		return radio.Listen

@@ -56,14 +56,6 @@ func (nd *node) learn(idx int, val int64) {
 	}
 }
 
-// Dormant implements radio.Sleeper: a node that knows no message yet
-// always listens, ignores silence, and consumes no randomness.
-func (nd *node) Dormant() bool { return nd.count == 0 }
-
-// IgnoresSilence implements radio.SilenceOblivious: Recv without a message
-// is always a no-op.
-func (nd *node) IgnoresSilence() bool { return true }
-
 func (nd *node) Act(t int64) radio.Action {
 	if nd.count == 0 {
 		return radio.Listen

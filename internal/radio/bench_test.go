@@ -80,9 +80,7 @@ func (s *scatterKernel) run(tx []int32) (deliveries, collisions int) {
 }
 
 // benchEngine builds an engine whose nodes never act on their own (the
-// benchmark drives transmit sets directly), mirroring the listener
-// population of a Decay round: everything quiet, so the all-quiet
-// dirty-word classify path runs.
+// benchmark drives transmit sets directly).
 func benchEngine(g *graph.Graph) *Engine {
 	nodes := make([]Node, g.N())
 	for v := range nodes {

@@ -13,10 +13,9 @@ import (
 // with the seams left uninstalled, so per-node Act/Recv and the bulk paths
 // must produce identical logs and metrics.
 type bulkProto struct {
-	n      int
-	quiet  []bool // per-node IgnoresSilence answer
-	heard  [][]int64
-	silent []int // silence/collision reports per node (dense pass only)
+	n     int
+	heard [][]int64
+	coll  []int // collision reports per node (collision detection only)
 }
 
 type bulkProtoNode struct {
@@ -33,19 +32,11 @@ func (nd *bulkProtoNode) Act(t int64) Action {
 
 func (nd *bulkProtoNode) Recv(t int64, msg *Message, collided bool) {
 	if msg == nil {
-		// Honor the SilenceOblivious promise: a quiet node's
-		// nothing-heard report must be a no-op (the sparse pass may
-		// legitimately skip it); collision reports under detection and
-		// loud nodes' reports are always counted.
-		if collided || !nd.p.quiet[nd.id] {
-			nd.p.silent[nd.id]++
-		}
+		nd.p.coll[nd.id]++
 		return
 	}
 	nd.p.heard[nd.id] = append(nd.p.heard[nd.id], msg.A)
 }
-
-func (nd *bulkProtoNode) IgnoresSilence() bool { return nd.p.quiet[nd.id] }
 
 func (p *bulkProto) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
 	for v := 0; v < p.n; v++ {
@@ -63,19 +54,14 @@ func (p *bulkProto) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message)
 	}
 }
 
-// run executes rounds rounds on g, with or without the bulk seams. Nodes
-// whose id is in loud do not ignore silence, forcing the dense listener
-// pass (quiet nodes' silence reports are skipped on both paths there, so
-// logs stay comparable).
-func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool, cd bool, loud map[int]bool) *Engine {
+// run executes rounds rounds on g, with or without the bulk seams.
+func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool, cd bool) *Engine {
 	n := g.N()
 	p.n = n
-	p.quiet = make([]bool, n)
 	p.heard = make([][]int64, n)
-	p.silent = make([]int, n)
+	p.coll = make([]int, n)
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
-		p.quiet[v] = !loud[v]
 		nodes[v] = &bulkProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
@@ -89,9 +75,8 @@ func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool, cd bool, loud m
 }
 
 // The bulk Act/Recv seams must be observationally identical to the
-// per-node paths in both listener passes (sparse: all nodes quiet; dense:
-// some nodes loud) and under collision detection (collision reports stay
-// per-node while deliveries travel through the seam).
+// per-node paths, with and without collision detection (collision reports
+// stay per-node while deliveries travel through the seam).
 func TestBulkRecvMatchesPerNode(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Path(23),
@@ -101,104 +86,28 @@ func TestBulkRecvMatchesPerNode(t *testing.T) {
 	}
 	for _, g := range graphs {
 		for _, cd := range []bool{false, true} {
-			for _, loud := range []map[int]bool{nil, {2: true, 7: true}} {
-				ref, got := &bulkProto{}, &bulkProto{}
-				re := ref.run(g, 64, false, cd, loud)
-				ge := got.run(g, 64, true, cd, loud)
-				if re.Metrics != ge.Metrics {
-					t.Fatalf("%s cd=%v loud=%v: metrics differ: per-node %+v, bulk %+v",
-						g, cd, loud, re.Metrics, ge.Metrics)
+			ref, got := &bulkProto{}, &bulkProto{}
+			re := ref.run(g, 64, false, cd)
+			ge := got.run(g, 64, true, cd)
+			if re.Metrics != ge.Metrics {
+				t.Fatalf("%s cd=%v: metrics differ: per-node %+v, bulk %+v",
+					g, cd, re.Metrics, ge.Metrics)
+			}
+			for v := 0; v < g.N(); v++ {
+				a, b := ref.heard[v], got.heard[v]
+				if len(a) != len(b) {
+					t.Fatalf("%s cd=%v node %d: heard %d vs %d messages", g, cd, v, len(a), len(b))
 				}
-				for v := 0; v < g.N(); v++ {
-					a, b := ref.heard[v], got.heard[v]
-					if len(a) != len(b) {
-						t.Fatalf("%s cd=%v node %d: heard %d vs %d messages", g, cd, v, len(a), len(b))
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s cd=%v node %d msg %d: %d vs %d", g, cd, v, i, a[i], b[i])
 					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("%s cd=%v node %d msg %d: %d vs %d", g, cd, v, i, a[i], b[i])
-						}
-					}
-					if ref.silent[v] != got.silent[v] {
-						t.Fatalf("%s cd=%v node %d: %d vs %d silence/collision reports",
-							g, cd, v, ref.silent[v], got.silent[v])
-					}
+				}
+				if ref.coll[v] != got.coll[v] {
+					t.Fatalf("%s cd=%v node %d: %d vs %d collision reports",
+						g, cd, v, ref.coll[v], got.coll[v])
 				}
 			}
 		}
-	}
-}
-
-// A dormant node woken by a bulk delivery must be re-queried: the engine
-// skips dormant Act calls, so a missed wake-up would silence the node
-// forever.
-type wakeNode struct {
-	id    int32
-	awake *[]bool
-	acted *int
-	heard *int
-}
-
-func (nd *wakeNode) Act(t int64) Action {
-	*nd.acted++
-	return Transmit(Message{Kind: 1, A: int64(nd.id)})
-}
-
-func (nd *wakeNode) Recv(t int64, msg *Message, collided bool) {
-	if msg != nil {
-		*nd.heard++
-		(*nd.awake)[nd.id] = true
-	}
-}
-
-func (nd *wakeNode) Dormant() bool        { return !(*nd.awake)[nd.id] }
-func (nd *wakeNode) IgnoresSilence() bool { return true }
-
-type wakeBulk struct {
-	nodes []*wakeNode
-}
-
-func (w *wakeBulk) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
-	for _, nd := range w.nodes {
-		if !nd.Dormant() {
-			a := nd.Act(t)
-			tx = append(tx, nd.id)
-			msgs = append(msgs, a.Msg)
-		}
-	}
-	return tx, msgs
-}
-
-func (w *wakeBulk) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message) {
-	for k, vi := range listeners {
-		w.nodes[vi].Recv(t, &msgs[msgIdx[k]], false)
-	}
-}
-
-func TestBulkRecvRequeriesDormancy(t *testing.T) {
-	g := graph.Path(4)
-	awake := make([]bool, 4)
-	awake[0] = true
-	acted := make([]int, 4)
-	heard := make([]int, 4)
-	w := &wakeBulk{}
-	nodes := make([]Node, 4)
-	for v := 0; v < 4; v++ {
-		nd := &wakeNode{id: int32(v), awake: &awake, acted: &acted[v], heard: &heard[v]}
-		w.nodes = append(w.nodes, nd)
-		nodes[v] = nd
-	}
-	e := NewEngine(g, nodes)
-	e.Bulk = w
-	e.BulkRecv = w
-	// Round 0: node 0 transmits, node 1 hears and wakes through the bulk
-	// seam. Round 1: nodes 0 and 1 both transmit (collision at... node 2
-	// only neighbors 1). The wake chain must reach the end of the path.
-	e.Run(8, nil)
-	if !awake[1] {
-		t.Fatal("node 1 not woken by bulk delivery")
-	}
-	if acted[1] == 0 {
-		t.Fatal("woken node 1 never acted: dormancy was not re-queried after RecvBulk")
 	}
 }

@@ -37,7 +37,7 @@ const (
 //
 //   - A node with crash round R is dead in every round t >= R: it never
 //     transmits (bulk-computed transmissions are masked off the air), is
-//     skipped by both listener passes, and stops counting toward
+//     skipped by the listener pass, and stops counting toward
 //     Metrics.Deliveries/Collisions. Its protocol machine may keep
 //     drawing from its private randomness stream on the bulk path; the
 //     draws are unobservable because nothing the node does reaches the
@@ -226,7 +226,7 @@ func (p *FaultPlan) CountedTarget(g *graph.Graph, sources map[int]int64) (counte
 
 // dropRecv draws node v's fade coin for a delivery and reports whether the
 // reception is lost. Only lossy nodes consume randomness, and only for
-// deliveries (never for silence or collisions).
+// deliveries (never for collisions).
 func (p *FaultPlan) dropRecv(v int) bool {
 	return p.lossP != nil && p.lossP[v] > 0 && p.lossRnd[v].Bernoulli(p.lossP[v])
 }

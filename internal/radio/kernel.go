@@ -1,9 +1,9 @@
 // Word-parallel delivery kernels and intra-round sharding for Engine.Step.
 //
 // The round state that the seed engine kept in per-node arrays (hits,
-// stamp, isTx, dead, dormant, quiet) lives here as bitsets — one bit per
-// node, 64 nodes per word — so the listener pass classifies a whole word
-// of nodes with a handful of ALU ops:
+// stamp, isTx, dead) lives here as bitsets — one bit per node, 64 nodes
+// per word — so the listener pass classifies a whole word of nodes with a
+// handful of ALU ops:
 //
 //	live = ^(txw | deadw) & tail     nodes that can listen this round
 //	on   = onair & live              listeners with >= 1 transmitting neighbor
@@ -18,13 +18,15 @@
 // CSR mark flags its own word, a dense row flags its whole word range at
 // once, so the summary is a superset — and sparse rounds scan and clear
 // O(touched) words, not O(n/64). A dirty word whose onair is zero
-// classifies, merges and clears to nothing.
+// classifies, merges and clears to nothing. A listener outside every
+// touched word heard nothing and is owed no Recv call, so the one
+// listener pass scans the dirty summary only.
 //
 // Sharding splits the marking pass over contiguous chunks of the transmit
 // list and the classify pass over contiguous word ranges, across k
 // goroutines with the round barrier as the only sync point. Shards never
 // call into protocol code: they classify into private accumulators
-// (counts, delivery/collision/silence lists) that the sequential replay
+// (counts, delivery/collision lists) that the sequential replay
 // step drains in shard order. Because shard ranges partition the node
 // space in ascending order and every per-listener effect is node-local
 // (see BulkReceiver's contract; loss coins come from per-node streams),
@@ -83,7 +85,6 @@ type shardState struct {
 	rcvID  []int32 // classify output: delivery listeners (ascending)
 	rcvIdx []int32 // txmsg index heard by each delivery listener
 	coll   []int32 // collision-report listeners (collision detection only)
-	silent []int32 // nothing-heard listeners owed a Recv(t, nil, false)
 
 	deliveries int
 	collisions int
@@ -269,14 +270,12 @@ func (e *Engine) mergeMarks() {
 	}
 }
 
-// runClassify scans the shard's word range and buckets every listener
-// into the delivery / collision-report / silence-report accumulators. No
-// protocol code runs here (replay is sequential); the only mutation
+// runClassify scans the dirty words of the shard's word range and
+// buckets their listeners into the delivery and collision-report
+// accumulators; an untouched word holds no listener that heard anything.
+// No protocol code runs here (replay is sequential); the only mutation
 // outside the shard is the per-node loss stream draw, and the word ranges
-// partition nodes so no stream is shared. When every node ignores silence
-// only touched (dirty) words can owe a call; otherwise the full range is
-// scanned for silence reports, which is what the seed's dense pass paid
-// per node.
+// partition nodes so no stream is shared.
 //
 //radionet:hotpath
 func (st *shardState) runClassify() {
@@ -285,33 +284,29 @@ func (st *shardState) runClassify() {
 	st.rcvID = st.rcvID[:0]
 	st.rcvIdx = st.rcvIdx[:0]
 	st.coll = st.coll[:0]
-	st.silent = st.silent[:0]
 	lo, hi := st.w0, st.w1
 	if lo >= hi {
 		return
 	}
-	if e.allQuiet {
-		first, last := lo>>6, (hi-1)>>6
-		for ws := first; ws <= last; ws++ {
-			m := e.dirty[ws]
-			if ws == first {
-				m &= ^uint64(0) << (uint(lo) & 63)
-			}
-			if ws == last && hi&63 != 0 {
-				m &= uint64(1)<<(uint(hi)&63) - 1
-			}
-			for ; m != 0; m &= m - 1 {
-				st.classifyWord(ws<<6 + bits.TrailingZeros64(m))
-			}
+	first, last := lo>>6, (hi-1)>>6
+	for ws := first; ws <= last; ws++ {
+		m := e.dirty[ws]
+		if ws == first {
+			m &= ^uint64(0) << (uint(lo) & 63)
 		}
-		return
-	}
-	for w := lo; w < hi; w++ {
-		st.classifyWord(w)
+		if ws == last && hi&63 != 0 {
+			m &= uint64(1)<<(uint(hi)&63) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			st.classifyWord(ws<<6 + bits.TrailingZeros64(m))
+		}
 	}
 }
 
-// classifyWord applies the delivery kernel to one 64-node word.
+// classifyWord applies the delivery kernel to one 64-node word: singleton
+// listeners join the delivery list and, with collision detection,
+// collided listeners join the collision-report list. Without collision
+// detection a collided listener is only counted; it heard nothing.
 //
 //radionet:hotpath
 func (st *shardState) classifyWord(w int) {
@@ -320,9 +315,8 @@ func (st *shardState) classifyWord(w int) {
 	if w == e.words-1 {
 		mask = e.tailMask
 	}
-	ow := e.onair[w]
 	live := ^(e.txw[w] | e.deadw[w]) & mask
-	on := ow & live
+	on := e.onair[w] & live
 	cw := e.collided[w]
 	sing := on &^ cw
 	coll := on & cw
@@ -337,27 +331,10 @@ func (st *shardState) classifyWord(w int) {
 		st.rcvID = append(st.rcvID, v)
 		st.rcvIdx = append(st.rcvIdx, e.resolve(v))
 	}
-	qd := e.quietw[w] | e.dormw[w]
-	var silw uint64
 	if e.CollisionDetection {
-		// A collision report can wake a dormant node and is never a
-		// silence, so every collided listener gets a Recv — quiet and
-		// dormant included.
 		for c := coll; c != 0; c &= c - 1 {
 			st.coll = append(st.coll, base+int32(bits.TrailingZeros64(c)))
 		}
-	} else {
-		// Without collision detection a collision IS silence: the call is
-		// Recv(t, nil, false), a no-op for quiet and dormant listeners by
-		// their SilenceOblivious/Sleeper promises, so only the rest fold
-		// into the silence list.
-		silw = coll &^ qd
-	}
-	if !e.allQuiet {
-		silw |= live &^ ow &^ qd
-	}
-	for s := silw; s != 0; s &= s - 1 {
-		st.silent = append(st.silent, base+int32(bits.TrailingZeros64(s)))
 	}
 }
 
@@ -404,19 +381,6 @@ func (e *Engine) clearRound() {
 			e.collided[w] = 0
 		}
 		e.dirty[ws] = 0
-	}
-}
-
-// recheckDormant re-queries a dormant node's Sleeper state after a
-// delivered message or collision report, clearing its dormancy bit on
-// wake-up (dormancy is exited at most once).
-//
-//radionet:hotpath
-func (e *Engine) recheckDormant(v int32) {
-	w := int(v) >> 6
-	b := uint64(1) << (uint(v) & 63)
-	if e.dormw[w]&b != 0 && !e.sleeper[v].Dormant() {
-		e.dormw[w] &^= b
 	}
 }
 

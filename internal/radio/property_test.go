@@ -10,12 +10,15 @@ import (
 )
 
 // scripted transmits according to a fixed per-round schedule and records
-// the rounds it acts in and everything it hears.
+// the rounds it acts in and everything it hears. A Recv that reports
+// neither a message nor a detected collision fails t: the engine calls
+// Recv only for a reception.
 type scripted struct {
+	t     *testing.T
 	plan  []bool
 	val   int64
 	acts  []int64
-	heard []int64 // -1 silence, -2 collision-detected, else message value (noise is 0)
+	heard []int64 // -2 collision-detected, else message value (noise is 0)
 }
 
 func (s *scripted) Act(t int64) Action {
@@ -26,14 +29,14 @@ func (s *scripted) Act(t int64) Action {
 	return Listen
 }
 
-func (s *scripted) Recv(_ int64, msg *Message, collided bool) {
+func (s *scripted) Recv(round int64, msg *Message, collided bool) {
 	switch {
 	case msg != nil:
 		s.heard = append(s.heard, msg.A)
 	case collided:
 		s.heard = append(s.heard, -2)
 	default:
-		s.heard = append(s.heard, -1)
+		s.t.Errorf("round %d: Recv(nil, false), a report of nothing heard", round)
 	}
 }
 
@@ -41,7 +44,10 @@ func (s *scripted) Recv(_ int64, msg *Message, collided bool) {
 // v transmits its id+1 in the rounds its plan marks — at shard count k,
 // with the fault plan fp installed when it is non-nil, and checks every
 // node's Act rounds, its Recv log and the engine Metrics against a naive
-// per-round reference. The reference models the overlay's three rules
+// per-round reference. A listener appears in the reference's Recv log
+// only for a delivery, or for a collision when cd is set; scripted fails
+// the test on any nothing-heard report. The reference models the
+// overlay's three rules
 // from the plan's parameters alone, deriving its own coin streams from the
 // plan seed:
 //
@@ -58,7 +64,7 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 	nodes := make([]*scripted, n)
 	rn := make([]Node, n)
 	for v := 0; v < n; v++ {
-		nodes[v] = &scripted{plan: plans[v], val: int64(v + 1)}
+		nodes[v] = &scripted{t: t, plan: plans[v], val: int64(v + 1)}
 		rn[v] = nodes[v]
 	}
 	e := NewEngine(g, rn)
@@ -133,12 +139,12 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 				}
 			case txNeighbors > 1:
 				want.Collisions++
-				heard = -1
-				if cd {
-					heard = -2
+				if !cd {
+					continue // heard nothing: no Recv
 				}
+				heard = -2
 			default:
-				heard = -1
+				continue // silence: no Recv
 			}
 			wantHeard[v] = append(wantHeard[v], heard)
 		}
@@ -304,7 +310,7 @@ func TestMetricsConsistency(t *testing.T) {
 				planned++
 			}
 		}
-		nodes[v] = &scripted{plan: plan, val: 1}
+		nodes[v] = &scripted{t: t, plan: plan, val: 1}
 	}
 	e := NewEngine(g, nodes)
 	for i := 0; i < T; i++ {

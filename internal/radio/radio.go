@@ -55,54 +55,21 @@ func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 //
 // In every round the engine first calls Act on every node to collect the
 // round's actions, then applies collision semantics and calls Recv on
-// every node that listened. A transmitting node never receives (a radio
-// cannot listen while transmitting).
+// every listener that heard something. A transmitting node never receives
+// (a radio cannot listen while transmitting). A listener that heard
+// nothing gets no call: without collision detection it cannot tell
+// silence from a collision, so the report would carry no information.
 type Node interface {
 	// Act returns the node's action for the given round.
 	Act(round int64) Action
-	// Recv reports the outcome of the round to a listening node.
-	// msg is nil if the node heard nothing; the pointer is only valid for
-	// the duration of the call and the Message must be treated as
-	// read-only (listeners of one transmitter share the underlying
-	// storage). collided is false in the model without collision
-	// detection regardless of interference; with collision detection
-	// enabled it reports that two or more neighbors transmitted.
+	// Recv reports a reception to a listening node: msg is the message of
+	// its unique transmitting neighbor, and collided is false. The pointer
+	// is only valid for the duration of the call and the Message must be
+	// treated as read-only (listeners of one transmitter share the
+	// underlying storage). With collision detection enabled, a listener
+	// with two or more transmitting neighbors also gets a call, with msg
+	// nil and collided true; that is the only case in which msg is nil.
 	Recv(round int64, msg *Message, collided bool)
-}
-
-// Sleeper is an optional extension of Node for protocols with a dormant
-// state, the second half of the hot-path contract alongside Progress. A
-// node reporting Dormant() == true promises that, until it next receives a
-// message (or a collision report when collision detection is enabled), it
-// will always Listen, ignores silence reports, and consumes no randomness.
-// The engine then skips the node's Act call entirely and skips the
-// nothing-heard Recv call, so rounds cost O(active + on-air) node work
-// instead of O(n). After delivering a reception to a dormant node the
-// engine re-queries Dormant; a node that has reported itself non-dormant
-// (at construction or after a wake-up) stays awake for the rest of the
-// run — dormancy is exited at most once.
-//
-// Nodes without the extension (test doubles) are simply always awake;
-// correctness never depends on it.
-type Sleeper interface {
-	Node
-	// Dormant reports whether the node is in its dormant state.
-	Dormant() bool
-}
-
-// SilenceOblivious is an optional marker extension of Node: a node whose
-// IgnoresSilence returns true declares that its Recv is a no-op whenever
-// msg == nil and collided == false, so the engine may skip nothing-heard
-// Recv calls. When every node of an engine declares it, the per-round
-// listener pass shrinks from O(n) to O(nodes with a transmitting
-// neighbor). Every protocol node in this repository qualifies; test
-// doubles simply don't implement the marker and keep the full per-round
-// Recv contract.
-type SilenceOblivious interface {
-	Node
-	// IgnoresSilence reports whether Recv(t, nil, false) is a no-op for
-	// the node's entire lifetime. Consulted once, at engine construction.
-	IgnoresSilence() bool
 }
 
 // Silent is a Node that always listens and ignores everything.
@@ -113,12 +80,6 @@ func (Silent) Act(int64) Action { return Listen }
 
 // Recv implements Node.
 func (Silent) Recv(int64, *Message, bool) {}
-
-// Dormant implements Sleeper: Silent is dormant forever.
-func (Silent) Dormant() bool { return true }
-
-// IgnoresSilence implements SilenceOblivious.
-func (Silent) IgnoresSilence() bool { return true }
 
 // Metrics accumulates engine counters over a run.
 type Metrics struct {
@@ -185,18 +146,16 @@ type BulkActor interface {
 // the whole round's successful receptions, replacing per-listener interface
 // dispatches with a loop the protocol runs over its own contiguous node
 // storage. Only deliveries travel through the seam — collision reports
-// (when collision detection is enabled) and nothing-heard reports (for
-// nodes that do not ignore silence) stay on the per-node Recv path, so a
-// node is handed to at most one of the two paths per round.
+// (when collision detection is enabled) stay on the per-node Recv path, so
+// a node is handed to at most one of the two paths per round.
 //
 // The implementation MUST be observationally identical to calling
 // Recv(round, &msgs[msgIdx[k]], false) on each listeners[k] in slice order;
-// like the engine's sparse listener pass, the seam assumes per-listener
-// effects are node-local (no protocol draws randomness or touches another
-// node's state in Recv). A protocol installs it via Engine.BulkRecv only
-// when it owns every engine node; faded receptions (FaultPlan loss) are
-// dropped before the call. The engine re-queries Sleeper dormancy for
-// delivered nodes after the call, preserving the wake-up contract.
+// like the engine's listener pass, the seam assumes per-listener effects
+// are node-local (no protocol draws randomness or touches another node's
+// state in Recv). A protocol installs it via Engine.BulkRecv only when it
+// owns every engine node; faded receptions (FaultPlan loss) are dropped
+// before the call.
 type BulkReceiver interface {
 	// RecvBulk delivers this round's receptions: for each k, node
 	// listeners[k] heard msgs[msgIdx[k]]. All three slices are engine
@@ -217,8 +176,8 @@ type Engine struct {
 	Hook RoundHook
 	// Bulk, if non-nil, replaces the per-node Act loop (see BulkActor).
 	Bulk BulkActor
-	// BulkRecv, if non-nil, replaces per-node delivery Recv calls in both
-	// listener passes (see BulkReceiver).
+	// BulkRecv, if non-nil, replaces per-node delivery Recv calls (see
+	// BulkReceiver).
 	BulkRecv BulkReceiver
 	// ShardHook, if set alongside SetShards(k > 1), receives per-shard
 	// busy-time telemetry after each round (see ShardHook).
@@ -233,13 +192,11 @@ type Engine struct {
 	// Per-round bitsets, one bit per node (see kernel.go for the delivery
 	// kernel algebra). onair/collided are cleared through the dirty
 	// summary after every round; txw is cleared differentially through
-	// the transmit list; deadw/dormw/quietw persist across rounds.
+	// the transmit list; deadw persists across rounds.
 	onair    []uint64 // >= 1 transmitting neighbor this round
 	collided []uint64 // >= 2 transmitting neighbors (subset of onair)
 	txw      []uint64 // transmitted this round
 	deadw    []uint64 // crashed (the fault overlay's crash schedule)
-	dormw    []uint64 // dormant Sleeper nodes
-	quietw   []uint64 // SilenceOblivious nodes
 	dirty    []uint64 // summary: bit w set if onair word w was touched (a superset, see kernel.go)
 
 	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking)
@@ -249,11 +206,6 @@ type Engine struct {
 	transmit []int32   // scratch: ids of transmitting nodes
 	rcvID    []int32   // scratch: shard-concatenated bulk-delivery listeners
 	rcvIdx   []int32   // scratch: txmsg index heard by each bulk listener
-	sleeper  []Sleeper // nil for nodes without the Sleeper extension
-	// anySleeper records whether any node implements Sleeper; without one
-	// no node can be dormant, so Step skips the dormancy rechecks.
-	anySleeper bool
-	allQuiet   bool // every node ignores silence: classify touched words only
 	// dense is the graph's dense-adjacency layer, nil when it has no rows.
 	dense *graph.AdjBits
 
@@ -302,8 +254,6 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		collided: make([]uint64, words),
 		txw:      make([]uint64, words),
 		deadw:    make([]uint64, words),
-		dormw:    make([]uint64, words),
-		quietw:   make([]uint64, words),
 		dirty:    make([]uint64, (words+63)/64),
 		inbox:    make([]int32, n),
 		instamp:  make([]int64, n),
@@ -312,8 +262,6 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		transmit: make([]int32, 0, n),
 		// rcvID/rcvIdx (bulk-delivery scratch) grow on first use: most
 		// engines never install BulkRecv and should not carry the buffers.
-		sleeper:  make([]Sleeper, n),
-		allQuiet: true,
 	}
 	// A graph without dense rows leaves dense nil, so each transmitter's
 	// row lookup in the marking and resolve passes is one nil check.
@@ -324,22 +272,6 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		e.tailMask = ^uint64(0)
 		if r := n & 63; r != 0 {
 			e.tailMask = uint64(1)<<uint(r) - 1
-		}
-	}
-	for i, nd := range nodes {
-		w := i >> 6
-		b := uint64(1) << (uint(i) & 63)
-		if s, ok := nd.(Sleeper); ok {
-			e.sleeper[i] = s
-			e.anySleeper = true
-			if s.Dormant() {
-				e.dormw[w] |= b
-			}
-		}
-		if q, ok := nd.(SilenceOblivious); ok && q.IgnoresSilence() {
-			e.quietw[w] |= b
-		} else {
-			e.allQuiet = false
 		}
 	}
 	// Shard state 0 always exists and aliases the engine bitsets: the
@@ -394,7 +326,7 @@ func (e *Engine) Round() int64 { return e.round }
 // bitsets, word-parallel listener classification, and a sequential replay
 // of the classified Recv calls. The classify accumulators bucket every
 // listener before any protocol code runs, so the replay order is
-// deliveries, then collision reports, then silence reports, each in
+// deliveries, then collision reports (collision detection only), each in
 // ascending node id — per-listener effects are node-local (no protocol
 // draws randomness or touches another node's state in Recv; loss coins
 // come from per-node streams), so this order is observationally
@@ -457,9 +389,6 @@ func (e *Engine) Step() {
 			if e.anyDead && e.deadw[w]&b != 0 {
 				continue // dead nodes are off the air
 			}
-			if e.dormw[w]&b != 0 {
-				continue // dormant nodes promise to listen
-			}
 			a := nd.Act(t)
 			if a.Transmit {
 				e.txw[w] |= b
@@ -503,9 +432,6 @@ func (e *Engine) Step() {
 		case !bulkRecv:
 			for k, v := range st.rcvID {
 				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]], false)
-				if e.anySleeper {
-					e.recheckDormant(v)
-				}
 			}
 		case e.shards > 1:
 			e.rcvID = append(e.rcvID, st.rcvID...)
@@ -517,28 +443,13 @@ func (e *Engine) Step() {
 	if bulkRecv && e.shards > 1 {
 		rid, ridx = e.rcvID, e.rcvIdx
 	}
+	if bulkRecv && len(rid) > 0 {
+		e.BulkRecv.RecvBulk(t, rid, ridx, e.txmsg)
+	}
 	if e.CollisionDetection {
 		for s := range e.sh {
 			for _, v := range e.sh[s].coll {
 				e.Nodes[v].Recv(t, nil, true)
-				if e.anySleeper {
-					e.recheckDormant(v)
-				}
-			}
-		}
-	}
-	for s := range e.sh {
-		// Silence reports never reach dormant or quiet nodes (classify
-		// masked them out), so no dormancy recheck is owed here.
-		for _, v := range e.sh[s].silent {
-			e.Nodes[v].Recv(t, nil, false)
-		}
-	}
-	if bulkRecv && len(rid) > 0 {
-		e.BulkRecv.RecvBulk(t, rid, ridx, e.txmsg)
-		if e.anySleeper {
-			for _, v := range rid {
-				e.recheckDormant(v)
 			}
 		}
 	}

@@ -6,22 +6,21 @@ import (
 	"radionet/internal/graph"
 )
 
-// collector records everything a node hears.
+// collector records everything a node hears and counts its Recv calls.
 type collector struct {
 	heard    []int64
 	collided int
-	silent   int
+	calls    int
 }
 
 func (c *collector) Act(int64) Action { return Listen }
 func (c *collector) Recv(_ int64, msg *Message, collided bool) {
+	c.calls++
 	switch {
 	case msg != nil:
 		c.heard = append(c.heard, msg.A)
 	case collided:
 		c.collided++
-	default:
-		c.silent++
 	}
 }
 
@@ -66,19 +65,16 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 	}
 }
 
+// TestCollisionIsSilenceWithoutCD checks that, without collision
+// detection, a collided listener hears nothing: it gets no Recv call at
+// all, yet the engine still counts the collision.
 func TestCollisionIsSilenceWithoutCD(t *testing.T) {
 	g := graph.Star(3) // two leaves transmit; the center hears nothing
 	c := &collector{}
 	e := NewEngine(g, []Node{c, &beacon{v: 1}, &beacon{v: 2}})
 	e.Step()
-	if len(c.heard) != 0 {
-		t.Fatalf("center heard %v despite collision", c.heard)
-	}
-	if c.collided != 0 {
-		t.Fatal("collision flagged without collision detection")
-	}
-	if c.silent != 1 {
-		t.Fatalf("silent = %d, want 1", c.silent)
+	if c.calls != 0 {
+		t.Fatalf("center got %d Recv calls (heard %v, collided %d), want none", c.calls, c.heard, c.collided)
 	}
 	if e.Metrics.Collisions != 1 {
 		t.Fatalf("collisions metric = %d, want 1", e.Metrics.Collisions)
@@ -239,50 +235,6 @@ func TestRunUntilMatchesRun(t *testing.T) {
 	rounds, done = e2.RunUntil(2, p2)
 	if rounds != 2 || done {
 		t.Fatalf("budget RunUntil: rounds = %d done = %v, want 2 false", rounds, done)
-	}
-}
-
-// sleepyNode exercises the Sleeper fast path: dormant until first
-// reception, then transmits its value every round.
-type sleepyNode struct {
-	awake bool
-	acts  int
-	v     int64
-}
-
-func (s *sleepyNode) Dormant() bool        { return !s.awake }
-func (s *sleepyNode) IgnoresSilence() bool { return true }
-func (s *sleepyNode) Act(int64) Action     { s.acts++; return Transmit(Message{A: s.v}) }
-func (s *sleepyNode) Recv(_ int64, msg *Message, _ bool) {
-	if msg != nil {
-		s.awake = true
-	}
-}
-
-func TestSleeperSkippedUntilReception(t *testing.T) {
-	// Path 0-1-2: node 0 beacons, node 1 is a sleeper, node 2 sleeps
-	// forever (never reached by a sole transmission once 1 wakes up —
-	// 0 and 1 collide at 2... actually 2 hears 1 alone when 0's message
-	// collides only at 1; verify wake-up and Act skipping instead).
-	g := graph.Path(3)
-	s1, s2 := &sleepyNode{v: 7}, &sleepyNode{v: 8}
-	e := NewEngine(g, []Node{&beacon{v: 5}, s1, s2})
-	e.Step() // round 0: 1 hears the beacon, wakes; 2 hears nothing
-	if s1.acts != 0 {
-		t.Fatalf("sleeper acted %d times while dormant", s1.acts)
-	}
-	if !s1.awake || s2.awake {
-		t.Fatalf("awake flags: s1=%v s2=%v, want true false", s1.awake, s2.awake)
-	}
-	e.Step() // round 1: 1 transmits (awake), 2 hears it and wakes
-	if s1.acts != 1 {
-		t.Fatalf("woken sleeper acts = %d, want 1", s1.acts)
-	}
-	if !s2.awake {
-		t.Fatal("s2 did not wake from the woken sleeper's transmission")
-	}
-	if e.Metrics.Deliveries != 2 {
-		t.Fatalf("deliveries = %d, want 2", e.Metrics.Deliveries)
 	}
 }
 

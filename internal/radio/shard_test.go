@@ -10,14 +10,13 @@ import (
 )
 
 // shardProto is the determinism-matrix protocol: every node transmits its
-// id when id % 5 == t % 5 and logs everything it hears (value, collision
-// report, silence report) as a per-node event string. Node decisions are
+// id when id % 5 == t % 5 and logs everything it hears (value or
+// collision report) as a per-node event string. Node decisions are
 // node-local, so the bulk seam may legally implement BulkRangeActor and
 // ride the sharded act wave.
 type shardProto struct {
-	n     int
-	quiet []bool
-	log   [][]string
+	n   int
+	log [][]string
 }
 
 type shardProtoNode struct {
@@ -38,12 +37,8 @@ func (nd *shardProtoNode) Recv(t int64, msg *Message, collided bool) {
 		nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:msg%d", t, msg.A))
 	case collided:
 		nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:coll", t))
-	case !nd.p.quiet[nd.id]:
-		nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:sil", t))
 	}
 }
-
-func (nd *shardProtoNode) IgnoresSilence() bool { return nd.p.quiet[nd.id] }
 
 func (p *shardProto) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
 	return p.ActBulkRange(t, 0, int32(p.n), tx, msgs)
@@ -93,12 +88,9 @@ func mkShardPlan(n int) *FaultPlan {
 
 func runShardCase(g *graph.Graph, shards int, faulted, cd, bulk bool, rounds int64) shardRun {
 	n := g.N()
-	p := &shardProto{n: n, quiet: make([]bool, n), log: make([][]string, n)}
+	p := &shardProto{n: n, log: make([][]string, n)}
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
-		// A mixed quiet/loud population exercises both the all-quiet
-		// dirty-word classify and the full-range silence pass.
-		p.quiet[v] = v%7 != 0
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
@@ -172,7 +164,7 @@ func TestSetShardsValidation(t *testing.T) {
 	mk := func() *Engine {
 		nodes := make([]Node, 100)
 		for v := range nodes {
-			nodes[v] = &shardProtoNode{p: &shardProto{n: 100, quiet: make([]bool, 100), log: make([][]string, 100)}, id: int32(v)}
+			nodes[v] = &shardProtoNode{p: &shardProto{n: 100, log: make([][]string, 100)}, id: int32(v)}
 		}
 		return NewEngine(g, nodes)
 	}
@@ -209,10 +201,9 @@ func TestShardHookReportsBusyTime(t *testing.T) {
 	ref := runShardCase(g, 3, false, false, true, 40)
 
 	n := g.N()
-	p := &shardProto{n: n, quiet: make([]bool, n), log: make([][]string, n)}
+	p := &shardProto{n: n, log: make([][]string, n)}
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
-		p.quiet[v] = v%7 != 0
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)

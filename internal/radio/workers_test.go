@@ -60,10 +60,9 @@ func TestEngineUsableAfterClose(t *testing.T) {
 	ref := runShardCase(g, 1, true, true, false, 40)
 
 	n := g.N()
-	p := &shardProto{n: n, quiet: make([]bool, n), log: make([][]string, n)}
+	p := &shardProto{n: n, log: make([][]string, n)}
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
-		p.quiet[v] = v%7 != 0
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
