@@ -68,6 +68,7 @@ func TestEngineUsableAfterClose(t *testing.T) {
 	e := NewEngine(g, nodes)
 	e.CollisionDetection = true
 	e.SetFaults(mkShardPlan(n))
+	pre := runtime.NumGoroutine()
 	e.SetShards(8)
 	e.Close() // workers gone, shard structures still installed
 	e.Run(40, nil)
@@ -76,7 +77,9 @@ func TestEngineUsableAfterClose(t *testing.T) {
 	}
 
 	// Re-sharding (before the first step) after Close spawns a fresh pool.
-	base := runtime.NumGoroutine()
+	// Close does not join the exiting workers, so count from after they
+	// are gone: a worker still exiting would inflate base.
+	base := waitGoroutines(pre, false)
 	e2 := newShardedEngine(8)
 	e2.Close()
 	e2.SetShards(4)
