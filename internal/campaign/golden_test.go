@@ -24,9 +24,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // least one summary field.
 //
 // pernode covers the engine's other users on the same topologies:
-// bgi (decay's bulk path) and the three protocols that still run on the
-// engine's per-node Act/Recv path (cd-beep, which reads collision
-// reports; pipelined multicast; distributed MPX partitioning).
+// bgi (decay's bulk path) and the two protocols that still run on the
+// engine's per-node Act/Recv path (pipelined multicast and distributed
+// MPX partitioning).
 var goldenCases = []struct {
 	name  string
 	file  string
@@ -38,7 +38,6 @@ var goldenCases = []struct {
 	}},
 	{"pernode", "pernode_golden.sha256", []AlgoSpec{
 		{Task: Broadcast, Algo: "bgi"},
-		{Task: Broadcast, Algo: "cd-beep"},
 		{Task: protocol.Multicast, Algo: "pipelined"},
 		{Task: protocol.Partition, Algo: "mpx"},
 	}},
