@@ -75,22 +75,3 @@ func TestIntegrationLeaderMatrix(t *testing.T) {
 		}
 	}
 }
-
-func TestIntegrationCDMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration matrix")
-	}
-	for name, g := range integrationFamilies(t) {
-		name, g := name, g
-		t.Run(name, func(t *testing.T) {
-			net := NewNetwork(g)
-			res, err := net.BroadcastCD(0, 54321)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Done {
-				t.Fatalf("CD broadcast incomplete after %d rounds", res.Rounds)
-			}
-		})
-	}
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"radionet/internal/protocol"
 )
 
 func testMatrix(seeds int) Matrix {
@@ -179,7 +181,7 @@ func TestRunTrialAllBroadcastAlgos(t *testing.T) {
 	topo, _ := ParseTopology("grid:4x8")
 	g := topo.Build(1)
 	cfg := Config{Topology: "grid:4x8", G: g, D: g.DiameterEstimate()}
-	for _, algo := range []string{"cd17", "hw16", "bgi", "truncated-decay", "cd-beep"} {
+	for _, algo := range protocol.Names(Broadcast) {
 		cfg.Spec = AlgoSpec{Task: Broadcast, Algo: algo}
 		res := RunTrial(&cfg, 3, 0)
 		if !res.Done || res.Err != "" {

@@ -87,8 +87,8 @@ func (d *distNode) Act(t int64) radio.Action {
 	return radio.Listen
 }
 
-func (d *distNode) Recv(t int64, msg *radio.Message, _ bool) {
-	if msg == nil || msg.Kind != KindCluster || d.assigned() {
+func (d *distNode) Recv(t int64, msg *radio.Message) {
+	if msg.Kind != KindCluster || d.assigned() {
 		return
 	}
 	phase := t / d.phaseLen

@@ -43,8 +43,7 @@ import (
 // observational identity, and checkLaneViews the two views, after every
 // round.
 type bulkState struct {
-	c     *Compete
-	shims []bnode
+	c *Compete
 
 	ci      []int32     // node -> main-lane clock index (compact coarse id)
 	mainClk []laneClock // one main-lane clock per coarse cluster
@@ -325,10 +324,6 @@ func newBulkState(c *Compete) *bulkState {
 		s.main.setKeys(&c.mains[s.mainClk[i].fid], s.clockMembers(i))
 	}
 	s.bg.setKeys(&c.bgs[s.bgClk.fid], s.members)
-	s.shims = make([]bnode, n)
-	for v := range s.shims {
-		s.shims[v] = bnode{s: s, id: int32(v)}
-	}
 	return s
 }
 
@@ -711,31 +706,22 @@ func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 	}
 }
 
-// bnode is the engine-facing shim of the bulk path: the engine needs a
-// Node per vertex for construction and for the per-node fallback calls
-// that remain outside the bulk seams (collision reports under collision
-// detection, which carry no information to this protocol).
-type bnode struct {
-	s  *bulkState
-	id int32
-}
+// bulkOnly fills the engine's per-vertex Node slots on the bulk path. The
+// engine calls per-node Act only without a BulkActor and per-node Recv
+// only without a BulkReceiver, and the bulk path installs both
+// unconditionally, so neither method can run.
+type bulkOnly struct{}
 
-// Act implements radio.Node. It is unreachable: the engine never calls
-// per-node Act while a BulkActor is installed, and the bulk path installs
-// one unconditionally.
-func (nd *bnode) Act(int64) radio.Action {
+// Act implements radio.Node; it is unreachable (the engine uses ActBulk).
+func (bulkOnly) Act(int64) radio.Action {
 	panic("compete: per-node Act on the bulk path (engine must use ActBulk)")
 }
 
-// Recv implements radio.Node: a collision report is a no-op, and a
-// delivery outside the bulk seam is a one-listener RecvBulk.
-func (nd *bnode) Recv(t int64, msg *radio.Message, _ bool) {
-	if msg == nil {
-		return
-	}
-	nd.s.RecvBulk(t, []int32{nd.id}, []int32{0}, []radio.Message{*msg})
+// Recv implements radio.Node; it is unreachable (the engine uses RecvBulk).
+func (bulkOnly) Recv(int64, *radio.Message) {
+	panic("compete: per-node Recv on the bulk path (engine must use RecvBulk)")
 }
 
 var _ radio.BulkActor = (*bulkState)(nil)
 var _ radio.BulkReceiver = (*bulkState)(nil)
-var _ radio.Node = (*bnode)(nil)
+var _ radio.Node = bulkOnly{}

@@ -51,7 +51,7 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 // values after every round, and the same metrics and InformedCount at the
 // end. After every round it also checks the bulk path's lane views
 // (checkLaneViews).
-func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64) {
+func lockstep(t *testing.T, label string, bc, rc *Compete, budget int64) {
 	t.Helper()
 	if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
 		t.Fatalf("%s: bulk seams not installed on the bulk path", label)
@@ -59,8 +59,6 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, cd bool, budget int64
 	if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
 		t.Fatalf("%s: bulk seams installed on the reference path", label)
 	}
-	bc.Engine.CollisionDetection = cd
-	rc.Engine.CollisionDetection = cd
 	var blog, rlog []roundLog
 	hookInto(bc.Engine, &blog)
 	hookInto(rc.Engine, &rlog)
@@ -147,26 +145,24 @@ func checkLaneViews(c *Compete) error {
 type equivVariant struct {
 	name string
 	cfg  Config
-	cd   bool
 }
 
 // The bulk fast path (contiguous state, shared lane clocks, ActBulk +
 // RecvBulk) must be observationally identical to the retained per-node
 // reference implementation, round for round: same transmitter sets, same
 // delivery/collision counts, same node values after every round, same
-// metrics — across graphs, seeds, source patterns, every ablation flag,
-// and collision detection. The lane views must hold after every round,
-// and the sweep must roll clocks over on both lanes, including main
-// clocks under the DisableCurtail and FixedJ ablations. A clock resets its
-// flood at offsets 0 and 2*subLen, so a rollover also covers both resets.
+// metrics — across graphs, seeds, source patterns and every ablation
+// flag. The lane views must hold after every round, and the sweep must
+// roll clocks over on both lanes, including main clocks under the
+// DisableCurtail and FixedJ ablations. A clock resets its flood at
+// offsets 0 and 2*subLen, so a rollover also covers both resets.
 func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 	variants := []equivVariant{
-		{"default", Config{}, false},
-		{"hw16", Config{CurtailLogLog: true}, false},
-		{"no-background", Config{DisableBackground: true}, false},
-		{"no-helper", Config{DisableHelper: true}, false},
-		{"no-curtail", Config{DisableCurtail: true}, false},
-		{"collision-detection", Config{}, true},
+		{"default", Config{}},
+		{"hw16", Config{CurtailLogLog: true}},
+		{"no-background", Config{DisableBackground: true}},
+		{"no-helper", Config{DisableHelper: true}},
+		{"no-curtail", Config{DisableCurtail: true}},
 	}
 	// mainRolled records, per variant, whether some main clock rolled over.
 	mainRolled := map[string]bool{}
@@ -180,7 +176,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 			}
 			// The FixedJ ablation needs a valid exponent for this d.
 			jmin, _ := cluster.JRange(d, 0.25, 0.75)
-			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}, false})
+			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}})
 			for _, vr := range vars {
 				bc, err := New(g, d, vr.cfg, seed, sources)
 				if err != nil {
@@ -191,7 +187,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
-				lockstep(t, label, bc, perNode(rc, nil), vr.cd, 8*bc.Budget())
+				lockstep(t, label, bc, perNode(rc, nil), 8*bc.Budget())
 				if slices.ContainsFunc(bc.bulk.mainClk, func(cl laneClock) bool { return cl.k > 0 }) {
 					mainRolled[vr.name] = true
 				}
@@ -220,9 +216,9 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 // leader.
 func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 	variants := []equivVariant{
-		{"default", Config{}, false},
-		{"hw16", Config{CurtailLogLog: true}, false},
-		{"no-background", Config{DisableBackground: true}, false},
+		{"default", Config{}},
+		{"hw16", Config{CurtailLogLog: true}},
+		{"no-background", Config{DisableBackground: true}},
 	}
 	for seed := uint64(1); seed <= 2; seed++ {
 		for _, g := range bulkEquivGraphs(seed) {
@@ -237,7 +233,7 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates))
-				lockstep(t, label, bl.Compete, perNode(rl.Compete, nil), vr.cd, 8*bl.Budget())
+				lockstep(t, label, bl.Compete, perNode(rl.Compete, nil), 8*bl.Budget())
 				if vr.name == "default" {
 					if err := bl.Verify(); err != nil {
 						t.Fatalf("%s: %v", label, err)

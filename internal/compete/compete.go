@@ -363,8 +363,8 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 	}
 	c.bulk = newBulkState(c)
 	rn := make([]radio.Node, n)
-	for v := 0; v < n; v++ {
-		rn[v] = &c.bulk.shims[v]
+	for v := range rn {
+		rn[v] = bulkOnly{}
 	}
 	c.Engine = radio.NewEngine(g, rn)
 	c.Engine.Bulk = c.bulk

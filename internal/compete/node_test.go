@@ -79,8 +79,8 @@ func (nd *cnode) Act(t int64) radio.Action {
 }
 
 // Recv implements radio.Node.
-func (nd *cnode) Recv(t int64, msg *radio.Message, _ bool) {
-	if msg == nil || msg.Kind != KindICP {
+func (nd *cnode) Recv(t int64, msg *radio.Message) {
+	if msg.Kind != KindICP {
 		return
 	}
 	if msg.A > nd.c.globalMax[nd.id] {

@@ -129,12 +129,12 @@ func (b *node) Act(t int64) radio.Action {
 	return radio.Listen
 }
 
-func (b *node) Recv(t int64, msg *radio.Message, _ bool) {
+func (b *node) Recv(t int64, msg *radio.Message) {
 	// val starts at the -1 sentinel, so for the non-negative message
 	// values the protocol carries, "uninformed or strictly better" is the
 	// single compare msg.A > b.val — the by-far common case (a re-delivery
 	// to a saturated node) returns here.
-	if msg == nil || msg.Kind != KindBroadcast || msg.A <= b.val {
+	if msg.Kind != KindBroadcast || msg.A <= b.val {
 		return
 	}
 	if !b.informed() {
@@ -286,7 +286,7 @@ func (b *Broadcast) ActBulkRange(t int64, lo, hi int32, tx []int32, msgs []radio
 //radionet:hotpath
 func (b *Broadcast) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
 	for k, vi := range listeners {
-		b.nodes[vi].Recv(t, &msgs[msgIdx[k]], false)
+		b.nodes[vi].Recv(t, &msgs[msgIdx[k]])
 	}
 }
 

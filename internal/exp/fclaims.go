@@ -54,17 +54,13 @@ func namedAlgo(name string) broadcastAlgo {
 	return regAlgo(d, nil)
 }
 
-// comparableBroadcastAlgos enumerates every registered same-model
-// broadcast algorithm (the collision-detection beep-wave runs in a
-// strictly stronger model and is excluded), in registry order — the
-// baselines-first ordering the comparison tables have always used. An
-// algorithm registered tomorrow appears in F1 with no exp changes.
+// comparableBroadcastAlgos enumerates every registered broadcast
+// algorithm in registry order — the baselines-first ordering the
+// comparison tables have always used. An algorithm registered tomorrow
+// appears in F1 with no exp changes.
 func comparableBroadcastAlgos() []broadcastAlgo {
 	var out []broadcastAlgo
 	for _, d := range protocol.ByTask(protocol.Broadcast) {
-		if d.Caps.CollisionDetection {
-			continue
-		}
 		out = append(out, regAlgo(d, nil))
 	}
 	return out

@@ -23,7 +23,6 @@ var simPackages = map[string]bool{
 	"radionet/internal/compete":      true,
 	"radionet/internal/multicast":    true,
 	"radionet/internal/baseline":     true,
-	"radionet/internal/cd":           true,
 	"radionet/internal/ghle":         true,
 	"radionet/internal/protocol":     true,
 	"radionet/internal/protocol/all": true,

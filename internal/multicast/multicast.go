@@ -86,8 +86,8 @@ func (nd *node) Act(t int64) radio.Action {
 	return radio.Transmit(radio.Message{Kind: KindMulti, A: nd.vals[idx], B: int64(idx)})
 }
 
-func (nd *node) Recv(_ int64, msg *radio.Message, _ bool) {
-	if msg == nil || msg.Kind != KindMulti {
+func (nd *node) Recv(_ int64, msg *radio.Message) {
+	if msg.Kind != KindMulti {
 		return
 	}
 	nd.learn(int(msg.B), msg.A)

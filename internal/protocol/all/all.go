@@ -6,7 +6,6 @@ package all
 
 import (
 	_ "radionet/internal/baseline"
-	_ "radionet/internal/cd"
 	_ "radionet/internal/cluster"
 	_ "radionet/internal/compete"
 	_ "radionet/internal/decay"

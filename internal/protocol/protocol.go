@@ -80,9 +80,6 @@ type Caps struct {
 	// Faults: Build accepts a *radio.FaultPlan and completion is
 	// survivor-scoped under it.
 	Faults bool
-	// CollisionDetection: the runner requires the stronger model variant
-	// with collision detection (excluded from same-model comparisons).
-	CollisionDetection bool
 	// Scratch: NewScratch returns reusable seed-independent precomputation
 	// (the campaign builds one per configuration and shares it across the
 	// seed axis).

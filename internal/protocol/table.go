@@ -11,9 +11,6 @@ func capString(c Caps) string {
 	if c.Faults {
 		parts = append(parts, "faults")
 	}
-	if c.CollisionDetection {
-		parts = append(parts, "collision-detection")
-	}
 	if c.Scratch {
 		parts = append(parts, "scratch")
 	}

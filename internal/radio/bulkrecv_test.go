@@ -15,7 +15,6 @@ import (
 type bulkProto struct {
 	n     int
 	heard [][]int64
-	coll  []int // collision reports per node (collision detection only)
 }
 
 type bulkProtoNode struct {
@@ -30,11 +29,7 @@ func (nd *bulkProtoNode) Act(t int64) Action {
 	return Listen
 }
 
-func (nd *bulkProtoNode) Recv(t int64, msg *Message, collided bool) {
-	if msg == nil {
-		nd.p.coll[nd.id]++
-		return
-	}
+func (nd *bulkProtoNode) Recv(t int64, msg *Message) {
 	nd.p.heard[nd.id] = append(nd.p.heard[nd.id], msg.A)
 }
 
@@ -55,17 +50,15 @@ func (p *bulkProto) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message)
 }
 
 // run executes rounds rounds on g, with or without the bulk seams.
-func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool, cd bool) *Engine {
+func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool) *Engine {
 	n := g.N()
 	p.n = n
 	p.heard = make([][]int64, n)
-	p.coll = make([]int, n)
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
 		nodes[v] = &bulkProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
-	e.CollisionDetection = cd
 	if bulk {
 		e.Bulk = p
 		e.BulkRecv = p
@@ -75,8 +68,7 @@ func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool, cd bool) *Engin
 }
 
 // The bulk Act/Recv seams must be observationally identical to the
-// per-node paths, with and without collision detection (collision reports
-// stay per-node while deliveries travel through the seam).
+// per-node paths.
 func TestBulkRecvMatchesPerNode(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Path(23),
@@ -85,27 +77,20 @@ func TestBulkRecvMatchesPerNode(t *testing.T) {
 		graph.Star(17),
 	}
 	for _, g := range graphs {
-		for _, cd := range []bool{false, true} {
-			ref, got := &bulkProto{}, &bulkProto{}
-			re := ref.run(g, 64, false, cd)
-			ge := got.run(g, 64, true, cd)
-			if re.Metrics != ge.Metrics {
-				t.Fatalf("%s cd=%v: metrics differ: per-node %+v, bulk %+v",
-					g, cd, re.Metrics, ge.Metrics)
+		ref, got := &bulkProto{}, &bulkProto{}
+		re := ref.run(g, 64, false)
+		ge := got.run(g, 64, true)
+		if re.Metrics != ge.Metrics {
+			t.Fatalf("%s: metrics differ: per-node %+v, bulk %+v", g, re.Metrics, ge.Metrics)
+		}
+		for v := 0; v < g.N(); v++ {
+			a, b := ref.heard[v], got.heard[v]
+			if len(a) != len(b) {
+				t.Fatalf("%s node %d: heard %d vs %d messages", g, v, len(a), len(b))
 			}
-			for v := 0; v < g.N(); v++ {
-				a, b := ref.heard[v], got.heard[v]
-				if len(a) != len(b) {
-					t.Fatalf("%s cd=%v node %d: heard %d vs %d messages", g, cd, v, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("%s cd=%v node %d msg %d: %d vs %d", g, cd, v, i, a[i], b[i])
-					}
-				}
-				if ref.coll[v] != got.coll[v] {
-					t.Fatalf("%s cd=%v node %d: %d vs %d collision reports",
-						g, cd, v, ref.coll[v], got.coll[v])
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s node %d msg %d: %d vs %d", g, v, i, a[i], b[i])
 				}
 			}
 		}

@@ -26,7 +26,7 @@
 // list and the classify pass over contiguous word ranges, across k
 // goroutines with the round barrier as the only sync point. Shards never
 // call into protocol code: they classify into private accumulators
-// (counts, delivery/collision lists) that the sequential replay
+// (counts and the delivery list) that the sequential replay
 // step drains in shard order. Because shard ranges partition the node
 // space in ascending order and every per-listener effect is node-local
 // (see BulkReceiver's contract; loss coins come from per-node streams),
@@ -84,7 +84,6 @@ type shardState struct {
 
 	rcvID  []int32 // classify output: delivery listeners (ascending)
 	rcvIdx []int32 // txmsg index heard by each delivery listener
-	coll   []int32 // collision-report listeners (collision detection only)
 
 	deliveries int
 	collisions int
@@ -126,10 +125,7 @@ func (e *Engine) SetShards(k int) {
 	e.Close() // re-call: release any previous pool before resizing
 	e.shards = k
 	e.sh = make([]shardState, k)
-	base, rem := 0, 0
-	if k > 0 {
-		base, rem = e.words/k, e.words%k
-	}
+	base, rem := e.words/k, e.words%k
 	w := 0
 	for s := range e.sh {
 		st := &e.sh[s]
@@ -270,9 +266,10 @@ func (e *Engine) mergeMarks() {
 	}
 }
 
-// runClassify scans the dirty words of the shard's word range and
-// buckets their listeners into the delivery and collision-report
-// accumulators; an untouched word holds no listener that heard anything.
+// runClassify scans the dirty words of the shard's word range, counts
+// their collided listeners and buckets their singleton listeners into the
+// delivery accumulators; an untouched word holds no listener that heard
+// anything.
 // No protocol code runs here (replay is sequential); the only mutation
 // outside the shard is the per-node loss stream draw, and the word ranges
 // partition nodes so no stream is shared.
@@ -283,7 +280,6 @@ func (st *shardState) runClassify() {
 	st.deliveries, st.collisions = 0, 0
 	st.rcvID = st.rcvID[:0]
 	st.rcvIdx = st.rcvIdx[:0]
-	st.coll = st.coll[:0]
 	lo, hi := st.w0, st.w1
 	if lo >= hi {
 		return
@@ -304,9 +300,8 @@ func (st *shardState) runClassify() {
 }
 
 // classifyWord applies the delivery kernel to one 64-node word: singleton
-// listeners join the delivery list and, with collision detection,
-// collided listeners join the collision-report list. Without collision
-// detection a collided listener is only counted; it heard nothing.
+// listeners join the delivery list, and a collided listener is only
+// counted; it heard nothing.
 //
 //radionet:hotpath
 func (st *shardState) classifyWord(w int) {
@@ -319,9 +314,8 @@ func (st *shardState) classifyWord(w int) {
 	on := e.onair[w] & live
 	cw := e.collided[w]
 	sing := on &^ cw
-	coll := on & cw
 	st.deliveries += bits.OnesCount64(sing)
-	st.collisions += bits.OnesCount64(coll)
+	st.collisions += bits.OnesCount64(on & cw)
 	base := int32(w << 6)
 	for s := sing; s != 0; s &= s - 1 {
 		v := base + int32(bits.TrailingZeros64(s))
@@ -330,11 +324,6 @@ func (st *shardState) classifyWord(w int) {
 		}
 		st.rcvID = append(st.rcvID, v)
 		st.rcvIdx = append(st.rcvIdx, e.resolve(v))
-	}
-	if e.CollisionDetection {
-		for c := coll; c != 0; c &= c - 1 {
-			st.coll = append(st.coll, base+int32(bits.TrailingZeros64(c)))
-		}
 	}
 }
 

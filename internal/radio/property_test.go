@@ -10,15 +10,14 @@ import (
 )
 
 // scripted transmits according to a fixed per-round schedule and records
-// the rounds it acts in and everything it hears. A Recv that reports
-// neither a message nor a detected collision fails t: the engine calls
-// Recv only for a reception.
+// the rounds it acts in and everything it hears. A Recv with a nil
+// message fails t: the engine calls Recv only for a reception.
 type scripted struct {
 	t     *testing.T
 	plan  []bool
 	val   int64
 	acts  []int64
-	heard []int64 // -2 collision-detected, else message value (noise is 0)
+	heard []int64 // message values (noise is 0)
 }
 
 func (s *scripted) Act(t int64) Action {
@@ -29,15 +28,12 @@ func (s *scripted) Act(t int64) Action {
 	return Listen
 }
 
-func (s *scripted) Recv(round int64, msg *Message, collided bool) {
-	switch {
-	case msg != nil:
-		s.heard = append(s.heard, msg.A)
-	case collided:
-		s.heard = append(s.heard, -2)
-	default:
-		s.t.Errorf("round %d: Recv(nil, false), a report of nothing heard", round)
+func (s *scripted) Recv(round int64, msg *Message) {
+	if msg == nil {
+		s.t.Errorf("round %d: Recv with a nil message", round)
+		return
 	}
+	s.heard = append(s.heard, msg.A)
 }
 
 // matchesBruteForce runs an engine over g for len(plans[v]) rounds — node
@@ -45,11 +41,9 @@ func (s *scripted) Recv(round int64, msg *Message, collided bool) {
 // with the fault plan fp installed when it is non-nil, and checks every
 // node's Act rounds, its Recv log and the engine Metrics against a naive
 // per-round reference. A listener appears in the reference's Recv log
-// only for a delivery, or for a collision when cd is set; scripted fails
-// the test on any nothing-heard report. The reference models the
-// overlay's three rules
-// from the plan's parameters alone, deriving its own coin streams from the
-// plan seed:
+// only for a delivery; scripted fails the test on a nil message. The
+// reference models the overlay's three rules from the plan's parameters
+// alone, deriving its own coin streams from the plan seed:
 //
 //   - crash: from its crash round on a node is dead — it is not asked to
 //     act, does not transmit, hears nothing and is not counted;
@@ -58,7 +52,7 @@ func (s *scripted) Recv(round int64, msg *Message, collided bool) {
 //   - loss: each delivery to a lossy node draws one coin from its loss
 //     stream, and a lost delivery never reaches Recv (it still counts as a
 //     delivery: the message was on the air).
-func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd bool, fp *FaultPlan) bool {
+func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) bool {
 	n := g.N()
 	T := len(plans[0])
 	nodes := make([]*scripted, n)
@@ -69,7 +63,6 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 	}
 	e := NewEngine(g, rn)
 	defer e.Close()
-	e.CollisionDetection = cd
 	e.SetFaults(fp)
 	if k > 1 {
 		e.SetShards(k)
@@ -139,10 +132,7 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 				}
 			case txNeighbors > 1:
 				want.Collisions++
-				if !cd {
-					continue // heard nothing: no Recv
-				}
-				heard = -2
+				continue // heard nothing: no Recv
 			default:
 				continue // silence: no Recv
 			}
@@ -151,16 +141,16 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, cd b
 	}
 	for v := 0; v < n; v++ {
 		if !slices.Equal(nodes[v].acts, wantActs[v]) {
-			t.Logf("node %d acted in rounds %v, want %v (cd=%v, k=%d)", v, nodes[v].acts, wantActs[v], cd, k)
+			t.Logf("node %d acted in rounds %v, want %v (k=%d)", v, nodes[v].acts, wantActs[v], k)
 			return false
 		}
 		if !slices.Equal(nodes[v].heard, wantHeard[v]) {
-			t.Logf("node %d heard %v, want %v (cd=%v, k=%d)", v, nodes[v].heard, wantHeard[v], cd, k)
+			t.Logf("node %d heard %v, want %v (k=%d)", v, nodes[v].heard, wantHeard[v], k)
 			return false
 		}
 	}
 	if e.Metrics != want {
-		t.Logf("metrics %+v, want %+v (cd=%v, k=%d)", e.Metrics, want, cd, k)
+		t.Logf("metrics %+v, want %+v (k=%d)", e.Metrics, want, k)
 		return false
 	}
 	return true
@@ -181,18 +171,18 @@ func randomPlans(r *rng.Rand, n, T int, q float64) [][]bool {
 
 // TestEngineMatchesBruteForce cross-checks the engine's word-parallel
 // delivery kernel against a naive per-round reference on random graphs
-// with random transmission schedules, in both model variants and at a
-// random shard count (node counts reach several words so the shard split
-// is real, and SetShards clamps it on tiny graphs).
+// with random transmission schedules at a random shard count (node
+// counts reach several words so the shard split is real, and SetShards
+// clamps it on tiny graphs).
 func TestEngineMatchesBruteForce(t *testing.T) {
 	master := rng.New(20240610)
-	check := func(seed uint64, nRaw, rounds, shardRaw uint8, cd bool) bool {
+	check := func(seed uint64, nRaw, rounds, shardRaw uint8) bool {
 		r := master.Fork(seed)
 		n := int(nRaw)%180 + 2
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
 		g := graph.Gnp(n, 0.3, r.Fork(1))
-		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, cd, nil)
+		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -221,19 +211,19 @@ func randomFaultPlan(r *rng.Rand, n, T int) *FaultPlan {
 
 // TestEngineMatchesBruteForceUnderFaults is the brute-force cross-check
 // with the fault overlay installed: random graphs, random transmission
-// schedules and random crash/jam/loss plans, at shard counts 1 to 4, with
-// collision detection on and off. The reference models each fault rule
-// independently of the engine (see matchesBruteForce), so dropping any
-// one rule from the engine fails this test.
+// schedules and random crash/jam/loss plans, at shard counts 1 to 4. The
+// reference models each fault rule independently of the engine (see
+// matchesBruteForce), so dropping any one rule from the engine fails this
+// test.
 func TestEngineMatchesBruteForceUnderFaults(t *testing.T) {
 	master := rng.New(20261018)
-	check := func(seed uint64, nRaw, rounds, shardRaw uint8, cd bool) bool {
+	check := func(seed uint64, nRaw, rounds, shardRaw uint8) bool {
 		r := master.Fork(seed)
 		n := int(nRaw)%180 + 2
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
 		g := graph.Gnp(n, 0.3, r.Fork(1))
-		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, cd, randomFaultPlan(r.Fork(2), n, T))
+		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -261,13 +251,13 @@ func rowKinds(g *graph.Graph) (dense, csr []int32) {
 // straddle the threshold. Transmit probabilities run from a few
 // transmitters per neighborhood (mostly singleton deliveries resolved
 // through dense rows) to many (mostly collisions), at a random shard
-// count, with collision detection on and off. The test counts its mixed
+// count. The test counts its mixed
 // cases and fails if fewer than half of them hold both kinds of row, so a
 // change to the threshold cannot silently turn it into a CSR-only check.
 func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 	master := rng.New(20261017)
 	cases, mixed := 0, 0
-	check := func(seed uint64, nRaw uint16, pRaw, qRaw, rounds, shardRaw uint8, cd bool) bool {
+	check := func(seed uint64, nRaw uint16, pRaw, qRaw, rounds, shardRaw uint8) bool {
 		r := master.Fork(seed)
 		n := int(nRaw)%201 + 100
 		thr := float64(graph.DenseThreshold(n))
@@ -282,7 +272,7 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 		if d, c := rowKinds(g); len(d) > 0 && len(c) > 0 {
 			mixed++
 		}
-		return matchesBruteForce(t, g, randomPlans(r, n, T, q), k, cd, nil)
+		return matchesBruteForce(t, g, randomPlans(r, n, T, q), k, nil)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,9 @@
 // round a node either transmits a message to all of its neighbors at once
 // or stays silent and listens. A listening node receives a message if and
 // only if exactly one of its neighbors transmits; otherwise it hears
-// nothing, and — in the default model without collision detection — cannot
-// distinguish silence from collision. Spontaneous transmissions are
-// allowed: any node may transmit in any round regardless of what it knows.
+// nothing, and it cannot distinguish silence from collision (the model
+// has no collision detection). Spontaneous transmissions are allowed: any
+// node may transmit in any round regardless of what it knows.
 //
 // Protocols are per-node state machines (the Node interface). The Engine
 // advances all nodes in lock step, applies the collision semantics, and
@@ -57,19 +57,17 @@ func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 // round's actions, then applies collision semantics and calls Recv on
 // every listener that heard something. A transmitting node never receives
 // (a radio cannot listen while transmitting). A listener that heard
-// nothing gets no call: without collision detection it cannot tell
-// silence from a collision, so the report would carry no information.
+// nothing gets no call: it cannot tell silence from a collision, so the
+// report would carry no information.
 type Node interface {
 	// Act returns the node's action for the given round.
 	Act(round int64) Action
 	// Recv reports a reception to a listening node: msg is the message of
-	// its unique transmitting neighbor, and collided is false. The pointer
-	// is only valid for the duration of the call and the Message must be
-	// treated as read-only (listeners of one transmitter share the
-	// underlying storage). With collision detection enabled, a listener
-	// with two or more transmitting neighbors also gets a call, with msg
-	// nil and collided true; that is the only case in which msg is nil.
-	Recv(round int64, msg *Message, collided bool)
+	// its unique transmitting neighbor, never nil. The pointer is only
+	// valid for the duration of the call and the Message must be treated
+	// as read-only (listeners of one transmitter share the underlying
+	// storage).
+	Recv(round int64, msg *Message)
 }
 
 // Silent is a Node that always listens and ignores everything.
@@ -79,7 +77,7 @@ type Silent struct{}
 func (Silent) Act(int64) Action { return Listen }
 
 // Recv implements Node.
-func (Silent) Recv(int64, *Message, bool) {}
+func (Silent) Recv(int64, *Message) {}
 
 // Metrics accumulates engine counters over a run.
 type Metrics struct {
@@ -145,12 +143,10 @@ type BulkActor interface {
 // BulkReceiver is the Recv-side counterpart of BulkActor: one call delivers
 // the whole round's successful receptions, replacing per-listener interface
 // dispatches with a loop the protocol runs over its own contiguous node
-// storage. Only deliveries travel through the seam — collision reports
-// (when collision detection is enabled) stay on the per-node Recv path, so
-// a node is handed to at most one of the two paths per round.
+// storage.
 //
 // The implementation MUST be observationally identical to calling
-// Recv(round, &msgs[msgIdx[k]], false) on each listeners[k] in slice order;
+// Recv(round, &msgs[msgIdx[k]]) on each listeners[k] in slice order;
 // like the engine's listener pass, the seam assumes per-listener effects
 // are node-local (no protocol draws randomness or touches another node's
 // state in Recv). A protocol installs it via Engine.BulkRecv only when it
@@ -168,10 +164,6 @@ type BulkReceiver interface {
 type Engine struct {
 	G     *graph.Graph
 	Nodes []Node
-	// CollisionDetection selects the stronger model variant in which
-	// listeners can distinguish collision from silence. The paper's model
-	// (and all defaults) leave it false.
-	CollisionDetection bool
 	// Hook, if set, is invoked after every round (tracing/metrics).
 	Hook RoundHook
 	// Bulk, if non-nil, replaces the per-node Act loop (see BulkActor).
@@ -260,8 +252,8 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		txidx:    make([]int32, n),
 		txmsg:    make([]Message, 0, n),
 		transmit: make([]int32, 0, n),
-		// rcvID/rcvIdx (bulk-delivery scratch) grow on first use: most
-		// engines never install BulkRecv and should not carry the buffers.
+		// rcvID/rcvIdx grow on first use: only a sharded engine with
+		// BulkRecv installed concatenates the shards' delivery lists.
 	}
 	// A graph without dense rows leaves dense nil, so each transmitter's
 	// row lookup in the marking and resolve passes is one nil check.
@@ -324,9 +316,8 @@ func (e *Engine) Round() int64 { return e.round }
 // Step executes exactly one synchronous round: Act (per-node, bulk, or
 // sharded bulk), jam overlay, transmit-marking into the onair/collided
 // bitsets, word-parallel listener classification, and a sequential replay
-// of the classified Recv calls. The classify accumulators bucket every
-// listener before any protocol code runs, so the replay order is
-// deliveries, then collision reports (collision detection only), each in
+// of the classified deliveries. The classify accumulators bucket every
+// listener before any protocol code runs, so deliveries replay in
 // ascending node id — per-listener effects are node-local (no protocol
 // draws randomness or touches another node's state in Recv; loss coins
 // come from per-node streams), so this order is observationally
@@ -431,7 +422,7 @@ func (e *Engine) Step() {
 		switch {
 		case !bulkRecv:
 			for k, v := range st.rcvID {
-				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]], false)
+				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]])
 			}
 		case e.shards > 1:
 			e.rcvID = append(e.rcvID, st.rcvID...)
@@ -445,13 +436,6 @@ func (e *Engine) Step() {
 	}
 	if bulkRecv && len(rid) > 0 {
 		e.BulkRecv.RecvBulk(t, rid, ridx, e.txmsg)
-	}
-	if e.CollisionDetection {
-		for s := range e.sh {
-			for _, v := range e.sh[s].coll {
-				e.Nodes[v].Recv(t, nil, true)
-			}
-		}
 	}
 	e.clearRound()
 	e.Metrics.Deliveries += int64(deliveries)

@@ -6,35 +6,27 @@ import (
 	"radionet/internal/graph"
 )
 
-// collector records everything a node hears and counts its Recv calls.
+// collector records everything a node hears.
 type collector struct {
-	heard    []int64
-	collided int
-	calls    int
+	heard []int64
 }
 
 func (c *collector) Act(int64) Action { return Listen }
-func (c *collector) Recv(_ int64, msg *Message, collided bool) {
-	c.calls++
-	switch {
-	case msg != nil:
-		c.heard = append(c.heard, msg.A)
-	case collided:
-		c.collided++
-	}
+func (c *collector) Recv(_ int64, msg *Message) {
+	c.heard = append(c.heard, msg.A)
 }
 
 // beacon transmits value v every round.
 type beacon struct{ v int64 }
 
-func (b *beacon) Act(int64) Action           { return Transmit(Message{A: b.v}) }
-func (b *beacon) Recv(int64, *Message, bool) {}
+func (b *beacon) Act(int64) Action     { return Transmit(Message{A: b.v}) }
+func (b *beacon) Recv(int64, *Message) {}
 
 // FuncNode adapts plain functions to the Node interface: a nil ActFn
-// listens, a nil RecvFn ignores every report.
+// listens, a nil RecvFn ignores every reception.
 type FuncNode struct {
 	ActFn  func(round int64) Action
-	RecvFn func(round int64, msg *Message, collided bool)
+	RecvFn func(round int64, msg *Message)
 }
 
 func (f *FuncNode) Act(round int64) Action {
@@ -44,9 +36,9 @@ func (f *FuncNode) Act(round int64) Action {
 	return f.ActFn(round)
 }
 
-func (f *FuncNode) Recv(round int64, msg *Message, collided bool) {
+func (f *FuncNode) Recv(round int64, msg *Message) {
 	if f.RecvFn != nil {
-		f.RecvFn(round, msg, collided)
+		f.RecvFn(round, msg)
 	}
 }
 
@@ -65,30 +57,19 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 	}
 }
 
-// TestCollisionIsSilenceWithoutCD checks that, without collision
-// detection, a collided listener hears nothing: it gets no Recv call at
-// all, yet the engine still counts the collision.
+// TestCollisionIsSilenceWithoutCD checks the model's collision rule: a
+// collided listener cannot tell the collision from silence, so it gets no
+// Recv call at all, yet the engine still counts the collision.
 func TestCollisionIsSilenceWithoutCD(t *testing.T) {
 	g := graph.Star(3) // two leaves transmit; the center hears nothing
 	c := &collector{}
 	e := NewEngine(g, []Node{c, &beacon{v: 1}, &beacon{v: 2}})
 	e.Step()
-	if c.calls != 0 {
-		t.Fatalf("center got %d Recv calls (heard %v, collided %d), want none", c.calls, c.heard, c.collided)
+	if len(c.heard) != 0 {
+		t.Fatalf("center got Recv calls (heard %v), want none", c.heard)
 	}
 	if e.Metrics.Collisions != 1 {
 		t.Fatalf("collisions metric = %d, want 1", e.Metrics.Collisions)
-	}
-}
-
-func TestCollisionDetectionFlag(t *testing.T) {
-	g := graph.Star(3)
-	c := &collector{}
-	e := NewEngine(g, []Node{c, &beacon{v: 1}, &beacon{v: 2}})
-	e.CollisionDetection = true
-	e.Step()
-	if c.collided != 1 {
-		t.Fatalf("collided = %d, want 1 with collision detection", c.collided)
 	}
 }
 
@@ -101,7 +82,7 @@ func TestTransmitterCannotHear(t *testing.T) {
 	recvCalled := false
 	tx := &FuncNode{
 		ActFn:  func(int64) Action { return Transmit(Message{A: 7}) },
-		RecvFn: func(int64, *Message, bool) { recvCalled = true },
+		RecvFn: func(int64, *Message) { recvCalled = true },
 	}
 	e := NewEngine(g, []Node{b, tx})
 	e.Step()
@@ -129,11 +110,7 @@ func TestExactlyOneNeighborRule(t *testing.T) {
 func TestSrcStamping(t *testing.T) {
 	g := graph.Path(2)
 	var src int32 = -1
-	rx := &FuncNode{RecvFn: func(_ int64, msg *Message, _ bool) {
-		if msg != nil {
-			src = msg.Src
-		}
-	}}
+	rx := &FuncNode{RecvFn: func(_ int64, msg *Message) { src = msg.Src }}
 	e := NewEngine(g, []Node{&beacon{v: 5}, rx})
 	e.Step()
 	if src != 0 {
@@ -259,11 +236,7 @@ func TestBulkActorMatchesPerNode(t *testing.T) {
 		nodes := make([]Node, g.N())
 		for i := range nodes {
 			i := i
-			nodes[i] = &FuncNode{RecvFn: func(_ int64, m *Message, _ bool) {
-				if m != nil {
-					heard[i] += m.A
-				}
-			}}
+			nodes[i] = &FuncNode{RecvFn: func(_ int64, m *Message) { heard[i] += m.A }}
 		}
 		tx := []int32{0, 5, 10}
 		if !bulk {

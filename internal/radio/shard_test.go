@@ -10,8 +10,8 @@ import (
 )
 
 // shardProto is the determinism-matrix protocol: every node transmits its
-// id when id % 5 == t % 5 and logs everything it hears (value or
-// collision report) as a per-node event string. Node decisions are
+// id when id % 5 == t % 5 and logs everything it hears as a per-node
+// event string. Node decisions are
 // node-local, so the bulk seam may legally implement BulkRangeActor and
 // ride the sharded act wave.
 type shardProto struct {
@@ -31,13 +31,8 @@ func (nd *shardProtoNode) Act(t int64) Action {
 	return Listen
 }
 
-func (nd *shardProtoNode) Recv(t int64, msg *Message, collided bool) {
-	switch {
-	case msg != nil:
-		nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:msg%d", t, msg.A))
-	case collided:
-		nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:coll", t))
-	}
+func (nd *shardProtoNode) Recv(t int64, msg *Message) {
+	nd.p.log[nd.id] = append(nd.p.log[nd.id], fmt.Sprintf("%d:msg%d", t, msg.A))
 }
 
 func (p *shardProto) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
@@ -86,7 +81,7 @@ func mkShardPlan(n int) *FaultPlan {
 	return p
 }
 
-func runShardCase(g *graph.Graph, shards int, faulted, cd, bulk bool, rounds int64) shardRun {
+func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) shardRun {
 	n := g.N()
 	p := &shardProto{n: n, log: make([][]string, n)}
 	nodes := make([]Node, n)
@@ -94,7 +89,6 @@ func runShardCase(g *graph.Graph, shards int, faulted, cd, bulk bool, rounds int
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
-	e.CollisionDetection = cd
 	if bulk {
 		e.Bulk = p
 		e.BulkRecv = p
@@ -117,8 +111,8 @@ func runShardCase(g *graph.Graph, shards int, faulted, cd, bulk bool, rounds int
 
 // TestShardDeterminismMatrix pins the tentpole invariant: every shard
 // count produces byte-identical Metrics, per-round traces, and per-node
-// event logs, across fault scenarios, both collision-detection variants,
-// and both the per-node and bulk seams.
+// event logs, across fault scenarios and both the per-node and bulk
+// seams.
 func TestShardDeterminismMatrix(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Grid(13, 17), // 221 nodes, 4 words
@@ -127,27 +121,25 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	const rounds = 60
 	for _, g := range graphs {
 		for _, faulted := range []bool{false, true} {
-			for _, cd := range []bool{false, true} {
-				for _, bulk := range []bool{false, true} {
-					ref := runShardCase(g, 1, faulted, cd, bulk, rounds)
-					for _, k := range []int{2, 3, 8} {
-						got := runShardCase(g, k, faulted, cd, bulk, rounds)
-						name := fmt.Sprintf("%s faulted=%v cd=%v bulk=%v k=%d", g, faulted, cd, bulk, k)
-						if got.metrics != ref.metrics {
-							t.Fatalf("%s: metrics diverged:\nk=1: %+v\nk=%d: %+v", name, ref.metrics, k, got.metrics)
-						}
-						if !slices.Equal(got.trace, ref.trace) {
-							for i := range ref.trace {
-								if i >= len(got.trace) || got.trace[i] != ref.trace[i] {
-									t.Fatalf("%s: trace diverged at round %d:\nk=1: %s\nk=%d: %s", name, i, ref.trace[i], k, got.trace[i])
-								}
+			for _, bulk := range []bool{false, true} {
+				ref := runShardCase(g, 1, faulted, bulk, rounds)
+				for _, k := range []int{2, 3, 8} {
+					got := runShardCase(g, k, faulted, bulk, rounds)
+					name := fmt.Sprintf("%s faulted=%v bulk=%v k=%d", g, faulted, bulk, k)
+					if got.metrics != ref.metrics {
+						t.Fatalf("%s: metrics diverged:\nk=1: %+v\nk=%d: %+v", name, ref.metrics, k, got.metrics)
+					}
+					if !slices.Equal(got.trace, ref.trace) {
+						for i := range ref.trace {
+							if i >= len(got.trace) || got.trace[i] != ref.trace[i] {
+								t.Fatalf("%s: trace diverged at round %d:\nk=1: %s\nk=%d: %s", name, i, ref.trace[i], k, got.trace[i])
 							}
-							t.Fatalf("%s: trace length %d vs %d", name, len(ref.trace), len(got.trace))
 						}
-						for v := range ref.logs {
-							if !slices.Equal(got.logs[v], ref.logs[v]) {
-								t.Fatalf("%s: node %d log diverged:\nk=1: %v\nk=%d: %v", name, v, ref.logs[v], k, got.logs[v])
-							}
+						t.Fatalf("%s: trace length %d vs %d", name, len(ref.trace), len(got.trace))
+					}
+					for v := range ref.logs {
+						if !slices.Equal(got.logs[v], ref.logs[v]) {
+							t.Fatalf("%s: node %d log diverged:\nk=1: %v\nk=%d: %v", name, v, ref.logs[v], k, got.logs[v])
 						}
 					}
 				}
@@ -198,7 +190,7 @@ func TestSetShardsValidation(t *testing.T) {
 // sample per run, and installing the hook changes no output.
 func TestShardHookReportsBusyTime(t *testing.T) {
 	g := graph.Gnp(300, 0.03, rng.New(9))
-	ref := runShardCase(g, 3, false, false, true, 40)
+	ref := runShardCase(g, 3, false, true, 40)
 
 	n := g.N()
 	p := &shardProto{n: n, log: make([][]string, n)}

@@ -57,7 +57,7 @@ func TestEngineCloseReleasesWorkers(t *testing.T) {
 // sequential execution — and SetShards may be called again.
 func TestEngineUsableAfterClose(t *testing.T) {
 	g := graph.Grid(13, 17)
-	ref := runShardCase(g, 1, true, true, false, 40)
+	ref := runShardCase(g, 1, true, false, 40)
 
 	n := g.N()
 	p := &shardProto{n: n, log: make([][]string, n)}
@@ -66,7 +66,6 @@ func TestEngineUsableAfterClose(t *testing.T) {
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
 	e := NewEngine(g, nodes)
-	e.CollisionDetection = true
 	e.SetFaults(mkShardPlan(n))
 	pre := runtime.NumGoroutine()
 	e.SetShards(8)

@@ -103,8 +103,8 @@ func TestHookSliceNotRetained(t *testing.T) {
 
 type beacon struct{}
 
-func (beacon) Act(int64) radio.Action           { return radio.Transmit(radio.Message{A: 1}) }
-func (beacon) Recv(int64, *radio.Message, bool) {}
+func (beacon) Act(int64) radio.Action     { return radio.Transmit(radio.Message{A: 1}) }
+func (beacon) Recv(int64, *radio.Message) {}
 
 // TestAttachComposesWithInstalledHook is the hook-clobbering regression
 // test on the trace side: Attach must chain with an already-installed

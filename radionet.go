@@ -442,16 +442,6 @@ func (n *Network) LeaderElection(o LeaderOptions) (LeaderResult, error) {
 	return out, nil
 }
 
-// BroadcastCD broadcasts value from src under the *stronger* model variant
-// with collision detection (Section 1.1 of the paper), using the
-// deterministic beep-wave pipeline: ecc(src) + 3·bits + O(1) rounds. It
-// exists to quantify the model separation the paper discusses; all other
-// methods use the no-collision-detection model. It is sugar for the
-// registered "cd-beep" broadcast descriptor.
-func (n *Network) BroadcastCD(src int, value int64) (Result, error) {
-	return n.Broadcast(src, value, BroadcastOptions{Algorithm: "cd-beep"})
-}
-
 // Clustering re-exports the Miller–Peng–Xu Partition(β) result type.
 type Clustering = cluster.Result
 

@@ -134,25 +134,6 @@ func TestNewNetworkPanics(t *testing.T) {
 	}
 }
 
-func TestBroadcastCDFacade(t *testing.T) {
-	net := NewNetwork(Grid(6, 10))
-	res, err := net.BroadcastCD(0, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done {
-		t.Fatalf("CD broadcast incomplete: %+v", res)
-	}
-	// With collision detection the beep-wave run is far below any no-CD
-	// algorithm's cost on this graph.
-	if res.Rounds > 200 {
-		t.Fatalf("CD broadcast took %d rounds, expected ~D+3B", res.Rounds)
-	}
-	if _, err := net.BroadcastCD(-1, 1); err == nil {
-		t.Fatal("bad source accepted")
-	}
-}
-
 func TestPartitionGraphFacade(t *testing.T) {
 	p := PartitionGraph(Grid(8, 8), 0.3, 11)
 	if err := p.Validate(); err != nil {
