@@ -27,6 +27,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // bgi (decay's bulk path) and the two protocols that still run on the
 // engine's per-node Act/Recv path (pipelined multicast and distributed
 // MPX partitioning).
+//
+// others covers the remaining registry algorithms on the same topologies:
+// the Decay variants behind truncated-decay and hw16's pipeline, the
+// sequential multicast reduction and the three baseline leader elections.
 var goldenCases = []struct {
 	name  string
 	file  string
@@ -40,6 +44,14 @@ var goldenCases = []struct {
 		{Task: Broadcast, Algo: "bgi"},
 		{Task: protocol.Multicast, Algo: "pipelined"},
 		{Task: protocol.Partition, Algo: "mpx"},
+	}},
+	{"others", "others_golden.sha256", []AlgoSpec{
+		{Task: Broadcast, Algo: "truncated-decay"},
+		{Task: Broadcast, Algo: "hw16"},
+		{Task: protocol.Multicast, Algo: "sequential"},
+		{Task: Leader, Algo: "binary-search"},
+		{Task: Leader, Algo: "max-broadcast"},
+		{Task: Leader, Algo: "gh13"},
 	}},
 }
 
