@@ -24,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // least one summary field.
 //
 // pernode covers the engine's other users on the same topologies:
-// bgi (decay's bulk path) and the two protocols that still run on the
-// engine's per-node Act/Recv path (pipelined multicast and distributed
+// bgi (decay's bulk Protocol) and the two protocols that run through
+// the engine's per-node adapter (pipelined multicast and distributed
 // MPX partitioning).
 //
 // others covers the remaining registry algorithms on the same topologies:

@@ -158,7 +158,7 @@ func NewDistributed(g *graph.Graph, cfg DistConfig, seed uint64) *Distributed {
 		}
 		rn[v] = dist.nodes[v]
 	}
-	dist.Engine = radio.NewEngine(g, rn)
+	dist.Engine = radio.NewNodeEngine(g, rn)
 	return dist
 }
 

@@ -9,16 +9,15 @@ import (
 	"radionet/internal/schedule"
 )
 
-// bulkState is the contiguous fast-path node state behind the engine's
-// BulkActor/BulkReceiver seams: flat per-node slices for the lane-local
-// flood state, plus shared lane clocks. It exists because the per-node
-// icpState clocks of the reference implementation (node_test.go) are
-// redundant — a node's main-lane (fid, slot, offset) is a pure function of
-// its coarse cluster (every member follows the coarse center's clustering
-// sequence, and slot lengths depend only on the fine clustering in play),
-// and the background lane's clock is global (round-robin fids, shared slot
-// lengths). The bulk path therefore keeps one clock per coarse cluster
-// plus one background clock.
+// bulkState is compete's radio.Protocol, over contiguous node state: flat
+// per-node slices for the lane-local flood state, plus shared lane
+// clocks. It exists because the per-node icpState clocks of the reference
+// implementation (node_test.go) are redundant — a node's main-lane (fid,
+// slot, offset) is a pure function of its coarse cluster (every member
+// follows the coarse center's clustering sequence, and slot lengths
+// depend only on the fine clustering in play), and the background lane's
+// clock is global (round-robin fids, shared slot lengths). The bulk path
+// therefore keeps one clock per coarse cluster plus one background clock.
 //
 // Each lane keeps two flat views beside its heard bitset and flood values
 // (see lane): key, every node's fine-cluster center on the clustering its
@@ -327,7 +326,7 @@ func newBulkState(c *Compete) *bulkState {
 	return s
 }
 
-// ActBulk implements radio.BulkActor: one round's transmitters in
+// ActBulk implements radio.Protocol: one round's transmitters in
 // increasing id order, mirroring cnode.Act exactly (same gates, same
 // coins, same messages).
 //
@@ -652,7 +651,7 @@ func (s *bulkState) deriveFiring(ln *lane, numFine int, fid int32, seed uint64, 
 	}
 }
 
-// RecvBulk implements radio.BulkReceiver: the round's deliveries in one
+// RecvBulk implements radio.Protocol: the round's deliveries in one
 // pass, mirroring cnode.Recv per listener. Each listener adopts a better
 // value; an in-cluster sender (its center equals the listener's key on the
 // round's lane) also marks the listener heard and raises its flood value,
@@ -706,22 +705,4 @@ func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 	}
 }
 
-// bulkOnly fills the engine's per-vertex Node slots on the bulk path. The
-// engine calls per-node Act only without a BulkActor and per-node Recv
-// only without a BulkReceiver, and the bulk path installs both
-// unconditionally, so neither method can run.
-type bulkOnly struct{}
-
-// Act implements radio.Node; it is unreachable (the engine uses ActBulk).
-func (bulkOnly) Act(int64) radio.Action {
-	panic("compete: per-node Act on the bulk path (engine must use ActBulk)")
-}
-
-// Recv implements radio.Node; it is unreachable (the engine uses RecvBulk).
-func (bulkOnly) Recv(int64, *radio.Message) {
-	panic("compete: per-node Recv on the bulk path (engine must use RecvBulk)")
-}
-
-var _ radio.BulkActor = (*bulkState)(nil)
-var _ radio.BulkReceiver = (*bulkState)(nil)
-var _ radio.Node = bulkOnly{}
+var _ radio.Protocol = (*bulkState)(nil)

@@ -53,11 +53,11 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 // (checkLaneViews).
 func lockstep(t *testing.T, label string, bc, rc *Compete, budget int64) {
 	t.Helper()
-	if bc.Engine.Bulk == nil || bc.Engine.BulkRecv == nil {
-		t.Fatalf("%s: bulk seams not installed on the bulk path", label)
+	if bc.bulk == nil {
+		t.Fatalf("%s: bulk protocol not installed on the bulk path", label)
 	}
-	if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
-		t.Fatalf("%s: bulk seams installed on the reference path", label)
+	if rc.bulk != nil {
+		t.Fatalf("%s: bulk protocol installed on the reference path", label)
 	}
 	var blog, rlog []roundLog
 	hookInto(bc.Engine, &blog)

@@ -362,13 +362,7 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 		}
 	}
 	c.bulk = newBulkState(c)
-	rn := make([]radio.Node, n)
-	for v := range rn {
-		rn[v] = bulkOnly{}
-	}
-	c.Engine = radio.NewEngine(g, rn)
-	c.Engine.Bulk = c.bulk
-	c.Engine.BulkRecv = c.bulk
+	c.Engine = radio.NewEngine(g, c.bulk)
 	c.Engine.SetFaults(plan)
 	return c, nil
 }

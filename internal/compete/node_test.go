@@ -33,9 +33,9 @@ type icpState struct {
 }
 
 // perNode swaps a freshly built c's engine for one over cnode reference
-// machines, with no bulk seams, and returns c. plan, when non-nil, is
-// installed as the new engine's fault overlay: it must equal the plan c
-// was built with, as a fresh instance (plans are single-use).
+// machines, through the radio per-node adapter, and returns c. plan, when
+// non-nil, is installed as the new engine's fault overlay: it must equal
+// the plan c was built with, as a fresh instance (plans are single-use).
 func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
 	if c.Engine.Round() != 0 {
 		panic("compete: perNode after the first Step")
@@ -48,7 +48,7 @@ func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
 		refs[v].main.fid = c.mainFid(int32(v), 0)
 		rn[v] = &refs[v]
 	}
-	c.Engine = radio.NewEngine(c.g, rn)
+	c.Engine = radio.NewNodeEngine(c.g, rn)
 	c.Engine.SetFaults(plan)
 	c.bulk = nil
 	return c

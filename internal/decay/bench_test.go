@@ -9,11 +9,11 @@ import (
 
 // The incremental-termination benchmarks: Decay broadcast at n = 10^5 on
 // sparse topologies, comparing the hot path (O(1) Done via radio.Progress
-// + the engine's BulkActor/BulkReceiver seams) against the seed-style
-// configuration (per-round O(n) full-scan stop predicate on the per-node
-// engine path: an Act call for every node every round). Round counts are
-// identical by construction; only wall time differs. See DESIGN.md §5 for
-// recorded numbers.
+// + the bulk Protocol) against the seed-style configuration (per-round
+// O(n) full-scan stop predicate on the engine's per-node adapter: an Act
+// call for every node every round). Round counts are identical by
+// construction; only wall time differs. See DESIGN.md §5 for recorded
+// numbers.
 
 func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 	b.Helper()
@@ -22,7 +22,7 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 		b.StopTimer()
 		bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
 		if fullScan {
-			perNode(bc)
+			perNode(bc, nil)
 		}
 		b.StartTimer()
 		var done bool

@@ -81,11 +81,10 @@ func (c Config) levels(n int) int {
 type tracker struct {
 	prog       radio.Progress
 	informed   int
-	trueMax    int64     // highest source value; propagation never exceeds it
-	levels     int       // phase length, shared by every node
-	probs      []float64 // probs[s] = Prob(s), precomputed per phase step
-	thr        []uint64  // thr[s]: rnd.Uint64()>>11 < thr[s] <=> Bernoulli(probs[s])
-	isInformed []bool    // per-node informed flag, indexed by node id
+	trueMax    int64    // highest source value; propagation never exceeds it
+	levels     int      // phase length, shared by every node
+	thr        []uint64 // thr[s]: rnd.Uint64()>>11 < thr[s] <=> Bernoulli(Prob(s))
+	isInformed []bool   // per-node informed flag, indexed by node id
 	// counted is the survivor-scoped completion mask (nil without a fault
 	// plan): only nodes reachable from the surviving sources in the
 	// survivor graph count toward prog, so nodes a crash schedule makes
@@ -107,27 +106,6 @@ type node struct {
 }
 
 func (b *node) informed() bool { return b.tr.isInformed[b.idx] }
-
-func (b *node) Act(t int64) radio.Action {
-	if !b.informed() {
-		return radio.Listen
-	}
-	if !b.joinMid && t < b.informedAt {
-		return radio.Listen
-	}
-	// step = t mod levels, tracked via the phase start to keep an integer
-	// division off the hot path. The loop crosses phase boundaries and
-	// normally runs 0 or 1 times.
-	L := int64(b.tr.levels)
-	for t-b.phaseStart >= L {
-		b.phaseStart += L
-	}
-	step := int(t - b.phaseStart)
-	if b.rnd.Bernoulli(b.tr.probs[step]) {
-		return radio.Transmit(radio.Message{Kind: KindBroadcast, A: b.val})
-	}
-	return radio.Listen
-}
 
 func (b *node) Recv(t int64, msg *radio.Message) {
 	// val starts at the -1 sentinel, so for the non-negative message
@@ -178,11 +156,9 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 	master := rng.New(seed)
 	b := &Broadcast{nodes: make([]node, n)}
 	b.tr.levels = L
-	b.tr.probs = make([]float64, L)
 	b.tr.thr = make([]uint64, L)
-	for s := range b.tr.probs {
+	for s := range b.tr.thr {
 		p := Prob(s)
-		b.tr.probs[s] = p
 		// rng.Bernoulli(p) is Float64() < p with Float64 = (Uint64>>11)/2^53.
 		// Both sides are exact powers of two, so the comparison equals the
 		// integer test (Uint64>>11) < ceil(p*2^53) — same draw, same
@@ -190,10 +166,8 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 		b.tr.thr[s] = uint64(math.Ceil(p * (1 << 53)))
 	}
 	b.tr.isInformed = make([]bool, n)
-	rn := make([]radio.Node, n)
 	for i := 0; i < n; i++ {
 		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), joinMid: cfg.JoinMidPhase, val: -1}
-		rn[i] = &b.nodes[i]
 	}
 	first := true
 	//lint:ordered max reduction over the values; order cannot change the maximum
@@ -229,18 +203,14 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 	}
 	b.tr.prog = *radio.NewProgress(target)
 	b.tr.prog.Add(atMax)
-	// All engine nodes are exactly &b.nodes[i], so the bulk Act and Recv
-	// fast paths are observationally identical to the per-node calls.
-	b.Engine = radio.NewEngine(g, rn)
-	b.Engine.Bulk = b
-	b.Engine.BulkRecv = b
+	b.Engine = radio.NewEngine(g, b)
 	b.Engine.SetFaults(cfg.Faults)
 	return b
 }
 
-// ActBulk implements radio.BulkActor: one pass over the contiguous node
-// slice, mirroring node.Act exactly (same checks, same RNG draws, same
-// order) without per-node interface dispatch.
+// ActBulk implements radio.Protocol: one pass over the contiguous node
+// slice, in ascending id order. The per-node oracle it is tested against
+// is node.Act (node_test.go): same checks, same RNG draws, same order.
 //
 //radionet:hotpath
 func (b *Broadcast) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
@@ -278,10 +248,9 @@ func (b *Broadcast) ActBulkRange(t int64, lo, hi int32, tx []int32, msgs []radio
 	return tx, msgs
 }
 
-// RecvBulk implements radio.BulkReceiver: one pass over the round's
+// RecvBulk implements radio.Protocol: one pass over the round's
 // deliveries. The per-listener call is node.Recv itself — static dispatch
-// on the concrete type, so the seam removes the interface dispatches
-// without duplicating the delivery logic.
+// on the concrete type, so the delivery logic exists once.
 //
 //radionet:hotpath
 func (b *Broadcast) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
@@ -369,22 +338,7 @@ func (b *Broadcast) Run(maxRounds int64) (int64, bool) {
 	return b.Engine.RunUntil(maxRounds, &b.tr.prog)
 }
 
-// Participant is a reusable Decay phase driver for protocols that embed
-// Decay as a sub-process (e.g. the paper's Algorithm 4 background process).
-// A Participant does not itself decide *whether* to take part in a phase —
-// the embedding protocol does — it only supplies the per-step coin.
-type Participant struct {
-	Levels int
-	Rnd    *rng.Rand
-}
-
-// Transmitp reports whether to transmit at 0-based step s of the current
-// phase.
-func (p *Participant) Transmitp(s int) bool {
-	return p.Rnd.Bernoulli(Prob(s % p.Levels))
-}
-
 var (
+	_ radio.Protocol       = (*Broadcast)(nil)
 	_ radio.BulkRangeActor = (*Broadcast)(nil)
-	_ radio.BulkReceiver   = (*Broadcast)(nil)
 )

@@ -127,21 +127,6 @@ func TestDecaySuccessProbability(t *testing.T) {
 	}
 }
 
-func TestParticipant(t *testing.T) {
-	p := &Participant{Levels: 4, Rnd: rng.New(5)}
-	// Step 0 has probability 1/2; over many phases it must transmit
-	// sometimes and not always.
-	yes := 0
-	for i := 0; i < 1000; i++ {
-		if p.Transmitp(0) {
-			yes++
-		}
-	}
-	if yes < 400 || yes > 600 {
-		t.Fatalf("step-0 transmit count %d out of range for p=1/2", yes)
-	}
-}
-
 func TestBroadcastScalingOnPath(t *testing.T) {
 	// Sanity on the O((D+log n) log n) shape: doubling D should roughly
 	// double completion time on a path. Loose factor bounds only.

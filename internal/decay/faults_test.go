@@ -45,7 +45,8 @@ func TestDecayFaultOverlayMatchesReference(t *testing.T) {
 	bulk := NewBroadcast(g, Config{Faults: decayTestPlan(n)}, 17, sources)
 	logA := record(bulk.Engine)
 
-	pernode := perNode(NewBroadcast(g, Config{Faults: decayTestPlan(n)}, 17, sources))
+	plan := decayTestPlan(n)
+	pernode := perNode(NewBroadcast(g, Config{Faults: plan}, 17, sources), plan)
 	logB := record(pernode.Engine)
 
 	if bulk.ReachTarget() != pernode.ReachTarget() {

@@ -63,14 +63,6 @@ func equivalenceGraphs(seed uint64) []*graph.Graph {
 	}
 }
 
-// perNode clears b's bulk seams before the first Step, so its engine runs
-// the per-node Act and Recv of every node: the reference path the bulk
-// seams are pinned to.
-func perNode(b *Broadcast) *Broadcast {
-	b.Engine.Bulk, b.Engine.BulkRecv = nil, nil
-	return b
-}
-
 // Incremental Done must agree with the O(n) reference scan after every
 // single round, across graphs, seeds, source patterns and both engine
 // paths (bulk and per-node).
@@ -84,7 +76,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 				}
 				bc := NewBroadcast(g, Config{}, seed, sources)
 				if ref {
-					perNode(bc)
+					perNode(bc, nil)
 				}
 				for r := 0; r < 1<<14; r++ {
 					inc, full := bc.Done(), bc.doneFullScan()
@@ -116,10 +108,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				sources = map[int]int64{0: 5, g.N() / 2: 9}
 			}
 			bb := NewBroadcast(g, Config{}, seed, sources)
-			pb := perNode(NewBroadcast(g, Config{}, seed, sources))
-			if bb.Engine.Bulk == nil || bb.Engine.BulkRecv == nil {
-				t.Fatal("bulk seams not installed by NewBroadcast")
-			}
+			pb := perNode(NewBroadcast(g, Config{}, seed, sources), nil)
 			type round struct {
 				tx         []int32
 				deliveries int
@@ -162,7 +151,7 @@ func TestBulkAndPerNodePathsIdentical(t *testing.T) {
 			run := func(ref bool) (int64, radio.Metrics, []int64) {
 				bc := NewBroadcast(g, Config{}, seed, map[int]int64{0: 9})
 				if ref {
-					perNode(bc)
+					perNode(bc, nil)
 				}
 				rounds, done := bc.Run(1 << 20)
 				if !done {

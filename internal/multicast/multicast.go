@@ -128,7 +128,7 @@ func NewPipelined(g *graph.Graph, seed uint64, src int, msgs []int64) (*Pipeline
 	for i, m := range msgs {
 		p.nodes[src].learn(i, m)
 	}
-	p.Engine = radio.NewEngine(g, rn)
+	p.Engine = radio.NewNodeEngine(g, rn)
 	return p, nil
 }
 

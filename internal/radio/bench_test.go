@@ -84,9 +84,9 @@ func (s *scatterKernel) run(tx []int32) (deliveries, collisions int) {
 func benchEngine(g *graph.Graph) *Engine {
 	nodes := make([]Node, g.N())
 	for v := range nodes {
-		nodes[v] = Silent{}
+		nodes[v] = silent{}
 	}
-	return NewEngine(g, nodes)
+	return NewNodeEngine(g, nodes)
 }
 
 // runBitsetKernel drives one mark+classify+clear cycle of the engine's

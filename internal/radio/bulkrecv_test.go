@@ -7,11 +7,10 @@ import (
 	"radionet/internal/rng"
 )
 
-// bulkProto is a toy protocol owning all nodes of an engine, with both
-// bulk seams: every node transmits its id in rounds where id % 5 == t % 5,
-// and records every value it hears. The reference run uses the same type
-// with the seams left uninstalled, so per-node Act/Recv and the bulk paths
-// must produce identical logs and metrics.
+// bulkProto is a toy Protocol: every node transmits its id in rounds
+// where id % 5 == t % 5, and records every value it hears. The reference
+// run drives the same behaviour as per-node machines through the adapter,
+// so the adapter and the Protocol must produce identical logs and metrics.
 type bulkProto struct {
 	n     int
 	heard [][]int64
@@ -49,26 +48,28 @@ func (p *bulkProto) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message)
 	}
 }
 
-// run executes rounds rounds on g, with or without the bulk seams.
+// run executes rounds rounds on g, as a Protocol (bulk) or as per-node
+// machines through the adapter.
 func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool) *Engine {
 	n := g.N()
 	p.n = n
 	p.heard = make([][]int64, n)
-	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = &bulkProtoNode{p: p, id: int32(v)}
-	}
-	e := NewEngine(g, nodes)
+	var e *Engine
 	if bulk {
-		e.Bulk = p
-		e.BulkRecv = p
+		e = NewEngine(g, p)
+	} else {
+		nodes := make([]Node, n)
+		for v := 0; v < n; v++ {
+			nodes[v] = &bulkProtoNode{p: p, id: int32(v)}
+		}
+		e = NewNodeEngine(g, nodes)
 	}
 	e.Run(rounds, nil)
 	return e
 }
 
-// The bulk Act/Recv seams must be observationally identical to the
-// per-node paths.
+// A Protocol's ActBulk/RecvBulk must be observationally identical to the
+// same behaviour as per-node machines through the adapter.
 func TestBulkRecvMatchesPerNode(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Path(23),

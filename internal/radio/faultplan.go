@@ -29,28 +29,28 @@ const (
 // probability, and per-node reception-loss probability — that the engine
 // applies inside Step as masks over the transmit list and the delivery
 // pass. It is the repository's only fault mechanism, and it composes with
-// the BulkActor/BulkReceiver fast paths: the protocol computes its round
-// obliviously and the engine masks dead transmitters, injects noise, and
-// fades receptions afterwards, so faulted runs keep the bulk-path speed.
+// every Protocol: the protocol computes its round obliviously and the
+// engine masks dead transmitters, injects noise, and fades receptions
+// afterwards, so faulted runs take the same path as unfaulted ones.
 //
 // Semantics, round by round (all rounds are global engine rounds):
 //
 //   - A node with crash round R is dead in every round t >= R: it never
-//     transmits (bulk-computed transmissions are masked off the air), is
+//     transmits (its ActBulk transmissions are masked off the air), is
 //     skipped by the listener pass, and stops counting toward
-//     Metrics.Deliveries/Collisions. Its protocol machine may keep
-//     drawing from its private randomness stream on the bulk path; the
-//     draws are unobservable because nothing the node does reaches the
-//     network.
+//     Metrics.Deliveries/Collisions. A bulk protocol may keep drawing
+//     from the node's private randomness stream; the draws are
+//     unobservable because nothing the node does reaches the network.
+//     The per-node adapter does not ask a dead node to act.
 //   - A live jammer draws one noise coin per round; when it fires, the
 //     node transmits KindNoise this round regardless of what its protocol
 //     chose (the protocol machine still stepped: a bulk Act pass cannot
-//     suppress a single node's draws, so the per-node path does not
+//     suppress a single node's draws, so the per-node adapter does not
 //     either).
 //   - A lossy node draws one fade coin per successful reception; a faded
 //     reception still counts as an engine delivery (the message was on the
-//     air) but never reaches the protocol: the Recv call is skipped
-//     outright.
+//     air) but never reaches the protocol: it is left out of the
+//     RecvBulk call.
 //
 // A plan is single-use: its jam/loss coin streams advance as the run
 // executes. Build one plan per engine.

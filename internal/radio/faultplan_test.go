@@ -15,7 +15,7 @@ func TestOverlayCrashMasksTransmitter(t *testing.T) {
 	rx := &FuncNode{RecvFn: func(int64, *Message) { heard++ }}
 	p := NewFaultPlan(2, 1)
 	p.Crash(0, 4)
-	e := NewEngine(g, []Node{&beacon{v: 5}, rx})
+	e := NewNodeEngine(g, []Node{&beacon{v: 5}, rx})
 	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
@@ -34,7 +34,7 @@ func TestOverlayCrashMasksTransmitter(t *testing.T) {
 func TestCrashedListenerStopsCounting(t *testing.T) {
 	p := NewFaultPlan(2, 1)
 	p.Crash(1, 6)
-	e := NewEngine(graph.Path(2), []Node{&beacon{v: 9}, Silent{}})
+	e := NewNodeEngine(graph.Path(2), []Node{&beacon{v: 9}, silent{}})
 	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
@@ -50,7 +50,7 @@ func TestCrashedListenerStopsCountingCollisions(t *testing.T) {
 	g := graph.Star(3) // center 0 hears both leaves
 	p := NewFaultPlan(3, 1)
 	p.Crash(0, 3)
-	e := NewEngine(g, []Node{Silent{}, &beacon{v: 1}, &beacon{v: 2}})
+	e := NewNodeEngine(g, []Node{silent{}, &beacon{v: 1}, &beacon{v: 2}})
 	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
@@ -71,7 +71,7 @@ func TestCrashNodeStopsActingAndReceiving(t *testing.T) {
 	}
 	p := NewFaultPlan(2, 1)
 	p.Crash(0, 3)
-	e := NewEngine(graph.Path(2), []Node{nd, &beacon{v: 9}})
+	e := NewNodeEngine(graph.Path(2), []Node{nd, &beacon{v: 9}})
 	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
@@ -85,21 +85,19 @@ func TestCrashNodeStopsActingAndReceiving(t *testing.T) {
 }
 
 // TestCrashedNodeIsSilentOnAir: a crashed node's transmissions computed by
-// a BulkActor are masked off the air from its crash round on (the
-// per-node path is TestOverlayCrashMasksTransmitter).
+// a Protocol's ActBulk are masked off the air from its crash round on (the
+// per-node adapter is TestOverlayCrashMasksTransmitter).
 func TestCrashedNodeIsSilentOnAir(t *testing.T) {
-	heard := 0
-	rx := &FuncNode{RecvFn: func(int64, *Message) { heard++ }}
+	proto := &fixedTx{ids: []int32{0}}
 	p := NewFaultPlan(2, 1)
 	p.Crash(0, 4)
-	e := NewEngine(graph.Path(2), []Node{Silent{}, rx})
-	e.Bulk = &bulkBeacons{ids: []int32{0}}
+	e := NewEngine(graph.Path(2), proto)
 	e.SetFaults(p)
 	for i := 0; i < 10; i++ {
 		e.Step()
 	}
-	if heard != 4 || e.Metrics.Transmissions != 4 {
-		t.Fatalf("receiver heard %d of %d transmissions, want 4 of 4", heard, e.Metrics.Transmissions)
+	if proto.recvs != 4 || e.Metrics.Transmissions != 4 {
+		t.Fatalf("receiver heard %d of %d transmissions, want 4 of 4", proto.recvs, e.Metrics.Transmissions)
 	}
 }
 
@@ -117,7 +115,7 @@ func TestJamNodeStepsInnerEveryRound(t *testing.T) {
 	}}
 	p := NewFaultPlan(2, 8)
 	p.Jam(0, 1)
-	e := NewEngine(graph.Path(2), []Node{nd, rx})
+	e := NewNodeEngine(graph.Path(2), []Node{nd, rx})
 	e.SetFaults(p)
 	for i := 0; i < 6; i++ {
 		e.Step()
@@ -137,7 +135,7 @@ func TestJamNodePassThrough(t *testing.T) {
 	nd := &FuncNode{ActFn: func(int64) Action { acts++; return Listen }}
 	p := NewFaultPlan(2, 2)
 	p.Jam(0, 0)
-	e := NewEngine(graph.Path(2), []Node{nd, Silent{}})
+	e := NewNodeEngine(graph.Path(2), []Node{nd, silent{}})
 	e.SetFaults(p)
 	for i := 0; i < 5; i++ {
 		e.Step()
@@ -147,25 +145,19 @@ func TestJamNodePassThrough(t *testing.T) {
 	}
 }
 
-// recvCount is a BulkReceiver that counts the deliveries it is handed.
-type recvCount struct{ n int }
-
-func (r *recvCount) RecvBulk(_ int64, listeners, _ []int32, _ []Message) { r.n += len(listeners) }
-
-// TestLossyNodeDropsReceptions: on the BulkReceiver path a faded reception
-// is dropped before the call, while it still counts as an engine delivery
-// (TestOverlayLossDropsReceptions is the per-node path).
+// TestLossyNodeDropsReceptions: a faded reception is left out of the
+// Protocol's RecvBulk call, while it still counts as an engine delivery
+// (TestOverlayLossDropsReceptions is the per-node adapter).
 func TestLossyNodeDropsReceptions(t *testing.T) {
-	rc := &recvCount{}
+	proto := &fixedTx{ids: []int32{1}}
 	p := NewFaultPlan(2, 3)
 	p.Loss(0, 0.5)
-	e := NewEngine(graph.Path(2), []Node{Silent{}, &beacon{v: 5}})
-	e.BulkRecv = rc
+	e := NewEngine(graph.Path(2), proto)
 	e.SetFaults(p)
 	for i := 0; i < 400; i++ {
 		e.Step()
 	}
-	if frac := float64(rc.n) / 400; frac < 0.35 || frac > 0.65 {
+	if frac := float64(proto.recvs) / 400; frac < 0.35 || frac > 0.65 {
 		t.Fatalf("delivery fraction %.2f, want ~0.5", frac)
 	}
 	if e.Metrics.Deliveries != 400 {
@@ -181,7 +173,7 @@ func TestOverlayJamCausesCollisions(t *testing.T) {
 	rx := &FuncNode{RecvFn: func(int64, *Message) { heard++ }}
 	p := NewFaultPlan(3, 7)
 	p.Jam(2, 1)
-	e := NewEngine(g, []Node{rx, &beacon{v: 5}, Silent{}})
+	e := NewNodeEngine(g, []Node{rx, &beacon{v: 5}, silent{}})
 	e.SetFaults(p)
 	for i := 0; i < 20; i++ {
 		e.Step()
@@ -203,7 +195,7 @@ func TestOverlayLossDropsReceptions(t *testing.T) {
 	rx := &FuncNode{RecvFn: func(int64, *Message) { heard++ }}
 	p := NewFaultPlan(2, 3)
 	p.Loss(0, 0.5)
-	e := NewEngine(g, []Node{rx, &beacon{v: 5}})
+	e := NewNodeEngine(g, []Node{rx, &beacon{v: 5}})
 	e.SetFaults(p)
 	for i := 0; i < 400; i++ {
 		e.Step()
@@ -219,7 +211,7 @@ func TestOverlayLossDropsReceptions(t *testing.T) {
 // TestSetFaultsValidation: wrong plan size and post-Step installs panic.
 func TestSetFaultsValidation(t *testing.T) {
 	g := graph.Path(2)
-	e := NewEngine(g, []Node{Silent{}, Silent{}})
+	e := NewNodeEngine(g, []Node{silent{}, silent{}})
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {

@@ -21,7 +21,7 @@ func TestChainHooksBothObserveEveryRound(t *testing.T) {
 			return Listen
 		}}
 	}
-	e := NewEngine(g, nodes)
+	e := NewNodeEngine(g, nodes)
 
 	type obs struct {
 		round int64

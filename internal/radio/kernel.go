@@ -24,14 +24,14 @@
 //
 // Sharding splits the marking pass over contiguous chunks of the transmit
 // list and the classify pass over contiguous word ranges, across k
-// goroutines with the round barrier as the only sync point. Shards never
-// call into protocol code: they classify into private accumulators
-// (counts and the delivery list) that the sequential replay
-// step drains in shard order. Because shard ranges partition the node
+// goroutines with the round barrier as the only sync point. Shards call
+// into protocol code only through a range Act (BulkRangeActor); they
+// classify into private accumulators (counts and the delivery list) that
+// the round's one RecvBulk call receives in shard order. Because shard ranges partition the node
 // space in ascending order and every per-listener effect is node-local
-// (see BulkReceiver's contract; loss coins come from per-node streams),
+// (see Protocol.RecvBulk; loss coins come from per-node streams),
 // Metrics, RecvBulk call contents and all protocol state are bit-exact at
-// any shard count — k == 1 runs the very same classify+replay code, so
+// any shard count — k == 1 runs the very same classify+delivery code, so
 // there is no second semantics to drift from.
 package radio
 
@@ -41,17 +41,17 @@ import (
 	"time"
 )
 
-// BulkRangeActor extends BulkActor with a node-range restricted variant so
-// the Act half of a round can run sharded. ActBulkRange(t, lo, hi, ...)
-// must append exactly the transmitters of ActBulk(t, ...) whose ids fall
-// in [lo, hi), in ascending order, consuming the same per-node randomness
-// — the engine concatenates the per-shard outputs in range order and the
-// result must be byte-identical to the unsharded call. Protocols whose Act
-// touches any cross-node state (a shared lane clock, a global counter)
-// must not implement the extension; the engine then falls back to the
-// sequential ActBulk even when sharding is enabled.
+// BulkRangeActor is the optional range extension of a Protocol, the
+// engine's only hook for running the Act half of a round sharded.
+// ActBulkRange(t, lo, hi, ...) must append exactly the transmitters of
+// ActBulk(t, ...) whose ids fall in [lo, hi), in ascending order,
+// consuming the same per-node randomness — the engine concatenates the
+// per-shard outputs in range order and the result must be byte-identical
+// to the unsharded call. Protocols whose Act touches any cross-node state
+// (a shared lane clock, a global counter) must not implement the
+// extension; the engine then calls the sequential ActBulk even when
+// sharding is enabled. SetShards resolves it once.
 type BulkRangeActor interface {
-	BulkActor
 	// ActBulkRange appends the ids (ascending) and messages of this
 	// round's transmitters with lo <= id < hi to tx and msgs.
 	ActBulkRange(round int64, lo, hi int32, tx []int32, msgs []Message) ([]int32, []Message)
@@ -99,7 +99,8 @@ const maxShards = 256
 func (e *Engine) Shards() int { return e.shards }
 
 // SetShards partitions the transmit-marking and listener-classify passes
-// of every subsequent Step across k goroutines: k-1 resident workers
+// of every subsequent Step, and its Act when the protocol implements
+// BulkRangeActor, across k goroutines: k-1 resident workers
 // spawned here and parked on command channels between waves (see
 // workers.go), one wave on the caller. It must be called before the first
 // Step. Output is bit-exact at any k — see the package comment for the
@@ -139,8 +140,8 @@ func (e *Engine) SetShards(k int) {
 		w += span
 		st.lo = int32(st.w0 << 6)
 		hi := st.w1 << 6
-		if hi > len(e.Nodes) {
-			hi = len(e.Nodes)
+		if hi > e.G.N() {
+			hi = e.G.N()
 		}
 		st.hi = int32(hi)
 		if s == 0 {
@@ -153,7 +154,9 @@ func (e *Engine) SetShards(k int) {
 			st.dirty = make([]uint64, len(e.dirty))
 		}
 	}
+	e.rangeAct = nil
 	if k > 1 {
+		e.rangeAct, _ = e.proto.(BulkRangeActor)
 		e.spawnWorkers(k)
 	}
 }
@@ -374,15 +377,15 @@ func (e *Engine) clearRound() {
 }
 
 // runAct is the sharded Act wave: the shard's node range through the
-// protocol's BulkRangeActor into private scratch, concatenated by the
-// caller in shard order.
+// protocol's range Act into private scratch, concatenated by the caller
+// in shard order.
 //
 //radionet:hotpath
 func (st *shardState) runAct() {
 	e := st.eng
 	st.tx = st.tx[:0]
 	st.msgs = st.msgs[:0]
-	st.tx, st.msgs = e.rangeBulk.ActBulkRange(e.round-1, st.lo, st.hi, st.tx, st.msgs)
+	st.tx, st.msgs = e.rangeAct.ActBulkRange(e.round-1, st.lo, st.hi, st.tx, st.msgs)
 }
 
 // Timed wrappers: wall-clock reads are telemetry-only side channels,

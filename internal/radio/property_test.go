@@ -61,7 +61,7 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 		nodes[v] = &scripted{t: t, plan: plans[v], val: int64(v + 1)}
 		rn[v] = nodes[v]
 	}
-	e := NewEngine(g, rn)
+	e := NewNodeEngine(g, rn)
 	defer e.Close()
 	e.SetFaults(fp)
 	if k > 1 {
@@ -302,7 +302,7 @@ func TestMetricsConsistency(t *testing.T) {
 		}
 		nodes[v] = &scripted{t: t, plan: plan, val: 1}
 	}
-	e := NewEngine(g, nodes)
+	e := NewNodeEngine(g, nodes)
 	for i := 0; i < T; i++ {
 		e.Step()
 	}

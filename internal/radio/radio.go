@@ -7,11 +7,14 @@
 // has no collision detection). Spontaneous transmissions are allowed: any
 // node may transmit in any round regardless of what it knows.
 //
-// Protocols are per-node state machines (the Node interface). The Engine
-// advances all nodes in lock step, applies the collision semantics, and
-// accounts rounds, transmissions, deliveries and collisions. Protocols
-// that alternate several processes (the paper's main and background
-// lanes) interleave them in time themselves, by engine round.
+// The Engine drives one protocol interface, Protocol: a whole-round Act
+// over the protocol's own node storage, then one bulk delivery of the
+// round's receptions. Per-node state machines (the Node interface) run
+// through NewNodeEngine's adapter. The Engine advances all nodes in lock
+// step, applies the collision semantics, and accounts rounds,
+// transmissions, deliveries and collisions. Protocols that alternate
+// several processes (the paper's main and background lanes) interleave
+// them in time themselves, by engine round.
 package radio
 
 import (
@@ -51,11 +54,14 @@ var Listen = Action{}
 // Transmit returns a transmitting action carrying msg.
 func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 
-// Node is a protocol state machine for a single network node.
+// Node is a protocol state machine for a single network node, run by
+// NewNodeEngine's adapter.
 //
-// In every round the engine first calls Act on every node to collect the
-// round's actions, then applies collision semantics and calls Recv on
-// every listener that heard something. A transmitting node never receives
+// In every round the adapter first calls Act on every live node in
+// ascending id order to collect the round's actions; the engine then
+// applies collision semantics and the adapter calls Recv, in ascending
+// id order, on every listener that heard something. A crashed node is
+// never asked to act and hears nothing. A transmitting node never receives
 // (a radio cannot listen while transmitting). A listener that heard
 // nothing gets no call: it cannot tell silence from a collision, so the
 // report would carry no information.
@@ -69,15 +75,6 @@ type Node interface {
 	// storage).
 	Recv(round int64, msg *Message)
 }
-
-// Silent is a Node that always listens and ignores everything.
-type Silent struct{}
-
-// Act implements Node.
-func (Silent) Act(int64) Action { return Listen }
-
-// Recv implements Node.
-func (Silent) Recv(int64, *Message) {}
 
 // Metrics accumulates engine counters over a run.
 type Metrics struct {
@@ -125,58 +122,88 @@ func (e *Engine) AddHook(h RoundHook) {
 	e.Hook = ChainHooks(e.Hook, h)
 }
 
-// BulkActor is an optional protocol-side fast path for the Act half of a
-// round: one call computes the whole round's transmissions, replacing n
-// interface dispatches (and n Action returns) with a single call into a
-// loop the protocol can run over its own contiguous node storage. The
-// implementation MUST be observationally identical to calling Act on every
-// node in increasing id order — same transmitters, same messages, same
-// randomness consumed — it is an optimization seam, never a semantic one.
-// Protocols install it via Engine.Bulk before the first Step; faults stay
-// engine-side (SetFaults), so a protocol's bulk pass never models them.
-type BulkActor interface {
+// Protocol is the engine's one protocol interface: a whole-round Act and
+// a bulk delivery, run over the protocol's own contiguous node storage.
+// Per-node state machines reach the engine through NewNodeEngine's
+// adapter. Faults stay engine-side (SetFaults): a crashed node's
+// transmissions are masked off the air after ActBulk and it is never
+// among the listeners, so a protocol never models them.
+type Protocol interface {
 	// ActBulk appends the ids (ascending) and messages of this round's
 	// transmitters to tx and msgs and returns the extended slices.
 	ActBulk(round int64, tx []int32, msgs []Message) ([]int32, []Message)
+	// RecvBulk delivers this round's receptions: for each k, node
+	// listeners[k] heard msgs[msgIdx[k]], in ascending listener order.
+	// All three slices are engine scratch, valid only for the duration of
+	// the call; messages are shared between listeners and must be treated
+	// as read-only. Faded receptions (FaultPlan loss) are dropped before
+	// the call, and a round without receptions makes no call. Per-listener
+	// effects must be node-local (no randomness drawn, no other node's
+	// state touched), which is what makes the delivery order, and with it
+	// the shard count, unobservable.
+	RecvBulk(round int64, listeners, msgIdx []int32, msgs []Message)
 }
 
-// BulkReceiver is the Recv-side counterpart of BulkActor: one call delivers
-// the whole round's successful receptions, replacing per-listener interface
-// dispatches with a loop the protocol runs over its own contiguous node
-// storage.
-//
-// The implementation MUST be observationally identical to calling
-// Recv(round, &msgs[msgIdx[k]]) on each listeners[k] in slice order;
-// like the engine's listener pass, the seam assumes per-listener effects
-// are node-local (no protocol draws randomness or touches another node's
-// state in Recv). A protocol installs it via Engine.BulkRecv only when it
-// owns every engine node; faded receptions (FaultPlan loss) are dropped
-// before the call.
-type BulkReceiver interface {
-	// RecvBulk delivers this round's receptions: for each k, node
-	// listeners[k] heard msgs[msgIdx[k]]. All three slices are engine
-	// scratch, valid only for the duration of the call; messages are
-	// shared between listeners and must be treated as read-only.
-	RecvBulk(round int64, listeners, msgIdx []int32, msgs []Message)
+// nodeProtocol is the Protocol adapter over per-node state machines. It
+// keeps their per-node semantics exactly: Act runs in ascending id order
+// and never on a crashed node, and Recv replays in ascending listener
+// order.
+type nodeProtocol struct {
+	e     *Engine
+	nodes []Node
+	// tx and msgs hold ActBulk's output while it runs: as locals, their six
+	// slice-header words would be spilled and reloaded around every node's
+	// Act call.
+	tx   []int32
+	msgs []Message
+}
+
+// ActBulk runs a second loop, without the dead check, until the first
+// crash: with the check in the one loop, per-node protocols whose Act
+// takes a few nanoseconds (BenchmarkPartitionDistributed) ran about 10%
+// slower than the same loop inlined in Step.
+func (p *nodeProtocol) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
+	p.tx, p.msgs = tx, msgs
+	if !p.e.anyDead {
+		for i, nd := range p.nodes {
+			if a := nd.Act(t); a.Transmit {
+				p.tx = append(p.tx, int32(i))
+				p.msgs = append(p.msgs, a.Msg)
+			}
+		}
+		return p.tx, p.msgs
+	}
+	deadw := p.e.deadw
+	for i, nd := range p.nodes {
+		if deadw[i>>6]&(1<<(uint(i)&63)) != 0 {
+			continue // dead nodes are off the air
+		}
+		if a := nd.Act(t); a.Transmit {
+			p.tx = append(p.tx, int32(i))
+			p.msgs = append(p.msgs, a.Msg)
+		}
+	}
+	return p.tx, p.msgs
+}
+
+func (p *nodeProtocol) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message) {
+	for k, v := range listeners {
+		p.nodes[v].Recv(t, &msgs[msgIdx[k]])
+	}
 }
 
 // Engine executes a protocol on a graph under the radio collision model.
 type Engine struct {
-	G     *graph.Graph
-	Nodes []Node
+	G *graph.Graph
 	// Hook, if set, is invoked after every round (tracing/metrics).
 	Hook RoundHook
-	// Bulk, if non-nil, replaces the per-node Act loop (see BulkActor).
-	Bulk BulkActor
-	// BulkRecv, if non-nil, replaces per-node delivery Recv calls (see
-	// BulkReceiver).
-	BulkRecv BulkReceiver
 	// ShardHook, if set alongside SetShards(k > 1), receives per-shard
 	// busy-time telemetry after each round (see ShardHook).
 	ShardHook ShardHook
 
 	Metrics Metrics
 
+	proto    Protocol
 	round    int64
 	words    int    // ceil(n/64): length of every per-node bitset below
 	tailMask uint64 // valid bits of the last word (all-ones when n%64 == 0)
@@ -196,27 +223,29 @@ type Engine struct {
 	txidx    []int32   // node -> transmit-list index (valid while its txw bit is set)
 	txmsg    []Message // scratch: messages of transmitting nodes, parallel to transmit
 	transmit []int32   // scratch: ids of transmitting nodes
-	rcvID    []int32   // scratch: shard-concatenated bulk-delivery listeners
-	rcvIdx   []int32   // scratch: txmsg index heard by each bulk listener
+	rcvID    []int32   // scratch: shard-concatenated delivery listeners
+	rcvIdx   []int32   // scratch: txmsg index heard by each listener
 	// dense is the graph's dense-adjacency layer, nil when it has no rows.
 	dense *graph.AdjBits
 
 	// Intra-round sharding (see SetShards): sh[0] is always present and
-	// runs on the caller's goroutine; rangeBulk caches the per-round
-	// BulkRangeActor assertion on Bulk. workerCmds are the resident wave
+	// runs on the caller's goroutine; rangeAct is the protocol's
+	// BulkRangeActor, resolved by SetShards and nil when unsharded or when
+	// the protocol has no range Act. workerCmds are the resident wave
 	// workers' command channels (nil when unsharded or after Close — see
 	// workers.go); workerCleanup is the GC fallback that closes them if
 	// the engine is dropped without Close.
 	shards        int
 	sh            []shardState
 	wg            sync.WaitGroup
-	rangeBulk     BulkRangeActor
+	rangeAct      BulkRangeActor
 	workerCmds    []chan uint8
 	workerCleanup runtime.Cleanup
 
 	// Fault state: deadw accumulates the overlay's crash schedule; a dead
 	// node is off the air and out of the listener pass. anyDead gates the
-	// per-node Act check so unfaulted runs pay one predictable branch.
+	// dead-transmitter mask (and the adapter's Act check) so unfaulted
+	// runs pay one predictable branch.
 	fault      *FaultPlan
 	hasLoss    bool
 	anyDead    bool
@@ -230,17 +259,13 @@ type crashEvent struct {
 	node  int32
 }
 
-// NewEngine returns an engine running nodes on g. len(nodes) must equal
-// g.N().
-func NewEngine(g *graph.Graph, nodes []Node) *Engine {
-	if len(nodes) != g.N() {
-		panic(fmt.Sprintf("radio: %d nodes for graph with %d vertices", len(nodes), g.N()))
-	}
+// NewEngine returns an engine running protocol p on g.
+func NewEngine(g *graph.Graph, p Protocol) *Engine {
 	n := g.N()
 	words := (n + 63) / 64
 	e := &Engine{
 		G:        g,
-		Nodes:    nodes,
+		proto:    p,
 		words:    words,
 		onair:    make([]uint64, words),
 		collided: make([]uint64, words),
@@ -252,8 +277,8 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 		txidx:    make([]int32, n),
 		txmsg:    make([]Message, 0, n),
 		transmit: make([]int32, 0, n),
-		// rcvID/rcvIdx grow on first use: only a sharded engine with
-		// BulkRecv installed concatenates the shards' delivery lists.
+		// rcvID/rcvIdx grow on first use: only a sharded engine
+		// concatenates the shards' delivery lists.
 	}
 	// A graph without dense rows leaves dense nil, so each transmitter's
 	// row lookup in the marking and resolve passes is one nil check.
@@ -279,6 +304,18 @@ func NewEngine(g *graph.Graph, nodes []Node) *Engine {
 	return e
 }
 
+// NewNodeEngine returns an engine running the per-node state machines
+// nodes on g, through the adapter that lifts them to a Protocol.
+// len(nodes) must equal g.N().
+func NewNodeEngine(g *graph.Graph, nodes []Node) *Engine {
+	if len(nodes) != g.N() {
+		panic(fmt.Sprintf("radio: %d nodes for graph with %d vertices", len(nodes), g.N()))
+	}
+	p := &nodeProtocol{nodes: nodes}
+	p.e = NewEngine(g, p)
+	return p.e
+}
+
 // SetFaults installs the engine-side fault overlay (see FaultPlan). It
 // must be called before the first Step, at most once, with a plan built
 // for this engine's node count; the plan is consumed by the run (its coin
@@ -287,8 +324,8 @@ func (e *Engine) SetFaults(p *FaultPlan) {
 	if p == nil {
 		return
 	}
-	if p.n != len(e.Nodes) {
-		panic(fmt.Sprintf("radio: fault plan for %d nodes installed in %d-node engine", p.n, len(e.Nodes)))
+	if p.n != e.G.N() {
+		panic(fmt.Sprintf("radio: fault plan for %d nodes installed in %d-node engine", p.n, e.G.N()))
 	}
 	if e.round != 0 || e.fault != nil {
 		panic("radio: SetFaults must be called once, before the first Step")
@@ -313,14 +350,14 @@ func (e *Engine) SetFaults(p *FaultPlan) {
 // Round returns the index of the next round to execute.
 func (e *Engine) Round() int64 { return e.round }
 
-// Step executes exactly one synchronous round: Act (per-node, bulk, or
-// sharded bulk), jam overlay, transmit-marking into the onair/collided
-// bitsets, word-parallel listener classification, and a sequential replay
-// of the classified deliveries. The classify accumulators bucket every
-// listener before any protocol code runs, so deliveries replay in
-// ascending node id — per-listener effects are node-local (no protocol
-// draws randomness or touches another node's state in Recv; loss coins
-// come from per-node streams), so this order is observationally
+// Step executes exactly one synchronous round: the protocol's ActBulk
+// (its range Act across the shards when sharded), the dead-transmitter
+// mask, jam overlay, transmit-marking into the onair/collided bitsets,
+// word-parallel listener classification, and one RecvBulk call with the
+// classified deliveries. The classify accumulators bucket every listener
+// before any protocol code runs, so deliveries arrive in ascending node
+// id — per-listener effects are node-local (see Protocol.RecvBulk; loss
+// coins come from per-node streams), so this order is observationally
 // equivalent to the seed's interleaved pass and, crucially, independent
 // of the shard count.
 //
@@ -344,49 +381,28 @@ func (e *Engine) Step() {
 	}
 	e.transmit = e.transmit[:0]
 	e.txmsg = e.txmsg[:0]
-	if e.Bulk != nil {
-		if e.shards > 1 {
-			if rb, ok := e.Bulk.(BulkRangeActor); ok {
-				e.rangeBulk = rb
-				e.actWave()
-			} else {
-				e.transmit, e.txmsg = e.Bulk.ActBulk(t, e.transmit, e.txmsg)
-			}
-		} else {
-			e.transmit, e.txmsg = e.Bulk.ActBulk(t, e.transmit, e.txmsg)
-		}
-		if e.anyDead {
-			// Dead nodes drop off the air: the bulk path computes the whole
-			// round protocol-side, so the engine masks their transmissions.
-			w := 0
-			for j, u := range e.transmit {
-				if e.deadw[u>>6]&(1<<(uint(u)&63)) != 0 {
-					continue
-				}
-				e.transmit[w] = u
-				e.txmsg[w] = e.txmsg[j]
-				w++
-			}
-			e.transmit = e.transmit[:w]
-			e.txmsg = e.txmsg[:w]
-		}
-		for _, u := range e.transmit {
-			e.txw[u>>6] |= 1 << (uint(u) & 63)
-		}
+	if e.rangeAct != nil {
+		e.actWave()
 	} else {
-		for i, nd := range e.Nodes {
-			w := i >> 6
-			b := uint64(1) << (uint(i) & 63)
-			if e.anyDead && e.deadw[w]&b != 0 {
-				continue // dead nodes are off the air
+		e.transmit, e.txmsg = e.proto.ActBulk(t, e.transmit, e.txmsg)
+	}
+	if e.anyDead {
+		// Dead nodes drop off the air: the protocol computes the whole
+		// round, so the engine masks their transmissions.
+		w := 0
+		for j, u := range e.transmit {
+			if e.deadw[u>>6]&(1<<(uint(u)&63)) != 0 {
+				continue
 			}
-			a := nd.Act(t)
-			if a.Transmit {
-				e.txw[w] |= b
-				e.transmit = append(e.transmit, int32(i))
-				e.txmsg = append(e.txmsg, a.Msg)
-			}
+			e.transmit[w] = u
+			e.txmsg[w] = e.txmsg[j]
+			w++
 		}
+		e.transmit = e.transmit[:w]
+		e.txmsg = e.txmsg[:w]
+	}
+	for _, u := range e.transmit {
+		e.txw[u>>6] |= 1 << (uint(u) & 63)
 	}
 	if e.fault != nil && len(e.fault.jammers) > 0 {
 		e.applyJam()
@@ -406,36 +422,25 @@ func (e *Engine) Step() {
 		e.markAll()
 		e.sh[0].runClassify()
 	}
-	// Sequential replay in shard (= ascending node) order; no protocol
+	// One delivery call in shard (= ascending node) order; no protocol
 	// code ran before this point.
 	deliveries, collisions := 0, 0
-	bulkRecv := e.BulkRecv != nil
-	var rid, ridx []int32
-	if bulkRecv && e.shards > 1 {
+	rid, ridx := e.sh[0].rcvID, e.sh[0].rcvIdx
+	if e.shards > 1 {
 		e.rcvID = e.rcvID[:0]
 		e.rcvIdx = e.rcvIdx[:0]
-	}
-	for s := range e.sh {
-		st := &e.sh[s]
-		deliveries += st.deliveries
-		collisions += st.collisions
-		switch {
-		case !bulkRecv:
-			for k, v := range st.rcvID {
-				e.Nodes[v].Recv(t, &e.txmsg[st.rcvIdx[k]])
-			}
-		case e.shards > 1:
-			e.rcvID = append(e.rcvID, st.rcvID...)
-			e.rcvIdx = append(e.rcvIdx, st.rcvIdx...)
-		default:
-			rid, ridx = st.rcvID, st.rcvIdx
+		for s := range e.sh {
+			e.rcvID = append(e.rcvID, e.sh[s].rcvID...)
+			e.rcvIdx = append(e.rcvIdx, e.sh[s].rcvIdx...)
 		}
-	}
-	if bulkRecv && e.shards > 1 {
 		rid, ridx = e.rcvID, e.rcvIdx
 	}
-	if bulkRecv && len(rid) > 0 {
-		e.BulkRecv.RecvBulk(t, rid, ridx, e.txmsg)
+	for s := range e.sh {
+		deliveries += e.sh[s].deliveries
+		collisions += e.sh[s].collisions
+	}
+	if len(rid) > 0 {
+		e.proto.RecvBulk(t, rid, ridx, e.txmsg)
 	}
 	e.clearRound()
 	e.Metrics.Deliveries += int64(deliveries)
@@ -557,5 +562,3 @@ func (e *Engine) RunUntil(maxRounds int64, p *Progress) (rounds int64, done bool
 	}
 	return rounds, false
 }
-
-var _ Node = Silent{}

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"radionet/internal/graph"
@@ -15,6 +17,12 @@ func (c *collector) Act(int64) Action { return Listen }
 func (c *collector) Recv(_ int64, msg *Message) {
 	c.heard = append(c.heard, msg.A)
 }
+
+// silent is a listen-only Node double that ignores every reception.
+type silent struct{}
+
+func (silent) Act(int64) Action     { return Listen }
+func (silent) Recv(int64, *Message) {}
 
 // beacon transmits value v every round.
 type beacon struct{ v int64 }
@@ -45,7 +53,7 @@ func (f *FuncNode) Recv(round int64, msg *Message) {
 func TestSingleTransmitterDelivers(t *testing.T) {
 	g := graph.Star(4) // center 0
 	c1, c2, c3 := &collector{}, &collector{}, &collector{}
-	e := NewEngine(g, []Node{&beacon{v: 42}, c1, c2, c3})
+	e := NewNodeEngine(g, []Node{&beacon{v: 42}, c1, c2, c3})
 	e.Step()
 	for i, c := range []*collector{c1, c2, c3} {
 		if len(c.heard) != 1 || c.heard[0] != 42 {
@@ -63,7 +71,7 @@ func TestSingleTransmitterDelivers(t *testing.T) {
 func TestCollisionIsSilenceWithoutCD(t *testing.T) {
 	g := graph.Star(3) // two leaves transmit; the center hears nothing
 	c := &collector{}
-	e := NewEngine(g, []Node{c, &beacon{v: 1}, &beacon{v: 2}})
+	e := NewNodeEngine(g, []Node{c, &beacon{v: 1}, &beacon{v: 2}})
 	e.Step()
 	if len(c.heard) != 0 {
 		t.Fatalf("center got Recv calls (heard %v), want none", c.heard)
@@ -73,22 +81,50 @@ func TestCollisionIsSilenceWithoutCD(t *testing.T) {
 	}
 }
 
+// TestTransmitterCannotHear: node 1 transmits while its only neighbor,
+// a beacon, transmits too; a transmitting node must not Recv.
 func TestTransmitterCannotHear(t *testing.T) {
 	g := graph.Path(2)
-	c := &collector{}
-	b := &beacon{v: 9}
-	// Both transmit? No: node 0 is a beacon, node 1 collects but also
-	// transmits via a FuncNode wrapper. A transmitting node must not Recv.
 	recvCalled := false
 	tx := &FuncNode{
 		ActFn:  func(int64) Action { return Transmit(Message{A: 7}) },
 		RecvFn: func(int64, *Message) { recvCalled = true },
 	}
-	e := NewEngine(g, []Node{b, tx})
+	e := NewNodeEngine(g, []Node{&beacon{v: 9}, tx})
 	e.Step()
-	_ = c
 	if recvCalled {
 		t.Fatal("transmitting node received a message")
+	}
+}
+
+// TestNodeAdapterCallOrder pins the per-node adapter's call order within
+// a round: Act on every live node in ascending id order, never on a
+// crashed one, then Recv on every receiving listener in ascending id
+// order.
+func TestNodeAdapterCallOrder(t *testing.T) {
+	g := graph.Path(6) // 1 and 4 transmit; 3 is crashed
+	var calls []string
+	nodes := make([]Node, g.N())
+	for i := range nodes {
+		nodes[i] = &FuncNode{
+			ActFn: func(int64) Action {
+				calls = append(calls, fmt.Sprintf("act%d", i))
+				if i == 1 || i == 4 {
+					return Transmit(Message{A: int64(i)})
+				}
+				return Listen
+			},
+			RecvFn: func(int64, *Message) { calls = append(calls, fmt.Sprintf("recv%d", i)) },
+		}
+	}
+	p := NewFaultPlan(6, 1)
+	p.Crash(3, 0)
+	e := NewNodeEngine(g, nodes)
+	e.SetFaults(p)
+	e.Step()
+	want := []string{"act0", "act1", "act2", "act4", "act5", "recv0", "recv2", "recv5"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("calls %v, want %v", calls, want)
 	}
 }
 
@@ -97,7 +133,7 @@ func TestExactlyOneNeighborRule(t *testing.T) {
 	// neighbors (collision); node 3 has exactly one (2) and receives.
 	g := graph.Path(4)
 	c1, c3 := &collector{}, &collector{}
-	e := NewEngine(g, []Node{&beacon{v: 10}, c1, &beacon{v: 20}, c3})
+	e := NewNodeEngine(g, []Node{&beacon{v: 10}, c1, &beacon{v: 20}, c3})
 	e.Step()
 	if len(c1.heard) != 0 {
 		t.Fatalf("node 1 heard %v, want collision silence", c1.heard)
@@ -111,7 +147,7 @@ func TestSrcStamping(t *testing.T) {
 	g := graph.Path(2)
 	var src int32 = -1
 	rx := &FuncNode{RecvFn: func(_ int64, msg *Message) { src = msg.Src }}
-	e := NewEngine(g, []Node{&beacon{v: 5}, rx})
+	e := NewNodeEngine(g, []Node{&beacon{v: 5}, rx})
 	e.Step()
 	if src != 0 {
 		t.Fatalf("src = %d, want 0", src)
@@ -120,7 +156,7 @@ func TestSrcStamping(t *testing.T) {
 
 func TestRunStopsOnPredicate(t *testing.T) {
 	g := graph.Path(2)
-	e := NewEngine(g, []Node{Silent{}, Silent{}})
+	e := NewNodeEngine(g, []Node{silent{}, silent{}})
 	count := 0
 	rounds, done := e.Run(100, func() bool { count++; return count > 5 })
 	if !done || rounds != 5 {
@@ -135,7 +171,7 @@ func TestRunStopsOnPredicate(t *testing.T) {
 
 func TestRunMaxRounds(t *testing.T) {
 	g := graph.Path(2)
-	e := NewEngine(g, []Node{Silent{}, Silent{}})
+	e := NewNodeEngine(g, []Node{silent{}, silent{}})
 	rounds, done := e.Run(7, func() bool { return false })
 	if rounds != 7 || done {
 		t.Fatalf("rounds = %d done = %v, want 7 false", rounds, done)
@@ -149,7 +185,7 @@ func TestRunNilStopNeverDone(t *testing.T) {
 	// A nil predicate can never be satisfied: Run must execute exactly
 	// maxRounds and report done = false (the seed returned true here).
 	g := graph.Path(2)
-	e := NewEngine(g, []Node{Silent{}, Silent{}})
+	e := NewNodeEngine(g, []Node{silent{}, silent{}})
 	rounds, done := e.Run(9, nil)
 	if rounds != 9 || done {
 		t.Fatalf("nil stop: rounds = %d done = %v, want 9 false", rounds, done)
@@ -195,7 +231,7 @@ func TestRunUntilMatchesRun(t *testing.T) {
 		g := graph.Path(2)
 		p := NewProgress(4)
 		tick := &FuncNode{ActFn: func(int64) Action { p.Add(1); return Listen }}
-		return NewEngine(g, []Node{tick, Silent{}}), p
+		return NewNodeEngine(g, []Node{tick, silent{}}), p
 	}
 	e, p := mk()
 	rounds, done := e.RunUntil(100, p)
@@ -215,55 +251,62 @@ func TestRunUntilMatchesRun(t *testing.T) {
 	}
 }
 
-// bulkBeacons is a BulkActor equivalent of installing beacon nodes at the
-// given ids.
-type bulkBeacons struct{ ids []int32 }
+// fixedTx is a Protocol test double: the nodes in ids transmit 100+id in
+// every round, and every reception is counted and its value summed into
+// the listener's heard entry (nil heard: count only).
+type fixedTx struct {
+	ids   []int32
+	heard []int64
+	recvs int
+}
 
-func (b *bulkBeacons) ActBulk(_ int64, tx []int32, msgs []Message) ([]int32, []Message) {
-	for _, id := range b.ids {
+func (p *fixedTx) ActBulk(_ int64, tx []int32, msgs []Message) ([]int32, []Message) {
+	for _, id := range p.ids {
 		tx = append(tx, id)
 		msgs = append(msgs, Message{A: int64(100 + id)})
 	}
 	return tx, msgs
 }
 
+func (p *fixedTx) RecvBulk(_ int64, listeners, msgIdx []int32, msgs []Message) {
+	p.recvs += len(listeners)
+	if p.heard == nil {
+		return
+	}
+	for k, v := range listeners {
+		p.heard[v] += msgs[msgIdx[k]].A
+	}
+}
+
 func TestBulkActorMatchesPerNode(t *testing.T) {
-	// The same transmission pattern driven per-node and via ActBulk must
-	// produce identical deliveries, collisions and received values.
+	// The same transmission pattern driven per-node through the adapter
+	// and by a Protocol must produce identical deliveries, collisions and
+	// received values.
 	g := graph.Grid(4, 4)
-	run := func(bulk bool) ([]int64, Metrics) {
-		heard := make([]int64, g.N())
-		nodes := make([]Node, g.N())
-		for i := range nodes {
-			i := i
-			nodes[i] = &FuncNode{RecvFn: func(_ int64, m *Message) { heard[i] += m.A }}
-		}
-		tx := []int32{0, 5, 10}
-		if !bulk {
-			for _, id := range tx {
-				id := id
-				nodes[id] = &FuncNode{ActFn: func(int64) Action {
-					return Transmit(Message{A: int64(100 + id)})
-				}}
-			}
-		}
-		e := NewEngine(g, nodes)
-		if bulk {
-			e.Bulk = &bulkBeacons{ids: tx}
-		}
-		for i := 0; i < 5; i++ {
-			e.Step()
-		}
-		return heard, e.Metrics
+	tx := []int32{0, 5, 10}
+	heard := make([]int64, g.N())
+	nodes := make([]Node, g.N())
+	for i := range nodes {
+		nodes[i] = &FuncNode{RecvFn: func(_ int64, m *Message) { heard[i] += m.A }}
 	}
-	h1, m1 := run(false)
-	h2, m2 := run(true)
-	if m1 != m2 {
-		t.Fatalf("metrics differ: per-node %+v bulk %+v", m1, m2)
+	for _, id := range tx {
+		nodes[id] = &FuncNode{ActFn: func(int64) Action {
+			return Transmit(Message{A: int64(100 + id)})
+		}}
 	}
-	for i := range h1 {
-		if h1[i] != h2[i] {
-			t.Fatalf("node %d heard %d per-node vs %d bulk", i, h1[i], h2[i])
+	pe := NewNodeEngine(g, nodes)
+	p := &fixedTx{ids: tx, heard: make([]int64, g.N())}
+	be := NewEngine(g, p)
+	for i := 0; i < 5; i++ {
+		pe.Step()
+		be.Step()
+	}
+	if pe.Metrics != be.Metrics {
+		t.Fatalf("metrics differ: per-node %+v bulk %+v", pe.Metrics, be.Metrics)
+	}
+	for i := range heard {
+		if heard[i] != p.heard[i] {
+			t.Fatalf("node %d heard %d per-node vs %d bulk", i, heard[i], p.heard[i])
 		}
 	}
 }
@@ -274,7 +317,7 @@ func TestEnginePanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine(graph.Path(3), []Node{Silent{}})
+	NewNodeEngine(graph.Path(3), []Node{silent{}})
 }
 
 func BenchmarkEngineRound(b *testing.B) {
@@ -284,10 +327,10 @@ func BenchmarkEngineRound(b *testing.B) {
 		if i%7 == 0 {
 			nodes[i] = &beacon{v: int64(i)}
 		} else {
-			nodes[i] = Silent{}
+			nodes[i] = silent{}
 		}
 	}
-	e := NewEngine(g, nodes)
+	e := NewNodeEngine(g, nodes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()

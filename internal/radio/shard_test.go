@@ -11,9 +11,9 @@ import (
 
 // shardProto is the determinism-matrix protocol: every node transmits its
 // id when id % 5 == t % 5 and logs everything it hears as a per-node
-// event string. Node decisions are
-// node-local, so the bulk seam may legally implement BulkRangeActor and
-// ride the sharded act wave.
+// event string. Node decisions are node-local, so the Protocol may
+// legally implement BulkRangeActor and ride the sharded act wave; the
+// per-node run lifts shardProtoNode through the adapter.
 type shardProto struct {
 	n   int
 	log [][]string
@@ -56,7 +56,7 @@ func (p *shardProto) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message
 }
 
 var _ BulkRangeActor = (*shardProto)(nil)
-var _ BulkReceiver = (*shardProto)(nil)
+var _ Protocol = (*shardProto)(nil)
 
 // shardRun is one cell of the determinism matrix: the engine's Metrics,
 // the per-round hook trace, and the per-node event logs.
@@ -81,18 +81,25 @@ func mkShardPlan(n int) *FaultPlan {
 	return p
 }
 
-func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) shardRun {
+// newShardProtoEngine builds an engine running a fresh shardProto on g:
+// the Protocol itself when bulk is set, else its per-node machines
+// through the adapter.
+func newShardProtoEngine(g *graph.Graph, bulk bool) (*Engine, *shardProto) {
 	n := g.N()
 	p := &shardProto{n: n, log: make([][]string, n)}
+	if bulk {
+		return NewEngine(g, p), p
+	}
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
 		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
 	}
-	e := NewEngine(g, nodes)
-	if bulk {
-		e.Bulk = p
-		e.BulkRecv = p
-	}
+	return NewNodeEngine(g, nodes), p
+}
+
+func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) shardRun {
+	n := g.N()
+	e, p := newShardProtoEngine(g, bulk)
 	if faulted {
 		e.SetFaults(mkShardPlan(n))
 	}
@@ -111,8 +118,8 @@ func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) 
 
 // TestShardDeterminismMatrix pins the tentpole invariant: every shard
 // count produces byte-identical Metrics, per-round traces, and per-node
-// event logs, across fault scenarios and both the per-node and bulk
-// seams.
+// event logs, across fault scenarios, for a Protocol with a range Act and
+// for per-node machines through the adapter.
 func TestShardDeterminismMatrix(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Grid(13, 17), // 221 nodes, 4 words
@@ -154,11 +161,8 @@ func TestShardDeterminismMatrix(t *testing.T) {
 func TestSetShardsValidation(t *testing.T) {
 	g := graph.Path(100) // 2 words
 	mk := func() *Engine {
-		nodes := make([]Node, 100)
-		for v := range nodes {
-			nodes[v] = &shardProtoNode{p: &shardProto{n: 100, log: make([][]string, 100)}, id: int32(v)}
-		}
-		return NewEngine(g, nodes)
+		e, _ := newShardProtoEngine(g, false)
+		return e
 	}
 	e := mk()
 	e.SetShards(8)
@@ -192,15 +196,7 @@ func TestShardHookReportsBusyTime(t *testing.T) {
 	g := graph.Gnp(300, 0.03, rng.New(9))
 	ref := runShardCase(g, 3, false, true, 40)
 
-	n := g.N()
-	p := &shardProto{n: n, log: make([][]string, n)}
-	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
-	}
-	e := NewEngine(g, nodes)
-	e.Bulk = p
-	e.BulkRecv = p
+	e, _ := newShardProtoEngine(g, true)
 	e.SetShards(3)
 	seen := make(map[int]int)
 	e.ShardHook = func(shard int, busyNanos int64) {

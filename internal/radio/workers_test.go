@@ -29,9 +29,9 @@ func newShardedEngine(k int) *Engine {
 	g := graph.Grid(13, 17)
 	nodes := make([]Node, g.N())
 	for v := range nodes {
-		nodes[v] = Silent{}
+		nodes[v] = silent{}
 	}
-	e := NewEngine(g, nodes)
+	e := NewNodeEngine(g, nodes)
 	e.SetShards(k)
 	return e
 }
@@ -59,14 +59,8 @@ func TestEngineUsableAfterClose(t *testing.T) {
 	g := graph.Grid(13, 17)
 	ref := runShardCase(g, 1, true, false, 40)
 
-	n := g.N()
-	p := &shardProto{n: n, log: make([][]string, n)}
-	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = &shardProtoNode{p: p, id: int32(v)}
-	}
-	e := NewEngine(g, nodes)
-	e.SetFaults(mkShardPlan(n))
+	e, _ := newShardProtoEngine(g, false)
+	e.SetFaults(mkShardPlan(g.N()))
 	pre := runtime.NumGoroutine()
 	e.SetShards(8)
 	e.Close() // workers gone, shard structures still installed

@@ -89,8 +89,8 @@ func TestHookSliceNotRetained(t *testing.T) {
 	// The engine reuses the transmitters slice; the recorder must not
 	// alias it. Two beacons guarantee a nonempty slice each round.
 	g := graph.Path(3)
-	e := radio.NewEngine(g, []radio.Node{
-		beacon{}, radio.Silent{}, beacon{},
+	e := radio.NewNodeEngine(g, []radio.Node{
+		beacon{}, listener{}, beacon{},
 	})
 	rec := (&Recorder{}).Attach(e)
 	for i := 0; i < 10; i++ {
@@ -106,12 +106,18 @@ type beacon struct{}
 func (beacon) Act(int64) radio.Action     { return radio.Transmit(radio.Message{A: 1}) }
 func (beacon) Recv(int64, *radio.Message) {}
 
+// listener is a listen-only node that ignores every reception.
+type listener struct{}
+
+func (listener) Act(int64) radio.Action     { return radio.Listen }
+func (listener) Recv(int64, *radio.Message) {}
+
 // TestAttachComposesWithInstalledHook is the hook-clobbering regression
 // test on the trace side: Attach must chain with an already-installed
 // engine hook, and both must observe every round.
 func TestAttachComposesWithInstalledHook(t *testing.T) {
 	g := graph.Path(3)
-	e := radio.NewEngine(g, []radio.Node{beacon{}, radio.Silent{}, beacon{}})
+	e := radio.NewNodeEngine(g, []radio.Node{beacon{}, listener{}, beacon{}})
 	preInstalled := 0
 	e.Hook = func(int64, []int32, int, int) { preInstalled++ }
 	rec := (&Recorder{}).Attach(e)
