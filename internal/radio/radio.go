@@ -423,7 +423,7 @@ func (e *Engine) Step() {
 		e.sh[0].runClassify()
 	}
 	// One delivery call in shard (= ascending node) order; no protocol
-	// code ran before this point.
+	// code ran since the Act.
 	deliveries, collisions := 0, 0
 	rid, ridx := e.sh[0].rcvID, e.sh[0].rcvIdx
 	if e.shards > 1 {
