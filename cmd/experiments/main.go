@@ -29,7 +29,7 @@ func main() {
 
 func run() error {
 	var (
-		runIDs  = flag.String("run", "all", "comma-separated experiment IDs (T1..T7, F1..F6) or 'all'")
+		runIDs  = flag.String("run", "all", "comma-separated experiment IDs (T1..T8, F1..F7) or 'all'")
 		quick   = flag.Bool("quick", false, "small instances (CI scale)")
 		seeds   = flag.Int("seeds", 0, "repetitions per configuration (0 = experiment default)")
 		seed    = flag.Uint64("seed", 1, "master seed")

@@ -12,10 +12,13 @@
 // pluggable sinks (aligned text, CSV, JSON lines) as soon as each
 // configuration's trials complete, in deterministic configuration order.
 //
+// Run and RunPlan share one trial fan-out; RunPlan executes a caller-built
+// Plan (configs with graphs and optional Tuning/Sources, trials with
+// explicit seeds) and returns the per-trial results in trial order.
+//
 // cmd/campaign drives matrices from flags or a JSON config file;
-// internal/exp routes its repetition loops through ForEach so
-// cmd/experiments parallelizes for free; cmd/radiosim uses the same
-// executor for its -trials fan-out mode.
+// internal/exp runs its comparison tables F1–F7 through RunPlan;
+// cmd/radiosim uses ForEach for its -trials fan-out mode.
 package campaign
 
 import (
@@ -123,6 +126,11 @@ type Config struct {
 	// Fault is the cell's fault scenario; the zero value (Spec "") marks a
 	// campaign without a fault axis.
 	Fault FaultSpec
+	// Tuning and Sources reach the descriptor's BuildParams as they are;
+	// nil (as Expand leaves them) selects the algorithm defaults and the
+	// descriptor's trial sources. A tuned config never shares a scratch.
+	Tuning  any
+	Sources map[int]int64
 }
 
 // Trial is one scheduled protocol run.
@@ -133,13 +141,14 @@ type Trial struct {
 	Cfg int
 	// Rep is the repetition number within the configuration.
 	Rep int
-	// Seed is the trial's independent RNG stream, a pure function of
-	// (master seed, configuration, repetition).
+	// Seed is the trial's independent RNG stream. Expand derives it as a
+	// pure function of (master seed, configuration, repetition); a
+	// caller-built plan sets it directly.
 	Seed uint64
 }
 
-// Plan is an expanded Matrix: the configuration list and the flat,
-// deterministically ordered trial list.
+// Plan is an expanded Matrix, or a caller-built one for RunPlan: the
+// configuration list and the flat, deterministically ordered trial list.
 type Plan struct {
 	Configs []Config
 	Trials  []Trial
@@ -385,11 +394,11 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 	}
 	// Setup phase: materialize the deduplicated topology products through
 	// the precompute store (cache-backed when Cache is set), then build
-	// the deduplicated scratches — both across the worker pool. Setup is
-	// timed separately from the run wall (RunStats.Setup vs .Wall, the
-	// manifest's setup_ms split); the run wall has excluded setup
-	// since the eager-build era, so the split adds data without moving
-	// any existing measurement's meaning.
+	// the deduplicated scratches (execute's first step) — both across the
+	// worker pool. Setup is timed separately from the run wall
+	// (RunStats.Setup vs .Wall, the manifest's setup_ms split); the run
+	// wall has excluded setup since the eager-build era, so the split adds
+	// data without moving any existing measurement's meaning.
 	setupStart := time.Now() //lint:wallclock setup wall time is telemetry, never part of trial output
 	cfgSetup := make([]time.Duration, len(plan.Configs))
 	builds := plan.Materialize(c.Cache, c.Workers)
@@ -419,31 +428,9 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		c.Obs.Counter(obs.PrecomputeCacheMisses).Add(cacheMisses)
 		c.Obs.Counter(obs.PrecomputeCacheBytes).Add(cacheBytes)
 	}
-	scratches := buildScratches(plan, c.Workers, cfgSetup)
-	setup := time.Since(setupStart) //lint:wallclock setup wall time is telemetry, never part of trial output
-
-	results := make([]TrialResult, len(plan.Trials))
 	// Telemetry setup. All collectors are nil-safe no-ops when Obs is nil,
 	// and none of them touches the sink stream.
-	start := time.Now() //lint:wallclock campaign wall time is telemetry, never part of trial output
 	workers := ResolveWorkers(c.Workers, len(plan.Trials))
-	// Intra-round sharding, resolved per configuration (auto mode skips
-	// small graphs). Output is bit-exact at any count — the knob only
-	// moves wall time, so it shares the telemetry section's neutrality
-	// contract.
-	cfgShards := make([]int, len(plan.Configs))
-	shardsUsed := 1
-	for ci := range plan.Configs {
-		cfgShards[ci] = c.resolveShards(plan.Configs[ci].G.N(), workers)
-		if cfgShards[ci] > shardsUsed {
-			shardsUsed = cfgShards[ci]
-		}
-	}
-	var shardHook radio.ShardHook
-	if shardsUsed > 1 {
-		shardHook = obs.NewShardCollector(c.Obs, shardsUsed).Hook()
-	}
-	engineHook := obs.NewEngineCollector(c.Obs).Hook()
 	trialObs := obs.NewTrialCollector(c.Obs)
 	roundsBefore := int64(0)
 	var workerBusy, workerTrials []*obs.Counter
@@ -459,6 +446,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 	prog := newProgress(c.Progress, len(plan.Trials))
 	cfgWall := make([]time.Duration, len(plan.Configs))
 
+	results := make([]TrialResult, len(plan.Trials))
 	var (
 		mu        sync.Mutex
 		remaining = make([]int, len(plan.Configs))
@@ -483,11 +471,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 			nextCfg++
 		}
 	}
-	ForEachWorker(c.Workers, len(plan.Trials), func(w, i int) {
-		tr := plan.Trials[i]
-		res := runTrialScratchHook(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
-			trialOpts{hook: engineHook, shards: cfgShards[tr.Cfg], shardHook: shardHook})
-		results[i] = res
+	start, shardsUsed := c.execute(plan, results, cfgSetup, func(w int, tr Trial, res TrialResult) {
 		trialObs.Record(res.Rounds, res.Wall, res.Done, res.Budget)
 		if workerBusy != nil {
 			workerBusy[w].Add(res.Wall.Microseconds())
@@ -500,6 +484,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		prog.step(&plan.Configs[tr.Cfg])
 		flush()
 	})
+	setup := start.Sub(setupStart)
 	prog.finish()
 	wall := time.Since(start) //lint:wallclock throughput gauge only; sink stream is untouched
 	if c.Obs != nil {
@@ -530,4 +515,52 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		}
 	}
 	return summaries, sinkErr
+}
+
+// RunPlan runs every trial of a materialized plan — a caller-built one
+// (configs carrying their graphs, trials carrying their own seeds) or
+// Matrix.Expand's — through Run's trial fan-out and returns the per-trial
+// results in trial order. Results are identical at every Workers and
+// EngineShards value; the sink-side fields (Timings, Progress, Stats) and
+// Cache are not used.
+func (c *Campaign) RunPlan(plan *Plan) []TrialResult {
+	results := make([]TrialResult, len(plan.Trials))
+	c.execute(plan, results, make([]time.Duration, len(plan.Configs)), nil)
+	return results
+}
+
+// execute is the campaign's one trial fan-out, behind Run and RunPlan. It
+// builds plan's deduplicated scratches (adding each group's build wall to
+// cfgSetup), then runs every trial across the worker pool, writing its
+// result to results by trial index. each, when non-nil, observes each
+// result on its worker right after the trial. It returns when the trial
+// phase started and the largest engine shard count any config used.
+func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Duration, each func(w int, tr Trial, res TrialResult)) (time.Time, int) {
+	scratches := buildScratches(plan, c.Workers, cfgSetup)
+	start := time.Now() //lint:wallclock campaign wall time is telemetry, never part of trial output
+	// Intra-round sharding, resolved per configuration (auto mode skips
+	// small graphs). Output is bit-exact at any count — the knob only
+	// moves wall time, so it shares the telemetry's neutrality contract.
+	workers := ResolveWorkers(c.Workers, len(plan.Trials))
+	cfgShards := make([]int, len(plan.Configs))
+	shardsUsed := 1
+	for ci := range plan.Configs {
+		cfgShards[ci] = c.resolveShards(plan.Configs[ci].G.N(), workers)
+		shardsUsed = max(shardsUsed, cfgShards[ci])
+	}
+	var shardHook radio.ShardHook
+	if shardsUsed > 1 {
+		shardHook = obs.NewShardCollector(c.Obs, shardsUsed).Hook()
+	}
+	engineHook := obs.NewEngineCollector(c.Obs).Hook()
+	ForEachWorker(c.Workers, len(plan.Trials), func(w, i int) {
+		tr := plan.Trials[i]
+		res := runTrialScratchHook(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
+			trialOpts{hook: engineHook, shards: cfgShards[tr.Cfg], shardHook: shardHook})
+		results[i] = res
+		if each != nil {
+			each(w, tr, res)
+		}
+	})
+	return start, shardsUsed
 }

@@ -1,0 +1,124 @@
+package campaign
+
+import (
+	"testing"
+
+	"radionet/internal/compete"
+	"radionet/internal/precompute"
+	"radionet/internal/protocol"
+)
+
+// planConfig is a caller-built config of task:algo on the topology spec,
+// keyed by the spec so configs on one topology share a scratch group.
+func planConfig(t *testing.T, spec string, task Task, algo string) Config {
+	t.Helper()
+	topo, err := ParseTopology(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topo.Build(1)
+	return Config{
+		Topology: spec,
+		Key:      precompute.Key{Spec: spec, Seed: 1},
+		G:        g,
+		D:        g.DiameterEstimate(),
+		Spec:     AlgoSpec{Task: task, Algo: algo},
+	}
+}
+
+// planOf schedules every config at each of the given seeds, config-major.
+func planOf(cfgs []Config, seeds ...uint64) *Plan {
+	p := &Plan{Configs: cfgs, Seeds: len(seeds)}
+	for ci := range cfgs {
+		for rep, s := range seeds {
+			p.Trials = append(p.Trials, Trial{Index: len(p.Trials), Cfg: ci, Rep: rep, Seed: s})
+		}
+	}
+	return p
+}
+
+// withoutWall drops the one non-deterministic field of a trial result.
+func withoutWall(rs []TrialResult) []TrialResult {
+	out := append([]TrialResult(nil), rs...)
+	for i := range out {
+		out[i].Wall = 0
+	}
+	return out
+}
+
+// TestRunPlanTuningAndSources pins the caller-set Config fields: tuned
+// configs on the same Key as a default-tuned one, and a config with its
+// own source set, must each run exactly as a direct descriptor Build with
+// that tuning, those sources and that seed. The tuned broadcast follows
+// the default one, so sharing the default's scratch with it (grouping by
+// Key and ScratchKey alone) fails the test; the tuned leader election
+// draws its candidates in Build, outside the scratch, so dropping Tuning
+// from BuildParams fails it too.
+func TestRunPlanTuningAndSources(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full protocol trials")
+	}
+	base := planConfig(t, "grid:8x16", Broadcast, "cd17")
+	tuned := base
+	tuned.Tuning = compete.Config{CurtailLogLog: true}
+	sourced := base
+	sourced.Sources = map[int]int64{0: 5, base.G.N() - 1: 7}
+	leader := planConfig(t, "grid:8x16", Leader, "cd17")
+	leader.Tuning = compete.LeaderConfig{CandidateC: 6}
+	cfgs := []Config{base, tuned, sourced, leader}
+	plan := planOf(cfgs, 3, 4)
+	for _, workers := range []int{1, 4} {
+		res := (&Campaign{Workers: workers}).RunPlan(plan)
+		for i, tr := range plan.Trials {
+			cfg := cfgs[tr.Cfg]
+			desc, err := lookup(cfg.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := cfg.Sources
+			if sources == nil {
+				sources = desc.DefaultSources()
+			}
+			r, err := desc.Build(protocol.BuildParams{G: cfg.G, D: cfg.D, Seed: tr.Seed, Sources: sources, Tuning: cfg.Tuning})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := r.Run(0)
+			got := res[i]
+			if got.Rounds != want.Rounds || got.Tx != want.Tx || got.Done != want.Done {
+				t.Errorf("workers=%d config %d seed %d: plan (rounds %d, tx %d, done %v), direct Build (rounds %d, tx %d, done %v)",
+					workers, tr.Cfg, tr.Seed, got.Rounds, got.Tx, got.Done, want.Rounds, want.Tx, want.Done)
+			}
+		}
+	}
+}
+
+// TestRunPlanCallerBuilt pins RunPlan on a caller-built plan — two
+// graphs, explicit trial seeds, a leader config sharing broadcast cd17's
+// scratch group — against RunTrial per (config, seed), at 1 and 4
+// workers.
+func TestRunPlanCallerBuilt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full protocol trials")
+	}
+	var cfgs []Config
+	for _, spec := range []string{"grid:4x8", "path:24"} {
+		cfgs = append(cfgs,
+			planConfig(t, spec, Broadcast, "bgi"),
+			planConfig(t, spec, Broadcast, "cd17"),
+			planConfig(t, spec, Leader, "cd17"))
+	}
+	plan := planOf(cfgs, 7, 8, 1000)
+	serial := withoutWall((&Campaign{Workers: 1}).RunPlan(plan))
+	parallel := withoutWall((&Campaign{Workers: 4}).RunPlan(plan))
+	for i, tr := range plan.Trials {
+		want := RunTrial(&cfgs[tr.Cfg], tr.Seed, 0)
+		want.Wall = 0
+		if serial[i] != want {
+			t.Errorf("trial %d (%s, seed %d): RunPlan %+v, RunTrial %+v", i, cfgs[tr.Cfg].Name(), tr.Seed, serial[i], want)
+		}
+		if parallel[i] != serial[i] {
+			t.Errorf("trial %d: 4 workers %+v, 1 worker %+v", i, parallel[i], serial[i])
+		}
+	}
+}

@@ -89,15 +89,16 @@ func NewScratch(cfg *Config) *Scratch {
 	if err != nil || desc.NewScratch == nil {
 		return &Scratch{}
 	}
-	return &Scratch{val: desc.NewScratch(cfg.G, cfg.D, nil)}
+	return &Scratch{val: desc.NewScratch(cfg.G, cfg.D, cfg.Tuning)}
 }
 
 // scratchGroupKey identifies one shareable scratch build: the topology
 // product key crossed with the descriptor's declared ScratchKey. Configs
-// differing only in fault spec always group (NewScratch never sees it);
-// configs of different descriptors group exactly when both descriptors
-// declare the same ScratchKey (e.g. broadcast:cd17 and leader:cd17 share
-// "compete/pre").
+// differing only in fault spec or sources always group (NewScratch never
+// sees them); configs of different descriptors group exactly when both
+// descriptors declare the same ScratchKey (e.g. broadcast:cd17 and
+// leader:cd17 share "compete/pre"). The key holds for default tuning
+// only, so tuned configs never group.
 type scratchGroupKey struct {
 	topo    precompute.Key
 	scratch string
@@ -106,9 +107,10 @@ type scratchGroupKey struct {
 // buildScratches constructs the per-config scratches for a materialized
 // plan, deduplicated by (topology product, descriptor ScratchKey) and
 // built concurrently across the worker pool. Configs without reusable
-// precomputation get the empty scratch for free; configs whose descriptor
-// opts out of sharing (ScratchKey "") build one scratch per config, as
-// the serial setup phase always did. Each group's build wall time is
+// precomputation get the empty scratch for free; tuned configs and
+// configs whose descriptor opts out of sharing (ScratchKey "") build one
+// scratch per config, as the serial setup phase always did (and as
+// radionet.Network.scratchFor does). Each group's build wall time is
 // added to cfgSetup at the group's first config index. Sharing is
 // output-neutral: scratches are seed-independent by contract, and equal
 // group keys imply equal constructor inputs.
@@ -127,7 +129,7 @@ func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratc
 			scratches[ci] = &Scratch{}
 			continue
 		}
-		if desc.ScratchKey == "" {
+		if desc.ScratchKey == "" || cfg.Tuning != nil {
 			groups = append(groups, group{first: ci, cfgs: []int{ci}})
 			continue
 		}
@@ -156,18 +158,11 @@ func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratc
 	return scratches
 }
 
-// RunTrial executes one trial of cfg with the given RNG stream seed.
-// maxRounds 0 selects the algorithm's registered whp-sufficient budget.
+// RunTrial executes one trial of cfg with the given RNG stream seed, on a
+// fresh scratch. maxRounds 0 selects the algorithm's registered
+// whp-sufficient budget.
 func RunTrial(cfg *Config, seed uint64, maxRounds int64) TrialResult {
-	return RunTrialScratch(cfg, seed, maxRounds, nil)
-}
-
-// RunTrialScratch is RunTrial with the per-config scratch supplied by the
-// caller, the executor convention for amortizing seed-independent
-// precomputation across a configuration's seed axis. A nil scr builds a
-// fresh scratch for this trial alone.
-func RunTrialScratch(cfg *Config, seed uint64, maxRounds int64, scr *Scratch) TrialResult {
-	return runTrialScratchHook(cfg, seed, maxRounds, scr, trialOpts{})
+	return runTrialScratchHook(cfg, seed, maxRounds, nil, trialOpts{})
 }
 
 // trialOpts carries the engine-level execution knobs threaded from the
@@ -182,10 +177,10 @@ type trialOpts struct {
 	shardHook radio.ShardHook
 }
 
-// runTrialScratchHook is the full trial entry point: RunTrialScratch plus
-// the campaign's execution knobs (see trialOpts). The hooks observe
-// rounds; they never change them — telemetry stays strictly
-// output-neutral.
+// runTrialScratchHook is the full trial entry point: RunTrial on the
+// config's shared scratch (nil builds a fresh one) plus the campaign's
+// execution knobs (see trialOpts). The hooks observe rounds; they never
+// change them — telemetry stays strictly output-neutral.
 func runTrialScratchHook(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts trialOpts) TrialResult {
 	if scr == nil || scr.val == nil {
 		// Also rebuilds a zero-valued Scratch handed in for a config whose
@@ -205,7 +200,7 @@ func runTrialScratchHook(cfg *Config, seed uint64, maxRounds int64, scr *Scratch
 // election's would-be winner — are never selected, so the completion
 // target never collapses to the empty set.
 func trialPlan(cfg *Config, desc *protocol.Descriptor, seed uint64, sources map[int]int64) *radio.FaultPlan {
-	return cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G, cfg.D, seed, sources, nil)...)
+	return cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G, cfg.D, seed, sources, cfg.Tuning)...)
 }
 
 // faultResult fills the fault-axis fields of a trial's result. Campaigns
@@ -235,7 +230,10 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error"}
 	}
-	sources := desc.DefaultSources()
+	sources := cfg.Sources
+	if sources == nil {
+		sources = desc.DefaultSources()
+	}
 	var plan *radio.FaultPlan
 	// The None guard isn't just an optimization: ProtectedNodes may
 	// resample a leader election's candidate set, and unfaulted trials
@@ -256,6 +254,7 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 		Sources:   sources,
 		Faults:    plan,
 		Scratch:   scr.val,
+		Tuning:    cfg.Tuning,
 		Hook:      opts.hook,
 		Shards:    opts.shards,
 		ShardHook: opts.shardHook,

@@ -5,8 +5,11 @@
 // per-experiment index lives in DESIGN.md §6 and results are recorded in
 // EXPERIMENTS.md.
 //
-// Every experiment is a Runner keyed by its ID (T1…T7, F1…F6) returning a
-// Table. cmd/experiments renders them from the command line and
+// Every experiment is a Runner keyed by its ID (T1…T8, F1…F7) returning a
+// Table. The comparison tables F1–F7 run their protocols as campaign
+// plans (runCells), so one executor serves them and cmd/campaign; the
+// structural tables T1–T8 fan their repetitions out with campaign.ForEach.
+// cmd/experiments renders the tables from the command line and
 // bench_test.go wraps each in a testing.B benchmark.
 package exp
 
@@ -17,6 +20,10 @@ import (
 	"strings"
 
 	"radionet/internal/campaign"
+	"radionet/internal/graph"
+	"radionet/internal/precompute"
+	"radionet/internal/protocol"
+	"radionet/internal/stats"
 )
 
 // Options control experiment scale and reproducibility.
@@ -29,24 +36,92 @@ type Options struct {
 	// Quick shrinks instance sizes for CI/benchmark runs; full scale is
 	// used by cmd/experiments for EXPERIMENTS.md.
 	Quick bool
-	// Workers sizes the worker pool for repetition loops
+	// Workers sizes the worker pool for repetition loops and table plans
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical for every
 	// value: each repetition derives its randomness from its index.
 	Workers int
 }
 
-func (o Options) seeds(def int) int {
+// seeds returns the repetitions per configuration: Seeds when set, else
+// def, capped at quickMax (when positive) on quick runs.
+func (o Options) seeds(def, quickMax int) int {
+	n := def
 	if o.Seeds > 0 {
-		return o.Seeds
+		n = o.Seeds
 	}
-	return def
+	if o.Quick && quickMax > 0 && n > quickMax {
+		n = quickMax
+	}
+	return n
 }
 
-// forEach fans the n independent repetitions of one configuration out
-// across the campaign executor. Bodies must write results by index so
-// tables are identical for every worker count.
-func (o Options) forEach(n int, fn func(i int)) {
-	campaign.ForEach(o.Workers, n, fn)
+// broadcast resolves a broadcast algorithm the tables name; an
+// unregistered name is a programming error.
+func broadcast(name string) *protocol.Descriptor {
+	d, ok := protocol.Lookup(protocol.Broadcast, name)
+	if !ok {
+		panic("exp: unregistered broadcast algorithm " + name)
+	}
+	return d
+}
+
+// cell is one table configuration: the registered algorithm desc on g at
+// diameter d, with the algorithm's default tuning and trial sources.
+func cell(g *graph.Graph, d int, desc *protocol.Descriptor) campaign.Config {
+	return campaign.Config{G: g, D: d, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}}
+}
+
+// cross returns a cell for every descriptor on every graph, graph-major
+// (the tables' row order), each graph at the diameter diam reports.
+func cross(gs []*graph.Graph, diam func(*graph.Graph) int, descs []*protocol.Descriptor) []campaign.Config {
+	var cells []campaign.Config
+	for _, g := range gs {
+		d := diam(g)
+		for _, desc := range descs {
+			cells = append(cells, cell(g, d, desc))
+		}
+	}
+	return cells
+}
+
+// runCells runs seeds trials of every cell as one campaign plan and
+// returns each cell's trial records in repetition order. Repetition s of
+// every cell is seeded base+s, the tables' historical seeds. Cells on one
+// graph share a topology key, and with it their scratch. Results are
+// identical for every worker count.
+func (o Options) runCells(cells []campaign.Config, base uint64, seeds int) [][]campaign.TrialResult {
+	plan := &campaign.Plan{Configs: cells, Seeds: seeds}
+	keys := make(map[*graph.Graph]precompute.Key)
+	for ci := range cells {
+		g := cells[ci].G
+		if _, ok := keys[g]; !ok {
+			keys[g] = precompute.Key{Spec: g.Name(), Seed: uint64(len(keys))}
+		}
+		cells[ci].Key = keys[g]
+		for s := 0; s < seeds; s++ {
+			plan.Trials = append(plan.Trials, campaign.Trial{Index: len(plan.Trials), Cfg: ci, Rep: s, Seed: base + uint64(s)})
+		}
+	}
+	res := (&campaign.Campaign{Workers: o.Workers}).RunPlan(plan)
+	out := make([][]campaign.TrialResult, len(cells))
+	for ci := range out {
+		out[ci] = res[ci*seeds : (ci+1)*seeds]
+	}
+	return out
+}
+
+// meanOf reduces one cell's trial records to its mean rounds and
+// transmissions, and whether every trial completed (with a verified
+// postcondition where the algorithm registers a check).
+func meanOf(rs []campaign.TrialResult) (rounds, tx float64, done bool) {
+	r := make([]float64, len(rs))
+	x := make([]float64, len(rs))
+	done = true
+	for i, t := range rs {
+		r[i], x[i] = float64(t.Rounds), float64(t.Tx)
+		done = done && t.Done
+	}
+	return stats.Mean(r), stats.Mean(x), done
 }
 
 // all reports whether every flag is set; repetition loops record per-index

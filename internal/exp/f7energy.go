@@ -2,6 +2,7 @@ package exp
 
 import (
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 )
 
 func init() {
@@ -21,26 +22,21 @@ func runF7(o Options) *Table {
 		PaperClaim: "no explicit claim; quantifies the energy cost of spontaneous transmissions vs informed-only protocols",
 		Columns:    []string{"graph", "n", "D", "algo", "rounds", "transmissions", "tx/node/round"},
 	}
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 2)
 	gs := []*graph.Graph{graph.Grid(16, 64), graph.PathOfCliques(32, 8)}
 	if o.Quick {
 		gs = []*graph.Graph{graph.Grid(8, 16)}
-		if seeds > 2 {
-			seeds = 2
-		}
 	}
-	algos := []broadcastAlgo{namedAlgo("bgi"), namedAlgo("truncated-decay"), namedAlgo("cd17")}
-	for _, g := range gs {
-		d := g.DiameterEstimate()
-		for _, a := range algos {
-			rounds, tx, all := meanRoundsTx(o, a, g, d, o.Seed+9, seeds)
-			perNodeRound := 0.0
-			if rounds > 0 {
-				perNodeRound = tx / (rounds * float64(g.N()))
-			}
-			t.AddRow(g.Name(), g.N(), d, a.name, rounds, tx, perNodeRound)
-			_ = all
+	algos := []*protocol.Descriptor{broadcast("bgi"), broadcast("truncated-decay"), broadcast("cd17")}
+	cells := cross(gs, (*graph.Graph).DiameterEstimate, algos)
+	for k, rs := range o.runCells(cells, o.Seed+9, seeds) {
+		c := cells[k]
+		rounds, tx, _ := meanOf(rs)
+		perNodeRound := 0.0
+		if rounds > 0 {
+			perNodeRound = tx / (rounds * float64(c.G.N()))
 		}
+		t.AddRow(c.G.Name(), c.G.N(), c.D, algos[k%len(algos)].Label, rounds, tx, perNodeRound)
 	}
 	t.Note("BGI/CR-KP transmit only after being informed; CD17's clustering lanes keep a low duty cycle per node but spend energy network-wide from round 0")
 	return t

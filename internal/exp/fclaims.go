@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"radionet/internal/campaign"
 	"radionet/internal/cluster"
 	"radionet/internal/compete"
 	"radionet/internal/graph"
@@ -18,71 +19,6 @@ func init() {
 	register("F4", "Compete rounds vs |S| (Theorem 4.1 additive term)", runF4)
 	register("F5", "Optimality: rounds/D flattens when n = poly(D) (Section 1.4)", runF5)
 	register("F6", "Ablations: curtailment, random beta, background processes", runF6)
-}
-
-// broadcastAlgo abstracts "run a broadcast of value 9 from node 0 on g".
-// run reports the rounds used, total transmissions (energy) and success.
-type broadcastAlgo struct {
-	name string
-	run  func(g *graph.Graph, d int, seed uint64) (rounds, tx int64, done bool)
-}
-
-// regAlgo adapts a registered broadcast descriptor to the experiment
-// harness: display name from the descriptor label, dispatch through its
-// Build, tuning passed through (nil = algorithm defaults). Every
-// algorithm runs at its registered whp-sufficient default budget
-// (Run(0)); a run that exhausts it is reported not-all-done (F6's
-// ablated variants are expected to).
-func regAlgo(d *protocol.Descriptor, tuning any) broadcastAlgo {
-	const budget = 0
-	return broadcastAlgo{name: d.Label, run: func(g *graph.Graph, diam int, seed uint64) (int64, int64, bool) {
-		r, err := d.Build(protocol.BuildParams{G: g, D: diam, Seed: seed, Sources: map[int]int64{0: 9}, Tuning: tuning})
-		if err != nil {
-			return 0, 0, false
-		}
-		res := r.Run(budget)
-		return res.Rounds, res.Tx, res.Done
-	}}
-}
-
-// namedAlgo resolves a broadcast algorithm by registry name.
-func namedAlgo(name string) broadcastAlgo {
-	d, ok := protocol.Lookup(protocol.Broadcast, name)
-	if !ok {
-		panic("exp: unregistered broadcast algorithm " + name)
-	}
-	return regAlgo(d, nil)
-}
-
-// comparableBroadcastAlgos enumerates every registered broadcast
-// algorithm in registry order — the baselines-first ordering the
-// comparison tables have always used. An algorithm registered tomorrow
-// appears in F1 with no exp changes.
-func comparableBroadcastAlgos() []broadcastAlgo {
-	var out []broadcastAlgo
-	for _, d := range protocol.ByTask(protocol.Broadcast) {
-		out = append(out, regAlgo(d, nil))
-	}
-	return out
-}
-
-// meanRounds runs algo for the given seeds through the campaign executor
-// and returns the mean round count and whether all runs completed.
-func meanRounds(o Options, a broadcastAlgo, g *graph.Graph, d int, baseSeed uint64, seeds int) (float64, bool) {
-	m, _, ok := meanRoundsTx(o, a, g, d, baseSeed, seeds)
-	return m, ok
-}
-
-// meanRoundsTx additionally returns the mean transmission count.
-func meanRoundsTx(o Options, a broadcastAlgo, g *graph.Graph, d int, baseSeed uint64, seeds int) (float64, float64, bool) {
-	rs := make([]float64, seeds)
-	txs := make([]float64, seeds)
-	ok := make([]bool, seeds)
-	o.forEach(seeds, func(s int) {
-		r, tx, done := a.run(g, d, baseSeed+uint64(s))
-		rs[s], txs[s], ok[s] = float64(r), float64(tx), done
-	})
-	return stats.Mean(rs), stats.Mean(txs), all(ok)
 }
 
 // gridFamily returns n≈const grids with varying diameter.
@@ -104,22 +40,23 @@ func runF1(o Options) *Table {
 		PaperClaim: "O(D log n/log D + polylog) vs BGI O((D+log n)log n), CR/KP O(D log(n/D)+log^2 n), HW16 O(D log n loglog n/log D + polylog)",
 		Columns:    []string{"graph", "n", "D", "algo", "rounds", "rounds/D", "allDone"},
 	}
-	seeds := o.seeds(3)
-	if o.Quick && seeds > 2 {
-		seeds = 2
-	}
-	algos := comparableBroadcastAlgos()
-	cd17, hw16 := namedAlgo("cd17").name, namedAlgo("hw16").name
+	seeds := o.seeds(3, 2)
+	// Every registered broadcast algorithm, registry order (baselines
+	// first): an algorithm registered tomorrow joins F1 with no changes here.
+	algos := protocol.ByTask(protocol.Broadcast)
+	cells := cross(gridFamily(o.Quick), (*graph.Graph).DiameterEstimate, algos)
+	res := o.runCells(cells, o.Seed+1, seeds)
+	cd17, hw16 := broadcast("cd17").Label, broadcast("hw16").Label
 	var perHop, logDs []float64 // CD17's completed rows
 	below, rows := 0, 0         // rows with CD17 < HW16-mode, of rows where both completed
-	for _, g := range gridFamily(o.Quick) {
-		d := g.DiameterEstimate()
+	for k := 0; k < len(cells); k += len(algos) {
+		g, d := cells[k].G, cells[k].D
 		mean := map[string]float64{}
 		done := map[string]bool{}
-		for _, a := range algos {
-			m, all := meanRounds(o, a, g, d, o.Seed+1, seeds)
-			t.AddRow(g.Name(), g.N(), d, a.name, m, m/float64(d), all)
-			mean[a.name], done[a.name] = m, all
+		for i, a := range algos {
+			m, _, all := meanOf(res[k+i])
+			t.AddRow(g.Name(), g.N(), d, a.Label, m, m/float64(d), all)
+			mean[a.Label], done[a.Label] = m, all
 		}
 		if done[cd17] {
 			perHop = append(perHop, mean[cd17]/float64(d))
@@ -168,24 +105,23 @@ func runF2(o Options) *Table {
 		PaperClaim: "at fixed D, CD17 grows as log n/log D vs BGI's log n (factor log D)",
 		Columns:    []string{"graph", "n", "D", "algo", "rounds", "allDone"},
 	}
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 2)
 	spine := 64
 	legSet := []int{1, 3, 7, 15}
 	if o.Quick {
 		spine = 32
 		legSet = []int{1, 3, 7}
-		if seeds > 2 {
-			seeds = 2
-		}
 	}
-	algos := []broadcastAlgo{namedAlgo("bgi"), namedAlgo("cd17")}
+	algos := []*protocol.Descriptor{broadcast("bgi"), broadcast("cd17")}
+	var gs []*graph.Graph
 	for _, legs := range legSet {
-		g := graph.Caterpillar(spine, legs)
-		d := g.Diameter()
-		for _, a := range algos {
-			m, all := meanRounds(o, a, g, d, o.Seed+2, seeds)
-			t.AddRow(g.Name(), g.N(), d, a.name, m, all)
-		}
+		gs = append(gs, graph.Caterpillar(spine, legs))
+	}
+	cells := cross(gs, (*graph.Graph).Diameter, algos)
+	for k, rs := range o.runCells(cells, o.Seed+2, seeds) {
+		c := cells[k]
+		m, _, all := meanOf(rs)
+		t.AddRow(c.G.Name(), c.G.N(), c.D, algos[k%len(algos)].Label, m, all)
 	}
 	t.Note("growing n at fixed D necessarily grows local contention; CD17's schedules pay log(local contention) where BGI pays the oblivious log n (DESIGN.md §3)")
 	return t
@@ -200,7 +136,7 @@ func runF3(o Options) *Table {
 		PaperClaim: "LE in O(D log n/log D + polylog), first LE asymptotically equal to broadcast; prior: binary-search O(T_BC log n), GH13 O(D log(n/D) min(loglog n, log(n/D)) + polylog)",
 		Columns:    []string{"graph", "n", "D", "algo", "rounds", "done"},
 	}
-	seeds := o.seeds(2)
+	seeds := o.seeds(2, 0)
 	gs := gridFamily(o.Quick)
 	if len(gs) > 3 {
 		gs = gs[:3]
@@ -208,47 +144,24 @@ func runF3(o Options) *Table {
 	// Every registered leader algorithm, registry order (baselines first,
 	// the paper's algorithm last) — GH13 joined this table by registering
 	// itself, with no changes here. Completion requires the descriptor's
-	// postcondition check where one is registered.
-	leaders := protocol.ByTask(protocol.Leader)
-	for _, g := range gs {
-		d := g.DiameterEstimate()
-		rounds := make([][]float64, len(leaders))
-		oks := make([][]bool, len(leaders))
-		for i := range leaders {
-			rounds[i] = make([]float64, seeds)
-			oks[i] = make([]bool, seeds)
+	// postcondition check where one is registered. CD17 broadcast closes
+	// each graph's rows, for the parity claim.
+	algos := append(protocol.ByTask(protocol.Leader), broadcast("cd17"))
+	cells := cross(gs, (*graph.Graph).DiameterEstimate, algos)
+	var leMean float64 // CD17-LE mean on the current graph
+	for k, rs := range o.runCells(cells, o.Seed+3, seeds) {
+		c, a := cells[k], algos[k%len(algos)]
+		m, _, done := meanOf(rs)
+		label := a.Label
+		if a.Task == protocol.Broadcast {
+			label = "CD17-broadcast"
 		}
-		bcr := make([]float64, seeds)
-		bcOK := make([]bool, seeds)
-		var leMean float64 // CD17-LE mean, for the parity note
-		o.forEach(seeds, func(s int) {
-			seed := o.Seed + 3 + uint64(s)
-			for i, ld := range leaders {
-				r, err := ld.Build(protocol.BuildParams{G: g, D: d, Seed: seed})
-				if err != nil {
-					continue
-				}
-				res := r.Run(0)
-				oks[i][s] = res.Done && (res.Verify == nil || res.Verify() == nil)
-				rounds[i][s] = float64(res.Rounds)
-			}
-			// CD17 broadcast (parity claim).
-			if b, err := compete.NewBroadcast(g, d, compete.Config{}, seed, 0, 9); err == nil {
-				rb, doneb := b.Run(8 * b.Budget())
-				bcOK[s] = doneb
-				bcr[s] = float64(rb)
-			}
-		})
-		for i, ld := range leaders {
-			m := stats.Mean(rounds[i])
-			t.AddRow(g.Name(), g.N(), d, ld.Label, m, all(oks[i]))
-			if ld.Name == "cd17" {
-				leMean = m
-			}
-		}
-		t.AddRow(g.Name(), g.N(), d, "CD17-broadcast", stats.Mean(bcr), all(bcOK))
-		if stats.Mean(bcr) > 0 {
-			t.Note("%s: LE/broadcast ratio = %.2f (paper: O(1), the parity claim)", g.Name(), leMean/stats.Mean(bcr))
+		t.AddRow(c.G.Name(), c.G.N(), c.D, label, m, done)
+		switch {
+		case a.Task == protocol.Leader && a.Name == "cd17":
+			leMean = m
+		case a.Task == protocol.Broadcast && m > 0:
+			t.Note("%s: LE/broadcast ratio = %.2f (paper: O(1), the parity claim)", c.G.Name(), leMean/m)
 		}
 	}
 	return t
@@ -262,36 +175,27 @@ func runF4(o Options) *Table {
 		PaperClaim: "Compete(S) = O(D log n/log D + |S| D^0.125 + polylog n)",
 		Columns:    []string{"graph", "|S|", "rounds", "allDone"},
 	}
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 2)
 	g := graph.Grid(16, 64)
 	if o.Quick {
 		g = graph.Grid(8, 32)
-		if seeds > 2 {
-			seeds = 2
-		}
 	}
 	d := g.DiameterEstimate()
 	sizes := []int{1, 2, 4, 8, 16, 32}
-	var xs, ys []float64
+	var cells []campaign.Config
 	for _, k := range sizes {
-		rs := make([]float64, seeds)
-		ok := make([]bool, seeds)
-		o.forEach(seeds, func(s int) {
-			sources := make(map[int]int64, k)
-			for i := 0; i < k; i++ {
-				sources[(i*g.N())/k] = int64(100 + i)
-			}
-			c, err := compete.New(g, d, compete.Config{}, o.Seed+5+uint64(s), sources)
-			if err != nil {
-				return
-			}
-			r, done := c.Run(8 * c.Budget())
-			ok[s] = done
-			rs[s] = float64(r)
-		})
-		m := stats.Mean(rs)
-		t.AddRow(g.Name(), k, m, all(ok))
-		xs = append(xs, float64(k))
+		c := cell(g, d, broadcast("cd17"))
+		c.Sources = make(map[int]int64, k)
+		for i := 0; i < k; i++ {
+			c.Sources[(i*g.N())/k] = int64(100 + i)
+		}
+		cells = append(cells, c)
+	}
+	var xs, ys []float64
+	for i, rs := range o.runCells(cells, o.Seed+5, seeds) {
+		m, _, all := meanOf(rs)
+		t.AddRow(g.Name(), sizes[i], m, all)
+		xs = append(xs, float64(sizes[i]))
 		ys = append(ys, m)
 	}
 	if len(xs) >= 2 {
@@ -310,37 +214,39 @@ func runF5(o Options) *Table {
 		PaperClaim: "when n = poly(D), running time is O(D): rounds/D = O(1); BGI rounds/D grows as log n",
 		Columns:    []string{"n", "D", "algo", "rounds", "rounds/D"},
 	}
-	seeds := o.seeds(2)
+	seeds := o.seeds(2, 0)
 	ns := []int{128, 256, 512, 1024, 2048}
 	if o.Quick {
 		ns = []int{64, 128, 256, 512}
 	}
-	algos := []broadcastAlgo{namedAlgo("bgi"), namedAlgo("cd17")}
+	algos := []*protocol.Descriptor{broadcast("bgi"), broadcast("cd17")}
+	var gs []*graph.Graph
+	for _, n := range ns {
+		gs = append(gs, graph.Path(n))
+	}
+	cells := cross(gs, func(g *graph.Graph) int { return g.N() - 1 }, algos)
 	perHop := map[string][]float64{}
 	logns := map[string][]float64{}
-	for _, n := range ns {
-		g := graph.Path(n)
-		d := n - 1
-		for _, a := range algos {
-			m, all := meanRounds(o, a, g, d, o.Seed+6, seeds)
-			t.AddRow(n, d, a.name, m, m/float64(d))
-			if all {
-				perHop[a.name] = append(perHop[a.name], m/float64(d))
-				logns[a.name] = append(logns[a.name], math.Log2(float64(n)))
-			}
+	for k, rs := range o.runCells(cells, o.Seed+6, seeds) {
+		n, d, a := cells[k].G.N(), cells[k].D, algos[k%len(algos)].Label
+		m, _, all := meanOf(rs)
+		t.AddRow(n, d, a, m, m/float64(d))
+		if all {
+			perHop[a] = append(perHop[a], m/float64(d))
+			logns[a] = append(logns[a], math.Log2(float64(n)))
 		}
 	}
 	slopes := map[string]float64{}
 	for _, a := range algos {
-		ph := perHop[a.name]
+		ph := perHop[a.Label]
 		if len(ph) >= 2 {
-			slope := (ph[len(ph)-1] - ph[0]) / (logns[a.name][len(ph)-1] - logns[a.name][0])
-			slopes[a.name] = slope
-			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 n)", a.name, ph[0], ph[len(ph)-1], slope)
+			slope := (ph[len(ph)-1] - ph[0]) / (logns[a.Label][len(ph)-1] - logns[a.Label][0])
+			slopes[a.Label] = slope
+			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 n)", a.Label, ph[0], ph[len(ph)-1], slope)
 		}
 	}
-	bgi, bgiOK := slopes[algos[0].name]
-	cd17, cd17OK := slopes[algos[1].name]
+	bgi, bgiOK := slopes[algos[0].Label]
+	cd17, cd17OK := slopes[algos[1].Label]
 	t.Note("%s", f5Verdict(cd17, bgi, bgiOK && cd17OK))
 	return t
 }
@@ -375,13 +281,10 @@ func runF6(o Options) *Table {
 		PaperClaim: "curtailment via Theorem 2.2 (vs HW16's loglog-longer schedules), random beta per slot, and the background processes are each load-bearing",
 		Columns:    []string{"variant", "rounds", "vs default", "allDone"},
 	}
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 2)
 	g := graph.Grid(8, 128)
 	if o.Quick {
 		g = graph.Grid(8, 48)
-		if seeds > 2 {
-			seeds = 2
-		}
 	}
 	d := g.DiameterEstimate()
 	jmid := f6MidJ(d)
@@ -396,15 +299,16 @@ func runF6(o Options) *Table {
 		{"no background process", compete.Config{DisableBackground: true}},
 		{"no Algorithm-4 helper", compete.Config{DisableHelper: true}},
 	}
-	cd17Desc, ok := protocol.Lookup(protocol.Broadcast, "cd17")
-	if !ok {
-		panic("exp: cd17 not registered")
+	var cells []campaign.Config
+	for _, v := range variants {
+		c := cell(g, d, broadcast("cd17"))
+		c.Tuning = v.cfg
+		cells = append(cells, c)
 	}
 	var base float64
-	for i, v := range variants {
-		a := regAlgo(cd17Desc, v.cfg)
-		a.name = v.name
-		m, all := meanRounds(o, a, g, d, o.Seed+7, seeds)
+	for i, rs := range o.runCells(cells, o.Seed+7, seeds) {
+		v := variants[i]
+		m, _, all := meanOf(rs)
 		if i == 0 {
 			base = m
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"radionet/internal/campaign"
 	"radionet/internal/graph"
 	"radionet/internal/multicast"
 	"radionet/internal/stats"
@@ -21,15 +22,12 @@ func runT8(o Options) *Table {
 		PaperClaim: "k messages in O(D + k log n + log^6 n) (additive in k) vs k*T_BC sequential",
 		Columns:    []string{"graph", "k", "pipelined", "sequential", "speedup", "allDone"},
 	}
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 2)
 	g := graph.Grid(8, 32)
 	ks := []int{1, 2, 4, 8, 16, 32}
 	if o.Quick {
 		g = graph.Grid(6, 12)
 		ks = []int{1, 4, 16}
-		if seeds > 2 {
-			seeds = 2
-		}
 	}
 	msgs := func(k int) []int64 {
 		out := make([]int64, k)
@@ -43,7 +41,7 @@ func runT8(o Options) *Table {
 		pr := make([]float64, seeds)
 		sr := make([]float64, seeds)
 		ok := make([]bool, seeds)
-		o.forEach(seeds, func(s int) {
+		campaign.ForEach(o.Workers, seeds, func(s int) {
 			p, err := multicast.NewPipelined(g, o.Seed+8+uint64(s), 0, msgs(k))
 			if err != nil {
 				return

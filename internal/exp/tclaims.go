@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 
+	"radionet/internal/campaign"
 	"radionet/internal/cluster"
 	"radionet/internal/decay"
 	"radionet/internal/graph"
@@ -38,7 +39,7 @@ func runT1(o Options) *Table {
 	for _, k := range []int{1, 2, 4, 8, 32, 128, 512} {
 		l := decay.Levels(k + 1)
 		hits := make([]bool, trials)
-		o.forEach(trials, func(trial int) {
+		campaign.ForEach(o.Workers, trials, func(trial int) {
 			r := master.Fork(uint64(k)<<20 | uint64(trial))
 			for s := 0; s < l; s++ {
 				tx := 0
@@ -91,12 +92,12 @@ func runT2(o Options) *Table {
 		Columns:    []string{"graph", "beta", "maxRadius(mean)", "maxRadius(max)", "ln(n)/beta", "ratio"},
 	}
 	master := rng.New(o.Seed)
-	seeds := o.seeds(10)
+	seeds := o.seeds(10, 0)
 	for _, g := range clusterGraphs(o, master) {
 		lnN := math.Log(float64(g.N()))
 		for _, beta := range []float64{0.05, 0.1, 0.2, 0.4} {
 			radii := make([]float64, seeds)
-			o.forEach(seeds, func(s int) {
+			campaign.ForEach(o.Workers, seeds, func(s int) {
 				p := cluster.Partition(g, beta, master.Fork(uint64(s)+100*uint64(beta*1000)))
 				radii[s] = float64(p.MaxStrongRadius())
 			})
@@ -118,11 +119,11 @@ func runT3(o Options) *Table {
 		Columns:    []string{"graph", "beta", "cutFraction", "cutFraction/beta"},
 	}
 	master := rng.New(o.Seed)
-	seeds := o.seeds(10)
+	seeds := o.seeds(10, 0)
 	for _, g := range clusterGraphs(o, master) {
 		for _, beta := range []float64{0.02, 0.05, 0.1, 0.2, 0.4} {
 			fr := make([]float64, seeds)
-			o.forEach(seeds, func(s int) {
+			campaign.ForEach(o.Workers, seeds, func(s int) {
 				p := cluster.Partition(g, beta, master.Fork(uint64(s)+100*uint64(beta*1000)))
 				fr[s] = p.CutFraction()
 			})
@@ -146,13 +147,10 @@ func runT4(o Options) *Table {
 		Columns:    []string{"graph", "j", "beta", "E[dist]", "CD17 bound", "ok", "HW16 bound"},
 	}
 	master := rng.New(o.Seed)
-	trials := o.seeds(40)
+	trials := o.seeds(40, 15)
 	gs := []*graph.Graph{graph.Path(512), graph.Grid(16, 64)}
 	if o.Quick {
 		gs = []*graph.Graph{graph.Path(256)}
-		if trials > 15 {
-			trials = 15
-		}
 	}
 	const c = 5.0
 	for _, g := range gs {
@@ -165,7 +163,7 @@ func runT4(o Options) *Table {
 		for j := jmin; j <= jmax; j++ {
 			beta := math.Pow(2, -float64(j))
 			ds := make([]float64, trials)
-			o.forEach(trials, func(s int) {
+			campaign.ForEach(o.Workers, trials, func(s int) {
 				p := cluster.Partition(g, beta, master.Fork(uint64(j)<<16|uint64(s)))
 				ds[s] = float64(p.Dist[v])
 			})
@@ -194,13 +192,10 @@ func runT5(o Options) *Table {
 		Columns:    []string{"graph", "beta", "d", "t", "P[measured]", "bound"},
 	}
 	master := rng.New(o.Seed)
-	trials := o.seeds(60)
+	trials := o.seeds(60, 25)
 	g := graph.Grid(24, 24)
 	if o.Quick {
 		g = graph.Grid(14, 14)
-		if trials > 25 {
-			trials = 25
-		}
 	}
 	nodes := []int{g.N() / 2, g.N() / 4}
 	for _, beta := range []float64{0.05, 0.15} {
@@ -208,7 +203,7 @@ func runT5(o Options) *Table {
 			bound1 := 1 - math.Exp(-beta*float64(2*d+1))
 			for _, tt := range []int{2, 3} {
 				perTrial := make([]int, trials)
-				o.forEach(trials, func(s int) {
+				campaign.ForEach(o.Workers, trials, func(s int) {
 					p := cluster.Partition(g, beta, master.Fork(uint64(s)|uint64(d)<<20|uint64(tt)<<28|uint64(beta*1e4)<<36))
 					for _, v := range nodes {
 						if p.ClustersWithin(v, d) >= tt {
@@ -240,13 +235,10 @@ func runT6(o Options) *Table {
 		Columns:    []string{"D", "n", "subLen", "neigh", "subpaths", "bad(mean)", "bad(max)"},
 	}
 	master := rng.New(o.Seed)
-	seeds := o.seeds(8)
+	seeds := o.seeds(8, 4)
 	ks := []int{32, 64, 128, 256}
 	if o.Quick {
 		ks = []int{16, 32, 64}
-		if seeds > 4 {
-			seeds = 4
-		}
 	}
 	var dims, bads []float64
 	for _, k := range ks {
@@ -258,7 +250,7 @@ func runT6(o Options) *Table {
 		path := g.ShortestPath(0, g.N()-1)
 		nsub := (len(path) + subLen - 1) / subLen
 		counts := make([]float64, seeds)
-		o.forEach(seeds, func(s int) {
+		campaign.ForEach(o.Workers, seeds, func(s int) {
 			p := cluster.Partition(g, coarseBeta, master.Fork(uint64(k)<<20|uint64(s)))
 			bad := 0
 			for i := 0; i < len(path); i += subLen {
@@ -320,7 +312,7 @@ func runT7(o Options) *Table {
 		Columns:    []string{"graph", "beta", "rounds", "log^3(n)/beta", "ratio", "valid"},
 	}
 	master := rng.New(o.Seed)
-	seeds := o.seeds(3)
+	seeds := o.seeds(3, 0)
 	gs := []*graph.Graph{graph.Grid(12, 12), graph.PathOfCliques(12, 6)}
 	if !o.Quick {
 		gs = append(gs, graph.Grid(24, 24), graph.RandomGeometric(500, 0.08, master.Fork(3)))
@@ -330,7 +322,7 @@ func runT7(o Options) *Table {
 		for _, beta := range []float64{0.15, 0.3} {
 			rounds := make([]float64, seeds)
 			ok := make([]bool, seeds)
-			o.forEach(seeds, func(s int) {
+			campaign.ForEach(o.Workers, seeds, func(s int) {
 				dp := cluster.NewDistributed(g, cluster.DistConfig{Beta: beta}, o.Seed+uint64(s))
 				r, done := dp.Run()
 				ok[s] = done && dp.Result().Validate() == nil
