@@ -20,6 +20,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,6 @@ import (
 	"radionet/internal/campaign"
 	"radionet/internal/obs"
 	"radionet/internal/protocol"
-	"radionet/internal/radio"
 	"radionet/internal/rng"
 	"radionet/internal/stats"
 	"radionet/internal/trace"
@@ -120,6 +120,14 @@ func run() error {
 	}
 	net := radionet.NewNetwork(g)
 	fmt.Printf("network: %v, diameter=%d\n", g, net.Diameter)
+	// The -source/-value flags, for source-driven descriptors only.
+	var sources map[int]int64
+	if desc.DefaultSources() != nil {
+		if *source < 0 || *source >= g.N() {
+			return fmt.Errorf("source %d out of range", *source)
+		}
+		sources = map[int]int64{*source: *value}
+	}
 
 	// Telemetry: one registry for the whole invocation (single run or the
 	// -trials fan-out), scrapeable live via -debug-addr and written out as
@@ -139,14 +147,20 @@ func run() error {
 	scenario := fmt.Sprintf("%v/%s:%s", g, *task, desc.Name)
 	start := time.Now()
 	tc := obs.NewTrialCollector(reg)
+	// Runs without facade sugar — the -trials fan-out and single runs of
+	// the other tasks — execute as a one-config plan on the campaign's
+	// trial path.
+	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg}
+	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
 
 	runErr := func() error {
 		if *trials > 1 {
 			if *doTrace {
 				return fmt.Errorf("-trace requires a single run (drop -trials)")
 			}
-			return runTrials(net, desc, *task, *algo, faultSpec, *seed, *value, *source, *max, *trials, *workers, *shards, reg, tc)
+			return runTrials(c, cfg, *max, tc, *task, *algo, *seed, *trials)
 		}
+		faults := faultPlan(net, desc, faultSpec, *seed, sources)
 		switch *task {
 		case "broadcast":
 			var rec *trace.Recorder
@@ -155,7 +169,7 @@ func run() error {
 				Seed:         *seed,
 				MaxRounds:    *max,
 				Metrics:      reg,
-				Faults:       faultPlan(net, desc, faultSpec, *seed, *source, *value),
+				Faults:       faults,
 				EngineShards: *shards,
 			}
 			if *doTrace {
@@ -169,9 +183,9 @@ func run() error {
 			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
 			fmt.Printf("broadcast(%s): done=%v rounds=%d precompute=%d\n",
 				*algo, res.Done, res.Rounds, res.PrecomputeRounds)
-			if opts.Faults != nil {
+			if faults != nil {
 				fmt.Printf("faults(%s): survivors=%d reach=%d/%d\n",
-					faultSpec.Spec, opts.Faults.Survivors(), res.Reached, res.ReachTarget)
+					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
 			}
 			if rec != nil {
 				if err := rec.Report(os.Stdout); err != nil {
@@ -187,7 +201,7 @@ func run() error {
 				Seed:         *seed,
 				MaxRounds:    *max,
 				Metrics:      reg,
-				Faults:       faultPlan(net, desc, faultSpec, *seed, *source, *value),
+				Faults:       faults,
 				EngineShards: *shards,
 			}
 			res, err := net.LeaderElection(opts)
@@ -197,20 +211,20 @@ func run() error {
 			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
 			fmt.Printf("leader(%s): done=%v rounds=%d leader=node%d id=%d candidates=%d\n",
 				*algo, res.Done, res.Rounds, res.Leader, res.LeaderID, len(res.Candidates))
-			if opts.Faults != nil {
+			if faults != nil {
 				fmt.Printf("faults(%s): survivors=%d reach=%d/%d\n",
-					faultSpec.Spec, opts.Faults.Survivors(), res.Reached, res.ReachTarget)
+					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
 			}
 			if !res.Done {
 				return fmt.Errorf("election did not complete within budget")
 			}
 		default:
-			// Any other registered task runs straight off its descriptor.
-			res, err := registryRun(net, desc, faultSpec, *seed, *value, *source, *max, *shards, reg)
+			// Any other registered task runs as a one-trial plan.
+			out, err := runPlan(c, cfg, *max, tc, *seed)
 			if err != nil {
 				return err
 			}
-			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
+			res := out[0]
 			fmt.Printf("%s(%s): done=%v rounds=%d tx=%d\n", *task, *algo, res.Done, res.Rounds, res.Tx)
 			if !res.Done {
 				return fmt.Errorf("%s did not complete within budget", *task)
@@ -267,114 +281,50 @@ func buildManifest(scenario string, n, d, workers int, wall time.Duration, reg *
 // leader election's would-be winner — exactly as the campaign does.
 // Returns nil for the unfaulted spec; each run needs its own plan (plans
 // are single-use).
-func faultPlan(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, seed uint64, source int, value int64) *radionet.FaultPlan {
+func faultPlan(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, seed uint64, sources map[int]int64) *radionet.FaultPlan {
 	if fs.None() {
 		return nil // skip ProtectedNodes: it may resample a candidate set
 	}
-	sources := trialSources(desc, source, value)
 	return fs.TrialPlan(net.G, seed, desc.ProtectedNodes(net.G, net.Diameter, seed, sources, nil)...)
 }
 
-// trialSources maps the -source/-value flags onto the descriptor's
-// source-set convention (nil for self-seeding descriptors like the
-// leader elections).
-func trialSources(desc *protocol.Descriptor, source int, value int64) map[int]int64 {
-	if desc.DefaultSources() == nil {
-		return nil
+// runPlan runs cfg once per seed as one campaign plan on c's executor
+// and records each trial into tc. A Build error, identical for every
+// trial, is returned as the run's error.
+func runPlan(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, seeds ...uint64) ([]campaign.TrialResult, error) {
+	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: max}
+	for i, seed := range seeds {
+		plan.Trials = append(plan.Trials, campaign.Trial{Index: i, Rep: i, Seed: seed})
 	}
-	return map[int]int64{source: value}
-}
-
-// registryRun executes one run of a registry task that has no facade
-// sugar (multicast, partition, and whatever gets registered next). Done
-// is gated on the descriptor's postcondition check exactly as the
-// campaign and the facade gate it — the CLIs must agree on one seed.
-func registryRun(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, seed uint64, value int64, source int, max int64, shards int, reg *obs.Registry) (protocol.Result, error) {
-	// Sharded engines park resident workers; close them when the run ends
-	// rather than leaving the teardown to GC.
-	var engines radio.EngineSet
-	defer engines.Close()
-	r, err := desc.Build(protocol.BuildParams{
-		G:       net.G,
-		D:       net.Diameter,
-		Seed:    seed,
-		Sources: trialSources(desc, source, value),
-		Faults:  faultPlan(net, desc, fs, seed, source, value),
-		Hook:    obs.NewEngineCollector(reg).Hook(),
-		Shards:  shards,
-		Engines: &engines,
-	})
-	if err != nil {
-		return protocol.Result{}, err
+	results := c.RunPlan(plan)
+	for _, res := range results {
+		if res.Reason == "error" {
+			return nil, errors.New(res.Err)
+		}
+		tc.Record(res.Rounds, res.Wall, res.Done, res.Budget)
 	}
-	res := r.Run(max)
-	if res.Done && res.Verify != nil && res.Verify() != nil {
-		res.Done = false
-	}
-	return res, nil
+	return results, nil
 }
 
 // runTrials is the -trials fan-out mode: n independent runs of the same
 // scenario across the campaign worker pool, each with its own RNG stream
 // derived from the master seed, reduced to aggregate round statistics.
 // Output is identical for every -workers value.
-func runTrials(net *radionet.Network, desc *protocol.Descriptor, task, algo string, fs campaign.FaultSpec, seed uint64, value int64, source int, max int64, trials, workers, shards int, reg *obs.Registry, tc *obs.TrialCollector) error {
-	seeds := rng.New(seed).Fork(0x7215)
-	rounds := make([]float64, trials)
-	failed := make([]bool, trials)
-	errs := make([]error, trials)
-	campaign.ForEach(workers, trials, func(i int) {
-		trialSeed := seeds.Fork(uint64(i)).Uint64()
-		trialStart := time.Now()
-		var (
-			res radionet.Result
-			err error
-		)
-		switch task {
-		case "broadcast":
-			res, err = net.Broadcast(source, value, radionet.BroadcastOptions{
-				Algorithm:    radionet.Algorithm(algo),
-				Seed:         trialSeed,
-				MaxRounds:    max,
-				Metrics:      reg,
-				Faults:       faultPlan(net, desc, fs, trialSeed, source, value),
-				EngineShards: shards,
-			})
-		case "leader":
-			var lr radionet.LeaderResult
-			lr, err = net.LeaderElection(radionet.LeaderOptions{
-				Algorithm:    radionet.LeaderAlgorithm(algo),
-				Seed:         trialSeed,
-				MaxRounds:    max,
-				Metrics:      reg,
-				Faults:       faultPlan(net, desc, fs, trialSeed, source, value),
-				EngineShards: shards,
-			})
-			res = lr.Result
-		default:
-			var pres protocol.Result
-			pres, err = registryRun(net, desc, fs, trialSeed, value, source, max, shards, reg)
-			res = radionet.Result{Rounds: pres.Rounds, Done: pres.Done}
-		}
-		if err != nil {
-			errs[i] = err // a config error; identical for every trial
-			failed[i] = true
-			return
-		}
-		tc.Record(res.Rounds, time.Since(trialStart), res.Done, 0)
-		rounds[i] = float64(res.Rounds)
-		failed[i] = !res.Done
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+func runTrials(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, task, algo string, seed uint64, trials int) error {
+	stream := rng.New(seed).Fork(0x7215)
+	seeds := make([]uint64, trials)
+	for i := range seeds {
+		seeds[i] = stream.Fork(uint64(i)).Uint64()
+	}
+	results, err := runPlan(c, cfg, max, tc, seeds...)
+	if err != nil {
+		return err
 	}
 	var agg stats.Running
 	failures := 0
-	for i := range rounds {
-		agg.Add(rounds[i])
-		if failed[i] {
+	for _, res := range results {
+		agg.Add(float64(res.Rounds))
+		if !res.Done {
 			failures++
 		}
 	}

@@ -17,8 +17,10 @@
 // explicit seeds) and returns the per-trial results in trial order.
 //
 // cmd/campaign drives matrices from flags or a JSON config file;
-// internal/exp runs its comparison tables F1–F7 through RunPlan;
-// cmd/radiosim uses ForEach for its -trials fan-out mode.
+// internal/exp runs its comparison tables F1–F7 through RunPlan, and
+// cmd/radiosim runs its -trials fan-out (and single runs of tasks the
+// radionet facade has no call for) as one-config plans through RunPlan.
+// Every trial runs its descriptor through protocol.Descriptor.Execute.
 package campaign
 
 import (
@@ -555,7 +557,7 @@ func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Du
 	engineHook := obs.NewEngineCollector(c.Obs).Hook()
 	ForEachWorker(c.Workers, len(plan.Trials), func(w, i int) {
 		tr := plan.Trials[i]
-		res := runTrialScratchHook(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
+		res := runTrial(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
 			trialOpts{hook: engineHook, shards: cfgShards[tr.Cfg], shardHook: shardHook})
 		results[i] = res
 		if each != nil {

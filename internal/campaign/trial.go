@@ -162,7 +162,7 @@ func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratc
 // fresh scratch. maxRounds 0 selects the algorithm's registered
 // whp-sufficient budget.
 func RunTrial(cfg *Config, seed uint64, maxRounds int64) TrialResult {
-	return runTrialScratchHook(cfg, seed, maxRounds, nil, trialOpts{})
+	return runTrial(cfg, seed, maxRounds, nil, trialOpts{})
 }
 
 // trialOpts carries the engine-level execution knobs threaded from the
@@ -177,55 +177,20 @@ type trialOpts struct {
 	shardHook radio.ShardHook
 }
 
-// runTrialScratchHook is the full trial entry point: RunTrial on the
-// config's shared scratch (nil builds a fresh one) plus the campaign's
-// execution knobs (see trialOpts). The hooks observe rounds; they never
-// change them — telemetry stays strictly output-neutral.
-func runTrialScratchHook(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts trialOpts) TrialResult {
+// runTrial is the whole per-trial dispatch: resolve the descriptor,
+// realize the fault plan, and run it through protocol.Execute on the
+// config's shared scratch (nil, or an empty one for a descriptor that
+// expects a scratch, builds a fresh one) with the campaign's execution
+// knobs. Every algorithm-specific decision — constructors, budget
+// defaults, metric extraction — lives behind the registry.
+func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts trialOpts) (res TrialResult) {
 	if scr == nil || scr.val == nil {
-		// Also rebuilds a zero-valued Scratch handed in for a config whose
-		// descriptor expects one; for scratch-free configs the rebuilt
-		// scratch is empty too.
 		scr = NewScratch(cfg)
 	}
 	start := time.Now() //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
-	res := runTrial(cfg, seed, maxRounds, scr, opts)
-	res.Wall = time.Since(start) //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
-	return res
-}
-
-// trialPlan realizes cfg's fault spec for one trial: fault sites and coin
-// streams derive from the trial seed (deterministic at any worker count),
-// and the descriptor's protected nodes — the broadcast source, a leader
-// election's would-be winner — are never selected, so the completion
-// target never collapses to the empty set.
-func trialPlan(cfg *Config, desc *protocol.Descriptor, seed uint64, sources map[int]int64) *radio.FaultPlan {
-	return cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G, cfg.D, seed, sources, cfg.Tuning)...)
-}
-
-// faultResult fills the fault-axis fields of a trial's result. Campaigns
-// without a fault axis (Fault.Spec == "") leave them zero so their
-// aggregates — and sink bytes — are unchanged.
-func faultResult(res TrialResult, cfg *Config, plan *radio.FaultPlan, reached, target int) TrialResult {
-	if !res.Done && res.Reason == "" {
-		res.Reason = "budget"
-	}
-	if cfg.Fault.Spec == "" {
-		return res
-	}
-	res.Survivors = cfg.G.N()
-	if plan != nil {
-		res.Survivors = plan.Survivors()
-	}
-	res.Reached, res.ReachTarget = reached, target
-	return res
-}
-
-// runTrial is the whole per-trial dispatch: resolve the descriptor,
-// realize the fault plan, build the runner, run it, verify. Every
-// algorithm-specific decision — constructors, budget defaults, metric
-// extraction — lives behind the registry.
-func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts trialOpts) TrialResult {
+	defer func() {
+		res.Wall = time.Since(start) //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
+	}()
 	desc, err := lookup(cfg.Spec)
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error"}
@@ -234,20 +199,18 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	if sources == nil {
 		sources = desc.DefaultSources()
 	}
+	// The trial's fault plan: fault sites and coin streams derive from the
+	// trial seed (deterministic at any worker count), and the descriptor's
+	// protected nodes — the broadcast source, a leader election's would-be
+	// winner — are never selected, so the completion target never
+	// collapses to the empty set. The None guard isn't just an
+	// optimization: ProtectedNodes may resample a leader election's
+	// candidate set, and unfaulted trials must not pay that per trial.
 	var plan *radio.FaultPlan
-	// The None guard isn't just an optimization: ProtectedNodes may
-	// resample a leader election's candidate set, and unfaulted trials
-	// must not pay that per trial.
 	if desc.Caps.Faults && !cfg.Fault.None() {
-		plan = trialPlan(cfg, desc, seed, sources)
+		plan = cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G, cfg.D, seed, sources, cfg.Tuning)...)
 	}
-	// Engines built for this trial release their resident shard workers
-	// when the trial ends (sharded engines park k-1 goroutines; without
-	// the deterministic close a long campaign would accumulate them until
-	// GC).
-	var engines radio.EngineSet
-	defer engines.Close()
-	r, err := desc.Build(protocol.BuildParams{
+	out, err := desc.Execute(protocol.BuildParams{
 		G:         cfg.G,
 		D:         cfg.D,
 		Seed:      seed,
@@ -258,28 +221,27 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 		Hook:      opts.hook,
 		Shards:    opts.shards,
 		ShardHook: opts.shardHook,
-		Engines:   &engines,
-	})
+	}, maxRounds)
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error"}
 	}
-	// The effective budget, resolved before Run (a Budgeted runner may
-	// fold an explicit budget into the same state afterwards).
-	budget := maxRounds
-	if budget <= 0 {
-		budget = 0
-		if b, ok := r.(protocol.Budgeted); ok {
-			budget = b.DefaultBudget()
+	res = TrialResult{Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget}
+	switch {
+	case out.VerifyErr != nil:
+		// Finished within budget but the postcondition failed — a
+		// distinct failure class fail_reasons must not fold into "budget".
+		res.Reason = "verify"
+	case !out.Done:
+		res.Reason = "budget"
+	}
+	// Campaigns without a fault axis (Fault.Spec == "") leave the reach
+	// fields zero so their aggregates — and sink bytes — are unchanged.
+	if cfg.Fault.Spec != "" {
+		res.Survivors = cfg.G.N()
+		if plan != nil {
+			res.Survivors = plan.Survivors()
 		}
+		res.Reached, res.ReachTarget = out.Reached, out.ReachTarget
 	}
-	res := r.Run(maxRounds)
-	out := TrialResult{Rounds: res.Rounds, Tx: res.Tx, Done: res.Done, Budget: budget}
-	if res.Done && res.Verify != nil && res.Verify() != nil {
-		// The run finished within budget but the postcondition failed —
-		// a distinct failure class fail_reasons must not fold into
-		// "budget".
-		out.Done = false
-		out.Reason = "verify"
-	}
-	return faultResult(out, cfg, plan, res.Reached, res.ReachTarget)
+	return res
 }

@@ -31,10 +31,7 @@ func runT1(o Options) *Table {
 		PaperClaim: "P[delivery in one Decay phase] >= constant for any #participants",
 		Columns:    []string{"participants", "phaseLen", "P[deliver]", "bound 1/(2e)"},
 	}
-	trials := 4000
-	if o.Quick {
-		trials = 800
-	}
+	trials := o.seeds(4000, 800)
 	master := rng.New(o.Seed)
 	for _, k := range []int{1, 2, 4, 8, 32, 128, 512} {
 		l := decay.Levels(k + 1)

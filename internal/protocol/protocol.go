@@ -15,7 +15,9 @@
 // Lookup/ByTask. Adding an algorithm end-to-end (campaign matrices, the
 // facade, both CLIs, the conformance suite) is one new package with a
 // register.go plus one blank import in internal/protocol/all; no dispatch
-// code changes anywhere (internal/ghle is the proof).
+// code changes anywhere (internal/ghle is the proof). Running one is
+// (*Descriptor).Execute, the one Build → Run → Verify routine that the
+// campaign trial path and the facade share.
 //
 // Contracts every registered descriptor must honor (pinned by the
 // conformance suite in conformance_test.go):
@@ -187,7 +189,8 @@ type BuildParams struct {
 	// Engines, if non-nil, collects every engine the runner constructs
 	// (ApplyEngine registers automatically) so the caller can release
 	// their resident shard workers deterministically when the trial ends
-	// (radio.EngineSet.Close). nil defers teardown to the GC cleanup.
+	// (radio.EngineSet.Close). Execute closes it, using a fresh set when
+	// nil; a direct Build with nil defers teardown to the GC cleanup.
 	Engines *radio.EngineSet
 }
 
@@ -202,6 +205,50 @@ func (p BuildParams) ApplyEngine(e *radio.Engine) {
 		e.ShardHook = p.ShardHook
 	}
 	p.Engines.Add(e)
+}
+
+// Outcome is one executed run: the runner's Result with Done gated on
+// the postcondition check, plus what callers read beyond the Result.
+type Outcome struct {
+	Result
+	// VerifyErr is Verify's error for a run that finished within budget
+	// but failed its postcondition; Done is false then.
+	VerifyErr error
+	// Budget is the effective round budget: the explicit budget when > 0,
+	// else the runner's DefaultBudget (Budgeted), else 0.
+	Budget int64
+	// Runner is the executed runner, for LeaderRunner queries.
+	Runner Runner
+}
+
+// Execute is the one Build → Run → Verify routine behind every caller
+// that runs a descriptor (the campaign trial, the radionet facade): it
+// builds the runner from p, runs it with budget, clears Done when Verify
+// fails, and closes p.Engines (a fresh set when nil) before returning,
+// so sharded engines release their resident workers deterministically.
+// A Build error is returned as is.
+func (d *Descriptor) Execute(p BuildParams, budget int64) (Outcome, error) {
+	if p.Engines == nil {
+		p.Engines = new(radio.EngineSet)
+	}
+	defer p.Engines.Close()
+	r, err := d.Build(p)
+	if err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{Budget: max(budget, 0), Runner: r}
+	// Resolved before Run: a Budgeted runner may fold an explicit budget
+	// into the same state afterwards.
+	if b, ok := r.(Budgeted); ok && budget <= 0 {
+		out.Budget = b.DefaultBudget()
+	}
+	out.Result = r.Run(budget)
+	if out.Done && out.Verify != nil {
+		if out.VerifyErr = out.Verify(); out.VerifyErr != nil {
+			out.Done = false
+		}
+	}
+	return out, nil
 }
 
 // Descriptor registers one algorithm for one task.

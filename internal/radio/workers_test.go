@@ -24,6 +24,24 @@ func waitGoroutines(want int, gc bool) int {
 	return n
 }
 
+// settledGoroutines returns the goroutine count once it has held steady
+// for 10 consecutive 1 ms polls, collecting garbage between polls so
+// GC-cleanup teardowns run (5 s cap).
+func settledGoroutines() int {
+	deadline := time.Now().Add(5 * time.Second) //lint:wallclock test-only teardown polling
+	n, steady := runtime.NumGoroutine(), 0
+	for steady < 10 && time.Now().Before(deadline) { //lint:wallclock test-only teardown polling
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, steady = m, 0
+			continue
+		}
+		steady++
+	}
+	return n
+}
+
 // newShardedEngine builds a small sharded engine for lifecycle tests.
 func newShardedEngine(k int) *Engine {
 	g := graph.Grid(13, 17)
@@ -40,7 +58,10 @@ func newShardedEngine(k int) *Engine {
 // SetShards parks k-1 resident workers, Close joins them promptly (no
 // waiting on GC), and Close is idempotent.
 func TestEngineCloseReleasesWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
+	// Resident workers of engines that earlier tests closed or dropped
+	// may still be exiting; a baseline counted mid-exit would undercount
+	// the workers SetShards adds.
+	base := settledGoroutines()
 	e := newShardedEngine(4)
 	if got := runtime.NumGoroutine(); got < base+3 {
 		t.Fatalf("goroutines after SetShards(4): %d, want >= %d (3 resident workers)", got, base+3)

@@ -296,38 +296,45 @@ func (n *Network) Compete(sources map[int]int64, o BroadcastOptions) (Result, er
 			return Result{}, fmt.Errorf("radionet: source %d has negative message %d", s, v)
 		}
 	}
+	out, err := n.run(protocol.Broadcast, sources, o)
+	if err != nil {
+		return Result{}, err
+	}
+	return facadeResult(out), nil
+}
+
+// run is the shared body of Compete and LeaderElection: resolve
+// o.Algorithm (default cd17) under task and execute one run through the
+// registry's Build/Run/Verify routine (protocol.Descriptor.Execute) on
+// the network's memoized scratch.
+func (n *Network) run(task protocol.Task, sources map[int]int64, o BroadcastOptions) (protocol.Outcome, error) {
 	name := string(o.Algorithm)
 	if name == "" {
 		name = string(CD17)
 	}
-	desc, ok := protocol.Lookup(protocol.Broadcast, name)
+	desc, ok := protocol.Lookup(task, name)
 	if !ok {
-		return Result{}, fmt.Errorf("radionet: unknown algorithm %q", o.Algorithm)
+		return protocol.Outcome{}, fmt.Errorf("radionet: unknown %s algorithm %q", task, name)
 	}
 	if o.Faults != nil && !desc.Caps.Faults {
-		return Result{}, fmt.Errorf("radionet: algorithm %q does not support fault injection", name)
+		return protocol.Outcome{}, fmt.Errorf("radionet: %s algorithm %q does not support fault injection", task, name)
 	}
-	// Sharded engines park resident workers; close them when the run
-	// ends rather than leaving the teardown to GC.
-	var engines radio.EngineSet
-	defer engines.Close()
 	tun := tuning(o.Config)
-	r, err := desc.Build(protocol.BuildParams{
+	return desc.Execute(protocol.BuildParams{
 		G: n.G, D: n.Diameter, Seed: o.Seed,
 		Sources: sources, Faults: o.Faults, Tuning: tun,
 		Scratch: n.scratchFor(desc, tun),
 		Hook:    radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
 		Shards:  o.EngineShards,
-		Engines: &engines,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := r.Run(o.MaxRounds)
+	}, o.MaxRounds)
+}
+
+// facadeResult converts an executed run into the facade's Result.
+func facadeResult(out protocol.Outcome) Result {
 	return Result{
-		Rounds: res.Rounds, PrecomputeRounds: res.Precompute, Done: res.Done,
-		Reached: res.Reached, ReachTarget: res.ReachTarget,
-	}, nil
+		Rounds: out.Rounds, PrecomputeRounds: out.Precompute, Done: out.Done,
+		Reached: out.Reached, ReachTarget: out.ReachTarget,
+	}
 }
 
 // LeaderAlgorithm selects a leader election algorithm.
@@ -394,52 +401,23 @@ type LeaderResult struct {
 // requires the algorithm's postcondition check (protocol.Result.Verify)
 // to pass where one is registered.
 func (n *Network) LeaderElection(o LeaderOptions) (LeaderResult, error) {
-	name := string(o.Algorithm)
-	if name == "" {
-		name = string(CD17Leader)
-	}
-	desc, ok := protocol.Lookup(protocol.Leader, name)
-	if !ok {
-		return LeaderResult{}, fmt.Errorf("radionet: unknown leader algorithm %q", o.Algorithm)
-	}
-	if o.Faults != nil && !desc.Caps.Faults {
-		return LeaderResult{}, fmt.Errorf("radionet: leader algorithm %q does not support fault injection", name)
-	}
-	// See Compete: deterministic resident-worker teardown.
-	var engines radio.EngineSet
-	defer engines.Close()
-	tun := tuning(o.Config)
-	r, err := desc.Build(protocol.BuildParams{
-		G: n.G, D: n.Diameter, Seed: o.Seed,
-		Faults: o.Faults, Tuning: tun,
-		Scratch: n.scratchFor(desc, tun),
-		Hook:    radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
-		Shards:  o.EngineShards,
-		Engines: &engines,
+	out, err := n.run(protocol.Leader, nil, BroadcastOptions{
+		Algorithm: Algorithm(o.Algorithm), Seed: o.Seed, MaxRounds: o.MaxRounds,
+		Config: o.Config, Hook: o.Hook, Metrics: o.Metrics, Faults: o.Faults,
+		EngineShards: o.EngineShards,
 	})
 	if err != nil {
 		return LeaderResult{}, err
 	}
-	res := r.Run(o.MaxRounds)
-	done := res.Done
-	if done && res.Verify != nil && res.Verify() != nil {
-		done = false
-	}
-	out := LeaderResult{
-		Result: Result{
-			Rounds: res.Rounds, PrecomputeRounds: res.Precompute, Done: done,
-			Reached: res.Reached, ReachTarget: res.ReachTarget,
-		},
-		Leader: -1,
-	}
-	if lr, ok := r.(protocol.LeaderRunner); ok {
-		out.Candidates = lr.Candidates()
-		out.Leader = lr.Leader()
-		if done {
-			out.LeaderID = lr.LeaderID()
+	res := LeaderResult{Result: facadeResult(out), Leader: -1}
+	if lr, ok := out.Runner.(protocol.LeaderRunner); ok {
+		res.Candidates = lr.Candidates()
+		res.Leader = lr.Leader()
+		if out.Done {
+			res.LeaderID = lr.LeaderID()
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // Clustering re-exports the Miller–Peng–Xu Partition(β) result type.

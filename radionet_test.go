@@ -4,14 +4,63 @@ import (
 	"strings"
 	"testing"
 
+	"radionet/internal/campaign"
 	"radionet/internal/compete"
+	"radionet/internal/protocol"
 )
+
+// checkCampaignPath runs one trial through the facade and through
+// campaign.RunTrial — same seed, the campaign's trial sources {0: 9} for
+// broadcast, the fault plan realized from the same spec — and fails
+// unless both report the same Rounds, Done, Reached and ReachTarget: the
+// facade and the campaign share one Build/Run/Verify path. The spec
+// "none" runs unfaulted but still has the campaign report reach.
+func checkCampaignPath(t *testing.T, net *Network, d *protocol.Descriptor, fault string, seed uint64) {
+	t.Helper()
+	fs, err := campaign.ParseFaultSpec(fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := campaign.Config{G: net.G, D: net.Diameter, Spec: campaign.AlgoSpec{Task: d.Task, Algo: d.Name}, Fault: fs}
+	want := campaign.RunTrial(&cfg, seed, 0)
+	var plan *FaultPlan
+	if !fs.None() {
+		plan = fs.TrialPlan(net.G, seed, d.ProtectedNodes(net.G, net.Diameter, seed, d.DefaultSources(), nil)...)
+	}
+	var got Result
+	if d.Task == protocol.Broadcast {
+		got, err = net.Broadcast(0, 9, BroadcastOptions{Algorithm: Algorithm(d.Name), Seed: seed, Faults: plan})
+	} else {
+		var lr LeaderResult
+		lr, err = net.LeaderElection(LeaderOptions{Algorithm: LeaderAlgorithm(d.Name), Seed: seed, Faults: plan})
+		got = lr.Result
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds != want.Rounds || got.Done != want.Done || got.Reached != want.Reached || got.ReachTarget != want.ReachTarget {
+		t.Fatalf("%s:%s seed %d faults %s: facade %+v, campaign %+v", d.Task, d.Name, seed, fault, got, want)
+	}
+}
+
+// checkCampaignPaths runs checkCampaignPath on a 6x6 grid for seeds 1-3,
+// unfaulted and, for fault-capable descriptors, under crash faults.
+func checkCampaignPaths(t *testing.T, d *protocol.Descriptor) {
+	net := NewNetwork(Grid(6, 6))
+	for seed := uint64(1); seed <= 3; seed++ {
+		checkCampaignPath(t, net, d, "none", seed)
+		if d.Caps.Faults {
+			checkCampaignPath(t, net, d, "crash:0.3@20", seed)
+		}
+	}
+}
 
 func TestNetworkBroadcastAllAlgorithms(t *testing.T) {
 	net := NewNetwork(Grid(6, 10))
-	for _, algo := range []Algorithm{CD17, HW16, BGI, TruncatedDecay} {
-		algo := algo
+	for _, d := range protocol.ByTask(protocol.Broadcast) {
+		algo := Algorithm(d.Name)
 		t.Run(string(algo), func(t *testing.T) {
+			checkCampaignPaths(t, d)
 			res, err := net.Broadcast(0, 42, BroadcastOptions{Algorithm: algo, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -55,9 +104,10 @@ func TestNetworkCompete(t *testing.T) {
 
 func TestNetworkLeaderElectionAllAlgorithms(t *testing.T) {
 	net := NewNetwork(Grid(6, 6))
-	for _, algo := range []LeaderAlgorithm{CD17Leader, BinarySearchLeader, MaxBroadcastLeader, GH13Leader} {
-		algo := algo
+	for _, d := range protocol.ByTask(protocol.Leader) {
+		algo := LeaderAlgorithm(d.Name)
 		t.Run(string(algo), func(t *testing.T) {
+			checkCampaignPaths(t, d)
 			res, err := net.LeaderElection(LeaderOptions{Algorithm: algo, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
