@@ -102,7 +102,7 @@ func BenchmarkPartitionCentralized(b *testing.B) {
 func BenchmarkPartitionDistributed(b *testing.B) {
 	g := Grid(12, 12)
 	for i := 0; i < b.N; i++ {
-		d := cluster.NewDistributed(g, cluster.DistConfig{Beta: 0.3}, uint64(i))
+		d := cluster.NewDistributed(g, 0.3, uint64(i))
 		if _, done := d.Run(); !done {
 			b.Fatal("distributed partition incomplete")
 		}

@@ -120,12 +120,10 @@ func run() error {
 	}
 	net := radionet.NewNetwork(g)
 	fmt.Printf("network: %v, diameter=%d\n", g, net.Diameter)
-	// The -source/-value flags, for source-driven descriptors only.
+	// The -source/-value flags, for source-driven descriptors only; Build
+	// rejects a source outside the graph.
 	var sources map[int]int64
 	if desc.DefaultSources() != nil {
-		if *source < 0 || *source >= g.N() {
-			return fmt.Errorf("source %d out of range", *source)
-		}
 		sources = map[int]int64{*source: *value}
 	}
 
@@ -285,7 +283,7 @@ func faultPlan(net *radionet.Network, desc *protocol.Descriptor, fs campaign.Fau
 	if fs.None() {
 		return nil // skip ProtectedNodes: it may resample a candidate set
 	}
-	return fs.TrialPlan(net.G, seed, desc.ProtectedNodes(net.G, net.Diameter, seed, sources, nil)...)
+	return fs.TrialPlan(net.G, seed, desc.ProtectedNodes(net.G.N(), seed, sources)...)
 }
 
 // runPlan runs cfg once per seed as one campaign plan on c's executor

@@ -15,8 +15,8 @@
 //     between these two bounds; MaxBroadcastLE is the stand-in for the
 //     "fast prior LE" series and is labeled as such (DESIGN.md §3).
 //   - Haeupler–Wajc'16 broadcast: compete.Config{CurtailLogLog: true},
-//     i.e. the same pipeline with their O(log log n)-weaker curtailment;
-//     constructed here for convenience.
+//     i.e. the same pipeline with their O(log log n)-weaker curtailment
+//     (registered by internal/compete as broadcast:hw16).
 package baseline
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"radionet/internal/compete"
 	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
@@ -49,21 +48,6 @@ func TruncatedDecayLevels(n, d int) int {
 	return l
 }
 
-// NewTruncatedDecay builds the CR/KP-flavored broadcast: the BGI protocol
-// with Decay phases truncated to the expected per-layer contention scale.
-func NewTruncatedDecay(g *graph.Graph, d int, seed uint64, sources map[int]int64) *decay.Broadcast {
-	return decay.NewBroadcast(g, decay.Config{Levels: TruncatedDecayLevels(g.N(), d)}, seed, sources)
-}
-
-// NewHW16Broadcast builds the Haeupler–Wajc'16 comparison mode of the
-// clustering pipeline: identical to the paper's algorithm except the
-// intra-cluster propagation runs for the O(log n·log log n/(β·log D))
-// schedule length their weaker distance-to-center bound requires.
-func NewHW16Broadcast(g *graph.Graph, d int, cfg compete.Config, seed uint64, src int, value int64) (*compete.Broadcast, error) {
-	cfg.CurtailLogLog = true
-	return compete.NewBroadcast(g, d, cfg, seed, src, value)
-}
-
 // LEResult reports a leader election run.
 type LEResult struct {
 	Rounds   int64
@@ -80,34 +64,24 @@ type LEResult struct {
 // bit. Each iteration asks "is there a candidate whose ID has the current
 // prefix and a 1 in the next bit?" by having exactly those candidates run
 // a Decay broadcast for a fixed T_BC budget; hearing anything sets the
-// bit. Total time O(T_BC · IDBits).
+// bit. Total time O(T_BC · idBits).
 type BinarySearchLE struct {
 	g          *graph.Graph
-	d          int
 	seed       uint64
 	candidates map[int]int64
-	idBits     int
 	tbc        int64
 }
 
-// NewBinarySearchLE samples candidates exactly like Algorithm 6 (with
-// probability candC·ln n/n, random idBits-bit IDs, redrawn on the
-// measure-zero empty/duplicate events) and prepares the binary search.
-// tbc is the per-iteration broadcast budget; 0 selects
-// 3·(D+log n)·log n, a whp-sufficient BGI budget.
-func NewBinarySearchLE(g *graph.Graph, d int, seed uint64, candC float64, idBits int, tbc int64) (*BinarySearchLE, error) {
-	if idBits <= 0 {
-		idBits = 40
-	}
-	cands, err := SampleCandidates(g.N(), seed, candC, idBits)
+// NewBinarySearchLE samples candidates exactly like Algorithm 6 (see
+// SampleCandidates) and prepares the binary search with the per-iteration
+// broadcast budget tbc = 3·(D+log n)·log n, a whp-sufficient BGI budget.
+func NewBinarySearchLE(g *graph.Graph, d int, seed uint64) (*BinarySearchLE, error) {
+	cands, err := SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
-	if tbc <= 0 {
-		l := int64(decay.Levels(g.N()))
-		tbc = 3 * (int64(d) + l) * l
-	}
-	return &BinarySearchLE{g: g, d: d, seed: seed, candidates: cands, idBits: idBits, tbc: tbc}, nil
+	l := int64(decay.Levels(g.N()))
+	return &BinarySearchLE{g: g, seed: seed, candidates: cands, tbc: 3 * (int64(d) + l) * l}, nil
 }
 
 // Candidates exposes the sampled candidate set.
@@ -119,7 +93,7 @@ func (b *BinarySearchLE) Candidates() map[int]int64 { return b.candidates }
 func (b *BinarySearchLE) Run() LEResult {
 	prefix := int64(0)
 	var rounds, tx int64
-	for bit := b.idBits - 1; bit >= 0; bit-- {
+	for bit := idBits - 1; bit >= 0; bit-- {
 		probe := prefix | 1<<uint(bit)
 		sources := make(map[int]int64)
 		for v, id := range b.candidates {
@@ -162,31 +136,24 @@ type MaxBroadcastLE struct {
 }
 
 // NewMaxBroadcastLE samples candidates as in Algorithm 6 and prepares the
-// broadcast. budget 0 selects 6·(D+log n)·log n.
-func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, candC float64, idBits int, budget int64) (*MaxBroadcastLE, error) {
-	return NewMaxBroadcastLEFaults(g, d, seed, candC, idBits, budget, nil)
-}
-
-// NewMaxBroadcastLEFaults is NewMaxBroadcastLE with a fault scenario
-// installed on the underlying Decay broadcast; completion becomes
-// survivor-scoped (see decay.Config.Faults). The election stays winnable
-// only while the maximum-ID candidate survives — the campaign's fault
-// planning protects that node (the protect-the-winner convention); with
-// the winner crashed the run exhausts its budget with Done == false
-// rather than elect a wrong leader.
-func NewMaxBroadcastLEFaults(g *graph.Graph, d int, seed uint64, candC float64, idBits int, budget int64, plan *radio.FaultPlan) (*MaxBroadcastLE, error) {
-	cands, err := SampleCandidates(g.N(), seed, candC, idBits)
+// broadcast with the default budget 6·(D+log n)·log n. plan, if non-nil,
+// is a fault scenario installed on the underlying Decay broadcast;
+// completion becomes survivor-scoped (see decay.Config.Faults). The
+// election stays winnable only while the maximum-ID candidate survives —
+// the campaign's fault planning protects that node (the
+// protect-the-winner convention); with the winner crashed the run
+// exhausts its budget with Done == false rather than elect a wrong
+// leader.
+func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, plan *radio.FaultPlan) (*MaxBroadcastLE, error) {
+	cands, err := SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
-	if budget <= 0 {
-		l := int64(decay.Levels(g.N()))
-		budget = 6 * (int64(d) + l) * l
-	}
+	l := int64(decay.Levels(g.N()))
 	return &MaxBroadcastLE{
 		bc:         decay.NewBroadcast(g, decay.Config{Faults: plan}, seed, cands),
 		candidates: cands,
-		budget:     budget,
+		budget:     6 * (int64(d) + l) * l,
 	}, nil
 }
 
@@ -222,28 +189,29 @@ func (m *MaxBroadcastLE) Verify() error {
 	return nil
 }
 
+// The Algorithm-6 candidate sampling constants shared by the leader
+// baselines and internal/ghle.
+const (
+	// candidateC scales the candidacy probability candidateC·ln n/n
+	// [paper Θ(log n/n); 2].
+	candidateC = 2
+	// idBits is the candidate ID length [Θ(log n); 40].
+	idBits = 40
+)
+
 // SampleCandidates draws the Algorithm-6 candidate set: each node becomes
-// a candidate with probability candC·ln n/n and draws a random idBits-bit
-// ID; empty or duplicate draws (probability O(n^-c)) are redrawn with a
-// salted seed.
-func SampleCandidates(n int, seed uint64, candC float64, idBits int) (map[int]int64, error) {
+// a candidate with probability candidateC·ln n/n and draws a random
+// idBits-bit ID; empty or duplicate draws (probability O(n^-c)) are
+// redrawn with a salted seed. The draw is a pure function of (n, seed).
+func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
 	if n <= 0 {
 		return nil, errors.New("baseline: empty graph")
 	}
-	if candC <= 0 {
-		candC = 2
-	}
-	if idBits <= 0 {
-		idBits = 40
-	}
-	if idBits > 62 {
-		return nil, fmt.Errorf("baseline: idBits %d > 62", idBits)
-	}
-	p := candC * logf(n) / float64(n)
+	p := candidateC * logf(n) / float64(n)
 	if p > 1 {
 		p = 1
 	}
-	space := int64(1) << uint(idBits)
+	space := int64(1) << idBits
 	for salt := uint64(0); salt <= 1000; salt++ {
 		r := rng.New(seed).Fork(9000 + salt)
 		out := make(map[int]int64)

@@ -4,8 +4,16 @@ import (
 	"testing"
 
 	"radionet/internal/compete"
+	"radionet/internal/decay"
 	"radionet/internal/graph"
 )
+
+// truncatedDecay builds the CR/KP-flavored surrogate the way the
+// truncated-decay descriptor does: the BGI protocol with Decay phases
+// truncated to TruncatedDecayLevels.
+func truncatedDecay(g *graph.Graph, d int, seed uint64, sources map[int]int64) *decay.Broadcast {
+	return decay.NewBroadcast(g, decay.Config{Levels: TruncatedDecayLevels(g.N(), d)}, seed, sources)
+}
 
 func TestTruncatedDecayLevels(t *testing.T) {
 	tests := []struct{ n, d, want int }{
@@ -24,7 +32,7 @@ func TestTruncatedDecayLevels(t *testing.T) {
 func TestTruncatedDecayCompletesOnLongDiameter(t *testing.T) {
 	// The surrogate's home turf: layers with few competitors.
 	g := graph.Path(200)
-	bc := NewTruncatedDecay(g, 199, 3, map[int]int64{0: 5})
+	bc := truncatedDecay(g, 199, 3, map[int]int64{0: 5})
 	if _, done := bc.Run(1 << 20); !done {
 		t.Fatal("truncated decay broadcast did not finish on a path")
 	}
@@ -32,7 +40,7 @@ func TestTruncatedDecayCompletesOnLongDiameter(t *testing.T) {
 
 func TestTruncatedDecayCompletesOnCliquePath(t *testing.T) {
 	g := graph.PathOfCliques(16, 8)
-	bc := NewTruncatedDecay(g, g.Diameter(), 3, map[int]int64{0: 5})
+	bc := truncatedDecay(g, g.Diameter(), 3, map[int]int64{0: 5})
 	if _, done := bc.Run(1 << 22); !done {
 		t.Fatal("truncated decay broadcast did not finish on clique path")
 	}
@@ -40,7 +48,7 @@ func TestTruncatedDecayCompletesOnCliquePath(t *testing.T) {
 
 func TestSampleCandidates(t *testing.T) {
 	for _, n := range []int{8, 100, 5000} {
-		cands, err := SampleCandidates(n, 7, 2, 40)
+		cands, err := SampleCandidates(n, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,17 +66,14 @@ func TestSampleCandidates(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if _, err := SampleCandidates(0, 1, 2, 40); err == nil {
+	if _, err := SampleCandidates(0, 1); err == nil {
 		t.Fatal("n=0 accepted")
-	}
-	if _, err := SampleCandidates(10, 1, 2, 63); err == nil {
-		t.Fatal("idBits=63 accepted")
 	}
 }
 
 func TestSampleCandidatesDeterministic(t *testing.T) {
-	a, _ := SampleCandidates(500, 42, 2, 40)
-	b, _ := SampleCandidates(500, 42, 2, 40)
+	a, _ := SampleCandidates(500, 42)
+	b, _ := SampleCandidates(500, 42)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic candidate count")
 	}
@@ -81,7 +86,7 @@ func TestSampleCandidatesDeterministic(t *testing.T) {
 
 func TestBinarySearchLE(t *testing.T) {
 	g := graph.Grid(7, 7)
-	le, err := NewBinarySearchLE(g, g.Diameter(), 11, 2, 16, 0)
+	le, err := NewBinarySearchLE(g, g.Diameter(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +104,7 @@ func TestBinarySearchLE(t *testing.T) {
 	if res.LeaderID != max {
 		t.Fatalf("winner %d, true max %d", res.LeaderID, max)
 	}
-	if res.Rounds != int64(16)*leTBC(g.N(), g.Diameter()) {
+	if res.Rounds != idBits*leTBC(g.N(), g.Diameter()) {
 		t.Fatalf("rounds %d not IDBits*T_BC", res.Rounds)
 	}
 }
@@ -119,7 +124,7 @@ func levels(n int) int {
 
 func TestMaxBroadcastLE(t *testing.T) {
 	g := graph.PathOfCliques(6, 5)
-	le, err := NewMaxBroadcastLE(g, g.Diameter(), 13, 2, 40, 0)
+	le, err := NewMaxBroadcastLE(g, g.Diameter(), 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestMaxBroadcastLE(t *testing.T) {
 
 func TestHW16Mode(t *testing.T) {
 	g := graph.Path(48)
-	b, err := NewHW16Broadcast(g, 47, compete.Config{}, 5, 0, 3)
+	b, err := compete.NewBroadcast(g, 47, compete.Config{CurtailLogLog: true}, 5, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +152,11 @@ func TestBinarySearchVsMaxBroadcastOrdering(t *testing.T) {
 	// The headline LE comparison: binary search pays IDBits broadcasts,
 	// the max-broadcast approach pays ~one.
 	g := graph.Grid(8, 8)
-	bs, err := NewBinarySearchLE(g, g.Diameter(), 21, 2, 32, 0)
+	bs, err := NewBinarySearchLE(g, g.Diameter(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := NewMaxBroadcastLE(g, g.Diameter(), 21, 2, 32, 0)
+	mb, err := NewMaxBroadcastLE(g, g.Diameter(), 21, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

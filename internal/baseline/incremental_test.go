@@ -15,7 +15,7 @@ func TestTruncatedDecayDoneMatchesValues(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := graph.RandomTree(50, rng.New(seed))
 		d := 12
-		bc := NewTruncatedDecay(g, d, seed, map[int]int64{0: 4, g.N() / 2: 9})
+		bc := truncatedDecay(g, d, seed, map[int]int64{0: 4, g.N() / 2: 9})
 		scanDone := func() bool {
 			for _, v := range bc.Values() {
 				if v != 9 {

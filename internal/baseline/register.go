@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radionet/internal/decay"
-	"radionet/internal/graph"
 	"radionet/internal/protocol"
 )
 
@@ -44,7 +43,7 @@ func init() {
 			if p.Faults != nil {
 				return nil, fmt.Errorf("baseline: binary-search LE does not support fault plans (each of its per-bit broadcasts restarts the round clock)")
 			}
-			le, err := NewBinarySearchLE(p.G, p.D, p.Seed, 0, 0, 0)
+			le, err := NewBinarySearchLE(p.G, p.D, p.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -65,7 +64,7 @@ func init() {
 			if p.Tuning != nil {
 				return nil, fmt.Errorf("baseline: max-broadcast LE takes no tuning, got %T", p.Tuning)
 			}
-			m, err := NewMaxBroadcastLEFaults(p.G, p.D, p.Seed, 0, 0, 0, p.Faults)
+			m, err := NewMaxBroadcastLE(p.G, p.D, p.Seed, p.Faults)
 			if err != nil {
 				return nil, err
 			}
@@ -77,11 +76,10 @@ func init() {
 
 // protectMaxCandidate derives the would-be winner of a candidate-sampling
 // election from the trial seed (SampleCandidates is a pure function of
-// (n, seed) at the baselines' default parameters — they take no tuning),
-// so fault plans never crash the one node whose death would make the
-// election unwinnable.
-func protectMaxCandidate(g *graph.Graph, d int, seed uint64, _ map[int]int64, _ any) []int {
-	cands, err := SampleCandidates(g.N(), seed, 0, 0)
+// (n, seed)), so fault plans never crash the one node whose death would
+// make the election unwinnable.
+func protectMaxCandidate(n int, seed uint64) []int {
+	cands, err := SampleCandidates(n, seed)
 	if err != nil {
 		return nil
 	}
@@ -90,9 +88,8 @@ func protectMaxCandidate(g *graph.Graph, d int, seed uint64, _ map[int]int64, _ 
 }
 
 // binarySearchRunner adapts BinarySearchLE. The whole-run budget maps to
-// the per-iteration broadcast budget tbc = budget/idBits (floored to 1:
-// the constructor treats tbc <= 0 as "use the whp default", which would
-// un-cap) — the exact mapping the campaign used to hardcode.
+// the per-iteration broadcast budget tbc = budget/idBits, floored to one
+// round per bit — the exact mapping the campaign used to hardcode.
 type binarySearchRunner struct {
 	le  *BinarySearchLE
 	res LEResult
@@ -101,12 +98,12 @@ type binarySearchRunner struct {
 // DefaultBudget implements protocol.Budgeted: the whp per-bit broadcast
 // budget times the ID-bit count (what Run(0) executes at most).
 func (r *binarySearchRunner) DefaultBudget() int64 {
-	return r.le.tbc * int64(r.le.idBits)
+	return r.le.tbc * idBits
 }
 
 func (r *binarySearchRunner) Run(budget int64) protocol.Result {
 	if budget > 0 {
-		tbc := budget / int64(r.le.idBits)
+		tbc := budget / idBits
 		if tbc < 1 {
 			tbc = 1
 		}

@@ -53,18 +53,15 @@ type ConfigSummary struct {
 	FailReasons map[string]int `json:"fail_reasons,omitempty"`
 }
 
-// summarize aggregates configuration ci from the per-trial result slice.
-// Trials are folded in repetition order — never completion order — so the
-// floating-point reductions are identical for every worker count.
-func summarize(p *Plan, ci int, results []TrialResult, timings bool) ConfigSummary {
-	cfg := &p.Configs[ci]
+// summarize aggregates one configuration from its trials' results, given
+// in repetition order — never completion order — so the floating-point
+// reductions are identical for every worker count.
+func summarize(cfg *Config, results []TrialResult, timings bool) ConfigSummary {
 	faulted := cfg.Fault.Spec != ""
 	var rounds, tx, wall, surv, reach stats.Running
 	var reasons map[string]int
 	failures := 0
-	base := ci * p.Seeds
-	for rep := 0; rep < p.Seeds; rep++ {
-		r := results[base+rep]
+	for _, r := range results {
 		if !r.Done {
 			failures++
 		}
@@ -96,7 +93,7 @@ func summarize(p *Plan, ci int, results []TrialResult, timings bool) ConfigSumma
 		D:        cfg.D,
 		Task:     string(cfg.Spec.Task),
 		Algo:     cfg.Spec.Algo,
-		Trials:   p.Seeds,
+		Trials:   len(results),
 		Failures: failures,
 		Rounds:   distOf(&rounds),
 		Tx:       distOf(&tx),

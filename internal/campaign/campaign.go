@@ -154,8 +154,8 @@ type Trial struct {
 type Plan struct {
 	Configs []Config
 	Trials  []Trial
-	Seeds   int
-	Max     int64
+	// Max caps each trial's rounds (0 selects per-algorithm whp budgets).
+	Max int64
 
 	// topos are the unique topology products the plan references, in
 	// first-reference order, with their pending build closures. Emptied
@@ -275,7 +275,7 @@ func (m Matrix) expand() (*Plan, error) {
 			}
 		}
 	}
-	p := &Plan{Seeds: m.Seeds, Max: m.MaxRounds}
+	p := &Plan{Max: m.MaxRounds}
 	// Two disjoint stream families derived from the master seed: one per
 	// topology (graph generation), one per trial. Fork's SplitMix64-based
 	// derivation keeps streams independent even for adjacent ids.
@@ -457,13 +457,13 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		sinkErr   error
 	)
 	for i := range remaining {
-		remaining[i] = plan.Seeds
+		remaining[i] = c.Seeds
 	}
 	// Emit (under mu) every configuration whose trials have all completed,
 	// strictly in configuration order so output is deterministic.
 	flush := func() {
 		for nextCfg < len(plan.Configs) && remaining[nextCfg] == 0 {
-			s := summarize(plan, nextCfg, results, c.Timings)
+			s := summarize(&plan.Configs[nextCfg], results[nextCfg*c.Seeds:(nextCfg+1)*c.Seeds], c.Timings)
 			summaries = append(summaries, s)
 			for _, sk := range sinks {
 				if err := sk.Emit(s); err != nil && sinkErr == nil {
@@ -502,7 +502,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 			cs := &c.Stats.Configs[ci]
 			cs.Name = cfg.Name()
 			cs.N, cs.D = cfg.G.N(), cfg.D
-			cs.Trials = plan.Seeds
+			cs.Trials = c.Seeds
 			cs.Wall = cfgWall[ci]
 			cs.Setup = cfgSetup[ci]
 			if ci < len(summaries) {

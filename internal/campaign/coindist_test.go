@@ -44,13 +44,14 @@ func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 1200 protocol trials")
 	}
-	plan, err := coinDistMatrix().Expand()
+	m := coinDistMatrix()
+	plan, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([][]int64, len(plan.Configs))
 	for i := range got {
-		got[i] = make([]int64, plan.Seeds)
+		got[i] = make([]int64, m.Seeds)
 	}
 	failed := make([]bool, len(plan.Trials))
 	ForEach(0, len(plan.Trials), func(i int) {

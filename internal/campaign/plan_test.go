@@ -28,7 +28,7 @@ func planConfig(t *testing.T, spec string, task Task, algo string) Config {
 
 // planOf schedules every config at each of the given seeds, config-major.
 func planOf(cfgs []Config, seeds ...uint64) *Plan {
-	p := &Plan{Configs: cfgs, Seeds: len(seeds)}
+	p := &Plan{Configs: cfgs}
 	for ci := range cfgs {
 		for rep, s := range seeds {
 			p.Trials = append(p.Trials, Trial{Index: len(p.Trials), Cfg: ci, Rep: rep, Seed: s})
@@ -51,8 +51,9 @@ func withoutWall(rs []TrialResult) []TrialResult {
 // own source set, must each run exactly as a direct descriptor Build with
 // that tuning, those sources and that seed. The tuned broadcast follows
 // the default one, so sharing the default's scratch with it (grouping by
-// Key and ScratchKey alone) fails the test; the tuned leader election
-// draws its candidates in Build, outside the scratch, so dropping Tuning
+// Key and ScratchKey alone) fails the test; the tuned leader election's
+// ablation changes the run but not the precomputation geometry, and
+// Build rejects a scratch built for another Config, so dropping Tuning
 // from BuildParams fails it too.
 func TestRunPlanTuningAndSources(t *testing.T) {
 	if testing.Short() {
@@ -64,7 +65,7 @@ func TestRunPlanTuningAndSources(t *testing.T) {
 	sourced := base
 	sourced.Sources = map[int]int64{0: 5, base.G.N() - 1: 7}
 	leader := planConfig(t, "grid:8x16", Leader, "cd17")
-	leader.Tuning = compete.LeaderConfig{CandidateC: 6}
+	leader.Tuning = compete.Config{DisableBackground: true}
 	cfgs := []Config{base, tuned, sourced, leader}
 	plan := planOf(cfgs, 3, 4)
 	for _, workers := range []int{1, 4} {

@@ -208,7 +208,7 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	// candidate set, and unfaulted trials must not pay that per trial.
 	var plan *radio.FaultPlan
 	if desc.Caps.Faults && !cfg.Fault.None() {
-		plan = cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G, cfg.D, seed, sources, cfg.Tuning)...)
+		plan = cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G.N(), seed, sources)...)
 	}
 	out, err := desc.Execute(protocol.BuildParams{
 		G:         cfg.G,

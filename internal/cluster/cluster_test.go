@@ -316,7 +316,7 @@ func TestDistributedPartition(t *testing.T) {
 		graph.Gnp(60, 0.08, r),
 	}
 	for _, g := range graphs {
-		d := NewDistributed(g, DistConfig{Beta: 0.25}, 42)
+		d := NewDistributed(g, 0.25, 42)
 		rounds, done := d.Run()
 		if !done {
 			t.Fatalf("%v: distributed partition incomplete after %d rounds", g, rounds)
@@ -338,7 +338,7 @@ func TestDistributedMatchesCentralizedScale(t *testing.T) {
 	g := graph.Grid(10, 10)
 	beta := 0.3
 	c := Partition(g, beta, rng.New(1))
-	d := NewDistributed(g, DistConfig{Beta: beta}, 1)
+	d := NewDistributed(g, beta, 1)
 	if _, done := d.Run(); !done {
 		t.Fatal("distributed run incomplete")
 	}
@@ -356,5 +356,5 @@ func TestDistributedPanicsOnBadBeta(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDistributed(graph.Path(4), DistConfig{}, 1)
+	NewDistributed(graph.Path(4), 0, 1)
 }

@@ -12,34 +12,10 @@ import (
 // KindCluster tags distributed-partition wave messages.
 const KindCluster radio.Kind = 2
 
-// DistConfig parameterizes the distributed Partition(β) protocol.
-type DistConfig struct {
-	// Beta is the clustering parameter (required, > 0).
-	Beta float64
-	// Repeat is the number of Decay phases run per unit-distance expansion
-	// phase; each Decay phase is Levels(n) rounds. Zero means Levels(n),
-	// which makes per-neighbor delivery succeed whp within a phase and
-	// yields the O(log³n/β) total of Lemma 2.1.
-	Repeat int
-	// EchoPhases is how many expansion phases a newly joined node keeps
-	// announcing its cluster (>= 1). More echoes paper over unlucky Decay
-	// phases at the cost of extra contention. Zero means 2.
-	EchoPhases int
-}
-
-func (c DistConfig) repeat(n int) int {
-	if c.Repeat > 0 {
-		return c.Repeat
-	}
-	return decay.Levels(n)
-}
-
-func (c DistConfig) echo() int {
-	if c.EchoPhases > 0 {
-		return c.EchoPhases
-	}
-	return 2
-}
+// echoPhases is how many expansion phases a newly joined node keeps
+// announcing its cluster; a second echo papers over an unlucky Decay
+// phase at the cost of extra contention.
+const echoPhases = 2
 
 // distNode is the per-node state of the distributed protocol.
 type distNode struct {
@@ -47,7 +23,6 @@ type distNode struct {
 	levels    int // decay phase length
 	phaseLen  int64
 	wakePhase int64
-	echo      int64
 	rnd       *rng.Rand
 	prog      *radio.Progress // assigned-node counter (shared)
 
@@ -74,7 +49,7 @@ func (d *distNode) Act(t int64) radio.Action {
 		return radio.Listen
 	}
 	// Announce during the echo window after joining.
-	if phase > d.joinedPhase && phase <= d.joinedPhase+d.echo {
+	if phase > d.joinedPhase && phase <= d.joinedPhase+echoPhases {
 		step := int(t % int64(d.levels))
 		if d.rnd.Bernoulli(decay.Prob(step)) {
 			return radio.Transmit(radio.Message{
@@ -115,24 +90,27 @@ type Distributed struct {
 	prog  radio.Progress // assigned-node counter shared with the nodes
 }
 
-// NewDistributed builds the distributed Partition(β) protocol on g. Shifts
+// NewDistributed builds the distributed Partition(β) protocol on g for
+// beta > 0. Every unit-distance expansion phase runs L = Levels(n) Decay
+// phases of L rounds each, which makes per-neighbor delivery succeed whp
+// within a phase and yields the O(log³n/β) total of Lemma 2.1. Shifts
 // are drawn from seed; they are quantized to integers and capped at
 // ~2·ln(n)/β (an event of probability n^-2 per node), which bounds the
 // protocol's running time without affecting the clustering guarantees.
-func NewDistributed(g *graph.Graph, cfg DistConfig, seed uint64) *Distributed {
-	if cfg.Beta <= 0 {
-		panic("cluster: NewDistributed requires Beta > 0")
+func NewDistributed(g *graph.Graph, beta float64, seed uint64) *Distributed {
+	if beta <= 0 {
+		panic("cluster: NewDistributed requires beta > 0")
 	}
 	n := g.N()
 	levels := decay.Levels(n)
-	phaseLen := int64(cfg.repeat(n) * levels)
-	cap64 := int64(math.Ceil(2*math.Log(float64(n)+2)/cfg.Beta)) + 1
+	phaseLen := int64(levels * levels)
+	cap64 := int64(math.Ceil(2*math.Log(float64(n)+2)/beta)) + 1
 	master := rng.New(seed)
 	dist := &Distributed{
 		MaxPhases: cap64 + 2,
 		PhaseLen:  phaseLen,
 		g:         g,
-		beta:      cfg.Beta,
+		beta:      beta,
 		nodes:     make([]*distNode, n),
 		delta:     make([]float64, n),
 	}
@@ -140,7 +118,7 @@ func NewDistributed(g *graph.Graph, cfg DistConfig, seed uint64) *Distributed {
 	rn := make([]radio.Node, n)
 	for v := 0; v < n; v++ {
 		r := master.Fork(uint64(v))
-		dv := int64(math.Floor(r.Exp(cfg.Beta)))
+		dv := int64(math.Floor(r.Exp(beta)))
 		if dv > cap64 {
 			dv = cap64
 		}
@@ -150,7 +128,6 @@ func NewDistributed(g *graph.Graph, cfg DistConfig, seed uint64) *Distributed {
 			levels:    levels,
 			phaseLen:  phaseLen,
 			wakePhase: cap64 - dv,
-			echo:      int64(cfg.echo()),
 			rnd:       r.Fork(1),
 			prog:      &dist.prog,
 			center:    -1,
@@ -166,17 +143,6 @@ func NewDistributed(g *graph.Graph, cfg DistConfig, seed uint64) *Distributed {
 // nodes report their assignment (wave adoption or self-candidacy) to the
 // shared radio.Progress as it happens.
 func (d *Distributed) Done() bool { return d.prog.Done() }
-
-// doneFullScan is the O(n) reference implementation of Done, kept for the
-// equivalence tests.
-func (d *Distributed) doneFullScan() bool {
-	for _, nd := range d.nodes {
-		if !nd.assigned() {
-			return false
-		}
-	}
-	return true
-}
 
 // Run executes the protocol to completion (or the phase bound) and returns
 // the number of rounds used and whether all nodes were assigned.

@@ -7,6 +7,17 @@ import (
 	"radionet/internal/rng"
 )
 
+// doneFullScan is the O(n) reference implementation of Done, the oracle
+// of the equivalence test below.
+func (d *Distributed) doneFullScan() bool {
+	for _, nd := range d.nodes {
+		if !nd.assigned() {
+			return false
+		}
+	}
+	return true
+}
+
 // Incremental Done (assignments reported to the shared radio.Progress from
 // both the Recv wave-adoption and the Act self-candidacy transitions) must
 // agree with the O(n) reference scan after every round.
@@ -19,7 +30,7 @@ func TestDistributedDoneMatchesFullScanEveryRound(t *testing.T) {
 			graph.PathOfCliques(5, 4),
 		}
 		for _, g := range graphs {
-			d := NewDistributed(g, DistConfig{Beta: 0.3}, seed)
+			d := NewDistributed(g, 0.3, seed)
 			budget := d.MaxPhases * d.PhaseLen
 			for round := int64(0); round <= budget; round++ {
 				inc, ref := d.Done(), d.doneFullScan()

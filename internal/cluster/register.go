@@ -23,25 +23,13 @@ func init() {
 		Order:     10,
 		Caps:      protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
-			cfg := DistConfig{}
-			switch t := p.Tuning.(type) {
-			case nil:
-			case DistConfig:
-				cfg = t
-			default:
-				return nil, fmt.Errorf("cluster: tuning must be cluster.DistConfig, got %T", p.Tuning)
+			if p.Tuning != nil {
+				return nil, fmt.Errorf("cluster: mpx takes no tuning, got %T", p.Tuning)
 			}
 			if p.Faults != nil {
 				return nil, fmt.Errorf("cluster: distributed partition does not support fault plans")
 			}
-			if cfg.Beta <= 0 {
-				d := p.D
-				if d < 1 {
-					d = 1
-				}
-				cfg.Beta = math.Pow(float64(d), -0.5)
-			}
-			dp := NewDistributed(p.G, cfg, p.Seed)
+			dp := NewDistributed(p.G, math.Pow(float64(max(p.D, 1)), -0.5), p.Seed)
 			p.ApplyEngine(dp.Engine)
 			return partitionRunner{d: dp}, nil
 		},

@@ -87,7 +87,7 @@ func BenchmarkCD17LeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
 	benchRuns(b, func() (*Compete, error) {
-		le, err := NewLeaderElectionPre(pre, LeaderConfig{}, 1)
+		le, err := NewLeaderElectionPre(pre, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func benchBuild[T any](b *testing.B, build func() (T, error)) {
 func BenchmarkCD17BuildLeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElectionPre(pre, LeaderConfig{}, 1) })
+	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElectionPre(pre, 1) })
 }
 
 func BenchmarkCD17BuildGeo10k(b *testing.B) {

@@ -48,7 +48,7 @@ func bulkEquivGraphs(seed uint64) []*graph.Graph {
 // through perNode) side by side, one round at a time, until both are
 // Done or budget rounds elapse. It fails unless they agree round for
 // round: same transmitter sets, same delivery/collision counts, same node
-// values after every round, and the same metrics and InformedCount at the
+// values after every round, and the same metrics and Reached at the
 // end. After every round it also checks the bulk path's lane views
 // (checkLaneViews).
 func lockstep(t *testing.T, label string, bc, rc *Compete, budget int64) {
@@ -102,8 +102,8 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, budget int64) {
 	if bc.Engine.Metrics != rc.Engine.Metrics {
 		t.Fatalf("%s: metrics: bulk %+v, reference %+v", label, bc.Engine.Metrics, rc.Engine.Metrics)
 	}
-	if bc.InformedCount() != rc.InformedCount() {
-		t.Fatalf("%s: InformedCount %d vs %d", label, bc.InformedCount(), rc.InformedCount())
+	if bc.Reached() != rc.Reached() {
+		t.Fatalf("%s: Reached %d vs %d", label, bc.Reached(), rc.Reached())
 	}
 }
 
@@ -224,11 +224,11 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 		for _, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
 			for _, vr := range variants {
-				bl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), LeaderConfig{Config: vr.cfg}, seed)
+				bl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), LeaderConfig{Config: vr.cfg}, seed)
+				rl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), seed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,8 +32,10 @@
 // the schedule, inward flood of any higher message toward the center, and
 // a second outward flood of the center's updated best.
 //
-// All constants of the paper's exponents are named Config fields with
-// laptop-scale defaults; DESIGN.md §3 explains the scaling.
+// The paper's exponents and counts are named constants with laptop-scale
+// values; Config keeps only the knobs an experiment sets (the curtailment
+// scale, the HW16 mode and the ablations). DESIGN.md §3 lists each
+// constant with its paper value and explains the scaling.
 package compete
 
 import (
@@ -58,24 +60,11 @@ const KindICP radio.Kind = 3
 // Source messages must be non-negative.
 const Uninformed int64 = -1
 
-// Config holds every tunable constant of Algorithms 1–4. The zero value
-// selects the documented defaults. Paper values are given in brackets;
-// defaults are scaled for simulable diameters as explained in DESIGN.md §3.
+// Config holds the settable parts of Algorithms 1–4: the main-process
+// curtailment scale, the HW16 comparison mode and the ablations. The zero
+// value runs the algorithm as specified (paper values are given in
+// brackets; the fixed exponents are the constants below).
 type Config struct {
-	// CoarseBetaExp sets the coarse clustering parameter β = D^-x [0.5].
-	CoarseBetaExp float64
-	// FineLoFrac/FineHiFrac set the range of the random fine exponent j:
-	// j ∈ [lo·log2 D, hi·log2 D] [paper 0.01 and 0.1; defaults 0.25, 0.75].
-	FineLoFrac, FineHiFrac float64
-	// FinePerJ is the number of fine clusterings per j [D^0.2; default
-	// min(4, max(2, round(D^0.2)))].
-	FinePerJ int
-	// BgBetaExp sets the background process clustering β = D^-x [0.1;
-	// default 0.3 so background clusters are non-trivial at small D].
-	BgBetaExp float64
-	// BgNumFine is the number of background clusterings cycled round-robin
-	// [D^0.2; default 3].
-	BgNumFine int
 	// CurtailC scales the main-process curtailment distance
 	// ℓ(j) = CurtailC·2^j·log2 n/log2 D (Theorem 2.2) [default 1.0].
 	CurtailC float64
@@ -83,15 +72,6 @@ type Config struct {
 	// the Haeupler–Wajc'16 schedule length (their distance-to-center bound
 	// is an O(log log n) factor weaker); used as the HW16 comparison mode.
 	CurtailLogLog bool
-	// BgCurtailC scales the background curtailment ℓ = BgCurtailC·log2 n/β
-	// [paper O(log n/β); default 0.5].
-	BgCurtailC float64
-	// HopSlack is the number of schedule sweeps budgeted per hop of flood
-	// progress when sizing sub-phase durations [default 2, selected by a
-	// sweep over the benchmark families].
-	HopSlack float64
-	// TailSweeps is the additive sweep budget per sub-phase [default 3].
-	TailSweeps int
 	// DisableCurtail runs every clustering slot to the clustering's full
 	// strong radius instead of the Theorem 2.2 curtailment (ablation: this
 	// is what switching clusterings *without* the paper's key insight
@@ -108,54 +88,44 @@ type Config struct {
 	FixedJ int
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// DefaultFineLoFrac and DefaultFineHiFrac are the default bounds of the
-// fine exponent range, j ∈ [lo·log2 D, hi·log2 D] (cluster.JRange).
+// The fixed exponents and counts of Algorithms 1–2, as [paper value;
+// value used]. The values are scaled for simulable diameters (DESIGN.md
+// §3): at D ≤ 10^3 the paper's exponents give near-trivial background
+// clusters and a fine exponent range that rounds to one j.
 const (
-	DefaultFineLoFrac = 0.25
-	DefaultFineHiFrac = 0.75
+	// coarseBetaExp sets the coarse clustering parameter β = D^-x [0.5; 0.5].
+	coarseBetaExp = 0.5
+	// FineLoFrac and FineHiFrac bound the random fine exponent j:
+	// j ∈ [lo·log2 D, hi·log2 D] (cluster.JRange) [0.01 and 0.1; 0.25, 0.75].
+	FineLoFrac = 0.25
+	FineHiFrac = 0.75
+	// bgBetaExp sets the background process clustering β = D^-x [0.1; 0.3,
+	// so background clusters are non-trivial at small D].
+	bgBetaExp = 0.3
+	// bgNumFine is the number of background clusterings cycled round-robin
+	// [D^0.2; 3].
+	bgNumFine = 3
+	// bgCurtailC scales the background curtailment ℓ = bgCurtailC·log2 n/β
+	// [O(log n/β); 0.5].
+	bgCurtailC = 0.5
+	// hopSlack is the number of schedule sweeps budgeted per hop of flood
+	// progress when sizing sub-phase durations [—; 2, selected by a sweep
+	// over the benchmark families].
+	hopSlack = 2
+	// tailSweeps is the additive sweep budget per sub-phase [—; 3].
+	tailSweeps = 3
 )
 
-// withDefaults fills zero fields with defaults for an (n, d) network.
-func (c Config) withDefaults(d int) Config {
-	if c.CoarseBetaExp == 0 {
-		c.CoarseBetaExp = 0.5
-	}
-	if c.FineLoFrac == 0 {
-		c.FineLoFrac = DefaultFineLoFrac
-	}
-	if c.FineHiFrac == 0 {
-		c.FineHiFrac = DefaultFineHiFrac
-	}
-	if c.FinePerJ == 0 {
-		c.FinePerJ = clampInt(int(math.Round(math.Pow(float64(d), 0.2))), 2, 4)
-	}
-	if c.BgBetaExp == 0 {
-		c.BgBetaExp = 0.3
-	}
-	if c.BgNumFine == 0 {
-		c.BgNumFine = 3
-	}
+// finePerJ is the number of fine clusterings per exponent j
+// [D^0.2; min(4, max(2, round(D^0.2)))].
+func finePerJ(d int) int {
+	return min(4, max(2, int(math.Round(math.Pow(float64(d), 0.2)))))
+}
+
+// withDefaults fills the zero CurtailC with its default.
+func (c Config) withDefaults() Config {
 	if c.CurtailC == 0 {
 		c.CurtailC = 1.0
-	}
-	if c.BgCurtailC == 0 {
-		c.BgCurtailC = 0.5
-	}
-	if c.HopSlack == 0 {
-		c.HopSlack = 2
-	}
-	if c.TailSweeps == 0 {
-		c.TailSweeps = 3
 	}
 	return c
 }
@@ -278,7 +248,7 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 	defer release()
 
 	// Precomputation (oracle; rounds charged below).
-	// 1) Coarse clustering with β = D^-CoarseBetaExp.
+	// 1) Coarse clustering with β = D^-coarseBetaExp.
 	c.coarse = cluster.PartitionScratch(g, pre.coarseBeta, master.Fork(10), &scr.part)
 
 	// 2) Fine clusterings for each exponent j, with schedules.
@@ -288,9 +258,10 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 		}
 	}
 	fid := int32(0)
+	perJ := finePerJ(d)
 	for j := pre.jmin; j <= pre.jmax; j++ {
 		beta := math.Pow(2, -float64(j))
-		for q := 0; q < cfg.FinePerJ; q++ {
+		for q := 0; q < perJ; q++ {
 			part := cluster.PartitionScratch(g, beta, master.Fork(100+uint64(fid)), &scr.part)
 			sch := schedule.BuildScratch(g, part, scr.cont)
 			ell := pre.ellMain[j-pre.jmin]
@@ -306,9 +277,9 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 		}
 	}
 
-	// 3) Background clusterings (Algorithm 2): fixed β = D^-BgBetaExp,
+	// 3) Background clusterings (Algorithm 2): fixed β = D^-bgBetaExp,
 	// curtailment O(log n/β).
-	for q := 0; q < cfg.BgNumFine; q++ {
+	for q := 0; q < bgNumFine; q++ {
 		part := cluster.PartitionScratch(g, pre.bgBeta, master.Fork(5000+uint64(q)), &scr.part)
 		sch := schedule.BuildScratch(g, part, scr.cont)
 		ell := pre.ellBg
@@ -369,7 +340,7 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 
 // newFine computes slot geometry for a clustering with curtailment ell.
 func (c *Compete) newFine(part *cluster.Result, sch *schedule.Schedule, beta float64, j int, ell int32) fine {
-	sweeps := c.cfg.HopSlack*float64(ell) + float64(c.cfg.TailSweeps)
+	sweeps := hopSlack*float64(ell) + tailSweeps
 	subLen := int64(math.Ceil(sweeps)) * int64(sch.MaxLevel)
 	if subLen < 4 {
 		subLen = 4
@@ -431,29 +402,12 @@ func (c *Compete) TrueMax() int64 { return c.trueMax }
 // the crossing into globalMax == trueMax is counted incrementally in Recv.
 func (c *Compete) Done() bool { return c.prog.Done() }
 
-// doneFullScan is the O(n) reference implementation of Done, kept for the
-// equivalence tests.
-func (c *Compete) doneFullScan() bool {
-	for v, val := range c.globalMax {
-		if c.counted != nil && !c.counted[v] {
-			continue // outside the survivor-scoped completion target
-		}
-		if val != c.trueMax {
-			return false
-		}
-	}
-	return true
-}
-
-// InformedCount returns how many nodes currently know the highest message.
-func (c *Compete) InformedCount() int { return int(c.prog.Count()) }
-
 // ReachTarget returns the number of nodes Done waits on: n for a
 // fault-free run, the survivor-reachable set size under a fault plan.
 func (c *Compete) ReachTarget() int { return int(c.prog.Target()) }
 
-// Reached is InformedCount under its fault-campaign name: the numerator
-// of the reach fraction over ReachTarget.
+// Reached returns how many target nodes know the highest message: the
+// numerator of the reach fraction over ReachTarget.
 func (c *Compete) Reached() int { return int(c.prog.Count()) }
 
 // Values returns each node's currently known best message (Uninformed for

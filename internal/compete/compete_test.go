@@ -46,7 +46,7 @@ func TestBroadcastSmallFamilies(t *testing.T) {
 			rounds, done := b.Run(0)
 			if !done {
 				t.Fatalf("broadcast incomplete after %d rounds (budget %d): %d/%d informed",
-					rounds, b.Budget(), b.InformedCount(), g.N())
+					rounds, b.Budget(), b.Reached(), g.N())
 			}
 			for v, val := range b.Values() {
 				if val != 7 {
@@ -85,7 +85,7 @@ func TestCompeteMultiSource(t *testing.T) {
 	}
 	rounds, done := c.Run(0)
 	if !done {
-		t.Fatalf("compete incomplete after %d rounds: %d/%d", rounds, c.InformedCount(), g.N())
+		t.Fatalf("compete incomplete after %d rounds: %d/%d", rounds, c.Reached(), g.N())
 	}
 }
 
@@ -163,7 +163,7 @@ func TestLeaderElectionFamilies(t *testing.T) {
 	for _, g := range cases {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
-			le, err := NewLeaderElection(g, g.Diameter(), LeaderConfig{}, 2024)
+			le, err := NewLeaderElection(g, g.Diameter(), Config{}, 2024)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestLeaderElectionFamilies(t *testing.T) {
 
 func TestLeaderBeforeCompletion(t *testing.T) {
 	g := graph.Path(30)
-	le, err := NewLeaderElection(g, 29, LeaderConfig{}, 5)
+	le, err := NewLeaderElection(g, 29, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

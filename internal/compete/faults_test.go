@@ -193,7 +193,7 @@ func TestBroadcastSurvivesJamming(t *testing.T) {
 	rounds, done := c.Run(16 * c.Budget())
 	if !done {
 		t.Fatalf("broadcast under jamming incomplete after %d rounds (%d/%d informed)",
-			rounds, c.InformedCount(), g.N())
+			rounds, c.Reached(), g.N())
 	}
 }
 

@@ -54,16 +54,20 @@ func TestMainFidRoughlyUniform(t *testing.T) {
 	}
 }
 
-// TestBgFidRoundRobin verifies Algorithm 2's round-robin clustering order.
+// TestBgFidRoundRobin verifies Algorithm 2's round-robin clustering order
+// over the bgNumFine background clusterings.
 func TestBgFidRoundRobin(t *testing.T) {
 	g := graph.Path(60)
-	c, err := New(g, 59, Config{BgNumFine: 4}, 7, map[int]int64{0: 1})
+	c, err := New(g, 59, Config{}, 7, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := int64(0); k < 16; k++ {
-		if got := c.bgFid(k); got != int32(k%4) {
-			t.Fatalf("bgFid(%d) = %d, want %d", k, got, k%4)
+	if len(c.bgs) != 3 {
+		t.Fatalf("%d background clusterings, want 3", len(c.bgs))
+	}
+	for k := int64(0); k < 12; k++ {
+		if got := c.bgFid(k); got != int32(k%3) {
+			t.Fatalf("bgFid(%d) = %d, want %d", k, got, k%3)
 		}
 	}
 }

@@ -48,25 +48,14 @@ type LeaderElection struct {
 	Candidates map[int]int64
 }
 
-// LeaderConfig extends Config with the candidate-sampling constant.
-type LeaderConfig struct {
-	Config
-	// CandidateC scales the candidacy probability CandidateC·ln n/n
-	// [paper Θ(log n/n); default 2].
-	CandidateC float64
-	// IDBits is the candidate ID length [Θ(log n); default 40].
-	IDBits int
-}
-
-func (c LeaderConfig) withDefaults() LeaderConfig {
-	if c.CandidateC == 0 {
-		c.CandidateC = 2
-	}
-	if c.IDBits == 0 {
-		c.IDBits = 40
-	}
-	return c
-}
+// The Algorithm-6 candidate sampling constants.
+const (
+	// candidateC scales the candidacy probability candidateC·ln n/n
+	// [paper Θ(log n/n); 2].
+	candidateC = 2
+	// idBits is the candidate ID length [Θ(log n); 40].
+	idBits = 40
+)
 
 // NewLeaderElection builds a leader election instance on g.
 //
@@ -74,25 +63,24 @@ func (c LeaderConfig) withDefaults() LeaderConfig {
 // probability O(n^-c) events the paper conditions away), the sample is
 // redrawn with a salted seed; the deviation is measurement-neutral since
 // the paper's analysis conditions on |C| = Θ(log n) with unique IDs.
-func NewLeaderElection(g *graph.Graph, d int, cfg LeaderConfig, seed uint64) (*LeaderElection, error) {
-	return NewLeaderElectionPre(NewPre(g, d, cfg.Config), cfg, seed)
+func NewLeaderElection(g *graph.Graph, d int, cfg Config, seed uint64) (*LeaderElection, error) {
+	return NewLeaderElectionPre(NewPre(g, d, cfg), seed)
 }
 
 // SampleCandidates draws the Algorithm-6 candidate set for an n-node
 // network from seed: each node becomes a candidate with probability
-// CandidateC·ln n/n and draws a random IDBits-bit ID; empty or duplicate
+// candidateC·ln n/n and draws a random idBits-bit ID; empty or duplicate
 // samples are redrawn with a salted seed. The draw is a pure function of
-// (n, cfg, seed) — the same one NewLeaderElection performs — so callers
-// that need the candidate set before construction (e.g. fault planning
-// that must protect the would-be winner) see exactly the election's
+// (n, seed) — the same one NewLeaderElection performs — so callers that
+// need the candidate set before construction (e.g. fault planning that
+// must protect the would-be winner) see exactly the election's
 // candidates.
-func SampleCandidates(n int, cfg LeaderConfig, seed uint64) (map[int]int64, error) {
-	cfg = cfg.withDefaults()
-	p := cfg.CandidateC * math.Log(float64(n)+2) / float64(n)
+func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
+	p := candidateC * math.Log(float64(n)+2) / float64(n)
 	if p > 1 {
 		p = 1
 	}
-	idSpace := int64(1) << uint(cfg.IDBits)
+	idSpace := int64(1) << idBits
 	for salt := uint64(0); salt <= 1000; salt++ {
 		r := rng.New(seed).Fork(7000 + salt)
 		candidates := make(map[int]int64)
@@ -119,10 +107,10 @@ func SampleCandidates(n int, cfg LeaderConfig, seed uint64) (map[int]int64, erro
 }
 
 // NewLeaderElectionPre is NewLeaderElection with the seed-independent
-// precomputation supplied externally: pre must come from
-// NewPre(g, d, cfg.Config) (see NewWithPre).
-func NewLeaderElectionPre(pre *Pre, cfg LeaderConfig, seed uint64) (*LeaderElection, error) {
-	return NewLeaderElectionPreFaults(pre, cfg, seed, nil)
+// precomputation supplied externally (see NewWithPre); the election runs
+// under the Config pre was built with.
+func NewLeaderElectionPre(pre *Pre, seed uint64) (*LeaderElection, error) {
+	return NewLeaderElectionPreFaults(pre, seed, nil)
 }
 
 // NewLeaderElectionPreFaults is NewLeaderElectionPre with a fault
@@ -132,12 +120,12 @@ func NewLeaderElectionPre(pre *Pre, cfg LeaderConfig, seed uint64) (*LeaderElect
 // plan must not crash the maximum-ID candidate (see the campaign's
 // protect-the-winner convention); a crashed winner makes the run exhaust
 // its budget with Done == false rather than elect a wrong leader.
-func NewLeaderElectionPreFaults(pre *Pre, cfg LeaderConfig, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
+func NewLeaderElectionPreFaults(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
 	g := pre.g
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
 	}
-	candidates, err := SampleCandidates(g.N(), cfg, seed)
+	candidates, err := SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -173,10 +161,9 @@ func (le *LeaderElection) Verify() error {
 	}
 	want := le.TrueMax()
 	owners := 0
-	for v, id := range le.Candidates {
+	for _, id := range le.Candidates {
 		if id == want {
 			owners++
-			_ = v
 		}
 	}
 	if owners != 1 {

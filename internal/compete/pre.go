@@ -56,7 +56,7 @@ func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 	if d < 1 {
 		d = 1
 	}
-	cfg = cfg.withDefaults(d)
+	cfg = cfg.withDefaults()
 	n := g.N()
 	p := &Pre{
 		g:    g,
@@ -66,15 +66,15 @@ func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 		logn: math.Log2(float64(n) + 2),
 		logD: math.Log2(float64(d) + 2),
 	}
-	p.coarseBeta = math.Pow(float64(d), -cfg.CoarseBetaExp)
+	p.coarseBeta = math.Pow(float64(d), -coarseBetaExp)
 	if p.coarseBeta > 1 {
 		p.coarseBeta = 1
 	}
-	p.bgBeta = math.Pow(float64(d), -cfg.BgBetaExp)
+	p.bgBeta = math.Pow(float64(d), -bgBetaExp)
 	if p.bgBeta > 1 {
 		p.bgBeta = 1
 	}
-	p.jmin, p.jmax = cluster.JRange(d, cfg.FineLoFrac, cfg.FineHiFrac)
+	p.jmin, p.jmax = cluster.JRange(d, FineLoFrac, FineHiFrac)
 	for j := p.jmin; j <= p.jmax; j++ {
 		ell := int32(math.Ceil(cfg.CurtailC * math.Pow(2, float64(j)) * p.logn / p.logD))
 		if cfg.CurtailLogLog {
@@ -85,7 +85,7 @@ func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 		}
 		p.ellMain = append(p.ellMain, ell)
 	}
-	p.ellBg = int32(math.Ceil(cfg.BgCurtailC * p.logn / p.bgBeta))
+	p.ellBg = int32(math.Ceil(bgCurtailC * p.logn / p.bgBeta))
 	if p.ellBg < 2 {
 		p.ellBg = 2
 	}

@@ -22,17 +22,11 @@ func init() {
 		Summary:   "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
 		BudgetDoc: "8×Budget() (Theorem 4.1 with the implementation's constants)",
 		Order:     40,
-		Caps:      protocol.Caps{Faults: true, Scratch: true},
+		Caps:      protocol.Caps{Faults: true},
 		// Shared with leader:cd17 — both default-tuning scratches are
 		// NewPre(g, d, Config{}), so one build serves both descriptors.
 		ScratchKey: "compete/pre",
-		NewScratch: func(g *graph.Graph, d int, tuning any) any {
-			cfg, err := broadcastTuning(tuning, false)
-			if err != nil {
-				return nil
-			}
-			return NewPre(g, d, cfg)
-		},
+		NewScratch: newScratch(false),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, false)
 		},
@@ -44,17 +38,11 @@ func init() {
 		Summary:   "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
 		BudgetDoc: "8×Budget()",
 		Order:     30,
-		Caps:      protocol.Caps{Faults: true, Scratch: true},
+		Caps:      protocol.Caps{Faults: true},
 		// Distinct from cd17's key: CurtailLogLog changes the schedule
 		// lengths baked into the precomputation.
 		ScratchKey: "compete/pre-hw16",
-		NewScratch: func(g *graph.Graph, d int, tuning any) any {
-			cfg, err := broadcastTuning(tuning, true)
-			if err != nil {
-				return nil
-			}
-			return NewPre(g, d, cfg)
-		},
+		NewScratch: newScratch(true),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, true)
 		},
@@ -66,26 +54,15 @@ func init() {
 		Summary:    "Algorithm 6 / Theorem 5.2: Θ(log n) random candidates compete, O(D·log n/log D + polylog n) whp — first LE asymptotically equal to broadcast",
 		BudgetDoc:  "8×Budget()",
 		Order:      40,
-		Caps:       protocol.Caps{Faults: true, Scratch: true},
+		Caps:       protocol.Caps{Faults: true},
 		ScratchKey: "compete/pre", // see broadcast:cd17
-		NewScratch: func(g *graph.Graph, d int, tuning any) any {
-			cfg, err := leaderTuning(tuning)
-			if err != nil {
-				return nil
-			}
-			return NewPre(g, d, cfg.Config)
-		},
-		Protect: func(g *graph.Graph, d int, seed uint64, _ map[int]int64, tuning any) []int {
+		NewScratch: newScratch(false),
+		Protect: func(n int, seed uint64) []int {
 			// Fault plans must not crash the would-be winner (its death
 			// makes the completion target vacuous). The sample is the
-			// pure (n, cfg, seed) function Build performs — with the
-			// trial's tuning threaded through, so the protected node is
-			// exactly the node that will win the election.
-			cfg, err := leaderTuning(tuning)
-			if err != nil {
-				return nil
-			}
-			cands, err := SampleCandidates(g.N(), cfg, seed)
+			// pure (n, seed) function Build performs, so the protected
+			// node is exactly the node that will win the election.
+			cands, err := SampleCandidates(n, seed)
 			if err != nil {
 				return nil
 			}
@@ -96,10 +73,10 @@ func init() {
 	})
 }
 
-// broadcastTuning coerces a BuildParams.Tuning value for the broadcast
-// descriptors; hw16 forces the CurtailLogLog comparison mode on top of
-// whatever tuning the caller supplied.
-func broadcastTuning(tuning any, hw16 bool) (Config, error) {
+// coerceTuning coerces a BuildParams.Tuning value for the three
+// descriptors that take one; hw16 forces the CurtailLogLog comparison
+// mode on top of whatever tuning the caller supplied.
+func coerceTuning(tuning any, hw16 bool) (Config, error) {
 	cfg := Config{}
 	switch t := tuning.(type) {
 	case nil:
@@ -114,28 +91,31 @@ func broadcastTuning(tuning any, hw16 bool) (Config, error) {
 	return cfg, nil
 }
 
-func leaderTuning(tuning any) (LeaderConfig, error) {
-	switch t := tuning.(type) {
-	case nil:
-		return LeaderConfig{}, nil
-	case LeaderConfig:
-		return t, nil
-	case Config:
-		return LeaderConfig{Config: t}, nil
-	default:
-		return LeaderConfig{}, fmt.Errorf("compete: tuning must be compete.Config or compete.LeaderConfig, got %T", tuning)
+// newScratch is the descriptors' NewScratch hook: the *Pre for the
+// coerced tuning (nil for a tuning Build would reject).
+func newScratch(hw16 bool) func(*graph.Graph, int, any) any {
+	return func(g *graph.Graph, d int, tuning any) any {
+		cfg, err := coerceTuning(tuning, hw16)
+		if err != nil {
+			return nil
+		}
+		return NewPre(g, d, cfg)
 	}
 }
 
 // pre resolves the scratch for one build: the caller-provided *Pre when
 // present (the campaign's per-config amortization), else a fresh one.
 // NewWithPre consumes identical randomness either way, so sharing changes
-// no output bit.
+// no output bit. A *Pre built for another Config is rejected: the run
+// would otherwise follow the scratch's config, not the tuning.
 func pre(p protocol.BuildParams, cfg Config) (*Pre, error) {
 	switch s := p.Scratch.(type) {
 	case nil:
 		return NewPre(p.G, p.D, cfg), nil
 	case *Pre:
+		if s.cfg != cfg.withDefaults() {
+			return nil, errors.New("compete: scratch *Pre was built for a different Config")
+		}
 		return s, nil
 	default:
 		return nil, fmt.Errorf("compete: scratch must be *compete.Pre, got %T", p.Scratch)
@@ -165,7 +145,7 @@ func (r competeRunner) Run(budget int64) protocol.Result {
 }
 
 func buildBroadcast(p protocol.BuildParams, hw16 bool) (protocol.Runner, error) {
-	cfg, err := broadcastTuning(p.Tuning, hw16)
+	cfg, err := coerceTuning(p.Tuning, hw16)
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +184,15 @@ func (r leaderRunner) LeaderID() int64           { return r.le.TrueMax() }
 func (r leaderRunner) Candidates() map[int]int64 { return r.le.Candidates }
 
 func buildLeader(p protocol.BuildParams) (protocol.Runner, error) {
-	cfg, err := leaderTuning(p.Tuning)
+	cfg, err := coerceTuning(p.Tuning, false)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := pre(p, cfg.Config)
+	pr, err := pre(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	le, err := NewLeaderElectionPreFaults(pr, cfg, p.Seed, p.Faults)
+	le, err := NewLeaderElectionPreFaults(pr, p.Seed, p.Faults)
 	if err != nil {
 		return nil, err
 	}

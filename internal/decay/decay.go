@@ -51,10 +51,6 @@ func Prob(s int) float64 {
 type Config struct {
 	// Levels is the phase length L. Zero means Levels(n).
 	Levels int
-	// JoinMidPhase lets a newly informed node start participating in the
-	// current phase instead of waiting for the next phase boundary. The
-	// classical analysis assumes phase-aligned joins; both succeed.
-	JoinMidPhase bool
 	// Faults, if set, is a whole-network fault scenario, installed as the
 	// engine-side overlay. Completion becomes survivor-scoped: the
 	// Progress target is the set of nodes reachable from the (surviving)
@@ -99,7 +95,6 @@ type node struct {
 	rnd        rng.Rand // embedded: nodes live in one contiguous slice
 	tr         *tracker
 	idx        int32
-	joinMid    bool
 	val        int64
 	informedAt int64 // phase-aligned participation gate
 	phaseStart int64 // start round of the phase containing the last Act
@@ -116,14 +111,11 @@ func (b *node) Recv(t int64, msg *radio.Message) {
 		return
 	}
 	if !b.informed() {
-		// Align participation to the next phase boundary.
+		// Align participation to the next phase boundary (the classical
+		// analysis assumes phase-aligned joins).
 		L := int64(b.tr.levels)
 		b.informedAt = ((t / L) + 1) * L
 		b.phaseStart = b.informedAt
-		if b.joinMid {
-			// Participation starts next round, mid-phase.
-			b.phaseStart = (t + 1) - (t+1)%L
-		}
 		b.tr.isInformed[b.idx] = true
 		b.tr.informed++
 	}
@@ -167,7 +159,7 @@ func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64
 	}
 	b.tr.isInformed = make([]bool, n)
 	for i := 0; i < n; i++ {
-		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), joinMid: cfg.JoinMidPhase, val: -1}
+		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), val: -1}
 	}
 	first := true
 	//lint:ordered max reduction over the values; order cannot change the maximum
@@ -233,7 +225,7 @@ func (b *Broadcast) ActBulkRange(t int64, lo, hi int32, tx []int32, msgs []radio
 			continue
 		}
 		nd := &b.nodes[i]
-		if !nd.joinMid && t < nd.informedAt {
+		if t < nd.informedAt {
 			continue
 		}
 		for t-nd.phaseStart >= L {
@@ -260,46 +252,9 @@ func (b *Broadcast) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 }
 
 // Done reports whether every node knows the maximum source value. O(1):
-// completion is tracked incrementally at the Recv transitions (see
-// doneFullScan for the reference semantics it mirrors).
+// completion is tracked incrementally at the Recv transitions (the O(n)
+// reference scan it mirrors, doneFullScan, lives with the tests).
 func (b *Broadcast) Done() bool { return b.tr.prog.Done() }
-
-// doneFullScan is the O(n) reference implementation of Done, kept for the
-// equivalence tests and the termination-checking benchmarks.
-func (b *Broadcast) doneFullScan() bool {
-	if b.tr.counted != nil {
-		if b.tr.prog.Target() > int64(len(b.nodes)) {
-			return false // the no-sources pin (target n+1): never done
-		}
-		// Survivor-scoped: every counted node informed of trueMax.
-		for i := range b.nodes {
-			if !b.tr.counted[i] {
-				continue
-			}
-			if nd := &b.nodes[i]; !nd.informed() || nd.val != b.tr.trueMax {
-				return false
-			}
-		}
-		return true
-	}
-	max := int64(0)
-	first := true
-	for i := range b.nodes {
-		if nd := &b.nodes[i]; nd.informed() && (first || nd.val > max) {
-			max = nd.val
-			first = false
-		}
-	}
-	if first {
-		return false
-	}
-	for i := range b.nodes {
-		if nd := &b.nodes[i]; !nd.informed() || nd.val != max {
-			return false
-		}
-	}
-	return true
-}
 
 // InformedCount returns how many nodes are informed of any value.
 func (b *Broadcast) InformedCount() int { return b.tr.informed }

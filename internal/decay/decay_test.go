@@ -83,14 +83,6 @@ func TestBroadcastDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBroadcastJoinMidPhase(t *testing.T) {
-	g := graph.Path(30)
-	b := NewBroadcast(g, Config{JoinMidPhase: true}, 11, map[int]int64{0: 1})
-	if _, done := b.Run(100000); !done {
-		t.Fatal("mid-phase joining broadcast did not finish")
-	}
-}
-
 // TestDecaySuccessProbability is the Lemma 3.1 check: one Decay phase
 // informs a listener with constant probability, for any number of
 // participating neighbors.

@@ -9,6 +9,43 @@ import (
 	"radionet/internal/rng"
 )
 
+// doneFullScan is the O(n) reference implementation of Done, the oracle
+// of the equivalence tests and the termination-checking benchmarks.
+func (b *Broadcast) doneFullScan() bool {
+	if b.tr.counted != nil {
+		if b.tr.prog.Target() > int64(len(b.nodes)) {
+			return false // the no-sources pin (target n+1): never done
+		}
+		// Survivor-scoped: every counted node informed of trueMax.
+		for i := range b.nodes {
+			if !b.tr.counted[i] {
+				continue
+			}
+			if nd := &b.nodes[i]; !nd.informed() || nd.val != b.tr.trueMax {
+				return false
+			}
+		}
+		return true
+	}
+	max := int64(0)
+	first := true
+	for i := range b.nodes {
+		if nd := &b.nodes[i]; nd.informed() && (first || nd.val > max) {
+			max = nd.val
+			first = false
+		}
+	}
+	if first {
+		return false
+	}
+	for i := range b.nodes {
+		if nd := &b.nodes[i]; !nd.informed() || nd.val != max {
+			return false
+		}
+	}
+	return true
+}
+
 // Prob must stay a finite, positive-or-zero, non-increasing probability
 // for every step, including shifts past the int64 range (the seed
 // overflowed at s >= 62, yielding ±Inf via a wrapped shift).

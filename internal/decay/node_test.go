@@ -9,7 +9,7 @@ func (b *node) Act(t int64) radio.Action {
 	if !b.informed() {
 		return radio.Listen
 	}
-	if !b.joinMid && t < b.informedAt {
+	if t < b.informedAt {
 		return radio.Listen
 	}
 	// step = t mod levels, tracked via the phase start; the loop crosses

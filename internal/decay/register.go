@@ -77,13 +77,17 @@ func BuildRunner(p protocol.BuildParams, cfg Config) (protocol.Runner, error) {
 		return nil, errors.New("decay: empty source set")
 	}
 	// Validate in sorted order so the reported source — and with it the
-	// error string — does not depend on map iteration order.
+	// error string — does not depend on map iteration order. NewBroadcast
+	// indexes its nodes by source id unchecked.
 	srcIDs := make([]int, 0, len(p.Sources))
 	for s := range p.Sources {
 		srcIDs = append(srcIDs, s)
 	}
 	sort.Ints(srcIDs)
 	for _, s := range srcIDs {
+		if s < 0 || s >= p.G.N() {
+			return nil, fmt.Errorf("decay: source %d out of range", s)
+		}
 		if v := p.Sources[s]; v < 0 {
 			return nil, fmt.Errorf("decay: source %d has negative message %d", s, v)
 		}

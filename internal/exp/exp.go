@@ -90,7 +90,7 @@ func cross(gs []*graph.Graph, diam func(*graph.Graph) int, descs []*protocol.Des
 // graph share a topology key, and with it their scratch. Results are
 // identical for every worker count.
 func (o Options) runCells(cells []campaign.Config, base uint64, seeds int) [][]campaign.TrialResult {
-	plan := &campaign.Plan{Configs: cells, Seeds: seeds}
+	plan := &campaign.Plan{Configs: cells}
 	keys := make(map[*graph.Graph]precompute.Key)
 	for ci := range cells {
 		g := cells[ci].G

@@ -198,7 +198,7 @@ func TestF6MidJInRange(t *testing.T) {
 		}
 	}
 	for d := 0; d <= 5000; d++ {
-		jmin, jmax := cluster.JRange(d, compete.DefaultFineLoFrac, compete.DefaultFineHiFrac)
+		jmin, jmax := cluster.JRange(d, compete.FineLoFrac, compete.FineHiFrac)
 		j := f6MidJ(d)
 		if j < jmin || j > jmax {
 			t.Fatalf("f6MidJ(%d) = %d, outside [%d, %d]", d, j, jmin, jmax)

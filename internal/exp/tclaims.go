@@ -320,7 +320,7 @@ func runT7(o Options) *Table {
 			rounds := make([]float64, seeds)
 			ok := make([]bool, seeds)
 			campaign.ForEach(o.Workers, seeds, func(s int) {
-				dp := cluster.NewDistributed(g, cluster.DistConfig{Beta: beta}, o.Seed+uint64(s))
+				dp := cluster.NewDistributed(g, beta, o.Seed+uint64(s))
 				r, done := dp.Run()
 				ok[s] = done && dp.Result().Validate() == nil
 				rounds[s] = float64(r)

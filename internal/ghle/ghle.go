@@ -49,25 +49,11 @@ import (
 	"radionet/internal/rng"
 )
 
-// Config parameterizes the election. The zero value selects the
-// documented defaults.
-type Config struct {
-	// CandidateC scales the candidacy probability CandidateC·ln n/n
-	// [paper Θ(log n/n); default 2, matching Algorithm 6].
-	CandidateC float64
-	// IDBits is the candidate ID length [Θ(log n); default 40].
-	IDBits int
-	// Phases is the number of elimination phases before the agreement
-	// broadcast [default ⌈log₂ L⌉, the GH13 Θ(log log n)].
-	Phases int
-}
-
 // LE is a prepared (and, after Run, executed) election instance.
 type LE struct {
 	g          *graph.Graph
 	d          int
 	seed       uint64
-	cfg        Config
 	candidates map[int]int64
 
 	// Run outcome.
@@ -90,11 +76,10 @@ func DefaultBudget(n, d int) int64 {
 	return 6 * (int64(d) + l) * l
 }
 
-// phases returns the configured or default elimination-phase count.
-func (c Config) phases(n int) int {
-	if c.Phases > 0 {
-		return c.Phases
-	}
+// phases returns the number of elimination phases before the agreement
+// broadcast: ⌈log₂ L⌉ for L = ⌈log₂ n⌉ Decay levels, the GH13
+// Θ(log log n), at least 1.
+func phases(n int) int {
 	k := bits.Len(uint(decay.Levels(n) - 1)) // ceil(log2 L)
 	if k < 1 {
 		k = 1
@@ -102,18 +87,18 @@ func (c Config) phases(n int) int {
 	return k
 }
 
-// New samples the candidate set (a pure function of (n, cfg, seed) — the
-// registry's fault protection derives the winner from the same draw) and
-// prepares the election on g with diameter d.
-func New(g *graph.Graph, d int, cfg Config, seed uint64) (*LE, error) {
+// New samples the candidate set as Algorithm 6 does (a pure function of
+// (n, seed), see baseline.SampleCandidates) and prepares the election on
+// g with diameter d.
+func New(g *graph.Graph, d int, seed uint64) (*LE, error) {
 	if g.N() == 0 {
 		return nil, errors.New("ghle: empty graph")
 	}
-	cands, err := baseline.SampleCandidates(g.N(), seed, cfg.CandidateC, cfg.IDBits)
+	cands, err := baseline.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
-	return &LE{g: g, d: d, seed: seed, cfg: cfg, candidates: cands, leader: -1}, nil
+	return &LE{g: g, d: d, seed: seed, candidates: cands, leader: -1}, nil
 }
 
 // Candidates exposes the sampled candidate set (node -> ID).
@@ -161,7 +146,7 @@ func (le *LE) Run(budget int64) (int64, bool) {
 		}
 	}
 	master := rng.New(le.seed)
-	k := le.cfg.phases(le.g.N())
+	k := phases(le.g.N())
 	cur := le.candidates
 	for i := 0; i < k && len(cur) > 1; i++ {
 		phaseBudget := t >> uint(k-i)

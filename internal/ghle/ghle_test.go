@@ -11,7 +11,7 @@ func TestElectsTrueMaxAndVerifies(t *testing.T) {
 	g := graph.Grid(8, 8)
 	d := g.DiameterEstimate()
 	for seed := uint64(1); seed <= 5; seed++ {
-		le, err := New(g, d, Config{}, seed)
+		le, err := New(g, d, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestDeterministicRuns(t *testing.T) {
 	g := graph.PathOfCliques(8, 4)
 	d := g.DiameterEstimate()
 	run := func() (int64, int64, int, int64) {
-		le, err := New(g, d, Config{}, 42)
+		le, err := New(g, d, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestBudgetCapAndSplit(t *testing.T) {
 	g := graph.Grid(6, 6)
 	d := g.DiameterEstimate()
 	const budget = 100
-	le, err := New(g, d, Config{}, 7)
+	le, err := New(g, d, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBudgetCapAndSplit(t *testing.T) {
 		t.Fatalf("ran %d rounds over the %d budget", rounds, budget)
 	}
 	// Default budgets stay under the documented 2T bound.
-	le2, err := New(g, d, Config{}, 7)
+	le2, err := New(g, d, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBudgetCapAndSplit(t *testing.T) {
 func TestBeatsBinarySearch(t *testing.T) {
 	g := graph.Grid(8, 16)
 	d := g.DiameterEstimate()
-	le, err := New(g, d, Config{}, 3)
+	le, err := New(g, d, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBeatsBinarySearch(t *testing.T) {
 	if !done {
 		t.Fatal("gh13 did not complete")
 	}
-	bs, err := baseline.NewBinarySearchLE(g, d, 3, 0, 0, 0)
+	bs, err := baseline.NewBinarySearchLE(g, d, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWinnerNeverEliminated(t *testing.T) {
 	g := graph.Caterpillar(16, 3)
 	d := g.DiameterEstimate()
 	for seed := uint64(10); seed < 20; seed++ {
-		le, err := New(g, d, Config{}, seed)
+		le, err := New(g, d, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

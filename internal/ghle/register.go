@@ -25,18 +25,13 @@ func init() {
 		// it. When the capability lands, protect LE.Winner here.
 		Caps: protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
-			cfg := Config{}
-			switch t := p.Tuning.(type) {
-			case nil:
-			case Config:
-				cfg = t
-			default:
-				return nil, fmt.Errorf("ghle: tuning must be ghle.Config, got %T", p.Tuning)
+			if p.Tuning != nil {
+				return nil, fmt.Errorf("ghle: gh13 takes no tuning, got %T", p.Tuning)
 			}
 			if p.Faults != nil {
 				return nil, fmt.Errorf("ghle: gh13 does not support fault plans (each tournament phase restarts the round clock)")
 			}
-			le, err := New(p.G, p.D, cfg, p.Seed)
+			le, err := New(p.G, p.D, p.Seed)
 			if err != nil {
 				return nil, err
 			}

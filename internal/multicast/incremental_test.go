@@ -7,6 +7,17 @@ import (
 	"radionet/internal/rng"
 )
 
+// doneFullScan is the O(n) reference implementation of Done, the oracle
+// of the equivalence test below.
+func (p *Pipelined) doneFullScan() bool {
+	for _, nd := range p.nodes {
+		if nd.count != len(nd.known) {
+			return false
+		}
+	}
+	return true
+}
+
 // Incremental Done (nodes report their k-th delivery to the shared
 // radio.Progress) must agree with the O(n) reference scan after every
 // round, on randomized graphs and seeds.

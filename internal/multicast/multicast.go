@@ -97,7 +97,6 @@ func (nd *node) Recv(_ int64, msg *radio.Message) {
 type Pipelined struct {
 	Engine *radio.Engine
 	nodes  []*node
-	k      int
 	prog   radio.Progress // completion tracker shared with the nodes
 }
 
@@ -111,7 +110,7 @@ func NewPipelined(g *graph.Graph, seed uint64, src int, msgs []int64) (*Pipeline
 	}
 	master := rng.New(seed)
 	l := decay.Levels(g.N())
-	p := &Pipelined{nodes: make([]*node, g.N()), k: len(msgs)}
+	p := &Pipelined{nodes: make([]*node, g.N())}
 	p.prog = *radio.NewProgress(int64(g.N()))
 	rn := make([]radio.Node, g.N())
 	for v := range p.nodes {
@@ -135,17 +134,6 @@ func NewPipelined(g *graph.Graph, seed uint64, src int, msgs []int64) (*Pipeline
 // Done reports whether every node knows all k messages. O(1): nodes report
 // their k-th delivery to the shared radio.Progress inside learn.
 func (p *Pipelined) Done() bool { return p.prog.Done() }
-
-// doneFullScan is the O(n) reference implementation of Done, kept for the
-// equivalence tests.
-func (p *Pipelined) doneFullScan() bool {
-	for _, nd := range p.nodes {
-		if nd.count != p.k {
-			return false
-		}
-	}
-	return true
-}
 
 // KnownCounts returns how many messages each node currently knows.
 func (p *Pipelined) KnownCounts() []int {

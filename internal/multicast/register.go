@@ -12,46 +12,31 @@ import (
 // "multicast" task: the pipelined random-push epidemic (Lemma 2.3's
 // additive-in-k shape) and the classical k-sequential-broadcasts
 // reduction it is measured against. Campaign trials seed the task with
-// the standard {node 0: value 9} source; the runner broadcasts K
-// consecutive message values starting there (K defaults to 8, tunable
-// via multicast.Tuning).
+// the standard {node 0: value 9} source; the runner broadcasts trialK
+// consecutive message values starting there.
 
-// Tuning parameterizes the registered multicast runners.
-type Tuning struct {
-	// K is the number of messages to broadcast (default 8).
-	K int
-}
+// trialK is the number of messages a registered multicast run broadcasts.
+const trialK = 8
 
-func (t Tuning) k() int {
-	if t.K <= 0 {
-		return 8
+// trialMessages checks the build parameters of a registered multicast run
+// and expands the single-source convention into the trialK-message set:
+// values base..base+trialK-1 from the one source node.
+func trialMessages(p protocol.BuildParams) (src int, msgs []int64, err error) {
+	if p.Tuning != nil {
+		return 0, nil, fmt.Errorf("multicast: the multicast descriptors take no tuning, got %T", p.Tuning)
 	}
-	return t.K
-}
-
-func tuning(v any) (Tuning, error) {
-	switch t := v.(type) {
-	case nil:
-		return Tuning{}, nil
-	case Tuning:
-		return t, nil
-	default:
-		return Tuning{}, fmt.Errorf("multicast: tuning must be multicast.Tuning, got %T", v)
-	}
-}
-
-// trialMessages expands the single-source convention into the k-message
-// set: values base..base+k-1 from the one source node.
-func trialMessages(g *graph.Graph, sources map[int]int64, k int) (src int, msgs []int64, err error) {
-	if len(sources) != 1 {
-		return 0, nil, fmt.Errorf("multicast: needs exactly one source, got %d", len(sources))
+	if len(p.Sources) != 1 {
+		return 0, nil, fmt.Errorf("multicast: needs exactly one source, got %d", len(p.Sources))
 	}
 	var base int64
 	//lint:ordered the map has exactly one entry (checked above)
-	for s, v := range sources {
+	for s, v := range p.Sources {
 		src, base = s, v
 	}
-	msgs = make([]int64, k)
+	if src < 0 || src >= p.G.N() {
+		return 0, nil, fmt.Errorf("multicast: source %d out of range", src)
+	}
+	msgs = make([]int64, trialK)
 	for i := range msgs {
 		msgs[i] = base + int64(i)
 	}
@@ -71,11 +56,7 @@ func init() {
 			if p.Faults != nil {
 				return nil, fmt.Errorf("multicast: sequential does not support fault plans (each broadcast restarts the round clock)")
 			}
-			t, err := tuning(p.Tuning)
-			if err != nil {
-				return nil, err
-			}
-			src, msgs, err := trialMessages(p.G, p.Sources, t.k())
+			src, msgs, err := trialMessages(p)
 			if err != nil {
 				return nil, err
 			}
@@ -95,11 +76,7 @@ func init() {
 			if p.Faults != nil {
 				return nil, fmt.Errorf("multicast: pipelined does not support fault plans yet")
 			}
-			t, err := tuning(p.Tuning)
-			if err != nil {
-				return nil, err
-			}
-			src, msgs, err := trialMessages(p.G, p.Sources, t.k())
+			src, msgs, err := trialMessages(p)
 			if err != nil {
 				return nil, err
 			}

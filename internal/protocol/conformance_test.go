@@ -8,6 +8,7 @@ package protocol_test
 import (
 	"testing"
 
+	"radionet/internal/compete"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
@@ -155,7 +156,7 @@ func TestConformanceFaultCapability(t *testing.T) {
 func crashPlan(g *graph.Graph, d *protocol.Descriptor, sources map[int]int64) *radio.FaultPlan {
 	n := g.N()
 	prot := map[int]bool{}
-	for _, v := range d.ProtectedNodes(g, g.DiameterEstimate(), conformanceSeed, sources, nil) {
+	for _, v := range d.ProtectedNodes(n, conformanceSeed, sources) {
 		prot[v] = true
 	}
 	plan := radio.NewFaultPlan(n, conformanceSeed)
@@ -177,7 +178,7 @@ func crashPlan(g *graph.Graph, d *protocol.Descriptor, sources map[int]int64) *r
 // runs changes no output bit relative to scratch-free construction.
 func TestConformanceScratchNeutral(t *testing.T) {
 	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		if !d.Caps.Scratch {
+		if d.NewScratch == nil {
 			return
 		}
 		g := conformanceGraph()
@@ -190,6 +191,59 @@ func TestConformanceScratchNeutral(t *testing.T) {
 		with2 := buildRunner(t, d, nil, scratch).Run(0)
 		if fields(bare) != fields(with1) || fields(with1) != fields(with2) {
 			t.Fatalf("scratch changed output: bare=%v with=%v reuse=%v", fields(bare), fields(with1), fields(with2))
+		}
+	})
+}
+
+// TestConformanceRejectsOutOfRangeSource: every source-driven descriptor
+// returns a Build error — never a panic — for a source node outside the
+// graph.
+func TestConformanceRejectsOutOfRangeSource(t *testing.T) {
+	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
+		if d.DefaultSources() == nil {
+			return
+		}
+		g := conformanceGraph()
+		for _, src := range []int{g.N(), 99, -1} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("source %d: Build panicked: %v", src, p)
+					}
+				}()
+				_, err := d.Build(protocol.BuildParams{
+					G: g, D: g.DiameterEstimate(), Seed: conformanceSeed, Sources: map[int]int64{src: 9},
+				})
+				if err == nil {
+					t.Errorf("source %d: Build accepted a source outside the %d-node graph", src, g.N())
+				}
+			}()
+		}
+	})
+}
+
+// competeDescriptors are the descriptors that take a BuildParams.Tuning
+// (a compete.Config); every other descriptor takes none.
+var competeDescriptors = map[string]bool{"broadcast/cd17": true, "broadcast/hw16": true, "leader/cd17": true}
+
+// TestConformanceTuning: the Compete descriptors accept a compete.Config
+// and reject tuning of any other type; every other descriptor rejects any
+// non-nil Tuning instead of silently ignoring it.
+func TestConformanceTuning(t *testing.T) {
+	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
+		g := conformanceGraph()
+		build := func(tuning any) error {
+			_, err := d.Build(protocol.BuildParams{
+				G: g, D: g.DiameterEstimate(), Seed: conformanceSeed, Sources: d.DefaultSources(), Tuning: tuning,
+			})
+			return err
+		}
+		takesTuning := competeDescriptors[string(d.Task)+"/"+d.Name]
+		if err := build(compete.Config{DisableHelper: true}); (err == nil) != takesTuning {
+			t.Errorf("compete.Config tuning: err = %v, descriptor takes tuning: %v", err, takesTuning)
+		}
+		if err := build(struct{ K int }{8}); err == nil {
+			t.Error("accepted a tuning value of a foreign type")
 		}
 	})
 }

@@ -63,8 +63,6 @@ const (
 // 0 (the historical campaign convention, which byte-identical output
 // depends on); self-seeding tasks (leader election samples its own
 // candidates, the partition protocol involves every node) get nil.
-// Descriptors under tasks this switch doesn't know override it with
-// their own TrialSources hook — see Descriptor.DefaultSources.
 func (t Task) TrialSources() map[int]int64 {
 	switch t {
 	case Broadcast, Multicast:
@@ -82,10 +80,6 @@ type Caps struct {
 	// Faults: Build accepts a *radio.FaultPlan and completion is
 	// survivor-scoped under it.
 	Faults bool
-	// Scratch: NewScratch returns reusable seed-independent precomputation
-	// (the campaign builds one per configuration and shares it across the
-	// seed axis).
-	Scratch bool
 }
 
 // Result is the uniform outcome of one protocol run.
@@ -172,9 +166,10 @@ type BuildParams struct {
 	// Scratch is the value returned by the descriptor's NewScratch (nil
 	// to build fresh). Sharing a scratch never changes output bits.
 	Scratch any
-	// Tuning is optional algorithm-specific configuration (e.g.
-	// compete.Config for the clustering pipeline); nil selects defaults.
-	// Descriptors reject tuning values of the wrong type.
+	// Tuning is optional algorithm configuration; nil selects defaults.
+	// Only the Compete descriptors (broadcast cd17 and hw16, leader cd17)
+	// take one, a compete.Config; they reject other types, and every
+	// other descriptor rejects any non-nil value.
 	Tuning any
 	// Hook, if set, observes every engine round where the runner drives a
 	// single engine (composite multi-engine runners may ignore it).
@@ -284,39 +279,30 @@ type Descriptor struct {
 	// algorithm-specific tuning must use distinct keys. Only valid
 	// alongside NewScratch; "" opts out of cross-descriptor sharing.
 	ScratchKey string
-	// TrialSources overrides the task-level trial source convention
-	// (Task.TrialSources) for this descriptor — the seam that keeps the
-	// task set genuinely open: a source-driven descriptor under a task
-	// the built-in switch doesn't know supplies its own convention here
-	// instead of editing this package. nil defers to the task default.
-	TrialSources func() map[int]int64
 	// Protect lists the nodes a trial's fault plan must never select —
-	// nodes whose failure would make the completion target vacuous. nil
-	// defaults to the source set for source-driven tasks (the campaign's
-	// protect-the-broadcast-source convention) and to nothing otherwise.
-	// Leader descriptors protect the would-be winner, derived
-	// deterministically from the same (seed, tuning) the Build call will
-	// use — tuning is threaded because it can change the candidate draw,
-	// and protecting the wrong node makes a faulted election unwinnable.
-	Protect func(g *graph.Graph, d int, seed uint64, sources map[int]int64, tuning any) []int
+	// nodes whose failure would make the completion target vacuous — for
+	// an n-node network and a trial seed. nil defaults to the source set
+	// for source-driven tasks (the campaign's protect-the-broadcast-source
+	// convention) and to nothing otherwise. Leader descriptors protect the
+	// would-be winner: their candidate draw is a pure function of (n,
+	// seed), so the hook derives exactly the node Build will elect.
+	Protect func(n int, seed uint64) []int
 	// Build prepares one run.
 	Build func(p BuildParams) (Runner, error)
 }
 
-// DefaultSources resolves the descriptor's trial source convention: its
-// TrialSources hook when set, else the task-level default.
+// DefaultSources resolves the descriptor's trial source convention, its
+// task's (Task.TrialSources).
 func (d *Descriptor) DefaultSources() map[int]int64 {
-	if d.TrialSources != nil {
-		return d.TrialSources()
-	}
 	return d.Task.TrialSources()
 }
 
 // ProtectedNodes resolves the descriptor's fault-protection set for one
-// trial: Protect when set, else the source nodes in ascending order.
-func (d *Descriptor) ProtectedNodes(g *graph.Graph, diam int, seed uint64, sources map[int]int64, tuning any) []int {
+// trial on an n-node network: Protect when set, else the source nodes in
+// ascending order.
+func (d *Descriptor) ProtectedNodes(n int, seed uint64, sources map[int]int64) []int {
 	if d.Protect != nil {
-		return d.Protect(g, diam, seed, sources, tuning)
+		return d.Protect(n, seed)
 	}
 	if len(sources) == 0 {
 		return nil

@@ -91,8 +91,8 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 	mustPanic("alias collides with name", dummy(task, "beta", "alpha"))
 	mustPanic("no build", Descriptor{Task: task, Name: "nobuild"})
 	mustPanic("no name", Descriptor{Task: task, Build: func(BuildParams) (Runner, error) { return nil, nil }})
-	mustPanic("scratch cap without NewScratch", Descriptor{
-		Task: task, Name: "badscratch", Caps: Caps{Scratch: true},
+	mustPanic("scratch key without NewScratch", Descriptor{
+		Task: task, Name: "badscratch", ScratchKey: "k",
 		Build: func(BuildParams) (Runner, error) { return nil, nil },
 	})
 }
@@ -118,11 +118,11 @@ func TestByTaskOrdering(t *testing.T) {
 
 func TestProtectedNodesDefaultsToSortedSources(t *testing.T) {
 	d := dummy(Broadcast, "x")
-	got := d.ProtectedNodes(nil, 0, 1, map[int]int64{5: 9, 1: 9, 3: 9}, nil)
+	got := d.ProtectedNodes(8, 1, map[int]int64{5: 9, 1: 9, 3: 9})
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("ProtectedNodes = %v, want [1 3 5]", got)
 	}
-	if d.ProtectedNodes(nil, 0, 1, nil, nil) != nil {
+	if d.ProtectedNodes(8, 1, nil) != nil {
 		t.Fatal("ProtectedNodes(nil sources) != nil")
 	}
 }

@@ -5,13 +5,14 @@ import (
 	"strings"
 )
 
-// capString renders a descriptor's capability flags for the table.
-func capString(c Caps) string {
+// capString renders a descriptor's capabilities for the table: its Caps
+// flags, and "scratch" when it has a NewScratch hook.
+func capString(d *Descriptor) string {
 	var parts []string
-	if c.Faults {
+	if d.Caps.Faults {
 		parts = append(parts, "faults")
 	}
-	if c.Scratch {
+	if d.NewScratch != nil {
 		parts = append(parts, "scratch")
 	}
 	if len(parts) == 0 {
@@ -35,7 +36,7 @@ func MarkdownTable() string {
 				aliases = strings.Join(d.Aliases, ", ")
 			}
 			fmt.Fprintf(&b, "| %s | `%s` | %s | %s | %s | %s |\n",
-				task, d.Name, aliases, capString(d.Caps), d.BudgetDoc, d.Summary)
+				task, d.Name, aliases, capString(d), d.BudgetDoc, d.Summary)
 		}
 	}
 	return b.String()

@@ -121,7 +121,11 @@ const (
 	TruncatedDecay Algorithm = "truncated-decay"
 )
 
-// Config re-exports the paper algorithm's tunable constants.
+// Config re-exports the settable parts of the paper's pipeline
+// (compete.Config): the curtailment scale, the HW16 comparison mode and
+// the ablations. The paper's exponents are fixed constants (DESIGN.md
+// §3). Only the CD17 algorithms (and HW16) take a non-zero Config; the
+// others reject one.
 type Config = compete.Config
 
 // Network wraps a topology with its (estimated) diameter, the two

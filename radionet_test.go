@@ -25,7 +25,7 @@ func checkCampaignPath(t *testing.T, net *Network, d *protocol.Descriptor, fault
 	want := campaign.RunTrial(&cfg, seed, 0)
 	var plan *FaultPlan
 	if !fs.None() {
-		plan = fs.TrialPlan(net.G, seed, d.ProtectedNodes(net.G, net.Diameter, seed, d.DefaultSources(), nil)...)
+		plan = fs.TrialPlan(net.G, seed, d.ProtectedNodes(net.G.N(), seed, d.DefaultSources())...)
 	}
 	var got Result
 	if d.Task == protocol.Broadcast {
@@ -134,7 +134,7 @@ func TestNetworkLeaderElectionFaults(t *testing.T) {
 	// Protect the would-be winner: derive it from the same candidate draw
 	// the election performs (compete.SampleCandidates is pure in the seed).
 	const seed = 5
-	cands, err := compete.SampleCandidates(net.G.N(), compete.LeaderConfig{}, seed)
+	cands, err := compete.SampleCandidates(net.G.N(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
