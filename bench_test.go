@@ -103,7 +103,7 @@ func BenchmarkPartitionDistributed(b *testing.B) {
 	g := Grid(12, 12)
 	for i := 0; i < b.N; i++ {
 		d := cluster.NewDistributed(g, 0.3, uint64(i))
-		if _, done := d.Run(); !done {
+		if !d.Run(0).Done {
 			b.Fatal("distributed partition incomplete")
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkPartitionDistributed(b *testing.B) {
 
 func BenchmarkDecayPhase(b *testing.B) {
 	g := Star(256)
-	bc := decay.NewBroadcast(g, decay.Config{}, 1, map[int]int64{0: 1})
+	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 1, map[int]int64{0: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bc.Engine.Step()

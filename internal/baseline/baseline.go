@@ -48,17 +48,6 @@ func TruncatedDecayLevels(n, d int) int {
 	return l
 }
 
-// LEResult reports a leader election run.
-type LEResult struct {
-	Rounds   int64
-	Done     bool
-	LeaderID int64 // the agreed ID (undefined if !Done)
-	Leader   int   // the elected node (-1 if !Done)
-	// Tx is the total engine transmission count, summed over every
-	// broadcast the election ran (binary-search runs one per ID bit).
-	Tx int64
-}
-
 // BinarySearchLE is the classical reduction [2]: a network-wide binary
 // search for the highest candidate ID, one multi-source broadcast per ID
 // bit. Each iteration asks "is there a candidate whose ID has the current
@@ -67,9 +56,14 @@ type LEResult struct {
 // bit. Total time O(T_BC · idBits).
 type BinarySearchLE struct {
 	g          *graph.Graph
+	d          int
 	seed       uint64
 	candidates map[int]int64
-	tbc        int64
+	tbc        int64 // the whp per-bit broadcast budget T_BC
+
+	// Run outcome.
+	leader   int
+	leaderID int64
 }
 
 // NewBinarySearchLE samples candidates exactly like Algorithm 6 (see
@@ -81,16 +75,32 @@ func NewBinarySearchLE(g *graph.Graph, d int, seed uint64) (*BinarySearchLE, err
 		return nil, err
 	}
 	l := int64(decay.Levels(g.N()))
-	return &BinarySearchLE{g: g, seed: seed, candidates: cands, tbc: 3 * (int64(d) + l) * l}, nil
+	return &BinarySearchLE{g: g, d: d, seed: seed, candidates: cands, tbc: 3 * (int64(d) + l) * l, leader: -1}, nil
 }
 
 // Candidates exposes the sampled candidate set.
 func (b *BinarySearchLE) Candidates() map[int]int64 { return b.candidates }
 
-// Run performs the binary search and returns the outcome. The reported
-// round count is the sum over iterations of the fixed T_BC budget, as in
-// the classical analysis (iterations are budget-bound, not adaptive).
-func (b *BinarySearchLE) Run() LEResult {
+// Leader returns the elected node once Done; -1 before completion.
+func (b *BinarySearchLE) Leader() int { return b.leader }
+
+// LeaderID returns the ID the search converged on (valid once Done).
+func (b *BinarySearchLE) LeaderID() int64 { return b.leaderID }
+
+// DefaultBudget implements protocol.Budgeted: the whp per-bit broadcast
+// budget T_BC times the ID-bit count.
+func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * idBits }
+
+// Run performs the binary search. Each bit's broadcast gets T_BC rounds;
+// an explicit budget > 0 is split evenly over the idBits broadcasts
+// instead, floored to one round per bit. The reported round count is the
+// sum over iterations of the per-bit budget, as in the classical analysis
+// (iterations are budget-bound, not adaptive).
+func (b *BinarySearchLE) Run(budget int64) protocol.Result {
+	tbc := b.tbc
+	if budget > 0 {
+		tbc = max(budget/idBits, 1)
+	}
 	prefix := int64(0)
 	var rounds, tx int64
 	for bit := idBits - 1; bit >= 0; bit-- {
@@ -103,28 +113,42 @@ func (b *BinarySearchLE) Run() LEResult {
 				sources[v] = 1
 			}
 		}
-		rounds += b.tbc
+		rounds += tbc
 		if len(sources) == 0 {
 			continue // silence everywhere; bit stays 0
 		}
-		bc := decay.NewBroadcast(b.g, decay.Config{}, b.seed+uint64(bit)+1, sources)
-		bc.Run(b.tbc)
-		tx += bc.Engine.Metrics.Transmissions
+		bc := decay.NewBroadcast(b.g, b.d, decay.Config{}, b.seed+uint64(bit)+1, sources)
+		tx += bc.Run(tbc).Tx
 		// In the model every node that heard anything learns the bit is 1.
 		// The oracle checks the source set was non-empty, which is what
 		// reception signals; nodes that heard nothing within T_BC would
 		// conclude 0 (a whp-correct conclusion given the budget).
 		prefix = probe
 	}
-	winner := prefix
-	leader := -1
-	//lint:ordered candidate IDs are unique, so at most one node matches winner
+	b.leaderID = prefix
+	//lint:ordered candidate IDs are unique, so at most one node matches the winner
 	for v, id := range b.candidates {
-		if id == winner {
-			leader = v
+		if id == prefix {
+			b.leader = v
 		}
 	}
-	return LEResult{Rounds: rounds, Done: leader >= 0, LeaderID: winner, Leader: leader, Tx: tx}
+	return protocol.Result{Rounds: rounds, Tx: tx, Done: b.leader >= 0, Verify: b.Verify}
+}
+
+// Verify checks that the binary search converged on the true maximum
+// candidate ID and that the elected node owns it.
+func (b *BinarySearchLE) Verify() error {
+	if b.leader < 0 {
+		return errors.New("baseline: election not complete")
+	}
+	_, max := protocol.MaxIDNode(b.candidates)
+	if b.leaderID != max {
+		return fmt.Errorf("baseline: binary search converged on %d, true max is %d", b.leaderID, max)
+	}
+	if b.candidates[b.leader] != max {
+		return fmt.Errorf("baseline: elected node %d does not own the winning ID", b.leader)
+	}
+	return nil
 }
 
 // MaxBroadcastLE elects a leader with a single multi-source max-propagating
@@ -133,6 +157,7 @@ type MaxBroadcastLE struct {
 	bc         *decay.Broadcast
 	candidates map[int]int64
 	budget     int64
+	done       bool
 }
 
 // NewMaxBroadcastLE samples candidates as in Algorithm 6 and prepares the
@@ -151,7 +176,7 @@ func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, plan *radio.FaultPlan
 	}
 	l := int64(decay.Levels(g.N()))
 	return &MaxBroadcastLE{
-		bc:         decay.NewBroadcast(g, decay.Config{Faults: plan}, seed, cands),
+		bc:         decay.NewBroadcast(g, d, decay.Config{Faults: plan}, seed, cands),
 		candidates: cands,
 		budget:     6 * (int64(d) + l) * l,
 	}, nil
@@ -160,14 +185,34 @@ func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, plan *radio.FaultPlan
 // Candidates exposes the sampled candidate set.
 func (m *MaxBroadcastLE) Candidates() map[int]int64 { return m.candidates }
 
-// Run executes the broadcast until all nodes agree on the maximum ID.
-func (m *MaxBroadcastLE) Run() LEResult {
-	rounds, done := m.bc.Run(m.budget)
-	res := LEResult{Rounds: rounds, Done: done, Leader: -1, Tx: m.bc.Engine.Metrics.Transmissions}
-	if !done {
-		return res
+// Leader returns the elected node, the maximum-ID candidate, once Done;
+// -1 before completion.
+func (m *MaxBroadcastLE) Leader() int {
+	if !m.done {
+		return -1
 	}
-	res.Leader, res.LeaderID = protocol.MaxIDNode(m.candidates)
+	v, _ := protocol.MaxIDNode(m.candidates)
+	return v
+}
+
+// LeaderID returns the maximum candidate ID, agreed on once Done.
+func (m *MaxBroadcastLE) LeaderID() int64 {
+	_, id := protocol.MaxIDNode(m.candidates)
+	return id
+}
+
+// DefaultBudget implements protocol.Budgeted.
+func (m *MaxBroadcastLE) DefaultBudget() int64 { return m.budget }
+
+// Run executes the broadcast until all nodes agree on the maximum ID or
+// budget rounds elapse (budget <= 0 selects DefaultBudget).
+func (m *MaxBroadcastLE) Run(budget int64) protocol.Result {
+	if budget <= 0 {
+		budget = m.budget
+	}
+	res := m.bc.Run(budget)
+	m.done = res.Done
+	res.Verify = m.Verify
 	return res
 }
 
@@ -176,6 +221,9 @@ func (m *MaxBroadcastLE) Run() LEResult {
 // candidate ID. It is an independent full scan, not a read of the
 // completion counter.
 func (m *MaxBroadcastLE) Verify() error {
+	if !m.done {
+		return errors.New("baseline: election not complete")
+	}
 	_, max := protocol.MaxIDNode(m.candidates)
 	counted := m.bc.Counted()
 	for v, got := range m.bc.Values() {
@@ -188,6 +236,13 @@ func (m *MaxBroadcastLE) Verify() error {
 	}
 	return nil
 }
+
+var (
+	_ protocol.LeaderRunner = (*BinarySearchLE)(nil)
+	_ protocol.Budgeted     = (*BinarySearchLE)(nil)
+	_ protocol.LeaderRunner = (*MaxBroadcastLE)(nil)
+	_ protocol.Budgeted     = (*MaxBroadcastLE)(nil)
+)
 
 // The Algorithm-6 candidate sampling constants shared by the leader
 // baselines and internal/ghle.

@@ -12,7 +12,7 @@ import (
 // truncated-decay descriptor does: the BGI protocol with Decay phases
 // truncated to TruncatedDecayLevels.
 func truncatedDecay(g *graph.Graph, d int, seed uint64, sources map[int]int64) *decay.Broadcast {
-	return decay.NewBroadcast(g, decay.Config{Levels: TruncatedDecayLevels(g.N(), d)}, seed, sources)
+	return decay.NewBroadcast(g, d, decay.Config{Levels: TruncatedDecayLevels(g.N(), d)}, seed, sources)
 }
 
 func TestTruncatedDecayLevels(t *testing.T) {
@@ -33,7 +33,7 @@ func TestTruncatedDecayCompletesOnLongDiameter(t *testing.T) {
 	// The surrogate's home turf: layers with few competitors.
 	g := graph.Path(200)
 	bc := truncatedDecay(g, 199, 3, map[int]int64{0: 5})
-	if _, done := bc.Run(1 << 20); !done {
+	if !bc.Run(1 << 20).Done {
 		t.Fatal("truncated decay broadcast did not finish on a path")
 	}
 }
@@ -41,7 +41,7 @@ func TestTruncatedDecayCompletesOnLongDiameter(t *testing.T) {
 func TestTruncatedDecayCompletesOnCliquePath(t *testing.T) {
 	g := graph.PathOfCliques(16, 8)
 	bc := truncatedDecay(g, g.Diameter(), 3, map[int]int64{0: 5})
-	if _, done := bc.Run(1 << 22); !done {
+	if !bc.Run(1 << 22).Done {
 		t.Fatal("truncated decay broadcast did not finish on clique path")
 	}
 }
@@ -90,8 +90,8 @@ func TestBinarySearchLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := le.Run()
-	if !res.Done || res.Leader < 0 {
+	res := le.Run(0)
+	if !res.Done || le.Leader() < 0 {
 		t.Fatalf("binary search failed: %+v", res)
 	}
 	// The winner must be the true max candidate ID.
@@ -101,8 +101,8 @@ func TestBinarySearchLE(t *testing.T) {
 			max = id
 		}
 	}
-	if res.LeaderID != max {
-		t.Fatalf("winner %d, true max %d", res.LeaderID, max)
+	if le.LeaderID() != max {
+		t.Fatalf("winner %d, true max %d", le.LeaderID(), max)
 	}
 	if res.Rounds != idBits*leTBC(g.N(), g.Diameter()) {
 		t.Fatalf("rounds %d not IDBits*T_BC", res.Rounds)
@@ -128,22 +128,22 @@ func TestMaxBroadcastLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := le.Run()
-	if !res.Done || res.Leader < 0 {
+	res := le.Run(0)
+	if !res.Done || le.Leader() < 0 {
 		t.Fatalf("max-broadcast LE failed: %+v", res)
 	}
-	if got := le.Candidates()[res.Leader]; got != res.LeaderID {
-		t.Fatalf("leader's ID %d != winner %d", got, res.LeaderID)
+	if got := le.Candidates()[le.Leader()]; got != le.LeaderID() {
+		t.Fatalf("leader's ID %d != winner %d", got, le.LeaderID())
 	}
 }
 
 func TestHW16Mode(t *testing.T) {
 	g := graph.Path(48)
-	b, err := compete.NewBroadcast(g, 47, compete.Config{CurtailLogLog: true}, 5, 0, 3)
+	b, err := compete.New(compete.NewPre(g, 47, compete.Config{CurtailLogLog: true}), 5, map[int]int64{0: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := b.Run(4 * b.Budget()); !done {
+	if !b.Run(4 * b.Budget()).Done {
 		t.Fatal("HW16-mode broadcast incomplete")
 	}
 }
@@ -160,8 +160,8 @@ func TestBinarySearchVsMaxBroadcastOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := bs.Run()
-	rm := mb.Run()
+	rb := bs.Run(0)
+	rm := mb.Run(0)
 	if !rb.Done || !rm.Done {
 		t.Fatalf("runs incomplete: %+v %+v", rb, rm)
 	}

@@ -8,10 +8,8 @@ import (
 )
 
 // This file registers the prior-work baselines: the truncated-Decay
-// broadcast surrogate and the two leader-election reductions. The runners
-// reproduce the historical campaign semantics bit for bit, with one
-// deliberate fix: both leader baselines now surface their engine
-// transmission counts through protocol.Result.Tx (they used to report 0).
+// broadcast surrogate and the two leader-election reductions; Build
+// returns the protocol type itself as the runner.
 
 func init() {
 	protocol.Register(protocol.Descriptor{
@@ -47,7 +45,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &binarySearchRunner{le: le}, nil
+			return le, nil
 		},
 	})
 	protocol.Register(protocol.Descriptor{
@@ -69,7 +67,7 @@ func init() {
 				return nil, err
 			}
 			p.ApplyEngine(m.bc.Engine)
-			return &maxBroadcastRunner{m: m}, nil
+			return m, nil
 		},
 	})
 }
@@ -86,101 +84,3 @@ func protectMaxCandidate(n int, seed uint64) []int {
 	w, _ := protocol.MaxIDNode(cands)
 	return []int{w}
 }
-
-// binarySearchRunner adapts BinarySearchLE. The whole-run budget maps to
-// the per-iteration broadcast budget tbc = budget/idBits, floored to one
-// round per bit — the exact mapping the campaign used to hardcode.
-type binarySearchRunner struct {
-	le  *BinarySearchLE
-	res LEResult
-}
-
-// DefaultBudget implements protocol.Budgeted: the whp per-bit broadcast
-// budget times the ID-bit count (what Run(0) executes at most).
-func (r *binarySearchRunner) DefaultBudget() int64 {
-	return r.le.tbc * idBits
-}
-
-func (r *binarySearchRunner) Run(budget int64) protocol.Result {
-	if budget > 0 {
-		tbc := budget / idBits
-		if tbc < 1 {
-			tbc = 1
-		}
-		r.le.tbc = tbc
-	}
-	r.res = r.le.Run()
-	return protocol.Result{
-		Rounds: r.res.Rounds,
-		Tx:     r.res.Tx,
-		Done:   r.res.Done,
-		Verify: r.verify,
-	}
-}
-
-// verify checks that the binary search converged on the true maximum
-// candidate ID and that the elected node owns it.
-func (r *binarySearchRunner) verify() error {
-	if !r.res.Done {
-		return fmt.Errorf("baseline: election not complete")
-	}
-	_, max := protocol.MaxIDNode(r.le.candidates)
-	if r.res.LeaderID != max {
-		return fmt.Errorf("baseline: binary search converged on %d, true max is %d", r.res.LeaderID, max)
-	}
-	if r.le.candidates[r.res.Leader] != max {
-		return fmt.Errorf("baseline: elected node %d does not own the winning ID", r.res.Leader)
-	}
-	return nil
-}
-
-func (r *binarySearchRunner) Leader() int {
-	if !r.res.Done {
-		return -1
-	}
-	return r.res.Leader
-}
-func (r *binarySearchRunner) LeaderID() int64           { return r.res.LeaderID }
-func (r *binarySearchRunner) Candidates() map[int]int64 { return r.le.Candidates() }
-
-// maxBroadcastRunner adapts MaxBroadcastLE. An explicit Run budget
-// overrides the constructor's default, matching the budget the campaign
-// used to pass into the constructor directly.
-type maxBroadcastRunner struct {
-	m   *MaxBroadcastLE
-	res LEResult
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r *maxBroadcastRunner) DefaultBudget() int64 { return r.m.budget }
-
-func (r *maxBroadcastRunner) Run(budget int64) protocol.Result {
-	if budget > 0 {
-		r.m.budget = budget
-	}
-	r.res = r.m.Run()
-	return protocol.Result{
-		Rounds:      r.res.Rounds,
-		Tx:          r.res.Tx,
-		Done:        r.res.Done,
-		Reached:     r.m.bc.Reached(),
-		ReachTarget: r.m.bc.ReachTarget(),
-		Verify:      r.verify,
-	}
-}
-
-func (r *maxBroadcastRunner) verify() error {
-	if !r.res.Done {
-		return fmt.Errorf("baseline: election not complete")
-	}
-	return r.m.Verify()
-}
-
-func (r *maxBroadcastRunner) Leader() int {
-	if !r.res.Done {
-		return -1
-	}
-	return r.res.Leader
-}
-func (r *maxBroadcastRunner) LeaderID() int64           { return r.res.LeaderID }
-func (r *maxBroadcastRunner) Candidates() map[int]int64 { return r.m.Candidates() }

@@ -355,17 +355,24 @@ func (r *Result) Validate() error {
 	return nil
 }
 
-// JRange returns the paper's range of the random exponent j for fine
-// clusterings: j uniform in [loFrac·log2 D, hiFrac·log2 D] (Theorem 2.2
-// uses 0.01 and 0.1). The range is clamped so that at least one valid j
-// exists (j >= 1) even at laptop-scale diameters where 0.01·log D < 1.
-func JRange(d int, loFrac, hiFrac float64) (jmin, jmax int) {
+// fineLoFrac and fineHiFrac bound the random fine exponent j of the
+// Compete pipeline's fine clusterings: j ∈ [lo·log2 D, hi·log2 D]
+// [paper 0.01 and 0.1 (Theorem 2.2); used 0.25 and 0.75, DESIGN.md §3].
+const (
+	fineLoFrac = 0.25
+	fineHiFrac = 0.75
+)
+
+// JRange returns the range of the random exponent j for fine clusterings:
+// j uniform in [fineLoFrac·log2 D, fineHiFrac·log2 D], clamped so that at
+// least one valid j exists (j >= 1) at small diameters.
+func JRange(d int) (jmin, jmax int) {
 	if d < 2 {
 		return 1, 1
 	}
 	logD := math.Log2(float64(d))
-	jmin = int(math.Floor(loFrac * logD))
-	jmax = int(math.Ceil(hiFrac * logD))
+	jmin = int(math.Floor(fineLoFrac * logD))
+	jmax = int(math.Ceil(fineHiFrac * logD))
 	if jmin < 1 {
 		jmin = 1
 	}

@@ -241,20 +241,16 @@ func TestClustersPartitionNodes(t *testing.T) {
 
 func TestJRange(t *testing.T) {
 	tests := []struct {
-		d          int
-		lo, hi     float64
-		wantMin    int
-		wantMaxGte int
+		d                int
+		wantMin, wantMax int
 	}{
-		{1, 0.01, 0.1, 1, 1},
-		{1024, 0.01, 0.1, 1, 1},
-		{1024, 0.25, 0.75, 2, 7},
-		{1 << 20, 0.01, 0.1, 1, 2},
+		{1, 1, 1},
+		{1024, 2, 8},
+		{1 << 20, 5, 15},
 	}
 	for _, tc := range tests {
-		jmin, jmax := JRange(tc.d, tc.lo, tc.hi)
-		if jmin != tc.wantMin || jmax < tc.wantMaxGte || jmax < jmin {
-			t.Errorf("JRange(%d,%v,%v) = (%d,%d)", tc.d, tc.lo, tc.hi, jmin, jmax)
+		if jmin, jmax := JRange(tc.d); jmin != tc.wantMin || jmax != tc.wantMax {
+			t.Errorf("JRange(%d) = (%d,%d), want (%d,%d)", tc.d, jmin, jmax, tc.wantMin, tc.wantMax)
 		}
 	}
 }
@@ -285,7 +281,7 @@ func TestTheorem22Empirical(t *testing.T) {
 	n := float64(g.N())
 	logD := math.Log2(float64(d))
 	v := 256
-	jmin, jmax := JRange(d, 0.25, 0.75)
+	jmin, jmax := JRange(d)
 	goodJ := 0
 	for j := jmin; j <= jmax; j++ {
 		beta := math.Pow(2, -float64(j))
@@ -317,15 +313,14 @@ func TestDistributedPartition(t *testing.T) {
 	}
 	for _, g := range graphs {
 		d := NewDistributed(g, 0.25, 42)
-		rounds, done := d.Run()
-		if !done {
-			t.Fatalf("%v: distributed partition incomplete after %d rounds", g, rounds)
+		run := d.Run(0)
+		if !run.Done {
+			t.Fatalf("%v: distributed partition incomplete after %d rounds", g, run.Rounds)
 		}
-		if rounds > d.MaxPhases*d.PhaseLen {
+		if run.Rounds > d.MaxPhases*d.PhaseLen {
 			t.Fatalf("%v: exceeded phase budget", g)
 		}
-		res := d.Result()
-		if err := res.Validate(); err != nil {
+		if err := d.Result().Validate(); err != nil {
 			t.Fatalf("%v: invalid distributed partition: %v", g, err)
 		}
 	}
@@ -339,7 +334,7 @@ func TestDistributedMatchesCentralizedScale(t *testing.T) {
 	beta := 0.3
 	c := Partition(g, beta, rng.New(1))
 	d := NewDistributed(g, beta, 1)
-	if _, done := d.Run(); !done {
+	if !d.Run(0).Done {
 		t.Fatal("distributed run incomplete")
 	}
 	res := d.Result()

@@ -5,6 +5,7 @@ import (
 
 	"radionet/internal/decay"
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
@@ -19,12 +20,8 @@ const echoPhases = 2
 
 // distNode is the per-node state of the distributed protocol.
 type distNode struct {
-	id        int32
-	levels    int // decay phase length
-	phaseLen  int64
+	rnd       rng.Rand // embedded: nodes live in one contiguous slice
 	wakePhase int64
-	rnd       *rng.Rand
-	prog      *radio.Progress // assigned-node counter (shared)
 
 	center      int32
 	dist        int32
@@ -32,49 +29,10 @@ type distNode struct {
 	joinedPhase int64
 }
 
-func (d *distNode) assigned() bool { return d.center >= 0 }
+func (nd *distNode) assigned() bool { return nd.center >= 0 }
 
-func (d *distNode) Act(t int64) radio.Action {
-	phase := t / d.phaseLen
-	if !d.assigned() && phase >= d.wakePhase {
-		// Own candidacy: become a center. (If a wave had reached this node
-		// in an earlier phase it would already be assigned.)
-		d.center = d.id
-		d.dist = 0
-		d.parent = -1
-		d.joinedPhase = phase
-		d.prog.Add(1)
-	}
-	if !d.assigned() {
-		return radio.Listen
-	}
-	// Announce during the echo window after joining.
-	if phase > d.joinedPhase && phase <= d.joinedPhase+echoPhases {
-		step := int(t % int64(d.levels))
-		if d.rnd.Bernoulli(decay.Prob(step)) {
-			return radio.Transmit(radio.Message{
-				Kind: KindCluster,
-				A:    int64(d.center),
-				B:    int64(d.dist),
-			})
-		}
-	}
-	return radio.Listen
-}
-
-func (d *distNode) Recv(t int64, msg *radio.Message) {
-	if msg.Kind != KindCluster || d.assigned() {
-		return
-	}
-	phase := t / d.phaseLen
-	d.center = int32(msg.A)
-	d.dist = int32(msg.B) + 1
-	d.parent = msg.Src
-	d.joinedPhase = phase
-	d.prog.Add(1) // guarded by !assigned above: counted exactly once
-}
-
-// Distributed is a running distributed Partition(β) instance.
+// Distributed is a running distributed Partition(β) instance: a
+// radio.Protocol over the per-node states, one slice indexed by node id.
 type Distributed struct {
 	Engine *radio.Engine
 	// MaxPhases bounds the number of expansion phases needed: every node
@@ -83,11 +41,12 @@ type Distributed struct {
 	MaxPhases int64
 	PhaseLen  int64
 
-	g     *graph.Graph
-	beta  float64
-	nodes []*distNode
-	delta []float64
-	prog  radio.Progress // assigned-node counter shared with the nodes
+	g      *graph.Graph
+	beta   float64
+	levels int // Decay phase length
+	nodes  []distNode
+	delta  []float64
+	prog   radio.Progress // assigned-node counter
 }
 
 // NewDistributed builds the distributed Partition(β) protocol on g for
@@ -111,32 +70,73 @@ func NewDistributed(g *graph.Graph, beta float64, seed uint64) *Distributed {
 		PhaseLen:  phaseLen,
 		g:         g,
 		beta:      beta,
-		nodes:     make([]*distNode, n),
+		levels:    levels,
+		nodes:     make([]distNode, n),
 		delta:     make([]float64, n),
 	}
 	dist.prog = *radio.NewProgress(int64(n))
-	rn := make([]radio.Node, n)
-	for v := 0; v < n; v++ {
+	for v := range dist.nodes {
 		r := master.Fork(uint64(v))
 		dv := int64(math.Floor(r.Exp(beta)))
 		if dv > cap64 {
 			dv = cap64
 		}
 		dist.delta[v] = float64(dv)
-		dist.nodes[v] = &distNode{
-			id:        int32(v),
-			levels:    levels,
-			phaseLen:  phaseLen,
+		dist.nodes[v] = distNode{
+			rnd:       *r.Fork(1),
 			wakePhase: cap64 - dv,
-			rnd:       r.Fork(1),
-			prog:      &dist.prog,
 			center:    -1,
 			parent:    -1,
 		}
-		rn[v] = dist.nodes[v]
 	}
-	dist.Engine = radio.NewNodeEngine(g, rn)
+	dist.Engine = radio.NewEngine(g, dist)
 	return dist
+}
+
+// ActBulk implements radio.Protocol: the round's phase and Decay step
+// once, then one pass over the nodes in ascending id order. A node whose
+// wake phase has come and that no wave reached becomes a center; a node
+// announces its cluster with Decay coins during the echoPhases phases
+// after it joined.
+//
+//radionet:hotpath
+func (d *Distributed) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+	phase := t / d.PhaseLen
+	p := decay.Prob(int(t % int64(d.levels)))
+	for i := range d.nodes {
+		nd := &d.nodes[i]
+		if !nd.assigned() {
+			if phase < nd.wakePhase {
+				continue
+			}
+			// Own candidacy: become a center. (If a wave had reached this
+			// node in an earlier phase it would already be assigned.)
+			nd.center, nd.dist, nd.parent, nd.joinedPhase = int32(i), 0, -1, phase
+			d.prog.Add(1)
+		}
+		if phase > nd.joinedPhase && phase <= nd.joinedPhase+echoPhases && nd.rnd.Bernoulli(p) {
+			tx = append(tx, int32(i))
+			msgs = append(msgs, radio.Message{Kind: KindCluster, A: int64(nd.center), B: int64(nd.dist)})
+		}
+	}
+	return tx, msgs
+}
+
+// RecvBulk implements radio.Protocol: an unassigned listener joins the
+// cluster of the wave it heard, one hop further from the center.
+//
+//radionet:hotpath
+func (d *Distributed) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
+	phase := t / d.PhaseLen
+	for k, v := range listeners {
+		nd := &d.nodes[v]
+		msg := &msgs[msgIdx[k]]
+		if msg.Kind != KindCluster || nd.assigned() {
+			continue
+		}
+		nd.center, nd.dist, nd.parent, nd.joinedPhase = int32(msg.A), int32(msg.B)+1, msg.Src, phase
+		d.prog.Add(1) // guarded by !assigned above: counted exactly once
+	}
 }
 
 // Done reports whether every node has been assigned to a cluster. O(1):
@@ -144,11 +144,25 @@ func NewDistributed(g *graph.Graph, beta float64, seed uint64) *Distributed {
 // shared radio.Progress as it happens.
 func (d *Distributed) Done() bool { return d.prog.Done() }
 
-// Run executes the protocol to completion (or the phase bound) and returns
-// the number of rounds used and whether all nodes were assigned.
-func (d *Distributed) Run() (int64, bool) {
-	budget := d.MaxPhases * d.PhaseLen
-	return d.Engine.RunUntil(budget, &d.prog)
+// DefaultBudget implements protocol.Budgeted: MaxPhases·PhaseLen, the
+// phase bound.
+func (d *Distributed) DefaultBudget() int64 { return d.MaxPhases * d.PhaseLen }
+
+// Run executes the protocol until every node is assigned or budget
+// rounds elapse; budget <= 0, or one above the phase bound, selects
+// DefaultBudget.
+func (d *Distributed) Run(budget int64) protocol.Result {
+	if def := d.DefaultBudget(); budget <= 0 || budget > def {
+		budget = def
+	}
+	rounds, done := d.Engine.RunUntil(budget, &d.prog)
+	return protocol.Result{
+		Rounds:      rounds,
+		Tx:          d.Engine.Metrics.Transmissions,
+		Done:        done,
+		Reached:     int(d.prog.Count()),
+		ReachTarget: int(d.prog.Target()),
+	}
 }
 
 // Result converts the protocol outcome into a Result. Call after Run.
@@ -169,3 +183,8 @@ func (d *Distributed) Result() *Result {
 	}
 	return res
 }
+
+var (
+	_ radio.Protocol    = (*Distributed)(nil)
+	_ protocol.Budgeted = (*Distributed)(nil)
+)

@@ -31,29 +31,7 @@ func init() {
 			}
 			dp := NewDistributed(p.G, math.Pow(float64(max(p.D, 1)), -0.5), p.Seed)
 			p.ApplyEngine(dp.Engine)
-			return partitionRunner{d: dp}, nil
+			return dp, nil
 		},
 	})
-}
-
-type partitionRunner struct {
-	d *Distributed
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r partitionRunner) DefaultBudget() int64 { return r.d.MaxPhases * r.d.PhaseLen }
-
-func (r partitionRunner) Run(budget int64) protocol.Result {
-	def := r.d.MaxPhases * r.d.PhaseLen
-	if budget <= 0 || budget > def {
-		budget = def
-	}
-	rounds, done := r.d.Engine.RunUntil(budget, &r.d.prog)
-	return protocol.Result{
-		Rounds:      rounds,
-		Tx:          r.d.Engine.Metrics.Transmissions,
-		Done:        done,
-		Reached:     int(r.d.prog.Count()),
-		ReachTarget: int(r.d.prog.Target()),
-	}
 }

@@ -25,14 +25,14 @@ func benchCompete(b *testing.B, g *graph.Graph, hw16, ref bool) {
 	d := g.DiameterEstimate()
 	pre := NewPre(g, d, Config{CurtailLogLog: hw16})
 	benchRuns(b, func() (*Compete, error) {
-		bc, err := NewBroadcastPre(pre, 1, 0, 9)
+		c, err := New(pre, 1, map[int]int64{0: 9}, nil)
 		if err != nil {
 			return nil, err
 		}
 		if ref {
-			return perNode(bc.Compete, nil), nil
+			return perNode(c, nil), nil
 		}
-		return bc.Compete, nil
+		return c, nil
 	})
 }
 
@@ -48,9 +48,9 @@ func benchRuns(b *testing.B, build func() (*Compete, error)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var done bool
-		rounds, done = c.Run(8 * c.Budget())
-		if !done {
+		res := c.Run(0)
+		rounds = res.Rounds
+		if !res.Done {
 			b.Fatal("run incomplete")
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkCD17LeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
 	benchRuns(b, func() (*Compete, error) {
-		le, err := NewLeaderElectionPre(pre, 1)
+		le, err := NewLeaderElection(pre, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -129,17 +129,17 @@ func benchBuild[T any](b *testing.B, build func() (T, error)) {
 func BenchmarkCD17BuildLeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElectionPre(pre, 1) })
+	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElection(pre, 1, nil) })
 }
 
 func BenchmarkCD17BuildGeo10k(b *testing.B) {
 	g := graph.RandomGeometric(10_000, 0.03, rng.New(3))
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*Broadcast, error) { return NewBroadcastPre(pre, 1, 0, 9) })
+	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}, nil) })
 }
 
 func BenchmarkCD17BuildGnpDense4096(b *testing.B) {
 	g := graph.Gnp(4096, 0.05, rng.New(5))
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*Broadcast, error) { return NewBroadcastPre(pre, 1, 0, 9) })
+	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}, nil) })
 }

@@ -175,14 +175,14 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				sources = map[int]int64{0: 5, g.N() / 2: 9, g.N() - 1: 2}
 			}
 			// The FixedJ ablation needs a valid exponent for this d.
-			jmin, _ := cluster.JRange(d, 0.25, 0.75)
+			jmin, _ := cluster.JRange(d)
 			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}})
 			for _, vr := range vars {
-				bc, err := New(g, d, vr.cfg, seed, sources)
+				bc, err := New(NewPre(g, d, vr.cfg), seed, sources, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc, err := New(g, d, vr.cfg, seed, sources)
+				rc, err := New(NewPre(g, d, vr.cfg), seed, sources, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 // TestBulkLeaderMatchesPerNodeRoundForRound is the same oracle for leader
 // election (Algorithm 6): many candidates with distinct IDs, so values
 // keep rising and the inward sub-phase's better gate is busy. The bulk
-// path and a perNode reference built by NewLeaderElectionPre from the
+// path and a perNode reference built by NewLeaderElection from the
 // same seed must agree round for round, and the bulk run must elect a
 // leader.
 func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
@@ -224,15 +224,15 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 		for _, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
 			for _, vr := range variants {
-				bl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), seed)
+				bl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rl, err := NewLeaderElectionPre(NewPre(g, d, vr.cfg), seed)
+				rl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates))
+				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates()))
 				lockstep(t, label, bl.Compete, perNode(rl.Compete, nil), 8*bl.Budget())
 				if vr.name == "default" {
 					if err := bl.Verify(); err != nil {
@@ -257,8 +257,9 @@ func TestSharedPreIsBitIdentical(t *testing.T) {
 		m      radio.Metrics
 		values []int64
 	}
-	run := func(b *Broadcast) outcome {
-		rounds, done := b.Run(0)
+	run := func(b *Compete) outcome {
+		res := b.Run(b.Budget())
+		rounds, done := res.Rounds, res.Done
 		if !done {
 			t.Error("broadcast incomplete")
 		}
@@ -267,7 +268,7 @@ func TestSharedPreIsBitIdentical(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
 	want := make([]outcome, len(seeds))
 	for i, seed := range seeds {
-		b, err := NewBroadcast(g, d, Config{}, seed, 0, 9)
+		b, err := New(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +282,7 @@ func TestSharedPreIsBitIdentical(t *testing.T) {
 		for i, seed := range seeds {
 			go func(i int, seed uint64) {
 				defer func() { done <- i }()
-				b, err := NewBroadcastPre(pre, seed, 0, 9)
+				b, err := New(pre, seed, map[int]int64{0: 9}, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -47,6 +47,7 @@ import (
 	"radionet/internal/cluster"
 	"radionet/internal/decay"
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
 	"radionet/internal/schedule"
@@ -95,10 +96,6 @@ type Config struct {
 const (
 	// coarseBetaExp sets the coarse clustering parameter β = D^-x [0.5; 0.5].
 	coarseBetaExp = 0.5
-	// FineLoFrac and FineHiFrac bound the random fine exponent j:
-	// j ∈ [lo·log2 D, hi·log2 D] (cluster.JRange) [0.01 and 0.1; 0.25, 0.75].
-	FineLoFrac = 0.25
-	FineHiFrac = 0.75
 	// bgBetaExp sets the background process clustering β = D^-x [0.1; 0.3,
 	// so background clusters are non-trivial at small D].
 	bgBetaExp = 0.3
@@ -196,30 +193,20 @@ const (
 	numLanes     = 4
 )
 
-// New builds a Compete(S) instance on g with diameter d. sources maps
-// source nodes to their (non-negative) messages. All randomness — shifts,
-// schedules, sequences, transmission coins — derives from seed.
-func New(g *graph.Graph, d int, cfg Config, seed uint64, sources map[int]int64) (*Compete, error) {
-	return NewWithPre(NewPre(g, d, cfg), seed, sources)
-}
-
-// NewWithPre is New with the seed-independent precomputation geometry
-// supplied externally: pre must come from NewPre with the same graph,
-// diameter and config. Construction consumes exactly the same randomness
-// as New, so trials sharing one Pre (the campaign per-config convention)
-// remain bit-identical to independently constructed instances.
-func NewWithPre(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) {
-	return NewWithPreFaults(pre, seed, sources, nil)
-}
-
-// NewWithPreFaults is NewWithPre with a fault scenario installed.
-// Completion becomes survivor-scoped: the Progress target is the set of
-// nodes reachable from the (surviving) sources in the survivor graph, so
+// New builds a Compete(S) instance from the seed-independent
+// precomputation pre (NewPre). sources maps source nodes to their
+// (non-negative) messages. All randomness — shifts, schedules, sequences,
+// transmission coins — derives from seed, so instances sharing one Pre
+// (the campaign per-config convention) are bit-identical to instances
+// built from their own.
+//
+// plan, if non-nil, is a fault scenario installed as the engine-side
+// overlay (radio.FaultPlan), which keeps the bulk-path speed. Completion
+// becomes survivor-scoped: the Progress target is the set of nodes
+// reachable from the (surviving) sources in the survivor graph, so
 // Done/Run keep their meaning when crashed nodes can never learn the
-// message. The plan is installed as the engine-side overlay
-// (radio.FaultPlan), which keeps the bulk-path speed. A plan is
-// single-use — build one per constructed instance.
-func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
+// message. A plan is single-use — build one per constructed instance.
+func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
 	g, d, cfg := pre.g, pre.d, pre.cfg
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -416,9 +403,9 @@ func (c *Compete) Values() []int64 {
 	return append([]int64(nil), c.globalMax...)
 }
 
-// Budget returns a generous default round budget for Run, derived from
-// Theorem 4.1's O(D·log n/log D + |S|·D^0.125 + polylog n) with the
-// implementation's constants.
+// Budget returns Theorem 4.1's O(D·log n/log D + |S|·D^0.125 + polylog n)
+// round bound with the implementation's constants; DefaultBudget is 8×
+// this.
 func (c *Compete) Budget() int64 {
 	maxSlot := int64(0)
 	sumSlot := int64(0)
@@ -443,12 +430,24 @@ func (c *Compete) Budget() int64 {
 	return numLanes * (slots*avgSlot + 8*maxSlot + polylog + srcTerm)
 }
 
+// DefaultBudget is the budget Run applies when given budget <= 0:
+// 8×Budget(), the whp-sufficient policy every Compete descriptor
+// documents.
+func (c *Compete) DefaultBudget() int64 { return 8 * c.Budget() }
+
 // Run executes the propagation phase until all nodes know the highest
-// message or maxRounds elapse (pass 0 to use Budget()). It returns the
-// rounds consumed in this call and whether Compete completed.
-func (c *Compete) Run(maxRounds int64) (int64, bool) {
-	if maxRounds <= 0 {
-		maxRounds = c.Budget()
+// message or budget rounds elapse (budget <= 0 selects DefaultBudget).
+func (c *Compete) Run(budget int64) protocol.Result {
+	if budget <= 0 {
+		budget = c.DefaultBudget()
 	}
-	return c.Engine.RunUntil(maxRounds, &c.prog)
+	rounds, done := c.Engine.RunUntil(budget, &c.prog)
+	return protocol.Result{
+		Rounds:      rounds,
+		Tx:          c.Engine.Metrics.Transmissions,
+		Done:        done,
+		Reached:     c.Reached(),
+		ReachTarget: c.ReachTarget(),
+		Precompute:  c.PrecomputeRounds,
+	}
 }

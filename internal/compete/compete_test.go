@@ -9,17 +9,17 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	g := graph.Path(10)
-	if _, err := New(g, 9, Config{}, 1, nil); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, nil, nil); err == nil {
 		t.Fatal("empty source set accepted")
 	}
-	if _, err := New(g, 9, Config{}, 1, map[int]int64{0: -5}); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{0: -5}, nil); err == nil {
 		t.Fatal("negative message accepted")
 	}
-	if _, err := New(g, 9, Config{}, 1, map[int]int64{20: 1}); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{20: 1}, nil); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 	empty := graph.NewBuilder("e", 0).Build()
-	if _, err := New(empty, 1, Config{}, 1, map[int]int64{0: 1}); err == nil {
+	if _, err := New(NewPre(empty, 1, Config{}), 1, map[int]int64{0: 1}, nil); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -39,11 +39,12 @@ func TestBroadcastSmallFamilies(t *testing.T) {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
 			d := g.Diameter()
-			b, err := NewBroadcast(g, d, Config{}, 11, 0, 7)
+			b, err := New(NewPre(g, d, Config{}), 11, map[int]int64{0: 7}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds, done := b.Run(0)
+			res := b.Run(b.Budget())
+			rounds, done := res.Rounds, res.Done
 			if !done {
 				t.Fatalf("broadcast incomplete after %d rounds (budget %d): %d/%d informed",
 					rounds, b.Budget(), b.Reached(), g.N())
@@ -60,13 +61,13 @@ func TestBroadcastSmallFamilies(t *testing.T) {
 func TestBroadcastDeterministic(t *testing.T) {
 	g := graph.PathOfCliques(6, 4)
 	d := g.Diameter()
-	b1, err := NewBroadcast(g, d, Config{}, 99, 0, 3)
+	b1, err := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _ := NewBroadcast(g, d, Config{}, 99, 0, 3)
-	r1, _ := b1.Run(0)
-	r2, _ := b2.Run(0)
+	b2, _ := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3}, nil)
+	r1 := b1.Run(b1.Budget()).Rounds
+	r2 := b2.Run(b2.Budget()).Rounds
 	if r1 != r2 {
 		t.Fatalf("same seed, different rounds: %d vs %d", r1, r2)
 	}
@@ -76,14 +77,15 @@ func TestCompeteMultiSource(t *testing.T) {
 	g := graph.Grid(8, 8)
 	d := g.Diameter()
 	sources := map[int]int64{0: 10, 63: 99, 32: 55}
-	c, err := New(g, d, Config{}, 5, sources)
+	c, err := New(NewPre(g, d, Config{}), 5, sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.TrueMax() != 99 {
 		t.Fatalf("TrueMax = %d", c.TrueMax())
 	}
-	rounds, done := c.Run(0)
+	res := c.Run(c.Budget())
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("compete incomplete after %d rounds: %d/%d", rounds, c.Reached(), g.N())
 	}
@@ -91,18 +93,18 @@ func TestCompeteMultiSource(t *testing.T) {
 
 func TestCompeteSingleNode(t *testing.T) {
 	g := graph.Path(1)
-	c, err := New(g, 1, Config{}, 1, map[int]int64{0: 4})
+	c, err := New(NewPre(g, 1, Config{}), 1, map[int]int64{0: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := c.Run(16); !done {
+	if !c.Run(16).Done {
 		t.Fatal("singleton network should be done immediately")
 	}
 }
 
 func TestPrecomputeChargePositive(t *testing.T) {
 	g := graph.Path(64)
-	c, err := New(g, 63, Config{}, 1, map[int]int64{0: 1})
+	c, err := New(NewPre(g, 63, Config{}), 1, map[int]int64{0: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,25 +117,25 @@ func TestFixedJAblation(t *testing.T) {
 	g := graph.Path(60)
 	d := g.Diameter()
 	// FixedJ outside the valid range must be rejected.
-	if _, err := New(g, d, Config{FixedJ: 99}, 1, map[int]int64{0: 1}); err == nil {
+	if _, err := New(NewPre(g, d, Config{FixedJ: 99}), 1, map[int]int64{0: 1}, nil); err == nil {
 		t.Fatal("absurd FixedJ accepted")
 	}
-	c, err := New(g, d, Config{FixedJ: 2}, 1, map[int]int64{0: 1})
+	c, err := New(NewPre(g, d, Config{FixedJ: 2}), 1, map[int]int64{0: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := c.Run(4 * c.Budget()); !done {
+	if !c.Run(4 * c.Budget()).Done {
 		t.Fatal("FixedJ run incomplete")
 	}
 }
 
 func TestDisableCurtailStillCompletes(t *testing.T) {
 	g := graph.Path(40)
-	c, err := New(g, 39, Config{DisableCurtail: true}, 3, map[int]int64{0: 1})
+	c, err := New(NewPre(g, 39, Config{DisableCurtail: true}), 3, map[int]int64{0: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := c.Run(8 * c.Budget()); !done {
+	if !c.Run(8 * c.Budget()).Done {
 		t.Fatal("uncurtailed run incomplete")
 	}
 }
@@ -143,11 +145,11 @@ func TestDisableBackgroundStillCompletesViaMain(t *testing.T) {
 	// a small graph (coarse boundaries are rare at this scale); this is
 	// the F6 ablation's sanity leg.
 	g := graph.Path(40)
-	c, err := New(g, 39, Config{DisableBackground: true}, 3, map[int]int64{0: 1})
+	c, err := New(NewPre(g, 39, Config{DisableBackground: true}), 3, map[int]int64{0: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := c.Run(8 * c.Budget()); !done {
+	if !c.Run(8 * c.Budget()).Done {
 		t.Skip("main process alone did not finish at this budget (expected on unlucky seeds)")
 	}
 }
@@ -163,14 +165,15 @@ func TestLeaderElectionFamilies(t *testing.T) {
 	for _, g := range cases {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
-			le, err := NewLeaderElection(g, g.Diameter(), Config{}, 2024)
+			le, err := NewLeaderElection(NewPre(g, g.Diameter(), Config{}), 2024, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(le.Candidates) == 0 {
+			if len(le.Candidates()) == 0 {
 				t.Fatal("no candidates sampled")
 			}
-			rounds, done := le.Run(0)
+			res := le.Run(le.Budget())
+			rounds, done := res.Rounds, res.Done
 			if !done {
 				t.Fatalf("election incomplete after %d rounds", rounds)
 			}
@@ -186,7 +189,7 @@ func TestLeaderElectionFamilies(t *testing.T) {
 
 func TestLeaderBeforeCompletion(t *testing.T) {
 	g := graph.Path(30)
-	le, err := NewLeaderElection(g, 29, Config{}, 5)
+	le, err := NewLeaderElection(NewPre(g, 29, Config{}), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +202,8 @@ func TestLeaderBeforeCompletion(t *testing.T) {
 }
 
 func TestBudgetScalesWithDiameter(t *testing.T) {
-	small, _ := New(graph.Path(32), 31, Config{}, 1, map[int]int64{0: 1})
-	large, _ := New(graph.Path(128), 127, Config{}, 1, map[int]int64{0: 1})
+	small, _ := New(NewPre(graph.Path(32), 31, Config{}), 1, map[int]int64{0: 1}, nil)
+	large, _ := New(NewPre(graph.Path(128), 127, Config{}), 1, map[int]int64{0: 1}, nil)
 	if large.Budget() <= small.Budget() {
 		t.Fatalf("budget not increasing with D: %d vs %d", small.Budget(), large.Budget())
 	}
@@ -208,7 +211,7 @@ func TestBudgetScalesWithDiameter(t *testing.T) {
 
 func TestValuesMonotone(t *testing.T) {
 	g := graph.Path(30)
-	c, err := New(g, 29, Config{}, 9, map[int]int64{0: 42})
+	c, err := New(NewPre(g, 29, Config{}), 9, map[int]int64{0: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

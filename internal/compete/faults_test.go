@@ -46,12 +46,12 @@ func TestCompeteFaultOverlayMatchesReference(t *testing.T) {
 		d := g.Diameter()
 		n := g.N()
 		const seed = 31
-		bulk, err := NewWithPreFaults(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
+		bulk, err := New(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		logA := record(bulk.Engine)
-		ref, err := NewWithPreFaults(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
+		ref, err := New(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, competeTestPlan(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,17 +120,18 @@ func TestFaultedBroadcastTerminatesBothPaths(t *testing.T) {
 		return p
 	}
 
-	bulk, err := NewWithPreFaults(NewPre(g, d, Config{}), 13, map[int]int64{0: 9}, mkPlan())
+	bulk, err := New(NewPre(g, d, Config{}), 13, map[int]int64{0: 9}, mkPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewWithPreFaults(NewPre(g, d, Config{}), 13, map[int]int64{0: 9}, mkPlan())
+	ref, err := New(NewPre(g, d, Config{}), 13, map[int]int64{0: 9}, mkPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]*Compete{"bulk": bulk, "per-node": perNode(ref, mkPlan())} {
 		budget := 8 * c.Budget()
-		rounds, done := c.Run(budget)
+		res := c.Run(budget)
+		rounds, done := res.Rounds, res.Done
 		if !done {
 			t.Fatalf("%s: faulted broadcast incomplete after %d rounds (%d/%d informed)",
 				name, rounds, c.Reached(), c.ReachTarget())
@@ -159,14 +160,15 @@ func TestBroadcastSurvivesCrashes(t *testing.T) {
 	for v := 30; v < 90; v += 3 {
 		plan.Crash(v, 50)
 	}
-	c, err := NewWithPreFaults(NewPre(g, d, Config{}), 17, map[int]int64{0: 9}, plan)
+	c, err := New(NewPre(g, d, Config{}), 17, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.ReachTarget() != 70 {
 		t.Fatalf("ReachTarget = %d, want the 70 survivors", c.ReachTarget())
 	}
-	rounds, done := c.Run(8 * c.Budget())
+	res := c.Run(8 * c.Budget())
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("surviving nodes not informed after %d rounds (%d/%d)", rounds, c.Reached(), c.ReachTarget())
 	}
@@ -186,11 +188,12 @@ func TestBroadcastSurvivesJamming(t *testing.T) {
 	for v := 3; v < g.N(); v += 10 { // every tenth node doubles as a jammer
 		plan.Jam(v, 0.2)
 	}
-	c, err := NewWithPreFaults(NewPre(g, d, Config{}), 23, map[int]int64{0: 9}, plan)
+	c, err := New(NewPre(g, d, Config{}), 23, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, done := c.Run(16 * c.Budget())
+	res := c.Run(16 * c.Budget())
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("broadcast under jamming incomplete after %d rounds (%d/%d informed)",
 			rounds, c.Reached(), g.N())
@@ -205,11 +208,12 @@ func TestBroadcastSurvivesLossyReceivers(t *testing.T) {
 	for v := range g.N() {
 		plan.Loss(v, 0.2)
 	}
-	c, err := NewWithPreFaults(NewPre(g, 39, Config{}), 29, map[int]int64{0: 9}, plan)
+	c, err := New(NewPre(g, 39, Config{}), 29, map[int]int64{0: 9}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, done := c.Run(16 * c.Budget())
+	res := c.Run(16 * c.Budget())
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("broadcast with lossy receivers incomplete after %d rounds", rounds)
 	}

@@ -37,7 +37,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 			if gi%2 == 1 {
 				sources = map[int]int64{0: 5, g.N() - 1: 9}
 			}
-			c, err := New(g, d, Config{}, seed, sources)
+			c, err := New(NewPre(g, d, Config{}), seed, sources, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 // Reached must match a scan of Values at sampled rounds.
 func TestReachedMatchesScan(t *testing.T) {
 	g := graph.Grid(4, 8)
-	c, err := New(g, g.DiameterEstimate(), Config{}, 3, map[int]int64{0: 7})
+	c, err := New(NewPre(g, g.DiameterEstimate(), Config{}), 3, map[int]int64{0: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,38 +5,10 @@ import (
 	"fmt"
 	"math"
 
-	"radionet/internal/graph"
+	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
-
-// Broadcast is Theorem 5.1: Compete({s}) with the source's message, which
-// completes broadcasting in O(D·log n/log D + polylog n) rounds whp.
-type Broadcast struct {
-	*Compete
-	Source int
-}
-
-// NewBroadcast builds a broadcast of value from source src on g.
-func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, src int, value int64) (*Broadcast, error) {
-	return NewBroadcastPre(NewPre(g, d, cfg), seed, src, value)
-}
-
-// NewBroadcastPre is NewBroadcast with the seed-independent
-// precomputation supplied externally (see NewWithPre).
-func NewBroadcastPre(pre *Pre, seed uint64, src int, value int64) (*Broadcast, error) {
-	return NewBroadcastPreFaults(pre, seed, src, value, nil)
-}
-
-// NewBroadcastPreFaults is NewBroadcastPre with a fault scenario
-// installed; completion is survivor-scoped (see NewWithPreFaults).
-func NewBroadcastPreFaults(pre *Pre, seed uint64, src int, value int64, plan *radio.FaultPlan) (*Broadcast, error) {
-	c, err := NewWithPreFaults(pre, seed, map[int]int64{src: value}, plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Broadcast{Compete: c, Source: src}, nil
-}
 
 // LeaderElection is Algorithm 6 / Theorem 5.2: nodes become candidates
 // with probability Θ(log n/n), candidates draw Θ(log n)-bit random IDs,
@@ -44,8 +16,7 @@ func NewBroadcastPreFaults(pre *Pre, seed uint64, src int, value int64, plan *ra
 // output the same ID and exactly one node recognizes it as its own.
 type LeaderElection struct {
 	*Compete
-	// Candidates maps candidate nodes to their drawn IDs.
-	Candidates map[int]int64
+	cands map[int]int64 // candidate node -> drawn ID
 }
 
 // The Algorithm-6 candidate sampling constants.
@@ -56,16 +27,6 @@ const (
 	// idBits is the candidate ID length [Θ(log n); 40].
 	idBits = 40
 )
-
-// NewLeaderElection builds a leader election instance on g.
-//
-// If the candidate sample comes out empty or with duplicate IDs (both
-// probability O(n^-c) events the paper conditions away), the sample is
-// redrawn with a salted seed; the deviation is measurement-neutral since
-// the paper's analysis conditions on |C| = Θ(log n) with unique IDs.
-func NewLeaderElection(g *graph.Graph, d int, cfg Config, seed uint64) (*LeaderElection, error) {
-	return NewLeaderElectionPre(NewPre(g, d, cfg), seed)
-}
 
 // SampleCandidates draws the Algorithm-6 candidate set for an n-node
 // network from seed: each node becomes a candidate with probability
@@ -106,21 +67,23 @@ func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
 	return nil, errors.New("compete: could not sample a valid candidate set")
 }
 
-// NewLeaderElectionPre is NewLeaderElection with the seed-independent
-// precomputation supplied externally (see NewWithPre); the election runs
-// under the Config pre was built with.
-func NewLeaderElectionPre(pre *Pre, seed uint64) (*LeaderElection, error) {
-	return NewLeaderElectionPreFaults(pre, seed, nil)
-}
-
-// NewLeaderElectionPreFaults is NewLeaderElectionPre with a fault
-// scenario installed; completion becomes survivor-scoped exactly as in
-// NewWithPreFaults, and Verify checks the postcondition over the
-// survivor-reachable set only. For the election to stay winnable the
-// plan must not crash the maximum-ID candidate (see the campaign's
-// protect-the-winner convention); a crashed winner makes the run exhaust
-// its budget with Done == false rather than elect a wrong leader.
-func NewLeaderElectionPreFaults(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
+// NewLeaderElection builds a leader election instance from the
+// seed-independent precomputation pre (see New); the election runs under
+// the Config pre was built with.
+//
+// If the candidate sample comes out empty or with duplicate IDs (both
+// probability O(n^-c) events the paper conditions away), the sample is
+// redrawn with a salted seed; the deviation is measurement-neutral since
+// the paper's analysis conditions on |C| = Θ(log n) with unique IDs.
+//
+// plan, if non-nil, installs a fault scenario: completion becomes
+// survivor-scoped exactly as in New, and Verify checks the postcondition
+// over the survivor-reachable set only. For the election to stay
+// winnable the plan must not crash the maximum-ID candidate (see the
+// campaign's protect-the-winner convention); a crashed winner makes the
+// run exhaust its budget with Done == false rather than elect a wrong
+// leader.
+func NewLeaderElection(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
 	g := pre.g
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -129,12 +92,27 @@ func NewLeaderElectionPreFaults(pre *Pre, seed uint64, plan *radio.FaultPlan) (*
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewWithPreFaults(pre, seed, candidates, plan)
+	c, err := New(pre, seed, candidates, plan)
 	if err != nil {
 		return nil, err
 	}
-	return &LeaderElection{Compete: c, Candidates: candidates}, nil
+	return &LeaderElection{Compete: c, cands: candidates}, nil
 }
+
+// Run runs the election (see Compete.Run) with Verify as the
+// postcondition check.
+func (le *LeaderElection) Run(budget int64) protocol.Result {
+	res := le.Compete.Run(budget)
+	res.Verify = le.Verify
+	return res
+}
+
+// Candidates returns the sampled candidate set (node -> ID).
+func (le *LeaderElection) Candidates() map[int]int64 { return le.cands }
+
+// LeaderID returns the winning ID, the highest candidate ID (agreed on
+// once Done).
+func (le *LeaderElection) LeaderID() int64 { return le.TrueMax() }
 
 // Leader returns the elected node once Done; -1 before completion.
 func (le *LeaderElection) Leader() int {
@@ -142,7 +120,7 @@ func (le *LeaderElection) Leader() int {
 		return -1
 	}
 	//lint:ordered candidate IDs are unique, so at most one node matches TrueMax
-	for v, id := range le.Candidates {
+	for v, id := range le.cands {
 		if id == le.TrueMax() {
 			return v
 		}
@@ -161,7 +139,7 @@ func (le *LeaderElection) Verify() error {
 	}
 	want := le.TrueMax()
 	owners := 0
-	for _, id := range le.Candidates {
+	for _, id := range le.cands {
 		if id == want {
 			owners++
 		}

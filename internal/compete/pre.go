@@ -15,10 +15,9 @@ import (
 // distances ℓ(j)) and a pool of reusable build buffers for the
 // seed-dependent Partition/schedule construction. A Pre can be built once
 // per experiment configuration and shared by every trial on that
-// configuration — construction through NewWithPre consumes exactly the
-// same randomness as New, so sharing a Pre across seeds (or across
-// concurrent workers; Pre is safe for concurrent use) leaves every output
-// bit-identical.
+// configuration — New consumes the same randomness whichever Pre it is
+// given, so sharing a Pre across seeds (or across concurrent workers; Pre
+// is safe for concurrent use) leaves every output bit-identical.
 type Pre struct {
 	g          *graph.Graph
 	d          int
@@ -42,8 +41,8 @@ type Pre struct {
 
 // buildScratch is the per-construction mutable state recycled through
 // Pre.pool: the Partition source, FIFO and node-state buffers and the
-// schedule contention buffer. Not safe for concurrent use; NewWithPre
-// checks one out for the duration of a single construction.
+// schedule contention buffer. Not safe for concurrent use; New checks
+// one out for the duration of a single construction.
 type buildScratch struct {
 	part cluster.Scratch
 	cont []int32
@@ -74,7 +73,7 @@ func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 	if p.bgBeta > 1 {
 		p.bgBeta = 1
 	}
-	p.jmin, p.jmax = cluster.JRange(d, FineLoFrac, FineHiFrac)
+	p.jmin, p.jmax = cluster.JRange(d)
 	for j := p.jmin; j <= p.jmax; j++ {
 		ell := int32(math.Ceil(cfg.CurtailC * math.Pow(2, float64(j)) * p.logn / p.logD))
 		if cfg.CurtailLogLog {

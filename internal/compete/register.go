@@ -10,9 +10,8 @@ import (
 
 // This file registers the paper's algorithms with the protocol registry:
 // the cd17 broadcast (Theorem 5.1), its Haeupler–Wajc'16 comparison mode
-// hw16, and the cd17 leader election (Algorithm 6 / Theorem 5.2). The
-// runners reproduce the historical campaign semantics bit for bit: same
-// constructors, same randomness, same 8×Budget() default budget.
+// hw16, and the cd17 leader election (Algorithm 6 / Theorem 5.2). Build
+// returns the *Compete or *LeaderElection itself as the runner.
 
 func init() {
 	protocol.Register(protocol.Descriptor{
@@ -105,7 +104,7 @@ func newScratch(hw16 bool) func(*graph.Graph, int, any) any {
 
 // pre resolves the scratch for one build: the caller-provided *Pre when
 // present (the campaign's per-config amortization), else a fresh one.
-// NewWithPre consumes identical randomness either way, so sharing changes
+// New consumes identical randomness either way, so sharing changes
 // no output bit. A *Pre built for another Config is rejected: the run
 // would otherwise follow the scratch's config, not the tuning.
 func pre(p protocol.BuildParams, cfg Config) (*Pre, error) {
@@ -122,28 +121,6 @@ func pre(p protocol.BuildParams, cfg Config) (*Pre, error) {
 	}
 }
 
-type competeRunner struct {
-	c *Compete
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r competeRunner) DefaultBudget() int64 { return 8 * r.c.Budget() }
-
-func (r competeRunner) Run(budget int64) protocol.Result {
-	if budget <= 0 {
-		budget = 8 * r.c.Budget()
-	}
-	rounds, done := r.c.Run(budget)
-	return protocol.Result{
-		Rounds:      rounds,
-		Tx:          r.c.Engine.Metrics.Transmissions,
-		Done:        done,
-		Reached:     r.c.Reached(),
-		ReachTarget: r.c.ReachTarget(),
-		Precompute:  r.c.PrecomputeRounds,
-	}
-}
-
 func buildBroadcast(p protocol.BuildParams, hw16 bool) (protocol.Runner, error) {
 	cfg, err := coerceTuning(p.Tuning, hw16)
 	if err != nil {
@@ -153,35 +130,13 @@ func buildBroadcast(p protocol.BuildParams, hw16 bool) (protocol.Runner, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Sources) == 0 {
-		return nil, errors.New("compete: empty source set")
-	}
-	c, err := NewWithPreFaults(pr, p.Seed, p.Sources, p.Faults)
+	c, err := New(pr, p.Seed, p.Sources, p.Faults)
 	if err != nil {
 		return nil, err
 	}
 	p.ApplyEngine(c.Engine)
-	return competeRunner{c: c}, nil
+	return c, nil
 }
-
-type leaderRunner struct {
-	le *LeaderElection
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r leaderRunner) DefaultBudget() int64 {
-	return competeRunner{c: r.le.Compete}.DefaultBudget()
-}
-
-func (r leaderRunner) Run(budget int64) protocol.Result {
-	res := competeRunner{c: r.le.Compete}.Run(budget)
-	res.Verify = r.le.Verify
-	return res
-}
-
-func (r leaderRunner) Leader() int               { return r.le.Leader() }
-func (r leaderRunner) LeaderID() int64           { return r.le.TrueMax() }
-func (r leaderRunner) Candidates() map[int]int64 { return r.le.Candidates }
 
 func buildLeader(p protocol.BuildParams) (protocol.Runner, error) {
 	cfg, err := coerceTuning(p.Tuning, false)
@@ -192,10 +147,15 @@ func buildLeader(p protocol.BuildParams) (protocol.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	le, err := NewLeaderElectionPreFaults(pr, p.Seed, p.Faults)
+	le, err := NewLeaderElection(pr, p.Seed, p.Faults)
 	if err != nil {
 		return nil, err
 	}
 	p.ApplyEngine(le.Engine)
-	return leaderRunner{le: le}, nil
+	return le, nil
 }
+
+var (
+	_ protocol.Budgeted     = (*Compete)(nil)
+	_ protocol.LeaderRunner = (*LeaderElection)(nil)
+)

@@ -20,7 +20,7 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 	var rounds int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
+		bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 5})
 		if fullScan {
 			perNode(bc, nil)
 		}
@@ -30,7 +30,8 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 			// The seed termination check: O(n) full scan after every round.
 			rounds, done = bc.Engine.Run(1<<22, bc.doneFullScan)
 		} else {
-			rounds, done = bc.Run(1 << 22)
+			res := bc.Run(1 << 22)
+			rounds, done = res.Rounds, res.Done
 		}
 		if !done {
 			b.Fatal("broadcast incomplete")
@@ -68,7 +69,7 @@ func BenchmarkBroadcast100kGnpFullScan(b *testing.B) {
 // node. This is the per-round cost the tentpole removed.
 func BenchmarkDone100kIncremental(b *testing.B) {
 	g := graph.RandomTree(100_000, rng.New(7))
-	bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
+	bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if bc.Done() {
@@ -79,7 +80,7 @@ func BenchmarkDone100kIncremental(b *testing.B) {
 
 func BenchmarkDone100kFullScan(b *testing.B) {
 	g := graph.RandomTree(100_000, rng.New(7))
-	bc := NewBroadcast(g, Config{}, 1, map[int]int64{0: 5})
+	bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if bc.doneFullScan() {

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
@@ -135,18 +136,22 @@ type Broadcast struct {
 	Engine *radio.Engine
 	nodes  []node
 	tr     tracker
+	def    int64 // the budget Run applies to budget <= 0
 }
 
-// NewBroadcast builds a Decay broadcast instance on g where each source
-// node starts informed with its value from sources. seed determines all
-// randomness. Source values must be non-negative (-1 is the internal
-// uninformed sentinel, as in compete.Uninformed); negative values panic
-// rather than silently failing to propagate.
-func NewBroadcast(g *graph.Graph, cfg Config, seed uint64, sources map[int]int64) *Broadcast {
+// NewBroadcast builds a Decay broadcast instance on g, of diameter d,
+// where each source node starts informed with its value from sources.
+// seed determines all randomness. Source values must be non-negative (-1
+// is the internal uninformed sentinel, as in compete.Uninformed);
+// negative values panic rather than silently failing to propagate.
+func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[int]int64) *Broadcast {
 	n := g.N()
 	L := cfg.levels(n)
 	master := rng.New(seed)
-	b := &Broadcast{nodes: make([]node, n)}
+	// The whp-sufficient budget 20·(D+L)·L uses L = Levels(n) even when
+	// cfg.Levels truncates the phases.
+	l := int64(Levels(n))
+	b := &Broadcast{nodes: make([]node, n), def: 20 * (int64(d) + l) * l}
 	b.tr.levels = L
 	b.tr.thr = make([]uint64, L)
 	for s := range b.tr.thr {
@@ -287,13 +292,28 @@ func (b *Broadcast) Values() []int64 {
 	return vs
 }
 
-// Run executes until completion or maxRounds, returning the rounds used in
-// this call and whether broadcast completed.
-func (b *Broadcast) Run(maxRounds int64) (int64, bool) {
-	return b.Engine.RunUntil(maxRounds, &b.tr.prog)
+// DefaultBudget implements protocol.Budgeted: the whp-sufficient Decay
+// broadcast budget 20·(D+L)·L with L = ceil(log2 n) levels.
+func (b *Broadcast) DefaultBudget() int64 { return b.def }
+
+// Run executes until completion or budget rounds (budget <= 0 selects
+// DefaultBudget).
+func (b *Broadcast) Run(budget int64) protocol.Result {
+	if budget <= 0 {
+		budget = b.def
+	}
+	rounds, done := b.Engine.RunUntil(budget, &b.tr.prog)
+	return protocol.Result{
+		Rounds:      rounds,
+		Tx:          b.Engine.Metrics.Transmissions,
+		Done:        done,
+		Reached:     b.Reached(),
+		ReachTarget: b.ReachTarget(),
+	}
 }
 
 var (
 	_ radio.Protocol       = (*Broadcast)(nil)
 	_ radio.BulkRangeActor = (*Broadcast)(nil)
+	_ protocol.Budgeted    = (*Broadcast)(nil)
 )

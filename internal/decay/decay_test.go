@@ -26,8 +26,9 @@ func TestProb(t *testing.T) {
 
 func TestBroadcastPathCompletes(t *testing.T) {
 	g := graph.Path(50)
-	b := NewBroadcast(g, Config{}, 1, map[int]int64{0: 99})
-	rounds, done := b.Run(100000)
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 99})
+	res := b.Run(100000)
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("broadcast did not finish in %d rounds (informed %d/%d)",
 			rounds, b.InformedCount(), g.N())
@@ -42,16 +43,16 @@ func TestBroadcastPathCompletes(t *testing.T) {
 func TestBroadcastDenseGraphCompletes(t *testing.T) {
 	// Heavy contention: cliques force Decay to do real collision work.
 	g := graph.PathOfCliques(6, 16)
-	b := NewBroadcast(g, Config{}, 7, map[int]int64{0: 5})
-	if _, done := b.Run(200000); !done {
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 7, map[int]int64{0: 5})
+	if !b.Run(200000).Done {
 		t.Fatalf("broadcast stuck: informed %d/%d", b.InformedCount(), g.N())
 	}
 }
 
 func TestBroadcastMultiSourceTakesMax(t *testing.T) {
 	g := graph.Grid(8, 8)
-	b := NewBroadcast(g, Config{}, 3, map[int]int64{0: 10, 63: 70, 32: 40})
-	if _, done := b.Run(200000); !done {
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 3, map[int]int64{0: 10, 63: 70, 32: 40})
+	if !b.Run(200000).Done {
 		t.Fatal("multi-source broadcast did not converge")
 	}
 	for i, v := range b.Values() {
@@ -63,8 +64,8 @@ func TestBroadcastMultiSourceTakesMax(t *testing.T) {
 
 func TestBroadcastNoSourcesNeverDone(t *testing.T) {
 	g := graph.Path(5)
-	b := NewBroadcast(g, Config{}, 1, nil)
-	if _, done := b.Run(100); done {
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, nil)
+	if b.Run(100).Done {
 		t.Fatal("broadcast with no sources reported done")
 	}
 	if b.InformedCount() != 0 {
@@ -74,10 +75,10 @@ func TestBroadcastNoSourcesNeverDone(t *testing.T) {
 
 func TestBroadcastDeterministicAcrossRuns(t *testing.T) {
 	g := graph.Grid(6, 6)
-	r1 := NewBroadcast(g, Config{}, 42, map[int]int64{0: 1})
-	r2 := NewBroadcast(g, Config{}, 42, map[int]int64{0: 1})
-	n1, _ := r1.Run(100000)
-	n2, _ := r2.Run(100000)
+	r1 := NewBroadcast(g, g.DiameterEstimate(), Config{}, 42, map[int]int64{0: 1})
+	r2 := NewBroadcast(g, g.DiameterEstimate(), Config{}, 42, map[int]int64{0: 1})
+	n1 := r1.Run(100000).Rounds
+	n2 := r2.Run(100000).Rounds
 	if n1 != n2 {
 		t.Fatalf("same seed gave different completion rounds: %d vs %d", n1, n2)
 	}
@@ -125,8 +126,9 @@ func TestBroadcastScalingOnPath(t *testing.T) {
 	times := make(map[int]int64)
 	for _, n := range []int{32, 64, 128} {
 		g := graph.Path(n)
-		b := NewBroadcast(g, Config{}, 9, map[int]int64{0: 1})
-		r, done := b.Run(1 << 20)
+		b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 9, map[int]int64{0: 1})
+		res := b.Run(1 << 20)
+		r, done := res.Rounds, res.Done
 		if !done {
 			t.Fatalf("path n=%d did not finish", n)
 		}

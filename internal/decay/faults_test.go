@@ -42,11 +42,11 @@ func TestDecayFaultOverlayMatchesReference(t *testing.T) {
 	}
 	sources := map[int]int64{0: 9}
 
-	bulk := NewBroadcast(g, Config{Faults: decayTestPlan(n)}, 17, sources)
+	bulk := NewBroadcast(g, g.DiameterEstimate(), Config{Faults: decayTestPlan(n)}, 17, sources)
 	logA := record(bulk.Engine)
 
 	plan := decayTestPlan(n)
-	pernode := perNode(NewBroadcast(g, Config{Faults: plan}, 17, sources), plan)
+	pernode := perNode(NewBroadcast(g, g.DiameterEstimate(), Config{Faults: plan}, 17, sources), plan)
 	logB := record(pernode.Engine)
 
 	if bulk.ReachTarget() != pernode.ReachTarget() {
@@ -98,11 +98,12 @@ func TestDecaySurvivorScopedTermination(t *testing.T) {
 	g := graph.Path(40)
 	plan := radio.NewFaultPlan(40, 5)
 	plan.Crash(20, 0)
-	b := NewBroadcast(g, Config{Faults: plan}, 11, map[int]int64{0: 9})
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{Faults: plan}, 11, map[int]int64{0: 9})
 	if got := b.ReachTarget(); got != 20 {
 		t.Fatalf("ReachTarget = %d, want 20 (nodes 0..19)", got)
 	}
-	rounds, done := b.Run(1 << 20)
+	res := b.Run(1 << 20)
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("survivor-scoped broadcast incomplete after %d rounds (%d/%d)", rounds, b.Reached(), b.ReachTarget())
 	}
@@ -129,11 +130,12 @@ func TestDecayBroadcastSurvivesCrashes(t *testing.T) {
 	for _, v := range []int{33, 44, 55, 66} {
 		plan.Crash(v, 20)
 	}
-	b := NewBroadcast(g, Config{Faults: plan}, 3, map[int]int64{0: 9})
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{Faults: plan}, 3, map[int]int64{0: 9})
 	if b.ReachTarget() != 96 {
 		t.Fatalf("ReachTarget = %d, want the 96 survivors", b.ReachTarget())
 	}
-	rounds, done := b.Run(1 << 22)
+	res := b.Run(1 << 22)
+	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("survivors uninformed after %d rounds (%d/%d)", rounds, b.Reached(), b.ReachTarget())
 	}
@@ -152,8 +154,8 @@ func TestDecayBroadcastSurvivesJamming(t *testing.T) {
 	for v := 3; v < g.N(); v += 7 {
 		plan.Jam(v, 0.25)
 	}
-	b := NewBroadcast(g, Config{Faults: plan}, 9, map[int]int64{0: 9})
-	if _, done := b.Run(1 << 22); !done {
+	b := NewBroadcast(g, g.DiameterEstimate(), Config{Faults: plan}, 9, map[int]int64{0: 9})
+	if !b.Run(1 << 22).Done {
 		t.Fatalf("broadcast under jamming incomplete: %d/%d informed", b.InformedCount(), g.N())
 	}
 }

@@ -82,8 +82,8 @@ func TestProbClampedForLargeSteps(t *testing.T) {
 // early steps still make progress.
 func TestBroadcastWithHugeLevels(t *testing.T) {
 	g := graph.Path(8)
-	bc := NewBroadcast(g, Config{Levels: 80}, 3, map[int]int64{0: 9})
-	if _, done := bc.Run(1 << 16); !done {
+	bc := NewBroadcast(g, g.DiameterEstimate(), Config{Levels: 80}, 3, map[int]int64{0: 9})
+	if !bc.Run(1 << 16).Done {
 		t.Fatalf("broadcast with Levels=80 incomplete: %d/%d informed", bc.InformedCount(), g.N())
 	}
 }
@@ -111,7 +111,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 				if gi%2 == 1 { // multi-source with distinct values
 					sources = map[int]int64{0: 5, g.N() / 2: 9, g.N() - 1: 2}
 				}
-				bc := NewBroadcast(g, Config{}, seed, sources)
+				bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources)
 				if ref {
 					perNode(bc, nil)
 				}
@@ -144,8 +144,8 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 			if gi%2 == 1 {
 				sources = map[int]int64{0: 5, g.N() / 2: 9}
 			}
-			bb := NewBroadcast(g, Config{}, seed, sources)
-			pb := perNode(NewBroadcast(g, Config{}, seed, sources), nil)
+			bb := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources)
+			pb := perNode(NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources), nil)
 			type round struct {
 				tx         []int32
 				deliveries int
@@ -186,11 +186,12 @@ func TestBulkAndPerNodePathsIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, g := range equivalenceGraphs(seed) {
 			run := func(ref bool) (int64, radio.Metrics, []int64) {
-				bc := NewBroadcast(g, Config{}, seed, map[int]int64{0: 9})
+				bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, map[int]int64{0: 9})
 				if ref {
 					perNode(bc, nil)
 				}
-				rounds, done := bc.Run(1 << 20)
+				res := bc.Run(1 << 20)
+				rounds, done := res.Rounds, res.Done
 				if !done {
 					t.Fatalf("%s seed=%d: incomplete", g, seed)
 				}
@@ -214,7 +215,7 @@ func TestBulkAndPerNodePathsIdentical(t *testing.T) {
 // InformedCount must agree with a scan of Values at every round.
 func TestInformedCountIncremental(t *testing.T) {
 	g := graph.RandomTree(80, rng.New(5))
-	bc := NewBroadcast(g, Config{}, 2, map[int]int64{3: 7})
+	bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 2, map[int]int64{3: 7})
 	for r := 0; r < 1<<14 && !bc.Done(); r++ {
 		want := 0
 		for _, v := range bc.Values() {
@@ -237,15 +238,16 @@ func TestNegativeSourcePanics(t *testing.T) {
 			t.Fatal("expected panic for negative source value")
 		}
 	}()
-	NewBroadcast(graph.Path(4), Config{}, 1, map[int]int64{0: -5})
+	NewBroadcast(graph.Path(4), 3, Config{}, 1, map[int]int64{0: -5})
 }
 
 // No sources: Done must stay false forever (the seed full scan's "no
 // informed node" case), not trivially complete.
 func TestDoneWithoutSources(t *testing.T) {
 	g := graph.Path(4)
-	bc := NewBroadcast(g, Config{}, 1, nil)
-	rounds, done := bc.Run(64)
+	bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, nil)
+	res := bc.Run(64)
+	rounds, done := res.Rounds, res.Done
 	if done || rounds != 64 {
 		t.Fatalf("sourceless broadcast: rounds = %d done = %v, want 64 false", rounds, done)
 	}

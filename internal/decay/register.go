@@ -8,9 +8,7 @@ import (
 	"radionet/internal/protocol"
 )
 
-// This file registers the classical BGI Decay broadcast. The runner
-// reproduces the historical campaign semantics bit for bit: same
-// constructor, same randomness, same 20·(D+L)·L default budget.
+// This file registers the classical BGI Decay broadcast.
 
 func init() {
 	protocol.Register(protocol.Descriptor{
@@ -28,41 +26,7 @@ func init() {
 	})
 }
 
-// WhpBudget is the whp-sufficient Decay broadcast budget 20·(D+L)·L with
-// L = ceil(log2 n) levels — the default every Decay-family descriptor
-// applies when the caller passes budget <= 0, mirroring the radionet
-// facade and the historical campaign budget math.
-func WhpBudget(n, d int) int64 {
-	l := int64(Levels(n))
-	return 20 * (int64(d) + l) * l
-}
-
-// Runner adapts a Broadcast to the protocol.Runner contract.
-type Runner struct {
-	B *Broadcast
-	// Default is the budget applied when Run gets budget <= 0.
-	Default int64
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r Runner) DefaultBudget() int64 { return r.Default }
-
-// Run implements protocol.Runner.
-func (r Runner) Run(budget int64) protocol.Result {
-	if budget <= 0 {
-		budget = r.Default
-	}
-	rounds, done := r.B.Run(budget)
-	return protocol.Result{
-		Rounds:      rounds,
-		Tx:          r.B.Engine.Metrics.Transmissions,
-		Done:        done,
-		Reached:     r.B.Reached(),
-		ReachTarget: r.B.ReachTarget(),
-	}
-}
-
-// BuildRunner builds a Decay-family protocol runner from BuildParams and a
+// BuildRunner builds a Decay-family Broadcast from BuildParams and a
 // base config (internal/baseline reuses it for the truncated-Decay
 // surrogate, which is the same protocol at a different phase length).
 // The fault plan rides in the Config, exactly as the campaign and facade
@@ -93,7 +57,7 @@ func BuildRunner(p protocol.BuildParams, cfg Config) (protocol.Runner, error) {
 		}
 	}
 	cfg.Faults = p.Faults
-	b := NewBroadcast(p.G, cfg, p.Seed, p.Sources)
+	b := NewBroadcast(p.G, p.D, cfg, p.Seed, p.Sources)
 	p.ApplyEngine(b.Engine)
-	return Runner{B: b, Default: WhpBudget(p.G.N(), p.D)}, nil
+	return b, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"radionet/internal/cluster"
-	"radionet/internal/compete"
 	"radionet/internal/graph"
 )
 
@@ -198,7 +197,7 @@ func TestF6MidJInRange(t *testing.T) {
 		}
 	}
 	for d := 0; d <= 5000; d++ {
-		jmin, jmax := cluster.JRange(d, compete.FineLoFrac, compete.FineHiFrac)
+		jmin, jmax := cluster.JRange(d)
 		j := f6MidJ(d)
 		if j < jmin || j > jmax {
 			t.Fatalf("f6MidJ(%d) = %d, outside [%d, %d]", d, j, jmin, jmax)

@@ -268,7 +268,7 @@ func f5Verdict(cd17, bgi float64, ok bool) string {
 // f6MidJ is the fine exponent F6's "fixed j" ablation pins: the middle of
 // the range cd17 draws j from at diameter d under its default fractions.
 func f6MidJ(d int) int {
-	jmin, jmax := cluster.JRange(d, compete.FineLoFrac, compete.FineHiFrac)
+	jmin, jmax := cluster.JRange(d)
 	return (jmin + jmax) / 2
 }
 

@@ -29,6 +29,7 @@ func runT8(o Options) *Table {
 		g = graph.Grid(6, 12)
 		ks = []int{1, 4, 16}
 	}
+	d := g.DiameterEstimate()
 	msgs := func(k int) []int64 {
 		out := make([]int64, k)
 		for i := range out {
@@ -42,15 +43,14 @@ func runT8(o Options) *Table {
 		sr := make([]float64, seeds)
 		ok := make([]bool, seeds)
 		campaign.ForEach(o.Workers, seeds, func(s int) {
-			p, err := multicast.NewPipelined(g, o.Seed+8+uint64(s), 0, msgs(k))
+			p, err := multicast.NewPipelined(g, d, o.Seed+8+uint64(s), 0, msgs(k))
 			if err != nil {
 				return
 			}
-			r, done := p.Run(1 << 26)
-			pr[s] = float64(r)
-			r2, _, done2 := multicast.Sequential(g, o.Seed+8+uint64(s), 0, msgs(k), 0)
-			sr[s] = float64(r2)
-			ok[s] = done && done2
+			pipe := p.Run(1 << 26)
+			seq := multicast.Sequential(g, o.Seed+8+uint64(s), 0, msgs(k), 0)
+			pr[s], sr[s] = float64(pipe.Rounds), float64(seq.Rounds)
+			ok[s] = pipe.Done && seq.Done
 		})
 		pm, sm := stats.Mean(pr), stats.Mean(sr)
 		speedup := 0.0

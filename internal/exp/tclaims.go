@@ -155,7 +155,7 @@ func runT4(o Options) *Table {
 		logn := math.Log2(float64(g.N()))
 		logD := math.Log2(float64(d))
 		v := g.N() / 2
-		jmin, jmax := cluster.JRange(d, 0.25, 0.75)
+		jmin, jmax := cluster.JRange(d)
 		good := 0
 		for j := jmin; j <= jmax; j++ {
 			beta := math.Pow(2, -float64(j))
@@ -321,9 +321,9 @@ func runT7(o Options) *Table {
 			ok := make([]bool, seeds)
 			campaign.ForEach(o.Workers, seeds, func(s int) {
 				dp := cluster.NewDistributed(g, beta, o.Seed+uint64(s))
-				r, done := dp.Run()
-				ok[s] = done && dp.Result().Validate() == nil
-				rounds[s] = float64(r)
+				res := dp.Run(0)
+				ok[s] = res.Done && dp.Result().Validate() == nil
+				rounds[s] = float64(res.Rounds)
 			})
 			bound := logn * logn * logn / beta
 			m := stats.Mean(rounds)

@@ -57,21 +57,16 @@ type LE struct {
 	candidates map[int]int64
 
 	// Run outcome.
-	ran       bool
 	done      bool
-	rounds    int64
-	tx        int64
 	survivors map[int]int64
 	leader    int
 	leaderID  int64
 	values    []int64 // final-phase per-node outputs, for Verify
-	reached   int
-	target    int
 }
 
-// DefaultBudget is the agreement-broadcast budget T = 6·(D+L)·L (L =
+// agreementBudget is the agreement-broadcast budget T = 6·(D+L)·L (L =
 // ⌈log₂ n⌉ Decay levels); the whole election costs < 2T.
-func DefaultBudget(n, d int) int64 {
+func agreementBudget(n, d int) int64 {
 	l := int64(decay.Levels(n))
 	return 6 * (int64(d) + l) * l
 }
@@ -117,34 +112,21 @@ func (le *LE) Leader() int { return le.leader }
 // LeaderID returns the agreed-upon winning ID (valid once Done).
 func (le *LE) LeaderID() int64 { return le.leaderID }
 
-// Done reports completion of the agreement broadcast.
-func (le *LE) Done() bool { return le.done }
+// DefaultBudget implements protocol.Budgeted: 2T, the bound on the
+// knockout phases (< T together) plus the agreement broadcast (T).
+func (le *LE) DefaultBudget() int64 { return 2 * agreementBudget(le.g.N(), le.d) }
 
-// Rounds and Tx report the summed cost over every phase of the run.
-func (le *LE) Rounds() int64 { return le.rounds }
-func (le *LE) Tx() int64     { return le.tx }
-
-// Reached and ReachTarget report the agreement broadcast's completion
-// accounting (n and n on success; see decay.Broadcast).
-func (le *LE) Reached() int     { return le.reached }
-func (le *LE) ReachTarget() int { return le.target }
-
-// Run executes the tournament. budget <= 0 selects DefaultBudget as the
-// agreement budget T (total cost < 2T); an explicit budget B is split the
-// same way with T = B/2, so the whole run never exceeds B. It returns the
-// rounds consumed and whether the election completed. Run is single-use.
-func (le *LE) Run(budget int64) (int64, bool) {
-	if le.ran {
-		return le.rounds, le.done
-	}
-	le.ran = true
-	t := DefaultBudget(le.g.N(), le.d)
+// Run executes the tournament. budget <= 0 selects the agreement budget
+// T = 6·(D+L)·L (total cost < 2T); an explicit budget B is split the
+// same way with T = B/2, so the whole run never exceeds B. Rounds and Tx
+// sum over every phase; Reached and ReachTarget are the agreement
+// broadcast's. Run is single-use.
+func (le *LE) Run(budget int64) protocol.Result {
+	t := agreementBudget(le.g.N(), le.d)
 	if budget > 0 {
-		t = budget / 2
-		if t < 1 {
-			t = 1
-		}
+		t = max(budget/2, 1)
 	}
+	var rounds, tx int64
 	master := rng.New(le.seed)
 	k := phases(le.g.N())
 	cur := le.candidates
@@ -153,10 +135,10 @@ func (le *LE) Run(budget int64) (int64, bool) {
 		if phaseBudget < 1 {
 			continue // deeper than the budget resolves; skip the phase
 		}
-		bc := decay.NewBroadcast(le.g, decay.Config{}, master.Fork(uint64(1000+i)).Uint64(), cur)
-		r, _ := bc.Run(phaseBudget)
-		le.rounds += r
-		le.tx += bc.Engine.Metrics.Transmissions
+		bc := decay.NewBroadcast(le.g, le.d, decay.Config{}, master.Fork(uint64(1000+i)).Uint64(), cur)
+		r := bc.Run(phaseBudget)
+		rounds += r.Rounds
+		tx += r.Tx
 		vals := bc.Values()
 		next := make(map[int]int64, len(cur))
 		//lint:ordered pure keyed filter: next[v] depends only on v and vals[v]
@@ -170,17 +152,21 @@ func (le *LE) Run(budget int64) (int64, bool) {
 		cur = next
 	}
 	le.survivors = cur
-	final := decay.NewBroadcast(le.g, decay.Config{}, master.Fork(2000).Uint64(), cur)
-	r, done := final.Run(t)
-	le.rounds += r
-	le.tx += final.Engine.Metrics.Transmissions
-	le.done = done
+	final := decay.NewBroadcast(le.g, le.d, decay.Config{}, master.Fork(2000).Uint64(), cur)
+	r := final.Run(t)
+	le.done = r.Done
 	le.values = final.Values()
-	le.reached, le.target = final.Reached(), final.ReachTarget()
-	if done {
+	if le.done {
 		le.leader, le.leaderID = le.Winner()
 	}
-	return le.rounds, le.done
+	return protocol.Result{
+		Rounds:      rounds + r.Rounds,
+		Tx:          tx + r.Tx,
+		Done:        r.Done,
+		Reached:     r.Reached,
+		ReachTarget: r.ReachTarget,
+		Verify:      le.Verify,
+	}
 }
 
 // Verify checks the election postcondition after completion: the agreed
@@ -214,3 +200,5 @@ func (le *LE) Verify() error {
 	}
 	return nil
 }
+
+var _ protocol.LeaderRunner = (*LE)(nil)

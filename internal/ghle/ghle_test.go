@@ -15,9 +15,9 @@ func TestElectsTrueMaxAndVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds, done := le.Run(0)
-		if !done {
-			t.Fatalf("seed %d: not done after %d rounds", seed, rounds)
+		res := le.Run(0)
+		if !res.Done {
+			t.Fatalf("seed %d: not done after %d rounds", seed, res.Rounds)
 		}
 		wantNode, wantID := le.Winner()
 		if le.Leader() != wantNode || le.LeaderID() != wantID {
@@ -26,10 +26,10 @@ func TestElectsTrueMaxAndVerifies(t *testing.T) {
 		if err := le.Verify(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if le.Reached() != le.ReachTarget() || le.ReachTarget() != g.N() {
-			t.Fatalf("seed %d: reach %d/%d", seed, le.Reached(), le.ReachTarget())
+		if res.Reached != res.ReachTarget || res.ReachTarget != g.N() {
+			t.Fatalf("seed %d: reach %d/%d", seed, res.Reached, res.ReachTarget)
 		}
-		if le.Tx() <= 0 {
+		if res.Tx <= 0 {
 			t.Fatalf("seed %d: no transmissions recorded", seed)
 		}
 	}
@@ -43,11 +43,11 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds, done := le.Run(0)
-		if !done {
+		res := le.Run(0)
+		if !res.Done {
 			t.Fatal("not done")
 		}
-		return rounds, le.Tx(), le.Leader(), le.LeaderID()
+		return res.Rounds, res.Tx, le.Leader(), le.LeaderID()
 	}
 	r1, tx1, l1, id1 := run()
 	r2, tx2, l2, id2 := run()
@@ -64,8 +64,7 @@ func TestBudgetCapAndSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, _ := le.Run(budget)
-	if rounds > budget {
+	if rounds := le.Run(budget).Rounds; rounds > budget {
 		t.Fatalf("ran %d rounds over the %d budget", rounds, budget)
 	}
 	// Default budgets stay under the documented 2T bound.
@@ -73,12 +72,12 @@ func TestBudgetCapAndSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds2, done := le2.Run(0)
-	if !done {
+	res := le2.Run(0)
+	if !res.Done {
 		t.Fatal("default budget did not complete")
 	}
-	if max := 2 * DefaultBudget(g.N(), d); rounds2 > max {
-		t.Fatalf("default run used %d rounds, bound is %d", rounds2, max)
+	if max := 2 * agreementBudget(g.N(), d); res.Rounds > max {
+		t.Fatalf("default run used %d rounds, bound is %d", res.Rounds, max)
 	}
 }
 
@@ -93,20 +92,20 @@ func TestBeatsBinarySearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghRounds, done := le.Run(0)
-	if !done {
+	gh := le.Run(0)
+	if !gh.Done {
 		t.Fatal("gh13 did not complete")
 	}
 	bs, err := baseline.NewBinarySearchLE(g, d, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsRes := bs.Run()
+	bsRes := bs.Run(0)
 	if !bsRes.Done {
 		t.Fatal("binary search did not complete")
 	}
-	if ghRounds*5 > bsRes.Rounds {
-		t.Fatalf("gh13 %d rounds vs binary-search %d: expected >5x gap", ghRounds, bsRes.Rounds)
+	if gh.Rounds*5 > bsRes.Rounds {
+		t.Fatalf("gh13 %d rounds vs binary-search %d: expected >5x gap", gh.Rounds, bsRes.Rounds)
 	}
 }
 

@@ -35,33 +35,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return runner{le: le}, nil
+			return le, nil
 		},
 	})
 }
-
-type runner struct {
-	le *LE
-}
-
-// DefaultBudget implements protocol.Budgeted: the < 2T total of the
-// tournament (knockout phases) plus the agreement broadcast (budget T).
-func (r runner) DefaultBudget() int64 {
-	return 2 * DefaultBudget(r.le.g.N(), r.le.d)
-}
-
-func (r runner) Run(budget int64) protocol.Result {
-	rounds, done := r.le.Run(budget)
-	return protocol.Result{
-		Rounds:      rounds,
-		Tx:          r.le.Tx(),
-		Done:        done,
-		Reached:     r.le.Reached(),
-		ReachTarget: r.le.ReachTarget(),
-		Verify:      r.le.Verify,
-	}
-}
-
-func (r runner) Leader() int               { return r.le.Leader() }
-func (r runner) LeaderID() int64           { return r.le.LeaderID() }
-func (r runner) Candidates() map[int]int64 { return r.le.Candidates() }

@@ -30,7 +30,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 			graph.Grid(5, 8),
 		}
 		for _, g := range graphs {
-			p, err := NewPipelined(g, seed, 0, []int64{3, 1, 4, 1, 5})
+			p, err := NewPipelined(g, g.DiameterEstimate(), seed, 0, []int64{3, 1, 4, 1, 5})
 			if err != nil {
 				t.Fatal(err)
 			}

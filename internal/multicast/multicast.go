@@ -25,6 +25,7 @@ import (
 
 	"radionet/internal/decay"
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
@@ -98,10 +99,12 @@ type Pipelined struct {
 	Engine *radio.Engine
 	nodes  []*node
 	prog   radio.Progress // completion tracker shared with the nodes
+	def    int64          // the budget Run applies to budget <= 0
 }
 
-// NewPipelined builds a pipelined broadcast of msgs from src on g.
-func NewPipelined(g *graph.Graph, seed uint64, src int, msgs []int64) (*Pipelined, error) {
+// NewPipelined builds a pipelined broadcast of msgs from src on g, of
+// diameter d.
+func NewPipelined(g *graph.Graph, d int, seed uint64, src int, msgs []int64) (*Pipelined, error) {
 	if len(msgs) == 0 {
 		return nil, errors.New("multicast: no messages")
 	}
@@ -110,7 +113,10 @@ func NewPipelined(g *graph.Graph, seed uint64, src int, msgs []int64) (*Pipeline
 	}
 	master := rng.New(seed)
 	l := decay.Levels(g.N())
-	p := &Pipelined{nodes: make([]*node, g.N())}
+	p := &Pipelined{
+		nodes: make([]*node, g.N()),
+		def:   20 * (int64(d) + int64(len(msgs)*l)) * int64(l),
+	}
 	p.prog = *radio.NewProgress(int64(g.N()))
 	rn := make([]radio.Node, g.N())
 	for v := range p.nodes {
@@ -144,29 +150,49 @@ func (p *Pipelined) KnownCounts() []int {
 	return out
 }
 
-// Run executes until completion or maxRounds.
-func (p *Pipelined) Run(maxRounds int64) (int64, bool) {
-	return p.Engine.RunUntil(maxRounds, &p.prog)
+// DefaultBudget implements protocol.Budgeted: 20·(D + k·L)·L.
+func (p *Pipelined) DefaultBudget() int64 { return p.def }
+
+// Run executes until completion or budget rounds (budget <= 0 selects
+// DefaultBudget).
+func (p *Pipelined) Run(budget int64) protocol.Result {
+	if budget <= 0 {
+		budget = p.def
+	}
+	rounds, done := p.Engine.RunUntil(budget, &p.prog)
+	return protocol.Result{
+		Rounds:      rounds,
+		Tx:          p.Engine.Metrics.Transmissions,
+		Done:        done,
+		Reached:     int(p.prog.Count()),
+		ReachTarget: int(p.prog.Target()),
+	}
 }
 
 // Sequential runs k single-message Decay broadcasts back to back and
-// returns the total rounds, the total engine transmissions, and whether
-// all completed. Each broadcast runs until globally complete
+// reports the summed rounds and engine transmissions; Done means every
+// broadcast completed. Each broadcast runs until globally complete
 // (oracle-sequenced), so the total is exactly the classical reduction's
-// cost on this instance.
-func Sequential(g *graph.Graph, seed uint64, src int, msgs []int64, perMsgBudget int64) (rounds, tx int64, done bool) {
+// cost on this instance. perMsgBudget <= 0 gives each broadcast
+// 40·(n+L)·L rounds.
+func Sequential(g *graph.Graph, seed uint64, src int, msgs []int64, perMsgBudget int64) protocol.Result {
 	if perMsgBudget <= 0 {
 		l := int64(decay.Levels(g.N()))
 		perMsgBudget = 40 * (int64(g.N()) + l) * l
 	}
+	var res protocol.Result
 	for i, m := range msgs {
-		bc := decay.NewBroadcast(g, decay.Config{}, seed+uint64(i), map[int]int64{src: m})
-		r, ok := bc.Run(perMsgBudget)
-		rounds += r
-		tx += bc.Engine.Metrics.Transmissions
-		if !ok {
-			return rounds, tx, false
+		// n bounds the diameter; the explicit budget leaves it unused.
+		bc := decay.NewBroadcast(g, g.N(), decay.Config{}, seed+uint64(i), map[int]int64{src: m})
+		r := bc.Run(perMsgBudget)
+		res.Rounds += r.Rounds
+		res.Tx += r.Tx
+		if !r.Done {
+			return res
 		}
 	}
-	return rounds, tx, true
+	res.Done = true
+	return res
 }
+
+var _ protocol.Budgeted = (*Pipelined)(nil)

@@ -20,11 +20,12 @@ func TestPipelinedCompletes(t *testing.T) {
 		graph.Grid(6, 10),
 		graph.PathOfCliques(5, 5),
 	} {
-		p, err := NewPipelined(g, 3, 0, msgs(8))
+		p, err := NewPipelined(g, g.DiameterEstimate(), 3, 0, msgs(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds, done := p.Run(1 << 22)
+		res := p.Run(1 << 22)
+		rounds, done := res.Rounds, res.Done
 		if !done {
 			t.Fatalf("%v: pipelined multicast incomplete after %d rounds", g, rounds)
 		}
@@ -40,42 +41,42 @@ func TestPipelinedCompletes(t *testing.T) {
 
 func TestPipelinedValidation(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := NewPipelined(g, 1, 0, nil); err == nil {
+	if _, err := NewPipelined(g, g.DiameterEstimate(), 1, 0, nil); err == nil {
 		t.Fatal("empty message set accepted")
 	}
-	if _, err := NewPipelined(g, 1, 9, msgs(2)); err == nil {
+	if _, err := NewPipelined(g, g.DiameterEstimate(), 1, 9, msgs(2)); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
 
 func TestPipelinedSingleMessageMatchesBroadcast(t *testing.T) {
 	g := graph.Path(40)
-	p, err := NewPipelined(g, 7, 0, msgs(1))
+	p, err := NewPipelined(g, g.DiameterEstimate(), 7, 0, msgs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := p.Run(1 << 20); !done {
+	if !p.Run(1 << 20).Done {
 		t.Fatal("k=1 multicast incomplete")
 	}
 }
 
 func TestSequentialCompletes(t *testing.T) {
 	g := graph.Grid(5, 8)
-	rounds, tx, done := Sequential(g, 11, 0, msgs(4), 0)
-	if !done {
-		t.Fatalf("sequential multicast incomplete after %d rounds", rounds)
+	res := Sequential(g, 11, 0, msgs(4), 0)
+	if !res.Done {
+		t.Fatalf("sequential multicast incomplete after %d rounds", res.Rounds)
 	}
-	if rounds <= 0 {
+	if res.Rounds <= 0 {
 		t.Fatal("no rounds recorded")
 	}
-	if tx <= 0 {
+	if res.Tx <= 0 {
 		t.Fatal("no transmissions recorded")
 	}
 }
 
 func TestKnownCountsMonotone(t *testing.T) {
 	g := graph.Path(20)
-	p, err := NewPipelined(g, 5, 0, msgs(4))
+	p, err := NewPipelined(g, g.DiameterEstimate(), 5, 0, msgs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +98,16 @@ func TestKnownCountsMonotone(t *testing.T) {
 func TestPipeliningBeatsSequentialForManyMessages(t *testing.T) {
 	g := graph.Path(48)
 	k := 16
-	p, err := NewPipelined(g, 9, 0, msgs(k))
+	p, err := NewPipelined(g, g.DiameterEstimate(), 9, 0, msgs(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, pdone := p.Run(1 << 24)
-	sr, _, sdone := Sequential(g, 9, 0, msgs(k), 0)
-	if !pdone || !sdone {
-		t.Fatalf("incomplete: pipelined=%v sequential=%v", pdone, sdone)
+	pr := p.Run(1 << 24)
+	sr := Sequential(g, 9, 0, msgs(k), 0)
+	if !pr.Done || !sr.Done {
+		t.Fatalf("incomplete: pipelined=%v sequential=%v", pr.Done, sr.Done)
 	}
-	if pr >= sr {
-		t.Fatalf("pipelined (%d) not faster than sequential (%d) at k=%d", pr, sr, k)
+	if pr.Rounds >= sr.Rounds {
+		t.Fatalf("pipelined (%d) not faster than sequential (%d) at k=%d", pr.Rounds, sr.Rounds, k)
 	}
 }

@@ -3,7 +3,6 @@ package multicast
 import (
 	"fmt"
 
-	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
 )
@@ -80,40 +79,17 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			pl, err := NewPipelined(p.G, p.Seed, src, msgs)
+			pl, err := NewPipelined(p.G, p.D, p.Seed, src, msgs)
 			if err != nil {
 				return nil, err
 			}
 			p.ApplyEngine(pl.Engine)
-			l := int64(decay.Levels(p.G.N()))
-			def := 20 * (int64(p.D) + int64(len(msgs))*l) * l
-			return pipelinedRunner{p: pl, def: def}, nil
+			return pl, nil
 		},
 	})
 }
 
-type pipelinedRunner struct {
-	p   *Pipelined
-	def int64
-}
-
-// DefaultBudget implements protocol.Budgeted.
-func (r pipelinedRunner) DefaultBudget() int64 { return r.def }
-
-func (r pipelinedRunner) Run(budget int64) protocol.Result {
-	if budget <= 0 {
-		budget = r.def
-	}
-	rounds, done := r.p.Run(budget)
-	return protocol.Result{
-		Rounds:      rounds,
-		Tx:          r.p.Engine.Metrics.Transmissions,
-		Done:        done,
-		Reached:     int(r.p.prog.Count()),
-		ReachTarget: int(r.p.prog.Target()),
-	}
-}
-
+// sequentialRunner runs Sequential, which is a function, not a type.
 type sequentialRunner struct {
 	g    *graph.Graph
 	seed uint64
@@ -129,6 +105,5 @@ func (r sequentialRunner) Run(budget int64) protocol.Result {
 			perMsg = 1
 		}
 	}
-	rounds, tx, done := Sequential(r.g, r.seed, r.src, r.msgs, perMsg)
-	return protocol.Result{Rounds: rounds, Tx: tx, Done: done}
+	return Sequential(r.g, r.seed, r.src, r.msgs, perMsg)
 }

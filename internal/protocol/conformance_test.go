@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"radionet/internal/compete"
+	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
@@ -97,6 +98,43 @@ func TestConformanceDeterministicAndComplete(t *testing.T) {
 			if len(lr.Candidates()) == 0 {
 				t.Fatal("no candidates exposed")
 			}
+		}
+	})
+}
+
+// notBudgeted lists the descriptors whose runner has no single default
+// budget: sequential multicast's default is per message.
+var notBudgeted = map[string]bool{"multicast/sequential": true}
+
+// TestConformanceDefaultBudget: budget <= 0 means the documented default
+// on every protocol type, so Run(0) on one fresh runner equals
+// Run(DefaultBudget()) on another for every Budgeted descriptor.
+func TestConformanceDefaultBudget(t *testing.T) {
+	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
+		r := buildRunner(t, d, nil, nil)
+		b, ok := r.(protocol.Budgeted)
+		if !ok {
+			if !notBudgeted[string(d.Task)+"/"+d.Name] {
+				t.Fatalf("runner %T does not implement protocol.Budgeted", r)
+			}
+			return
+		}
+		def := b.DefaultBudget()
+		if def <= 0 {
+			t.Fatalf("DefaultBudget() = %d", def)
+		}
+		zero, explicit := r.Run(0), buildRunner(t, d, nil, nil).Run(def)
+		if fields(zero) != fields(explicit) {
+			t.Fatalf("Run(0) = %v, Run(DefaultBudget()=%d) = %v", fields(zero), def, fields(explicit))
+		}
+	})
+	// The same holds on the type outside the registry: a Decay broadcast
+	// built directly completes under Run(0).
+	t.Run("type/decay.Broadcast", func(t *testing.T) {
+		g := conformanceGraph()
+		bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, conformanceSeed, map[int]int64{0: 9})
+		if res := bc.Run(0); !res.Done || res.Rounds <= 0 {
+			t.Fatalf("Run(0) on %s: %+v", g.Name(), res)
 		}
 	})
 }

@@ -3,21 +3,17 @@
 // (internal/campaign), the radionet facade, the CLIs (cmd/radiosim,
 // cmd/campaign) and the experiment harness (internal/exp).
 //
-// Before this package existed, each of those layers carried its own
-// hardcoded switch over algorithm names, budget defaults and metric
-// extraction, and the switches disagreed (the campaign applied the fault
-// axis only to broadcast trials, the facade used a different default
-// budget than the campaign, the leader baselines dropped their
-// transmission counts). Now an algorithm is a Descriptor — name, aliases,
-// task, capabilities, a default budget policy and a Build function
-// producing a uniform Runner — registered once by its own package in an
-// init-time Register call, and every layer resolves algorithms through
-// Lookup/ByTask. Adding an algorithm end-to-end (campaign matrices, the
-// facade, both CLIs, the conformance suite) is one new package with a
-// register.go plus one blank import in internal/protocol/all; no dispatch
-// code changes anywhere (internal/ghle is the proof). Running one is
-// (*Descriptor).Execute, the one Build → Run → Verify routine that the
-// campaign trial path and the facade share.
+// An algorithm is a Descriptor — name, aliases, task, capabilities, a
+// default budget policy and a Build function returning the algorithm's
+// own protocol type as a Runner — registered once by its own package in
+// an init-time Register call, and every layer resolves algorithms
+// through Lookup/ByTask. Adding an algorithm end-to-end (campaign
+// matrices, the facade, both CLIs, the conformance suite) is one new
+// package with a register.go plus one blank import in
+// internal/protocol/all; no dispatch code changes anywhere (internal/ghle
+// is the proof). Running one is (*Descriptor).Execute, the one Build →
+// Run → Verify routine that the campaign trial path and the facade
+// share.
 //
 // Contracts every registered descriptor must honor (pinned by the
 // conformance suite in conformance_test.go):
@@ -125,9 +121,7 @@ type Runner interface {
 // reports the round budget Run applies when the caller passes budget <= 0
 // (the descriptor's documented whp-sufficient policy, resolved for this
 // run's topology). The trial runner uses it to compute budget-fraction-
-// used metrics; runners without it simply skip that histogram. Call it
-// before Run — composite runners may fold an explicit budget into the
-// same state.
+// used metrics; runners without it simply skip that histogram.
 type Budgeted interface {
 	Runner
 	DefaultBudget() int64
@@ -232,8 +226,6 @@ func (d *Descriptor) Execute(p BuildParams, budget int64) (Outcome, error) {
 		return Outcome{}, err
 	}
 	out := Outcome{Budget: max(budget, 0), Runner: r}
-	// Resolved before Run: a Budgeted runner may fold an explicit budget
-	// into the same state afterwards.
 	if b, ok := r.(Budgeted); ok && budget <= 0 {
 		out.Budget = b.DefaultBudget()
 	}

@@ -13,9 +13,9 @@ import (
 func record(t *testing.T) *Recorder {
 	t.Helper()
 	g := graph.Grid(5, 8)
-	bc := decay.NewBroadcast(g, decay.Config{}, 3, map[int]int64{0: 9})
+	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 3, map[int]int64{0: 9})
 	rec := (&Recorder{}).Attach(bc.Engine)
-	if _, done := bc.Run(1 << 20); !done {
+	if !bc.Run(1 << 20).Done {
 		t.Fatal("broadcast incomplete")
 	}
 	return rec
@@ -23,7 +23,7 @@ func record(t *testing.T) *Recorder {
 
 func TestRecorderCountsMatchMetrics(t *testing.T) {
 	g := graph.Grid(5, 8)
-	bc := decay.NewBroadcast(g, decay.Config{}, 3, map[int]int64{0: 9})
+	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 3, map[int]int64{0: 9})
 	rec := (&Recorder{}).Attach(bc.Engine)
 	bc.Run(1 << 20)
 	tx, del, col := rec.Totals()
