@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -36,42 +37,47 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "radiosim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args on its own flag set and writes
+// every result line to stdout (diagnostics go to stderr).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("radiosim", flag.ExitOnError)
 	var (
-		topology = flag.String("topology", "grid", "topology: path|cycle|grid|cliquepath|caterpillar|tree|geometric|gnp|hypercube")
-		n        = flag.Int("n", 256, "node count (path, cycle, geometric, gnp)")
-		rows     = flag.Int("rows", 16, "grid rows")
-		cols     = flag.Int("cols", 16, "grid cols")
-		k        = flag.Int("k", 16, "cliquepath clique count / caterpillar spine / tree depth")
-		s        = flag.Int("s", 8, "cliquepath clique size / caterpillar legs / tree arity")
-		radius   = flag.Float64("radius", 0.1, "geometric radius")
-		p        = flag.Float64("p", 0.02, "gnp edge probability")
-		dim      = flag.Int("dim", 8, "hypercube dimension")
-		task     = flag.String("task", "broadcast", "task: any registered task (see -list)")
-		algo     = flag.String("algo", "cd17", "algorithm name or alias for the task (see -list)")
-		seed     = flag.Uint64("seed", 1, "master seed")
-		value    = flag.Int64("value", 42, "broadcast message value")
-		source   = flag.Int("source", 0, "broadcast source node")
-		max      = flag.Int64("maxrounds", 0, "round budget (0 = algorithm default)")
-		doTrace  = flag.Bool("trace", false, "print a channel activity report after the run")
-		faults   = flag.String("faults", "", "fault scenario spec, e.g. crash:0.3@50+jam:0.05:p0.2 (fault-capable algorithms only; campaign grammar)")
-		trials   = flag.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
-		workers  = flag.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
-		manifest = flag.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
-		debug    = flag.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
-		list     = flag.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
+		topology = fs.String("topology", "grid", "topology: path|cycle|grid|cliquepath|caterpillar|tree|geometric|gnp|hypercube")
+		n        = fs.Int("n", 256, "node count (path, cycle, geometric, gnp)")
+		rows     = fs.Int("rows", 16, "grid rows")
+		cols     = fs.Int("cols", 16, "grid cols")
+		k        = fs.Int("k", 16, "cliquepath clique count / caterpillar spine / tree depth")
+		s        = fs.Int("s", 8, "cliquepath clique size / caterpillar legs / tree arity")
+		radius   = fs.Float64("radius", 0.1, "geometric radius")
+		p        = fs.Float64("p", 0.02, "gnp edge probability")
+		dim      = fs.Int("dim", 8, "hypercube dimension")
+		task     = fs.String("task", "broadcast", "task: any registered task (see -list)")
+		algo     = fs.String("algo", "cd17", "algorithm name or alias for the task (see -list)")
+		seed     = fs.Uint64("seed", 1, "master seed")
+		value    = fs.Int64("value", 42, "broadcast message value")
+		source   = fs.Int("source", 0, "broadcast source node")
+		max      = fs.Int64("maxrounds", 0, "round budget (0 = algorithm default)")
+		doTrace  = fs.Bool("trace", false, "print a channel activity report after the run")
+		faults   = fs.String("faults", "", "fault scenario spec, e.g. crash:0.3@50+jam:0.05:p0.2 (fault-capable algorithms only; campaign grammar)")
+		trials   = fs.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
+		workers  = fs.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
+		shards   = fs.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
+		manifest = fs.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
+		debug    = fs.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
+		list     = fs.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Print(protocol.MarkdownTable())
+		fmt.Fprint(stdout, protocol.MarkdownTable())
 		return nil
 	}
 
@@ -119,7 +125,7 @@ func run() error {
 		return fmt.Errorf("unknown topology %q", *topology)
 	}
 	net := radionet.NewNetwork(g)
-	fmt.Printf("network: %v, diameter=%d\n", g, net.Diameter)
+	fmt.Fprintf(stdout, "network: %v, diameter=%d\n", g, net.Diameter)
 	// The -source/-value flags, for source-driven descriptors only; Build
 	// rejects a source outside the graph.
 	var sources map[int]int64
@@ -156,7 +162,7 @@ func run() error {
 			if *doTrace {
 				return fmt.Errorf("-trace requires a single run (drop -trials)")
 			}
-			return runTrials(c, cfg, *max, tc, *task, *algo, *seed, *trials)
+			return runTrials(stdout, c, cfg, *max, tc, *task, *algo, *seed, *trials)
 		}
 		faults := faultPlan(net, desc, faultSpec, *seed, sources)
 		switch *task {
@@ -179,14 +185,14 @@ func run() error {
 				return err
 			}
 			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
-			fmt.Printf("broadcast(%s): done=%v rounds=%d precompute=%d\n",
+			fmt.Fprintf(stdout, "broadcast(%s): done=%v rounds=%d precompute=%d\n",
 				*algo, res.Done, res.Rounds, res.PrecomputeRounds)
 			if faults != nil {
-				fmt.Printf("faults(%s): survivors=%d reach=%d/%d\n",
+				fmt.Fprintf(stdout, "faults(%s): survivors=%d reach=%d/%d\n",
 					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
 			}
 			if rec != nil {
-				if err := rec.Report(os.Stdout); err != nil {
+				if err := rec.Report(stdout); err != nil {
 					return err
 				}
 			}
@@ -207,10 +213,10 @@ func run() error {
 				return err
 			}
 			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
-			fmt.Printf("leader(%s): done=%v rounds=%d leader=node%d id=%d candidates=%d\n",
+			fmt.Fprintf(stdout, "leader(%s): done=%v rounds=%d leader=node%d id=%d candidates=%d\n",
 				*algo, res.Done, res.Rounds, res.Leader, res.LeaderID, len(res.Candidates))
 			if faults != nil {
-				fmt.Printf("faults(%s): survivors=%d reach=%d/%d\n",
+				fmt.Fprintf(stdout, "faults(%s): survivors=%d reach=%d/%d\n",
 					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
 			}
 			if !res.Done {
@@ -223,7 +229,7 @@ func run() error {
 				return err
 			}
 			res := out[0]
-			fmt.Printf("%s(%s): done=%v rounds=%d tx=%d\n", *task, *algo, res.Done, res.Rounds, res.Tx)
+			fmt.Fprintf(stdout, "%s(%s): done=%v rounds=%d tx=%d\n", *task, *algo, res.Done, res.Rounds, res.Tx)
 			if !res.Done {
 				return fmt.Errorf("%s did not complete within budget", *task)
 			}
@@ -308,7 +314,7 @@ func runPlan(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.Trial
 // scenario across the campaign worker pool, each with its own RNG stream
 // derived from the master seed, reduced to aggregate round statistics.
 // Output is identical for every -workers value.
-func runTrials(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, task, algo string, seed uint64, trials int) error {
+func runTrials(stdout io.Writer, c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, task, algo string, seed uint64, trials int) error {
 	stream := rng.New(seed).Fork(0x7215)
 	seeds := make([]uint64, trials)
 	for i := range seeds {
@@ -327,8 +333,8 @@ func runTrials(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.Tri
 		}
 	}
 	s := agg.Summary()
-	fmt.Printf("%s(%s): trials=%d failures=%d\n", task, algo, trials, failures)
-	fmt.Printf("rounds: mean=%.1f std=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.0f\n",
+	fmt.Fprintf(stdout, "%s(%s): trials=%d failures=%d\n", task, algo, trials, failures)
+	fmt.Fprintf(stdout, "rounds: mean=%.1f std=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.0f\n",
 		s.Mean, s.Std, s.P50, s.P90, s.P99, s.Max)
 	if failures > 0 {
 		return fmt.Errorf("%d/%d trials did not complete within budget", failures, trials)
