@@ -1,9 +1,14 @@
 // Command radiosim runs a protocol from the algorithm registry on a
 // generated radio network topology and prints the outcome. The task and
 // algorithm catalogue is whatever internal/protocol knows — print it with
-// -list. With -trials N it fans N independently seeded runs of the same
-// scenario out across the campaign worker pool and prints aggregate round
-// statistics.
+// -list. Every run is a one-config campaign plan executed by
+// campaign.Campaign.RunPlan, the trial path cmd/campaign and the
+// experiment tables share. A single run is the plan's one trial, seeded
+// by -seed; with -trials N the plan holds N independently seeded trials,
+// fanned out across the campaign worker pool and reduced to aggregate
+// round statistics. -trace installs a channel activity recorder as the
+// campaign's round hook (Campaign.Hook) and prints its report after a
+// single run.
 //
 // Examples:
 //
@@ -15,6 +20,7 @@
 //	radiosim -topology grid -task multicast -algo pipelined
 //	radiosim -topology grid -algo cd17 -trials 100 -workers 8
 //	radiosim -topology grid -task leader -algo cd17 -faults crash:0.2@50
+//	radiosim -topology grid -task partition -algo mpx -trace
 package main
 
 import (
@@ -127,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 	net := radionet.NewNetwork(g)
 	fmt.Fprintf(stdout, "network: %v, diameter=%d\n", g, net.Diameter)
 	// The -source/-value flags, for source-driven descriptors only; Build
-	// rejects a source outside the graph.
+	// rejects a source outside the graph and a negative value.
 	var sources map[int]int64
 	if desc.DefaultSources() != nil {
 		sources = map[int]int64{*source: *value}
@@ -150,91 +156,41 @@ func run(args []string, stdout io.Writer) error {
 	}
 	scenario := fmt.Sprintf("%v/%s:%s", g, *task, desc.Name)
 	start := time.Now()
-	tc := obs.NewTrialCollector(reg)
-	// Runs without facade sugar — the -trials fan-out and single runs of
-	// the other tasks — execute as a one-config plan on the campaign's
-	// trial path.
+	// Every run, single or -trials, is a one-config plan on the campaign's
+	// trial path; a single run is the one trial seeded by -seed itself.
 	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg}
 	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
+	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max}
+	seeds := []uint64{*seed}
+	if *trials > 1 {
+		stream := rng.New(*seed).Fork(0x7215)
+		seeds = make([]uint64, *trials)
+		for i := range seeds {
+			seeds[i] = stream.Fork(uint64(i)).Uint64()
+		}
+	}
+	for i, s := range seeds {
+		plan.Trials = append(plan.Trials, campaign.Trial{Index: i, Rep: i, Seed: s})
+	}
 
 	runErr := func() error {
-		if *trials > 1 {
-			if *doTrace {
+		var rec *trace.Recorder
+		if *doTrace {
+			if *trials > 1 {
 				return fmt.Errorf("-trace requires a single run (drop -trials)")
 			}
-			return runTrials(stdout, c, cfg, *max, tc, *task, *algo, *seed, *trials)
+			rec = &trace.Recorder{}
+			c.Hook = rec.HookFunc()
 		}
-		faults := faultPlan(net, desc, faultSpec, *seed, sources)
-		switch *task {
-		case "broadcast":
-			var rec *trace.Recorder
-			opts := radionet.BroadcastOptions{
-				Algorithm:    radionet.Algorithm(*algo),
-				Seed:         *seed,
-				MaxRounds:    *max,
-				Metrics:      reg,
-				Faults:       faults,
-				EngineShards: *shards,
-			}
-			if *doTrace {
-				rec = &trace.Recorder{}
-				opts.Hook = rec.HookFunc()
-			}
-			res, err := net.Broadcast(*source, *value, opts)
-			if err != nil {
-				return err
-			}
-			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
-			fmt.Fprintf(stdout, "broadcast(%s): done=%v rounds=%d precompute=%d\n",
-				*algo, res.Done, res.Rounds, res.PrecomputeRounds)
-			if faults != nil {
-				fmt.Fprintf(stdout, "faults(%s): survivors=%d reach=%d/%d\n",
-					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
-			}
-			if rec != nil {
-				if err := rec.Report(stdout); err != nil {
-					return err
-				}
-			}
-			if !res.Done {
-				return fmt.Errorf("broadcast did not complete within budget")
-			}
-		case "leader":
-			opts := radionet.LeaderOptions{
-				Algorithm:    radionet.LeaderAlgorithm(*algo),
-				Seed:         *seed,
-				MaxRounds:    *max,
-				Metrics:      reg,
-				Faults:       faults,
-				EngineShards: *shards,
-			}
-			res, err := net.LeaderElection(opts)
-			if err != nil {
-				return err
-			}
-			tc.Record(res.Rounds, time.Since(start), res.Done, 0)
-			fmt.Fprintf(stdout, "leader(%s): done=%v rounds=%d leader=node%d id=%d candidates=%d\n",
-				*algo, res.Done, res.Rounds, res.Leader, res.LeaderID, len(res.Candidates))
-			if faults != nil {
-				fmt.Fprintf(stdout, "faults(%s): survivors=%d reach=%d/%d\n",
-					faultSpec.Spec, faults.Survivors(), res.Reached, res.ReachTarget)
-			}
-			if !res.Done {
-				return fmt.Errorf("election did not complete within budget")
-			}
-		default:
-			// Any other registered task runs as a one-trial plan.
-			out, err := runPlan(c, cfg, *max, tc, *seed)
-			if err != nil {
-				return err
-			}
-			res := out[0]
-			fmt.Fprintf(stdout, "%s(%s): done=%v rounds=%d tx=%d\n", *task, *algo, res.Done, res.Rounds, res.Tx)
-			if !res.Done {
-				return fmt.Errorf("%s did not complete within budget", *task)
-			}
+		results := c.RunPlan(plan)
+		if res := results[0]; res.Reason == "error" {
+			// A Build error is identical for every trial.
+			return errors.New(res.Err)
 		}
-		return nil
+		if *trials > 1 {
+			return printTrials(stdout, results, *task, *algo)
+		}
+		return printRun(stdout, results[0], *task, *algo, faultSpec, rec)
 	}()
 	// The manifest is written even for incomplete runs — a budget-exhausted
 	// run is telemetry too.
@@ -280,50 +236,40 @@ func buildManifest(scenario string, n, d, workers int, wall time.Duration, reg *
 	return man
 }
 
-// faultPlan realizes fs on the network for one run seeded by seed,
-// protecting the descriptor's protected nodes — the broadcast source, a
-// leader election's would-be winner — exactly as the campaign does.
-// Returns nil for the unfaulted spec; each run needs its own plan (plans
-// are single-use).
-func faultPlan(net *radionet.Network, desc *protocol.Descriptor, fs campaign.FaultSpec, seed uint64, sources map[int]int64) *radionet.FaultPlan {
-	if fs.None() {
-		return nil // skip ProtectedNodes: it may resample a candidate set
+// printRun prints a single run's result line, its fault accounting under
+// an effective fault spec, and rec's channel activity report when -trace
+// installed one. A recorder that saw a different round count than the run
+// took fails the run: multi-engine runners do not call the round hook.
+func printRun(w io.Writer, res campaign.TrialResult, task, algo string, fs campaign.FaultSpec, rec *trace.Recorder) error {
+	switch protocol.Task(task) {
+	case protocol.Broadcast:
+		fmt.Fprintf(w, "broadcast(%s): done=%v rounds=%d precompute=%d\n", algo, res.Done, res.Rounds, res.Precompute)
+	case protocol.Leader:
+		fmt.Fprintf(w, "leader(%s): done=%v rounds=%d leader=node%d id=%d candidates=%d\n",
+			algo, res.Done, res.Rounds, res.Leader, res.LeaderID, res.Candidates)
+	default:
+		fmt.Fprintf(w, "%s(%s): done=%v rounds=%d tx=%d\n", task, algo, res.Done, res.Rounds, res.Tx)
 	}
-	return fs.TrialPlan(net.G, seed, desc.ProtectedNodes(net.G.N(), seed, sources)...)
-}
-
-// runPlan runs cfg once per seed as one campaign plan on c's executor
-// and records each trial into tc. A Build error, identical for every
-// trial, is returned as the run's error.
-func runPlan(c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, seeds ...uint64) ([]campaign.TrialResult, error) {
-	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: max}
-	for i, seed := range seeds {
-		plan.Trials = append(plan.Trials, campaign.Trial{Index: i, Rep: i, Seed: seed})
+	if !fs.None() {
+		fmt.Fprintf(w, "faults(%s): survivors=%d reach=%d/%d\n", fs.Spec, res.Survivors, res.Reached, res.ReachTarget)
 	}
-	results := c.RunPlan(plan)
-	for _, res := range results {
-		if res.Reason == "error" {
-			return nil, errors.New(res.Err)
+	if rec != nil {
+		if int64(rec.Rounds()) != res.Rounds {
+			return fmt.Errorf("-trace: the round hook saw %d of the run's %d rounds (%s:%s drives several engines)", rec.Rounds(), res.Rounds, task, algo)
 		}
-		tc.Record(res.Rounds, res.Wall, res.Done, res.Budget)
+		if err := rec.Report(w); err != nil {
+			return err
+		}
 	}
-	return results, nil
+	if !res.Done {
+		return fmt.Errorf("%s did not complete within budget", task)
+	}
+	return nil
 }
 
-// runTrials is the -trials fan-out mode: n independent runs of the same
-// scenario across the campaign worker pool, each with its own RNG stream
-// derived from the master seed, reduced to aggregate round statistics.
+// printTrials prints the -trials fan-out's aggregate round statistics.
 // Output is identical for every -workers value.
-func runTrials(stdout io.Writer, c *campaign.Campaign, cfg campaign.Config, max int64, tc *obs.TrialCollector, task, algo string, seed uint64, trials int) error {
-	stream := rng.New(seed).Fork(0x7215)
-	seeds := make([]uint64, trials)
-	for i := range seeds {
-		seeds[i] = stream.Fork(uint64(i)).Uint64()
-	}
-	results, err := runPlan(c, cfg, max, tc, seeds...)
-	if err != nil {
-		return err
-	}
+func printTrials(w io.Writer, results []campaign.TrialResult, task, algo string) error {
 	var agg stats.Running
 	failures := 0
 	for _, res := range results {
@@ -333,11 +279,11 @@ func runTrials(stdout io.Writer, c *campaign.Campaign, cfg campaign.Config, max 
 		}
 	}
 	s := agg.Summary()
-	fmt.Fprintf(stdout, "%s(%s): trials=%d failures=%d\n", task, algo, trials, failures)
-	fmt.Fprintf(stdout, "rounds: mean=%.1f std=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.0f\n",
+	fmt.Fprintf(w, "%s(%s): trials=%d failures=%d\n", task, algo, len(results), failures)
+	fmt.Fprintf(w, "rounds: mean=%.1f std=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.0f\n",
 		s.Mean, s.Std, s.P50, s.P90, s.P99, s.Max)
 	if failures > 0 {
-		return fmt.Errorf("%d/%d trials did not complete within budget", failures, trials)
+		return fmt.Errorf("%d/%d trials did not complete within budget", failures, len(results))
 	}
 	return nil
 }

@@ -359,6 +359,12 @@ type Campaign struct {
 	// Stats, when non-nil, is filled with the run's execution record
 	// (whole-run and per-config wall times) for manifests and benchmarks.
 	Stats *RunStats
+	// Hook, when non-nil, observes every round of every trial's engines,
+	// after the Obs engine collector (cmd/radiosim's -trace recorder). It
+	// runs on every worker, so it must be safe for concurrent use when
+	// more than one worker runs. Composite runners that drive several
+	// engines do not call it.
+	Hook radio.RoundHook
 }
 
 // shardMinNodes gates auto-sharding: below this node count the per-wave
@@ -433,17 +439,9 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 	// Telemetry setup. All collectors are nil-safe no-ops when Obs is nil,
 	// and none of them touches the sink stream.
 	workers := ResolveWorkers(c.Workers, len(plan.Trials))
-	trialObs := obs.NewTrialCollector(c.Obs)
 	roundsBefore := int64(0)
-	var workerBusy, workerTrials []*obs.Counter
 	if c.Obs != nil {
 		roundsBefore = c.Obs.Counter(obs.EngineRounds).Value()
-		workerBusy = make([]*obs.Counter, workers)
-		workerTrials = make([]*obs.Counter, workers)
-		for w := range workerBusy {
-			workerBusy[w] = c.Obs.Counter(fmt.Sprintf("worker.%02d.busy_us", w))
-			workerTrials[w] = c.Obs.Counter(fmt.Sprintf("worker.%02d.trials", w))
-		}
 	}
 	prog := newProgress(c.Progress, len(plan.Trials))
 	cfgWall := make([]time.Duration, len(plan.Configs))
@@ -473,12 +471,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 			nextCfg++
 		}
 	}
-	start, shardsUsed := c.execute(plan, results, cfgSetup, func(w int, tr Trial, res TrialResult) {
-		trialObs.Record(res.Rounds, res.Wall, res.Done, res.Budget)
-		if workerBusy != nil {
-			workerBusy[w].Add(res.Wall.Microseconds())
-			workerTrials[w].Inc()
-		}
+	start, shardsUsed := c.execute(plan, results, cfgSetup, func(tr Trial, res TrialResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		remaining[tr.Cfg]--
@@ -523,8 +516,8 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 // (configs carrying their graphs, trials carrying their own seeds) or
 // Matrix.Expand's — through Run's trial fan-out and returns the per-trial
 // results in trial order. Results are identical at every Workers and
-// EngineShards value; the sink-side fields (Timings, Progress, Stats) and
-// Cache are not used.
+// EngineShards value; Obs and Hook observe the trials as in Run, and the
+// sink-side fields (Timings, Progress, Stats) and Cache are not used.
 func (c *Campaign) RunPlan(plan *Plan) []TrialResult {
 	results := make([]TrialResult, len(plan.Trials))
 	c.execute(plan, results, make([]time.Duration, len(plan.Configs)), nil)
@@ -534,10 +527,12 @@ func (c *Campaign) RunPlan(plan *Plan) []TrialResult {
 // execute is the campaign's one trial fan-out, behind Run and RunPlan. It
 // builds plan's deduplicated scratches (adding each group's build wall to
 // cfgSetup), then runs every trial across the worker pool, writing its
-// result to results by trial index. each, when non-nil, observes each
-// result on its worker right after the trial. It returns when the trial
-// phase started and the largest engine shard count any config used.
-func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Duration, each func(w int, tr Trial, res TrialResult)) (time.Time, int) {
+// result to results by trial index and recording it into the Obs trial
+// histograms and per-worker utilization counters. each, when non-nil,
+// observes each result on its worker right after the trial. It returns
+// when the trial phase started and the largest engine shard count any
+// config used.
+func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Duration, each func(tr Trial, res TrialResult)) (time.Time, int) {
 	scratches := buildScratches(plan, c.Workers, cfgSetup)
 	start := time.Now() //lint:wallclock campaign wall time is telemetry, never part of trial output
 	// Intra-round sharding, resolved per configuration (auto mode skips
@@ -554,14 +549,29 @@ func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Du
 	if shardsUsed > 1 {
 		shardHook = obs.NewShardCollector(c.Obs, shardsUsed).Hook()
 	}
-	engineHook := obs.NewEngineCollector(c.Obs).Hook()
+	engineHook := radio.ChainHooks(obs.NewEngineCollector(c.Obs).Hook(), c.Hook)
+	trialObs := obs.NewTrialCollector(c.Obs)
+	var workerBusy, workerTrials []*obs.Counter
+	if c.Obs != nil {
+		workerBusy = make([]*obs.Counter, workers)
+		workerTrials = make([]*obs.Counter, workers)
+		for w := range workerBusy {
+			workerBusy[w] = c.Obs.Counter(fmt.Sprintf("worker.%02d.busy_us", w))
+			workerTrials[w] = c.Obs.Counter(fmt.Sprintf("worker.%02d.trials", w))
+		}
+	}
 	ForEachWorker(c.Workers, len(plan.Trials), func(w, i int) {
 		tr := plan.Trials[i]
 		res := runTrial(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
 			trialOpts{hook: engineHook, shards: cfgShards[tr.Cfg], shardHook: shardHook})
 		results[i] = res
+		trialObs.Record(res.Rounds, res.Wall, res.Done, res.Budget)
+		if workerBusy != nil {
+			workerBusy[w].Add(res.Wall.Microseconds())
+			workerTrials[w].Inc()
+		}
 		if each != nil {
-			each(w, tr, res)
+			each(tr, res)
 		}
 	})
 	return start, shardsUsed

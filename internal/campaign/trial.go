@@ -68,6 +68,16 @@ type TrialResult struct {
 	// one (protocol.Budgeted), else 0. Telemetry only (budget-fraction
 	// histograms); never aggregated into sink output.
 	Budget int64
+	// Precompute is the charged precomputation round cost
+	// (protocol.Result.Precompute; 0 for the oblivious baselines).
+	Precompute int64
+	// Leader, LeaderID and Candidates are the election outcome of a
+	// protocol.LeaderRunner: the elected node (-1 before completion and
+	// for every other runner), the winning ID (set only when Done) and
+	// the size of the sampled candidate set.
+	Leader     int
+	LeaderID   int64
+	Candidates int
 }
 
 // Scratch carries the reusable, seed-independent part of one Config's
@@ -225,7 +235,13 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error"}
 	}
-	res = TrialResult{Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget}
+	res = TrialResult{Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget, Precompute: out.Precompute, Leader: -1}
+	if lr, ok := out.Runner.(protocol.LeaderRunner); ok {
+		res.Leader, res.Candidates = lr.Leader(), len(lr.Candidates())
+		if out.Done {
+			res.LeaderID = lr.LeaderID()
+		}
+	}
 	switch {
 	case out.VerifyErr != nil:
 		// Finished within budget but the postcondition failed — a
