@@ -13,7 +13,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from 
 
 // goldenCases are radiosim invocations on an 8x8 grid whose stdout, and
 // whether they fail, are pinned in testdata/golden.txt. Error texts go
-// to stderr and are not pinned.
+// to stderr and are not pinned. -trace prints a report on every runner
+// that drives one engine and fails on the multi-engine ones
+// (leader:binary-search), whose engines do not call the round hook.
 var goldenCases = [][]string{
 	{"-algo", "cd17"},
 	{"-algo", "hw16"},
@@ -31,6 +33,9 @@ var goldenCases = [][]string{
 	{"-algo", "cd17", "-value", "-1"},
 	{"-algo", "cd17", "-shards", "2"},
 	{"-algo", "cd17", "-trace"},
+	{"-task", "leader", "-algo", "cd17", "-trace"},
+	{"-task", "leader", "-algo", "binary-search", "-trace"},
+	{"-task", "multicast", "-algo", "pipelined", "-trace"},
 	{"-task", "multicast", "-algo", "pipelined"},
 	{"-task", "multicast", "-algo", "pipelined", "-trials", "3"},
 	{"-task", "partition", "-algo", "mpx"},
