@@ -241,6 +241,9 @@ func TestRunTrialLeaderMetrics(t *testing.T) {
 		if res.Tx <= 0 {
 			t.Errorf("%s: Tx = %d, want > 0", algo, res.Tx)
 		}
+		if res.Leader < 0 || res.LeaderID <= 0 || res.Candidates <= 0 {
+			t.Errorf("%s: no election outcome in %+v", algo, res)
+		}
 	}
 	for _, spec := range []AlgoSpec{
 		{Task: "multicast", Algo: "pipelined"},
@@ -252,8 +255,8 @@ func TestRunTrialLeaderMetrics(t *testing.T) {
 		if !res.Done || res.Err != "" {
 			t.Errorf("%s: %+v", spec, res)
 		}
-		if res.Rounds <= 0 || res.Tx <= 0 {
-			t.Errorf("%s: empty metrics %+v", spec, res)
+		if res.Rounds <= 0 || res.Tx <= 0 || res.Leader != -1 {
+			t.Errorf("%s: empty metrics or a leader in %+v", spec, res)
 		}
 	}
 }

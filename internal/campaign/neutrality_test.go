@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +53,22 @@ func TestTelemetryOutputNeutral(t *testing.T) {
 		}
 		if !strings.Contains(progress.String(), "trials") {
 			t.Errorf("workers=%d: progress output unrecognizable: %q", workers, progress.String())
+		}
+	}
+	// RunPlan shares Run's telemetry: it records every trial into the
+	// registry and returns the results a bare RunPlan returns.
+	plan, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareRes := withoutWall((&Campaign{Workers: 1}).RunPlan(plan))
+	for _, workers := range []int{1, 4} {
+		c := &Campaign{Workers: workers, Obs: obs.NewRegistry()}
+		if got := withoutWall(c.RunPlan(plan)); !slices.Equal(got, bareRes) {
+			t.Errorf("workers=%d: RunPlan results differ with telemetry attached", workers)
+		}
+		if got := c.Obs.Snapshot().Counters[obs.TrialsCompleted]; got != int64(len(plan.Trials)) {
+			t.Errorf("workers=%d: RunPlan recorded %d trials, want %d", workers, got, len(plan.Trials))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"radionet/internal/compete"
@@ -120,6 +121,39 @@ func TestRunPlanCallerBuilt(t *testing.T) {
 		}
 		if parallel[i] != serial[i] {
 			t.Errorf("trial %d: 4 workers %+v, 1 worker %+v", i, parallel[i], serial[i])
+		}
+	}
+}
+
+// hookless lists the registered runners that drive several engines and
+// so do not call the campaign's round hook. Each must report no rounds
+// to it; every other descriptor must report exactly its Rounds.
+var hookless = map[string]bool{
+	"leader:binary-search": true,
+	"leader:gh13":          true,
+	"multicast:sequential": true,
+}
+
+// TestCampaignHookSeesEveryRound runs one trial of every registered
+// descriptor with a counting Campaign.Hook (shared by two workers, as
+// the contract allows) and checks the count against the trial's Rounds.
+func TestCampaignHookSeesEveryRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full protocol trials")
+	}
+	for _, task := range protocol.Tasks() {
+		for _, d := range protocol.ByTask(task) {
+			name := string(task) + ":" + d.Name
+			var rounds atomic.Int64
+			c := &Campaign{Workers: 2, Hook: func(int64, []int32, int, int) { rounds.Add(1) }}
+			res := c.RunPlan(planOf([]Config{planConfig(t, "grid:4x8", task, d.Name)}, 3, 4))
+			want := res[0].Rounds + res[1].Rounds
+			if hookless[name] {
+				want = 0
+			}
+			if got := rounds.Load(); got != want || res[0].Rounds <= 0 {
+				t.Errorf("%s: hook saw %d rounds, want %d (trial rounds %d, %d)", name, got, want, res[0].Rounds, res[1].Rounds)
+			}
 		}
 	}
 }
