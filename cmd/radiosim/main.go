@@ -52,33 +52,33 @@ func main() {
 // run is the whole command: it parses args on its own flag set and writes
 // every result line to stdout (diagnostics go to stderr).
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("radiosim", flag.ExitOnError)
+	flags := flag.NewFlagSet("radiosim", flag.ExitOnError)
 	var (
-		topology = fs.String("topology", "grid", "topology: path|cycle|grid|cliquepath|caterpillar|tree|geometric|gnp|hypercube")
-		n        = fs.Int("n", 256, "node count (path, cycle, geometric, gnp)")
-		rows     = fs.Int("rows", 16, "grid rows")
-		cols     = fs.Int("cols", 16, "grid cols")
-		k        = fs.Int("k", 16, "cliquepath clique count / caterpillar spine / tree depth")
-		s        = fs.Int("s", 8, "cliquepath clique size / caterpillar legs / tree arity")
-		radius   = fs.Float64("radius", 0.1, "geometric radius")
-		p        = fs.Float64("p", 0.02, "gnp edge probability")
-		dim      = fs.Int("dim", 8, "hypercube dimension")
-		task     = fs.String("task", "broadcast", "task: any registered task (see -list)")
-		algo     = fs.String("algo", "cd17", "algorithm name or alias for the task (see -list)")
-		seed     = fs.Uint64("seed", 1, "master seed")
-		value    = fs.Int64("value", 42, "broadcast message value")
-		source   = fs.Int("source", 0, "broadcast source node")
-		max      = fs.Int64("maxrounds", 0, "round budget (0 = algorithm default)")
-		doTrace  = fs.Bool("trace", false, "print a channel activity report after the run")
-		faults   = fs.String("faults", "", "fault scenario spec, e.g. crash:0.3@50+jam:0.05:p0.2 (fault-capable algorithms only; campaign grammar)")
-		trials   = fs.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
-		workers  = fs.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
-		manifest = fs.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
-		debug    = fs.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
-		list     = fs.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
+		topology = flags.String("topology", "grid", "topology: path|cycle|grid|cliquepath|caterpillar|tree|geometric|gnp|hypercube")
+		n        = flags.Int("n", 256, "node count (path, cycle, geometric, gnp)")
+		rows     = flags.Int("rows", 16, "grid rows")
+		cols     = flags.Int("cols", 16, "grid cols")
+		k        = flags.Int("k", 16, "cliquepath clique count / caterpillar spine / tree depth")
+		s        = flags.Int("s", 8, "cliquepath clique size / caterpillar legs / tree arity")
+		radius   = flags.Float64("radius", 0.1, "geometric radius")
+		p        = flags.Float64("p", 0.02, "gnp edge probability")
+		dim      = flags.Int("dim", 8, "hypercube dimension")
+		task     = flags.String("task", "broadcast", "task: any registered task (see -list)")
+		algo     = flags.String("algo", "cd17", "algorithm name or alias for the task (see -list)")
+		seed     = flags.Uint64("seed", 1, "master seed")
+		value    = flags.Int64("value", 42, "broadcast message value")
+		source   = flags.Int("source", 0, "broadcast source node")
+		max      = flags.Int64("maxrounds", 0, "round budget (0 = algorithm default)")
+		doTrace  = flags.Bool("trace", false, "print a channel activity report after the run")
+		faults   = flags.String("faults", "", "fault scenario spec, e.g. crash:0.3@50+jam:0.05:p0.2 (fault-capable algorithms only; campaign grammar)")
+		trials   = flags.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
+		workers  = flags.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
+		shards   = flags.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
+		manifest = flags.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
+		debug    = flags.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
+		list     = flags.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := flags.Parse(args); err != nil {
 		return err
 	}
 
@@ -160,17 +160,13 @@ func run(args []string, stdout io.Writer) error {
 	// trial path; a single run is the one trial seeded by -seed itself.
 	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg}
 	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
-	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max}
-	seeds := []uint64{*seed}
+	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max, Trials: []campaign.Trial{{Seed: *seed}}}
 	if *trials > 1 {
 		stream := rng.New(*seed).Fork(0x7215)
-		seeds = make([]uint64, *trials)
-		for i := range seeds {
-			seeds[i] = stream.Fork(uint64(i)).Uint64()
+		plan.Trials = make([]campaign.Trial, *trials)
+		for i := range plan.Trials {
+			plan.Trials[i] = campaign.Trial{Index: i, Rep: i, Seed: stream.Fork(uint64(i)).Uint64()}
 		}
-	}
-	for i, s := range seeds {
-		plan.Trials = append(plan.Trials, campaign.Trial{Index: i, Rep: i, Seed: s})
 	}
 
 	runErr := func() error {
@@ -240,7 +236,7 @@ func buildManifest(scenario string, n, d, workers int, wall time.Duration, reg *
 // an effective fault spec, and rec's channel activity report when -trace
 // installed one. A recorder that saw a different round count than the run
 // took fails the run: multi-engine runners do not call the round hook.
-func printRun(w io.Writer, res campaign.TrialResult, task, algo string, fs campaign.FaultSpec, rec *trace.Recorder) error {
+func printRun(w io.Writer, res campaign.TrialResult, task, algo string, faults campaign.FaultSpec, rec *trace.Recorder) error {
 	switch protocol.Task(task) {
 	case protocol.Broadcast:
 		fmt.Fprintf(w, "broadcast(%s): done=%v rounds=%d precompute=%d\n", algo, res.Done, res.Rounds, res.Precompute)
@@ -250,8 +246,8 @@ func printRun(w io.Writer, res campaign.TrialResult, task, algo string, fs campa
 	default:
 		fmt.Fprintf(w, "%s(%s): done=%v rounds=%d tx=%d\n", task, algo, res.Done, res.Rounds, res.Tx)
 	}
-	if !fs.None() {
-		fmt.Fprintf(w, "faults(%s): survivors=%d reach=%d/%d\n", fs.Spec, res.Survivors, res.Reached, res.ReachTarget)
+	if !faults.None() {
+		fmt.Fprintf(w, "faults(%s): survivors=%d reach=%d/%d\n", faults.Spec, res.Survivors, res.Reached, res.ReachTarget)
 	}
 	if rec != nil {
 		if int64(rec.Rounds()) != res.Rounds {

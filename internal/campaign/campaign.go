@@ -18,9 +18,9 @@
 //
 // cmd/campaign drives matrices from flags or a JSON config file;
 // internal/exp runs its comparison tables F1–F7 through RunPlan, and
-// cmd/radiosim runs its -trials fan-out (and single runs of tasks the
-// radionet facade has no call for) as one-config plans through RunPlan.
-// Every trial runs its descriptor through protocol.Descriptor.Execute.
+// cmd/radiosim runs every run, single or -trials, as a one-config plan
+// through RunPlan. Every trial runs its descriptor through
+// protocol.Descriptor.Execute.
 package campaign
 
 import (

@@ -72,9 +72,9 @@ type TrialResult struct {
 	// (protocol.Result.Precompute; 0 for the oblivious baselines).
 	Precompute int64
 	// Leader, LeaderID and Candidates are the election outcome of a
-	// protocol.LeaderRunner: the elected node (-1 before completion and
-	// for every other runner), the winning ID (set only when Done) and
-	// the size of the sampled candidate set.
+	// protocol.LeaderRunner: the elected node (-1 unless an election
+	// completed), the winning ID (set only when Done) and the size of the
+	// sampled candidate set.
 	Leader     int
 	LeaderID   int64
 	Candidates int
@@ -203,7 +203,7 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	}()
 	desc, err := lookup(cfg.Spec)
 	if err != nil {
-		return TrialResult{Err: err.Error(), Reason: "error"}
+		return TrialResult{Err: err.Error(), Reason: "error", Leader: -1}
 	}
 	sources := cfg.Sources
 	if sources == nil {
@@ -233,7 +233,7 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 		ShardHook: opts.shardHook,
 	}, maxRounds)
 	if err != nil {
-		return TrialResult{Err: err.Error(), Reason: "error"}
+		return TrialResult{Err: err.Error(), Reason: "error", Leader: -1}
 	}
 	res = TrialResult{Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget, Precompute: out.Precompute, Leader: -1}
 	if lr, ok := out.Runner.(protocol.LeaderRunner); ok {
