@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -38,39 +39,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args on its own flag set and writes
+// the sink stream to stdout (diagnostics go to stderr).
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("campaign", flag.ExitOnError)
 	var (
-		topos    = flag.String("topos", "", "comma-separated topology specs, e.g. grid:16x16,path:256,gnp:400:0.01")
-		task     = flag.String("task", "broadcast", "default task for unqualified -algos entries: any registered task (see -list)")
-		algos    = flag.String("algos", "", "comma-separated algorithms, optionally task-qualified, e.g. cd17,bgi or leader:cd17")
-		faults   = flag.String("faults", "", "comma-separated fault specs crossed with every cell, e.g. none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 ('+'-join terms to compose)")
-		seeds    = flag.Int("seeds", 10, "independent trials per configuration")
-		seed     = flag.Uint64("seed", 1, "master seed")
-		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "intra-round engine shards per trial (0 = auto-split spare cores on large graphs, 1 = off; output is byte-identical at any value)")
-		cacheDir = flag.String("cache-dir", "", "precompute disk-cache directory (empty = off; output is byte-identical with the cache off, cold or warm)")
-		maxR     = flag.Int64("maxrounds", 0, "per-trial round budget (0 = algorithm default)")
-		format   = flag.String("format", "text", "output format: text|csv|jsonl")
-		timings  = flag.Bool("timings", false, "include wall-time aggregates (non-deterministic)")
-		config   = flag.String("config", "", "JSON matrix file (flags override its seeds/master_seed/max_rounds when set)")
-		preset   = flag.String("preset", "", "built-in matrix preset: "+strings.Join(campaign.PresetNames(), "|")+" (flags override as with -config)")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memprof  = flag.String("memprofile", "", "write a heap profile (post-GC, at exit) to this file")
-		progress = flag.Bool("progress", false, "stream a live progress line (trials done/total, ETA, current config) to stderr")
-		manifest = flag.String("manifest", "", "write a machine-readable run manifest (JSON: config hash, protocols, per-config wall times, metrics) to this file")
-		debug    = flag.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
-		list     = flag.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
+		topos    = flags.String("topos", "", "comma-separated topology specs, e.g. grid:16x16,path:256,gnp:400:0.01")
+		task     = flags.String("task", "broadcast", "default task for unqualified -algos entries: any registered task (see -list)")
+		algos    = flags.String("algos", "", "comma-separated algorithms, optionally task-qualified, e.g. cd17,bgi or leader:cd17")
+		faults   = flags.String("faults", "", "comma-separated fault specs crossed with every cell, e.g. none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 ('+'-join terms to compose)")
+		seeds    = flags.Int("seeds", 10, "independent trials per configuration")
+		seed     = flags.Uint64("seed", 1, "master seed")
+		workers  = flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		shards   = flags.Int("shards", 0, "intra-round engine shards per trial (0 = auto-split spare cores on large graphs, 1 = off; output is byte-identical at any value)")
+		cacheDir = flags.String("cache-dir", "", "precompute disk-cache directory (empty = off; output is byte-identical with the cache off, cold or warm)")
+		maxR     = flags.Int64("maxrounds", 0, "per-trial round budget (0 = algorithm default)")
+		format   = flags.String("format", "text", "output format: text|csv|jsonl")
+		timings  = flags.Bool("timings", false, "include wall-time aggregates (non-deterministic)")
+		config   = flags.String("config", "", "JSON matrix file (flags override its seeds/master_seed/max_rounds when set)")
+		preset   = flags.String("preset", "", "built-in matrix preset: "+strings.Join(campaign.PresetNames(), "|")+" (flags override as with -config)")
+		cpuprof  = flags.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memprof  = flags.String("memprofile", "", "write a heap profile (post-GC, at exit) to this file")
+		progress = flags.Bool("progress", false, "stream a live progress line (trials done/total, ETA, current config) to stderr")
+		manifest = flags.String("manifest", "", "write a machine-readable run manifest (JSON: config hash, protocols, per-config wall times, metrics) to this file")
+		debug    = flags.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
+		list     = flags.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Print(protocol.MarkdownTable())
+		fmt.Fprint(stdout, protocol.MarkdownTable())
 		return nil
 	}
 	if *preset != "" && *config != "" {
@@ -99,7 +105,7 @@ func run() error {
 	if *preset != "" || *config != "" {
 		// Flags given explicitly on the command line win over the
 		// preset's or the file's values.
-		flag.Visit(func(fl *flag.Flag) {
+		flags.Visit(func(fl *flag.Flag) {
 			switch fl.Name {
 			case "seeds":
 				m.Seeds = *seeds
@@ -127,7 +133,7 @@ func run() error {
 		return fmt.Errorf("no matrix: provide -topos and -algos, or -config (see -h)")
 	}
 
-	sink, err := campaign.NewSink(*format, os.Stdout, m.SinkSchema(*timings))
+	sink, err := campaign.NewSink(*format, stdout, m.SinkSchema(*timings))
 	if err != nil {
 		return err
 	}

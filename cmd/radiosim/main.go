@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"radionet"
@@ -107,29 +108,33 @@ func run(args []string, stdout io.Writer) error {
 		faultSpec = fs
 	}
 
-	var g *radionet.Graph
+	// The topology flags become a campaign topology spec, so the sizes
+	// are validated by the same parser as campaign -topos and a bad size
+	// is a one-line error, not a generator panic.
+	var spec string
 	switch *topology {
-	case "path":
-		g = radionet.Path(*n)
-	case "cycle":
-		g = radionet.Cycle(*n)
+	case "path", "cycle":
+		spec = fmt.Sprintf("%s:%d", *topology, *n)
 	case "grid":
-		g = radionet.Grid(*rows, *cols)
-	case "cliquepath":
-		g = radionet.PathOfCliques(*k, *s)
-	case "caterpillar":
-		g = radionet.Caterpillar(*k, *s)
+		spec = fmt.Sprintf("grid:%dx%d", *rows, *cols)
+	case "cliquepath", "caterpillar":
+		spec = fmt.Sprintf("%s:%dx%d", *topology, *k, *s)
 	case "tree":
-		g = radionet.BalancedTree(*s, *k)
+		spec = fmt.Sprintf("tree:%dx%d", *s, *k)
 	case "geometric":
-		g = radionet.RandomGeometric(*n, *radius, *seed)
+		spec = fmt.Sprintf("geometric:%d:%s", *n, strconv.FormatFloat(*radius, 'g', -1, 64))
 	case "gnp":
-		g = radionet.Gnp(*n, *p, *seed)
+		spec = fmt.Sprintf("gnp:%d:%s", *n, strconv.FormatFloat(*p, 'g', -1, 64))
 	case "hypercube":
-		g = radionet.Hypercube(*dim)
+		spec = fmt.Sprintf("hypercube:%d", *dim)
 	default:
 		return fmt.Errorf("unknown topology %q", *topology)
 	}
+	topo, err := campaign.ParseTopology(spec)
+	if err != nil {
+		return err
+	}
+	g := topo.Build(*seed)
 	net := radionet.NewNetwork(g)
 	fmt.Fprintf(stdout, "network: %v, diameter=%d\n", g, net.Diameter)
 	// The -source/-value flags, for source-driven descriptors only; Build

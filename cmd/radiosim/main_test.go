@@ -86,3 +86,24 @@ func TestGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestBadTopologySizes checks that topology sizes outside the
+// generators' preconditions fail with a one-line error and print
+// nothing, where they used to panic.
+func TestBadTopologySizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topology", "grid", "-rows", "0", "-cols", "5"},
+		{"-topology", "path", "-n", "0"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		switch {
+		case err == nil:
+			t.Errorf("%v: no error, output %q", args, out.String())
+		case strings.Contains(err.Error(), "\n"):
+			t.Errorf("%v: error spans lines: %q", args, err)
+		case out.Len() != 0:
+			t.Errorf("%v: printed %q before failing", args, out.String())
+		}
+	}
+}

@@ -40,11 +40,15 @@ func FuzzParseFaultSpec(f *testing.F) {
 	})
 }
 
-// FuzzTopologySpec asserts the topology parser never panics and that
-// accepted specs round-trip to the same canonical Spec with a usable
-// builder. Build is deliberately not called: the parser accepts any
-// dimensions that scan, and materializing a fuzzer-chosen graph would
-// make memory, not parsing, the failure mode.
+// fuzzBuildNodes caps the node count of the accepted specs that
+// FuzzTopologySpec builds, so a fuzzer-chosen size cannot make memory,
+// not validation, the failure mode.
+const fuzzBuildNodes = 128
+
+// FuzzTopologySpec asserts the topology parser never panics, that
+// accepted specs round-trip to the same canonical Spec, and that an
+// accepted spec of at most fuzzBuildNodes nodes builds without a panic a
+// graph of the node count the parser computed.
 func FuzzTopologySpec(f *testing.F) {
 	for _, seed := range []string{
 		"path:64",
@@ -67,6 +71,18 @@ func FuzzTopologySpec(f *testing.F) {
 		"path:-1",
 		"nosuch:3",
 		"",
+		"grid:0x5",
+		"path:0",
+		"gnp:0:0.1",
+		"cycle:2",
+		"hypercube:25",
+		"tree:2x40",
+		"tree:1x3",
+		"regular:10x9",
+		"regular:9x3",
+		"geometric:5:NaN",
+		"gnp:5:1.5",
+		"gnp:40:1e-20",
 	} {
 		f.Add(seed)
 	}
@@ -84,6 +100,12 @@ func FuzzTopologySpec(f *testing.F) {
 		}
 		if again.Spec != topo.Spec {
 			t.Fatalf("canonical spec drifted: %q -> %q -> %q", s, topo.Spec, again.Spec)
+		}
+		if topo.nodes > fuzzBuildNodes {
+			return
+		}
+		if g := topo.Build(1); g.N() != topo.nodes {
+			t.Fatalf("spec %q built %d nodes, parser computed %d", s, g.N(), topo.nodes)
 		}
 	})
 }

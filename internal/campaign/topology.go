@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -16,6 +17,35 @@ type Topology struct {
 	// Build generates the graph; seed matters only for the random
 	// families (geometric, gnp, randtree, regular).
 	Build func(seed uint64) *graph.Graph
+	// nodes is the node count Build produces.
+	nodes int
+}
+
+// maxNodes bounds a spec's node count: graph node ids are int32.
+const maxNodes = math.MaxInt32
+
+// mulNodes returns a*b for a, b >= 0, or maxNodes+1 when the product
+// exceeds maxNodes.
+func mulNodes(a, b int) int {
+	if a != 0 && b > maxNodes/a {
+		return maxNodes + 1
+	}
+	return a * b
+}
+
+// treeNodes returns the node count of the complete arity-ary tree of the
+// given depth, or maxNodes+1 when it exceeds maxNodes (arity >= 1,
+// depth >= 0).
+func treeNodes(arity, depth int) int {
+	if arity == 1 {
+		return min(depth, maxNodes) + 1
+	}
+	n, layer := 1, 1
+	for d := 0; d < depth && n <= maxNodes; d++ {
+		layer = mulNodes(layer, arity)
+		n += layer
+	}
+	return min(n, maxNodes+1)
 }
 
 // ParseTopology parses a topology spec. The grammar is
@@ -26,6 +56,14 @@ type Topology struct {
 //	tree:ARITYxDEPTH dumbbell:SxL regular:NxD
 //	hypercube:DIM
 //	geometric:N:RADIUS gnp:N:P
+//
+// Each family's size preconditions are checked here, so a bad size is an
+// error rather than a generator panic: every family needs at least one
+// node (a cycle three), hypercube:DIM needs DIM in [0, 24], regular:NxD
+// needs D in [2, 3], D < N and N*D even (the configuration-model
+// sampler rarely finds a simple pairing at higher degree), geometric
+// needs RADIUS > 0 and gnp P in [0, 1]. A graph may hold at most
+// 2^31 - 1 nodes.
 func ParseTopology(spec string) (Topology, error) {
 	parts := strings.Split(strings.TrimSpace(spec), ":")
 	fail := func(format string, args ...any) (Topology, error) {
@@ -77,11 +115,24 @@ func ParseTopology(spec string) (Topology, error) {
 	}
 
 	var build func(seed uint64) *graph.Graph
+	var nodes int
 	switch family {
 	case "path", "cycle", "star", "complete", "hypercube", "randtree":
 		n, err := oneInt()
 		if err != nil {
 			return fail("%v", err)
+		}
+		nodes = n
+		switch {
+		case family == "hypercube":
+			if n < 0 || n > 24 {
+				return fail("want DIM in [0, 24], got %d", n)
+			}
+			nodes = 1 << n
+		case family == "cycle" && n < 3:
+			return fail("want N >= 3, got %d", n)
+		case n < 1:
+			return fail("want N >= 1, got %d", n)
 		}
 		switch family {
 		case "path":
@@ -103,6 +154,33 @@ func ParseTopology(spec string) (Topology, error) {
 			return fail("%v", err)
 		}
 		switch family {
+		case "grid", "cliquepath":
+			if a < 1 || b < 1 {
+				return fail("want both dimensions >= 1, got %dx%d", a, b)
+			}
+			nodes = mulNodes(a, b)
+		case "caterpillar":
+			if a < 1 || b < 0 {
+				return fail("want SPINE >= 1 and LEGS >= 0, got %dx%d", a, b)
+			}
+			nodes = mulNodes(a, min(b, maxNodes)+1)
+		case "tree":
+			if a < 1 || b < 0 {
+				return fail("want ARITY >= 1 and DEPTH >= 0, got %dx%d", a, b)
+			}
+			nodes = treeNodes(a, b)
+		case "dumbbell":
+			if a < 1 || b < 0 {
+				return fail("want S >= 1 and L >= 0, got %dx%d", a, b)
+			}
+			nodes = min(a, maxNodes) + min(a, maxNodes) + min(b, maxNodes)
+		case "regular":
+			if b < 2 || b > 3 || b >= a || a%2 != 0 && b%2 != 0 {
+				return fail("want D in [2, 3], D < N and N*D even, got %dx%d", a, b)
+			}
+			nodes = a
+		}
+		switch family {
 		case "grid":
 			build = static(func() *graph.Graph { return graph.Grid(a, b) })
 		case "cliquepath":
@@ -121,6 +199,16 @@ func ParseTopology(spec string) (Topology, error) {
 		if err != nil {
 			return fail("%v", err)
 		}
+		if n < 1 {
+			return fail("want N >= 1, got %d", n)
+		}
+		if family == "geometric" && !(f > 0) {
+			return fail("want RADIUS > 0, got %v", f)
+		}
+		if family == "gnp" && !(f >= 0 && f <= 1) {
+			return fail("want P in [0, 1], got %v", f)
+		}
+		nodes = n
 		if family == "geometric" {
 			build = func(seed uint64) *graph.Graph { return graph.RandomGeometric(n, f, rng.New(seed)) }
 		} else {
@@ -129,5 +217,8 @@ func ParseTopology(spec string) (Topology, error) {
 	default:
 		return fail("unknown family (known: path cycle star complete hypercube randtree grid cliquepath caterpillar tree dumbbell regular geometric gnp)")
 	}
-	return Topology{Spec: strings.TrimSpace(spec), Build: build}, nil
+	if nodes > maxNodes {
+		return fail("more than %d nodes", maxNodes)
+	}
+	return Topology{Spec: strings.TrimSpace(spec), Build: build, nodes: nodes}, nil
 }

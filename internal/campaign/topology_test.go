@@ -50,8 +50,20 @@ func TestParseTopologyDeterministicRandomFamilies(t *testing.T) {
 	}
 }
 
+// TestParseTopologyErrors covers malformed specs and sizes outside a
+// generator's preconditions, which must fail to parse rather than panic
+// in Build.
 func TestParseTopologyErrors(t *testing.T) {
-	for _, spec := range []string{"", "warp:9", "grid:4", "grid:4x", "path:axe", "geometric:40", "path", "path:1:2"} {
+	for _, spec := range []string{
+		"", "warp:9", "grid:4", "grid:4x", "path:axe", "geometric:40", "path", "path:1:2",
+		"path:0", "star:-1", "cycle:2", "hypercube:-1", "hypercube:25", "randtree:0",
+		"grid:0x5", "grid:5x-1", "cliquepath:0x3", "caterpillar:0x2", "caterpillar:3x-1",
+		"tree:0x3", "tree:2x-1", "tree:2x40", "dumbbell:0x3", "dumbbell:3x-1",
+		"regular:10x1", "regular:10x4", "regular:3x3", "regular:9x3",
+		"geometric:0:0.1", "geometric:10:0", "geometric:10:NaN",
+		"gnp:0:0.1", "gnp:10:-0.1", "gnp:10:1.5", "gnp:10:NaN",
+		"grid:65536x65536",
+	} {
 		if _, err := ParseTopology(spec); err == nil {
 			t.Errorf("%q: accepted", spec)
 		}

@@ -213,13 +213,18 @@ func Gnp(n int, p float64, r *rng.Rand) *Graph {
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, r.Intn(i)) // spanning tree for connectivity
 	}
-	// Geometric skipping makes generation O(m) instead of O(n^2).
+	// Geometric skipping makes generation O(m) instead of O(n^2). A skip
+	// of n² or more passes every remaining pair; stopping there keeps a
+	// tiny p from overflowing the int conversion.
 	if p > 0 && n > 1 {
 		logq := math.Log1p(-minFloat(p, 1-1e-12))
 		v, w := 1, -1
 		for v < n {
-			skip := int(math.Floor(math.Log1p(-r.Float64()) / logq))
-			w += 1 + skip
+			f := math.Floor(math.Log1p(-r.Float64()) / logq)
+			if f >= float64(n)*float64(n) {
+				break
+			}
+			w += 1 + int(f)
 			for w >= v && v < n {
 				w -= v
 				v++

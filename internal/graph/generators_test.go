@@ -150,3 +150,15 @@ func TestGnpAllocsSeedIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestGnpTinyP checks that an edge probability so small that a geometric
+// skip overflows an int builds the bare spanning tree instead of
+// panicking.
+func TestGnpTinyP(t *testing.T) {
+	for _, p := range []float64{1e-20, 1e-300, 5e-324} {
+		g := Gnp(40, p, rng.New(1))
+		if g.N() != 40 || g.M() != 39 || !g.IsConnected() {
+			t.Errorf("Gnp(40, %g): %v, want the 39-edge spanning tree", p, g)
+		}
+	}
+}

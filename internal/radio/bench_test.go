@@ -140,7 +140,9 @@ func benchmarkDelivery(b *testing.B, g *graph.Graph, density float64, bitset boo
 // 4096-node Gnp with mean degree ~80, above the dense-row threshold, so
 // the bitset kernel ORs adjacency rows word-at-a-time; "gnp4096p05" is
 // the shape of the cd17_gnp_dense perfbench workload (mean degree ~205,
-// every row dense) at its traced ~3% transmitters per round.
+// every row dense) at its traced ~3% transmitters per round;
+// "gnp4096p05heavy" is the same graph at 25% transmitters, where every
+// listener collides after a few dozen rows and the marking pass stops.
 func BenchmarkStepDelivery(b *testing.B) {
 	sparse := graph.RandomTree(100000, rng.New(7))
 	dense := graph.Gnp(4096, 0.02, rng.New(7))
@@ -151,4 +153,6 @@ func BenchmarkStepDelivery(b *testing.B) {
 	b.Run("scatter/dense", func(b *testing.B) { benchmarkDelivery(b, dense, 0.05, false) })
 	b.Run("bitset/gnp4096p05", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.03, true) })
 	b.Run("scatter/gnp4096p05", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.03, false) })
+	b.Run("bitset/gnp4096p05heavy", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.25, true) })
+	b.Run("scatter/gnp4096p05heavy", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.25, false) })
 }

@@ -22,6 +22,20 @@
 // touched word heard nothing and is owed no Recv call, so the one
 // listener pass scans the dirty summary only.
 //
+// The unsharded marking pass ORs the dense rows first and stops as soon
+// as every live listener has collided, that is once collided | txw |
+// deadw covers every node (a saturated round). That exit is exact. A
+// collided listener stays collided whatever else transmits, and
+// transmitters and dead nodes never listen, so no remaining transmitter
+// can change a classification. Every live listener has a collided bit,
+// so its word was touched and is already in the dirty summary, and the
+// classify pass counts the same collisions. The round has no singleton,
+// so neither inbox nor resolve is read. The sharded marking pass has no
+// exit: a shard's private arenas cannot see global saturation. A dense
+// listener's singleton is resolved through txwords, Step's list of the
+// txw words that hold a transmitter, kept only on graphs with dense
+// rows.
+//
 // Sharding splits the marking pass over contiguous chunks of the transmit
 // list and the classify pass over contiguous word ranges, across k
 // goroutines with the round barrier as the only sync point. Shards call
@@ -161,20 +175,34 @@ func (e *Engine) SetShards(k int) {
 	}
 }
 
-// markAll is the unsharded marking pass: scatter every transmitter's
-// neighborhood into the onair/collided bitsets, recording the heard
-// message index for first-touch (CSR-marked) listeners so singleton
-// resolution is O(1) on the common path.
+// mark is the unsharded marking pass. Dense rows go first, in
+// markDense; unless they saturate the round or were all of it, markCSR
+// then scatters the CSR transmitters. The order of the two kinds is
+// immaterial: unions commute, and inbox is read only for a singleton,
+// whose one transmitter is its only first touch.
 //
 //radionet:hotpath
-func (e *Engine) markAll() {
+func (e *Engine) mark() {
+	if e.dense == nil || !e.markDense() {
+		e.markCSR()
+	}
+}
+
+// markCSR scatters every CSR transmitter's neighborhood into the
+// onair/collided bitsets, recording the heard message index for
+// first-touch listeners so singleton resolution is O(1) on the common
+// path. It holds no call: a call would change the CSR walk's register
+// allocation, and graphs without dense rows run nothing else (DESIGN.md
+// §5).
+//
+//radionet:hotpath
+func (e *Engine) markCSR() {
 	cur := e.round // Step already advanced it: cur = t+1, never zero
 	st := &e.sh[0] // aliases e.onair/e.collided/e.dirty
 	for j, u := range e.transmit {
 		ui := int(u)
-		if row := e.dense.Row(ui); row != nil {
-			st.orRow(row)
-			continue
+		if e.dense.Row(ui) != nil {
+			continue // marked by markDense
 		}
 		for _, v := range e.G.Neighbors(ui) {
 			w := int(v) >> 6
@@ -191,6 +219,32 @@ func (e *Engine) markAll() {
 	}
 }
 
+// markDense ORs the dense transmitters' rows into the marking bitsets
+// and reports whether that completes the round's marking: the round
+// saturated, every live listener collided, so no other transmitter can
+// change a classification (see the package comment); or every
+// transmitter has a dense row. It stops at the row that saturates. open
+// is the first word that may still hold an uncollided live listener;
+// collided only grows within the round, so the checks of a round scan
+// each word about once.
+//
+//radionet:hotpath
+func (e *Engine) markDense() bool {
+	st := &e.sh[0]
+	open, rows := 0, 0
+	for _, u := range e.transmit {
+		if row := e.dense.Row(int(u)); row != nil {
+			st.orRow(row)
+			rows++
+			if open = e.firstOpen(open); open == e.words {
+				e.saturated++
+				return true
+			}
+		}
+	}
+	return rows == len(e.transmit)
+}
+
 // orRow folds one dense transmitter's adjacency row into the shard's
 // marking bitsets, word-at-a-time: bits already on the air collide. The
 // word loop has no branch, no bounds check (CI checks) and no store that
@@ -199,11 +253,9 @@ func (e *Engine) markAll() {
 // word, a store-to-load chain through the whole row. So the row's whole
 // word range is flagged dirty once, up front, zero words of the row
 // included; every reader tolerates that superset (see the package
-// comment). orRow must stay within the inlining budget (CI checks): as an
-// out-of-line call it changes markAll's register allocation and slows the
-// CSR walk of graphs that have no dense rows at all. Flagging before the
-// word loop rather than after it is also a layout choice: it keeps that
-// inlined CSR walk at the code alignment it had (DESIGN.md §5).
+// comment). orRow must stay within the inlining budget (CI checks):
+// runMark's CSR walk shares its loop, and an out-of-line call there
+// changes that walk's register allocation (DESIGN.md §5).
 //
 //radionet:hotpath
 func (st *shardState) orRow(row []uint64) {
@@ -216,6 +268,23 @@ func (st *shardState) orRow(row []uint64) {
 		collided[w] |= onair[w] & rw
 		onair[w] |= rw
 	}
+}
+
+// firstOpen returns the first word at or after from that holds a live
+// listener outside collided, or e.words when every live listener has
+// collided. Bits past n are never set, so the tail word is covered once
+// its padding is. The function has no bounds check (CI checks).
+//
+//radionet:hotpath
+func (e *Engine) firstOpen(from int) int {
+	coll := e.collided[from:]
+	txw, deadw := e.txw[from:][:len(coll)], e.deadw[from:][:len(coll)]
+	for i, c := range coll {
+		if m := c | txw[i] | deadw[i]; m != ^uint64(0) && (i+1 < len(coll) || m|^e.tailMask != ^uint64(0)) {
+			return from + i
+		}
+	}
+	return e.words
 }
 
 // runMark is the sharded marking pass over one chunk of the transmit
@@ -335,7 +404,9 @@ func (st *shardState) classifyWord(w int) {
 // inbox; otherwise (dense-marked or sharded rounds) the transmitter is
 // recovered by intersecting v's neighborhood with the txw bitset — the
 // first hit is the only one, and txidx maps it back to the same message
-// index the inbox path would have stored.
+// index the inbox path would have stored. A dense row is intersected
+// only on txwords, the words that hold a transmitter: the unique hit is
+// the same in any word order.
 //
 //radionet:hotpath
 func (e *Engine) resolve(v int32) int32 {
@@ -344,15 +415,17 @@ func (e *Engine) resolve(v int32) int32 {
 	}
 	vi := int(v)
 	if row := e.dense.Row(vi); row != nil {
-		for w, rw := range row {
-			if h := rw & e.txw[w]; h != 0 {
-				return e.txidx[w<<6+bits.TrailingZeros64(h)]
+		txw := e.txw
+		for _, w := range e.txwords {
+			if h := row[w] & txw[w]; h != 0 {
+				return e.txidx[int(w)<<6+bits.TrailingZeros64(h)]
 			}
 		}
-	}
-	for _, u := range e.G.Neighbors(vi) {
-		if e.txw[u>>6]&(1<<(uint(u)&63)) != 0 {
-			return e.txidx[u]
+	} else {
+		for _, u := range e.G.Neighbors(vi) {
+			if e.txw[u>>6]&(1<<(uint(u)&63)) != 0 {
+				return e.txidx[u]
+			}
 		}
 	}
 	panic("radio: singleton listener with no transmitting neighbor") //lint:alloc unreachable invariant-violation panic, never taken on the hot path

@@ -8,22 +8,20 @@ import (
 	"radionet/internal/rng"
 )
 
-// markRound sets tx as the engine's transmit list and runs one marking
-// pass — markWave (with the shard merge) when sharded, markAll otherwise —
-// bypassing Act, classify and clear.
+// markRound sets tx as the engine's transmit list (and txw, as Step
+// does) and runs one marking pass — markWave (with the shard merge) when
+// sharded, mark otherwise — bypassing Act, classify and clear.
 func markRound(e *Engine, tx []int32) {
 	for _, u := range e.transmit {
 		e.txw[uint32(u)>>6] &^= 1 << (uint32(u) & 63)
 	}
 	e.transmit = append(e.transmit[:0], tx...)
-	for _, u := range tx {
-		e.txw[uint32(u)>>6] |= 1 << (uint32(u) & 63)
-	}
+	e.setTxw()
 	e.round++
 	if e.shards > 1 {
 		e.markWave()
 	} else {
-		e.markAll()
+		e.mark()
 	}
 }
 

@@ -40,10 +40,12 @@ func (s *scripted) Recv(round int64, msg *Message) {
 // v transmits its id+1 in the rounds its plan marks — at shard count k,
 // with the fault plan fp installed when it is non-nil, and checks every
 // node's Act rounds, its Recv log and the engine Metrics against a naive
-// per-round reference. A listener appears in the reference's Recv log
-// only for a delivery; scripted fails the test on a nil message. The
-// reference models the overlay's three rules from the plan's parameters
-// alone, deriving its own coin streams from the plan seed:
+// per-round reference, and returns the number of rounds in which the
+// engine's marking pass stopped at saturation. A listener appears in the
+// reference's Recv log only for a delivery; scripted fails the test on a
+// nil message. The reference models the overlay's three rules from the
+// plan's parameters alone, deriving its own coin streams from the plan
+// seed:
 //
 //   - crash: from its crash round on a node is dead — it is not asked to
 //     act, does not transmit, hears nothing and is not counted;
@@ -52,7 +54,7 @@ func (s *scripted) Recv(round int64, msg *Message) {
 //   - loss: each delivery to a lossy node draws one coin from its loss
 //     stream, and a lost delivery never reaches Recv (it still counts as a
 //     delivery: the message was on the air).
-func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) bool {
+func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) (ok bool, saturated int64) {
 	n := g.N()
 	T := len(plans[0])
 	nodes := make([]*scripted, n)
@@ -142,18 +144,18 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 	for v := 0; v < n; v++ {
 		if !slices.Equal(nodes[v].acts, wantActs[v]) {
 			t.Logf("node %d acted in rounds %v, want %v (k=%d)", v, nodes[v].acts, wantActs[v], k)
-			return false
+			return false, e.saturated
 		}
 		if !slices.Equal(nodes[v].heard, wantHeard[v]) {
 			t.Logf("node %d heard %v, want %v (k=%d)", v, nodes[v].heard, wantHeard[v], k)
-			return false
+			return false, e.saturated
 		}
 	}
 	if e.Metrics != want {
 		t.Logf("metrics %+v, want %+v (k=%d)", e.Metrics, want, k)
-		return false
+		return false, e.saturated
 	}
-	return true
+	return true, e.saturated
 }
 
 // randomPlans draws an n x T transmit schedule, each slot on with
@@ -182,7 +184,8 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
 		g := graph.Gnp(n, 0.3, r.Fork(1))
-		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
+		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -223,7 +226,8 @@ func TestEngineMatchesBruteForceUnderFaults(t *testing.T) {
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
 		g := graph.Gnp(n, 0.3, r.Fork(1))
-		return matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
+		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -244,14 +248,24 @@ func rowKinds(g *graph.Graph) (dense, csr []int32) {
 	return dense, csr
 }
 
+// straddlingGnp draws a Gnp graph that mixes both marking paths: n in
+// [100, 300] and p in [0.2, 0.6], with p drawn from the part of that
+// range that puts the mean degree (n-1)p within 25% of
+// graph.DenseThreshold(n), so degrees straddle the threshold.
+func straddlingGnp(r *rng.Rand, nRaw uint16, pRaw uint8) *graph.Graph {
+	n := int(nRaw)%201 + 100
+	thr := float64(graph.DenseThreshold(n))
+	plo := max(0.2, 0.75*thr/float64(n-1))
+	phi := min(0.6, 1.25*thr/float64(n-1))
+	p := plo + (phi-plo)*float64(pRaw)/255
+	return graph.Gnp(n, p, r.Fork(1))
+}
+
 // TestEngineMatchesBruteForceDenseRows is the brute-force cross-check on
-// graphs that mix both marking paths in one round: n in [100, 300] and p
-// in [0.2, 0.6], with p drawn from the part of that range that puts the
-// mean degree (n-1)p within 25% of graph.DenseThreshold(n), so degrees
-// straddle the threshold. Transmit probabilities run from a few
-// transmitters per neighborhood (mostly singleton deliveries resolved
-// through dense rows) to many (mostly collisions), at a random shard
-// count. The test counts its mixed
+// graphs that mix both marking paths in one round (straddlingGnp).
+// Transmit probabilities run from a few transmitters per neighborhood
+// (mostly singleton deliveries resolved through dense rows) to many
+// (mostly collisions), at a random shard count. The test counts its mixed
 // cases and fails if fewer than half of them hold both kinds of row, so a
 // change to the threshold cannot silently turn it into a CSR-only check.
 func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
@@ -259,20 +273,17 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 	cases, mixed := 0, 0
 	check := func(seed uint64, nRaw uint16, pRaw, qRaw, rounds, shardRaw uint8) bool {
 		r := master.Fork(seed)
-		n := int(nRaw)%201 + 100
-		thr := float64(graph.DenseThreshold(n))
-		plo := max(0.2, 0.75*thr/float64(n-1))
-		phi := min(0.6, 1.25*thr/float64(n-1))
-		p := plo + (phi-plo)*float64(pRaw)/255
+		g := straddlingGnp(r, nRaw, pRaw)
+		n := g.N()
 		q := 0.005 + 0.075*float64(qRaw)/255
 		T := int(rounds%12) + 1
 		k := int(shardRaw%4) + 1
-		g := graph.Gnp(n, p, r.Fork(1))
 		cases++
 		if d, c := rowKinds(g); len(d) > 0 && len(c) > 0 {
 			mixed++
 		}
-		return matchesBruteForce(t, g, randomPlans(r, n, T, q), k, nil)
+		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, q), k, nil)
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -280,6 +291,47 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 	t.Logf("%d of %d cases mix dense and CSR rows", mixed, cases)
 	if 2*mixed < cases {
 		t.Fatalf("only %d of %d cases mix dense and CSR rows, want at least half", mixed, cases)
+	}
+}
+
+// TestEngineMatchesBruteForceSaturated is the dense-row cross-check
+// under a crash + loss + jam fault plan at transmit probabilities from
+// 0.005 to 0.9. At the high end the dense rows often leave every live
+// listener collided and the unsharded marking pass stops early; at the
+// low end a jammer is often the only transmitter in its word, the case
+// in which resolve needs the jam overlay to have listed that word. Each case runs at
+// k = 1..4 (a run consumes its fault plan, so each gets a fresh one from
+// the same seed). Only the unsharded pass has the exit; the test fails if
+// it fired at k = 1 in fewer than a third of the cases, so it cannot
+// silently stop exercising the exit.
+func TestEngineMatchesBruteForceSaturated(t *testing.T) {
+	master := rng.New(20261019)
+	cases, fired := 0, 0
+	check := func(seed uint64, nRaw uint16, pRaw, qRaw, rounds uint8) bool {
+		r := master.Fork(seed)
+		g := straddlingGnp(r, nRaw, pRaw)
+		n := g.N()
+		q := 0.005 + 0.895*float64(qRaw)/255
+		T := int(rounds%12) + 1
+		plans := randomPlans(r, n, T, q)
+		cases++
+		for k := 1; k <= 4; k++ {
+			ok, saturated := matchesBruteForce(t, g, plans, k, randomFaultPlan(r.Fork(2), n, T))
+			if !ok {
+				return false
+			}
+			if k == 1 && saturated > 0 {
+				fired++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("the saturation exit fired in %d of %d cases", fired, cases)
+	if 3*fired < cases {
+		t.Fatalf("the saturation exit fired in only %d of %d cases, want at least a third", fired, cases)
 	}
 }
 

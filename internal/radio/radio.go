@@ -221,12 +221,17 @@ type Engine struct {
 	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking)
 	instamp  []int64   // round stamp validating inbox
 	txidx    []int32   // node -> transmit-list index (valid while its txw bit is set)
+	txwords  []int32   // words of txw holding a transmitter, for resolve (dense graphs only)
 	txmsg    []Message // scratch: messages of transmitting nodes, parallel to transmit
 	transmit []int32   // scratch: ids of transmitting nodes
 	rcvID    []int32   // scratch: shard-concatenated delivery listeners
 	rcvIdx   []int32   // scratch: txmsg index heard by each listener
 	// dense is the graph's dense-adjacency layer, nil when it has no rows.
 	dense *graph.AdjBits
+	// saturated counts the rounds in which markDense found every live
+	// listener collided and the unsharded marking pass stopped early
+	// (read by the brute-force property test).
+	saturated int64
 
 	// Intra-round sharding (see SetShards): sh[0] is always present and
 	// runs on the caller's goroutine; rangeAct is the protocol's
@@ -284,6 +289,7 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 	// row lookup in the marking and resolve passes is one nil check.
 	if d := g.DenseAdj(); d.Rows() > 0 {
 		e.dense = d
+		e.txwords = make([]int32, 0, words)
 	}
 	if n > 0 {
 		e.tailMask = ^uint64(0)
@@ -401,9 +407,7 @@ func (e *Engine) Step() {
 		e.transmit = e.transmit[:w]
 		e.txmsg = e.txmsg[:w]
 	}
-	for _, u := range e.transmit {
-		e.txw[u>>6] |= 1 << (uint(u) & 63)
-	}
+	e.setTxw()
 	if e.fault != nil && len(e.fault.jammers) > 0 {
 		e.applyJam()
 	}
@@ -419,7 +423,7 @@ func (e *Engine) Step() {
 		e.markWave()
 		e.classifyWave()
 	} else {
-		e.markAll()
+		e.mark()
 		e.sh[0].runClassify()
 	}
 	// One delivery call in shard (= ascending node) order; no protocol
@@ -453,6 +457,29 @@ func (e *Engine) Step() {
 	}
 }
 
+// setTxw sets the transmit list's bits in txw. On a graph with dense
+// rows it also lists, in txwords, each word that gains its first bit, so
+// resolve intersects a dense row with those words only.
+//
+//radionet:hotpath
+func (e *Engine) setTxw() {
+	if e.dense == nil {
+		for _, u := range e.transmit {
+			e.txw[u>>6] |= 1 << (uint(u) & 63)
+		}
+		return
+	}
+	txw := e.txw
+	e.txwords = e.txwords[:0]
+	for _, u := range e.transmit {
+		w := u >> 6
+		if txw[w] == 0 {
+			e.txwords = append(e.txwords, w)
+		}
+		txw[w] |= 1 << (uint(u) & 63)
+	}
+}
+
 // applyJam draws each live jammer's noise coin and, when it fires,
 // replaces the node's action for the round with a KindNoise transmission
 // (overriding a protocol transmission in place, or putting a listener on
@@ -479,6 +506,9 @@ func (e *Engine) applyJam() {
 				}
 			}
 			continue
+		}
+		if e.dense != nil && e.txw[w] == 0 {
+			e.txwords = append(e.txwords, w)
 		}
 		e.txw[w] |= b
 		e.transmit = append(e.transmit, v)
