@@ -40,9 +40,15 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(os.Stderr, errLine(err))
 		os.Exit(1)
 	}
+}
+
+// errLine is the stderr line for a failed run: the error behind one
+// "campaign: " prefix, which errors from package campaign already carry.
+func errLine(err error) string {
+	return "campaign: " + strings.TrimPrefix(err.Error(), "campaign: ")
 }
 
 // run is the whole command: it parses args on its own flag set and writes

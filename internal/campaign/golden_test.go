@@ -24,9 +24,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // least one summary field.
 //
 // pernode covers the engine's other users on the same topologies:
-// bgi (decay's bulk Protocol) and the two protocols that run through
-// the engine's per-node adapter (pipelined multicast and distributed
-// MPX partitioning).
+// bgi (decay's Protocol, with a range Act) and the two Protocols without
+// a range Act (pipelined multicast and distributed MPX partitioning).
+// The name is historical: both once ran through the per-node adapter.
 //
 // others covers the remaining registry algorithms on the same topologies:
 // the Decay variants behind truncated-decay and hw16's pipeline, the

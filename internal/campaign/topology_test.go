@@ -37,6 +37,28 @@ func TestParseTopologyFamilies(t *testing.T) {
 	}
 }
 
+// TestRegularDegreeTwoLarge builds a large 2-regular spec, which
+// ParseTopology accepts: a random 2-regular pairing is almost never one
+// cycle at this size, and the generator used to panic after redrawing.
+// The graph must be a single cycle: connected, every degree 2.
+func TestRegularDegreeTwoLarge(t *testing.T) {
+	topo, err := ParseTopology("regular:20000x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{1, 2} {
+		g := topo.Build(seed)
+		if g.N() != 20000 || g.M() != 20000 || !g.IsConnected() {
+			t.Fatalf("seed %d: %v is not one 20000-cycle (connected %v)", seed, g, g.IsConnected())
+		}
+		for v := 0; v < g.N(); v++ {
+			if d := g.Degree(v); d != 2 {
+				t.Fatalf("seed %d: node %d has degree %d, want 2", seed, v, d)
+			}
+		}
+	}
+}
+
 func TestParseTopologyDeterministicRandomFamilies(t *testing.T) {
 	for _, spec := range []string{"geometric:50:0.35", "gnp:40:0.15", "randtree:25"} {
 		topo, err := ParseTopology(spec)

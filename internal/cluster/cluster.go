@@ -271,19 +271,6 @@ func (r *Result) CutFraction() float64 {
 	return float64(cut) / float64(r.g.M())
 }
 
-// StrongRadius returns, for each center, the maximum intra-cluster hop
-// distance from the center to a member (the strong radius; the strong
-// diameter is at most twice this).
-func (r *Result) StrongRadius() map[int32]int32 {
-	out := make(map[int32]int32)
-	for v, c := range r.Center {
-		if r.Dist[v] > out[c] {
-			out[c] = r.Dist[v]
-		}
-	}
-	return out
-}
-
 // MaxStrongRadius returns the largest strong radius over all clusters.
 func (r *Result) MaxStrongRadius() int {
 	max := int32(0)

@@ -355,14 +355,29 @@ func stitchNearest(g *Graph, xs, ys []float64) *Graph {
 	return g
 }
 
-// RandomRegular returns a random d-regular simple graph on n nodes via the
-// configuration model with rejection, then stitches connectivity the same
-// way as RandomGeometric if needed. n*d must be even and d < n.
+// RandomRegular returns a uniformly random connected d-regular simple
+// graph on n nodes; n*d must be even and d < n. At d = 2 that is a random
+// Hamiltonian cycle. Otherwise it redraws configuration-model pairings
+// until one is simple and connected, and panics after 200 failures
+// (likely at d = 1 with n > 2, and from d = 4 up).
 func RandomRegular(n, d int, r *rng.Rand) *Graph {
 	if d < 1 || d >= n || n*d%2 != 0 {
 		panic("graph: RandomRegular requires 1 <= d < n with n*d even")
 	}
+	if d == 2 {
+		// A pairing conditioned on simple and connected is uniform over
+		// the Hamiltonian cycles, and each cycle closes 2n permutations.
+		perm := r.Perm(n)
+		b := NewBuilder("regular2", n)
+		for i, v := range perm {
+			b.AddEdge(v, perm[(i+1)%n])
+		}
+		return b.Build()
+	}
 	for attempt := 0; ; attempt++ {
+		if attempt == 200 {
+			panic("graph: RandomRegular failed to generate a connected simple graph")
+		}
 		stubs := make([]int32, 0, n*d)
 		for v := 0; v < n; v++ {
 			for i := 0; i < d; i++ {
@@ -392,15 +407,10 @@ func RandomRegular(n, d int, r *rng.Rand) *Graph {
 			seen[k] = true
 			b.AddEdge(int(u), int(v))
 		}
-		if !ok {
-			if attempt > 200 {
-				panic("graph: RandomRegular failed to generate a simple graph")
+		if ok {
+			if g := b.Build(); g.IsConnected() {
+				return g
 			}
-			continue
-		}
-		g := b.Build()
-		if g.IsConnected() {
-			return g
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // doneFullScan is the O(n) reference implementation of Done, the oracle
 // of the equivalence test below.
 func (p *Pipelined) doneFullScan() bool {
-	for _, nd := range p.nodes {
-		if nd.count != len(nd.known) {
+	for i := range p.nodes {
+		if nd := &p.nodes[i]; nd.count != len(nd.known) {
 			return false
 		}
 	}
@@ -48,8 +48,8 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 			if !p.doneFullScan() {
 				t.Fatalf("%s seed=%d: pipelined multicast did not complete", g, seed)
 			}
-			for v, c := range p.KnownCounts() {
-				if c != 5 {
+			for v := range p.nodes {
+				if c := p.nodes[v].count; c != 5 {
 					t.Fatalf("%s seed=%d: node %d knows %d/5 messages after Done", g, seed, v, c)
 				}
 			}

@@ -9,13 +9,14 @@
 //     Decay broadcasts, Θ(k·(D+log n)·log n) rounds. This is the baseline
 //     the pipelined bound is measured against.
 //   - Pipelined: all messages propagate concurrently. Every informed node
-//     participates in Decay phases continuously, each time transmitting a
-//     uniformly random message from the set it currently knows (the
+//     participates in Decay phases continuously, each time transmitting its
+//     newest message or a uniformly random known one (a newest-biased
 //     random-push epidemic). Messages behave as k epidemics sharing the
 //     channel: completion is Θ(D·log n + k·log n·log k)-flavored —
 //     additive in k rather than multiplicative in k·D, which is the
 //     pipelining shape Lemma 2.3 claims (the paper's schedules sharpen
-//     the constants; see DESIGN.md §3).
+//     the constants; see DESIGN.md §3). It is a radio.Protocol over one
+//     node slice; node_test.go holds its per-node oracle.
 //
 // Experiment T8 regenerates the comparison.
 package multicast
@@ -36,69 +37,20 @@ const KindMulti radio.Kind = 5
 
 // node is the pipelined per-node state.
 type node struct {
-	levels int
-	rnd    *rng.Rand
-	prog   *radio.Progress // nodes knowing all k messages (shared)
+	rnd    rng.Rand // embedded: nodes live in one contiguous slice
 	vals   []int64
 	known  []bool
 	count  int
 	latest int // most recently learned index; -1 before any
 }
 
-func (nd *node) learn(idx int, val int64) {
-	if idx >= 0 && idx < len(nd.known) && !nd.known[idx] {
-		nd.known[idx] = true
-		nd.vals[idx] = val
-		nd.count++
-		nd.latest = idx
-		if nd.count == len(nd.known) {
-			nd.prog.Add(1) // per-message counts only grow: counted once
-		}
-	}
-}
-
-func (nd *node) Act(t int64) radio.Action {
-	if nd.count == 0 {
-		return radio.Listen
-	}
-	step := int(t % int64(nd.levels))
-	if !nd.rnd.Bernoulli(decay.Prob(step)) {
-		return radio.Listen
-	}
-	// Newest-biased push: with probability 1/2 forward the most recently
-	// learned message (it is the one the frontier still lacks), otherwise
-	// a uniformly random known one (back-fill for nodes that missed
-	// earlier epidemics). Pure uniform push dilutes the frontier message
-	// by a 1/k factor and loses the additive-in-k pipelining shape.
-	idx := nd.latest
-	if nd.rnd.Bernoulli(0.5) {
-		pick := nd.rnd.Intn(nd.count)
-		for i, ok := range nd.known {
-			if !ok {
-				continue
-			}
-			if pick == 0 {
-				idx = i
-				break
-			}
-			pick--
-		}
-	}
-	return radio.Transmit(radio.Message{Kind: KindMulti, A: nd.vals[idx], B: int64(idx)})
-}
-
-func (nd *node) Recv(_ int64, msg *radio.Message) {
-	if msg.Kind != KindMulti {
-		return
-	}
-	nd.learn(int(msg.B), msg.A)
-}
-
-// Pipelined is a running pipelined k-message broadcast.
+// Pipelined is a running pipelined k-message broadcast: a radio.Protocol
+// over the per-node states, one slice indexed by node id.
 type Pipelined struct {
 	Engine *radio.Engine
-	nodes  []*node
-	prog   radio.Progress // completion tracker shared with the nodes
+	nodes  []node
+	levels int            // Decay phase length
+	prog   radio.Progress // nodes knowing all k messages
 	def    int64          // the budget Run applies to budget <= 0
 }
 
@@ -111,44 +63,100 @@ func NewPipelined(g *graph.Graph, d int, seed uint64, src int, msgs []int64) (*P
 	if src < 0 || src >= g.N() {
 		return nil, errors.New("multicast: source out of range")
 	}
+	n, k := g.N(), len(msgs)
 	master := rng.New(seed)
-	l := decay.Levels(g.N())
+	l := decay.Levels(n)
 	p := &Pipelined{
-		nodes: make([]*node, g.N()),
-		def:   20 * (int64(d) + int64(len(msgs)*l)) * int64(l),
+		nodes:  make([]node, n),
+		levels: l,
+		def:    20 * (int64(d) + int64(k*l)) * int64(l),
 	}
-	p.prog = *radio.NewProgress(int64(g.N()))
-	rn := make([]radio.Node, g.N())
+	p.prog = *radio.NewProgress(int64(n))
+	vals, known := make([]int64, n*k), make([]bool, n*k)
 	for v := range p.nodes {
-		p.nodes[v] = &node{
-			levels: l,
-			rnd:    master.Fork(uint64(v)),
-			prog:   &p.prog,
-			vals:   make([]int64, len(msgs)),
-			known:  make([]bool, len(msgs)),
+		p.nodes[v] = node{
+			rnd:    *master.Fork(uint64(v)),
+			vals:   vals[v*k : (v+1)*k : (v+1)*k],
+			known:  known[v*k : (v+1)*k : (v+1)*k],
 			latest: -1,
 		}
-		rn[v] = p.nodes[v]
 	}
 	for i, m := range msgs {
-		p.nodes[src].learn(i, m)
+		p.learn(&p.nodes[src], i, m)
 	}
-	p.Engine = radio.NewNodeEngine(g, rn)
+	p.Engine = radio.NewEngine(g, p)
 	return p, nil
 }
 
-// Done reports whether every node knows all k messages. O(1): nodes report
-// their k-th delivery to the shared radio.Progress inside learn.
-func (p *Pipelined) Done() bool { return p.prog.Done() }
-
-// KnownCounts returns how many messages each node currently knows.
-func (p *Pipelined) KnownCounts() []int {
-	out := make([]int, len(p.nodes))
-	for i, nd := range p.nodes {
-		out[i] = nd.count
+// learn records message idx with value val at nd; nd counts toward
+// completion at its k-th message, which happens once.
+func (p *Pipelined) learn(nd *node, idx int, val int64) {
+	if idx >= 0 && idx < len(nd.known) && !nd.known[idx] {
+		nd.known[idx] = true
+		nd.vals[idx] = val
+		nd.count++
+		nd.latest = idx
+		if nd.count == len(nd.known) {
+			p.prog.Add(1)
+		}
 	}
-	return out
 }
+
+// ActBulk implements radio.Protocol: the round's Decay probability once,
+// then every informed node in ascending id draws its transmission coin
+// and, on success, its message choice from its own stream. The per-node
+// oracle it is tested against is refNode.Act (node_test.go): same coins,
+// same order.
+//
+//radionet:hotpath
+func (p *Pipelined) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+	prob := decay.Prob(int(t % int64(p.levels)))
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		if nd.count == 0 || !nd.rnd.Bernoulli(prob) {
+			continue
+		}
+		// Newest-biased push: with probability 1/2 forward the most
+		// recently learned message (it is the one the frontier still
+		// lacks), otherwise a uniformly random known one (back-fill for
+		// nodes that missed earlier epidemics). Pure uniform push dilutes
+		// the frontier message by a 1/k factor and loses the
+		// additive-in-k pipelining shape.
+		idx := nd.latest
+		if nd.rnd.Bernoulli(0.5) {
+			pick := nd.rnd.Intn(nd.count)
+			for j, ok := range nd.known {
+				if !ok {
+					continue
+				}
+				if pick == 0 {
+					idx = j
+					break
+				}
+				pick--
+			}
+		}
+		tx = append(tx, int32(i))
+		msgs = append(msgs, radio.Message{Kind: KindMulti, A: nd.vals[idx], B: int64(idx)})
+	}
+	return tx, msgs
+}
+
+// RecvBulk implements radio.Protocol: each listener learns the message it
+// heard.
+//
+//radionet:hotpath
+func (p *Pipelined) RecvBulk(_ int64, listeners, msgIdx []int32, msgs []radio.Message) {
+	for k, v := range listeners {
+		if msg := &msgs[msgIdx[k]]; msg.Kind == KindMulti {
+			p.learn(&p.nodes[v], int(msg.B), msg.A)
+		}
+	}
+}
+
+// Done reports whether every node knows all k messages. O(1): learn
+// reports each node's k-th message to the radio.Progress.
+func (p *Pipelined) Done() bool { return p.prog.Done() }
 
 // DefaultBudget implements protocol.Budgeted: 20·(D + k·L)·L.
 func (p *Pipelined) DefaultBudget() int64 { return p.def }

@@ -80,16 +80,18 @@ func TestKnownCountsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := p.KnownCounts()
+	prev := make([]int, len(p.nodes))
+	for v := range p.nodes {
+		prev[v] = p.nodes[v].count
+	}
 	for i := 0; i < 500; i++ {
 		p.Engine.Step()
-		cur := p.KnownCounts()
-		for v := range cur {
-			if cur[v] < prev[v] {
+		for v := range p.nodes {
+			if p.nodes[v].count < prev[v] {
 				t.Fatalf("node %d known count decreased", v)
 			}
+			prev[v] = p.nodes[v].count
 		}
-		prev = cur
 	}
 }
 

@@ -41,7 +41,7 @@ const (
 //     Metrics.Deliveries/Collisions. A bulk protocol may keep drawing
 //     from the node's private randomness stream; the draws are
 //     unobservable because nothing the node does reaches the network.
-//     The per-node adapter does not ask a dead node to act.
+//     The per-node test adapter (node.go) does not ask a dead node to act.
 //   - A live jammer draws one noise coin per round; when it fires, the
 //     node transmits KindNoise this round regardless of what its protocol
 //     chose (the protocol machine still stepped: a bulk Act pass cannot

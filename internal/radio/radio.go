@@ -9,12 +9,12 @@
 //
 // The Engine drives one protocol interface, Protocol: a whole-round Act
 // over the protocol's own node storage, then one bulk delivery of the
-// round's receptions. Per-node state machines (the Node interface) run
-// through NewNodeEngine's adapter. The Engine advances all nodes in lock
-// step, applies the collision semantics, and accounts rounds,
-// transmissions, deliveries and collisions. Protocols that alternate
-// several processes (the paper's main and background lanes) interleave
-// them in time themselves, by engine round.
+// round's receptions. Per-node state machines (node.go) are a test
+// harness. The Engine advances all nodes in lock step, applies the
+// collision semantics, and accounts rounds, transmissions, deliveries
+// and collisions. Protocols that alternate several processes (the
+// paper's main and background lanes) interleave them in time
+// themselves, by engine round.
 package radio
 
 import (
@@ -40,40 +40,6 @@ type Message struct {
 	Kind Kind
 	Src  int32 // sender id, stamped by the engine
 	A, B int64 // protocol-defined payload
-}
-
-// Action is a node's choice for one round: transmit Msg, or listen.
-type Action struct {
-	Transmit bool
-	Msg      Message
-}
-
-// Listen is the do-nothing action.
-var Listen = Action{}
-
-// Transmit returns a transmitting action carrying msg.
-func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
-
-// Node is a protocol state machine for a single network node, run by
-// NewNodeEngine's adapter.
-//
-// In every round the adapter first calls Act on every live node in
-// ascending id order to collect the round's actions; the engine then
-// applies collision semantics and the adapter calls Recv, in ascending
-// id order, on every listener that heard something. A crashed node is
-// never asked to act and hears nothing. A transmitting node never receives
-// (a radio cannot listen while transmitting). A listener that heard
-// nothing gets no call: it cannot tell silence from a collision, so the
-// report would carry no information.
-type Node interface {
-	// Act returns the node's action for the given round.
-	Act(round int64) Action
-	// Recv reports a reception to a listening node: msg is the message of
-	// its unique transmitting neighbor, never nil. The pointer is only
-	// valid for the duration of the call and the Message must be treated
-	// as read-only (listeners of one transmitter share the underlying
-	// storage).
-	Recv(round int64, msg *Message)
 }
 
 // Metrics accumulates engine counters over a run.
@@ -124,10 +90,9 @@ func (e *Engine) AddHook(h RoundHook) {
 
 // Protocol is the engine's one protocol interface: a whole-round Act and
 // a bulk delivery, run over the protocol's own contiguous node storage.
-// Per-node state machines reach the engine through NewNodeEngine's
-// adapter. Faults stay engine-side (SetFaults): a crashed node's
-// transmissions are masked off the air after ActBulk and it is never
-// among the listeners, so a protocol never models them.
+// Faults stay engine-side (SetFaults): a crashed node's transmissions
+// are masked off the air after ActBulk and it is never among the
+// listeners, so a protocol never models them.
 type Protocol interface {
 	// ActBulk appends the ids (ascending) and messages of this round's
 	// transmitters to tx and msgs and returns the extended slices.
@@ -142,54 +107,6 @@ type Protocol interface {
 	// state touched), which is what makes the delivery order, and with it
 	// the shard count, unobservable.
 	RecvBulk(round int64, listeners, msgIdx []int32, msgs []Message)
-}
-
-// nodeProtocol is the Protocol adapter over per-node state machines. It
-// keeps their per-node semantics exactly: Act runs in ascending id order
-// and never on a crashed node, and Recv replays in ascending listener
-// order.
-type nodeProtocol struct {
-	e     *Engine
-	nodes []Node
-	// tx and msgs hold ActBulk's output while it runs: as locals, their six
-	// slice-header words would be spilled and reloaded around every node's
-	// Act call.
-	tx   []int32
-	msgs []Message
-}
-
-// ActBulk runs a second loop, without the dead check, until the first
-// crash: with the check in the one loop, per-node protocols whose Act
-// takes a few nanoseconds (BenchmarkPartitionDistributed) ran about 10%
-// slower than the same loop inlined in Step.
-func (p *nodeProtocol) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
-	p.tx, p.msgs = tx, msgs
-	if !p.e.anyDead {
-		for i, nd := range p.nodes {
-			if a := nd.Act(t); a.Transmit {
-				p.tx = append(p.tx, int32(i))
-				p.msgs = append(p.msgs, a.Msg)
-			}
-		}
-		return p.tx, p.msgs
-	}
-	deadw := p.e.deadw
-	for i, nd := range p.nodes {
-		if deadw[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue // dead nodes are off the air
-		}
-		if a := nd.Act(t); a.Transmit {
-			p.tx = append(p.tx, int32(i))
-			p.msgs = append(p.msgs, a.Msg)
-		}
-	}
-	return p.tx, p.msgs
-}
-
-func (p *nodeProtocol) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Message) {
-	for k, v := range listeners {
-		p.nodes[v].Recv(t, &msgs[msgIdx[k]])
-	}
 }
 
 // Engine executes a protocol on a graph under the radio collision model.
@@ -249,8 +166,7 @@ type Engine struct {
 
 	// Fault state: deadw accumulates the overlay's crash schedule; a dead
 	// node is off the air and out of the listener pass. anyDead gates the
-	// dead-transmitter mask (and the adapter's Act check) so unfaulted
-	// runs pay one predictable branch.
+	// dead-transmitter mask so unfaulted runs pay one predictable branch.
 	fault      *FaultPlan
 	hasLoss    bool
 	anyDead    bool
@@ -308,18 +224,6 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		onair: e.onair, collided: e.collided, dirty: e.dirty,
 	}
 	return e
-}
-
-// NewNodeEngine returns an engine running the per-node state machines
-// nodes on g, through the adapter that lifts them to a Protocol.
-// len(nodes) must equal g.N().
-func NewNodeEngine(g *graph.Graph, nodes []Node) *Engine {
-	if len(nodes) != g.N() {
-		panic(fmt.Sprintf("radio: %d nodes for graph with %d vertices", len(nodes), g.N()))
-	}
-	p := &nodeProtocol{nodes: nodes}
-	p.e = NewEngine(g, p)
-	return p.e
 }
 
 // SetFaults installs the engine-side fault overlay (see FaultPlan). It
