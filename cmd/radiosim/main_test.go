@@ -13,9 +13,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from 
 
 // goldenCases are radiosim invocations on an 8x8 grid whose stdout, and
 // whether they fail, are pinned in testdata/golden.txt. Error texts go
-// to stderr and are not pinned. -trace prints a report on every runner
-// that drives one engine and fails on the multi-engine ones
-// (leader:binary-search), whose engines do not call the round hook.
+// to stderr and are not pinned. -trace prints a report on every runner;
+// on leader:binary-search its "rounds:" line counts the simulated rounds,
+// fewer than the run's charged rounds (silent bits run none).
 var goldenCases = [][]string{
 	{"-algo", "cd17"},
 	{"-algo", "hw16"},

@@ -55,8 +55,7 @@ func TruncatedDecayLevels(n, d int) int {
 // a Decay broadcast for a fixed T_BC budget; hearing anything sets the
 // bit. Total time O(T_BC · idBits).
 type BinarySearchLE struct {
-	g          *graph.Graph
-	d          int
+	bc         *decay.Broadcast // re-armed for every ID bit
 	seed       uint64
 	candidates map[int]int64
 	tbc        int64 // the whp per-bit broadcast budget T_BC
@@ -75,7 +74,8 @@ func NewBinarySearchLE(g *graph.Graph, d int, seed uint64) (*BinarySearchLE, err
 		return nil, err
 	}
 	l := int64(decay.Levels(g.N()))
-	return &BinarySearchLE{g: g, d: d, seed: seed, candidates: cands, tbc: 3 * (int64(d) + l) * l, leader: -1}, nil
+	bc := decay.NewBroadcast(g, d, decay.Config{}, seed, nil)
+	return &BinarySearchLE{bc: bc, seed: seed, candidates: cands, tbc: 3 * (int64(d) + l) * l, leader: -1}, nil
 }
 
 // Candidates exposes the sampled candidate set.
@@ -95,14 +95,16 @@ func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * idBits }
 // an explicit budget > 0 is split evenly over the idBits broadcasts
 // instead, floored to one round per bit. The reported round count is the
 // sum over iterations of the per-bit budget, as in the classical analysis
-// (iterations are budget-bound, not adaptive).
+// (iterations are budget-bound, not adaptive). The round hook sees the
+// simulated rounds, <= Rounds: silent bits run none, and a broadcast
+// stops when it completes.
 func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 	tbc := b.tbc
 	if budget > 0 {
 		tbc = max(budget/idBits, 1)
 	}
 	prefix := int64(0)
-	var rounds, tx int64
+	var rounds int64
 	for bit := idBits - 1; bit >= 0; bit-- {
 		probe := prefix | 1<<uint(bit)
 		sources := make(map[int]int64)
@@ -117,8 +119,8 @@ func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 		if len(sources) == 0 {
 			continue // silence everywhere; bit stays 0
 		}
-		bc := decay.NewBroadcast(b.g, b.d, decay.Config{}, b.seed+uint64(bit)+1, sources)
-		tx += bc.Run(tbc).Tx
+		b.bc.Rearm(b.seed+uint64(bit)+1, sources)
+		b.bc.Run(tbc)
 		// In the model every node that heard anything learns the bit is 1.
 		// The oracle checks the source set was non-empty, which is what
 		// reception signals; nodes that heard nothing within T_BC would
@@ -132,7 +134,7 @@ func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 			b.leader = v
 		}
 	}
-	return protocol.Result{Rounds: rounds, Tx: tx, Done: b.leader >= 0, Verify: b.Verify}
+	return protocol.Result{Rounds: rounds, Tx: b.bc.Engine.Metrics.Transmissions, Done: b.leader >= 0, Verify: b.Verify}
 }
 
 // Verify checks that the binary search converged on the true maximum

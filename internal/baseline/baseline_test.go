@@ -6,6 +6,7 @@ import (
 	"radionet/internal/compete"
 	"radionet/internal/decay"
 	"radionet/internal/graph"
+	"radionet/internal/protocol"
 )
 
 // truncatedDecay builds the CR/KP-flavored surrogate the way the
@@ -106,6 +107,40 @@ func TestBinarySearchLE(t *testing.T) {
 	}
 	if res.Rounds != idBits*leTBC(g.N(), g.Diameter()) {
 		t.Fatalf("rounds %d not IDBits*T_BC", res.Rounds)
+	}
+}
+
+// TestBinarySearchLEHookSeesSimulatedRounds builds binary-search LE
+// through its descriptor with a round hook: the per-bit broadcasts run
+// on the one engine Build wired, so the hook sees exactly that engine's
+// simulated rounds and transmissions. Silent bits run none and a
+// broadcast that completes stops early, so the count is positive and at
+// most the charged Rounds.
+func TestBinarySearchLEHookSeesSimulatedRounds(t *testing.T) {
+	d, ok := protocol.Lookup(protocol.Leader, "binary-search")
+	if !ok {
+		t.Fatal("leader:binary-search not registered")
+	}
+	g := graph.Grid(7, 7)
+	var hookRounds, hookTx int64
+	r, err := d.Build(protocol.BuildParams{G: g, D: g.Diameter(), Seed: 11, Hook: func(_ int64, tx []int32, _, _ int) {
+		hookRounds++
+		hookTx += int64(len(tx))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := r.(*BinarySearchLE)
+	res := le.Run(0)
+	if !res.Done {
+		t.Fatalf("binary search failed: %+v", res)
+	}
+	if m := le.bc.Engine.Metrics; hookRounds != m.Rounds || hookTx != res.Tx || res.Tx != m.Transmissions {
+		t.Fatalf("hook saw %d rounds and %d tx; engine ran %d rounds and %d tx; result tx %d",
+			hookRounds, hookTx, m.Rounds, m.Transmissions, res.Tx)
+	}
+	if hookRounds <= 0 || hookRounds > res.Rounds {
+		t.Fatalf("hook saw %d rounds, want in (0, %d]", hookRounds, res.Rounds)
 	}
 }
 

@@ -39,12 +39,13 @@ func init() {
 				return nil, fmt.Errorf("baseline: binary-search LE takes no tuning, got %T", p.Tuning)
 			}
 			if p.Faults != nil {
-				return nil, fmt.Errorf("baseline: binary-search LE does not support fault plans (each of its per-bit broadcasts restarts the round clock)")
+				return nil, fmt.Errorf("baseline: binary-search LE does not support fault plans (each bit's outcome is read from its source set, not from what survivors heard)")
 			}
 			le, err := NewBinarySearchLE(p.G, p.D, p.Seed)
 			if err != nil {
 				return nil, err
 			}
+			p.ApplyEngine(le.bc.Engine)
 			return le, nil
 		},
 	})

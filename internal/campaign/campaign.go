@@ -362,8 +362,7 @@ type Campaign struct {
 	// Hook, when non-nil, observes every round of every trial's engines,
 	// after the Obs engine collector (cmd/radiosim's -trace recorder). It
 	// runs on every worker, so it must be safe for concurrent use when
-	// more than one worker runs. Composite runners that drive several
-	// engines do not call it.
+	// more than one worker runs.
 	Hook radio.RoundHook
 }
 

@@ -39,9 +39,7 @@ func lookup(a AlgoSpec) (*protocol.Descriptor, error) {
 type TrialResult struct {
 	// Rounds is the executed round count (budget-capped on failure).
 	Rounds int64
-	// Tx is the total engine transmission count, summed over every engine
-	// the trial drove (composite runners like binary-search LE run one
-	// per ID bit).
+	// Tx is the total engine transmission count of the trial.
 	Tx int64
 	// Done reports completion within budget and, where the algorithm
 	// exposes a postcondition check (protocol.Result.Verify), a verified

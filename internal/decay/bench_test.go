@@ -27,8 +27,13 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 		b.StartTimer()
 		var done bool
 		if fullScan {
-			// The seed termination check: O(n) full scan after every round.
-			rounds, done = bc.Engine.Run(1<<22, bc.doneFullScan)
+			// The seed termination check: O(n) full scan before the
+			// first round and after every round.
+			done = bc.doneFullScan()
+			for rounds = 0; !done && rounds < 1<<22; rounds++ {
+				bc.Engine.Step()
+				done = bc.doneFullScan()
+			}
 		} else {
 			res := bc.Run(1 << 22)
 			rounds, done = res.Rounds, res.Done

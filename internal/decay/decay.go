@@ -79,6 +79,7 @@ type tracker struct {
 	prog       radio.Progress
 	informed   int
 	trueMax    int64    // highest source value; propagation never exceeds it
+	t0         int64    // engine round the broadcast was armed at
 	levels     int      // phase length, shared by every node
 	thr        []uint64 // thr[s]: rnd.Uint64()>>11 < thr[s] <=> Bernoulli(Prob(s))
 	isInformed []bool   // per-node informed flag, indexed by node id
@@ -112,10 +113,10 @@ func (b *node) Recv(t int64, msg *radio.Message) {
 		return
 	}
 	if !b.informed() {
-		// Align participation to the next phase boundary (the classical
-		// analysis assumes phase-aligned joins).
-		L := int64(b.tr.levels)
-		b.informedAt = ((t / L) + 1) * L
+		// Align participation to the next phase boundary, counted from t0
+		// (the classical analysis assumes phase-aligned joins).
+		L, t0 := int64(b.tr.levels), b.tr.t0
+		b.informedAt = t0 + ((t-t0)/L+1)*L
 		b.phaseStart = b.informedAt
 		b.tr.isInformed[b.idx] = true
 		b.tr.informed++
@@ -136,7 +137,8 @@ type Broadcast struct {
 	Engine *radio.Engine
 	nodes  []node
 	tr     tracker
-	def    int64 // the budget Run applies to budget <= 0
+	faults *radio.FaultPlan // Config.Faults, for Rearm's completion target
+	def    int64            // the budget Run applies to budget <= 0
 }
 
 // NewBroadcast builds a Decay broadcast instance on g, of diameter d,
@@ -147,11 +149,10 @@ type Broadcast struct {
 func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[int]int64) *Broadcast {
 	n := g.N()
 	L := cfg.levels(n)
-	master := rng.New(seed)
 	// The whp-sufficient budget 20·(D+L)·L uses L = Levels(n) even when
 	// cfg.Levels truncates the phases.
 	l := int64(Levels(n))
-	b := &Broadcast{nodes: make([]node, n), def: 20 * (int64(d) + l) * l}
+	b := &Broadcast{nodes: make([]node, n), faults: cfg.Faults, def: 20 * (int64(d) + l) * l}
 	b.tr.levels = L
 	b.tr.thr = make([]uint64, L)
 	for s := range b.tr.thr {
@@ -163,9 +164,27 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 		b.tr.thr[s] = uint64(math.Ceil(p * (1 << 53)))
 	}
 	b.tr.isInformed = make([]bool, n)
-	for i := 0; i < n; i++ {
+	b.Engine = radio.NewEngine(g, b)
+	b.Engine.SetFaults(cfg.Faults)
+	b.Rearm(seed, sources)
+	return b
+}
+
+// Rearm resets b to a fresh broadcast of sources under seed, armed at the
+// engine's next round t0 (NewBroadcast arms at 0). The engine clock is
+// never rewound, since the kernel validates its inbox by round stamp:
+// node time counts from t0, so the run is a fresh one shifted by t0, and
+// Engine.Metrics stay cumulative. A fault plan keeps the engine's clock,
+// so the shift holds only for plans whose effect ignores the round.
+func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
+	n := len(b.nodes)
+	t0 := b.Engine.Round()
+	master := rng.New(seed)
+	for i := range b.nodes {
 		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), val: -1}
 	}
+	clear(b.tr.isInformed)
+	b.tr.informed, b.tr.t0, b.tr.trueMax = 0, t0, 0
 	first := true
 	//lint:ordered max reduction over the values; order cannot change the maximum
 	for _, v := range sources {
@@ -179,8 +198,8 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 	// ever circulate, so the target is pinned out of reach (the full
 	// scan's "no informed node" case).
 	target := int64(n)
-	if cfg.Faults != nil {
-		b.tr.counted, target = cfg.Faults.CountedTarget(g, sources)
+	if b.faults != nil {
+		b.tr.counted, target = b.faults.CountedTarget(b.Engine.G, sources)
 	}
 	if len(sources) == 0 {
 		target = int64(n) + 1
@@ -193,6 +212,7 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 		}
 		b.tr.isInformed[s] = true
 		b.nodes[s].val = v
+		b.nodes[s].informedAt, b.nodes[s].phaseStart = t0, t0
 		b.tr.informed++
 		if v == b.tr.trueMax && (b.tr.counted == nil || b.tr.counted[s]) {
 			atMax++
@@ -200,9 +220,6 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 	}
 	b.tr.prog = *radio.NewProgress(target)
 	b.tr.prog.Add(atMax)
-	b.Engine = radio.NewEngine(g, b)
-	b.Engine.SetFaults(cfg.Faults)
-	return b
 }
 
 // ActBulk implements radio.Protocol: one pass over the contiguous node
@@ -297,7 +314,7 @@ func (b *Broadcast) Values() []int64 {
 func (b *Broadcast) DefaultBudget() int64 { return b.def }
 
 // Run executes until completion or budget rounds (budget <= 0 selects
-// DefaultBudget).
+// DefaultBudget). Tx is the engine's count over every armed run.
 func (b *Broadcast) Run(budget int64) protocol.Result {
 	if budget <= 0 {
 		budget = b.def

@@ -1,9 +1,12 @@
 package decay
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"radionet/internal/graph"
+	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
 
@@ -136,5 +139,70 @@ func TestBroadcastScalingOnPath(t *testing.T) {
 	}
 	if times[128] < times[32] {
 		t.Fatalf("completion time not increasing with D: %v", times)
+	}
+}
+
+// TestRearmMatchesFresh pins Rearm against NewBroadcast: a broadcast
+// re-armed after an earlier run (other sources, another seed, stopped
+// mid-phase) replays a fresh broadcast round for round, shifted by the
+// t0 it read off the engine clock. The transmitter lists, Values and
+// Result match, with Tx taken as the increment of the engine's
+// cumulative count. The fault plan crashes nodes at round 0 only, the
+// kind of plan whose effect does not depend on the round.
+func TestRearmMatchesFresh(t *testing.T) {
+	g := graph.Grid(12, 32)
+	d := g.DiameterEstimate()
+	sources := map[int]int64{0: 9, 200: 4, 383: 9}
+	for _, shards := range []int{1, 4} {
+		for _, faulted := range []bool{false, true} {
+			cfg := func() Config {
+				if !faulted {
+					return Config{}
+				}
+				p := radio.NewFaultPlan(g.N(), 4711)
+				for _, v := range []int{5, 31, 100, 250} {
+					p.Crash(v, 0)
+				}
+				return Config{Faults: p}
+			}
+			record := func(b *Broadcast, t0 *int64) *[]string {
+				var log []string
+				b.Engine.Hook = func(r int64, tx []int32, deliveries, collisions int) {
+					log = append(log, fmt.Sprintf("%d %v d%d c%d", r-*t0, tx, deliveries, collisions))
+				}
+				return &log
+			}
+			var zero, t0 int64
+			fresh := NewBroadcast(g, d, cfg(), 17, sources)
+			fresh.Engine.SetShards(shards)
+			want := record(fresh, &zero)
+			wantRes := fresh.Run(0)
+
+			re := NewBroadcast(g, d, cfg(), 5, map[int]int64{40: 3})
+			re.Engine.SetShards(shards)
+			got := record(re, &t0)
+			re.Run(37)
+			*got = (*got)[:0]
+			t0 = re.Engine.Round()
+			tx0 := re.Engine.Metrics.Transmissions
+			re.Rearm(17, sources)
+			gotRes := re.Run(0)
+
+			name := fmt.Sprintf("shards=%d faulted=%v", shards, faulted)
+			if !wantRes.Done || t0%int64(Levels(g.N())) == 0 {
+				t.Fatalf("%s: fresh run done=%v, t0=%d: the test needs a completed run and a mid-phase t0", name, wantRes.Done, t0)
+			}
+			if !slices.Equal(*got, *want) {
+				t.Errorf("%s: re-armed transmitter log differs from the fresh one (%d vs %d rounds)", name, len(*got), len(*want))
+			}
+			if !slices.Equal(re.Values(), fresh.Values()) || re.InformedCount() != fresh.InformedCount() {
+				t.Errorf("%s: re-armed Values or InformedCount differ from the fresh ones", name)
+			}
+			gotRes.Tx -= tx0
+			if gotRes.Rounds != wantRes.Rounds || gotRes.Tx != wantRes.Tx || gotRes.Done != wantRes.Done ||
+				gotRes.Reached != wantRes.Reached || gotRes.ReachTarget != wantRes.ReachTarget {
+				t.Errorf("%s: re-armed result %+v, fresh %+v", name, gotRes, wantRes)
+			}
+		}
 	}
 }

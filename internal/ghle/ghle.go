@@ -28,13 +28,6 @@
 // Total round cost < 2T where T defaults to 6·(D+L)·L, the same
 // whp-sufficient Decay budget the max-broadcast baseline uses — "almost
 // the same time as broadcasting", vs 40 full budgets for binary search.
-//
-// The package exists twice over: as the GH13 comparison point the
-// experiment tables previously only footnoted (internal/baseline used
-// MaxBroadcastLE as a stand-in), and as the protocol-registry acceptance
-// test — it reaches the campaign engine, the radionet facade and both
-// CLIs purely through its register.go, with zero edits to any dispatch
-// code.
 package ghle
 
 import (
@@ -51,8 +44,8 @@ import (
 
 // LE is a prepared (and, after Run, executed) election instance.
 type LE struct {
-	g          *graph.Graph
-	d          int
+	bc         *decay.Broadcast // re-armed for every phase
+	n, d       int
 	seed       uint64
 	candidates map[int]int64
 
@@ -93,7 +86,8 @@ func New(g *graph.Graph, d int, seed uint64) (*LE, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LE{g: g, d: d, seed: seed, candidates: cands, leader: -1}, nil
+	bc := decay.NewBroadcast(g, d, decay.Config{}, seed, nil)
+	return &LE{bc: bc, n: g.N(), d: d, seed: seed, candidates: cands, leader: -1}, nil
 }
 
 // Candidates exposes the sampled candidate set (node -> ID).
@@ -114,7 +108,7 @@ func (le *LE) LeaderID() int64 { return le.leaderID }
 
 // DefaultBudget implements protocol.Budgeted: 2T, the bound on the
 // knockout phases (< T together) plus the agreement broadcast (T).
-func (le *LE) DefaultBudget() int64 { return 2 * agreementBudget(le.g.N(), le.d) }
+func (le *LE) DefaultBudget() int64 { return 2 * agreementBudget(le.n, le.d) }
 
 // Run executes the tournament. budget <= 0 selects the agreement budget
 // T = 6·(D+L)·L (total cost < 2T); an explicit budget B is split the
@@ -122,24 +116,22 @@ func (le *LE) DefaultBudget() int64 { return 2 * agreementBudget(le.g.N(), le.d)
 // sum over every phase; Reached and ReachTarget are the agreement
 // broadcast's. Run is single-use.
 func (le *LE) Run(budget int64) protocol.Result {
-	t := agreementBudget(le.g.N(), le.d)
+	t := agreementBudget(le.n, le.d)
 	if budget > 0 {
 		t = max(budget/2, 1)
 	}
-	var rounds, tx int64
+	var rounds int64
 	master := rng.New(le.seed)
-	k := phases(le.g.N())
+	k := phases(le.n)
 	cur := le.candidates
 	for i := 0; i < k && len(cur) > 1; i++ {
 		phaseBudget := t >> uint(k-i)
 		if phaseBudget < 1 {
 			continue // deeper than the budget resolves; skip the phase
 		}
-		bc := decay.NewBroadcast(le.g, le.d, decay.Config{}, master.Fork(uint64(1000+i)).Uint64(), cur)
-		r := bc.Run(phaseBudget)
-		rounds += r.Rounds
-		tx += r.Tx
-		vals := bc.Values()
+		le.bc.Rearm(master.Fork(uint64(1000+i)).Uint64(), cur)
+		rounds += le.bc.Run(phaseBudget).Rounds
+		vals := le.bc.Values()
 		next := make(map[int]int64, len(cur))
 		//lint:ordered pure keyed filter: next[v] depends only on v and vals[v]
 		for v, id := range cur {
@@ -152,16 +144,16 @@ func (le *LE) Run(budget int64) protocol.Result {
 		cur = next
 	}
 	le.survivors = cur
-	final := decay.NewBroadcast(le.g, le.d, decay.Config{}, master.Fork(2000).Uint64(), cur)
-	r := final.Run(t)
+	le.bc.Rearm(master.Fork(2000).Uint64(), cur)
+	r := le.bc.Run(t)
 	le.done = r.Done
-	le.values = final.Values()
+	le.values = le.bc.Values()
 	if le.done {
 		le.leader, le.leaderID = le.Winner()
 	}
 	return protocol.Result{
 		Rounds:      rounds + r.Rounds,
-		Tx:          tx + r.Tx,
+		Tx:          r.Tx,
 		Done:        r.Done,
 		Reached:     r.Reached,
 		ReachTarget: r.ReachTarget,

@@ -19,22 +19,22 @@ func init() {
 		Summary:   "Ghaffari–Haeupler SODA'13-style elimination tournament (scoped variant): Θ(log log n) geometric knockout broadcasts + one full agreement broadcast, < 2·T_BC total",
 		BudgetDoc: "< 2T with T = 6·(D+L)·L (explicit budgets: T = budget/2)",
 		Order:     30,
-		// No Protect hook: the descriptor is fault-incapable (each
-		// tournament phase restarts the round clock a FaultPlan's crash
-		// schedule is written against), so fault planning never reaches
-		// it. When the capability lands, protect LE.Winner here.
+		// No Protect hook: the descriptor is fault-incapable (phase outcomes
+		// and the winner are read from the candidate set), so fault
+		// planning never reaches it. When it lands, protect LE.Winner here.
 		Caps: protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Tuning != nil {
 				return nil, fmt.Errorf("ghle: gh13 takes no tuning, got %T", p.Tuning)
 			}
 			if p.Faults != nil {
-				return nil, fmt.Errorf("ghle: gh13 does not support fault plans (each tournament phase restarts the round clock)")
+				return nil, fmt.Errorf("ghle: gh13 does not support fault plans (each phase's outcome is read from the candidate set, not from what survivors heard)")
 			}
 			le, err := New(p.G, p.D, p.Seed)
 			if err != nil {
 				return nil, err
 			}
+			p.ApplyEngine(le.bc.Engine)
 			return le, nil
 		},
 	})

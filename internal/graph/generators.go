@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"radionet/internal/rng"
 )
@@ -203,7 +204,8 @@ func RandomTree(n int, r *rng.Rand) *Graph {
 // spanning tree so that it is always connected. For p above the
 // connectivity threshold the extra tree edges are a vanishing fraction.
 func Gnp(n int, p float64, r *rng.Rand) *Graph {
-	b := NewBuilder(fmt.Sprintf("gnp%.3f", p), n)
+	// Not fmt: under -race its printer pool drops entries at random.
+	b := NewBuilder("gnp"+strconv.FormatFloat(p, 'f', 3, 64), n)
 	// n-1 spanning-tree edges plus the G(n,p) edge count's mean and six
 	// standard deviations (capped at all pairs), so no seed regrows the
 	// edge buffer: the count is Binomial(n(n-1)/2, p).

@@ -184,22 +184,39 @@ func (p *Pipelined) Run(budget int64) protocol.Result {
 // cost on this instance. perMsgBudget <= 0 gives each broadcast
 // 40·(n+L)·L rounds.
 func Sequential(g *graph.Graph, seed uint64, src int, msgs []int64, perMsgBudget int64) protocol.Result {
+	return newSequentialRunner(g, seed, src, msgs).run(perMsgBudget)
+}
+
+// sequentialRunner is one Sequential run: one decay.Broadcast on one
+// engine, re-armed for every message.
+type sequentialRunner struct {
+	bc   *decay.Broadcast
+	seed uint64
+	src  int
+	msgs []int64
+}
+
+func newSequentialRunner(g *graph.Graph, seed uint64, src int, msgs []int64) *sequentialRunner {
+	// n bounds the diameter; the explicit budget leaves it unused.
+	return &sequentialRunner{bc: decay.NewBroadcast(g, g.N(), decay.Config{}, seed, nil), seed: seed, src: src, msgs: msgs}
+}
+
+func (r *sequentialRunner) run(perMsgBudget int64) protocol.Result {
 	if perMsgBudget <= 0 {
-		l := int64(decay.Levels(g.N()))
-		perMsgBudget = 40 * (int64(g.N()) + l) * l
+		l := int64(decay.Levels(r.bc.Engine.G.N()))
+		perMsgBudget = 40 * (int64(r.bc.Engine.G.N()) + l) * l
 	}
-	var res protocol.Result
-	for i, m := range msgs {
-		// n bounds the diameter; the explicit budget leaves it unused.
-		bc := decay.NewBroadcast(g, g.N(), decay.Config{}, seed+uint64(i), map[int]int64{src: m})
-		r := bc.Run(perMsgBudget)
-		res.Rounds += r.Rounds
-		res.Tx += r.Tx
-		if !r.Done {
-			return res
+	res := protocol.Result{Done: true}
+	for i, m := range r.msgs {
+		r.bc.Rearm(r.seed+uint64(i), map[int]int64{r.src: m})
+		br := r.bc.Run(perMsgBudget)
+		res.Rounds += br.Rounds
+		if !br.Done {
+			res.Done = false
+			break
 		}
 	}
-	res.Done = true
+	res.Tx = r.bc.Engine.Metrics.Transmissions
 	return res
 }
 

@@ -3,7 +3,6 @@ package multicast
 import (
 	"fmt"
 
-	"radionet/internal/graph"
 	"radionet/internal/protocol"
 )
 
@@ -53,13 +52,15 @@ func init() {
 		Caps:      protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Faults != nil {
-				return nil, fmt.Errorf("multicast: sequential does not support fault plans (each broadcast restarts the round clock)")
+				return nil, fmt.Errorf("multicast: sequential does not support fault plans (each message's completion is read from a global oracle, not from what survivors heard)")
 			}
 			src, msgs, err := trialMessages(p)
 			if err != nil {
 				return nil, err
 			}
-			return sequentialRunner{g: p.G, seed: p.Seed, src: src, msgs: msgs}, nil
+			r := newSequentialRunner(p.G, p.Seed, src, msgs)
+			p.ApplyEngine(r.bc.Engine)
+			return r, nil
 		},
 	})
 	protocol.Register(protocol.Descriptor{
@@ -89,15 +90,9 @@ func init() {
 	})
 }
 
-// sequentialRunner runs Sequential, which is a function, not a type.
-type sequentialRunner struct {
-	g    *graph.Graph
-	seed uint64
-	src  int
-	msgs []int64
-}
-
-func (r sequentialRunner) Run(budget int64) protocol.Result {
+// Run implements protocol.Runner: an explicit budget is split evenly
+// over the messages, floored to one round each.
+func (r *sequentialRunner) Run(budget int64) protocol.Result {
 	perMsg := int64(0)
 	if budget > 0 {
 		perMsg = budget / int64(len(r.msgs))
@@ -105,5 +100,5 @@ func (r sequentialRunner) Run(budget int64) protocol.Result {
 			perMsg = 1
 		}
 	}
-	return Sequential(r.g, r.seed, r.src, r.msgs, perMsg)
+	return r.run(perMsg)
 }

@@ -36,7 +36,7 @@ func (idleNode) Act(int64) radio.Action     { return radio.Listen }
 func (idleNode) Recv(int64, *radio.Message) {}
 
 // scriptedDescriptor builds r behind one engine wired through
-// ApplyEngine, the way every single-engine descriptor does.
+// ApplyEngine, the way every descriptor does.
 func scriptedDescriptor(r Runner) *Descriptor {
 	return &Descriptor{Task: "test-execute", Name: "scripted", Build: func(p BuildParams) (Runner, error) {
 		g := graph.Grid(13, 17)

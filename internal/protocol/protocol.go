@@ -82,8 +82,7 @@ type Caps struct {
 type Result struct {
 	// Rounds is the number of rounds executed (budget-capped on failure).
 	Rounds int64
-	// Tx is the total engine transmission count, summed over every engine
-	// the run drove (composite runners like binary-search LE run several).
+	// Tx is the total engine transmission count of the run.
 	Tx int64
 	// Done reports completion within budget. Done is the raw protocol
 	// completion signal; callers that want a verified postcondition also
@@ -165,8 +164,7 @@ type BuildParams struct {
 	// take one, a compete.Config; they reject other types, and every
 	// other descriptor rejects any non-nil value.
 	Tuning any
-	// Hook, if set, observes every engine round where the runner drives a
-	// single engine (composite multi-engine runners may ignore it).
+	// Hook, if set, observes every engine round the runner simulates.
 	Hook radio.RoundHook
 	// Shards, if > 1, enables intra-round sharding on the runner's engine
 	// (see radio.Engine.SetShards); output is bit-exact at any value.
@@ -184,8 +182,8 @@ type BuildParams struct {
 }
 
 // ApplyEngine wires the params' engine-level knobs (round hook, shard
-// count, shard telemetry) into e — the one call every single-engine
-// descriptor's Build makes after constructing its protocol, so new knobs
+// count, shard telemetry) into e — the one call every descriptor's
+// Build makes after constructing its protocol, so new knobs
 // reach all algorithms without touching each register.go.
 func (p BuildParams) ApplyEngine(e *radio.Engine) {
 	e.Hook = p.Hook

@@ -64,7 +64,7 @@ func (p *bulkProto) run(g *graph.Graph, rounds int64, bulk bool) *Engine {
 		}
 		e = NewNodeEngine(g, nodes)
 	}
-	e.Run(rounds, nil)
+	stepN(e, rounds)
 	return e
 }
 

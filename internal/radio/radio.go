@@ -420,27 +420,6 @@ func (e *Engine) applyJam() {
 	}
 }
 
-// Run executes rounds until stop returns true or maxRounds rounds have
-// been executed in this call, whichever comes first. stop is evaluated
-// after each round (and once before the first, so an already-satisfied
-// predicate costs zero rounds). It returns the number of rounds executed
-// by this call and whether stop was satisfied; with a nil stop the
-// predicate is never satisfied, so done is always false and exactly
-// maxRounds rounds execute.
-func (e *Engine) Run(maxRounds int64, stop func() bool) (rounds int64, done bool) {
-	if stop != nil && stop() {
-		return 0, true
-	}
-	for rounds = 0; rounds < maxRounds; {
-		e.Step()
-		rounds++
-		if stop != nil && stop() {
-			return rounds, true
-		}
-	}
-	return rounds, false
-}
-
 // Progress is the engine-side convention for O(1) termination checking on
 // the simulation hot path. A protocol that knows its completion target up
 // front (typically "all n nodes reached some state") holds one Progress,
@@ -478,11 +457,11 @@ func (p *Progress) Target() int64 { return p.target }
 func (p *Progress) Done() bool { return p.count >= p.target }
 
 // RunUntil executes rounds until p.Done() or maxRounds rounds have been
-// executed in this call, whichever comes first, with the same evaluation
-// points as Run (once before the first round, then after every round).
-// It is the fast path for protocols that track completion incrementally:
-// no predicate closure is allocated and the per-round check is a counter
-// comparison.
+// executed in this call, whichever comes first. p.Done() is evaluated
+// once before the first round, so an already-reached target costs zero
+// rounds, and then after every round. It returns the number of rounds
+// executed by this call and whether the target was reached. The
+// per-round check is a counter comparison, with no predicate closure.
 func (e *Engine) RunUntil(maxRounds int64, p *Progress) (rounds int64, done bool) {
 	if p.Done() {
 		return 0, true

@@ -154,25 +154,39 @@ func TestSrcStamping(t *testing.T) {
 	}
 }
 
-func TestRunStopsOnPredicate(t *testing.T) {
-	g := graph.Path(2)
-	e := NewNodeEngine(g, []Node{silent{}, silent{}})
-	count := 0
-	rounds, done := e.Run(100, func() bool { count++; return count > 5 })
-	if !done || rounds != 5 {
-		t.Fatalf("rounds = %d done = %v, want 5 true", rounds, done)
-	}
-	// Pre-satisfied predicate runs zero rounds.
-	rounds, done = e.Run(100, func() bool { return true })
-	if rounds != 0 || !done {
-		t.Fatalf("pre-satisfied: rounds = %d done = %v", rounds, done)
+// stepN executes exactly n rounds of e, the fixed-length run the engine
+// tests drive.
+func stepN(e *Engine, n int64) {
+	for ; n > 0; n-- {
+		e.Step()
 	}
 }
 
+// TestRunStopsOnPredicate pins RunUntil's evaluation points: it stops
+// after the round that reaches the Progress target, and a target already
+// reached costs zero rounds.
+func TestRunStopsOnPredicate(t *testing.T) {
+	g := graph.Path(2)
+	p := NewProgress(5)
+	tick := &FuncNode{ActFn: func(int64) Action { p.Add(1); return Listen }}
+	e := NewNodeEngine(g, []Node{tick, silent{}})
+	rounds, done := e.RunUntil(100, p)
+	if !done || rounds != 5 {
+		t.Fatalf("rounds = %d done = %v, want 5 true", rounds, done)
+	}
+	// Pre-satisfied target runs zero rounds.
+	rounds, done = e.RunUntil(100, &Progress{})
+	if rounds != 0 || !done || e.Metrics.Rounds != 5 {
+		t.Fatalf("pre-satisfied: rounds = %d done = %v, engine rounds %d", rounds, done, e.Metrics.Rounds)
+	}
+}
+
+// TestRunMaxRounds pins the budget cap: a target nothing advances stops
+// RunUntil after exactly maxRounds rounds, not done.
 func TestRunMaxRounds(t *testing.T) {
 	g := graph.Path(2)
 	e := NewNodeEngine(g, []Node{silent{}, silent{}})
-	rounds, done := e.Run(7, func() bool { return false })
+	rounds, done := e.RunUntil(7, NewProgress(1))
 	if rounds != 7 || done {
 		t.Fatalf("rounds = %d done = %v, want 7 false", rounds, done)
 	}
@@ -181,19 +195,28 @@ func TestRunMaxRounds(t *testing.T) {
 	}
 }
 
+// TestRunNilStopNeverDone pins the unreachable target (target n+1, the
+// "no sources" pin): RunUntil executes exactly maxRounds and reports
+// done = false, including at a zero budget.
 func TestRunNilStopNeverDone(t *testing.T) {
-	// A nil predicate can never be satisfied: Run must execute exactly
-	// maxRounds and report done = false (the seed returned true here).
 	g := graph.Path(2)
-	e := NewNodeEngine(g, []Node{silent{}, silent{}})
-	rounds, done := e.Run(9, nil)
+	tick := &FuncNode{}
+	e := NewNodeEngine(g, []Node{tick, silent{}})
+	never := NewProgress(int64(g.N()) + 1)
+	tick.ActFn = func(int64) Action {
+		if never.Count() < int64(g.N()) {
+			never.Add(1)
+		}
+		return Listen
+	}
+	rounds, done := e.RunUntil(9, never)
 	if rounds != 9 || done {
-		t.Fatalf("nil stop: rounds = %d done = %v, want 9 false", rounds, done)
+		t.Fatalf("unreachable target: rounds = %d done = %v, want 9 false", rounds, done)
 	}
 	// Zero-budget corner: no rounds, still not done.
-	rounds, done = e.Run(0, nil)
+	rounds, done = e.RunUntil(0, never)
 	if rounds != 0 || done {
-		t.Fatalf("nil stop, zero budget: rounds = %d done = %v, want 0 false", rounds, done)
+		t.Fatalf("unreachable target, zero budget: rounds = %d done = %v, want 0 false", rounds, done)
 	}
 }
 
@@ -224,9 +247,9 @@ func TestProgressCounting(t *testing.T) {
 }
 
 func TestRunUntilMatchesRun(t *testing.T) {
-	// RunUntil over a Progress must stop at exactly the same round as Run
-	// over an equivalent predicate, including the evaluate-before-first
-	// and budget-exhausted cases.
+	// RunUntil over a Progress must stop at exactly the round the target
+	// is reached, including the evaluate-before-first and
+	// budget-exhausted cases.
 	mk := func() (*Engine, *Progress) {
 		g := graph.Path(2)
 		p := NewProgress(4)

@@ -112,7 +112,7 @@ func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) 
 		slices.Sort(ids)
 		trace = append(trace, fmt.Sprintf("%d:%v d%d c%d", t, ids, deliveries, collisions))
 	}
-	e.Run(rounds, nil)
+	stepN(e, rounds)
 	return shardRun{metrics: e.Metrics, trace: trace, logs: p.log}
 }
 
@@ -205,7 +205,7 @@ func TestShardHookReportsBusyTime(t *testing.T) {
 		}
 		seen[shard]++
 	}
-	e.Run(40, nil)
+	stepN(e, 40)
 	if e.Metrics != ref.metrics {
 		t.Fatalf("ShardHook changed output: %+v vs %+v", e.Metrics, ref.metrics)
 	}

@@ -85,7 +85,7 @@ func TestEngineUsableAfterClose(t *testing.T) {
 	pre := runtime.NumGoroutine()
 	e.SetShards(8)
 	e.Close() // workers gone, shard structures still installed
-	e.Run(40, nil)
+	stepN(e, 40)
 	if e.Metrics != ref.metrics {
 		t.Fatalf("closed sharded engine diverged:\nk=1:    %+v\nclosed: %+v", ref.metrics, e.Metrics)
 	}

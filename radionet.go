@@ -371,8 +371,7 @@ type LeaderOptions struct {
 	MaxRounds int64
 	// Config tunes the CD17 pipeline.
 	Config Config
-	// Hook, if set, observes every round of the run (single-engine
-	// algorithms; composite multi-engine runners may ignore it).
+	// Hook, if set, observes every round the run simulates.
 	Hook RoundHook
 	// Metrics, if set, accumulates the run's engine counters into the
 	// registry (composed with Hook; see MetricsRegistry).
