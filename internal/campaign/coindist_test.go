@@ -11,9 +11,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"radionet/internal/protocol"
 )
 
-var recordRounds = flag.Bool("record-rounds", false, "rewrite testdata/cd17_rounds.txt from the current code")
+var recordRounds = flag.Bool("record-rounds", false, "rewrite the recorded distributions in testdata from the current code")
 
 // coinDistMatrix is the distribution gate's campaign: cd17 broadcast and
 // leader election on a long grid, a unit-disk graph and a square grid,
@@ -41,10 +43,43 @@ func coinDistMatrix() Matrix {
 //
 //	go test ./internal/campaign -run TestCD17RoundsMatchRecordedDistribution -record-rounds
 func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
+	checkRecordedDistribution(t, coinDistMatrix(), "cd17_rounds.txt")
+}
+
+// TestCompositesMatchRecordedDistribution is the same gate for the
+// composite runners, which re-arm one Decay broadcast per message or ID
+// bit, on the coinDistMatrix topologies: sequential multicast's rounds
+// and binary-search's transmissions (its rounds are fixed at 40·T_BC),
+// recorded in testdata/composite_dist.txt. It gates a change of how the
+// sub-run seeds are derived or the candidates sampled, which moves every
+// trial but must not move the distributions.
+//
+//	go test ./internal/campaign -run TestCompositesMatchRecordedDistribution -record-rounds
+func TestCompositesMatchRecordedDistribution(t *testing.T) {
+	m := coinDistMatrix()
+	m.Algorithms = []AlgoSpec{
+		{Task: protocol.Multicast, Algo: "sequential"},
+		{Task: Leader, Algo: "binary-search"},
+	}
+	checkRecordedDistribution(t, m, "composite_dist.txt")
+}
+
+// gatedValue is the per-trial quantity a distribution gate compares: the
+// round count, except for binary-search, whose rounds are a constant.
+func gatedValue(spec AlgoSpec, res TrialResult) int64 {
+	if spec == (AlgoSpec{Task: Leader, Algo: "binary-search"}) {
+		return res.Tx
+	}
+	return res.Rounds
+}
+
+// checkRecordedDistribution runs every trial of m and KS-tests each
+// cell's gatedValue sample against the one recorded in testdata/file
+// (or rewrites the recording under -record-rounds).
+func checkRecordedDistribution(t *testing.T, m Matrix, file string) {
 	if testing.Short() {
 		t.Skip("runs 1200 protocol trials")
 	}
-	m := coinDistMatrix()
 	plan, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +91,9 @@ func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
 	failed := make([]bool, len(plan.Trials))
 	ForEach(0, len(plan.Trials), func(i int) {
 		tr := plan.Trials[i]
-		res := RunTrial(&plan.Configs[tr.Cfg], tr.Seed, plan.Max)
-		got[tr.Cfg][tr.Rep] = res.Rounds
+		cfg := &plan.Configs[tr.Cfg]
+		res := RunTrial(cfg, tr.Seed, plan.Max)
+		got[tr.Cfg][tr.Rep] = gatedValue(cfg.Spec, res)
 		failed[i] = !res.Done
 	})
 	for i, f := range failed {
@@ -65,7 +101,7 @@ func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
 			t.Errorf("trial %d did not complete", i)
 		}
 	}
-	path := filepath.Join("testdata", "cd17_rounds.txt")
+	path := filepath.Join("testdata", file)
 	if *recordRounds {
 		var b strings.Builder
 		for ci, cfg := range plan.Configs {
@@ -88,21 +124,21 @@ func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
 		cell := cfg.Spec.String() + " " + cfg.Topology
 		rec, ok := want[cell]
 		if !ok {
-			t.Errorf("%s: no recorded rounds", cell)
+			t.Errorf("%s: no recorded values", cell)
 			continue
 		}
 		d := ksStatistic(rec, got[ci])
 		crit := ksCritical(0.001, len(rec), len(got[ci]))
-		t.Logf("%s: KS D = %.3f (critical %.3f), mean rounds %.0f recorded, %.0f now",
+		t.Logf("%s: KS D = %.3f (critical %.3f), mean %.0f recorded, %.0f now",
 			cell, d, crit, mean(rec), mean(got[ci]))
 		if d > crit {
-			t.Errorf("%s: round distribution differs from the recording: KS D = %.3f > %.3f (α = 0.001)", cell, d, crit)
+			t.Errorf("%s: distribution differs from the recording: KS D = %.3f > %.3f (α = 0.001)", cell, d, crit)
 		}
 	}
 }
 
-// readRecordedRounds parses cd17_rounds.txt: one line per cell, the
-// algorithm spec and topology followed by one round count per trial.
+// readRecordedRounds parses a recording: one line per cell, the
+// algorithm spec and topology followed by one gated value per trial.
 func readRecordedRounds(path string) (map[string][]int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
