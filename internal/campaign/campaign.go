@@ -330,8 +330,8 @@ type Campaign struct {
 	// value, so this only moves wall time). 0 auto-splits the cores left
 	// over by trial-level parallelism: GOMAXPROCS/workers shards per
 	// trial, and only on configurations large enough to profit
-	// (n >= shardMinNodes). 1 disables sharding; k > 1 forces exactly k
-	// shards on every configuration.
+	// (n >= shardMinNodes). 1 disables sharding; k > 1 requests k shards
+	// on every configuration, capped by radio.ShardCount.
 	EngineShards int
 	// Timings includes wall-time aggregates in the output. They are
 	// non-deterministic, so sinks omit them unless asked.
@@ -371,20 +371,17 @@ type Campaign struct {
 // and trial-level parallelism already covers small configurations.
 const shardMinNodes = 1 << 15
 
-// resolveShards returns the effective intra-round shard count for one
-// n-node configuration under the given worker count (see EngineShards).
+// resolveShards returns the intra-round shard count one n-node
+// configuration's engines run under the given worker count (see
+// EngineShards), after the engine's cap (radio.ShardCount).
 func (c *Campaign) resolveShards(n, workers int) int {
 	if c.EngineShards >= 1 {
-		return c.EngineShards
+		return radio.ShardCount(n, c.EngineShards)
 	}
 	if n < shardMinNodes || workers <= 0 {
 		return 1
 	}
-	k := runtime.GOMAXPROCS(0) / workers
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return radio.ShardCount(n, max(runtime.GOMAXPROCS(0)/workers, 1))
 }
 
 // Run expands the matrix, executes every trial across the worker pool, and

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"strings"
 	"testing"
 
 	"radionet/internal/obs"
@@ -65,5 +66,37 @@ func TestResolveShards(t *testing.T) {
 	}
 	if got := c.resolveShards(shardMinNodes, 1); got < 1 {
 		t.Fatalf("auto split returned %d", got)
+	}
+	c = &Campaign{EngineShards: 4}
+	if got := c.resolveShards(100, 1); got != 2 {
+		t.Fatalf("EngineShards=4 on a 2-word graph: got %d, want the engine's cap 2", got)
+	}
+}
+
+// TestShardsReportEffectiveCount checks that RunStats and the manifest
+// report the shard count the engines ran, not the one requested: a
+// 64-node grid is one bitset word, so -shards 4 runs unsharded.
+func TestShardsReportEffectiveCount(t *testing.T) {
+	var st RunStats
+	reg := obs.NewRegistry()
+	c := Campaign{Matrix: Matrix{
+		Topologies: []string{"grid:8x8"},
+		Algorithms: []AlgoSpec{{Task: Broadcast, Algo: "bgi"}},
+		Seeds:      2,
+		MasterSeed: 1,
+	}, Workers: 1, EngineShards: 4, Obs: reg, Stats: &st}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards != 1 {
+		t.Errorf("RunStats.Shards = %d, want 1", st.Shards)
+	}
+	if got := c.Manifest("campaign", &st).Shards; got != 1 {
+		t.Errorf("manifest shards = %d, want 1", got)
+	}
+	for name := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "engine.shard.") {
+			t.Errorf("unsharded run records %s", name)
+		}
 	}
 }

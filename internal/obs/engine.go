@@ -6,6 +6,7 @@ package obs
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"radionet/internal/radio"
@@ -127,7 +128,8 @@ func EngineShardBusy(shard int) string {
 // adds); shards beyond the pre-resolved count fold into the last counter
 // rather than dropping on the floor.
 type ShardCollector struct {
-	busy []*Counter
+	busy  []*Counter
+	nanos []atomic.Int64 // raw busy nanoseconds per shard
 }
 
 // NewShardCollector resolves busy-time counters for shards 0..shards-1 in
@@ -137,7 +139,7 @@ func NewShardCollector(reg *Registry, shards int) *ShardCollector {
 	if reg == nil || shards < 1 {
 		return nil
 	}
-	c := &ShardCollector{busy: make([]*Counter, shards)}
+	c := &ShardCollector{busy: make([]*Counter, shards), nanos: make([]atomic.Int64, shards)}
 	for s := range c.busy {
 		c.busy[s] = reg.Counter(EngineShardBusy(s))
 	}
@@ -153,7 +155,11 @@ func (c *ShardCollector) Hook() radio.ShardHook {
 		if shard >= len(c.busy) {
 			shard = len(c.busy) - 1
 		}
-		c.busy[shard].Add(busyNanos / 1000)
+		// Each counter holds its shard's total nanoseconds truncated once
+		// to µs: every flush adds the µs its nanoseconds carry the total
+		// across, so no round's sub-µs remainder is lost.
+		total := c.nanos[shard].Add(busyNanos)
+		c.busy[shard].Add(total/1000 - (total-busyNanos)/1000)
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"radionet/internal/decay"
+	"radionet/internal/graph"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -305,5 +308,35 @@ func TestShardCollectorHook(t *testing.T) {
 	}
 	if s.Counters[EngineShardBusy(1)] != 8 {
 		t.Fatalf("shard 1 busy = %d, want 3 (own) + 5 (overflow fold)", s.Counters[EngineShardBusy(1)])
+	}
+}
+
+// TestShardCollectorTruncatesTotal runs a 2-shard bgi broadcast on an
+// 8x16 grid (two bitset words, so both shards work) and checks that each
+// shard's busy_us is its raw hook nanoseconds summed, then divided by
+// 1000: no round's sub-µs remainder is dropped.
+func TestShardCollectorTruncatesTotal(t *testing.T) {
+	g := graph.Grid(8, 16)
+	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 1, map[int]int64{0: 1})
+	bc.Engine.SetShards(2)
+	defer bc.Engine.Close()
+	r := NewRegistry()
+	collect := NewShardCollector(r, 2).Hook()
+	var raw [2]int64
+	bc.Engine.ShardHook = func(shard int, busyNanos int64) {
+		raw[shard] += busyNanos
+		collect(shard, busyNanos)
+	}
+	if res := bc.Run(0); !res.Done {
+		t.Fatalf("broadcast incomplete after %d rounds", res.Rounds)
+	}
+	s := r.Snapshot()
+	for shard, ns := range raw {
+		if ns == 0 {
+			t.Fatalf("shard %d reported no busy time", shard)
+		}
+		if got, want := s.Counters[EngineShardBusy(shard)], ns/1000; got != want {
+			t.Errorf("shard %d busy_us = %d, want %d (= %d ns / 1000)", shard, got, want, ns)
+		}
 	}
 }

@@ -109,6 +109,16 @@ type shardState struct {
 // memory.
 const maxShards = 256
 
+// ShardCount returns the shard count SetShards(k) runs on an n-node
+// engine: k capped at the bitset word count ⌈n/64⌉ (extra shards would own
+// empty ranges) and at maxShards.
+func ShardCount(n, k int) int {
+	if words := (n + 63) / 64; words > 0 {
+		k = min(k, words)
+	}
+	return min(k, maxShards)
+}
+
 // Shards returns the configured intra-round shard count (>= 1).
 func (e *Engine) Shards() int { return e.shards }
 
@@ -120,8 +130,7 @@ func (e *Engine) Shards() int { return e.shards }
 // Step. Output is bit-exact at any k — see the package comment for the
 // argument — so the knob is pure mechanical sympathy: worth it from
 // roughly n >= 3*10^4 on otherwise idle cores, a small constant overhead
-// below that. k is capped at the engine's word count (extra shards would
-// own empty ranges) and at maxShards. The workers are released by
+// below that. k is capped as ShardCount says. The workers are released by
 // Engine.Close or, failing that, by a GC cleanup once the engine is
 // unreachable.
 func (e *Engine) SetShards(k int) {
@@ -131,12 +140,7 @@ func (e *Engine) SetShards(k int) {
 	if k < 1 {
 		panic(fmt.Sprintf("radio: shard count %d, want >= 1", k))
 	}
-	if k > e.words && e.words > 0 {
-		k = e.words
-	}
-	if k > maxShards {
-		k = maxShards
-	}
+	k = ShardCount(e.G.N(), k)
 	e.Close() // re-call: release any previous pool before resizing
 	e.shards = k
 	e.sh = make([]shardState, k)
