@@ -38,7 +38,6 @@ import (
 	"radionet/internal/campaign"
 	"radionet/internal/obs"
 	"radionet/internal/protocol"
-	"radionet/internal/rng"
 	"radionet/internal/stats"
 	"radionet/internal/trace"
 )
@@ -162,15 +161,16 @@ func run(args []string, stdout io.Writer) error {
 	scenario := fmt.Sprintf("%v/%s:%s", g, *task, desc.Name)
 	start := time.Now()
 	// Every run, single or -trials, is a one-config plan on the campaign's
-	// trial path; a single run is the one trial seeded by -seed itself.
+	// trial path; a single run is the one trial seeded by -seed itself,
+	// and -trials seeds trial i as a one-config Matrix with master seed
+	// -seed does.
 	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg}
 	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
 	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max, Trials: []campaign.Trial{{Seed: *seed}}}
 	if *trials > 1 {
-		stream := rng.New(*seed).Fork(0x7215)
 		plan.Trials = make([]campaign.Trial, *trials)
 		for i := range plan.Trials {
-			plan.Trials[i] = campaign.Trial{Index: i, Rep: i, Seed: stream.Fork(uint64(i)).Uint64()}
+			plan.Trials[i] = campaign.Trial{Index: i, Rep: i, Seed: campaign.TrialSeed(*seed, 0, i)}
 		}
 	}
 

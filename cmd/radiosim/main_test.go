@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"radionet/internal/campaign"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
@@ -105,5 +107,31 @@ func TestBadTopologySizes(t *testing.T) {
 		case out.Len() != 0:
 			t.Errorf("%v: printed %q before failing", args, out.String())
 		}
+	}
+}
+
+// TestTrialsUseMatrixSeeds checks that -trials N -seed S runs the trials
+// of a one-config campaign Matrix with MasterSeed S: radiosim's summary
+// equals that Matrix's results printed the same way.
+func TestTrialsUseMatrixSeeds(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-rows", "8", "-cols", "8", "-task", "leader", "-algo", "max-broadcast", "-trials", "6", "-seed", "5"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := campaign.Matrix{
+		Topologies: []string{"grid:8x8"},
+		Algorithms: []campaign.AlgoSpec{{Task: campaign.Leader, Algo: "max-broadcast"}},
+		Seeds:      6,
+		MasterSeed: 5,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := printTrials(&want, (&campaign.Campaign{}).RunPlan(plan), "leader", "max-broadcast"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(got.String(), want.String()) {
+		t.Errorf("radiosim -trials 6 -seed 5:\n%s\nwant the one-config Matrix's trials:\n%s", got.String(), want.String())
 	}
 }

@@ -95,7 +95,8 @@ func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * idBits }
 // an explicit budget > 0 is split evenly over the idBits broadcasts
 // instead, floored to one round per bit. The reported round count is the
 // sum over iterations of the per-bit budget, as in the classical analysis
-// (iterations are budget-bound, not adaptive). The round hook sees the
+// (iterations are budget-bound, not adaptive). Bit b's broadcast is
+// seeded from rng.New(seed).Fork(b). The round hook sees the
 // simulated rounds, <= Rounds: silent bits run none, and a broadcast
 // stops when it completes.
 func (b *BinarySearchLE) Run(budget int64) protocol.Result {
@@ -105,6 +106,7 @@ func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 	}
 	prefix := int64(0)
 	var rounds int64
+	master := rng.New(b.seed)
 	for bit := idBits - 1; bit >= 0; bit-- {
 		probe := prefix | 1<<uint(bit)
 		sources := make(map[int]int64)
@@ -119,7 +121,7 @@ func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 		if len(sources) == 0 {
 			continue // silence everywhere; bit stays 0
 		}
-		b.bc.Rearm(b.seed+uint64(bit)+1, sources)
+		b.bc.Rearm(master.Fork(uint64(bit)).Uint64(), sources)
 		b.bc.Run(tbc)
 		// In the model every node that heard anything learns the bit is 1.
 		// The oracle checks the source set was non-empty, which is what

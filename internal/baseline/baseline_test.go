@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"radionet/internal/compete"
@@ -202,5 +204,54 @@ func TestBinarySearchVsMaxBroadcastOrdering(t *testing.T) {
 	}
 	if rm.Rounds >= rb.Rounds {
 		t.Fatalf("max-broadcast (%d) not faster than binary search (%d)", rm.Rounds, rb.Rounds)
+	}
+}
+
+// bitTraces runs binary search on g with one candidate, node 0, whose ID
+// has every bit set, so every bit broadcasts from the same source; it
+// returns each bit's broadcast as one string of its per-round transmitter
+// sets, in run order (high bit first). Equal traces then mean a shared
+// sub-run seed.
+func bitTraces(t *testing.T, g *graph.Graph, seed uint64) []string {
+	t.Helper()
+	le, err := NewBinarySearchLE(g, g.Diameter(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le.candidates = map[int]int64{0: 1<<idBits - 1}
+	var cur strings.Builder
+	var out []string
+	le.bc.Engine.Hook = func(_ int64, tx []int32, _, _ int) {
+		fmt.Fprint(&cur, tx, ";")
+		if le.bc.Done() {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	if res := le.Run(0); !res.Done {
+		t.Fatalf("seed %d: election incomplete", seed)
+	}
+	if len(out) != idBits {
+		t.Fatalf("seed %d: %d bit traces, want %d", seed, len(out), idBits)
+	}
+	return out
+}
+
+// TestBinarySearchTrialsShareNoSubRun checks that consecutive trial seeds
+// s and s+1 share no per-bit broadcast. Adding the bit to the trial seed
+// made bit b of trial s draw the coins of bit b-1 of trial s+1.
+func TestBinarySearchTrialsShareNoSubRun(t *testing.T) {
+	g := graph.Grid(8, 8)
+	for s := uint64(1); s <= 3; s++ {
+		seen := map[string]string{}
+		for _, seed := range []uint64{s, s + 1} {
+			for i, tr := range bitTraces(t, g, seed) {
+				at := fmt.Sprintf("seed %d bit %d", seed, idBits-1-i) // bits run high to low
+				if prev, ok := seen[tr]; ok {
+					t.Errorf("%s replays %s", at, prev)
+				}
+				seen[tr] = at
+			}
+		}
 	}
 }

@@ -143,9 +143,8 @@ type Trial struct {
 	Cfg int
 	// Rep is the repetition number within the configuration.
 	Rep int
-	// Seed is the trial's independent RNG stream. Expand derives it as a
-	// pure function of (master seed, configuration, repetition); a
-	// caller-built plan sets it directly.
+	// Seed is the trial's independent RNG stream. Expand derives it with
+	// TrialSeed; a caller-built plan sets it directly.
 	Seed uint64
 }
 
@@ -276,12 +275,10 @@ func (m Matrix) expand() (*Plan, error) {
 		}
 	}
 	p := &Plan{Max: m.MaxRounds}
-	// Two disjoint stream families derived from the master seed: one per
-	// topology (graph generation), one per trial. Fork's SplitMix64-based
-	// derivation keeps streams independent even for adjacent ids.
-	master := rng.New(m.MasterSeed)
-	topoStreams := master.Fork(0x70b0)
-	trialStreams := master.Fork(0x7291a1)
+	// Graph generation draws from its own stream family, disjoint from
+	// TrialSeed's. Fork's SplitMix64-based derivation keeps streams
+	// independent even for adjacent ids.
+	topoStreams := rng.New(m.MasterSeed).Fork(0x70b0)
 	topoIdx := make(map[precompute.Key]int)
 	for ti, spec := range m.Topologies {
 		topo, err := ParseTopology(spec)
@@ -313,11 +310,19 @@ func (m Matrix) expand() (*Plan, error) {
 				Index: len(p.Trials),
 				Cfg:   ci,
 				Rep:   rep,
-				Seed:  trialStreams.Fork(uint64(ci)<<32 | uint64(rep)).Uint64(),
+				Seed:  TrialSeed(m.MasterSeed, ci, rep),
 			})
 		}
 	}
 	return p, nil
+}
+
+// TrialSeed is the seed of repetition rep of configuration cfg under a
+// master seed: the one trial-seed derivation, shared by Matrix expansion,
+// the experiment tables and radiosim's -trials. Every (master, cfg, rep)
+// gets its own forked stream, so no two trials share randomness.
+func TrialSeed(master uint64, cfg, rep int) uint64 {
+	return rng.New(master).Fork(0x7291a1).Fork(uint64(cfg)<<32 | uint64(rep)).Uint64()
 }
 
 // Campaign binds a Matrix to execution parameters.

@@ -23,6 +23,7 @@ import (
 	"radionet/internal/graph"
 	"radionet/internal/precompute"
 	"radionet/internal/protocol"
+	"radionet/internal/rng"
 	"radionet/internal/stats"
 )
 
@@ -84,12 +85,23 @@ func cross(gs []*graph.Graph, diam func(*graph.Graph) int, descs []*protocol.Des
 	return cells
 }
 
-// runCells runs seeds trials of every cell as one campaign plan and
-// returns each cell's trial records in repetition order. Repetition s of
-// every cell is seeded base+s, the tables' historical seeds. Cells on one
-// graph share a topology key, and with it their scratch. Results are
-// identical for every worker count.
-func (o Options) runCells(cells []campaign.Config, base uint64, seeds int) [][]campaign.TrialResult {
+// trialSeed is the seed of repetition rep of cell cfg in table id:
+// campaign.TrialSeed under a master forked from Seed by the table ID, so
+// no two tables, cells or repetitions share a trial.
+func (o Options) trialSeed(id string, cfg, rep int) uint64 {
+	var key uint64
+	for i := 0; i < len(id); i++ {
+		key = key<<8 | uint64(id[i])
+	}
+	return campaign.TrialSeed(rng.New(o.Seed).Fork(key).Uint64(), cfg, rep)
+}
+
+// runCells runs seeds trials of every cell of table id as one campaign
+// plan and returns each cell's trial records in repetition order,
+// repetition s of cell c seeded trialSeed(id, c, s). Cells on one graph
+// share a topology key, and with it their scratch. Results are identical
+// for every worker count.
+func (o Options) runCells(id string, cells []campaign.Config, seeds int) [][]campaign.TrialResult {
 	plan := &campaign.Plan{Configs: cells}
 	keys := make(map[*graph.Graph]precompute.Key)
 	for ci := range cells {
@@ -99,7 +111,7 @@ func (o Options) runCells(cells []campaign.Config, base uint64, seeds int) [][]c
 		}
 		cells[ci].Key = keys[g]
 		for s := 0; s < seeds; s++ {
-			plan.Trials = append(plan.Trials, campaign.Trial{Index: len(plan.Trials), Cfg: ci, Rep: s, Seed: base + uint64(s)})
+			plan.Trials = append(plan.Trials, campaign.Trial{Index: len(plan.Trials), Cfg: ci, Rep: s, Seed: o.trialSeed(id, ci, s)})
 		}
 	}
 	res := (&campaign.Campaign{Workers: o.Workers}).RunPlan(plan)

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"radionet/internal/campaign"
 	"radionet/internal/cluster"
 	"radionet/internal/graph"
 )
@@ -201,6 +203,46 @@ func TestF6MidJInRange(t *testing.T) {
 		j := f6MidJ(d)
 		if j < jmin || j > jmax {
 			t.Fatalf("f6MidJ(%d) = %d, outside [%d, %d]", d, j, jmin, jmax)
+		}
+	}
+}
+
+// TestTableTrialSeedsDistinct checks that, for one master seed, the trial
+// seeds of the tables that run protocol trials (F1–F7, T7, T8) never
+// repeat within or across tables, over more cells and repetitions than
+// any table runs at full scale. Adjacent per-table bases (Seed+1,
+// Seed+2, ...) plus the repetition index made F1's third trial F3's first.
+func TestTableTrialSeedsDistinct(t *testing.T) {
+	o := Options{Seed: 1}
+	seen := make(map[uint64]string)
+	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "T7", "T8"} {
+		for cfg := 0; cfg < 32; cfg++ {
+			for rep := 0; rep < 16; rep++ {
+				at := fmt.Sprintf("%s cell %d rep %d", id, cfg, rep)
+				seed := o.trialSeed(id, cfg, rep)
+				if prev, ok := seen[seed]; ok {
+					t.Fatalf("%s reuses the trial seed of %s", at, prev)
+				}
+				seen[seed] = at
+			}
+		}
+	}
+}
+
+// TestRunCellsSeedsByTable checks that runCells seeds repetition s of
+// cell c of table id with trialSeed(id, c, s), the derivation the
+// distinctness test covers.
+func TestRunCellsSeedsByTable(t *testing.T) {
+	o := Options{Seed: 3, Workers: 2}
+	g := graph.Grid(4, 8)
+	cells := []campaign.Config{cell(g, g.Diameter(), broadcast("bgi")), cell(g, g.Diameter(), broadcast("truncated-decay"))}
+	for c, rs := range o.runCells("F7", cells, 3) {
+		for s, got := range rs {
+			want := campaign.RunTrial(&cells[c], o.trialSeed("F7", c, s), 0)
+			got.Wall, want.Wall = 0, 0
+			if got != want {
+				t.Errorf("cell %d rep %d: runCells %+v, trialSeed run %+v", c, s, got, want)
+			}
 		}
 	}
 }

@@ -29,7 +29,7 @@ func runF7(o Options) *Table {
 	}
 	algos := []*protocol.Descriptor{broadcast("bgi"), broadcast("truncated-decay"), broadcast("cd17")}
 	cells := cross(gs, (*graph.Graph).DiameterEstimate, algos)
-	for k, rs := range o.runCells(cells, o.Seed+9, seeds) {
+	for k, rs := range o.runCells("F7", cells, seeds) {
 		c := cells[k]
 		rounds, tx, _ := meanOf(rs)
 		perNodeRound := 0.0

@@ -45,7 +45,7 @@ func runF1(o Options) *Table {
 	// first): an algorithm registered tomorrow joins F1 with no changes here.
 	algos := protocol.ByTask(protocol.Broadcast)
 	cells := cross(gridFamily(o.Quick), (*graph.Graph).DiameterEstimate, algos)
-	res := o.runCells(cells, o.Seed+1, seeds)
+	res := o.runCells("F1", cells, seeds)
 	cd17, hw16 := broadcast("cd17").Label, broadcast("hw16").Label
 	var perHop, logDs []float64 // CD17's completed rows
 	below, rows := 0, 0         // rows with CD17 < HW16-mode, of rows where both completed
@@ -118,7 +118,7 @@ func runF2(o Options) *Table {
 		gs = append(gs, graph.Caterpillar(spine, legs))
 	}
 	cells := cross(gs, (*graph.Graph).Diameter, algos)
-	for k, rs := range o.runCells(cells, o.Seed+2, seeds) {
+	for k, rs := range o.runCells("F2", cells, seeds) {
 		c := cells[k]
 		m, _, all := meanOf(rs)
 		t.AddRow(c.G.Name(), c.G.N(), c.D, algos[k%len(algos)].Label, m, all)
@@ -149,7 +149,7 @@ func runF3(o Options) *Table {
 	algos := append(protocol.ByTask(protocol.Leader), broadcast("cd17"))
 	cells := cross(gs, (*graph.Graph).DiameterEstimate, algos)
 	var leMean float64 // CD17-LE mean on the current graph
-	for k, rs := range o.runCells(cells, o.Seed+3, seeds) {
+	for k, rs := range o.runCells("F3", cells, seeds) {
 		c, a := cells[k], algos[k%len(algos)]
 		m, _, done := meanOf(rs)
 		label := a.Label
@@ -192,7 +192,7 @@ func runF4(o Options) *Table {
 		cells = append(cells, c)
 	}
 	var xs, ys []float64
-	for i, rs := range o.runCells(cells, o.Seed+5, seeds) {
+	for i, rs := range o.runCells("F4", cells, seeds) {
 		m, _, all := meanOf(rs)
 		t.AddRow(g.Name(), sizes[i], m, all)
 		xs = append(xs, float64(sizes[i]))
@@ -227,7 +227,7 @@ func runF5(o Options) *Table {
 	cells := cross(gs, func(g *graph.Graph) int { return g.N() - 1 }, algos)
 	perHop := map[string][]float64{}
 	logns := map[string][]float64{}
-	for k, rs := range o.runCells(cells, o.Seed+6, seeds) {
+	for k, rs := range o.runCells("F5", cells, seeds) {
 		n, d, a := cells[k].G.N(), cells[k].D, algos[k%len(algos)].Label
 		m, _, all := meanOf(rs)
 		t.AddRow(n, d, a, m, m/float64(d))
@@ -306,7 +306,7 @@ func runF6(o Options) *Table {
 		cells = append(cells, c)
 	}
 	var base float64
-	for i, rs := range o.runCells(cells, o.Seed+7, seeds) {
+	for i, rs := range o.runCells("F6", cells, seeds) {
 		v := variants[i]
 		m, _, all := meanOf(rs)
 		if i == 0 {

@@ -38,17 +38,19 @@ func runT8(o Options) *Table {
 		return out
 	}
 	var xs, ys []float64
-	for _, k := range ks {
+	for ki, k := range ks {
 		pr := make([]float64, seeds)
 		sr := make([]float64, seeds)
 		ok := make([]bool, seeds)
 		campaign.ForEach(o.Workers, seeds, func(s int) {
-			p, err := multicast.NewPipelined(g, d, o.Seed+8+uint64(s), 0, msgs(k))
+			// One trial runs both strategies, from one seed.
+			seed := o.trialSeed("T8", ki, s)
+			p, err := multicast.NewPipelined(g, d, seed, 0, msgs(k))
 			if err != nil {
 				return
 			}
 			pipe := p.Run(1 << 26)
-			seq := multicast.Sequential(g, o.Seed+8+uint64(s), 0, msgs(k), 0)
+			seq := multicast.Sequential(g, seed, 0, msgs(k), 0)
 			pr[s], sr[s] = float64(pipe.Rounds), float64(seq.Rounds)
 			ok[s] = pipe.Done && seq.Done
 		})

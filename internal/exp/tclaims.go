@@ -319,8 +319,9 @@ func runT7(o Options) *Table {
 		for _, beta := range []float64{0.15, 0.3} {
 			rounds := make([]float64, seeds)
 			ok := make([]bool, seeds)
+			cfg := len(t.Rows)
 			campaign.ForEach(o.Workers, seeds, func(s int) {
-				dp := cluster.NewDistributed(g, beta, o.Seed+uint64(s))
+				dp := cluster.NewDistributed(g, beta, o.trialSeed("T7", cfg, s))
 				res := dp.Run(0)
 				ok[s] = res.Done && dp.Result().Validate() == nil
 				rounds[s] = float64(res.Rounds)

@@ -5,6 +5,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -17,8 +18,14 @@ import (
 //     the key argument of rng.NewWordCoins, is derived only from
 //     parameters, locals, fields, constants and other rng calls — never
 //     from ambient state (any non-rng call, or a mutable package-level
-//     variable, in the seed expression is flagged). //lint:seedroot
-//     marks a reviewed exception.
+//     variable, in the seed expression is flagged),
+//   - a seed — the argument of rng.New, or any argument bound to a
+//     parameter named seed — is never derived by +/- arithmetic: adjacent
+//     seeds would make sub-runs of adjacent trials coincide, so sub-run
+//     seeds are forked (rng.New(seed).Fork(i).Uint64()). Fork ids and
+//     NewWordCoins keys are hashed keys, and arithmetic in them is fine.
+//
+// //lint:seedroot marks a reviewed exception.
 var RNGDiscipline = &Analyzer{
 	Name:      "rngdiscipline",
 	Doc:       "rng.Rand streams are built by New/Fork from explicit seeds, never from ambient state or the zero value",
@@ -46,11 +53,18 @@ func runRNGDiscipline(pass *Pass) {
 					return true
 				}
 				fn := calleeFunc(pass.Info, n)
+				newFunc := fn != nil && isPkgFunc(fn, rngPath, "New") && methodRecvNamed(fn) == nil
+				if sig, ok := pass.Info.TypeOf(n.Fun).(*types.Signature); ok {
+					for i := 0; i < sig.Params().Len() && i < len(n.Args); i++ {
+						if newFunc && i == 0 || sig.Params().At(i).Name() == "seed" {
+							checkSeedArith(pass, n.Args[i])
+						}
+					}
+				}
 				if fn == nil {
 					return true
 				}
-				seedFunc := isPkgFunc(fn, rngPath, "New") && methodRecvNamed(fn) == nil ||
-					isMethodOf(fn, rngPath, "Rand", "Fork")
+				seedFunc := newFunc || isMethodOf(fn, rngPath, "Rand", "Fork")
 				keyFunc := isPkgFunc(fn, rngPath, "NewWordCoins") && methodRecvNamed(fn) == nil
 				if seedFunc && len(n.Args) == 1 || keyFunc && len(n.Args) == 2 {
 					checkSeedExpr(pass, n.Args[0])
@@ -100,5 +114,26 @@ func checkSeedExpr(pass *Pass, expr ast.Expr) {
 			}
 		}
 		return true
+	})
+}
+
+// checkSeedArith flags the first +/- in a seed argument, looking through
+// parentheses and conversions but not into calls: an rng call's arguments
+// are hashed keys, and any other call is checkSeedExpr's business.
+func checkSeedArith(pass *Pass, expr ast.Expr) {
+	reported := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			tv, ok := pass.Info.Types[n.Fun]
+			return !reported && ok && tv.IsType()
+		case *ast.BinaryExpr:
+			if !reported && (n.Op == token.ADD || n.Op == token.SUB) {
+				pass.Reportf("seedroot", n.Pos(),
+					"seed derived by +/- arithmetic: adjacent seeds share sub-runs; fork it instead (rng.New(seed).Fork(i).Uint64())")
+				reported = true
+			}
+		}
+		return !reported
 	})
 }

@@ -28,6 +28,7 @@ var simPackages = map[string]bool{
 	"radionet/internal/protocol/all": true,
 	"radionet/internal/campaign":     true,
 	"radionet/internal/precompute":   true,
+	"radionet/internal/exp":          true,
 }
 
 // SimScope reports whether pkgPath is inside the determinism perimeter.

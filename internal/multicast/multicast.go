@@ -181,8 +181,9 @@ func (p *Pipelined) Run(budget int64) protocol.Result {
 // reports the summed rounds and engine transmissions; Done means every
 // broadcast completed. Each broadcast runs until globally complete
 // (oracle-sequenced), so the total is exactly the classical reduction's
-// cost on this instance. perMsgBudget <= 0 gives each broadcast
-// 40·(n+L)·L rounds.
+// cost on this instance. Message i's broadcast is seeded from
+// rng.New(seed).Fork(i), so no two messages or runs share a sub-run seed.
+// perMsgBudget <= 0 gives each broadcast 40·(n+L)·L rounds.
 func Sequential(g *graph.Graph, seed uint64, src int, msgs []int64, perMsgBudget int64) protocol.Result {
 	return newSequentialRunner(g, seed, src, msgs).run(perMsgBudget)
 }
@@ -207,8 +208,9 @@ func (r *sequentialRunner) run(perMsgBudget int64) protocol.Result {
 		perMsgBudget = 40 * (int64(r.bc.Engine.G.N()) + l) * l
 	}
 	res := protocol.Result{Done: true}
+	master := rng.New(r.seed)
 	for i, m := range r.msgs {
-		r.bc.Rearm(r.seed+uint64(i), map[int]int64{r.src: m})
+		r.bc.Rearm(master.Fork(uint64(i)).Uint64(), map[int]int64{r.src: m})
 		br := r.bc.Run(perMsgBudget)
 		res.Rounds += br.Rounds
 		if !br.Done {

@@ -1,6 +1,8 @@
 package multicast
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"radionet/internal/graph"
@@ -111,5 +113,50 @@ func TestPipeliningBeatsSequentialForManyMessages(t *testing.T) {
 	}
 	if pr.Rounds >= sr.Rounds {
 		t.Fatalf("pipelined (%d) not faster than sequential (%d) at k=%d", pr.Rounds, sr.Rounds, k)
+	}
+}
+
+// messageTraces runs Sequential on g from node 0 with k messages and
+// returns each message's broadcast as one string of its per-round
+// transmitter sets. With one source, a trace is a function of the
+// message's sub-run seed, so equal traces mean a shared seed.
+func messageTraces(t *testing.T, g *graph.Graph, seed uint64, k int) []string {
+	t.Helper()
+	r := newSequentialRunner(g, seed, 0, msgs(k))
+	var cur strings.Builder
+	var out []string
+	r.bc.Engine.Hook = func(_ int64, tx []int32, _, _ int) {
+		fmt.Fprint(&cur, tx, ";")
+		if r.bc.Done() {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	if res := r.run(0); !res.Done {
+		t.Fatalf("seed %d: sequential run incomplete", seed)
+	}
+	if len(out) != k {
+		t.Fatalf("seed %d: %d message traces, want %d", seed, len(out), k)
+	}
+	return out
+}
+
+// TestSequentialTrialsShareNoSubRun checks that consecutive trial seeds
+// s and s+1 at k = 32 share no message broadcast: every message of both
+// trials has its own transmitter trace. Adding the message index to the
+// trial seed made message i+1 of trial s replay message i of trial s+1.
+func TestSequentialTrialsShareNoSubRun(t *testing.T) {
+	g := graph.Grid(8, 8)
+	for s := uint64(1); s <= 3; s++ {
+		seen := map[string]string{}
+		for _, seed := range []uint64{s, s + 1} {
+			for i, tr := range messageTraces(t, g, seed, 32) {
+				at := fmt.Sprintf("seed %d message %d", seed, i)
+				if prev, ok := seen[tr]; ok {
+					t.Errorf("%s replays %s", at, prev)
+				}
+				seen[tr] = at
+			}
+		}
 	}
 }
