@@ -53,7 +53,7 @@ func TruncatedDecayLevels(n, d int) int {
 // bit. Each iteration asks "is there a candidate whose ID has the current
 // prefix and a 1 in the next bit?" by having exactly those candidates run
 // a Decay broadcast for a fixed T_BC budget; hearing anything sets the
-// bit. Total time O(T_BC · idBits).
+// bit. Total time O(T_BC · protocol.IDBits).
 type BinarySearchLE struct {
 	bc         *decay.Broadcast // re-armed for every ID bit
 	seed       uint64
@@ -66,10 +66,10 @@ type BinarySearchLE struct {
 }
 
 // NewBinarySearchLE samples candidates exactly like Algorithm 6 (see
-// SampleCandidates) and prepares the binary search with the per-iteration
+// protocol.SampleCandidates) and prepares the binary search with the per-iteration
 // broadcast budget tbc = 3·(D+log n)·log n, a whp-sufficient BGI budget.
 func NewBinarySearchLE(g *graph.Graph, d int, seed uint64) (*BinarySearchLE, error) {
-	cands, err := SampleCandidates(g.N(), seed)
+	cands, err := protocol.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -89,10 +89,10 @@ func (b *BinarySearchLE) LeaderID() int64 { return b.leaderID }
 
 // DefaultBudget implements protocol.Budgeted: the whp per-bit broadcast
 // budget T_BC times the ID-bit count.
-func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * idBits }
+func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * protocol.IDBits }
 
 // Run performs the binary search. Each bit's broadcast gets T_BC rounds;
-// an explicit budget > 0 is split evenly over the idBits broadcasts
+// an explicit budget > 0 is split evenly over the protocol.IDBits broadcasts
 // instead, floored to one round per bit. The reported round count is the
 // sum over iterations of the per-bit budget, as in the classical analysis
 // (iterations are budget-bound, not adaptive). Bit b's broadcast is
@@ -102,12 +102,12 @@ func (b *BinarySearchLE) DefaultBudget() int64 { return b.tbc * idBits }
 func (b *BinarySearchLE) Run(budget int64) protocol.Result {
 	tbc := b.tbc
 	if budget > 0 {
-		tbc = max(budget/idBits, 1)
+		tbc = max(budget/protocol.IDBits, 1)
 	}
 	prefix := int64(0)
 	var rounds int64
 	master := rng.New(b.seed)
-	for bit := idBits - 1; bit >= 0; bit-- {
+	for bit := protocol.IDBits - 1; bit >= 0; bit-- {
 		probe := prefix | 1<<uint(bit)
 		sources := make(map[int]int64)
 		for v, id := range b.candidates {
@@ -174,7 +174,7 @@ type MaxBroadcastLE struct {
 // exhausts its budget with Done == false rather than elect a wrong
 // leader.
 func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, plan *radio.FaultPlan) (*MaxBroadcastLE, error) {
-	cands, err := SampleCandidates(g.N(), seed)
+	cands, err := protocol.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -247,62 +247,3 @@ var (
 	_ protocol.LeaderRunner = (*MaxBroadcastLE)(nil)
 	_ protocol.Budgeted     = (*MaxBroadcastLE)(nil)
 )
-
-// The Algorithm-6 candidate sampling constants shared by the leader
-// baselines and internal/ghle.
-const (
-	// candidateC scales the candidacy probability candidateC·ln n/n
-	// [paper Θ(log n/n); 2].
-	candidateC = 2
-	// idBits is the candidate ID length [Θ(log n); 40].
-	idBits = 40
-)
-
-// SampleCandidates draws the Algorithm-6 candidate set: each node becomes
-// a candidate with probability candidateC·ln n/n and draws a random
-// idBits-bit ID; empty or duplicate draws (probability O(n^-c)) are
-// redrawn with a salted seed. The draw is a pure function of (n, seed).
-func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
-	if n <= 0 {
-		return nil, errors.New("baseline: empty graph")
-	}
-	p := candidateC * logf(n) / float64(n)
-	if p > 1 {
-		p = 1
-	}
-	space := int64(1) << idBits
-	for salt := uint64(0); salt <= 1000; salt++ {
-		r := rng.New(seed).Fork(9000 + salt)
-		out := make(map[int]int64)
-		used := make(map[int64]bool)
-		dup := false
-		for v := 0; v < n; v++ {
-			cr := r.Fork(uint64(v))
-			if !cr.Bernoulli(p) {
-				continue
-			}
-			id := cr.Int63n(space)
-			if used[id] {
-				dup = true
-				break
-			}
-			used[id] = true
-			out[v] = id
-		}
-		if !dup && len(out) > 0 {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("baseline: could not sample candidates for n=%d", n)
-}
-
-func logf(n int) float64 {
-	l := 0.0
-	for m := n; m > 1; m >>= 1 {
-		l++
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l * 0.6931471805599453 // ln 2: l counts binary orders of magnitude
-}

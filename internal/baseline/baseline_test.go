@@ -49,44 +49,6 @@ func TestTruncatedDecayCompletesOnCliquePath(t *testing.T) {
 	}
 }
 
-func TestSampleCandidates(t *testing.T) {
-	for _, n := range []int{8, 100, 5000} {
-		cands, err := SampleCandidates(n, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cands) == 0 {
-			t.Fatalf("n=%d: empty candidate set", n)
-		}
-		seen := make(map[int64]bool)
-		for v, id := range cands {
-			if v < 0 || v >= n {
-				t.Fatalf("candidate %d out of range", v)
-			}
-			if id < 0 || seen[id] {
-				t.Fatalf("bad or duplicate ID %d", id)
-			}
-			seen[id] = true
-		}
-	}
-	if _, err := SampleCandidates(0, 1); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-}
-
-func TestSampleCandidatesDeterministic(t *testing.T) {
-	a, _ := SampleCandidates(500, 42)
-	b, _ := SampleCandidates(500, 42)
-	if len(a) != len(b) {
-		t.Fatal("non-deterministic candidate count")
-	}
-	for v, id := range a {
-		if b[v] != id {
-			t.Fatal("non-deterministic candidate IDs")
-		}
-	}
-}
-
 func TestBinarySearchLE(t *testing.T) {
 	g := graph.Grid(7, 7)
 	le, err := NewBinarySearchLE(g, g.Diameter(), 11)
@@ -107,7 +69,7 @@ func TestBinarySearchLE(t *testing.T) {
 	if le.LeaderID() != max {
 		t.Fatalf("winner %d, true max %d", le.LeaderID(), max)
 	}
-	if res.Rounds != idBits*leTBC(g.N(), g.Diameter()) {
+	if res.Rounds != protocol.IDBits*leTBC(g.N(), g.Diameter()) {
 		t.Fatalf("rounds %d not IDBits*T_BC", res.Rounds)
 	}
 }
@@ -218,7 +180,7 @@ func bitTraces(t *testing.T, g *graph.Graph, seed uint64) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le.candidates = map[int]int64{0: 1<<idBits - 1}
+	le.candidates = map[int]int64{0: 1<<protocol.IDBits - 1}
 	var cur strings.Builder
 	var out []string
 	le.bc.Engine.Hook = func(_ int64, tx []int32, _, _ int) {
@@ -231,8 +193,8 @@ func bitTraces(t *testing.T, g *graph.Graph, seed uint64) []string {
 	if res := le.Run(0); !res.Done {
 		t.Fatalf("seed %d: election incomplete", seed)
 	}
-	if len(out) != idBits {
-		t.Fatalf("seed %d: %d bit traces, want %d", seed, len(out), idBits)
+	if len(out) != protocol.IDBits {
+		t.Fatalf("seed %d: %d bit traces, want %d", seed, len(out), protocol.IDBits)
 	}
 	return out
 }
@@ -246,7 +208,7 @@ func TestBinarySearchTrialsShareNoSubRun(t *testing.T) {
 		seen := map[string]string{}
 		for _, seed := range []uint64{s, s + 1} {
 			for i, tr := range bitTraces(t, g, seed) {
-				at := fmt.Sprintf("seed %d bit %d", seed, idBits-1-i) // bits run high to low
+				at := fmt.Sprintf("seed %d bit %d", seed, protocol.IDBits-1-i) // bits run high to low
 				if prev, ok := seen[tr]; ok {
 					t.Errorf("%s replays %s", at, prev)
 				}

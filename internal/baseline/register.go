@@ -58,7 +58,7 @@ func init() {
 		BudgetDoc: "6·(D+L)·L",
 		Order:     20,
 		Caps:      protocol.Caps{Faults: true},
-		Protect:   protectMaxCandidate,
+		Protect:   protocol.ProtectMaxCandidate,
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Tuning != nil {
 				return nil, fmt.Errorf("baseline: max-broadcast LE takes no tuning, got %T", p.Tuning)
@@ -71,17 +71,4 @@ func init() {
 			return m, nil
 		},
 	})
-}
-
-// protectMaxCandidate derives the would-be winner of a candidate-sampling
-// election from the trial seed (SampleCandidates is a pure function of
-// (n, seed)), so fault plans never crash the one node whose death would
-// make the election unwinnable.
-func protectMaxCandidate(n int, seed uint64) []int {
-	cands, err := SampleCandidates(n, seed)
-	if err != nil {
-		return nil
-	}
-	w, _ := protocol.MaxIDNode(cands)
-	return []int{w}
 }

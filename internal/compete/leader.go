@@ -3,11 +3,9 @@ package compete
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
-	"radionet/internal/rng"
 )
 
 // LeaderElection is Algorithm 6 / Theorem 5.2: nodes become candidates
@@ -19,62 +17,13 @@ type LeaderElection struct {
 	cands map[int]int64 // candidate node -> drawn ID
 }
 
-// The Algorithm-6 candidate sampling constants.
-const (
-	// candidateC scales the candidacy probability candidateC·ln n/n
-	// [paper Θ(log n/n); 2].
-	candidateC = 2
-	// idBits is the candidate ID length [Θ(log n); 40].
-	idBits = 40
-)
-
-// SampleCandidates draws the Algorithm-6 candidate set for an n-node
-// network from seed: each node becomes a candidate with probability
-// candidateC·ln n/n and draws a random idBits-bit ID; empty or duplicate
-// samples are redrawn with a salted seed. The draw is a pure function of
-// (n, seed) — the same one NewLeaderElection performs — so callers that
-// need the candidate set before construction (e.g. fault planning that
-// must protect the would-be winner) see exactly the election's
-// candidates.
-func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
-	p := candidateC * math.Log(float64(n)+2) / float64(n)
-	if p > 1 {
-		p = 1
-	}
-	idSpace := int64(1) << idBits
-	for salt := uint64(0); salt <= 1000; salt++ {
-		r := rng.New(seed).Fork(7000 + salt)
-		candidates := make(map[int]int64)
-		used := make(map[int64]bool)
-		dup := false
-		for v := 0; v < n; v++ {
-			cr := r.Fork(uint64(v))
-			if !cr.Bernoulli(p) {
-				continue
-			}
-			id := cr.Int63n(idSpace)
-			if used[id] {
-				dup = true
-				break
-			}
-			used[id] = true
-			candidates[v] = id
-		}
-		if !dup && len(candidates) > 0 {
-			return candidates, nil
-		}
-	}
-	return nil, errors.New("compete: could not sample a valid candidate set")
-}
-
 // NewLeaderElection builds a leader election instance from the
 // seed-independent precomputation pre (see New); the election runs under
 // the Config pre was built with.
 //
-// If the candidate sample comes out empty or with duplicate IDs (both
-// probability O(n^-c) events the paper conditions away), the sample is
-// redrawn with a salted seed; the deviation is measurement-neutral since
-// the paper's analysis conditions on |C| = Θ(log n) with unique IDs.
+// The candidates are protocol.SampleCandidates(n, seed); its redraws of
+// empty or duplicate samples are measurement-neutral, since the paper's
+// analysis conditions on |C| = Θ(log n) with unique IDs.
 //
 // plan, if non-nil, installs a fault scenario: completion becomes
 // survivor-scoped exactly as in New, and Verify checks the postcondition
@@ -88,7 +37,7 @@ func NewLeaderElection(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderEle
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
 	}
-	candidates, err := SampleCandidates(g.N(), seed)
+	candidates, err := protocol.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}

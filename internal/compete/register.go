@@ -56,19 +56,8 @@ func init() {
 		Caps:       protocol.Caps{Faults: true},
 		ScratchKey: "compete/pre", // see broadcast:cd17
 		NewScratch: newScratch(false),
-		Protect: func(n int, seed uint64) []int {
-			// Fault plans must not crash the would-be winner (its death
-			// makes the completion target vacuous). The sample is the
-			// pure (n, seed) function Build performs, so the protected
-			// node is exactly the node that will win the election.
-			cands, err := SampleCandidates(n, seed)
-			if err != nil {
-				return nil
-			}
-			w, _ := protocol.MaxIDNode(cands)
-			return []int{w}
-		},
-		Build: buildLeader,
+		Protect:    protocol.ProtectMaxCandidate,
+		Build:      buildLeader,
 	})
 }
 

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"radionet/internal/baseline"
 	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
@@ -76,13 +75,13 @@ func phases(n int) int {
 }
 
 // New samples the candidate set as Algorithm 6 does (a pure function of
-// (n, seed), see baseline.SampleCandidates) and prepares the election on
+// (n, seed), see protocol.SampleCandidates) and prepares the election on
 // g with diameter d.
 func New(g *graph.Graph, d int, seed uint64) (*LE, error) {
 	if g.N() == 0 {
 		return nil, errors.New("ghle: empty graph")
 	}
-	cands, err := baseline.SampleCandidates(g.N(), seed)
+	cands, err := protocol.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -31,10 +31,14 @@
 package protocol
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 
 	"radionet/internal/graph"
 	"radionet/internal/radio"
+	"radionet/internal/rng"
 )
 
 // Task names the protocol problem a runner solves. Tasks are open-ended:
@@ -321,4 +325,69 @@ func MaxIDNode(cands map[int]int64) (node int, id int64) {
 		}
 	}
 	return node, id
+}
+
+// The Algorithm-6 candidate sampling constants.
+const (
+	// candidateC scales the candidacy probability candidateC·ln(n+2)/n
+	// [paper Θ(log n/n); 2].
+	candidateC = 2
+	// IDBits is the candidate ID length [Θ(log n); 40].
+	IDBits = 40
+)
+
+// SampleCandidates draws the Algorithm-6 candidate set for an n-node
+// network from seed, for every candidate-sampling election (cd17's,
+// binary-search, max-broadcast and gh13): each node becomes a candidate
+// with probability candidateC·ln(n+2)/n and draws a random IDBits-bit ID;
+// empty or duplicate samples (probability O(n^-c), events the paper
+// conditions away) are redrawn with a salted seed. The draw is a pure
+// function of (n, seed), so callers that need the candidate set before
+// construction (ProtectMaxCandidate) see exactly the election's
+// candidates.
+func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
+	if n <= 0 {
+		return nil, errors.New("protocol: empty graph")
+	}
+	p := candidateC * math.Log(float64(n)+2) / float64(n)
+	if p > 1 {
+		p = 1
+	}
+	idSpace := int64(1) << IDBits
+	for salt := uint64(0); salt <= 1000; salt++ {
+		r := rng.New(seed).Fork(7000 + salt)
+		candidates := make(map[int]int64)
+		used := make(map[int64]bool)
+		dup := false
+		for v := 0; v < n; v++ {
+			cr := r.Fork(uint64(v))
+			if !cr.Bernoulli(p) {
+				continue
+			}
+			id := cr.Int63n(idSpace)
+			if used[id] {
+				dup = true
+				break
+			}
+			used[id] = true
+			candidates[v] = id
+		}
+		if !dup && len(candidates) > 0 {
+			return candidates, nil
+		}
+	}
+	return nil, fmt.Errorf("protocol: could not sample candidates for n=%d", n)
+}
+
+// ProtectMaxCandidate is the Protect hook of the candidate-sampling
+// elections: the would-be winner, derived from the trial seed exactly as
+// Build samples it, so fault plans never crash the one node whose death
+// would make the election unwinnable.
+func ProtectMaxCandidate(n int, seed uint64) []int {
+	cands, err := SampleCandidates(n, seed)
+	if err != nil {
+		return nil
+	}
+	w, _ := MaxIDNode(cands)
+	return []int{w}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"radionet/internal/campaign"
-	"radionet/internal/compete"
 	"radionet/internal/protocol"
 )
 
@@ -132,9 +131,9 @@ func TestNetworkLeaderElectionAllAlgorithms(t *testing.T) {
 func TestNetworkLeaderElectionFaults(t *testing.T) {
 	net := NewNetwork(Grid(6, 6))
 	// Protect the would-be winner: derive it from the same candidate draw
-	// the election performs (compete.SampleCandidates is pure in the seed).
+	// the election performs (protocol.SampleCandidates is pure in the seed).
 	const seed = 5
-	cands, err := compete.SampleCandidates(net.G.N(), seed)
+	cands, err := protocol.SampleCandidates(net.G.N(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
