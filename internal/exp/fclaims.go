@@ -164,6 +164,9 @@ func runF3(o Options) *Table {
 			t.Note("%s: LE/broadcast ratio = %.2f (paper: O(1), the parity claim)", c.G.Name(), leMean/m)
 		}
 	}
+	if gh, ok := protocol.Lookup(protocol.Leader, "gh13"); ok {
+		t.Note("%s is a scoped variant of GH13 (arXiv 1210.8439) with three parts simplified: it samples candidates as in Algorithm 6, runs its knockout phases as truncated Decay broadcasts, and agrees in one full Decay broadcast", gh.Label)
+	}
 	return t
 }
 

@@ -15,13 +15,14 @@ func init() {
 		Task:      protocol.Leader,
 		Name:      "gh13",
 		Aliases:   []string{"ghaffari-haeupler"},
-		Label:     "GH13-LE",
-		Summary:   "Ghaffari–Haeupler SODA'13-style elimination tournament (scoped variant): Θ(log log n) geometric knockout broadcasts + one full agreement broadcast, < 2·T_BC total",
+		Label:     "GH13-scoped-LE",
+		Summary:   "scoped variant of the Ghaffari–Haeupler SODA'13 elimination tournament: Algorithm-6 candidates, Θ(log log n) geometric Decay knockout broadcasts + one full agreement broadcast, < 2·T_BC total",
 		BudgetDoc: "< 2T with T = 6·(D+L)·L (explicit budgets: T = budget/2)",
 		Order:     30,
 		// No Protect hook: the descriptor is fault-incapable (phase outcomes
 		// and the winner are read from the candidate set), so fault
-		// planning never reaches it. When it lands, protect LE.Winner here.
+		// planning never reaches it. When it lands, Protect is
+		// protocol.ProtectMaxCandidate, as for the other elections.
 		Caps: protocol.Caps{},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			if p.Tuning != nil {
