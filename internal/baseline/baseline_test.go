@@ -201,7 +201,7 @@ func bitTraces(t *testing.T, g *graph.Graph, seed uint64) []string {
 
 // TestBinarySearchTrialsShareNoSubRun checks that consecutive trial seeds
 // s and s+1 share no per-bit broadcast. Adding the bit to the trial seed
-// made bit b of trial s draw the coins of bit b-1 of trial s+1.
+// would make bit b of trial s draw the coins of bit b-1 of trial s+1.
 func TestBinarySearchTrialsShareNoSubRun(t *testing.T) {
 	g := graph.Grid(8, 8)
 	for s := uint64(1); s <= 3; s++ {

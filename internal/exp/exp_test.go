@@ -211,7 +211,8 @@ func TestF6MidJInRange(t *testing.T) {
 // seeds of the tables that run protocol trials (F1–F7, T7, T8) never
 // repeat within or across tables, over more cells and repetitions than
 // any table runs at full scale. Adjacent per-table bases (Seed+1,
-// Seed+2, ...) plus the repetition index made F1's third trial F3's first.
+// Seed+2, ...) plus the repetition index would make F1's third trial
+// F3's first.
 func TestTableTrialSeedsDistinct(t *testing.T) {
 	o := Options{Seed: 1}
 	seen := make(map[uint64]string)

@@ -144,7 +144,8 @@ func messageTraces(t *testing.T, g *graph.Graph, seed uint64, k int) []string {
 // TestSequentialTrialsShareNoSubRun checks that consecutive trial seeds
 // s and s+1 at k = 32 share no message broadcast: every message of both
 // trials has its own transmitter trace. Adding the message index to the
-// trial seed made message i+1 of trial s replay message i of trial s+1.
+// trial seed would make message i+1 of trial s replay message i of trial
+// s+1.
 func TestSequentialTrialsShareNoSubRun(t *testing.T) {
 	g := graph.Grid(8, 8)
 	for s := uint64(1); s <= 3; s++ {
