@@ -319,7 +319,7 @@ func runT7(o Options) *Table {
 		for _, beta := range []float64{0.15, 0.3} {
 			rounds := make([]float64, seeds)
 			ok := make([]bool, seeds)
-			cfg := len(t.Rows)
+			cfg := len(t.Rows) // one row per (graph, beta) cell
 			campaign.ForEach(o.Workers, seeds, func(s int) {
 				dp := cluster.NewDistributed(g, beta, o.trialSeed("T7", cfg, s))
 				res := dp.Run(0)
