@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -46,6 +47,57 @@ func TestTruncatedDecayCompletesOnCliquePath(t *testing.T) {
 	bc := truncatedDecay(g, g.Diameter(), 3, map[int]int64{0: 5})
 	if !bc.Run(1 << 22).Done {
 		t.Fatal("truncated decay broadcast did not finish on clique path")
+	}
+}
+
+// TestSampleCandidates checks the candidate sets the two leader baselines
+// elect among: non-empty, in range, with unique IDBits-bit IDs, and both
+// exactly the Algorithm-6 draw protocol.SampleCandidates makes for (n, seed).
+func TestSampleCandidates(t *testing.T) {
+	for _, n := range []int{8, 100, 5000} {
+		g := graph.Path(n)
+		bs, err := NewBinarySearchLE(g, n-1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := NewMaxBroadcastLE(g, n-1, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := bs.Candidates()
+		if len(cands) == 0 {
+			t.Fatalf("n=%d: empty candidate set", n)
+		}
+		seen := make(map[int64]bool)
+		for v, id := range cands {
+			if v < 0 || v >= n {
+				t.Fatalf("n=%d: candidate %d out of range", n, v)
+			}
+			if id < 0 || id >= 1<<protocol.IDBits || seen[id] {
+				t.Fatalf("n=%d: bad or duplicate ID %d", n, id)
+			}
+			seen[id] = true
+		}
+		want, _ := protocol.SampleCandidates(n, 7)
+		if !maps.Equal(cands, want) || !maps.Equal(mb.Candidates(), want) {
+			t.Fatalf("n=%d: a baseline's candidates differ from protocol.SampleCandidates", n)
+		}
+	}
+}
+
+// TestSampleCandidatesDeterministic checks that a baseline election's
+// candidate set is a function of (graph, seed) alone.
+func TestSampleCandidatesDeterministic(t *testing.T) {
+	g := graph.Grid(20, 25)
+	a, _ := NewBinarySearchLE(g, g.Diameter(), 42)
+	b, _ := NewBinarySearchLE(g, g.Diameter(), 42)
+	if !maps.Equal(a.Candidates(), b.Candidates()) {
+		t.Fatal("non-deterministic binary-search candidates")
+	}
+	c, _ := NewMaxBroadcastLE(g, g.Diameter(), 42, nil)
+	d, _ := NewMaxBroadcastLE(g, g.Diameter(), 42, nil)
+	if !maps.Equal(c.Candidates(), d.Candidates()) {
+		t.Fatal("non-deterministic max-broadcast candidates")
 	}
 }
 
