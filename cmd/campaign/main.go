@@ -19,7 +19,6 @@
 //	campaign -topos grid:16x16 -algos cd17,bgi \
 //	         -faults none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 -seeds 10
 //	campaign -preset large-n-broadcast -progress -manifest run.json
-//	campaign -preset huge-n-broadcast -debug-addr :6060 -progress
 package main
 
 import (
@@ -74,7 +73,6 @@ func run(args []string, stdout io.Writer) error {
 		memprof  = flags.String("memprofile", "", "write a heap profile (post-GC, at exit) to this file")
 		progress = flags.Bool("progress", false, "stream a live progress line (trials done/total, ETA, current config) to stderr")
 		manifest = flags.String("manifest", "", "write a machine-readable run manifest (JSON: config hash, protocols, per-config wall times, metrics) to this file")
-		debug    = flags.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
 		list     = flags.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
 	if err := flags.Parse(args); err != nil {
@@ -177,20 +175,12 @@ func run(args []string, stdout io.Writer) error {
 	// The telemetry surface: all of it observes the run without touching
 	// the sink stream, so stdout stays byte-identical with or without it.
 	var st campaign.RunStats
-	if *manifest != "" || *debug != "" {
+	if *manifest != "" {
 		c.Obs = obs.NewRegistry()
 		c.Stats = &st
 	}
 	if *progress {
 		c.Progress = os.Stderr
-	}
-	if *debug != "" {
-		srv, err := obs.StartDebugServer(*debug, c.Obs)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "campaign: debug server on http://%s/debug/vars\n", srv.Addr)
 	}
 	if _, err = c.Run(sink); err != nil {
 		return err

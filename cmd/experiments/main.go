@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -21,29 +22,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args on its own flag set and writes
+// the tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		runIDs  = flag.String("run", "all", "comma-separated experiment IDs (T1..T8, F1..F7) or 'all'")
-		quick   = flag.Bool("quick", false, "small instances (CI scale)")
-		seeds   = flag.Int("seeds", 0, "repetitions per configuration (0 = experiment default)")
-		seed    = flag.Uint64("seed", 1, "master seed")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		workers = flag.Int("workers", 0, "worker goroutines for repetition loops (0 = GOMAXPROCS); tables are identical for every value")
+		runIDs  = flags.String("run", "all", "comma-separated experiment IDs (T1..T8, F1..F7) or 'all'")
+		quick   = flags.Bool("quick", false, "small instances (CI scale); caps the default repetitions, not an explicit -seeds")
+		seeds   = flags.Int("seeds", 0, "repetitions per configuration (0 = experiment default)")
+		seed    = flags.Uint64("seed", 1, "master seed")
+		csv     = flags.Bool("csv", false, "emit CSV instead of aligned tables")
+		list    = flags.Bool("list", false, "list experiment IDs and exit")
+		workers = flags.Int("workers", 0, "worker goroutines for repetition loops (0 = GOMAXPROCS); tables are identical for every value")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, id := range exp.IDs() {
-			fmt.Printf("%-4s %s\n", id, exp.Title(id))
+			fmt.Fprintf(stdout, "%-4s %s\n", id, exp.Title(id))
 		}
 		return nil
+	}
+	if *seeds < 0 {
+		return fmt.Errorf("-seeds must be >= 0, got %d", *seeds)
 	}
 
 	var ids []string
@@ -62,15 +71,15 @@ func run() error {
 			return err
 		}
 		if *csv {
-			if err := tbl.CSV(os.Stdout); err != nil {
+			if err := tbl.CSV(stdout); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
+		if err := tbl.Render(stdout); err != nil {
 			return err
 		}
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

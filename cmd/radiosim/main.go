@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		workers  = flags.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
 		shards   = flags.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
 		manifest = flags.String("manifest", "", "write a machine-readable run manifest (JSON: scenario, outcome, metric snapshot) to this file")
-		debug    = flags.String("debug-addr", "", "serve /debug/vars (live metrics) and /debug/pprof on this address for the run, e.g. :6060")
 		list     = flags.Bool("list", false, "print the registered algorithm table (task, name, aliases, capabilities) and exit")
 	)
 	if err := flags.Parse(args); err != nil {
@@ -85,6 +84,9 @@ func run(args []string, stdout io.Writer) error {
 	if *list {
 		fmt.Fprint(stdout, protocol.MarkdownTable())
 		return nil
+	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be >= 1, got %d", *trials)
 	}
 
 	desc, ok := protocol.Lookup(protocol.Task(*task), *algo)
@@ -144,19 +146,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Telemetry: one registry for the whole invocation (single run or the
-	// -trials fan-out), scrapeable live via -debug-addr and written out as
-	// a manifest. Strictly observational — stdout is unchanged by it.
+	// -trials fan-out), written out as a manifest. Strictly observational
+	// — stdout is unchanged by it.
 	var reg *obs.Registry
-	if *manifest != "" || *debug != "" {
+	if *manifest != "" {
 		reg = obs.NewRegistry()
-	}
-	if *debug != "" {
-		srv, err := obs.StartDebugServer(*debug, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "radiosim: debug server on http://%s/debug/vars\n", srv.Addr)
 	}
 	scenario := fmt.Sprintf("%v/%s:%s", g, *task, desc.Name)
 	start := time.Now()

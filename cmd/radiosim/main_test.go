@@ -97,16 +97,32 @@ func TestBadTopologySizes(t *testing.T) {
 		{"-topology", "grid", "-rows", "0", "-cols", "5"},
 		{"-topology", "path", "-n", "0"},
 	} {
-		var out bytes.Buffer
-		err := run(args, &out)
-		switch {
-		case err == nil:
-			t.Errorf("%v: no error, output %q", args, out.String())
-		case strings.Contains(err.Error(), "\n"):
-			t.Errorf("%v: error spans lines: %q", args, err)
-		case out.Len() != 0:
-			t.Errorf("%v: printed %q before failing", args, out.String())
-		}
+		checkOneLineError(t, args)
+	}
+}
+
+// TestBadTrialCounts checks that a -trials count below 1 fails with a
+// one-line error and prints nothing, where it used to run one trial and
+// exit 0.
+func TestBadTrialCounts(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		checkOneLineError(t, []string{"-topology", "grid", "-rows", "4", "-cols", "4", "-trials", n})
+	}
+}
+
+// checkOneLineError fails unless radiosim run with args returns an error
+// of one line and prints nothing.
+func checkOneLineError(t *testing.T, args []string) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(args, &out)
+	switch {
+	case err == nil:
+		t.Errorf("%v: no error, output %q", args, out.String())
+	case strings.Contains(err.Error(), "\n"):
+		t.Errorf("%v: error spans lines: %q", args, err)
+	case out.Len() != 0:
+		t.Errorf("%v: printed %q before failing", args, out.String())
 	}
 }
 

@@ -7,7 +7,10 @@
 //
 // loads, type-checks and analyzes the matched packages plus the
 // whole-module registration-reachability check, printing findings as
-// file:line:col: message [analyzer] and exiting 1 if there are any.
+// file:line:col: message [analyzer] and exiting 1 if there are any. Run
+// on ./... from the module root, it also loads the perfbench module and
+// runs the dead-export check (lint.CheckDeadExports), which needs every
+// caller in view.
 //
 // Vettool: the binary also speaks the go vet unitchecker protocol
 // (-V=full version handshake, then one *.cfg JSON per package), so
@@ -17,8 +20,8 @@
 //
 // runs the same analyzers under the go command's build cache, including
 // over _test.go files (analyzers marked SkipTests still skip them). The
-// whole-module reachability check needs the full package graph and runs
-// only in standalone mode.
+// whole-module checks need the full package graph and run only in
+// standalone mode.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -85,13 +89,24 @@ func standalone() int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := lint.Load("", patterns...)
+	var (
+		res, bench *lint.Result
+		err        error
+	)
+	if root := moduleRoot(); len(patterns) == 1 && patterns[0] == "./..." && root != "" {
+		res, bench, err = lint.LoadPerimeter(root)
+	} else {
+		res, err = lint.Load("", patterns...)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	diags := lint.RunAnalyzers(res, lint.All())
 	diags = append(diags, lint.CheckRegistryReachability(res)...)
+	if bench != nil {
+		diags = append(diags, lint.CheckDeadExports(res, bench)...)
+	}
 	lint.SortDiagnostics(diags)
 
 	if *jsonFlag {
@@ -111,6 +126,20 @@ func standalone() int {
 		return 1
 	}
 	return 0
+}
+
+// moduleRoot returns the working directory if it is the root of the main
+// module, else "".
+func moduleRoot() string {
+	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+	if err != nil {
+		return ""
+	}
+	wd, err := os.Getwd()
+	if err != nil || filepath.Clean(strings.TrimSpace(string(out))) != filepath.Clean(wd) {
+		return ""
+	}
+	return wd
 }
 
 // printVersion implements the go vet -V=full handshake: name, a version

@@ -237,7 +237,7 @@ func bitTraces(t *testing.T, g *graph.Graph, seed uint64) []string {
 	var out []string
 	le.bc.Engine.Hook = func(_ int64, tx []int32, _, _ int) {
 		fmt.Fprint(&cur, tx, ";")
-		if le.bc.Done() {
+		if le.bc.Reached() >= le.bc.ReachTarget() {
 			out = append(out, cur.String())
 			cur.Reset()
 		}

@@ -7,10 +7,11 @@ import (
 	"radionet/internal/rng"
 )
 
-// The baseline broadcasts ride on decay.Broadcast, whose Done is now the
-// O(1) incremental tracker. Cross-check it against the exported state
-// (Values) round by round at this layer too: Done must hold exactly when
-// every node's value equals the propagated maximum.
+// The baseline broadcasts ride on decay.Broadcast, whose completion is the
+// O(1) incremental tracker behind Reached and ReachTarget. Cross-check it
+// against the exported state (Values) round by round at this layer too:
+// Reached must meet ReachTarget exactly when every node's value equals the
+// propagated maximum.
 func TestTruncatedDecayDoneMatchesValues(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := graph.RandomTree(50, rng.New(seed))
@@ -24,16 +25,17 @@ func TestTruncatedDecayDoneMatchesValues(t *testing.T) {
 			}
 			return true
 		}
+		done := func() bool { return bc.Reached() >= bc.ReachTarget() }
 		for round := 0; round < 1<<14; round++ {
-			if bc.Done() != scanDone() {
-				t.Fatalf("seed=%d round %d: Done=%v, value scan=%v", seed, round, bc.Done(), scanDone())
+			if done() != scanDone() {
+				t.Fatalf("seed=%d round %d: Done=%v, value scan=%v", seed, round, done(), scanDone())
 			}
-			if bc.Done() {
+			if done() {
 				break
 			}
 			bc.Engine.Step()
 		}
-		if !bc.Done() {
+		if !done() {
 			t.Fatalf("seed=%d: truncated decay did not complete", seed)
 		}
 	}

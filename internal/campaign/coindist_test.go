@@ -92,7 +92,7 @@ func checkRecordedDistribution(t *testing.T, m Matrix, file string) {
 	ForEach(0, len(plan.Trials), func(i int) {
 		tr := plan.Trials[i]
 		cfg := &plan.Configs[tr.Cfg]
-		res := RunTrial(cfg, tr.Seed, plan.Max)
+		res := runTrial(cfg, tr.Seed, plan.Max, nil, trialOpts{})
 		got[tr.Cfg][tr.Rep] = gatedValue(cfg.Spec, res)
 		failed[i] = !res.Done
 	})

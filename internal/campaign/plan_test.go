@@ -98,7 +98,7 @@ func TestRunPlanTuningAndSources(t *testing.T) {
 
 // TestRunPlanCallerBuilt pins RunPlan on a caller-built plan — two
 // graphs, explicit trial seeds, a leader config sharing broadcast cd17's
-// scratch group — against RunTrial per (config, seed), at 1 and 4
+// scratch group — against runTrial per (config, seed), at 1 and 4
 // workers.
 func TestRunPlanCallerBuilt(t *testing.T) {
 	if testing.Short() {
@@ -115,10 +115,10 @@ func TestRunPlanCallerBuilt(t *testing.T) {
 	serial := withoutWall((&Campaign{Workers: 1}).RunPlan(plan))
 	parallel := withoutWall((&Campaign{Workers: 4}).RunPlan(plan))
 	for i, tr := range plan.Trials {
-		want := RunTrial(&cfgs[tr.Cfg], tr.Seed, 0)
+		want := runTrial(&cfgs[tr.Cfg], tr.Seed, 0, nil, trialOpts{})
 		want.Wall = 0
 		if serial[i] != want {
-			t.Errorf("trial %d (%s, seed %d): RunPlan %+v, RunTrial %+v", i, cfgs[tr.Cfg].Name(), tr.Seed, serial[i], want)
+			t.Errorf("trial %d (%s, seed %d): RunPlan %+v, runTrial %+v", i, cfgs[tr.Cfg].Name(), tr.Seed, serial[i], want)
 		}
 		if parallel[i] != serial[i] {
 			t.Errorf("trial %d: 4 workers %+v, 1 worker %+v", i, parallel[i], serial[i])

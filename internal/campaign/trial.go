@@ -166,13 +166,6 @@ func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratc
 	return scratches
 }
 
-// RunTrial executes one trial of cfg with the given RNG stream seed, on a
-// fresh scratch. maxRounds 0 selects the algorithm's registered
-// whp-sufficient budget.
-func RunTrial(cfg *Config, seed uint64, maxRounds int64) TrialResult {
-	return runTrial(cfg, seed, maxRounds, nil, trialOpts{})
-}
-
 // trialOpts carries the engine-level execution knobs threaded from the
 // campaign into each trial's BuildParams: the shared obs round hook, the
 // intra-round shard count, and the per-shard busy-time hook. All of them

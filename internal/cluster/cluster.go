@@ -244,15 +244,6 @@ func (r *Result) NumClusters() int {
 	return k
 }
 
-// Clusters returns the members of every cluster keyed by center.
-func (r *Result) Clusters() map[int32][]int32 {
-	m := make(map[int32][]int32)
-	for v, c := range r.Center {
-		m[c] = append(m[c], int32(v))
-	}
-	return m
-}
-
 // IsCut reports whether edge {u, v} has endpoints in distinct clusters.
 func (r *Result) IsCut(u, v int) bool { return r.Center[u] != r.Center[v] }
 
@@ -280,17 +271,6 @@ func (r *Result) MaxStrongRadius() int {
 		}
 	}
 	return int(max)
-}
-
-// BordersOtherCluster reports whether v has a neighbor assigned to a
-// different cluster (the paper's "risky" nodes of Lemma 4.2).
-func (r *Result) BordersOtherCluster(v int) bool {
-	for _, w := range r.g.Neighbors(v) {
-		if r.Center[w] != r.Center[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // ClustersWithin returns the number of distinct clusters having a node at

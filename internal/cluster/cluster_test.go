@@ -189,24 +189,6 @@ func TestCutFractionBound(t *testing.T) {
 	}
 }
 
-func TestBordersOtherCluster(t *testing.T) {
-	g := graph.Path(30)
-	p := Partition(g, 0.5, rng.New(9))
-	// Consistency with IsCut: v borders another cluster iff one of its
-	// incident edges is cut.
-	for v := 0; v < g.N(); v++ {
-		want := false
-		for _, w := range g.Neighbors(v) {
-			if p.IsCut(v, int(w)) {
-				want = true
-			}
-		}
-		if got := p.BordersOtherCluster(v); got != want {
-			t.Fatalf("BordersOtherCluster(%d) = %v, want %v", v, got, want)
-		}
-	}
-}
-
 func TestClustersWithin(t *testing.T) {
 	g := graph.Path(20)
 	p := Partition(g, 0.3, rng.New(11))
@@ -222,20 +204,15 @@ func TestClustersWithin(t *testing.T) {
 func TestClustersPartitionNodes(t *testing.T) {
 	g := graph.Grid(9, 9)
 	p := Partition(g, 0.2, rng.New(13))
-	seen := make(map[int32]bool)
-	for c, members := range p.Clusters() {
-		for _, v := range members {
-			if seen[v] {
-				t.Fatalf("node %d in two clusters", v)
-			}
-			seen[v] = true
-			if p.Center[v] != c {
-				t.Fatalf("cluster map inconsistent for %d", v)
-			}
-		}
+	// Every node names a center, and every center is a member of its own
+	// cluster, at distance 0 from itself.
+	if len(p.Center) != g.N() {
+		t.Fatalf("clusters cover %d of %d nodes", len(p.Center), g.N())
 	}
-	if len(seen) != g.N() {
-		t.Fatalf("clusters cover %d of %d nodes", len(seen), g.N())
+	for v, c := range p.Center {
+		if p.Center[c] != c || p.Dist[c] != 0 {
+			t.Fatalf("node %d: center %d is not the center of its own cluster", v, c)
+		}
 	}
 }
 

@@ -139,11 +139,6 @@ func (d *Distributed) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.
 	}
 }
 
-// Done reports whether every node has been assigned to a cluster. O(1):
-// nodes report their assignment (wave adoption or self-candidacy) to the
-// shared radio.Progress as it happens.
-func (d *Distributed) Done() bool { return d.prog.Done() }
-
 // DefaultBudget implements protocol.Budgeted: MaxPhases·PhaseLen, the
 // phase bound.
 func (d *Distributed) DefaultBudget() int64 { return d.MaxPhases * d.PhaseLen }

@@ -7,7 +7,7 @@ import (
 	"radionet/internal/rng"
 )
 
-// doneFullScan is the O(n) reference implementation of Done, the oracle
+// doneFullScan is the O(n) reference implementation of prog.Done, the oracle
 // of the equivalence test below.
 func (d *Distributed) doneFullScan() bool {
 	for _, nd := range d.nodes {
@@ -33,7 +33,7 @@ func TestDistributedDoneMatchesFullScanEveryRound(t *testing.T) {
 			d := NewDistributed(g, 0.3, seed)
 			budget := d.MaxPhases * d.PhaseLen
 			for round := int64(0); round <= budget; round++ {
-				inc, ref := d.Done(), d.doneFullScan()
+				inc, ref := d.prog.Done(), d.doneFullScan()
 				if inc != ref {
 					t.Fatalf("%s seed=%d round %d: incremental Done=%v, full scan=%v",
 						g, seed, round, inc, ref)

@@ -117,7 +117,9 @@ func (nd *cnode) Recv(t int64, msg *radio.Message) {
 // coin reports the node's round-t transmission coin at step s: true with
 // probability 2^-(s+1).
 func (nd *cnode) coin(t, s int64) bool {
-	return rng.NewWordCoins(nd.c.coinKey, t).Coin(int(nd.id), int(s))
+	p := make([]uint64, s+1)
+	rng.NewWordCoins(nd.c.coinKey, t).Fill(int(nd.id)>>6, p)
+	return p[s]>>(nd.id&63)&1 == 1
 }
 
 // actICP advances one lane-local round of Intra-Cluster Propagation

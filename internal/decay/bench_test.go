@@ -77,7 +77,7 @@ func BenchmarkDone100kIncremental(b *testing.B) {
 	bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bc.Done() {
+		if bc.done() {
 			b.Fatal("unexpectedly done")
 		}
 	}

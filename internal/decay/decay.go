@@ -55,7 +55,7 @@ type Config struct {
 	// Faults, if set, is a whole-network fault scenario, installed as the
 	// engine-side overlay. Completion becomes survivor-scoped: the
 	// Progress target is the set of nodes reachable from the (surviving)
-	// sources in the survivor graph, so Done keeps its meaning when
+	// sources in the survivor graph, so completion keeps its meaning when
 	// crashed nodes can never be informed.
 	Faults *radio.FaultPlan
 }
@@ -69,15 +69,13 @@ func (c Config) levels(n int) int {
 
 // tracker is the broadcast-wide incremental completion state shared by all
 // nodes of one instance (see the radio.Progress convention): prog counts
-// nodes whose value has reached the highest source value, informed counts
-// nodes that know any value. Both are updated at the state transitions in
-// Recv, so Done is O(1) instead of an O(n) scan per round. The per-node
-// informed flags live here as one compact slice so the bulk Act pass
-// streams ~n bytes, not the full node structs, while most nodes are
-// uninformed.
+// nodes whose value has reached the highest source value. It is updated at
+// the state transitions in Recv, so completion is an O(1) check instead of
+// an O(n) scan per round. The per-node informed flags live here as one
+// compact slice so the bulk Act pass streams ~n bytes, not the full node
+// structs, while most nodes are uninformed.
 type tracker struct {
 	prog       radio.Progress
-	informed   int
 	trueMax    int64    // highest source value; propagation never exceeds it
 	t0         int64    // engine round the broadcast was armed at
 	levels     int      // phase length, shared by every node
@@ -86,7 +84,7 @@ type tracker struct {
 	// counted is the survivor-scoped completion mask (nil without a fault
 	// plan): only nodes reachable from the surviving sources in the
 	// survivor graph count toward prog, so nodes a crash schedule makes
-	// uninformable can never pin Done at false.
+	// uninformable can never pin completion at false.
 	counted []bool
 }
 
@@ -119,7 +117,6 @@ func (b *node) Recv(t int64, msg *radio.Message) {
 		b.informedAt = t0 + ((t-t0)/L+1)*L
 		b.phaseStart = b.informedAt
 		b.tr.isInformed[b.idx] = true
-		b.tr.informed++
 	}
 	b.val = msg.A
 	// Circulating values are source values, so the threshold is crossed
@@ -184,7 +181,7 @@ func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 		b.nodes[i] = node{rnd: *master.Fork(uint64(i)), tr: &b.tr, idx: int32(i), val: -1}
 	}
 	clear(b.tr.isInformed)
-	b.tr.informed, b.tr.t0, b.tr.trueMax = 0, t0, 0
+	b.tr.t0, b.tr.trueMax = t0, 0
 	first := true
 	//lint:ordered max reduction over the values; order cannot change the maximum
 	for _, v := range sources {
@@ -213,7 +210,6 @@ func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 		b.tr.isInformed[s] = true
 		b.nodes[s].val = v
 		b.nodes[s].informedAt, b.nodes[s].phaseStart = t0, t0
-		b.tr.informed++
 		if v == b.tr.trueMax && (b.tr.counted == nil || b.tr.counted[s]) {
 			atMax++
 		}
@@ -273,17 +269,10 @@ func (b *Broadcast) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 	}
 }
 
-// Done reports whether every node knows the maximum source value. O(1):
-// completion is tracked incrementally at the Recv transitions (the O(n)
-// reference scan it mirrors, doneFullScan, lives with the tests).
-func (b *Broadcast) Done() bool { return b.tr.prog.Done() }
-
-// InformedCount returns how many nodes are informed of any value.
-func (b *Broadcast) InformedCount() int { return b.tr.informed }
-
-// ReachTarget returns the number of nodes Done waits on: n for a
+// ReachTarget returns the number of nodes completion waits on: n for a
 // fault-free broadcast, the survivor-reachable set size under a fault
-// plan (n+1 when no sources were supplied — the unreachable pin).
+// plan (n+1 when no sources were supplied — the unreachable pin). The
+// broadcast is complete once Reached reaches it.
 func (b *Broadcast) ReachTarget() int { return int(b.tr.prog.Target()) }
 
 // Reached returns how many target nodes know the maximum source value —
@@ -291,7 +280,7 @@ func (b *Broadcast) ReachTarget() int { return int(b.tr.prog.Target()) }
 func (b *Broadcast) Reached() int { return int(b.tr.prog.Count()) }
 
 // Counted returns the survivor-scoped completion mask (nil for a
-// fault-free broadcast): counted nodes are the ones Done waits on. The
+// fault-free broadcast): counted nodes are the ones completion waits on. The
 // returned slice is the broadcast's own — treat it as read-only.
 func (b *Broadcast) Counted() []bool { return b.tr.counted }
 

@@ -34,7 +34,7 @@ func TestBroadcastPathCompletes(t *testing.T) {
 	rounds, done := res.Rounds, res.Done
 	if !done {
 		t.Fatalf("broadcast did not finish in %d rounds (informed %d/%d)",
-			rounds, b.InformedCount(), g.N())
+			rounds, b.informedCount(), g.N())
 	}
 	for i, v := range b.Values() {
 		if v != 99 {
@@ -48,7 +48,7 @@ func TestBroadcastDenseGraphCompletes(t *testing.T) {
 	g := graph.PathOfCliques(6, 16)
 	b := NewBroadcast(g, g.DiameterEstimate(), Config{}, 7, map[int]int64{0: 5})
 	if !b.Run(200000).Done {
-		t.Fatalf("broadcast stuck: informed %d/%d", b.InformedCount(), g.N())
+		t.Fatalf("broadcast stuck: informed %d/%d", b.informedCount(), g.N())
 	}
 }
 
@@ -71,7 +71,7 @@ func TestBroadcastNoSourcesNeverDone(t *testing.T) {
 	if b.Run(100).Done {
 		t.Fatal("broadcast with no sources reported done")
 	}
-	if b.InformedCount() != 0 {
+	if b.informedCount() != 0 {
 		t.Fatal("phantom informed nodes")
 	}
 }
@@ -195,8 +195,8 @@ func TestRearmMatchesFresh(t *testing.T) {
 			if !slices.Equal(*got, *want) {
 				t.Errorf("%s: re-armed transmitter log differs from the fresh one (%d vs %d rounds)", name, len(*got), len(*want))
 			}
-			if !slices.Equal(re.Values(), fresh.Values()) || re.InformedCount() != fresh.InformedCount() {
-				t.Errorf("%s: re-armed Values or InformedCount differ from the fresh ones", name)
+			if !slices.Equal(re.Values(), fresh.Values()) || re.informedCount() != fresh.informedCount() {
+				t.Errorf("%s: re-armed Values or informed counts differ from the fresh ones", name)
 			}
 			gotRes.Tx -= tx0
 			if gotRes.Rounds != wantRes.Rounds || gotRes.Tx != wantRes.Tx || gotRes.Done != wantRes.Done ||

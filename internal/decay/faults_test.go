@@ -57,10 +57,10 @@ func TestDecayFaultOverlayMatchesReference(t *testing.T) {
 	for i := int64(0); i < maxRounds; i++ {
 		bulk.Engine.Step()
 		pernode.Engine.Step()
-		if bulk.Done() != pernode.Done() {
-			t.Fatalf("round %d: Done diverged (bulk %v, per-node %v)", i, bulk.Done(), pernode.Done())
+		if bulk.done() != pernode.done() {
+			t.Fatalf("round %d: Done diverged (bulk %v, per-node %v)", i, bulk.done(), pernode.done())
 		}
-		if bulk.Done() {
+		if bulk.done() {
 			doneAt = i
 			break
 		}
@@ -156,6 +156,6 @@ func TestDecayBroadcastSurvivesJamming(t *testing.T) {
 	}
 	b := NewBroadcast(g, g.DiameterEstimate(), Config{Faults: plan}, 9, map[int]int64{0: 9})
 	if !b.Run(1 << 22).Done {
-		t.Fatalf("broadcast under jamming incomplete: %d/%d informed", b.InformedCount(), g.N())
+		t.Fatalf("broadcast under jamming incomplete: %d/%d informed", b.informedCount(), g.N())
 	}
 }

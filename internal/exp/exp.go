@@ -32,7 +32,7 @@ type Options struct {
 	// Seed is the master seed; every run with equal Options is identical.
 	Seed uint64
 	// Seeds is the number of independent repetitions per configuration
-	// (0 means the experiment's default).
+	// (0 means the experiment's default, which Quick may cap).
 	Seeds int
 	// Quick shrinks instance sizes for CI/benchmark runs; full scale is
 	// used by cmd/experiments for EXPERIMENTS.md.
@@ -44,16 +44,16 @@ type Options struct {
 }
 
 // seeds returns the repetitions per configuration: Seeds when set, else
-// def, capped at quickMax (when positive) on quick runs.
+// def, capped at quickMax (when positive) on quick runs. An explicit
+// Seeds is never capped.
 func (o Options) seeds(def, quickMax int) int {
-	n := def
 	if o.Seeds > 0 {
-		n = o.Seeds
+		return o.Seeds
 	}
-	if o.Quick && quickMax > 0 && n > quickMax {
-		n = quickMax
+	if o.Quick && quickMax > 0 && def > quickMax {
+		return quickMax
 	}
-	return n
+	return def
 }
 
 // broadcast resolves a broadcast algorithm the tables name; an

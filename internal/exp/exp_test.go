@@ -31,6 +31,25 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestQuickKeepsExplicitSeeds checks that Quick caps only the default
+// repetition count: an explicit Seeds is run as given.
+func TestQuickKeepsExplicitSeeds(t *testing.T) {
+	for _, c := range []struct {
+		o    Options
+		want int
+	}{
+		{Options{Quick: true, Seeds: 10}, 10},
+		{Options{Quick: true, Seeds: 1}, 1},
+		{Options{Quick: true}, 2},
+		{Options{Seeds: 10}, 10},
+		{Options{}, 3},
+	} {
+		if got := c.o.seeds(3, 2); got != c.want {
+			t.Errorf("%+v: seeds(3, 2) = %d, want %d", c.o, got, c.want)
+		}
+	}
+}
+
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("Z9", Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
@@ -232,14 +251,16 @@ func TestTableTrialSeedsDistinct(t *testing.T) {
 
 // TestRunCellsSeedsByTable checks that runCells seeds repetition s of
 // cell c of table id with trialSeed(id, c, s), the derivation the
-// distinctness test covers.
+// distinctness test covers: each repetition equals the cell run alone as
+// a one-config plan with that seed.
 func TestRunCellsSeedsByTable(t *testing.T) {
 	o := Options{Seed: 3, Workers: 2}
 	g := graph.Grid(4, 8)
 	cells := []campaign.Config{cell(g, g.Diameter(), broadcast("bgi")), cell(g, g.Diameter(), broadcast("truncated-decay"))}
 	for c, rs := range o.runCells("F7", cells, 3) {
 		for s, got := range rs {
-			want := campaign.RunTrial(&cells[c], o.trialSeed("F7", c, s), 0)
+			plan := &campaign.Plan{Configs: cells[c : c+1], Trials: []campaign.Trial{{Seed: o.trialSeed("F7", c, s)}}}
+			want := (&campaign.Campaign{}).RunPlan(plan)[0]
 			got.Wall, want.Wall = 0, 0
 			if got != want {
 				t.Errorf("cell %d rep %d: runCells %+v, trialSeed run %+v", c, s, got, want)

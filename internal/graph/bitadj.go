@@ -13,11 +13,10 @@ import "math/bits"
 // Built once per graph (Graph.DenseAdj caches it) and immutable after
 // construction, so any number of engines may share one.
 type AdjBits struct {
-	words     int
-	threshold int
-	rowIdx    []int32  // node -> row number, -1 for CSR-only nodes
-	bits      []uint64 // dense rows, rows*words, row r at bits[r*words:]
-	rows      int
+	words  int
+	rowIdx []int32  // node -> row number, -1 for CSR-only nodes
+	bits   []uint64 // dense rows, rows*words, row r at bits[r*words:]
+	rows   int
 }
 
 // DenseThreshold returns the degree above which a dense row pays off for
@@ -33,12 +32,6 @@ func DenseThreshold(n int) int {
 	}
 	return t
 }
-
-// Words returns the number of 64-bit words per row: ceil(n/64).
-func (a *AdjBits) Words() int { return a.words }
-
-// Threshold returns the degree threshold rows were built with.
-func (a *AdjBits) Threshold() int { return a.threshold }
 
 // Rows returns the number of dense rows built.
 func (a *AdjBits) Rows() int { return a.rows }
@@ -62,9 +55,8 @@ func NewAdjBits(g *Graph, threshold int) *AdjBits {
 		threshold = DenseThreshold(n)
 	}
 	a := &AdjBits{
-		words:     (n + 63) / 64,
-		threshold: threshold,
-		rowIdx:    make([]int32, n),
+		words:  (n + 63) / 64,
+		rowIdx: make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
 		if g.Degree(v) >= threshold {

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 
 	"radionet/internal/rng"
@@ -415,15 +414,4 @@ func RandomRegular(n, d int, r *rng.Rand) *Graph {
 			}
 		}
 	}
-}
-
-// SortedDegrees returns the degree sequence in non-increasing order
-// (useful in tests).
-func (g *Graph) SortedDegrees() []int {
-	ds := make([]int, g.N())
-	for v := range ds {
-		ds[v] = g.Degree(v)
-	}
-	slices.SortFunc(ds, func(a, b int) int { return b - a })
-	return ds
 }

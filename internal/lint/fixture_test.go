@@ -1,4 +1,4 @@
-// Package linttest runs lint analyzers over fixture packages under
+// The fixture harness: it runs the lint checks over fixture packages under
 // internal/lint/testdata/src and checks their findings against // want
 // comments, in the style of x/tools' analysistest.
 //
@@ -18,7 +18,8 @@
 //
 //	// want:+1 "needs a reason"
 //	//lint:ordered
-package linttest
+
+package lint_test
 
 import (
 	"fmt"
@@ -39,7 +40,7 @@ import (
 var moduleRoot = sync.OnceValues(func() (string, error) {
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
-		return "", fmt.Errorf("linttest: locating module root: %v", err)
+		return "", fmt.Errorf("locating module root: %v", err)
 	}
 	return strings.TrimSpace(string(out)), nil
 })
@@ -57,24 +58,40 @@ type expectation struct {
 	re   *regexp.Regexp
 }
 
-// Run loads testdata/src/<fixture> (bypassing the analyzer's package
-// Scope — fixtures live outside the real package tree on purpose), runs
-// the analyzer, and reports any mismatch between its diagnostics and the
-// fixture's // want comments.
-func Run(t *testing.T, a *lint.Analyzer, fixture string) {
+// runAnalyzer loads testdata/src/<fixture>, runs the analyzer over it
+// (bypassing its package Scope — fixtures live outside the real package
+// tree on purpose) and checks the findings against the fixture's // want
+// comments.
+func runAnalyzer(t *testing.T, a *lint.Analyzer, fixture string) {
+	t.Helper()
+	res := loadFixture(t, fixture)
+	unscoped := *a
+	unscoped.Scope = nil
+	checkWants(t, res, lint.RunAnalyzers(res, []*lint.Analyzer{&unscoped}))
+}
+
+// loadFixture loads the fixture packages testdata/src/<dir> for each dir.
+func loadFixture(t *testing.T, dirs ...string) *lint.Result {
 	t.Helper()
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lint.Load(root, "./internal/lint/testdata/src/"+fixture)
+	patterns := make([]string, len(dirs))
+	for i, d := range dirs {
+		patterns[i] = "./internal/lint/testdata/src/" + d
+	}
+	res, err := lint.Load(root, patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unscoped := *a
-	unscoped.Scope = nil
-	diags := lint.RunAnalyzers(res, []*lint.Analyzer{&unscoped})
+	return res
+}
 
+// checkWants reports any mismatch between diags and the // want comments
+// of res's files.
+func checkWants(t *testing.T, res *lint.Result, diags []lint.Diagnostic) {
+	t.Helper()
 	var wants []expectation
 	for _, pkg := range res.Pkgs {
 		for _, name := range pkg.GoFiles {

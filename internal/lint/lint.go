@@ -2,8 +2,8 @@
 // small static-analysis framework (mirroring the golang.org/x/tools
 // go/analysis shape on the standard library alone — go/ast, go/types and
 // the gc export-data importer — so the module stays dependency-free) plus
-// the five analyzers that turn the repo's by-convention contracts into
-// vet-time errors:
+// the five analyzers and the whole-module check that turn the repo's
+// by-convention contracts into vet-time errors:
 //
 //	determinism    — simulation packages must be bit-exact functions of
 //	                 their seeds: no wall clock, no math/crypto rand, no
@@ -21,6 +21,9 @@
 //	hotpath        — functions annotated //radionet:hotpath must not
 //	                 allocate per round (make/new/closure/locally grown
 //	                 append) or box values into interfaces.
+//	deadexport     — (whole-module, CheckDeadExports) every exported
+//	                 function or method has a non-test caller in the
+//	                 module or in the perfbench module.
 //
 // Findings a human has vetted are suppressed in place with a
 // //lint:<key> annotation carrying a mandatory reason, e.g.
@@ -183,6 +186,7 @@ var knownSuppressionKeys = map[string]bool{
 	"seedroot":  true, // rngdiscipline: sanctioned seed construction site
 	"hookstate": true, // hookneutrality: sanctioned non-atomic hook state
 	"alloc":     true, // hotpath: sanctioned (amortized) allocation
+	"testonly":  true, // deadexport: exported test harness with no non-test caller
 }
 
 func knownSuppressionList() string {

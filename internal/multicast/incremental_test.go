@@ -7,7 +7,7 @@ import (
 	"radionet/internal/rng"
 )
 
-// doneFullScan is the O(n) reference implementation of Done, the oracle
+// doneFullScan is the O(n) reference implementation of prog.Done, the oracle
 // of the equivalence test below.
 func (p *Pipelined) doneFullScan() bool {
 	for i := range p.nodes {
@@ -35,7 +35,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 1<<14; round++ {
-				inc, ref := p.Done(), p.doneFullScan()
+				inc, ref := p.prog.Done(), p.doneFullScan()
 				if inc != ref {
 					t.Fatalf("%s seed=%d round %d: incremental Done=%v, full scan=%v",
 						g, seed, round, inc, ref)

@@ -154,10 +154,6 @@ func (p *Pipelined) RecvBulk(_ int64, listeners, msgIdx []int32, msgs []radio.Me
 	}
 }
 
-// Done reports whether every node knows all k messages. O(1): learn
-// reports each node's k-th message to the radio.Progress.
-func (p *Pipelined) Done() bool { return p.prog.Done() }
-
 // DefaultBudget implements protocol.Budgeted: 20·(D + k·L)·L.
 func (p *Pipelined) DefaultBudget() int64 { return p.def }
 

@@ -127,7 +127,7 @@ func messageTraces(t *testing.T, g *graph.Graph, seed uint64, k int) []string {
 	var out []string
 	r.bc.Engine.Hook = func(_ int64, tx []int32, _, _ int) {
 		fmt.Fprint(&cur, tx, ";")
-		if r.bc.Done() {
+		if r.bc.Reached() >= r.bc.ReachTarget() {
 			out = append(out, cur.String())
 			cur.Reset()
 		}

@@ -23,7 +23,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,13 +180,6 @@ var DefaultTimerBoundsUS = []int64{
 // Observe records one duration.
 func (t *Timer) Observe(d time.Duration) { t.h.Observe(d.Microseconds()) }
 
-// Time runs fn and records its wall time.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
 // Registry is a named collection of metrics. Get-or-create methods are
 // mutex-guarded and idempotent (same name, same metric); the returned
 // pointers are stable, so hot paths resolve once and update lock-free.
@@ -291,26 +283,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted, for listings and
-// tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -80,7 +78,7 @@ func TestTimer(t *testing.T) {
 	r := NewRegistry()
 	tm := r.Timer("t")
 	tm.Observe(3 * time.Millisecond)
-	tm.Time(func() {})
+	tm.Observe(time.Microsecond)
 	s := r.Snapshot().Histograms["t"]
 	if s.Count != 2 {
 		t.Fatalf("count = %d, want 2", s.Count)
@@ -197,61 +195,6 @@ func TestTrialCollector(t *testing.T) {
 	}
 	if s.Histograms[TrialRounds].Count != 3 {
 		t.Fatalf("rounds histogram count = %d", s.Histograms[TrialRounds].Count)
-	}
-}
-
-func TestDebugServer(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(EngineRounds).Add(123)
-	srv, err := StartDebugServer("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + srv.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
-	}
-
-	code, body := get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(vars["radionet_metrics"], &snap); err != nil {
-		t.Fatalf("radionet_metrics: %v", err)
-	}
-	if snap.Counters[EngineRounds] != 123 {
-		t.Fatalf("live snapshot counter = %d, want 123", snap.Counters[EngineRounds])
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("expvar defaults (memstats) missing from /debug/vars")
-	}
-
-	// The snapshot is live: a second scrape sees new counts.
-	r.Counter(EngineRounds).Add(1)
-	_, body = get("/debug/vars")
-	json.Unmarshal([]byte(body), &vars) //nolint:errcheck
-	json.Unmarshal(vars["radionet_metrics"], &snap)
-	if snap.Counters[EngineRounds] != 124 {
-		t.Fatalf("second scrape counter = %d, want 124", snap.Counters[EngineRounds])
-	}
-
-	if code, _ := get("/debug/pprof/"); code != 200 {
-		t.Fatalf("/debug/pprof/ status %d", code)
-	}
-	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
-		t.Fatalf("/debug/pprof/cmdline status %d", code)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // TestChainHooksBothObserveEveryRound is the hook-clobbering regression
-// test: two hooks installed via AddHook (the trace-then-metrics pattern)
+// test: two hooks chained onto Hook (the trace-then-metrics pattern)
 // must both observe every executed round with identical arguments.
 func TestChainHooksBothObserveEveryRound(t *testing.T) {
 	g := graph.Path(4)
@@ -30,10 +30,10 @@ func TestChainHooksBothObserveEveryRound(t *testing.T) {
 		col   int
 	}
 	var a, b []obs
-	e.AddHook(func(round int64, tx []int32, deliveries, collisions int) {
+	e.Hook = ChainHooks(e.Hook, func(round int64, tx []int32, deliveries, collisions int) {
 		a = append(a, obs{round, len(tx), deliveries, collisions})
 	})
-	e.AddHook(func(round int64, tx []int32, deliveries, collisions int) {
+	e.Hook = ChainHooks(e.Hook, func(round int64, tx []int32, deliveries, collisions int) {
 		b = append(b, obs{round, len(tx), deliveries, collisions})
 	})
 

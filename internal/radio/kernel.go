@@ -119,9 +119,6 @@ func ShardCount(n, k int) int {
 	return min(k, maxShards)
 }
 
-// Shards returns the configured intra-round shard count (>= 1).
-func (e *Engine) Shards() int { return e.shards }
-
 // SetShards partitions the transmit-marking and listener-classify passes
 // of every subsequent Step, and its Act when the protocol implements
 // BulkRangeActor, across k goroutines: k-1 resident workers

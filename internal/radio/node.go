@@ -21,6 +21,8 @@ type Action struct {
 var Listen = Action{}
 
 // Transmit returns a transmitting action carrying msg.
+//
+//lint:testonly the reference machines' transmit action; CI's grep step keeps non-test code off it
 func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 
 // Node is a protocol state machine for a single network node, run by
@@ -72,6 +74,8 @@ func (p *nodeProtocol) RecvBulk(t int64, listeners, msgIdx []int32, msgs []Messa
 // NewNodeEngine returns an engine running the per-node state machines
 // nodes on g, through the adapter that lifts them to a Protocol.
 // len(nodes) must equal g.N().
+//
+//lint:testonly runs the per-node reference machines in tests; CI's grep step keeps non-test code off it
 func NewNodeEngine(g *graph.Graph, nodes []Node) *Engine {
 	if len(nodes) != g.N() {
 		panic(fmt.Sprintf("radio: %d nodes for graph with %d vertices", len(nodes), g.N()))

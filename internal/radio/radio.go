@@ -82,12 +82,6 @@ func ChainHooks(hooks ...RoundHook) RoundHook {
 	}
 }
 
-// AddHook appends h to the engine's hook chain, preserving any installed
-// hook (the composing alternative to assigning Hook directly).
-func (e *Engine) AddHook(h RoundHook) {
-	e.Hook = ChainHooks(e.Hook, h)
-}
-
 // Protocol is the engine's one protocol interface: a whole-round Act and
 // a bulk delivery, run over the protocol's own contiguous node storage.
 // Faults stay engine-side (SetFaults): a crashed node's transmissions

@@ -166,8 +166,8 @@ func TestSetShardsValidation(t *testing.T) {
 	}
 	e := mk()
 	e.SetShards(8)
-	if got := e.Shards(); got != 2 {
-		t.Fatalf("Shards() = %d after SetShards(8) on a 2-word engine, want 2", got)
+	if got := e.shards; got != 2 {
+		t.Fatalf("shards = %d after SetShards(8) on a 2-word engine, want 2", got)
 	}
 	func() {
 		defer func() {
@@ -209,7 +209,7 @@ func TestShardHookReportsBusyTime(t *testing.T) {
 	if e.Metrics != ref.metrics {
 		t.Fatalf("ShardHook changed output: %+v vs %+v", e.Metrics, ref.metrics)
 	}
-	for s := 0; s < e.Shards(); s++ {
+	for s := 0; s < e.shards; s++ {
 		if seen[s] == 0 {
 			t.Errorf("shard %d never reported busy time", s)
 		}

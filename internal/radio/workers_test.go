@@ -112,7 +112,7 @@ func TestEngineGCReleasesWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		e := newShardedEngine(4)
-		_ = e.Shards()
+		_ = e.shards
 	}()
 	if got := waitGoroutines(base, true); got > base {
 		t.Fatalf("goroutines after dropping engine: %d, want <= %d (workers leaked past GC)", got, base)

@@ -92,9 +92,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a uniformly random non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0,
 // mirroring math/rand.
 func (r *Rand) Intn(n int) int {
@@ -163,8 +160,8 @@ func Hash64(words ...uint64) uint64 {
 // of p[s] is node 64w+b's coin at step s, set with probability exactly
 // 2^-(s+1), independently across bits, words, rounds and keys (as far as
 // the mixer is ideal). A coin is a pure function of (key, t, node, step),
-// so a per-node caller (Coin) and a per-word caller (Fill) see the same
-// bit, in any order and at any shard count.
+// so every caller sees the same bit, in any order and at any shard
+// count.
 type WordCoins struct{ k uint64 }
 
 // NewWordCoins returns round t's coins under key: Hash64(key, t), with
@@ -184,17 +181,6 @@ func (c WordCoins) Fill(w int, p []uint64) {
 		acc &= splitMix64(&st)
 		p[s] = acc
 	}
-}
-
-// Coin reports node v's coin at step s: bit v%64 of the p[s] that Fill
-// gives word v/64.
-func (c WordCoins) Coin(v, s int) bool {
-	st := absorb(c.k, uint64(v>>6))
-	bit := uint64(1) << (v & 63)
-	for i := 0; i <= s && bit != 0; i++ {
-		bit &= splitMix64(&st)
-	}
-	return bit != 0
 }
 
 // HashFloat maps Hash64 of the words to a uniform float64 in [0, 1).

@@ -20,8 +20,8 @@ func naiveCoin(key uint64, t int64, v, s int) bool {
 	return true
 }
 
-// TestWordCoinsMatchNaiveOracle checks Fill's prefix array and the
-// per-node Coin accessor against naiveCoin, bit for bit, over several
+// TestWordCoinsMatchNaiveOracle checks Fill's prefix array against
+// naiveCoin, bit for bit, over several
 // keys, rounds (including negative and large ones), words and every step
 // up to 20.
 func TestWordCoinsMatchNaiveOracle(t *testing.T) {
@@ -38,9 +38,6 @@ func TestWordCoinsMatchNaiveOracle(t *testing.T) {
 						want := naiveCoin(key, round, v, s)
 						if got := p[s]>>b&1 == 1; got != want {
 							t.Fatalf("key %#x round %d node %d step %d: Fill bit %v, oracle %v", key, round, v, s, got, want)
-						}
-						if got := c.Coin(v, s); got != want {
-							t.Fatalf("key %#x round %d node %d step %d: Coin %v, oracle %v", key, round, v, s, got, want)
 						}
 					}
 				}

@@ -28,7 +28,6 @@
 package schedule
 
 import (
-	"fmt"
 	"math/bits"
 
 	"radionet/internal/cluster"
@@ -46,14 +45,10 @@ type Schedule struct {
 	MaxLevel int
 }
 
-// Build computes the schedule for a clustering of g.
-func Build(g *graph.Graph, part *cluster.Result) *Schedule {
-	return BuildScratch(g, part, nil)
-}
-
-// BuildScratch is Build with a reusable contention buffer of len >= g.N()
-// (its contents are ignored and overwritten); pass nil to allocate. The
-// result is identical for every buffer — the scratch only recycles memory.
+// BuildScratch computes the schedule for a clustering of g, with a
+// reusable contention buffer of len >= g.N() (its contents are ignored and
+// overwritten); pass nil to allocate. The result is identical for every
+// buffer — the scratch only recycles memory.
 func BuildScratch(g *graph.Graph, part *cluster.Result, maxCont []int32) *Schedule {
 	n := g.N()
 	if len(maxCont) < n {
@@ -93,32 +88,4 @@ func ladder(c int) int {
 		return 1
 	}
 	return bits.Len(uint(c)) + 1
-}
-
-// Prob returns the transmission probability for a node with ladder length
-// level at lane-local round t: the sweep 2^-1 … 2^-level.
-func Prob(level int32, t int64) float64 {
-	step := t % int64(level)
-	return 1 / float64(int64(2)<<uint(step))
-}
-
-// Validate checks schedule invariants against the underlying clustering.
-func (s *Schedule) Validate() error {
-	for v, l := range s.Levels {
-		if l < 1 {
-			return fmt.Errorf("node %d has ladder %d < 1", v, l)
-		}
-		if c := s.Part.Center[v]; s.Levels[c] != l {
-			return fmt.Errorf("node %d ladder %d differs from its center's %d", v, l, s.Levels[c])
-		}
-	}
-	return nil
-}
-
-// PrecomputeCharge returns the number of rounds the precomputation oracle
-// charges for building one schedule, following Lemma 2.3's
-// O(D·polylog n) preprocessing bound (constants documented in DESIGN.md).
-func PrecomputeCharge(n, d int) int64 {
-	logn := int64(bits.Len(uint(n)))
-	return int64(d)*logn + logn*logn*logn
 }

@@ -5,71 +5,35 @@ import (
 	"slices"
 )
 
-// Running is a mergeable single-pass summary of a stream of observations.
+// Running is a single-pass summary of a stream of observations.
 // Moments are maintained with Welford's algorithm so Mean and Std are
 // available at any point without a second pass; the raw values are also
 // retained (8 bytes per observation) so quantiles are exact rather than
 // sketched — campaign trial counts are small enough that exactness is
 // worth the memory. The zero value is an empty, ready-to-use summary.
 //
-// Merge order affects only floating-point rounding of the moments; callers
-// that need bit-identical output across worker counts must merge in a
+// Add order affects only floating-point rounding of the moments; callers
+// that need bit-identical output across worker counts must add in a
 // deterministic order (the campaign aggregator adds trials in trial-index
 // order for exactly this reason).
 type Running struct {
 	n        int
 	mean, m2 float64
-	min, max float64
+	max      float64
 	vals     []float64
 }
 
 // Add folds one observation into the summary.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 1 || x > r.max {
+		r.max = x
 	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
 	r.vals = append(r.vals, x)
 }
-
-// Merge folds the observations of o into r (Chan et al. parallel-variance
-// combination for the moments, concatenation for the retained values). o is
-// left unchanged.
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		r.n, r.mean, r.m2, r.min, r.max = o.n, o.mean, o.m2, o.min, o.max
-		r.vals = append(r.vals, o.vals...)
-		return
-	}
-	n := float64(r.n + o.n)
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/n
-	r.mean += d * float64(o.n) / n
-	r.n += o.n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.vals = append(r.vals, o.vals...)
-}
-
-// N returns the number of observations folded in so far.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
@@ -80,14 +44,6 @@ func (r *Running) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(r.m2 / float64(r.n-1))
-}
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
 }
 
 // Max returns the largest observation (0 when empty).

@@ -65,20 +65,6 @@ func quantileSorted(ys []float64, q float64) float64 {
 	return ys[lo]*(1-frac) + ys[lo+1]*frac
 }
 
-// Max returns the maximum of xs; it panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary is a compact distribution description.
 type Summary struct {
 	N                  int

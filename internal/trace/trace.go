@@ -39,7 +39,8 @@ func (s Sample) add(o Sample) Sample {
 const DefaultMaxSamples = 4096
 
 // Recorder accumulates round samples and per-node transmission counts.
-// The zero value is ready to use; attach it with Attach. Memory is
+// The zero value is ready to use; install HookFunc on an engine (chained
+// with radio.ChainHooks) or a campaign (Campaign.Hook). Memory is
 // bounded: Samples holds at most MaxSamples buckets (rounds are merged
 // pairwise past the cap, keeping Totals and Rounds exact), and PerNode
 // has one entry per node that ever transmitted.
@@ -57,16 +58,7 @@ type Recorder struct {
 	fill  int64 // rounds accumulated in the last bucket
 }
 
-// Attach installs the recorder on the engine — composing with any
-// already-installed hook via radio.ChainHooks, never replacing it — and
-// returns the recorder for chaining.
-func (r *Recorder) Attach(e *radio.Engine) *Recorder {
-	e.AddHook(r.HookFunc())
-	return r
-}
-
-// HookFunc returns a RoundHook that records into r, for engines the
-// caller cannot reach directly (e.g. behind the public facade).
+// HookFunc returns a RoundHook that records into r.
 func (r *Recorder) HookFunc() radio.RoundHook {
 	if r.PerNode == nil {
 		r.PerNode = make(map[int32]int64)

@@ -14,7 +14,8 @@ func record(t *testing.T) *Recorder {
 	t.Helper()
 	g := graph.Grid(5, 8)
 	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 3, map[int]int64{0: 9})
-	rec := (&Recorder{}).Attach(bc.Engine)
+	rec := &Recorder{}
+	bc.Engine.Hook = radio.ChainHooks(bc.Engine.Hook, rec.HookFunc())
 	if !bc.Run(1 << 20).Done {
 		t.Fatal("broadcast incomplete")
 	}
@@ -24,7 +25,8 @@ func record(t *testing.T) *Recorder {
 func TestRecorderCountsMatchMetrics(t *testing.T) {
 	g := graph.Grid(5, 8)
 	bc := decay.NewBroadcast(g, g.DiameterEstimate(), decay.Config{}, 3, map[int]int64{0: 9})
-	rec := (&Recorder{}).Attach(bc.Engine)
+	rec := &Recorder{}
+	bc.Engine.Hook = radio.ChainHooks(bc.Engine.Hook, rec.HookFunc())
 	bc.Run(1 << 20)
 	tx, del, col := rec.Totals()
 	m := bc.Engine.Metrics
@@ -92,7 +94,8 @@ func TestHookSliceNotRetained(t *testing.T) {
 	e := radio.NewNodeEngine(g, []radio.Node{
 		beacon{}, listener{}, beacon{},
 	})
-	rec := (&Recorder{}).Attach(e)
+	rec := &Recorder{}
+	e.Hook = radio.ChainHooks(e.Hook, rec.HookFunc())
 	for i := 0; i < 10; i++ {
 		e.Step()
 	}
@@ -113,20 +116,21 @@ func (listener) Act(int64) radio.Action     { return radio.Listen }
 func (listener) Recv(int64, *radio.Message) {}
 
 // TestAttachComposesWithInstalledHook is the hook-clobbering regression
-// test on the trace side: Attach must chain with an already-installed
-// engine hook, and both must observe every round.
+// test on the trace side: a recorder chained on with radio.ChainHooks must
+// keep an already-installed engine hook, and both must observe every round.
 func TestAttachComposesWithInstalledHook(t *testing.T) {
 	g := graph.Path(3)
 	e := radio.NewNodeEngine(g, []radio.Node{beacon{}, listener{}, beacon{}})
 	preInstalled := 0
 	e.Hook = func(int64, []int32, int, int) { preInstalled++ }
-	rec := (&Recorder{}).Attach(e)
+	rec := &Recorder{}
+	e.Hook = radio.ChainHooks(e.Hook, rec.HookFunc())
 	const rounds = 7
 	for i := 0; i < rounds; i++ {
 		e.Step()
 	}
 	if preInstalled != rounds {
-		t.Fatalf("pre-installed hook saw %d rounds, want %d (clobbered by Attach?)", preInstalled, rounds)
+		t.Fatalf("pre-installed hook saw %d rounds, want %d (clobbered by the recorder?)", preInstalled, rounds)
 	}
 	if rec.Rounds() != rounds {
 		t.Fatalf("recorder saw %d rounds, want %d", rec.Rounds(), rounds)

@@ -8,8 +8,8 @@ import (
 	"radionet/internal/protocol"
 )
 
-// checkCampaignPath runs one trial through the facade and through
-// campaign.RunTrial — same seed, the campaign's trial sources {0: 9} for
+// checkCampaignPath runs one trial through the facade and as a one-config
+// campaign plan (Campaign.RunPlan, as radiosim runs it) — same seed, the campaign's trial sources {0: 9} for
 // broadcast, the fault plan realized from the same spec — and fails
 // unless both report the same Rounds, Done, Reached and ReachTarget: the
 // facade and the campaign share one Build/Run/Verify path. The spec
@@ -21,7 +21,7 @@ func checkCampaignPath(t *testing.T, net *Network, d *protocol.Descriptor, fault
 		t.Fatal(err)
 	}
 	cfg := campaign.Config{G: net.G, D: net.Diameter, Spec: campaign.AlgoSpec{Task: d.Task, Algo: d.Name}, Fault: fs}
-	want := campaign.RunTrial(&cfg, seed, 0)
+	want := (&campaign.Campaign{}).RunPlan(&campaign.Plan{Configs: []campaign.Config{cfg}, Trials: []campaign.Trial{{Seed: seed}}})[0]
 	var plan *FaultPlan
 	if !fs.None() {
 		plan = fs.TrialPlan(net.G, seed, d.ProtectedNodes(net.G.N(), seed, d.DefaultSources())...)
