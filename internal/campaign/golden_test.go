@@ -24,9 +24,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // least one summary field.
 //
 // pernode covers the engine's other users on the same topologies:
-// bgi (decay's Protocol, with a range Act) and the two Protocols without
-// a range Act (pipelined multicast and distributed MPX partitioning).
-// The name is historical: both once ran through the per-node adapter.
+// bgi (decay's Protocol, with a range Act) and distributed MPX
+// partitioning (a Protocol without one). The name is historical: MPX
+// once ran through the per-node adapter.
 //
 // others covers the remaining registry algorithms on the same topologies:
 // the Decay variants behind truncated-decay and hw16's pipeline, the
@@ -42,7 +42,6 @@ var goldenCases = []struct {
 	}},
 	{"pernode", "pernode_golden.sha256", []AlgoSpec{
 		{Task: Broadcast, Algo: "bgi"},
-		{Task: protocol.Multicast, Algo: "pipelined"},
 		{Task: protocol.Partition, Algo: "mpx"},
 	}},
 	{"others", "others_golden.sha256", []AlgoSpec{
