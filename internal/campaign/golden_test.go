@@ -29,8 +29,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden hashes fr
 // once ran through the per-node adapter.
 //
 // others covers the remaining registry algorithms on the same topologies:
-// the Decay variants behind truncated-decay and hw16's pipeline, the
-// sequential multicast reduction and the three baseline leader elections.
+// the Decay variants behind truncated-decay and hw16's pipeline, and the
+// three baseline leader elections.
 var goldenCases = []struct {
 	name  string
 	file  string
@@ -47,7 +47,6 @@ var goldenCases = []struct {
 	{"others", "others_golden.sha256", []AlgoSpec{
 		{Task: Broadcast, Algo: "truncated-decay"},
 		{Task: Broadcast, Algo: "hw16"},
-		{Task: protocol.Multicast, Algo: "sequential"},
 		{Task: Leader, Algo: "binary-search"},
 		{Task: Leader, Algo: "max-broadcast"},
 		{Task: Leader, Algo: "gh13"},
