@@ -37,9 +37,6 @@ var goldenCases = [][]string{
 	{"-algo", "cd17", "-trace"},
 	{"-task", "leader", "-algo", "cd17", "-trace"},
 	{"-task", "leader", "-algo", "binary-search", "-trace"},
-	{"-task", "multicast", "-algo", "pipelined", "-trace"},
-	{"-task", "multicast", "-algo", "pipelined"},
-	{"-task", "multicast", "-algo", "pipelined", "-trials", "3"},
 	{"-task", "partition", "-algo", "mpx"},
 	{"-task", "partition", "-algo", "mpx", "-trials", "3"},
 }
