@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"radionet/internal/protocol"
 )
 
 var recordRounds = flag.Bool("record-rounds", false, "rewrite the recorded distributions in testdata from the current code")
@@ -47,20 +45,17 @@ func TestCD17RoundsMatchRecordedDistribution(t *testing.T) {
 }
 
 // TestCompositesMatchRecordedDistribution is the same gate for the
-// composite runners, which re-arm one Decay broadcast per message or ID
-// bit, on the coinDistMatrix topologies: sequential multicast's rounds
-// and binary-search's transmissions (its rounds are fixed at 40·T_BC),
-// recorded in testdata/composite_dist.txt. It gates a change of how the
-// sub-run seeds are derived or the candidates sampled, which moves every
-// trial but must not move the distributions.
+// composite binary-search election, which re-arms one Decay broadcast
+// per ID bit, on the coinDistMatrix topologies: its transmissions (its
+// rounds are fixed at 40·T_BC), recorded in testdata/composite_dist.txt.
+// It gates a change of how the sub-run seeds are derived or the
+// candidates sampled, which moves every trial but must not move the
+// distributions.
 //
 //	go test ./internal/campaign -run TestCompositesMatchRecordedDistribution -record-rounds
 func TestCompositesMatchRecordedDistribution(t *testing.T) {
 	m := coinDistMatrix()
-	m.Algorithms = []AlgoSpec{
-		{Task: protocol.Multicast, Algo: "sequential"},
-		{Task: Leader, Algo: "binary-search"},
-	}
+	m.Algorithms = []AlgoSpec{{Task: Leader, Algo: "binary-search"}}
 	checkRecordedDistribution(t, m, "composite_dist.txt")
 }
 
