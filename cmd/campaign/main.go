@@ -86,6 +86,12 @@ func run(args []string, stdout io.Writer) error {
 	if *preset != "" && *config != "" {
 		return fmt.Errorf("-preset and -config are mutually exclusive")
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
+	}
 	m := campaign.Matrix{Seeds: *seeds, MasterSeed: *seed, MaxRounds: *maxR}
 	if *preset != "" {
 		loaded, err := campaign.Preset(*preset)
@@ -206,7 +212,7 @@ func splitList(s string) []string {
 }
 
 // parseAlgos parses "cd17,bgi" (using the default task) or task-qualified
-// entries like "leader:cd17" / "multicast:pipelined". Tasks are whatever
+// entries like "leader:cd17" / "partition:mpx". Tasks are whatever
 // the protocol registry knows (see -list), not a hardcoded pair.
 func parseAlgos(s string, def campaign.Task) ([]campaign.AlgoSpec, error) {
 	var specs []campaign.AlgoSpec

@@ -40,3 +40,32 @@ func TestBadTopologySizes(t *testing.T) {
 		t.Errorf("-topos grid:2x3: no 6-node row in %q", out.String())
 	}
 }
+
+// TestBadCounts checks that a negative -workers or -shards fails the
+// command with one exact stderr line before anything is printed, where
+// both used to print the table and exit 0. Zero still means GOMAXPROCS
+// workers and automatic shards.
+func TestBadCounts(t *testing.T) {
+	base := []string{"-topos", "grid:4x4", "-algos", "cd17", "-seeds", "1"}
+	for _, c := range []struct {
+		flag, value, line string
+	}{
+		{"-workers", "-1", "campaign: -workers must be >= 0, got -1"},
+		{"-shards", "-2", "campaign: -shards must be >= 0, got -2"},
+	} {
+		var out bytes.Buffer
+		err := run(append(base, c.flag, c.value), &out)
+		switch {
+		case err == nil:
+			t.Errorf("%s %s: no error, output %q", c.flag, c.value, out.String())
+		case errLine(err) != c.line:
+			t.Errorf("%s %s: stderr line %q, want %q", c.flag, c.value, errLine(err), c.line)
+		case out.Len() != 0:
+			t.Errorf("%s %s: printed %q before failing", c.flag, c.value, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run(append(base, "-workers", "0", "-shards", "0"), &out); err != nil || out.Len() == 0 {
+		t.Errorf("-workers 0 -shards 0: err %v, output %q", err, out.String())
+	}
+}

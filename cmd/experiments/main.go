@@ -54,6 +54,9 @@ func run(args []string, stdout io.Writer) error {
 	if *seeds < 0 {
 		return fmt.Errorf("-seeds must be >= 0, got %d", *seeds)
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	}
 
 	var ids []string
 	if *runIDs == "all" {

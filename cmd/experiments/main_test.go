@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// TestBadSeeds checks that a negative -seeds fails with a one-line error
-// and prints nothing, where it used to run the default count.
+// TestBadSeeds checks that a negative -seeds or -workers fails with a
+// one-line error and prints nothing, where -seeds used to run the default
+// count and -workers the tables.
 func TestBadSeeds(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "T1", "-quick", "-seeds", "-3"},
 		{"-run", "T1", "-seeds", "-1"},
+		{"-run", "T1", "-quick", "-workers", "-1"},
 	} {
 		var out bytes.Buffer
 		err := run(args, &out)

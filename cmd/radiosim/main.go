@@ -17,7 +17,6 @@
 //	radiosim -topology cliquepath -k 32 -s 8 -algo bgi -seed 7
 //	radiosim -topology geometric -n 500 -radius 0.08 -task leader
 //	radiosim -topology grid -task leader -algo gh13
-//	radiosim -topology grid -task multicast -algo pipelined
 //	radiosim -topology grid -algo cd17 -trials 100 -workers 8
 //	radiosim -topology grid -task leader -algo cd17 -faults crash:0.2@50
 //	radiosim -topology grid -task partition -algo mpx -trace
@@ -87,6 +86,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *trials < 1 {
 		return fmt.Errorf("-trials must be >= 1, got %d", *trials)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 
 	desc, ok := protocol.Lookup(protocol.Task(*task), *algo)

@@ -98,12 +98,17 @@ func TestBadTopologySizes(t *testing.T) {
 	}
 }
 
-// TestBadTrialCounts checks that a -trials count below 1 fails with a
-// one-line error and prints nothing, where it used to run one trial and
-// exit 0.
+// TestBadTrialCounts checks that a -trials count below 1, or a negative
+// -workers or -shards, fails with a one-line error and prints nothing,
+// where each used to run and exit 0.
 func TestBadTrialCounts(t *testing.T) {
-	for _, n := range []string{"0", "-1"} {
-		checkOneLineError(t, []string{"-topology", "grid", "-rows", "4", "-cols", "4", "-trials", n})
+	for _, count := range [][]string{
+		{"-trials", "0"},
+		{"-trials", "-1"},
+		{"-workers", "-3", "-trials", "2"},
+		{"-shards", "-2"},
+	} {
+		checkOneLineError(t, append([]string{"-topology", "grid", "-rows", "4", "-cols", "4"}, count...))
 	}
 }
 

@@ -115,28 +115,6 @@ type listener struct{}
 func (listener) Act(int64) radio.Action     { return radio.Listen }
 func (listener) Recv(int64, *radio.Message) {}
 
-// TestAttachComposesWithInstalledHook is the hook-clobbering regression
-// test on the trace side: a recorder chained on with radio.ChainHooks must
-// keep an already-installed engine hook, and both must observe every round.
-func TestAttachComposesWithInstalledHook(t *testing.T) {
-	g := graph.Path(3)
-	e := radio.NewNodeEngine(g, []radio.Node{beacon{}, listener{}, beacon{}})
-	preInstalled := 0
-	e.Hook = func(int64, []int32, int, int) { preInstalled++ }
-	rec := &Recorder{}
-	e.Hook = radio.ChainHooks(e.Hook, rec.HookFunc())
-	const rounds = 7
-	for i := 0; i < rounds; i++ {
-		e.Step()
-	}
-	if preInstalled != rounds {
-		t.Fatalf("pre-installed hook saw %d rounds, want %d (clobbered by the recorder?)", preInstalled, rounds)
-	}
-	if rec.Rounds() != rounds {
-		t.Fatalf("recorder saw %d rounds, want %d", rec.Rounds(), rounds)
-	}
-}
-
 // TestDownsamplingExactTotals drives a recorder far past its sample cap
 // and checks the memory bound plus the exactness contract: Rounds and
 // Totals never lose a count, whatever the compaction history.
