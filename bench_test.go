@@ -40,14 +40,13 @@ func BenchmarkT4DistToCenter(b *testing.B)         { benchExperiment(b, "T4") }
 func BenchmarkT5Boundaries(b *testing.B)           { benchExperiment(b, "T5") }
 func BenchmarkT6BadSubpaths(b *testing.B)          { benchExperiment(b, "T6") }
 func BenchmarkT7DistributedPartition(b *testing.B) { benchExperiment(b, "T7") }
-func BenchmarkT8MultiMessage(b *testing.B)         { benchExperiment(b, "T8") }
+func BenchmarkT8Ladders(b *testing.B)              { benchExperiment(b, "T8") }
 func BenchmarkF1BroadcastVsD(b *testing.B)         { benchExperiment(b, "F1") }
 func BenchmarkF2BroadcastVsN(b *testing.B)         { benchExperiment(b, "F2") }
 func BenchmarkF3LeaderElection(b *testing.B)       { benchExperiment(b, "F3") }
 func BenchmarkF4CompeteSources(b *testing.B)       { benchExperiment(b, "F4") }
 func BenchmarkF5Optimality(b *testing.B)           { benchExperiment(b, "F5") }
 func BenchmarkF6Ablations(b *testing.B)            { benchExperiment(b, "F6") }
-func BenchmarkF7Energy(b *testing.B)               { benchExperiment(b, "F7") }
 
 // --- substrate micro-benchmarks ---
 

@@ -33,7 +33,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		runIDs  = flags.String("run", "all", "comma-separated experiment IDs (T1..T8, F1..F7) or 'all'")
+		runIDs  = flags.String("run", "all", "comma-separated experiment IDs (T1..T8, F1..F6) or 'all'")
 		quick   = flags.Bool("quick", false, "small instances (CI scale); caps the default repetitions, not an explicit -seeds")
 		seeds   = flags.Int("seeds", 0, "repetitions per configuration (0 = experiment default)")
 		seed    = flags.Uint64("seed", 1, "master seed")

@@ -17,7 +17,7 @@
 // explicit seeds) and returns the per-trial results in trial order.
 //
 // cmd/campaign drives matrices from flags or a JSON config file;
-// internal/exp runs its comparison tables F1–F7 through RunPlan, and
+// internal/exp runs its comparison tables F1–F6 through RunPlan, and
 // cmd/radiosim runs every run, single or -trials, as a one-config plan
 // through RunPlan. Every trial runs its descriptor through
 // protocol.Descriptor.Execute.

@@ -156,8 +156,8 @@ func TestCampaignHookSeesEveryRound(t *testing.T) {
 }
 
 // TestCompositeRunnersReachEngineTelemetry pins that the runners built
-// from several Decay broadcasts (one per ID bit, tournament phase or
-// message) run them on the one engine their Build wired: at two engine
+// from several Decay broadcasts (one per ID bit or tournament phase) run
+// them on the one engine their Build wired: at two engine
 // shards the Obs registry records their rounds and the second shard's
 // busy time.
 func TestCompositeRunnersReachEngineTelemetry(t *testing.T) {
@@ -167,7 +167,6 @@ func TestCompositeRunnersReachEngineTelemetry(t *testing.T) {
 	for _, spec := range []AlgoSpec{
 		{Task: Leader, Algo: "binary-search"},
 		{Task: Leader, Algo: "gh13"},
-		{Task: protocol.Multicast, Algo: "sequential"},
 	} {
 		c := &Campaign{Workers: 1, EngineShards: 2, Obs: obs.NewRegistry()}
 		c.RunPlan(planOf([]Config{planConfig(t, "randtree:2000", spec.Task, spec.Algo)}, 3))

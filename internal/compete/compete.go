@@ -325,13 +325,17 @@ func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*
 	return c, nil
 }
 
+// SubPhaseRounds is the length of one ICP sub-phase, one outward or
+// inward flood, over distance ell on a schedule whose longest ladder is
+// maxLevel: hopSlack sweeps per hop plus tailSweeps, at maxLevel rounds
+// per sweep and at least 4 rounds.
+func SubPhaseRounds(ell int32, maxLevel int) int64 {
+	return max(4, int64(hopSlack*ell+tailSweeps)*int64(maxLevel))
+}
+
 // newFine computes slot geometry for a clustering with curtailment ell.
 func (c *Compete) newFine(part *cluster.Result, sch *schedule.Schedule, beta float64, j int, ell int32) fine {
-	sweeps := hopSlack*float64(ell) + tailSweeps
-	subLen := int64(math.Ceil(sweeps)) * int64(sch.MaxLevel)
-	if subLen < 4 {
-		subLen = 4
-	}
+	subLen := SubPhaseRounds(ell, sch.MaxLevel)
 	return fine{
 		part:    part,
 		sched:   sch,

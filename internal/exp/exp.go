@@ -5,8 +5,8 @@
 // per-experiment index lives in DESIGN.md §6 and results are recorded in
 // EXPERIMENTS.md.
 //
-// Every experiment is a Runner keyed by its ID (T1…T8, F1…F7) returning a
-// Table. The comparison tables F1–F7 run their protocols as campaign
+// Every experiment is a Runner keyed by its ID (T1…T8, F1…F6) returning a
+// Table. The comparison tables F1–F6 run their protocols as campaign
 // plans (runCells), so one executor serves them and cmd/campaign; the
 // structural tables T1–T8 fan their repetitions out with campaign.ForEach.
 // cmd/experiments renders the tables from the command line and

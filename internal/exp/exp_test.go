@@ -8,11 +8,14 @@ import (
 
 	"radionet/internal/campaign"
 	"radionet/internal/cluster"
+	"radionet/internal/compete"
 	"radionet/internal/graph"
+	"radionet/internal/radio"
+	"radionet/internal/schedule"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "F1", "F2", "F3", "F4", "F5", "F6", "F7"}
+	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "F1", "F2", "F3", "F4", "F5", "F6"}
 	ids := IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d experiments: %v", len(ids), ids)
@@ -203,6 +206,74 @@ func TestF5VerdictFollowsSlopes(t *testing.T) {
 	}
 }
 
+func TestT8VerdictFollowsFloods(t *testing.T) {
+	tests := []struct {
+		within, floods int
+		want           string
+	}{
+		{32, 32, "verdict: reproduced;"},
+		{29, 32, "verdict: not reproduced at this scale;"},
+		{0, 32, "verdict: not reproduced at this scale;"},
+		{0, 0, "verdict: inconclusive;"},
+	}
+	for _, tc := range tests {
+		if got := t8Verdict(tc.within, tc.floods, 1.5); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("t8Verdict(%d, %d) = %q, want prefix %q", tc.within, tc.floods, got, tc.want)
+		}
+	}
+}
+
+// TestLadderFloodStaysInCluster runs T8's floods on a one-cluster clique
+// and a one-cluster path: outward, every member ends with its center's
+// value; inward, the center ends with its farthest member's. A message
+// carrying another cluster's center is never adopted.
+func TestLadderFloodStaysInCluster(t *testing.T) {
+	for _, tc := range []struct {
+		g                *graph.Graph
+		center, farthest int
+	}{
+		{graph.Complete(16), 5, 0},
+		{graph.Path(12), 4, 11},
+	} {
+		n := tc.g.N()
+		part := &cluster.Result{Center: make([]int32, n), Dist: tc.g.BFS(tc.center)}
+		for v := range part.Center {
+			part.Center[v] = int32(tc.center)
+		}
+		sch := schedule.BuildScratch(tc.g, part, nil)
+		budget := compete.SubPhaseRounds(int32(part.MaxStrongRadius()), sch.MaxLevel)
+		for _, inward := range []bool{false, true} {
+			f := newLadderFlood(part, sch, 7, inward)
+			if _, done := radio.NewEngine(tc.g, f).RunUntil(t8Cap*budget, &f.prog); !done {
+				t.Fatalf("%s inward=%v: flood did not finish in %d rounds", tc.g.Name(), inward, t8Cap*budget)
+			}
+			if inward {
+				if got := f.val[tc.center]; got != int64(tc.farthest) {
+					t.Errorf("%s: center holds %d after the inward flood, want %d", tc.g.Name(), got, tc.farthest)
+				}
+				continue
+			}
+			for v, a := range f.val {
+				if a != int64(tc.center) {
+					t.Errorf("%s: node %d holds %d after the outward flood, want %d", tc.g.Name(), v, a, tc.center)
+				}
+			}
+		}
+		f := newLadderFlood(part, sch, 7, false)
+		v := int32((tc.center + 1) % n)
+		msgs := []radio.Message{{Kind: compete.KindICP, A: 99, B: int64(v)}}
+		f.RecvBulk(0, []int32{v}, []int32{0}, msgs)
+		if f.val[v] != -1 || f.prog.Count() != 1 {
+			t.Errorf("%s: node %d adopted a message from center %d, not its own %d", tc.g.Name(), v, v, tc.center)
+		}
+		msgs[0].B = int64(tc.center)
+		f.RecvBulk(0, []int32{v}, []int32{0}, msgs)
+		if f.val[v] != 99 || f.prog.Count() != 2 {
+			t.Errorf("%s: node %d did not adopt its own center's message", tc.g.Name(), v)
+		}
+	}
+}
+
 // TestF6MidJInRange checks that F6's "fixed j" ablation pins an exponent
 // cd17 can draw at any diameter, and the middle one on both F6 grids.
 func TestF6MidJInRange(t *testing.T) {
@@ -227,7 +298,7 @@ func TestF6MidJInRange(t *testing.T) {
 }
 
 // TestTableTrialSeedsDistinct checks that, for one master seed, the trial
-// seeds of the tables that run protocol trials (F1–F7, T7, T8) never
+// seeds of the tables that run protocol trials (F1–F6, T7, T8) never
 // repeat within or across tables, over more cells and repetitions than
 // any table runs at full scale. Adjacent per-table bases (Seed+1,
 // Seed+2, ...) plus the repetition index would make F1's third trial
@@ -235,7 +306,7 @@ func TestF6MidJInRange(t *testing.T) {
 func TestTableTrialSeedsDistinct(t *testing.T) {
 	o := Options{Seed: 1}
 	seen := make(map[uint64]string)
-	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "T7", "T8"} {
+	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "T7", "T8"} {
 		for cfg := 0; cfg < 32; cfg++ {
 			for rep := 0; rep < 16; rep++ {
 				at := fmt.Sprintf("%s cell %d rep %d", id, cfg, rep)
@@ -257,9 +328,9 @@ func TestRunCellsSeedsByTable(t *testing.T) {
 	o := Options{Seed: 3, Workers: 2}
 	g := graph.Grid(4, 8)
 	cells := []campaign.Config{cell(g, g.Diameter(), broadcast("bgi")), cell(g, g.Diameter(), broadcast("truncated-decay"))}
-	for c, rs := range o.runCells("F7", cells, 3) {
+	for c, rs := range o.runCells("F1", cells, 3) {
 		for s, got := range rs {
-			plan := &campaign.Plan{Configs: cells[c : c+1], Trials: []campaign.Trial{{Seed: o.trialSeed("F7", c, s)}}}
+			plan := &campaign.Plan{Configs: cells[c : c+1], Trials: []campaign.Trial{{Seed: o.trialSeed("F1", c, s)}}}
 			want := (&campaign.Campaign{}).RunPlan(plan)[0]
 			got.Wall, want.Wall = 0, 0
 			if got != want {

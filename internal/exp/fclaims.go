@@ -38,7 +38,7 @@ func runF1(o Options) *Table {
 		ID:         "F1",
 		Title:      Title("F1"),
 		PaperClaim: "O(D log n/log D + polylog) vs BGI O((D+log n)log n), CR/KP O(D log(n/D)+log^2 n), HW16 O(D log n loglog n/log D + polylog)",
-		Columns:    []string{"graph", "n", "D", "algo", "rounds", "rounds/D", "allDone"},
+		Columns:    []string{"graph", "n", "D", "algo", "rounds", "rounds/D", "transmissions", "allDone"},
 	}
 	seeds := o.seeds(3, 2)
 	// Every registered broadcast algorithm, registry order (baselines
@@ -54,8 +54,8 @@ func runF1(o Options) *Table {
 		mean := map[string]float64{}
 		done := map[string]bool{}
 		for i, a := range algos {
-			m, _, all := meanOf(res[k+i])
-			t.AddRow(g.Name(), g.N(), d, a.Label, m, m/float64(d), all)
+			m, tx, all := meanOf(res[k+i])
+			t.AddRow(g.Name(), g.N(), d, a.Label, m, m/float64(d), tx, all)
 			mean[a.Label], done[a.Label] = m, all
 		}
 		if done[cd17] {

@@ -55,7 +55,7 @@ func (broadcast) Rearm(seed uint64, sources map[int]int64) {}
 func arm(seed uint64) {}
 
 // Adding to a seed makes sub-run i of trial s the sub-run i-1 of trial
-// s+1: the sequential-multicast and binary-search sites.
+// s+1: the binary-search site.
 func subRunsAdded(bc broadcast, seed uint64, i, bit int) *rng.Rand {
 	bc.Rearm(seed+uint64(i), nil)      // want "seed derived by \+/- arithmetic"
 	bc.Rearm(seed+uint64(bit)+1, nil)  // want "seed derived by \+/- arithmetic"

@@ -21,7 +21,6 @@ var simPackages = map[string]bool{
 	"radionet/internal/cluster":      true,
 	"radionet/internal/decay":        true,
 	"radionet/internal/compete":      true,
-	"radionet/internal/multicast":    true,
 	"radionet/internal/baseline":     true,
 	"radionet/internal/ghle":         true,
 	"radionet/internal/protocol":     true,

@@ -10,5 +10,4 @@ import (
 	_ "radionet/internal/compete"
 	_ "radionet/internal/decay"
 	_ "radionet/internal/ghle"
-	_ "radionet/internal/multicast"
 )

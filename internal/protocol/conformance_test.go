@@ -102,10 +102,6 @@ func TestConformanceDeterministicAndComplete(t *testing.T) {
 	})
 }
 
-// notBudgeted lists the descriptors whose runner has no single default
-// budget: sequential multicast's default is per message.
-var notBudgeted = map[string]bool{"multicast/sequential": true}
-
 // TestConformanceDefaultBudget: budget <= 0 means the documented default
 // on every protocol type, so Run(0) on one fresh runner equals
 // Run(DefaultBudget()) on another for every Budgeted descriptor.
@@ -114,10 +110,7 @@ func TestConformanceDefaultBudget(t *testing.T) {
 		r := buildRunner(t, d, nil, nil)
 		b, ok := r.(protocol.Budgeted)
 		if !ok {
-			if !notBudgeted[string(d.Task)+"/"+d.Name] {
-				t.Fatalf("runner %T does not implement protocol.Budgeted", r)
-			}
-			return
+			t.Fatalf("runner %T does not implement protocol.Budgeted", r)
 		}
 		def := b.DefaultBudget()
 		if def <= 0 {
@@ -140,8 +133,8 @@ func TestConformanceDefaultBudget(t *testing.T) {
 }
 
 // TestConformanceBudgetCap: Run(budget) executes at most budget rounds.
-// 520 is above every runner's per-unit floor (binary-search's 40-bit and
-// multicast's per-message splits round down), so the cap is exact.
+// 520 is above every runner's per-unit floor (binary-search's 40-bit
+// split rounds down), so the cap is exact.
 func TestConformanceBudgetCap(t *testing.T) {
 	const budget = 520
 	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {

@@ -52,8 +52,6 @@ const (
 	Broadcast Task = "broadcast"
 	// Leader elects a single leader known to all nodes.
 	Leader Task = "leader"
-	// Multicast delivers k messages from one source to every node.
-	Multicast Task = "multicast"
 	// Partition computes a Miller–Peng–Xu cluster assignment distributedly.
 	Partition Task = "partition"
 )
@@ -65,7 +63,7 @@ const (
 // candidates, the partition protocol involves every node) get nil.
 func (t Task) TrialSources() map[int]int64 {
 	switch t {
-	case Broadcast, Multicast:
+	case Broadcast:
 		return map[int]int64{0: 9}
 	default:
 		return nil
@@ -110,12 +108,12 @@ type Result struct {
 // the budget elapses; budget <= 0 selects the descriptor's default
 // whp-sufficient budget policy. A Runner is single-use.
 //
-// Budget exception: composite runners that split an explicit budget over
-// fixed units (binary-search LE's one broadcast per ID bit, sequential
-// multicast's one broadcast per message) floor each unit's share to one
-// round, so a budget smaller than the unit count may be overshot by up
-// to that count; descriptors document their floors in BudgetDoc. Above
-// the floor, Run(budget) executes at most budget rounds.
+// Budget exception: binary-search LE, the one composite runner that
+// splits an explicit budget over fixed units (one broadcast per ID bit),
+// floors each unit's share to one round, so a budget smaller than the
+// unit count may be overshot by up to that count; its descriptor
+// documents the floor in BudgetDoc. Above the floor, Run(budget)
+// executes at most budget rounds.
 type Runner interface {
 	Run(budget int64) Result
 }

@@ -84,12 +84,12 @@ func KnownTask(task Task) bool {
 }
 
 // Tasks returns every task with at least one registered descriptor, in
-// stable order: the built-in tasks first (broadcast, leader, multicast,
-// partition), then any others alphabetically.
+// stable order: the built-in tasks first (broadcast, leader, partition),
+// then any others alphabetically.
 func Tasks() []Task {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	builtin := []Task{Broadcast, Leader, Multicast, Partition}
+	builtin := []Task{Broadcast, Leader, Partition}
 	seen := map[Task]bool{}
 	var out []Task
 	for _, t := range builtin {
