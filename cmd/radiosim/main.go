@@ -163,7 +163,8 @@ func run(args []string, stdout io.Writer) error {
 	// trial path; a single run is the one trial seeded by -seed itself,
 	// and -trials seeds trial i as a one-config Matrix with master seed
 	// -seed does.
-	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg}
+	var st campaign.RunStats
+	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg, Stats: &st}
 	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
 	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max, Trials: []campaign.Trial{{Seed: *seed}}}
 	if *trials > 1 {
@@ -195,7 +196,7 @@ func run(args []string, stdout io.Writer) error {
 	// The manifest is written even for incomplete runs — a budget-exhausted
 	// run is telemetry too.
 	if *manifest != "" {
-		man := buildManifest(scenario, net.G.N(), net.Diameter, *workers, time.Since(start), reg)
+		man := buildManifest(scenario, net.G.N(), net.Diameter, &st, time.Since(start), reg)
 		if err := man.WriteFile(*manifest); err != nil && runErr == nil {
 			runErr = err
 		}
@@ -205,13 +206,14 @@ func run(args []string, stdout io.Writer) error {
 
 // buildManifest assembles the radiosim run manifest: the one-scenario
 // analogue of the campaign manifest, derived from the registry's trial
-// metrics so both tools report the same schema.
-func buildManifest(scenario string, n, d, workers int, wall time.Duration, reg *obs.Registry) *obs.Manifest {
+// metrics so both tools report the same schema. st supplies the worker
+// pool size and engine shard count the run resolved.
+func buildManifest(scenario string, n, d int, st *campaign.RunStats, wall time.Duration, reg *obs.Registry) *obs.Manifest {
 	man := obs.NewManifest("radiosim")
 	sum := sha256.Sum256([]byte(scenario))
 	man.ConfigHash = hex.EncodeToString(sum[:])
 	man.Generated = time.Now().UTC().Format(time.RFC3339)
-	man.Workers = workers
+	man.Workers, man.Shards = st.Workers, st.Shards
 	man.WallMS = float64(wall.Nanoseconds()) / 1e6
 	man.Protocols = campaign.RegisteredProtocols()
 	snap := reg.Snapshot()

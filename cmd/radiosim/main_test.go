@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"radionet/internal/campaign"
+	"radionet/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
@@ -151,5 +154,35 @@ func TestTrialsUseMatrixSeeds(t *testing.T) {
 	}
 	if !strings.HasSuffix(got.String(), want.String()) {
 		t.Errorf("radiosim -trials 6 -seed 5:\n%s\nwant the one-config Matrix's trials:\n%s", got.String(), want.String())
+	}
+}
+
+// TestManifestParallelism checks that -manifest records the worker pool
+// size and engine shard count the run resolved, not the raw flags:
+// -workers 0 resolves as campaign.ResolveWorkers does, and -shards 2 runs
+// two shards on a 128-node grid.
+func TestManifestParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		args            []string
+		workers, shards int
+	}{
+		{[]string{"-rows", "8", "-cols", "8", "-trials", "4"}, campaign.ResolveWorkers(0, 4), 1},
+		{[]string{"-rows", "8", "-cols", "16", "-shards", "2"}, 1, 2},
+	} {
+		path := filepath.Join(t.TempDir(), "manifest.json")
+		if err := run(append(tc.args, "-manifest", path), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m obs.Manifest
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Workers != tc.workers || m.Shards != tc.shards {
+			t.Errorf("%v: manifest workers=%d shards=%d, want %d and %d", tc.args, m.Workers, m.Shards, tc.workers, tc.shards)
+		}
 	}
 }

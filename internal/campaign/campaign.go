@@ -52,19 +52,22 @@ const (
 	Leader    = protocol.Leader
 )
 
-// faultCapable renders the task's fault-capable algorithm names for
-// error messages ("cd17 hw16 ..." or "none").
-func faultCapable(task Task) string {
+// errNoFaults is the configuration error for crossing the effective
+// fault spec fs with algorithm a, whose descriptor lacks the fault
+// capability; it names the task's fault-capable algorithms.
+func errNoFaults(a AlgoSpec, fs FaultSpec) error {
 	var names []string
-	for _, d := range protocol.ByTask(task) {
+	for _, d := range protocol.ByTask(protocol.Task(a.Task)) {
 		if d.Caps.Faults {
 			names = append(names, d.Name)
 		}
 	}
-	if len(names) == 0 {
-		return "none"
+	capable := strings.Join(names, " ")
+	if capable == "" {
+		capable = "none"
 	}
-	return strings.Join(names, " ")
+	return fmt.Errorf("campaign: algorithm %s does not support the fault axis (spec %q); fault-capable %s algorithms: %s",
+		a, fs.Spec, a.Task, capable)
 }
 
 // AlgoSpec selects one algorithm for one task.
@@ -268,8 +271,7 @@ func (m Matrix) expand() (*Plan, error) {
 			}
 			for _, fs := range faults {
 				if !fs.None() {
-					return nil, fmt.Errorf("campaign: algorithm %s does not support the fault axis (spec %q); fault-capable %s algorithms: %s",
-						a, fs.Spec, a.Task, faultCapable(protocol.Task(a.Task)))
+					return nil, errNoFaults(a, fs)
 				}
 			}
 		}
@@ -402,8 +404,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		return nil, err
 	}
 	// Setup phase: materialize the deduplicated topology products through
-	// the precompute store (cache-backed when Cache is set), then build
-	// the deduplicated scratches (execute's first step) — both across the
+	// the precompute store (cache-backed when Cache is set), across the
 	// worker pool. Setup is timed separately from the run wall
 	// (RunStats.Setup vs .Wall, the manifest's setup_ms split); the run
 	// wall has excluded setup since the eager-build era, so the split adds
@@ -472,7 +473,9 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 			nextCfg++
 		}
 	}
-	start, shardsUsed := c.execute(plan, results, cfgSetup, func(tr Trial, res TrialResult) {
+	start := time.Now() //lint:wallclock campaign wall time is telemetry, never part of trial output
+	setup := start.Sub(setupStart)
+	shardsUsed := c.execute(plan, results, func(tr Trial, res TrialResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		remaining[tr.Cfg]--
@@ -480,7 +483,6 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		prog.step(&plan.Configs[tr.Cfg])
 		flush()
 	})
-	setup := start.Sub(setupStart)
 	prog.finish()
 	wall := time.Since(start) //lint:wallclock throughput gauge only; sink stream is untouched
 	if c.Obs != nil {
@@ -517,25 +519,26 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 // (configs carrying their graphs, trials carrying their own seeds) or
 // Matrix.Expand's — through Run's trial fan-out and returns the per-trial
 // results in trial order. Results are identical at every Workers and
-// EngineShards value; Obs and Hook observe the trials as in Run, and the
-// sink-side fields (Timings, Progress, Stats) and Cache are not used.
+// EngineShards value; Obs and Hook observe the trials as in Run. Stats,
+// when set, receives only the resolved Workers and Shards the trials ran
+// with; the other sink-side fields (Timings, Progress) and Cache are not
+// used.
 func (c *Campaign) RunPlan(plan *Plan) []TrialResult {
 	results := make([]TrialResult, len(plan.Trials))
-	c.execute(plan, results, make([]time.Duration, len(plan.Configs)), nil)
+	shards := c.execute(plan, results, nil)
+	if c.Stats != nil {
+		*c.Stats = RunStats{Workers: ResolveWorkers(c.Workers, len(plan.Trials)), Shards: shards}
+	}
 	return results
 }
 
 // execute is the campaign's one trial fan-out, behind Run and RunPlan. It
-// builds plan's deduplicated scratches (adding each group's build wall to
-// cfgSetup), then runs every trial across the worker pool, writing its
-// result to results by trial index and recording it into the Obs trial
-// histograms and per-worker utilization counters. each, when non-nil,
-// observes each result on its worker right after the trial. It returns
-// when the trial phase started and the largest engine shard count any
-// config used.
-func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Duration, each func(tr Trial, res TrialResult)) (time.Time, int) {
-	scratches := buildScratches(plan, c.Workers, cfgSetup)
-	start := time.Now() //lint:wallclock campaign wall time is telemetry, never part of trial output
+// runs every trial across the worker pool, writing its result to results
+// by trial index and recording it into the Obs trial histograms and
+// per-worker utilization counters. each, when non-nil, observes each
+// result on its worker right after the trial. It returns the largest
+// engine shard count any config used.
+func (c *Campaign) execute(plan *Plan, results []TrialResult, each func(tr Trial, res TrialResult)) int {
 	// Intra-round sharding, resolved per configuration (auto mode skips
 	// small graphs). Output is bit-exact at any count — the knob only
 	// moves wall time, so it shares the telemetry's neutrality contract.
@@ -563,7 +566,7 @@ func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Du
 	}
 	ForEachWorker(c.Workers, len(plan.Trials), func(w, i int) {
 		tr := plan.Trials[i]
-		res := runTrial(&plan.Configs[tr.Cfg], tr.Seed, plan.Max, scratches[tr.Cfg],
+		res := runTrial(&plan.Configs[tr.Cfg], tr.Seed, plan.Max,
 			trialOpts{hook: engineHook, shards: cfgShards[tr.Cfg], shardHook: shardHook})
 		results[i] = res
 		trialObs.Record(res.Rounds, res.Wall, res.Done, res.Budget)
@@ -575,5 +578,5 @@ func (c *Campaign) execute(plan *Plan, results []TrialResult, cfgSetup []time.Du
 			each(tr, res)
 		}
 	})
-	return start, shardsUsed
+	return shardsUsed
 }

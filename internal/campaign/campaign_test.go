@@ -183,7 +183,7 @@ func TestRunTrialAllBroadcastAlgos(t *testing.T) {
 	cfg := Config{Topology: "grid:4x8", G: g, D: g.DiameterEstimate()}
 	for _, algo := range protocol.Names(Broadcast) {
 		cfg.Spec = AlgoSpec{Task: Broadcast, Algo: algo}
-		res := runTrial(&cfg, 3, 0, nil, trialOpts{})
+		res := runTrial(&cfg, 3, 0, trialOpts{})
 		if !res.Done || res.Err != "" {
 			t.Errorf("%s: %+v", algo, res)
 		}
@@ -193,7 +193,7 @@ func TestRunTrialAllBroadcastAlgos(t *testing.T) {
 	}
 	// A tiny budget must report failure, not success.
 	cfg.Spec = AlgoSpec{Task: Broadcast, Algo: "bgi"}
-	if res := runTrial(&cfg, 3, 1, nil, trialOpts{}); res.Done {
+	if res := runTrial(&cfg, 3, 1, trialOpts{}); res.Done {
 		t.Error("1-round budget reported Done")
 	}
 }
@@ -210,7 +210,7 @@ func TestRunTrialMaxRoundsCapsEveryLeaderAlgo(t *testing.T) {
 	const cap = 400
 	for _, algo := range []string{"cd17", "binary-search", "max-broadcast", "gh13"} {
 		cfg.Spec = AlgoSpec{Task: Leader, Algo: algo}
-		res := runTrial(&cfg, 3, cap, nil, trialOpts{})
+		res := runTrial(&cfg, 3, cap, trialOpts{})
 		if res.Err != "" {
 			t.Errorf("%s: %s", algo, res.Err)
 		}
@@ -234,7 +234,7 @@ func TestRunTrialLeaderMetrics(t *testing.T) {
 	cfg := Config{Topology: "grid:4x8", G: g, D: g.DiameterEstimate()}
 	for _, algo := range []string{"cd17", "binary-search", "max-broadcast", "gh13"} {
 		cfg.Spec = AlgoSpec{Task: Leader, Algo: algo}
-		res := runTrial(&cfg, 3, 0, nil, trialOpts{})
+		res := runTrial(&cfg, 3, 0, trialOpts{})
 		if !res.Done || res.Err != "" {
 			t.Errorf("%s: %+v", algo, res)
 		}
@@ -246,7 +246,7 @@ func TestRunTrialLeaderMetrics(t *testing.T) {
 		}
 	}
 	cfg.Spec = AlgoSpec{Task: "partition", Algo: "mpx"}
-	res := runTrial(&cfg, 3, 0, nil, trialOpts{})
+	res := runTrial(&cfg, 3, 0, trialOpts{})
 	if !res.Done || res.Err != "" {
 		t.Errorf("%s: %+v", cfg.Spec, res)
 	}

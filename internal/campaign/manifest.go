@@ -37,8 +37,9 @@ type RunStats struct {
 	// anonymous.
 	Wall time.Duration
 	// Setup is the setup-phase wall time: topology materialization (graph
-	// build or precompute-cache load) plus scratch construction, measured
-	// from expansion to the first trial dispatch.
+	// build or precompute-cache load), measured from expansion to the
+	// first trial dispatch. Each trial builds its algorithm's own
+	// precomputation inside Build, so that cost is part of Wall.
 	Setup time.Duration
 	// Cache is the precompute disk-cache status: "off" (no cache
 	// attached), "cold" (at least one product built from source), "warm"
@@ -67,9 +68,9 @@ type ConfigStats struct {
 	// overlaps across workers, so config walls may sum past RunStats.Wall.
 	Wall time.Duration
 	// Setup is the setup time attributed to this configuration: the
-	// build/load wall of every deduplicated product (topology, scratch)
-	// charged to its first referencing configuration — so sibling configs
-	// sharing the products report 0, and summing Setup over configs never
+	// build/load wall of every deduplicated topology product charged to
+	// its first referencing configuration — so sibling configs sharing a
+	// product report 0, and summing Setup over configs never
 	// double-counts shared work.
 	Setup time.Duration
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // planConfig is a caller-built config of task:algo on the topology spec,
-// keyed by the spec so configs on one topology share a scratch group.
+// keyed by the spec.
 func planConfig(t *testing.T, spec string, task Task, algo string) Config {
 	t.Helper()
 	topo, err := ParseTopology(spec)
@@ -52,11 +52,9 @@ func withoutWall(rs []TrialResult) []TrialResult {
 // configs on the same Key as a default-tuned one, and a config with its
 // own source set, must each run exactly as a direct descriptor Build with
 // that tuning, those sources and that seed. The tuned broadcast follows
-// the default one, so sharing the default's scratch with it (grouping by
-// Key and ScratchKey alone) fails the test; the tuned leader election's
-// ablation changes the run but not the precomputation geometry, and
-// Build rejects a scratch built for another Config, so dropping Tuning
-// from BuildParams fails it too.
+// the default one on the same graph, and the tuned leader election's
+// ablation changes the run but not the precomputation geometry, so
+// dropping Tuning from BuildParams fails the test.
 func TestRunPlanTuningAndSources(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full protocol trials")
@@ -97,9 +95,8 @@ func TestRunPlanTuningAndSources(t *testing.T) {
 }
 
 // TestRunPlanCallerBuilt pins RunPlan on a caller-built plan — two
-// graphs, explicit trial seeds, a leader config sharing broadcast cd17's
-// scratch group — against runTrial per (config, seed), at 1 and 4
-// workers.
+// graphs, explicit trial seeds, broadcast and leader configs on each —
+// against runTrial per (config, seed), at 1 and 4 workers.
 func TestRunPlanCallerBuilt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full protocol trials")
@@ -115,7 +112,7 @@ func TestRunPlanCallerBuilt(t *testing.T) {
 	serial := withoutWall((&Campaign{Workers: 1}).RunPlan(plan))
 	parallel := withoutWall((&Campaign{Workers: 4}).RunPlan(plan))
 	for i, tr := range plan.Trials {
-		want := runTrial(&cfgs[tr.Cfg], tr.Seed, 0, nil, trialOpts{})
+		want := runTrial(&cfgs[tr.Cfg], tr.Seed, 0, trialOpts{})
 		want.Wall = 0
 		if serial[i] != want {
 			t.Errorf("trial %d (%s, seed %d): RunPlan %+v, runTrial %+v", i, cfgs[tr.Cfg].Name(), tr.Seed, serial[i], want)
@@ -123,6 +120,32 @@ func TestRunPlanCallerBuilt(t *testing.T) {
 		if parallel[i] != serial[i] {
 			t.Errorf("trial %d: 4 workers %+v, 1 worker %+v", i, parallel[i], serial[i])
 		}
+	}
+}
+
+// TestRunPlanRejectsFaultsWithoutCapability checks that a caller-built
+// plan crossing a fault spec with a fault-incapable algorithm fails its
+// trial with the error Expand gives the same matrix, where the trial used
+// to run unfaulted.
+func TestRunPlanRejectsFaultsWithoutCapability(t *testing.T) {
+	_, want := Matrix{
+		Topologies: []string{"grid:6x6"},
+		Algorithms: []AlgoSpec{{Task: Leader, Algo: "binary-search"}},
+		Faults:     []string{"crash:0.3@20"},
+		Seeds:      1,
+	}.Expand()
+	if want == nil {
+		t.Fatal("Expand accepted a fault axis on binary-search")
+	}
+	cfg := planConfig(t, "grid:6x6", Leader, "binary-search")
+	fs, err := ParseFaultSpec("crash:0.3@20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = fs
+	res := (&Campaign{}).RunPlan(planOf([]Config{cfg}, 1))[0]
+	if res.Reason != "error" || res.Done || res.Err != want.Error() {
+		t.Errorf("faulted binary-search trial: %+v, want Reason \"error\" and Err %q", res, want)
 	}
 }
 

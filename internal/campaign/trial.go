@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"radionet/internal/precompute"
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
 
@@ -78,94 +77,6 @@ type TrialResult struct {
 	Candidates int
 }
 
-// Scratch carries the reusable, seed-independent part of one Config's
-// per-trial work, built by the configuration's descriptor (e.g. a shared
-// compete.Pre for the clustering pipeline, so repeated trials on the same
-// graph skip the parameter-grid computation). A Scratch is safe for
-// concurrent use — workers at any -workers value may share one — and
-// sharing it changes no output bit (the per-seed randomness is drawn
-// exactly as without it).
-type Scratch struct {
-	val any
-}
-
-// NewScratch builds the per-config scratch for cfg. Configs whose
-// descriptor has no reusable precomputation (or that fail to resolve —
-// Expand reports that loudly) get an empty scratch.
-func NewScratch(cfg *Config) *Scratch {
-	desc, err := lookup(cfg.Spec)
-	if err != nil || desc.NewScratch == nil {
-		return &Scratch{}
-	}
-	return &Scratch{val: desc.NewScratch(cfg.G, cfg.D, cfg.Tuning)}
-}
-
-// scratchGroupKey identifies one shareable scratch build: the topology
-// product key crossed with the descriptor's declared ScratchKey. Configs
-// differing only in fault spec or sources always group (NewScratch never
-// sees them); configs of different descriptors group exactly when both
-// descriptors declare the same ScratchKey (e.g. broadcast:cd17 and
-// leader:cd17 share "compete/pre"). The key holds for default tuning
-// only, so tuned configs never group.
-type scratchGroupKey struct {
-	topo    precompute.Key
-	scratch string
-}
-
-// buildScratches constructs the per-config scratches for a materialized
-// plan, deduplicated by (topology product, descriptor ScratchKey) and
-// built concurrently across the worker pool. Configs without reusable
-// precomputation get the empty scratch for free; tuned configs and
-// configs whose descriptor opts out of sharing (ScratchKey "") build one
-// scratch per config, as the serial setup phase always did (and as
-// radionet.Network.scratchFor does). Each group's build wall time is
-// added to cfgSetup at the group's first config index. Sharing is
-// output-neutral: scratches are seed-independent by contract, and equal
-// group keys imply equal constructor inputs.
-func buildScratches(plan *Plan, workers int, cfgSetup []time.Duration) []*Scratch {
-	scratches := make([]*Scratch, len(plan.Configs))
-	type group struct {
-		first int
-		cfgs  []int
-	}
-	var groups []group
-	gidx := make(map[scratchGroupKey]int)
-	for ci := range plan.Configs {
-		cfg := &plan.Configs[ci]
-		desc, err := lookup(cfg.Spec)
-		if err != nil || desc.NewScratch == nil {
-			scratches[ci] = &Scratch{}
-			continue
-		}
-		if desc.ScratchKey == "" || cfg.Tuning != nil {
-			groups = append(groups, group{first: ci, cfgs: []int{ci}})
-			continue
-		}
-		gk := scratchGroupKey{topo: cfg.Key, scratch: desc.ScratchKey}
-		gi, ok := gidx[gk]
-		if !ok {
-			gi = len(groups)
-			gidx[gk] = gi
-			groups = append(groups, group{first: ci})
-		}
-		groups[gi].cfgs = append(groups[gi].cfgs, ci)
-	}
-	ForEachWorker(workers, len(groups), func(_, gi int) {
-		g := &groups[gi]
-		start := time.Now() //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
-		scr := NewScratch(&plan.Configs[g.first])
-		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest only), never part of trial output
-		for _, ci := range g.cfgs {
-			scratches[ci] = scr
-		}
-		// Distinct groups have distinct first indexes, so these writes
-		// never race; Materialize's attribution wrote before this pool
-		// started.
-		cfgSetup[g.first] += wall
-	})
-	return scratches
-}
-
 // trialOpts carries the engine-level execution knobs threaded from the
 // campaign into each trial's BuildParams: the shared obs round hook, the
 // intra-round shard count, and the per-shard busy-time hook. All of them
@@ -179,20 +90,20 @@ type trialOpts struct {
 }
 
 // runTrial is the whole per-trial dispatch: resolve the descriptor,
-// realize the fault plan, and run it through protocol.Execute on the
-// config's shared scratch (nil, or an empty one for a descriptor that
-// expects a scratch, builds a fresh one) with the campaign's execution
-// knobs. Every algorithm-specific decision — constructors, budget
-// defaults, metric extraction — lives behind the registry.
-func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts trialOpts) (res TrialResult) {
-	if scr == nil || scr.val == nil {
-		scr = NewScratch(cfg)
-	}
+// realize the fault plan, and run it through protocol.Execute with the
+// campaign's execution knobs; the descriptor's Build makes the trial's
+// own precomputation. Every algorithm-specific decision — constructors,
+// budget defaults, metric extraction — lives behind the registry.
+func runTrial(cfg *Config, seed uint64, maxRounds int64, opts trialOpts) (res TrialResult) {
 	start := time.Now() //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
 	defer func() {
 		res.Wall = time.Since(start) //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
 	}()
 	desc, err := lookup(cfg.Spec)
+	if err == nil && !desc.Caps.Faults && !cfg.Fault.None() {
+		// A caller-built plan skips Expand's check; never run it unfaulted.
+		err = errNoFaults(cfg.Spec, cfg.Fault)
+	}
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error", Leader: -1}
 	}
@@ -208,7 +119,7 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 	// optimization: ProtectedNodes may resample a leader election's
 	// candidate set, and unfaulted trials must not pay that per trial.
 	var plan *radio.FaultPlan
-	if desc.Caps.Faults && !cfg.Fault.None() {
+	if !cfg.Fault.None() {
 		plan = cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G.N(), seed, sources)...)
 	}
 	out, err := desc.Execute(protocol.BuildParams{
@@ -217,7 +128,6 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, scr *Scratch, opts tria
 		Seed:      seed,
 		Sources:   sources,
 		Faults:    plan,
-		Scratch:   scr.val,
 		Tuning:    cfg.Tuning,
 		Hook:      opts.hook,
 		Shards:    opts.shards,

@@ -111,8 +111,8 @@ func BenchmarkCD17BroadcastGnpDense4096(b *testing.B) {
 // The build-layer benchmarks time construction alone on the three
 // perfbench shapes: the trial's coarse, fine and background
 // Partition(β) clusterings, their schedules and the engine, with no
-// round run. The Pre is shared across iterations, as a campaign shares
-// it across trials, so its pooled build scratch is warm after the first.
+// round run. The Pre is built once, outside the loop; every construction
+// allocates its own build buffers, as every run does.
 
 // benchBuild times b.N constructions by build.
 func benchBuild[T any](b *testing.B, build func() (T, error)) {

@@ -1,8 +1,11 @@
 package compete
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"radionet/internal/cluster"
@@ -244,65 +247,69 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 	}
 }
 
-// Instances built through a shared Pre (the campaign per-config scratch
-// convention) must be bit-identical to independently constructed ones —
-// including when the shared Pre is exercised concurrently, as the
-// executor does at -workers > 1.
+// A Pre is immutable, so runs may share one across goroutines: a
+// broadcast and a leader election built and run concurrently from one
+// *Pre must equal the same runs made sequentially, each from its own Pre.
+// CI's -race step checks the sharing itself.
 func TestSharedPreIsBitIdentical(t *testing.T) {
 	g := graph.Gnp(64, 0.06, rng.New(4))
 	d := g.DiameterEstimate()
-	pre := NewPre(g, d, Config{})
 	type outcome struct {
 		rounds int64
 		m      radio.Metrics
 		values []int64
+		leader int
 	}
-	run := func(b *Compete) outcome {
-		res := b.Run(b.Budget())
-		rounds, done := res.Rounds, res.Done
-		if !done {
-			t.Error("broadcast incomplete")
-		}
-		return outcome{rounds, b.Engine.Metrics, b.Values()}
-	}
-	seeds := []uint64{1, 2, 3, 4}
-	want := make([]outcome, len(seeds))
-	for i, seed := range seeds {
-		b, err := New(NewPre(g, d, Config{}), seed, map[int]int64{0: 9}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = run(b)
-	}
-	// Concurrent construction through one Pre, twice to let the scratch
-	// pool actually recycle buffers.
-	for pass := 0; pass < 2; pass++ {
-		results := make([]outcome, len(seeds))
-		done := make(chan int, len(seeds))
-		for i, seed := range seeds {
-			go func(i int, seed uint64) {
-				defer func() { done <- i }()
-				b, err := New(pre, seed, map[int]int64{0: 9}, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				results[i] = run(b)
-			}(i, seed)
-		}
-		for range seeds {
-			<-done
-		}
-		for i := range seeds {
-			if results[i].rounds != want[i].rounds || results[i].m != want[i].m {
-				t.Fatalf("pass %d seed %d: shared-Pre run (%d rounds, %+v) differs from independent (%d rounds, %+v)",
-					pass, seeds[i], results[i].rounds, results[i].m, want[i].rounds, want[i].m)
+	// run builds and runs the broadcast (leader false) or the leader
+	// election on pre under seed.
+	run := func(pre *Pre, leader bool, seed uint64) (outcome, error) {
+		var c *Compete
+		out := outcome{leader: -1}
+		if leader {
+			le, err := NewLeaderElection(pre, seed, nil)
+			if err != nil {
+				return out, err
 			}
-			for v := range results[i].values {
-				if results[i].values[v] != want[i].values[v] {
-					t.Fatalf("pass %d seed %d node %d: %d vs %d",
-						pass, seeds[i], v, results[i].values[v], want[i].values[v])
-				}
+			res := le.Run(le.Budget())
+			if !res.Done || res.Verify() != nil {
+				return out, errors.New("leader election incomplete or unverified")
+			}
+			c, out.rounds, out.leader = le.Compete, res.Rounds, le.Leader()
+		} else {
+			b, err := New(pre, seed, map[int]int64{0: 9}, nil)
+			if err != nil {
+				return out, err
+			}
+			res := b.Run(b.Budget())
+			if !res.Done {
+				return out, errors.New("broadcast incomplete")
+			}
+			c, out.rounds = b, res.Rounds
+		}
+		out.m, out.values = c.Engine.Metrics, c.Values()
+		return out, nil
+	}
+	for _, seed := range []uint64{1, 2} {
+		shared := NewPre(g, d, Config{})
+		var got [2]outcome
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = run(shared, i == 1, seed)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			want, err := run(NewPre(g, d, Config{}), i == 1, seed)
+			if err != nil || errs[i] != nil {
+				t.Fatalf("seed %d leader=%v: sequential err %v, concurrent err %v", seed, i == 1, err, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("seed %d leader=%v: concurrent run on a shared Pre (%d rounds, %+v, leader %d) differs from sequential (%d rounds, %+v, leader %d)",
+					seed, i == 1, got[i].rounds, got[i].m, got[i].leader, want.rounds, want.m, want.leader)
 			}
 		}
 	}

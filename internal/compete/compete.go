@@ -197,8 +197,7 @@ const (
 // precomputation pre (NewPre). sources maps source nodes to their
 // (non-negative) messages. All randomness — shifts, schedules, sequences,
 // transmission coins — derives from seed, so instances sharing one Pre
-// (the campaign per-config convention) are bit-identical to instances
-// built from their own.
+// are bit-identical to instances built from their own.
 //
 // plan, if non-nil, is a fault scenario installed as the engine-side
 // overlay (radio.FaultPlan), which keeps the bulk-path speed. Completion
@@ -231,12 +230,15 @@ func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*
 		nsrc:     len(sources),
 	}
 
-	scr, release := pre.scratch()
-	defer release()
+	// One set of build buffers — the Partition source, FIFO and node-state
+	// buffers and the schedule contention buffer — serves every partition
+	// and schedule of this construction.
+	var partScr cluster.Scratch
+	cont := make([]int32, n)
 
 	// Precomputation (oracle; rounds charged below).
 	// 1) Coarse clustering with β = D^-coarseBetaExp.
-	c.coarse = cluster.PartitionScratch(g, pre.coarseBeta, master.Fork(10), &scr.part)
+	c.coarse = cluster.PartitionScratch(g, pre.coarseBeta, master.Fork(10), &partScr)
 
 	// 2) Fine clusterings for each exponent j, with schedules.
 	if cfg.FixedJ != 0 {
@@ -249,8 +251,8 @@ func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*
 	for j := pre.jmin; j <= pre.jmax; j++ {
 		beta := math.Pow(2, -float64(j))
 		for q := 0; q < perJ; q++ {
-			part := cluster.PartitionScratch(g, beta, master.Fork(100+uint64(fid)), &scr.part)
-			sch := schedule.BuildScratch(g, part, scr.cont)
+			part := cluster.PartitionScratch(g, beta, master.Fork(100+uint64(fid)), &partScr)
+			sch := schedule.BuildScratch(g, part, cont)
 			ell := pre.ellMain[j-pre.jmin]
 			if cfg.DisableCurtail {
 				ell = int32(part.MaxStrongRadius())
@@ -267,8 +269,8 @@ func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*
 	// 3) Background clusterings (Algorithm 2): fixed β = D^-bgBetaExp,
 	// curtailment O(log n/β).
 	for q := 0; q < bgNumFine; q++ {
-		part := cluster.PartitionScratch(g, pre.bgBeta, master.Fork(5000+uint64(q)), &scr.part)
-		sch := schedule.BuildScratch(g, part, scr.cont)
+		part := cluster.PartitionScratch(g, pre.bgBeta, master.Fork(5000+uint64(q)), &partScr)
+		sch := schedule.BuildScratch(g, part, cont)
 		ell := pre.ellBg
 		if cfg.DisableCurtail {
 			ell = int32(part.MaxStrongRadius())

@@ -2,7 +2,6 @@ package compete
 
 import (
 	"math"
-	"sync"
 
 	"radionet/internal/cluster"
 	"radionet/internal/decay"
@@ -12,12 +11,10 @@ import (
 // Pre is the seed-independent part of Compete's precomputation for one
 // (graph, diameter, config) triple: the clustering parameter grid (coarse
 // and background β, the fine exponent range, per-exponent curtailment
-// distances ℓ(j)) and a pool of reusable build buffers for the
-// seed-dependent Partition/schedule construction. A Pre can be built once
-// per experiment configuration and shared by every trial on that
-// configuration — New consumes the same randomness whichever Pre it is
-// given, so sharing a Pre across seeds (or across concurrent workers; Pre
-// is safe for concurrent use) leaves every output bit-identical.
+// distances ℓ(j)). Build fills one per run; a Pre is immutable once
+// built, so callers may also share one across seeds and goroutines — New
+// consumes the same randomness whichever Pre it is given, and every
+// output stays bit-identical.
 type Pre struct {
 	g          *graph.Graph
 	d          int
@@ -33,24 +30,11 @@ type Pre struct {
 	ellMain []int32
 	// ellBg is the background-process curtailment O(log n/β).
 	ellBg int32
-
-	// pool recycles the mutable Partition/schedule build buffers across
-	// trials; entries are *buildScratch.
-	pool sync.Pool
-}
-
-// buildScratch is the per-construction mutable state recycled through
-// Pre.pool: the Partition source, FIFO and node-state buffers and the
-// schedule contention buffer. Not safe for concurrent use; New checks
-// one out for the duration of a single construction.
-type buildScratch struct {
-	part cluster.Scratch
-	cont []int32
 }
 
 // NewPre computes the seed-independent precomputation geometry for
 // Compete instances on g with diameter d under cfg. The returned Pre is
-// immutable (its scratch pool aside) and safe for concurrent use.
+// immutable and safe for concurrent use.
 func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 	if d < 1 {
 		d = 1
@@ -89,16 +73,4 @@ func NewPre(g *graph.Graph, d int, cfg Config) *Pre {
 		p.ellBg = 2
 	}
 	return p
-}
-
-// scratch checks a build scratch out of the pool; done returns it.
-func (p *Pre) scratch() (*buildScratch, func()) {
-	s, _ := p.pool.Get().(*buildScratch)
-	if s == nil {
-		s = &buildScratch{}
-	}
-	if len(s.cont) < p.g.N() {
-		s.cont = make([]int32, p.g.N())
-	}
-	return s, func() { p.pool.Put(s) }
 }

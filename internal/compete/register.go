@@ -15,32 +15,26 @@ import (
 
 func init() {
 	protocol.Register(protocol.Descriptor{
-		Task:      protocol.Broadcast,
-		Name:      "cd17",
-		Label:     "CD17",
-		Summary:   "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
-		BudgetDoc: "8×Budget() (Theorem 4.1 with the implementation's constants)",
-		Order:     40,
-		Caps:      protocol.Caps{Faults: true},
-		// Shared with leader:cd17 — both default-tuning scratches are
-		// NewPre(g, d, Config{}), so one build serves both descriptors.
-		ScratchKey: "compete/pre",
+		Task:       protocol.Broadcast,
+		Name:       "cd17",
+		Label:      "CD17",
+		Summary:    "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
+		BudgetDoc:  "8×Budget() (Theorem 4.1 with the implementation's constants)",
+		Order:      40,
+		Caps:       protocol.Caps{Faults: true},
 		NewScratch: newScratch(false),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, false)
 		},
 	})
 	protocol.Register(protocol.Descriptor{
-		Task:      protocol.Broadcast,
-		Name:      "hw16",
-		Label:     "HW16-mode",
-		Summary:   "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
-		BudgetDoc: "8×Budget()",
-		Order:     30,
-		Caps:      protocol.Caps{Faults: true},
-		// Distinct from cd17's key: CurtailLogLog changes the schedule
-		// lengths baked into the precomputation.
-		ScratchKey: "compete/pre-hw16",
+		Task:       protocol.Broadcast,
+		Name:       "hw16",
+		Label:      "HW16-mode",
+		Summary:    "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
+		BudgetDoc:  "8×Budget()",
+		Order:      30,
+		Caps:       protocol.Caps{Faults: true},
 		NewScratch: newScratch(true),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, true)
@@ -54,7 +48,6 @@ func init() {
 		BudgetDoc:  "8×Budget()",
 		Order:      40,
 		Caps:       protocol.Caps{Faults: true},
-		ScratchKey: "compete/pre", // see broadcast:cd17
 		NewScratch: newScratch(false),
 		Protect:    protocol.ProtectMaxCandidate,
 		Build:      buildLeader,
@@ -92,9 +85,8 @@ func newScratch(hw16 bool) func(*graph.Graph, int, any) any {
 }
 
 // pre resolves the scratch for one build: the caller-provided *Pre when
-// present (the campaign's per-config amortization), else a fresh one.
-// New consumes identical randomness either way, so sharing changes
-// no output bit. A *Pre built for another Config is rejected: the run
+// present, else a fresh one built for this run. New consumes identical
+// randomness either way, so sharing changes no output bit. A *Pre built for another Config is rejected: the run
 // would otherwise follow the scratch's config, not the tuning.
 func pre(p protocol.BuildParams, cfg Config) (*Pre, error) {
 	switch s := p.Scratch.(type) {

@@ -2,7 +2,7 @@
 // hash, registered protocol set, parallelism) and what it measured
 // (per-config wall times, the full metric snapshot). Campaigns and
 // one-shot radiosim runs emit the same shape, which is the point: one
-// schema for every tool, and the seam cmd/campaignd will inherit.
+// schema for every tool.
 
 package obs
 
@@ -35,9 +35,9 @@ type ConfigRecord struct {
 	WallMSTotal float64 `json:"wall_ms_total"`
 	WallMSMean  float64 `json:"wall_ms_mean"`
 	// SetupMS is the setup wall time attributed to this configuration:
-	// its share of topology materialization (graph build or cache load)
-	// and scratch construction. Deduplicated products are charged to the
-	// first configuration referencing them, so most records report 0
+	// its share of topology materialization (graph build or cache load).
+	// Deduplicated products are charged to the first configuration
+	// referencing them, so most records report 0
 	// (omitted — also keeping manifests from producers predating the
 	// setup split byte-stable).
 	SetupMS float64 `json:"setup_ms,omitempty"`
@@ -58,17 +58,18 @@ type Manifest struct {
 	GoVersion  string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
-	// Shards is the largest intra-round engine shard count any campaign
+	// Shards is the largest intra-round engine shard count any
 	// configuration ran with, so multi-core runs can be attributed.
-	// radiosim manifests leave it zero, so it is omitted there.
+	// Omitted by producers predating the field.
 	Shards int `json:"shards,omitempty"`
 	// Protocols is the registered (task:name) set the binary carried.
 	Protocols []string `json:"protocols"`
 	// WallMS is the whole run's wall time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
-	// SetupMS is the setup-phase wall time (topology materialization plus
-	// scratch construction, before the first trial), excluded from WallMS.
-	// Omitted by producers predating the setup split.
+	// SetupMS is the setup-phase wall time (topology materialization,
+	// before the first trial), excluded from WallMS. Omitted by radiosim,
+	// whose topology is built before its run, and by producers predating
+	// the setup split.
 	SetupMS float64 `json:"setup_ms,omitempty"`
 	// Cache reports the precompute disk-cache status for the run: "off"
 	// (no cache directory), "cold" (at least one product rebuilt from

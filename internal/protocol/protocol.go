@@ -260,17 +260,11 @@ type Descriptor struct {
 	Caps  Caps
 	// NewScratch builds the reusable seed-independent part of a trial's
 	// precomputation for a (graph, diameter, tuning) cell; nil when the
-	// algorithm has none. Scratches must be safe for concurrent use.
+	// algorithm has none. Every executor leaves BuildParams.Scratch nil,
+	// so each run's Build builds its own; a caller that shares one
+	// across runs must see the same output bits. Scratches must be safe
+	// for concurrent use.
 	NewScratch func(g *graph.Graph, d int, tuning any) any
-	// ScratchKey, when non-empty, declares that NewScratch's default-
-	// tuning result is interchangeable across every descriptor carrying
-	// the same key: for a fixed (graph, diameter) the constructors
-	// produce equivalent values, so executors (the campaign setup phase,
-	// the facade's per-network memo) may build one scratch per
-	// (topology, key) and share it. Descriptors whose scratch embeds
-	// algorithm-specific tuning must use distinct keys. Only valid
-	// alongside NewScratch; "" opts out of cross-descriptor sharing.
-	ScratchKey string
 	// Protect lists the nodes a trial's fault plan must never select —
 	// nodes whose failure would make the completion target vacuous — for
 	// an n-node network and a trial seed. nil defaults to the source set

@@ -26,9 +26,6 @@ func Register(d Descriptor) {
 	if d.Build == nil {
 		panic(fmt.Sprintf("protocol: %s:%s registered without Build", d.Task, d.Name))
 	}
-	if d.ScratchKey != "" && d.NewScratch == nil {
-		panic(fmt.Sprintf("protocol: %s:%s declares a ScratchKey without NewScratch", d.Task, d.Name))
-	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if byName[d.Task] == nil {

@@ -91,10 +91,6 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 	mustPanic("alias collides with name", dummy(task, "beta", "alpha"))
 	mustPanic("no build", Descriptor{Task: task, Name: "nobuild"})
 	mustPanic("no name", Descriptor{Task: task, Build: func(BuildParams) (Runner, error) { return nil, nil }})
-	mustPanic("scratch key without NewScratch", Descriptor{
-		Task: task, Name: "badscratch", ScratchKey: "k",
-		Build: func(BuildParams) (Runner, error) { return nil, nil },
-	})
 }
 
 func TestByTaskOrdering(t *testing.T) {

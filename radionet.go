@@ -36,7 +36,6 @@ package radionet
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"radionet/internal/cluster"
 	"radionet/internal/compete"
@@ -129,54 +128,15 @@ const (
 type Config = compete.Config
 
 // Network wraps a topology with its (estimated) diameter, the two
-// parameters the model assumes nodes know. Repeated runs on one Network
-// reuse each algorithm's seed-independent precomputation (e.g. the CD17
-// clustering parameter grid) where the registry marks it shareable —
-// a pure setup-time saving that never changes a run's results.
+// parameters the model assumes nodes know. Every run on a Network builds
+// its own seed-independent precomputation (for CD17, the clustering
+// parameter grid) inside the algorithm's Build.
 type Network struct {
 	G *Graph
 	// Diameter is the hop diameter D. NewNetwork fills it with an
 	// iterated double-sweep estimate (exact on the provided structured
 	// families); set it explicitly when known.
 	Diameter int
-
-	// scratchMu guards scratches, the per-network memo of shareable
-	// descriptor precomputation, keyed by (ScratchKey, diameter) so an
-	// explicit Diameter change never serves a stale product.
-	scratchMu sync.Mutex
-	scratches map[scratchMemoKey]any
-}
-
-// scratchMemoKey identifies one memoized precompute product on a Network:
-// the descriptor's declared sharing key and the diameter it was built at
-// (the graph is fixed per Network).
-type scratchMemoKey struct {
-	key string
-	d   int
-}
-
-// scratchFor returns the network's memoized seed-independent
-// precomputation for desc, building it on first use. Only default-tuned
-// runs share — a custom Config changes the product — and descriptors
-// without a declared ScratchKey opt out of reuse entirely (their scratch
-// is rebuilt inside Build per run, exactly as before). Sharing is
-// output-neutral by the ScratchKey contract (protocol.Descriptor).
-func (n *Network) scratchFor(desc *protocol.Descriptor, tun any) any {
-	if tun != nil || desc.NewScratch == nil || desc.ScratchKey == "" {
-		return nil
-	}
-	k := scratchMemoKey{key: desc.ScratchKey, d: n.Diameter}
-	n.scratchMu.Lock()
-	defer n.scratchMu.Unlock()
-	if v, ok := n.scratches[k]; ok {
-		return v
-	}
-	if n.scratches == nil {
-		n.scratches = make(map[scratchMemoKey]any)
-	}
-	v := desc.NewScratch(n.G, n.Diameter, nil)
-	n.scratches[k] = v
-	return v
 }
 
 // NewNetwork returns a Network for g with an estimated diameter. It
@@ -309,8 +269,7 @@ func (n *Network) Compete(sources map[int]int64, o BroadcastOptions) (Result, er
 
 // run is the shared body of Compete and LeaderElection: resolve
 // o.Algorithm (default cd17) under task and execute one run through the
-// registry's Build/Run/Verify routine (protocol.Descriptor.Execute) on
-// the network's memoized scratch.
+// registry's Build/Run/Verify routine (protocol.Descriptor.Execute).
 func (n *Network) run(task protocol.Task, sources map[int]int64, o BroadcastOptions) (protocol.Outcome, error) {
 	name := string(o.Algorithm)
 	if name == "" {
@@ -323,13 +282,11 @@ func (n *Network) run(task protocol.Task, sources map[int]int64, o BroadcastOpti
 	if o.Faults != nil && !desc.Caps.Faults {
 		return protocol.Outcome{}, fmt.Errorf("radionet: %s algorithm %q does not support fault injection", task, name)
 	}
-	tun := tuning(o.Config)
 	return desc.Execute(protocol.BuildParams{
 		G: n.G, D: n.Diameter, Seed: o.Seed,
-		Sources: sources, Faults: o.Faults, Tuning: tun,
-		Scratch: n.scratchFor(desc, tun),
-		Hook:    radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
-		Shards:  o.EngineShards,
+		Sources: sources, Faults: o.Faults, Tuning: tuning(o.Config),
+		Hook:   radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
+		Shards: o.EngineShards,
 	}, o.MaxRounds)
 }
 
