@@ -28,6 +28,10 @@ type Graph struct {
 	// across concurrently running trials, so the build is Once-guarded.
 	denseOnce sync.Once
 	dense     *AdjBits
+	// Lazily built id-difference band layer (see bands.go), Once-guarded
+	// for the same reason.
+	bandsOnce sync.Once
+	bands     *Bands
 }
 
 // N returns the number of nodes.

@@ -9,8 +9,9 @@ import (
 
 // Delivery-kernel microbenchmarks: the word-parallel bitset kernel against
 // a reference per-edge scatter (the pre-bitset engine's stamp/hits
-// algorithm), on a sparse random tree (CSR neighbor walks) and two dense
-// Gnp graphs (per-node adjacency bitmask rows). DESIGN.md §5 cites these
+// algorithm), on a sparse random tree (CSR neighbor walks), two dense
+// Gnp graphs (per-node adjacency bitmask rows) and a grid (band word
+// loops). DESIGN.md §5 cites these
 // numbers; regenerate with
 //
 //	go test ./internal/radio -bench StepDelivery -benchmem
@@ -142,11 +143,16 @@ func benchmarkDelivery(b *testing.B, g *graph.Graph, density float64, bitset boo
 // the shape of the cd17_gnp_dense perfbench workload (mean degree ~205,
 // every row dense) at its traced ~3% transmitters per round;
 // "gnp4096p05heavy" is the same graph at 25% transmitters, where every
-// listener collides after a few dozen rows and the marking pass stops.
+// listener collides after a few dozen rows and the marking pass stops;
+// "grid8x512" is the cd17_leader_grid perfbench graph, a band graph
+// (graph.Bands) marked by shifted word loops, at 15% transmitters, a
+// density between the upper quartile and the top decile of a
+// leader:cd17 run's rounds there.
 func BenchmarkStepDelivery(b *testing.B) {
 	sparse := graph.RandomTree(100000, rng.New(7))
 	dense := graph.Gnp(4096, 0.02, rng.New(7))
 	gnp := graph.Gnp(4096, 0.05, rng.New(7))
+	grid := graph.Grid(8, 512)
 	b.Run("bitset/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, true) })
 	b.Run("scatter/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, false) })
 	b.Run("bitset/dense", func(b *testing.B) { benchmarkDelivery(b, dense, 0.05, true) })
@@ -155,4 +161,6 @@ func BenchmarkStepDelivery(b *testing.B) {
 	b.Run("scatter/gnp4096p05", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.03, false) })
 	b.Run("bitset/gnp4096p05heavy", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.25, true) })
 	b.Run("scatter/gnp4096p05heavy", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.25, false) })
+	b.Run("bitset/grid8x512", func(b *testing.B) { benchmarkDelivery(b, grid, 0.15, true) })
+	b.Run("scatter/grid8x512", func(b *testing.B) { benchmarkDelivery(b, grid, 0.15, false) })
 }

@@ -36,12 +36,33 @@
 // txw words that hold a transmitter, kept only on graphs with dense
 // rows.
 //
+// A band graph (graph.Bands: every edge {u, u+d} uses one of at most
+// graph.MaxBands = 2 id differences d, as on paths, cycles and grids)
+// takes a third marking path and no other; the graph selects it, never
+// a flag or a per-round test. Band i's bitset B has bit u set iff
+// {u, u+d} is an edge, so the listeners its transmitters T reach are
+// (T & B) << d forward and (T >> d) & B backward, a shift of whole
+// words. Each listener's neighbors split one to one over these 2*bands
+// directions, so marking each direction's word s with collided |= onair
+// & s; onair |= s counts every transmitting neighbor once, exactly as
+// the CSR walk does. While marking, each direction XORs its index into
+// one bit-plane per band. A singleton was reached by one direction
+// only, so the planes spell that direction at its bit, and its sender
+// is v - d or v + d, found through txidx without a neighbor walk. Jammed, dead and lossy nodes need nothing new: the jam overlay
+// and the dead mask act on txw before marking, and classify masks dead
+// listeners and draws loss coins as on every graph. Each direction's
+// output words follow from the lowest and highest transmitter word, and
+// planBands flags them dirty before any shard marks. The sharded pass
+// splits band marking by word range and writes the engine bitsets
+// directly, with no private arena and no merge.
+//
 // Sharding splits the marking pass over contiguous chunks of the transmit
-// list and the classify pass over contiguous word ranges, across k
-// goroutines with the round barrier as the only sync point. Shards call
-// into protocol code only through a range Act (BulkRangeActor); they
-// classify into private accumulators (counts and the delivery list) that
-// the round's one RecvBulk call receives in shard order. Because shard ranges partition the node
+// list (on a band graph, over word ranges) and the classify pass over
+// contiguous word ranges, across k goroutines with the round barrier as
+// the only sync point. Shards call into protocol code only through a
+// range Act (BulkRangeActor); they classify into private accumulators
+// (counts and the delivery list) that the round's one RecvBulk call
+// receives in shard order. Because shard ranges partition the node
 // space in ascending order and every per-listener effect is node-local
 // (see Protocol.RecvBulk; loss coins come from per-node streams),
 // Metrics, RecvBulk call contents and all protocol state are bit-exact at
@@ -53,6 +74,8 @@ import (
 	"fmt"
 	"math/bits"
 	"time"
+
+	"radionet/internal/graph"
 )
 
 // BulkRangeActor is the optional range extension of a Protocol, the
@@ -85,7 +108,7 @@ type shardState struct {
 	eng *Engine
 	idx int
 
-	w0, w1 int   // classify: engine word range [w0, w1)
+	w0, w1 int   // classify (and band marking): engine word range [w0, w1)
 	lo, hi int32 // act: node range [lo, hi)
 	t0, t1 int   // mark: transmit-list chunk [t0, t1), set per round
 
@@ -159,9 +182,10 @@ func (e *Engine) SetShards(k int) {
 			hi = e.G.N()
 		}
 		st.hi = int32(hi)
-		if s == 0 {
-			// Shard 0 marks straight into the engine bitsets; only the
-			// spawned shards need private arenas to merge from.
+		if s == 0 || e.bands != nil {
+			// Shard 0 marks straight into the engine bitsets, and so does
+			// every shard of a band graph (markBands); only the spawned
+			// shards of other graphs need private arenas to merge from.
 			st.onair, st.collided, st.dirty = e.onair, e.collided, e.dirty
 		} else {
 			st.onair = make([]uint64, e.words)
@@ -176,7 +200,8 @@ func (e *Engine) SetShards(k int) {
 	}
 }
 
-// mark is the unsharded marking pass. Dense rows go first, in
+// mark is the unsharded marking pass. A band graph is marked by its
+// band word loops alone (markBands). Otherwise dense rows go first, in
 // markDense; unless they saturate the round or were all of it, markCSR
 // then scatters the CSR transmitters. The order of the two kinds is
 // immaterial: unions commute, and inbox is read only for a singleton,
@@ -184,6 +209,11 @@ func (e *Engine) SetShards(k int) {
 //
 //radionet:hotpath
 func (e *Engine) mark() {
+	if e.bands != nil {
+		e.planBands()
+		e.sh[0].markBands()
+		return
+	}
 	if e.dense == nil || !e.markDense() {
 		e.markCSR()
 	}
@@ -289,12 +319,17 @@ func (e *Engine) firstOpen(from int) int {
 }
 
 // runMark is the sharded marking pass over one chunk of the transmit
-// list. It never fills inbox/instamp (listeners are touched by multiple
-// shards); sharded singleton resolution goes through Engine.resolve.
+// list, or over the shard's own words on a band graph. It never fills
+// inbox/instamp (listeners are touched by multiple shards); sharded
+// singleton resolution goes through Engine.resolve.
 //
 //radionet:hotpath
 func (st *shardState) runMark() {
 	e := st.eng
+	if e.bands != nil {
+		st.markBands()
+		return
+	}
 	for _, u := range e.transmit[st.t0:st.t1] {
 		ui := int(u)
 		if row := e.dense.Row(ui); row != nil {
@@ -307,6 +342,164 @@ func (st *shardState) runMark() {
 			st.collided[w] |= st.onair[w] & b
 			st.onair[w] |= b
 			st.dirty[w>>6] |= 1 << (uint(w) & 63)
+		}
+	}
+}
+
+// wordSpan is a range [lo, hi) of engine words.
+type wordSpan struct{ lo, hi int }
+
+// setBands switches the engine to band marking on the graph's band layer
+// b: txw moves into a padded array, and the direction bit-planes are
+// allocated.
+func (e *Engine) setBands(b *graph.Bands) {
+	pad := b.Pad()
+	e.bands = b
+	e.txwPad = make([]uint64, e.words+2*pad)
+	e.txw = e.txwPad[pad : pad+e.words]
+	for k := range e.planes {
+		e.planes[k] = make([]uint64, e.words)
+	}
+	for i := range b.Len() {
+		d := int32(b.Diff(i))
+		e.bandOff[2*i], e.bandOff[2*i+1] = -d, d
+	}
+}
+
+// planBands sets the output word range of each band direction for the
+// round and flags every range dirty. A transmitter in word t reaches,
+// through a difference d = 64q + r, listener words t+q and t+q+1 forward
+// (u -> u+d) and t-q-1 and t-q backward (u -> u-d), so the ranges follow
+// from the lowest and the highest transmitter word. Direction 2i is band
+// i forward, 2i+1 band i backward. The dirty summary is flagged here,
+// before any shard runs, because shards share its words.
+//
+//radionet:hotpath
+func (e *Engine) planBands() {
+	e.banded++
+	if len(e.transmit) == 0 {
+		clear(e.spans[:])
+		return
+	}
+	tlo, thi := e.words, -1
+	if len(e.transmit) > e.words {
+		// Dense round: the first and last nonempty txw words are near
+		// the ends, and the scan stays within O(len(transmit)).
+		for tlo = 0; e.txw[tlo] == 0; tlo++ {
+		}
+		for thi = e.words - 1; e.txw[thi] == 0; thi-- {
+		}
+	} else {
+		for _, u := range e.transmit {
+			w := int(u >> 6)
+			tlo, thi = min(tlo, w), max(thi, w)
+		}
+	}
+	for i := range e.bands.Len() {
+		q := e.bands.Diff(i) >> 6
+		e.spans[2*i] = e.flagSpan(tlo+q, thi+q+2)
+		e.spans[2*i+1] = e.flagSpan(tlo-q-1, thi-q+1)
+	}
+}
+
+// flagSpan clamps [lo, hi) to the engine's words, flags it in the dirty
+// summary a summary word at a time, and returns it (empty when lo >= hi).
+//
+//radionet:hotpath
+func (e *Engine) flagSpan(lo, hi int) wordSpan {
+	lo, hi = max(lo, 0), min(hi, e.words)
+	hi = max(hi, lo)
+	for w := lo; w < hi; {
+		end := min(hi, (w|63)+1)
+		e.dirty[w>>6] |= (1<<uint(end-w) - 1) << (uint(w) & 63)
+		w = end
+	}
+	return wordSpan{lo, hi}
+}
+
+// markBands is the band marking pass over the shard's words [w0, w1):
+// it clears the bit-planes in use on every direction's range there (a
+// one-band graph never writes plane 1), then runs each band's forward
+// and backward word loop. Shards own disjoint words
+// and the dirty summary is already flagged (planBands), so a sharded
+// engine runs this on the engine bitsets directly, with no private arena
+// and no merge.
+//
+//radionet:hotpath
+func (st *shardState) markBands() {
+	e := st.eng
+	nd := 2 * e.bands.Len()
+	for _, sp := range e.spans[:nd] {
+		lo, hi := max(sp.lo, st.w0), min(sp.hi, st.w1)
+		for k := 0; k < e.bands.Len() && lo < hi; k++ {
+			clear(e.planes[k][lo:hi])
+		}
+	}
+	for s, sp := range e.spans[:nd] {
+		lo, hi := max(sp.lo, st.w0), min(sp.hi, st.w1)
+		i := s >> 1
+		switch {
+		case lo >= hi:
+		case s&1 == 0:
+			e.markForward(i, e.bands.Diff(i), e.bands.Padded(i), lo, hi)
+		default:
+			e.markBackward(i, e.bands.Diff(i), e.bands.Padded(i), lo, hi)
+		}
+	}
+}
+
+// markForward marks band i's forward direction on words [lo, hi), where
+// d is the band's difference and band its padded bitset: a
+// transmitter u with edge {u, u+d} reaches u+d, so the listener word w
+// is the band-masked transmitter words w-q and w-q-1 shifted up by d =
+// 64q + r. As in orRow, bits already on the air collide. The direction's
+// index 2i is XOR-ed into the bit-planes (plane 0 holds the backward
+// bit, so a forward direction leaves it alone). The word loop has no
+// bounds check (CI checks); the plane branch is loop-invariant.
+//
+//radionet:hotpath
+func (e *Engine) markForward(i, d int, band []uint64, lo, hi int) {
+	pad := e.bands.Pad()
+	q, r := d>>6, uint(d)&63
+	onair := e.onair[lo:hi]
+	collided := e.collided[lo:hi][:len(onair)]
+	t0, b0 := e.txwPad[pad+lo-q:][:len(onair)], band[pad+lo-q:][:len(onair)]
+	t1, b1 := e.txwPad[pad+lo-q-1:][:len(onair)], band[pad+lo-q-1:][:len(onair)]
+	p1 := e.planes[1][lo:hi][:len(onair)]
+	x1 := i == 1
+	for j := range onair {
+		s := (t0[j]&b0[j])<<r | (t1[j]&b1[j])>>(64-r)
+		collided[j] |= onair[j] & s
+		onair[j] |= s
+		if x1 {
+			p1[j] ^= s
+		}
+	}
+}
+
+// markBackward marks band i's backward direction on words [lo, hi): a
+// transmitter u+d with edge {u, u+d} reaches u, so the listener word w
+// is the transmitter words w+q and w+q+1 shifted down by d and masked by
+// the band's word w. Its index 2i+1 is XOR-ed into the bit-planes. The
+// word loop has no bounds check (CI checks).
+//
+//radionet:hotpath
+func (e *Engine) markBackward(i, d int, band []uint64, lo, hi int) {
+	pad := e.bands.Pad()
+	q, r := d>>6, uint(d)&63
+	onair := e.onair[lo:hi]
+	collided := e.collided[lo:hi][:len(onair)]
+	bw := band[pad+lo:][:len(onair)]
+	t0, t1 := e.txwPad[pad+lo+q:][:len(onair)], e.txwPad[pad+lo+q+1:][:len(onair)]
+	p0, p1 := e.planes[0][lo:hi][:len(onair)], e.planes[1][lo:hi][:len(onair)]
+	x1 := i == 1
+	for j := range onair {
+		s := bw[j] & (t0[j]>>r | t1[j]<<(64-r))
+		collided[j] |= onair[j] & s
+		onair[j] |= s
+		p0[j] ^= s
+		if x1 {
+			p1[j] ^= s
 		}
 	}
 }
@@ -389,6 +582,10 @@ func (st *shardState) classifyWord(w int) {
 	sing := on &^ cw
 	st.deliveries += bits.OnesCount64(sing)
 	st.collisions += bits.OnesCount64(on & cw)
+	if e.bands != nil {
+		st.deliverBand(w, sing)
+		return
+	}
 	base := int32(w << 6)
 	for s := sing; s != 0; s &= s - 1 {
 		v := base + int32(bits.TrailingZeros64(s))
@@ -400,8 +597,32 @@ func (st *shardState) classifyWord(w int) {
 	}
 }
 
+// deliverBand is classifyWord's delivery loop on a band graph. Each
+// singleton listener v in word w was reached by exactly one band
+// direction, whose index the bit-planes hold at v; bandOff turns it into
+// the sender's offset, v - d forward or v + d backward, and txidx into
+// its message index. The word's plane words are loaded once.
+//
+//radionet:hotpath
+func (st *shardState) deliverBand(w int, sing uint64) {
+	e := st.eng
+	p0, p1 := e.planes[0][w], e.planes[1][w]
+	base := int32(w << 6)
+	for s := sing; s != 0; s &= s - 1 {
+		b := uint(bits.TrailingZeros64(s))
+		v := base + int32(b)
+		if e.hasLoss && e.fault.dropRecv(int(v)) {
+			continue // reception faded: on the air, never delivered
+		}
+		c := p0>>b&1 | p1>>b&1<<1
+		st.rcvID = append(st.rcvID, v)
+		st.rcvIdx = append(st.rcvIdx, e.txidx[v+e.bandOff[c&3]])
+	}
+}
+
 // resolve returns the txmsg index of singleton listener v's unique
-// transmitting neighbor. The unsharded CSR marking pass recorded it in
+// transmitting neighbor on a graph without bands (a band graph's
+// singletons are resolved by deliverBand). The unsharded CSR marking pass recorded it in
 // inbox; otherwise (dense-marked or sharded rounds) the transmitter is
 // recovered by intersecting v's neighborhood with the txw bitset — the
 // first hit is the only one, and txidx maps it back to the same message
@@ -559,10 +780,17 @@ func (e *Engine) actWave() {
 // markWave runs the sharded marking phase: the transmit list is split
 // into contiguous chunks, each shard scatters its chunk into its private
 // bitsets (shard 0 into the engine's), and the spawned shards are merged
-// sequentially afterwards.
+// sequentially afterwards. A band graph is split by word range instead:
+// each shard runs the band word loops over its own words of the engine
+// bitsets, so there is nothing to merge.
 //
 //radionet:hotpath
 func (e *Engine) markWave() {
+	if e.bands != nil {
+		e.planBands()
+		e.wave(cmdMark)
+		return
+	}
 	k := e.shards
 	n := len(e.transmit)
 	base, rem := n/k, n%k

@@ -40,12 +40,11 @@ func (s *scripted) Recv(round int64, msg *Message) {
 // v transmits its id+1 in the rounds its plan marks — at shard count k,
 // with the fault plan fp installed when it is non-nil, and checks every
 // node's Act rounds, its Recv log and the engine Metrics against a naive
-// per-round reference, and returns the number of rounds in which the
-// engine's marking pass stopped at saturation. A listener appears in the
-// reference's Recv log only for a delivery; scripted fails the test on a
-// nil message. The reference models the overlay's three rules from the
-// plan's parameters alone, deriving its own coin streams from the plan
-// seed:
+// per-round reference, and returns the engine's marking-path counters.
+// A listener appears in the reference's Recv log only for a delivery;
+// scripted fails the test on a nil message. The reference models the
+// overlay's three rules from the plan's parameters alone, deriving its
+// own coin streams from the plan seed:
 //
 //   - crash: from its crash round on a node is dead — it is not asked to
 //     act, does not transmit, hears nothing and is not counted;
@@ -54,7 +53,7 @@ func (s *scripted) Recv(round int64, msg *Message) {
 //   - loss: each delivery to a lossy node draws one coin from its loss
 //     stream, and a lost delivery never reaches Recv (it still counts as a
 //     delivery: the message was on the air).
-func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) (ok bool, saturated int64) {
+func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) (ok bool, paths markPaths) {
 	n := g.N()
 	T := len(plans[0])
 	nodes := make([]*scripted, n)
@@ -144,19 +143,24 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 	for v := 0; v < n; v++ {
 		if !slices.Equal(nodes[v].acts, wantActs[v]) {
 			t.Logf("node %d acted in rounds %v, want %v (k=%d)", v, nodes[v].acts, wantActs[v], k)
-			return false, e.saturated
+			return false, markPaths{}
 		}
 		if !slices.Equal(nodes[v].heard, wantHeard[v]) {
 			t.Logf("node %d heard %v, want %v (k=%d)", v, nodes[v].heard, wantHeard[v], k)
-			return false, e.saturated
+			return false, markPaths{}
 		}
 	}
 	if e.Metrics != want {
 		t.Logf("metrics %+v, want %+v (k=%d)", e.Metrics, want, k)
-		return false, e.saturated
+		return false, markPaths{}
 	}
-	return true, e.saturated
+	return true, markPaths{saturated: e.saturated, banded: e.banded}
 }
+
+// markPaths counts the rounds an engine marked through its fast paths:
+// saturated rounds stopped the unsharded marking pass early, and banded
+// rounds were marked by the band layer's word loops.
+type markPaths struct{ saturated, banded int64 }
 
 // randomPlans draws an n x T transmit schedule, each slot on with
 // probability q.
@@ -171,24 +175,97 @@ func randomPlans(r *rng.Rand, n, T int, q float64) [][]bool {
 	return plans
 }
 
+// bruteForceGraph draws the graph of one brute-force case: a Gnp graph
+// when band is false, else a band graph (graph.Bands), one of a path,
+// a cycle, a grid and a hypercube of one or two dimensions. Node counts
+// reach several words, so the shard split is real.
+func bruteForceGraph(r *rng.Rand, nRaw uint8, band bool) *graph.Graph {
+	n := int(nRaw)%180 + 2
+	if !band {
+		return graph.Gnp(n, 0.3, r.Fork(1))
+	}
+	switch nRaw % 4 {
+	case 0:
+		return graph.Path(n)
+	case 1:
+		return graph.Cycle(n + 1)
+	case 2:
+		rows := int(nRaw>>2)%12 + 1
+		return graph.Grid(rows, max(2, n/rows))
+	default:
+		return graph.Hypercube(int(nRaw>>2)%2 + 1)
+	}
+}
+
+// checkBandCases fails t unless every band case was marked through the
+// band layer in each of its rounds (so the band family cannot silently
+// fall back to CSR walks) and the band family was drawn at all.
+func checkBandCases(t *testing.T, bandCases, bandRounds, banded int64) {
+	t.Helper()
+	t.Logf("%d band cases, %d of %d rounds band-marked", bandCases, banded, bandRounds)
+	if bandCases == 0 || banded != bandRounds {
+		t.Fatalf("%d band cases: %d of %d rounds band-marked, want all", bandCases, banded, bandRounds)
+	}
+}
+
 // TestEngineMatchesBruteForce cross-checks the engine's word-parallel
 // delivery kernel against a naive per-round reference on random graphs
-// with random transmission schedules at a random shard count (node
-// counts reach several words so the shard split is real, and SetShards
-// clamps it on tiny graphs).
+// and band graphs (bruteForceGraph) with random transmission schedules
+// at a random shard count (SetShards clamps it on tiny graphs).
 func TestEngineMatchesBruteForce(t *testing.T) {
 	master := rng.New(20240610)
-	check := func(seed uint64, nRaw, rounds, shardRaw uint8) bool {
+	var bandCases, bandRounds, banded int64
+	check := func(seed uint64, nRaw, rounds, shardRaw uint8, band bool) bool {
 		r := master.Fork(seed)
-		n := int(nRaw)%180 + 2
+		g := bruteForceGraph(r, nRaw, band)
+		n := g.N()
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
-		g := graph.Gnp(n, 0.3, r.Fork(1))
-		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
+		ok, paths := matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
+		if band {
+			bandCases++
+			bandRounds += int64(T)
+			banded += paths.banded
+		}
 		return ok
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+	checkBandCases(t, bandCases, bandRounds, banded)
+}
+
+// TestBandMarkingLoneTransmitters walks one transmitter at a time over
+// every node of band graphs whose differences cross word boundaries
+// (d = 1, 63, 64, 65, 128 and n-1), unsharded and at three shards, and
+// checks each round against the brute-force reference. A lone
+// transmitter is its round's lowest and highest, so every word a band
+// direction's range has to reach, at either end, is tested.
+func TestBandMarkingLoneTransmitters(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Path(200),
+		graph.Cycle(190),
+		graph.Grid(3, 63),
+		graph.Grid(3, 64),
+		graph.Grid(3, 65),
+		graph.Grid(2, 128),
+	}
+	for _, g := range graphs {
+		n := g.N()
+		plans := make([][]bool, n)
+		for v := range plans {
+			plans[v] = make([]bool, n)
+			plans[v][v] = true
+		}
+		for _, k := range []int{1, 3} {
+			ok, paths := matchesBruteForce(t, g, plans, k, nil)
+			if !ok {
+				t.Fatalf("%s k=%d: engine disagrees with the reference", g, k)
+			}
+			if paths.banded != int64(n) {
+				t.Fatalf("%s k=%d: %d of %d rounds band-marked", g, k, paths.banded, n)
+			}
+		}
 	}
 }
 
@@ -213,25 +290,33 @@ func randomFaultPlan(r *rng.Rand, n, T int) *FaultPlan {
 }
 
 // TestEngineMatchesBruteForceUnderFaults is the brute-force cross-check
-// with the fault overlay installed: random graphs, random transmission
-// schedules and random crash/jam/loss plans, at shard counts 1 to 4. The
+// with the fault overlay installed: random graphs and band graphs,
+// random transmission schedules and random crash/jam/loss plans, at
+// shard counts 1 to 4. The
 // reference models each fault rule independently of the engine (see
 // matchesBruteForce), so dropping any one rule from the engine fails this
 // test.
 func TestEngineMatchesBruteForceUnderFaults(t *testing.T) {
 	master := rng.New(20261018)
-	check := func(seed uint64, nRaw, rounds, shardRaw uint8) bool {
+	var bandCases, bandRounds, banded int64
+	check := func(seed uint64, nRaw, rounds, shardRaw uint8, band bool) bool {
 		r := master.Fork(seed)
-		n := int(nRaw)%180 + 2
+		g := bruteForceGraph(r, nRaw, band)
+		n := g.N()
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
-		g := graph.Gnp(n, 0.3, r.Fork(1))
-		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
+		ok, paths := matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
+		if band {
+			bandCases++
+			bandRounds += int64(T)
+			banded += paths.banded
+		}
 		return ok
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+	checkBandCases(t, bandCases, bandRounds, banded)
 }
 
 // rowKinds splits g's nodes by marking path: dense adjacency rows
@@ -316,11 +401,11 @@ func TestEngineMatchesBruteForceSaturated(t *testing.T) {
 		plans := randomPlans(r, n, T, q)
 		cases++
 		for k := 1; k <= 4; k++ {
-			ok, saturated := matchesBruteForce(t, g, plans, k, randomFaultPlan(r.Fork(2), n, T))
+			ok, paths := matchesBruteForce(t, g, plans, k, randomFaultPlan(r.Fork(2), n, T))
 			if !ok {
 				return false
 			}
-			if k == 1 && saturated > 0 {
+			if k == 1 && paths.saturated > 0 {
 				fired++
 			}
 		}

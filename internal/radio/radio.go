@@ -129,7 +129,7 @@ type Engine struct {
 	deadw    []uint64 // crashed (the fault overlay's crash schedule)
 	dirty    []uint64 // summary: bit w set if onair word w was touched (a superset, see kernel.go)
 
-	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking)
+	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking; nil on band graphs)
 	instamp  []int64   // round stamp validating inbox
 	txidx    []int32   // node -> transmit-list index (valid while its txw bit is set)
 	txwords  []int32   // words of txw holding a transmitter, for resolve (dense graphs only)
@@ -166,6 +166,23 @@ type Engine struct {
 	anyDead    bool
 	crashSched []crashEvent
 	crashCur   int
+
+	// Band marking (kernel.go), set up only on a graph with a band layer
+	// and nil otherwise. txw is a view into txwPad, which carries
+	// bands.Pad() zero words on either side, so the band word loops read
+	// shifted words without a bounds branch. planes are the direction
+	// bit-planes: plane 0 holds the backward bit and plane 1 the band
+	// index, which stays zero on a one-band graph, so deliverBand reads
+	// both without a branch; bandOff maps the direction index they spell
+	// to the sender's id offset. spans holds each band direction's output
+	// word range in the current round, and banded counts band-marked
+	// rounds (read by the brute-force property test).
+	bands   *graph.Bands
+	txwPad  []uint64
+	planes  [2][]uint64
+	bandOff [2 * graph.MaxBands]int32
+	spans   [2 * graph.MaxBands]wordSpan
+	banded  int64
 }
 
 // crashEvent is one overlay crash, sorted by round for the Step cursor.
@@ -187,8 +204,6 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		txw:      make([]uint64, words),
 		deadw:    make([]uint64, words),
 		dirty:    make([]uint64, (words+63)/64),
-		inbox:    make([]int32, n),
-		instamp:  make([]int64, n),
 		txidx:    make([]int32, n),
 		txmsg:    make([]Message, 0, n),
 		transmit: make([]int32, 0, n),
@@ -200,6 +215,14 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 	if d := g.DenseAdj(); d.Rows() > 0 {
 		e.dense = d
 		e.txwords = make([]int32, 0, words)
+	}
+	// A band graph is marked by word loops and resolved through the
+	// bit-planes, so it needs no inbox.
+	if b := g.Bands(); b != nil {
+		e.setBands(b)
+	} else {
+		e.inbox = make([]int32, n)
+		e.instamp = make([]int64, n)
 	}
 	if n > 0 {
 		e.tailMask = ^uint64(0)
