@@ -169,10 +169,10 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 
 // Rearm resets b to a fresh broadcast of sources under seed, armed at the
 // engine's next round t0 (NewBroadcast arms at 0). The engine clock is
-// never rewound, since the kernel validates its inbox by round stamp:
-// node time counts from t0, so the run is a fresh one shifted by t0, and
-// Engine.Metrics stay cumulative. A fault plan keeps the engine's clock,
-// so the shift holds only for plans whose effect ignores the round.
+// never rewound: node time counts from t0, so the run is a fresh one
+// shifted by t0, and Engine.Metrics stay cumulative. A fault plan keeps
+// the engine's clock, so the shift holds only for plans whose effect
+// ignores the round.
 func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 	n := len(b.nodes)
 	t0 := b.Engine.Round()

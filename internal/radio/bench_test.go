@@ -147,12 +147,19 @@ func benchmarkDelivery(b *testing.B, g *graph.Graph, density float64, bitset boo
 // "grid8x512" is the cd17_leader_grid perfbench graph, a band graph
 // (graph.Bands) marked by shifted word loops, at 15% transmitters, a
 // density between the upper quartile and the top decile of a
-// leader:cd17 run's rounds there.
+// leader:cd17 run's rounds there; "geo10k" is the cd17_geo perfbench
+// graph (mean degree ~28, all CSR) at 5% transmitters, the per-round
+// density of a traced cd17_geo run.
+//
+// A row's timing depends on which rows ran before it in the same
+// process, so compare kernels on rows run alone at a fixed iteration
+// count, e.g. -bench 'StepDelivery/bitset/geo10k$' -benchtime 20000x.
 func BenchmarkStepDelivery(b *testing.B) {
 	sparse := graph.RandomTree(100000, rng.New(7))
 	dense := graph.Gnp(4096, 0.02, rng.New(7))
 	gnp := graph.Gnp(4096, 0.05, rng.New(7))
 	grid := graph.Grid(8, 512)
+	geo := graph.RandomGeometric(10000, 0.03, rng.New(3))
 	b.Run("bitset/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, true) })
 	b.Run("scatter/sparse", func(b *testing.B) { benchmarkDelivery(b, sparse, 0.02, false) })
 	b.Run("bitset/dense", func(b *testing.B) { benchmarkDelivery(b, dense, 0.05, true) })
@@ -163,4 +170,6 @@ func BenchmarkStepDelivery(b *testing.B) {
 	b.Run("scatter/gnp4096p05heavy", func(b *testing.B) { benchmarkDelivery(b, gnp, 0.25, false) })
 	b.Run("bitset/grid8x512", func(b *testing.B) { benchmarkDelivery(b, grid, 0.15, true) })
 	b.Run("scatter/grid8x512", func(b *testing.B) { benchmarkDelivery(b, grid, 0.15, false) })
+	b.Run("bitset/geo10k", func(b *testing.B) { benchmarkDelivery(b, geo, 0.05, true) })
+	b.Run("scatter/geo10k", func(b *testing.B) { benchmarkDelivery(b, geo, 0.05, false) })
 }

@@ -14,13 +14,20 @@
 // CSR transmitter sets collided where onair was already set before OR-ing
 // its own bit in; a dense transmitter (degree above the graph.AdjBits
 // threshold) does the same word-at-a-time with its adjacency row. A dirty
-// summary bitset (one bit per engine word) covers every touched word — a
-// CSR mark flags its own word, a dense row flags its whole word range at
-// once, so the summary is a superset — and sparse rounds scan and clear
-// O(touched) words, not O(n/64). A dirty word whose onair is zero
-// classifies, merges and clears to nothing. A listener outside every
-// touched word heard nothing and is owed no Recv call, so the one
-// listener pass scans the dirty summary only.
+// summary bitset (one bit per engine word) covers every touched word, so
+// the classify and clear passes scan O(touched) words, not O(n/64). The
+// unsharded CSR walk flags nothing: it would be a store per neighbor
+// visit into a summary of a few words, a loop-carried store-to-load
+// chain. summarize rebuilds the summary after the walk instead, bit w set
+// iff onair word w is nonzero, in one branch-free pass over the words.
+// Every other marking flags up front and may over-flag: a dense row its
+// whole word range, a band direction its output range (planBands), a
+// sharded CSR walk each visit's word in its shard's private summary. So
+// the summary is exact after an unsharded CSR walk and a superset
+// otherwise, and a dirty word whose onair is zero classifies, merges and
+// clears to nothing. A listener outside every touched word heard nothing
+// and is owed no Recv call, so the one listener pass scans the dirty
+// summary only.
 //
 // The unsharded marking pass ORs the dense rows first and stops as soon
 // as every live listener has collided, that is once collided | txw |
@@ -30,7 +37,7 @@
 // can change a classification. Every live listener has a collided bit,
 // so its word was touched and is already in the dirty summary, and the
 // classify pass counts the same collisions. The round has no singleton,
-// so neither inbox nor resolve is read. The sharded marking pass has no
+// so resolve is not called. The sharded marking pass has no
 // exit: a shard's private arenas cannot see global saturation. A dense
 // listener's singleton is resolved through txwords, Step's list of the
 // txw words that hold a transmitter, kept only on graphs with dense
@@ -203,9 +210,9 @@ func (e *Engine) SetShards(k int) {
 // mark is the unsharded marking pass. A band graph is marked by its
 // band word loops alone (markBands). Otherwise dense rows go first, in
 // markDense; unless they saturate the round or were all of it, markCSR
-// then scatters the CSR transmitters. The order of the two kinds is
-// immaterial: unions commute, and inbox is read only for a singleton,
-// whose one transmitter is its only first touch.
+// then scatters the CSR transmitters and summarize rebuilds the dirty
+// summary from onair. The order of the two kinds is immaterial: unions
+// commute, and inbox is read only on a graph without dense rows.
 //
 //radionet:hotpath
 func (e *Engine) mark() {
@@ -216,20 +223,22 @@ func (e *Engine) mark() {
 	}
 	if e.dense == nil || !e.markDense() {
 		e.markCSR()
+		e.summarize()
 	}
 }
 
 // markCSR scatters every CSR transmitter's neighborhood into the
-// onair/collided bitsets, recording the heard message index for
-// first-touch listeners so singleton resolution is O(1) on the common
-// path. It holds no call: a call would change the CSR walk's register
-// allocation, and graphs without dense rows run nothing else (DESIGN.md
-// §5).
+// onair/collided bitsets and writes the transmitter's message index into
+// each neighbor's inbox entry. The walk has no branch and flags no dirty
+// word (summarize does, after it): a singleton has one transmitting
+// neighbor, so the last inbox write is its only one, and every other
+// entry is never read. It holds no call: a call would change the CSR
+// walk's register allocation, and graphs without dense rows run nothing
+// else (DESIGN.md §5).
 //
 //radionet:hotpath
 func (e *Engine) markCSR() {
-	cur := e.round // Step already advanced it: cur = t+1, never zero
-	st := &e.sh[0] // aliases e.onair/e.collided/e.dirty
+	onair, collided, inbox := e.onair, e.collided, e.inbox
 	for j, u := range e.transmit {
 		ui := int(u)
 		if e.dense.Row(ui) != nil {
@@ -238,15 +247,30 @@ func (e *Engine) markCSR() {
 		for _, v := range e.G.Neighbors(ui) {
 			w := int(v) >> 6
 			b := uint64(1) << (uint(v) & 63)
-			if st.onair[w]&b == 0 {
-				st.onair[w] |= b
-				st.dirty[w>>6] |= 1 << (uint(w) & 63)
-				e.inbox[v] = int32(j)
-				e.instamp[v] = cur
-			} else {
-				st.collided[w] |= b
-			}
+			collided[w] |= onair[w] & b
+			onair[w] |= b
+			inbox[v] = int32(j)
 		}
+	}
+}
+
+// summarize rebuilds the dirty summary from onair after the unsharded
+// CSR walk: bit w is set iff onair word w is nonzero, an exact summary
+// that replaces whatever markDense flagged. It reads every word once,
+// with no branch and no bounds check (CI checks).
+//
+//radionet:hotpath
+func (e *Engine) summarize() {
+	onair := e.onair
+	dirty := e.dirty[:(len(onair)+63)>>6]
+	for ws := range dirty {
+		chunk := onair[:min(64, len(onair))]
+		onair = onair[len(chunk):]
+		var sm uint64
+		for i, x := range chunk {
+			sm |= (x | -x) >> 63 << (uint(i) & 63)
+		}
+		dirty[ws] = sm
 	}
 }
 
@@ -283,8 +307,9 @@ func (e *Engine) markDense() bool {
 // word would break that: up to 64 consecutive words share one summary
 // word, a store-to-load chain through the whole row. So the row's whole
 // word range is flagged dirty once, up front, zero words of the row
-// included; every reader tolerates that superset (see the package
-// comment). orRow must stay within the inlining budget (CI checks):
+// included; every reader tolerates that superset, and summarize replaces
+// it when a CSR walk follows (see the package comment). orRow must stay
+// within the inlining budget (CI checks):
 // runMark's CSR walk shares its loop, and an out-of-line call there
 // changes that walk's register allocation (DESIGN.md §5).
 //
@@ -320,8 +345,8 @@ func (e *Engine) firstOpen(from int) int {
 
 // runMark is the sharded marking pass over one chunk of the transmit
 // list, or over the shard's own words on a band graph. It never fills
-// inbox/instamp (listeners are touched by multiple shards); sharded
-// singleton resolution goes through Engine.resolve.
+// inbox (listeners are touched by multiple shards, and inbox indices
+// would race), so a sharded resolve walks the listener's neighbors.
 //
 //radionet:hotpath
 func (st *shardState) runMark() {
@@ -622,17 +647,19 @@ func (st *shardState) deliverBand(w int, sing uint64) {
 
 // resolve returns the txmsg index of singleton listener v's unique
 // transmitting neighbor on a graph without bands (a band graph's
-// singletons are resolved by deliverBand). The unsharded CSR marking pass recorded it in
-// inbox; otherwise (dense-marked or sharded rounds) the transmitter is
+// singletons are resolved by deliverBand). On an unsharded engine without
+// dense rows, markCSR walked every transmitter and so wrote inbox[v]
+// this round, last and only for v's one transmitting neighbor. Elsewhere
+// inbox may hold an earlier round's index: a dense transmitter writes
+// none, and the sharded pass none at all. There the transmitter is
 // recovered by intersecting v's neighborhood with the txw bitset — the
-// first hit is the only one, and txidx maps it back to the same message
-// index the inbox path would have stored. A dense row is intersected
-// only on txwords, the words that hold a transmitter: the unique hit is
-// the same in any word order.
+// first hit is the only one, and txidx maps it back to its message
+// index. A dense row is intersected only on txwords, the words that hold
+// a transmitter: the unique hit is the same in any word order.
 //
 //radionet:hotpath
 func (e *Engine) resolve(v int32) int32 {
-	if e.instamp[v] == e.round {
+	if e.dense == nil && e.shards == 1 {
 		return e.inbox[v]
 	}
 	vi := int(v)

@@ -127,10 +127,9 @@ type Engine struct {
 	collided []uint64 // >= 2 transmitting neighbors (subset of onair)
 	txw      []uint64 // transmitted this round
 	deadw    []uint64 // crashed (the fault overlay's crash schedule)
-	dirty    []uint64 // summary: bit w set if onair word w was touched (a superset, see kernel.go)
+	dirty    []uint64 // summary: bit w set if onair word w was touched (exact or a superset, see kernel.go)
 
-	inbox    []int32   // txmsg index heard on first touch (unsharded CSR marking; nil on band graphs)
-	instamp  []int64   // round stamp validating inbox
+	inbox    []int32   // txmsg index of a listener's last CSR marker (see markCSR; nil on band graphs)
 	txidx    []int32   // node -> transmit-list index (valid while its txw bit is set)
 	txwords  []int32   // words of txw holding a transmitter, for resolve (dense graphs only)
 	txmsg    []Message // scratch: messages of transmitting nodes, parallel to transmit
@@ -222,7 +221,6 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		e.setBands(b)
 	} else {
 		e.inbox = make([]int32, n)
-		e.instamp = make([]int64, n)
 	}
 	if n > 0 {
 		e.tailMask = ^uint64(0)
