@@ -30,8 +30,6 @@ var goldenCases = [][]string{
 	{"-task", "leader", "-algo", "binary-search"},
 	{"-task", "leader", "-algo", "max-broadcast"},
 	{"-task", "leader", "-algo", "gh13"},
-	{"-algo", "cd17", "-faults", "crash:0.3@20"},
-	{"-task", "leader", "-algo", "cd17", "-faults", "crash:0.3@20"},
 	{"-algo", "cd17", "-maxrounds", "50"},
 	{"-task", "leader", "-algo", "cd17", "-maxrounds", "50"},
 	{"-algo", "cd17", "-source", "99"},
