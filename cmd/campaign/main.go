@@ -15,9 +15,6 @@
 //	campaign -config matrix.json -workers 4 -format csv
 //	campaign -preset large-n-broadcast -seeds 5
 //	campaign -preset large-n-broadcast -cpuprofile cpu.prof -memprofile mem.prof
-//	campaign -preset faults -format jsonl
-//	campaign -topos grid:16x16 -algos cd17,bgi \
-//	         -faults none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 -seeds 10
 //	campaign -preset large-n-broadcast -progress -manifest run.json
 package main
 
@@ -58,7 +55,6 @@ func run(args []string, stdout io.Writer) error {
 		topos    = flags.String("topos", "", "comma-separated topology specs, e.g. grid:16x16,path:256,gnp:400:0.01")
 		task     = flags.String("task", "broadcast", "default task for unqualified -algos entries: any registered task (see -list)")
 		algos    = flags.String("algos", "", "comma-separated algorithms, optionally task-qualified, e.g. cd17,bgi or leader:cd17")
-		faults   = flags.String("faults", "", "comma-separated fault specs crossed with every cell, e.g. none,crash:0.3@50,jam:0.05:p0.2,loss:0.1 ('+'-join terms to compose)")
 		seeds    = flags.Int("seeds", 10, "independent trials per configuration")
 		seed     = flags.Uint64("seed", 1, "master seed")
 		workers  = flags.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -128,9 +124,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *topos != "" {
 		m.Topologies = splitList(*topos)
-	}
-	if *faults != "" {
-		m.Faults = splitList(*faults)
 	}
 	if *algos != "" {
 		specs, err := parseAlgos(*algos, campaign.Task(*task))

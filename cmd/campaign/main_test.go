@@ -28,7 +28,7 @@ func TestBadTopologySizes(t *testing.T) {
 			t.Errorf("-topos %s: printed %q before failing", c.topos, out.String())
 		}
 	}
-	if got, want := errLine(run([]string{"-preset", "faults", "-config", "m.json"}, new(bytes.Buffer))),
+	if got, want := errLine(run([]string{"-preset", "smoke", "-config", "m.json"}, new(bytes.Buffer))),
 		"campaign: -preset and -config are mutually exclusive"; got != want {
 		t.Errorf("unprefixed error: stderr line %q, want %q", got, want)
 	}

@@ -18,7 +18,6 @@
 //	radiosim -topology geometric -n 500 -radius 0.08 -task leader
 //	radiosim -topology grid -task leader -algo gh13
 //	radiosim -topology grid -algo cd17 -trials 100 -workers 8
-//	radiosim -topology grid -task leader -algo cd17 -faults crash:0.2@50
 //	radiosim -topology grid -task partition -algo mpx -trace
 package main
 
@@ -69,7 +68,6 @@ func run(args []string, stdout io.Writer) error {
 		source   = flags.Int("source", 0, "broadcast source node")
 		max      = flags.Int64("maxrounds", 0, "round budget (0 = algorithm default)")
 		doTrace  = flags.Bool("trace", false, "print a channel activity report after the run")
-		faults   = flags.String("faults", "", "fault scenario spec, e.g. crash:0.3@50+jam:0.05:p0.2 (fault-capable algorithms only; campaign grammar)")
 		trials   = flags.Int("trials", 1, "independent runs of the scenario (each with a seed derived from -seed)")
 		workers  = flags.Int("workers", 0, "worker goroutines for -trials fan-out (0 = GOMAXPROCS)")
 		shards   = flags.Int("shards", 1, "intra-round engine shards (>1 splits delivery work across goroutines; output is byte-identical at any value)")
@@ -100,18 +98,6 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown task %q (see -list)", *task)
 		}
 		return fmt.Errorf("unknown %s algorithm %q (known: %s)", *task, *algo, protocol.KnownList(protocol.Task(*task)))
-	}
-
-	var faultSpec campaign.FaultSpec
-	if *faults != "" {
-		fs, err := campaign.ParseFaultSpec(*faults)
-		if err != nil {
-			return err
-		}
-		if !desc.Caps.Faults && !fs.None() {
-			return fmt.Errorf("algorithm %s:%s does not support -faults", *task, desc.Name)
-		}
-		faultSpec = fs
 	}
 
 	// The topology flags become a campaign topology spec, so the sizes
@@ -165,7 +151,7 @@ func run(args []string, stdout io.Writer) error {
 	// -seed does.
 	var st campaign.RunStats
 	c := &campaign.Campaign{Workers: *workers, EngineShards: *shards, Obs: reg, Stats: &st}
-	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Fault: faultSpec, Sources: sources}
+	cfg := campaign.Config{G: g, D: net.Diameter, Spec: campaign.AlgoSpec{Task: desc.Task, Algo: desc.Name}, Sources: sources}
 	plan := &campaign.Plan{Configs: []campaign.Config{cfg}, Max: *max, Trials: []campaign.Trial{{Seed: *seed}}}
 	if *trials > 1 {
 		plan.Trials = make([]campaign.Trial, *trials)
@@ -191,7 +177,7 @@ func run(args []string, stdout io.Writer) error {
 		if *trials > 1 {
 			return printTrials(stdout, results, *task, *algo)
 		}
-		return printRun(stdout, results[0], *task, *algo, faultSpec, rec)
+		return printRun(stdout, results[0], *task, *algo, rec)
 	}()
 	// The manifest is written even for incomplete runs — a budget-exhausted
 	// run is telemetry too.
@@ -238,10 +224,9 @@ func buildManifest(scenario string, n, d int, st *campaign.RunStats, wall time.D
 	return man
 }
 
-// printRun prints a single run's result line, its fault accounting under
-// an effective fault spec, and rec's channel activity report when -trace
-// installed one.
-func printRun(w io.Writer, res campaign.TrialResult, task, algo string, faults campaign.FaultSpec, rec *trace.Recorder) error {
+// printRun prints a single run's result line and rec's channel activity
+// report when -trace installed one.
+func printRun(w io.Writer, res campaign.TrialResult, task, algo string, rec *trace.Recorder) error {
 	switch protocol.Task(task) {
 	case protocol.Broadcast:
 		fmt.Fprintf(w, "broadcast(%s): done=%v rounds=%d precompute=%d\n", algo, res.Done, res.Rounds, res.Precompute)
@@ -250,9 +235,6 @@ func printRun(w io.Writer, res campaign.TrialResult, task, algo string, faults c
 			algo, res.Done, res.Rounds, res.Leader, res.LeaderID, res.Candidates)
 	default:
 		fmt.Fprintf(w, "%s(%s): done=%v rounds=%d tx=%d\n", task, algo, res.Done, res.Rounds, res.Tx)
-	}
-	if !faults.None() {
-		fmt.Fprintf(w, "faults(%s): survivors=%d reach=%d/%d\n", faults.Spec, res.Survivors, res.Reached, res.ReachTarget)
 	}
 	if rec != nil {
 		if err := rec.Report(w); err != nil {

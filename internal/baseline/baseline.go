@@ -27,7 +27,6 @@ import (
 	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
-	"radionet/internal/radio"
 	"radionet/internal/rng"
 )
 
@@ -165,22 +164,15 @@ type MaxBroadcastLE struct {
 }
 
 // NewMaxBroadcastLE samples candidates as in Algorithm 6 and prepares the
-// broadcast with the default budget 6·(D+log n)·log n. plan, if non-nil,
-// is a fault scenario installed on the underlying Decay broadcast;
-// completion becomes survivor-scoped (see decay.Config.Faults). The
-// election stays winnable only while the maximum-ID candidate survives —
-// the campaign's fault planning protects that node (the
-// protect-the-winner convention); with the winner crashed the run
-// exhausts its budget with Done == false rather than elect a wrong
-// leader.
-func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64, plan *radio.FaultPlan) (*MaxBroadcastLE, error) {
+// broadcast with the default budget 6·(D+log n)·log n.
+func NewMaxBroadcastLE(g *graph.Graph, d int, seed uint64) (*MaxBroadcastLE, error) {
 	cands, err := protocol.SampleCandidates(g.N(), seed)
 	if err != nil {
 		return nil, err
 	}
 	l := int64(decay.Levels(g.N()))
 	return &MaxBroadcastLE{
-		bc:         decay.NewBroadcast(g, d, decay.Config{Faults: plan}, seed, cands),
+		bc:         decay.NewBroadcast(g, d, decay.Config{}, seed, cands),
 		candidates: cands,
 		budget:     6 * (int64(d) + l) * l,
 	}, nil
@@ -221,19 +213,14 @@ func (m *MaxBroadcastLE) Run(budget int64) protocol.Result {
 }
 
 // Verify checks the election postcondition after a Done run: every node
-// in the (survivor-scoped) completion target learned the maximum
-// candidate ID. It is an independent full scan, not a read of the
-// completion counter.
+// learned the maximum candidate ID. It is an independent full scan, not a
+// read of the completion counter.
 func (m *MaxBroadcastLE) Verify() error {
 	if !m.done {
 		return errors.New("baseline: election not complete")
 	}
 	_, max := protocol.MaxIDNode(m.candidates)
-	counted := m.bc.Counted()
 	for v, got := range m.bc.Values() {
-		if counted != nil && !counted[v] {
-			continue // outside the survivor-scoped completion target
-		}
 		if got != max {
 			return fmt.Errorf("baseline: node %d outputs %d, want %d", v, got, max)
 		}

@@ -60,7 +60,7 @@ func TestSampleCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb, err := NewMaxBroadcastLE(g, n-1, 7, nil)
+		mb, err := NewMaxBroadcastLE(g, n-1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +94,8 @@ func TestSampleCandidatesDeterministic(t *testing.T) {
 	if !maps.Equal(a.Candidates(), b.Candidates()) {
 		t.Fatal("non-deterministic binary-search candidates")
 	}
-	c, _ := NewMaxBroadcastLE(g, g.Diameter(), 42, nil)
-	d, _ := NewMaxBroadcastLE(g, g.Diameter(), 42, nil)
+	c, _ := NewMaxBroadcastLE(g, g.Diameter(), 42)
+	d, _ := NewMaxBroadcastLE(g, g.Diameter(), 42)
 	if !maps.Equal(c.Candidates(), d.Candidates()) {
 		t.Fatal("non-deterministic max-broadcast candidates")
 	}
@@ -175,7 +175,7 @@ func levels(n int) int {
 
 func TestMaxBroadcastLE(t *testing.T) {
 	g := graph.PathOfCliques(6, 5)
-	le, err := NewMaxBroadcastLE(g, g.Diameter(), 13, nil)
+	le, err := NewMaxBroadcastLE(g, g.Diameter(), 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMaxBroadcastLE(t *testing.T) {
 
 func TestHW16Mode(t *testing.T) {
 	g := graph.Path(48)
-	b, err := compete.New(compete.NewPre(g, 47, compete.Config{CurtailLogLog: true}), 5, map[int]int64{0: 3}, nil)
+	b, err := compete.New(compete.NewPre(g, 47, compete.Config{CurtailLogLog: true}), 5, map[int]int64{0: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestBinarySearchVsMaxBroadcastOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := NewMaxBroadcastLE(g, g.Diameter(), 21, nil)
+	mb, err := NewMaxBroadcastLE(g, g.Diameter(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}

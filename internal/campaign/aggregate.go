@@ -41,14 +41,10 @@ type ConfigSummary struct {
 	// WallMS is present only when the campaign ran with Timings: wall
 	// time is non-deterministic and would break byte-identical output.
 	WallMS *Dist `json:"wall_ms,omitempty"`
-	// Fault-axis fields, present only when the configuration sits on a
-	// fault axis (Matrix.Faults) so unfaulted campaign output stays
-	// byte-identical: the fault spec, the distribution of never-crashing
-	// node counts, the distribution of per-trial reach fractions
-	// (reached / survivor-scoped target; 1.0 exactly when the trial
-	// completed), and failed-trial counts keyed by reason.
-	Faults      string         `json:"faults,omitempty"`
-	Survivors   *Dist          `json:"survivors,omitempty"`
+	// Present only on a matrix with Faults {"none"}, so other campaign
+	// output stays byte-identical: the distribution of per-trial reach
+	// fractions (reached / n; 1.0 exactly when the trial completed), and
+	// failed-trial counts keyed by reason.
 	Reach       *Dist          `json:"reach,omitempty"`
 	FailReasons map[string]int `json:"fail_reasons,omitempty"`
 }
@@ -57,8 +53,7 @@ type ConfigSummary struct {
 // in repetition order — never completion order — so the floating-point
 // reductions are identical for every worker count.
 func summarize(cfg *Config, results []TrialResult, timings bool) ConfigSummary {
-	faulted := cfg.Fault.Spec != ""
-	var rounds, tx, wall, surv, reach stats.Running
+	var rounds, tx, wall, reach stats.Running
 	var reasons map[string]int
 	failures := 0
 	for _, r := range results {
@@ -68,8 +63,7 @@ func summarize(cfg *Config, results []TrialResult, timings bool) ConfigSummary {
 		rounds.Add(float64(r.Rounds))
 		tx.Add(float64(r.Tx))
 		wall.Add(float64(r.Wall.Nanoseconds()) / 1e6)
-		if faulted {
-			surv.Add(float64(r.Survivors))
+		if cfg.reach {
 			f := 1.0
 			if r.ReachTarget > 0 {
 				f = float64(r.Reached) / float64(r.ReachTarget)
@@ -102,10 +96,9 @@ func summarize(cfg *Config, results []TrialResult, timings bool) ConfigSummary {
 		w := distOf(&wall)
 		s.WallMS = &w
 	}
-	if faulted {
-		sv, rc := distOf(&surv), distOf(&reach)
-		s.Faults = cfg.Fault.Spec
-		s.Survivors, s.Reach = &sv, &rc
+	if cfg.reach {
+		rc := distOf(&reach)
+		s.Reach = &rc
 		s.FailReasons = reasons
 	}
 	return s

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -52,24 +51,6 @@ const (
 	Leader    = protocol.Leader
 )
 
-// errNoFaults is the configuration error for crossing the effective
-// fault spec fs with algorithm a, whose descriptor lacks the fault
-// capability; it names the task's fault-capable algorithms.
-func errNoFaults(a AlgoSpec, fs FaultSpec) error {
-	var names []string
-	for _, d := range protocol.ByTask(protocol.Task(a.Task)) {
-		if d.Caps.Faults {
-			names = append(names, d.Name)
-		}
-	}
-	capable := strings.Join(names, " ")
-	if capable == "" {
-		capable = "none"
-	}
-	return fmt.Errorf("campaign: algorithm %s does not support the fault axis (spec %q); fault-capable %s algorithms: %s",
-		a, fs.Spec, a.Task, capable)
-}
-
 // AlgoSpec selects one algorithm for one task.
 type AlgoSpec struct {
 	Task Task   `json:"task"`
@@ -87,12 +68,11 @@ type Matrix struct {
 	Topologies []string `json:"topologies"`
 	// Algorithms are the (task, algorithm) pairs to run on every topology.
 	Algorithms []AlgoSpec `json:"algorithms"`
-	// Faults are fault-scenario specs (see ParseFaultSpec) crossed with
-	// every (topology, algorithm) cell: each spec becomes its own
-	// configuration, realized per trial with deterministic fault-site
-	// selection. Empty means unfaulted (and keeps the expansion, trial
-	// seeds and output byte-identical to a pre-fault-axis campaign). The
-	// axis supports broadcast tasks only.
+	// Faults is what remains of the removed fault axis: empty, or the one
+	// value "none". "none" runs the same trials, with the same seeds, as
+	// an empty axis and adds each summary's reach distribution
+	// (ConfigSummary.Reach) and the sink's reach columns. Any other value
+	// is an error.
 	Faults []string `json:"faults,omitempty"`
 	// Seeds is the number of independent trials per configuration.
 	Seeds int `json:"seeds"`
@@ -114,8 +94,7 @@ func LoadMatrix(r io.Reader) (Matrix, error) {
 	return m, nil
 }
 
-// Config is one expanded (topology, task, algorithm, fault) cell of the
-// matrix.
+// Config is one expanded (topology, task, algorithm) cell of the matrix.
 type Config struct {
 	Topology string // canonical topology spec
 	// Key is the config's topology-product content key (spec + topo
@@ -128,9 +107,9 @@ type Config struct {
 	D   int // estimated hop diameter, as the model assumes known
 
 	Spec AlgoSpec
-	// Fault is the cell's fault scenario; the zero value (Spec "") marks a
-	// campaign without a fault axis.
-	Fault FaultSpec
+	// reach marks a cell of a matrix with Faults {"none"}: its summary
+	// carries the reach distribution.
+	reach bool
 	// Tuning and Sources reach the descriptor's BuildParams as they are;
 	// nil (as Expand leaves them) selects the algorithm defaults and the
 	// descriptor's trial sources. A tuned config never shares a scratch.
@@ -227,10 +206,9 @@ func (m Matrix) Expand() (*Plan, error) {
 
 // expand is Expand without materialization: configs carry content keys
 // (Config.Key) but no graphs until Plan.Materialize runs. Keys dedup
-// identical topology products at expansion time — every (algorithm,
-// fault) cell of one topology entry references a single
-// pending build, which is what makes a wide matrix's setup O(topologies)
-// instead of O(configs).
+// identical topology products at expansion time — every algorithm cell
+// of one topology entry references a single pending build, which is what
+// makes a wide matrix's setup O(topologies) instead of O(configs).
 func (m Matrix) expand() (*Plan, error) {
 	if len(m.Topologies) == 0 {
 		return nil, fmt.Errorf("campaign: matrix has no topologies")
@@ -241,40 +219,14 @@ func (m Matrix) expand() (*Plan, error) {
 	if m.Seeds <= 0 {
 		return nil, fmt.Errorf("campaign: matrix needs seeds > 0")
 	}
-	descs := make([]*protocol.Descriptor, len(m.Algorithms))
-	for i, a := range m.Algorithms {
-		d, err := lookup(a)
-		if err != nil {
+	for _, a := range m.Algorithms {
+		if _, err := lookup(a); err != nil {
 			return nil, err
 		}
-		descs[i] = d
 	}
-	// The fault axis: one FaultSpec per configuration. An empty axis
-	// expands to the single zero spec, leaving configuration indices (and
-	// hence trial seeds) identical to a matrix without the axis. Crossing
-	// an effective fault spec with an algorithm whose descriptor lacks the
-	// fault capability is a loud configuration error — never a silently
-	// unfaulted run.
-	faults := []FaultSpec{{}}
-	if len(m.Faults) > 0 {
-		faults = faults[:0]
-		for _, s := range m.Faults {
-			fs, err := ParseFaultSpec(s)
-			if err != nil {
-				return nil, err
-			}
-			faults = append(faults, fs)
-		}
-		for i, a := range m.Algorithms {
-			if descs[i].Caps.Faults {
-				continue
-			}
-			for _, fs := range faults {
-				if !fs.None() {
-					return nil, errNoFaults(a, fs)
-				}
-			}
-		}
+	reach := len(m.Faults) > 0
+	if reach && (len(m.Faults) != 1 || m.Faults[0] != "none") {
+		return nil, fmt.Errorf("campaign: the fault axis was removed; faults accepts only [\"none\"], got %q", m.Faults)
 	}
 	p := &Plan{Max: m.MaxRounds}
 	// Graph generation draws from its own stream family, disjoint from
@@ -300,10 +252,8 @@ func (m Matrix) expand() (*Plan, error) {
 			p.topos = append(p.topos, planTopo{key: key, build: func() *graph.Graph { return build(seed) }})
 		}
 		for _, a := range m.Algorithms {
-			for _, fs := range faults {
-				p.topos[t].cfgs = append(p.topos[t].cfgs, len(p.Configs))
-				p.Configs = append(p.Configs, Config{Topology: topo.Spec, Key: key, Spec: a, Fault: fs})
-			}
+			p.topos[t].cfgs = append(p.topos[t].cfgs, len(p.Configs))
+			p.Configs = append(p.Configs, Config{Topology: topo.Spec, Key: key, Spec: a, reach: reach})
 		}
 	}
 	for ci := range p.Configs {

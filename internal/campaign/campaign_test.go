@@ -281,3 +281,72 @@ func TestLoadMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultsNoneMatchesNoAxis pins what remains of the removed fault
+// axis: Faults {"none"} expands to the trials and seeds of a matrix
+// without it, runs them to the same rounds and transmissions, and adds a
+// reach distribution of mean 1 to every summary. Any other Faults value
+// fails Expand.
+func TestFaultsNoneMatchesNoAxis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full protocol trials")
+	}
+	bare := Matrix{
+		Topologies: []string{"grid:6x6", "cliquepath:4x4"},
+		Algorithms: []AlgoSpec{
+			{Task: Broadcast, Algo: "cd17"},
+			{Task: Broadcast, Algo: "bgi"},
+			{Task: Leader, Algo: "cd17"},
+			{Task: Leader, Algo: "binary-search"},
+		},
+		Seeds:      3,
+		MasterSeed: 5,
+	}
+	none := bare
+	none.Faults = []string{"none"}
+	p0, err := bare.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := none.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p0.Trials) != len(p1.Trials) {
+		t.Fatalf("%d trials with Faults {\"none\"}, %d without", len(p1.Trials), len(p0.Trials))
+	}
+	for i := range p0.Trials {
+		if p0.Trials[i] != p1.Trials[i] {
+			t.Fatalf("trial %d: %+v with Faults {\"none\"}, %+v without", i, p1.Trials[i], p0.Trials[i])
+		}
+	}
+	s0, err := (&Campaign{Matrix: bare}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := (&Campaign{Matrix: none}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s0 {
+		a, b := s0[i], s1[i]
+		if a.Reach != nil {
+			t.Errorf("%s %s: reach without Faults {\"none\"}", a.Topology, a.Algo)
+		}
+		if b.Reach == nil || b.Reach.Mean != 1 || b.Failures != 0 {
+			t.Errorf("%s %s: reach %+v, %d failures, want mean 1 and none", b.Topology, b.Algo, b.Reach, b.Failures)
+			continue
+		}
+		b.Reach = nil
+		if a.Rounds != b.Rounds || a.Tx != b.Tx || a.Failures != b.Failures {
+			t.Errorf("%s %s: summary %+v with Faults {\"none\"}, %+v without", a.Topology, a.Algo, b, a)
+		}
+	}
+	for _, faults := range [][]string{{"crash:0.3@20"}, {"loss:0.1"}, {"none", "none"}, {"none", "crash:0.3@20"}, {""}, {"None"}} {
+		m := bare
+		m.Faults = faults
+		if _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "fault axis was removed") {
+			t.Errorf("Faults %q: Expand error %v, want the removed-axis error", faults, err)
+		}
+	}
+}

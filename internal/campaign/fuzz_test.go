@@ -2,44 +2,6 @@ package campaign
 
 import "testing"
 
-// FuzzParseFaultSpec asserts the fault-spec parser never panics and that
-// accepted specs round-trip: reparsing the canonical Spec string yields
-// the identical FaultSpec (this is what makes manifests reproducible —
-// the spec string in a manifest must mean exactly what the original
-// command line meant).
-func FuzzParseFaultSpec(f *testing.F) {
-	for _, seed := range []string{
-		"none",
-		"crash:0.2@64",
-		"jam:0.1:p0.5",
-		"loss:0.25",
-		"crash:0.3@0+jam:0.2:p1+loss:0.01",
-		"  loss:0.5\t",
-		"crash:@",
-		"jam:0.5:0.5",
-		"loss:nan",
-		"crash:0x1p-2@7",
-		"bogus",
-		"",
-		"+",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		fs, err := ParseFaultSpec(s)
-		if err != nil {
-			return
-		}
-		again, err := ParseFaultSpec(fs.Spec)
-		if err != nil {
-			t.Fatalf("canonical spec %q (from %q) does not reparse: %v", fs.Spec, s, err)
-		}
-		if again != fs {
-			t.Fatalf("round trip drifted: %q parsed as %+v, its canonical spec reparsed as %+v", s, fs, again)
-		}
-	})
-}
-
 // fuzzBuildNodes caps the node count of the accepted specs that
 // FuzzTopologySpec builds, so a fuzzer-chosen size cannot make memory,
 // not validation, the failure mode.

@@ -17,14 +17,9 @@ import (
 )
 
 // Name identifies the configuration in progress lines and manifests:
-// "topology/task:algo", plus the fault spec when the cell sits on a fault
-// axis.
+// "topology/task:algo".
 func (cfg *Config) Name() string {
-	s := cfg.Topology + "/" + cfg.Spec.String()
-	if cfg.Fault.Spec != "" {
-		s += "/" + cfg.Fault.Spec
-	}
-	return s
+	return cfg.Topology + "/" + cfg.Spec.String()
 }
 
 // RunStats is the execution record of one Campaign.Run: everything a

@@ -123,32 +123,6 @@ func TestRunPlanCallerBuilt(t *testing.T) {
 	}
 }
 
-// TestRunPlanRejectsFaultsWithoutCapability checks that a caller-built
-// plan crossing a fault spec with a fault-incapable algorithm fails its
-// trial with the error Expand gives the same matrix, where the trial used
-// to run unfaulted.
-func TestRunPlanRejectsFaultsWithoutCapability(t *testing.T) {
-	_, want := Matrix{
-		Topologies: []string{"grid:6x6"},
-		Algorithms: []AlgoSpec{{Task: Leader, Algo: "binary-search"}},
-		Faults:     []string{"crash:0.3@20"},
-		Seeds:      1,
-	}.Expand()
-	if want == nil {
-		t.Fatal("Expand accepted a fault axis on binary-search")
-	}
-	cfg := planConfig(t, "grid:6x6", Leader, "binary-search")
-	fs, err := ParseFaultSpec("crash:0.3@20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Fault = fs
-	res := (&Campaign{}).RunPlan(planOf([]Config{cfg}, 1))[0]
-	if res.Reason != "error" || res.Done || res.Err != want.Error() {
-		t.Errorf("faulted binary-search trial: %+v, want Reason \"error\" and Err %q", res, want)
-	}
-}
-
 // TestCampaignHookSeesEveryRound runs one trial of every registered
 // descriptor with a counting Campaign.Hook (shared by two workers, as
 // the contract allows) and checks the count against the trial's Rounds.

@@ -48,21 +48,6 @@ var presets = map[string]Matrix{
 		Seeds:      3,
 		MasterSeed: 1,
 	},
-	// faults: the fault/dynamics axis — crash, jam and loss scenarios
-	// against the paper's pipeline and the BGI baseline, with an explicit
-	// unfaulted baseline row in the same schema. Completion is
-	// survivor-scoped, so the crash rows terminate (reach 1.0 over the
-	// survivor-reachable set) instead of exhausting their budgets.
-	"faults": {
-		Topologies: []string{"grid:8x8", "cliquepath:8x4"},
-		Algorithms: []AlgoSpec{
-			{Task: Broadcast, Algo: "cd17"},
-			{Task: Broadcast, Algo: "bgi"},
-		},
-		Faults:     []string{"none", "crash:0.3@50", "jam:0.05:p0.2", "loss:0.1"},
-		Seeds:      3,
-		MasterSeed: 1,
-	},
 	// huge-n-broadcast: the 10^6-node scale of the ROADMAP north star.
 	// Minutes-scale; run with every core (-workers 0).
 	"huge-n-broadcast": {
@@ -85,9 +70,6 @@ func Preset(name string) (Matrix, error) {
 	cp := m
 	cp.Topologies = append([]string(nil), m.Topologies...)
 	cp.Algorithms = append([]AlgoSpec(nil), m.Algorithms...)
-	if m.Faults != nil {
-		cp.Faults = append([]string(nil), m.Faults...)
-	}
 	return cp, nil
 }
 

@@ -29,11 +29,6 @@ func TestPresetsAreWellFormed(t *testing.T) {
 				t.Fatalf("preset %q: %v", name, err)
 			}
 		}
-		for _, f := range m.Faults {
-			if _, err := ParseFaultSpec(f); err != nil {
-				t.Fatalf("preset %q: %v", name, err)
-			}
-		}
 	}
 }
 

@@ -18,7 +18,7 @@ type Sink interface {
 
 // Schema fixes a tabular sink's column set for a whole campaign, up
 // front. It used to be inferred from the first emitted summary, which made
-// mixed streams (timed and untimed, faulted and unfaulted) produce rows
+// mixed streams (timed and untimed, with and without reach) produce rows
 // wider than the header and silently misaligned tables — the column set is
 // a campaign-level decision, not a per-row one. A summary missing an
 // enabled column's value renders an empty cell; a summary carrying a value
@@ -26,7 +26,7 @@ type Sink interface {
 type Schema struct {
 	// Timed includes the wall-time columns (Campaign.Timings).
 	Timed bool
-	// Faults includes the fault-axis columns (Matrix.Faults non-empty).
+	// Faults includes the reach columns (Matrix.Faults non-empty).
 	Faults bool
 }
 
@@ -64,10 +64,10 @@ func (s ConfigSummary) row(sch Schema) []string {
 		num(s.Tx.Mean),
 	}
 	if sch.Faults {
-		if s.Survivors != nil && s.Reach != nil {
-			r = append(r, s.Faults, num(s.Survivors.Mean), num(s.Reach.Mean), num(s.Reach.P50))
+		if s.Reach != nil {
+			r = append(r, num(s.Reach.Mean), num(s.Reach.P50))
 		} else {
-			r = append(r, s.Faults, "", "", "")
+			r = append(r, "", "")
 		}
 	}
 	if sch.Timed {
@@ -87,7 +87,7 @@ func schemaColumns(sch Schema) []string {
 		"rounds.p99", "rounds.max", "tx.mean",
 	}
 	if sch.Faults {
-		c = append(c, "faults", "surv.mean", "reach.mean", "reach.p50")
+		c = append(c, "reach.mean", "reach.p50")
 	}
 	if sch.Timed {
 		c = append(c, "ms.mean", "ms.p99")

@@ -50,11 +50,9 @@ type TrialResult struct {
 	// when the round budget ran out, "verify" when the run finished but
 	// its postcondition check failed, "error" on a constructor failure.
 	Reason string
-	// Survivors, Reached and ReachTarget are the fault-axis reach
-	// accounting (zero on campaigns without a fault axis): never-crashing
-	// nodes, nodes that reached the completion condition among the
-	// completion target, and the survivor-scoped completion target itself.
-	Survivors   int
+	// Reached and ReachTarget are the runner's reach accounting
+	// (protocol.Result): nodes that reached the completion condition, and
+	// the completion target n.
 	Reached     int
 	ReachTarget int
 	// Wall is the measured execution time. It is inherently
@@ -89,21 +87,17 @@ type trialOpts struct {
 	shardHook radio.ShardHook
 }
 
-// runTrial is the whole per-trial dispatch: resolve the descriptor,
-// realize the fault plan, and run it through protocol.Execute with the
-// campaign's execution knobs; the descriptor's Build makes the trial's
-// own precomputation. Every algorithm-specific decision — constructors,
-// budget defaults, metric extraction — lives behind the registry.
+// runTrial is the whole per-trial dispatch: resolve the descriptor and
+// run it through protocol.Execute with the campaign's execution knobs;
+// the descriptor's Build makes the trial's own precomputation. Every
+// algorithm-specific decision — constructors, budget defaults, metric
+// extraction — lives behind the registry.
 func runTrial(cfg *Config, seed uint64, maxRounds int64, opts trialOpts) (res TrialResult) {
 	start := time.Now() //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
 	defer func() {
 		res.Wall = time.Since(start) //lint:wallclock TrialResult.Wall is telemetry, excluded from the sink stream
 	}()
 	desc, err := lookup(cfg.Spec)
-	if err == nil && !desc.Caps.Faults && !cfg.Fault.None() {
-		// A caller-built plan skips Expand's check; never run it unfaulted.
-		err = errNoFaults(cfg.Spec, cfg.Fault)
-	}
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error", Leader: -1}
 	}
@@ -111,23 +105,11 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, opts trialOpts) (res Tr
 	if sources == nil {
 		sources = desc.DefaultSources()
 	}
-	// The trial's fault plan: fault sites and coin streams derive from the
-	// trial seed (deterministic at any worker count), and the descriptor's
-	// protected nodes — the broadcast source, a leader election's would-be
-	// winner — are never selected, so the completion target never
-	// collapses to the empty set. The None guard isn't just an
-	// optimization: ProtectedNodes may resample a leader election's
-	// candidate set, and unfaulted trials must not pay that per trial.
-	var plan *radio.FaultPlan
-	if !cfg.Fault.None() {
-		plan = cfg.Fault.TrialPlan(cfg.G, seed, desc.ProtectedNodes(cfg.G.N(), seed, sources)...)
-	}
 	out, err := desc.Execute(protocol.BuildParams{
 		G:         cfg.G,
 		D:         cfg.D,
 		Seed:      seed,
 		Sources:   sources,
-		Faults:    plan,
 		Tuning:    cfg.Tuning,
 		Hook:      opts.hook,
 		Shards:    opts.shards,
@@ -136,7 +118,10 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, opts trialOpts) (res Tr
 	if err != nil {
 		return TrialResult{Err: err.Error(), Reason: "error", Leader: -1}
 	}
-	res = TrialResult{Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget, Precompute: out.Precompute, Leader: -1}
+	res = TrialResult{
+		Rounds: out.Rounds, Tx: out.Tx, Done: out.Done, Budget: out.Budget, Precompute: out.Precompute,
+		Reached: out.Reached, ReachTarget: out.ReachTarget, Leader: -1,
+	}
 	if lr, ok := out.Runner.(protocol.LeaderRunner); ok {
 		res.Leader, res.Candidates = lr.Leader(), len(lr.Candidates())
 		if out.Done {
@@ -150,15 +135,6 @@ func runTrial(cfg *Config, seed uint64, maxRounds int64, opts trialOpts) (res Tr
 		res.Reason = "verify"
 	case !out.Done:
 		res.Reason = "budget"
-	}
-	// Campaigns without a fault axis (Fault.Spec == "") leave the reach
-	// fields zero so their aggregates — and sink bytes — are unchanged.
-	if cfg.Fault.Spec != "" {
-		res.Survivors = cfg.G.N()
-		if plan != nil {
-			res.Survivors = plan.Survivors()
-		}
-		res.Reached, res.ReachTarget = out.Reached, out.ReachTarget
 	}
 	return res
 }

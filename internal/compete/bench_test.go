@@ -25,12 +25,12 @@ func benchCompete(b *testing.B, g *graph.Graph, hw16, ref bool) {
 	d := g.DiameterEstimate()
 	pre := NewPre(g, d, Config{CurtailLogLog: hw16})
 	benchRuns(b, func() (*Compete, error) {
-		c, err := New(pre, 1, map[int]int64{0: 9}, nil)
+		c, err := New(pre, 1, map[int]int64{0: 9})
 		if err != nil {
 			return nil, err
 		}
 		if ref {
-			return perNode(c, nil), nil
+			return perNode(c), nil
 		}
 		return c, nil
 	})
@@ -87,7 +87,7 @@ func BenchmarkCD17LeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
 	benchRuns(b, func() (*Compete, error) {
-		le, err := NewLeaderElection(pre, 1, nil)
+		le, err := NewLeaderElection(pre, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -129,17 +129,17 @@ func benchBuild[T any](b *testing.B, build func() (T, error)) {
 func BenchmarkCD17BuildLeaderGrid8x512(b *testing.B) {
 	g := graph.Grid(8, 512)
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElection(pre, 1, nil) })
+	benchBuild(b, func() (*LeaderElection, error) { return NewLeaderElection(pre, 1) })
 }
 
 func BenchmarkCD17BuildGeo10k(b *testing.B) {
 	g := graph.RandomGeometric(10_000, 0.03, rng.New(3))
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}, nil) })
+	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}) })
 }
 
 func BenchmarkCD17BuildGnpDense4096(b *testing.B) {
 	g := graph.Gnp(4096, 0.05, rng.New(5))
 	pre := NewPre(g, g.DiameterEstimate(), Config{})
-	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}, nil) })
+	benchBuild(b, func() (*Compete, error) { return New(pre, 1, map[int]int64{0: 9}) })
 }

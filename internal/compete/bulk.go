@@ -682,7 +682,7 @@ func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 		w, bit := v>>6, uint64(1)<<(v&63)
 		if msg.A > gm[v] {
 			gm[v] = msg.A
-			if msg.A == c.trueMax && (c.counted == nil || c.counted[v]) {
+			if msg.A == c.trueMax {
 				c.prog.Add(1)
 			}
 			if msg.A > ln.flood[v] {

@@ -181,16 +181,16 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 			jmin, _ := cluster.JRange(d)
 			vars := append(slices.Clone(variants), equivVariant{"fixed-j", Config{FixedJ: jmin}})
 			for _, vr := range vars {
-				bc, err := New(NewPre(g, d, vr.cfg), seed, sources, nil)
+				bc, err := New(NewPre(g, d, vr.cfg), seed, sources)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc, err := New(NewPre(g, d, vr.cfg), seed, sources, nil)
+				rc, err := New(NewPre(g, d, vr.cfg), seed, sources)
 				if err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
-				lockstep(t, label, bc, perNode(rc, nil), 8*bc.Budget())
+				lockstep(t, label, bc, perNode(rc), 8*bc.Budget())
 				if slices.ContainsFunc(bc.bulk.mainClk, func(cl laneClock) bool { return cl.k > 0 }) {
 					mainRolled[vr.name] = true
 				}
@@ -227,16 +227,16 @@ func TestBulkLeaderMatchesPerNodeRoundForRound(t *testing.T) {
 		for _, g := range bulkEquivGraphs(seed) {
 			d := g.DiameterEstimate()
 			for _, vr := range variants {
-				bl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed, nil)
+				bl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed, nil)
+				rl, err := NewLeaderElection(NewPre(g, d, vr.cfg), seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s leader %s seed=%d (%d candidates)", g, vr.name, seed, len(bl.Candidates()))
-				lockstep(t, label, bl.Compete, perNode(rl.Compete, nil), 8*bl.Budget())
+				lockstep(t, label, bl.Compete, perNode(rl.Compete), 8*bl.Budget())
 				if vr.name == "default" {
 					if err := bl.Verify(); err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -266,7 +266,7 @@ func TestSharedPreIsBitIdentical(t *testing.T) {
 		var c *Compete
 		out := outcome{leader: -1}
 		if leader {
-			le, err := NewLeaderElection(pre, seed, nil)
+			le, err := NewLeaderElection(pre, seed)
 			if err != nil {
 				return out, err
 			}
@@ -276,7 +276,7 @@ func TestSharedPreIsBitIdentical(t *testing.T) {
 			}
 			c, out.rounds, out.leader = le.Compete, res.Rounds, le.Leader()
 		} else {
-			b, err := New(pre, seed, map[int]int64{0: 9}, nil)
+			b, err := New(pre, seed, map[int]int64{0: 9})
 			if err != nil {
 				return out, err
 			}

@@ -169,12 +169,6 @@ type Compete struct {
 	// grows and never exceeds trueMax, so Recv can count the threshold
 	// crossing exactly once per node and Done is O(1).
 	prog radio.Progress
-	// counted is the survivor-scoped completion mask (nil without a fault
-	// plan): only nodes reachable from the surviving sources in the
-	// survivor graph count toward prog — without the scoping, any crashed
-	// node pins Done at false and a faulted run can only exhaust its
-	// budget.
-	counted []bool
 
 	// Contiguous per-node protocol state, indexed by node id: the bulk
 	// path (bulk.go) owns it, and the per-node reference implementation
@@ -198,14 +192,7 @@ const (
 // (non-negative) messages. All randomness — shifts, schedules, sequences,
 // transmission coins — derives from seed, so instances sharing one Pre
 // are bit-identical to instances built from their own.
-//
-// plan, if non-nil, is a fault scenario installed as the engine-side
-// overlay (radio.FaultPlan), which keeps the bulk-path speed. Completion
-// becomes survivor-scoped: the Progress target is the set of nodes
-// reachable from the (surviving) sources in the survivor graph, so
-// Done/Run keep their meaning when crashed nodes can never learn the
-// message. A plan is single-use — build one per constructed instance.
-func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*Compete, error) {
+func New(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) {
 	g, d, cfg := pre.g, pre.d, pre.cfg
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -308,22 +295,14 @@ func New(pre *Pre, seed uint64, sources map[int]int64, plan *radio.FaultPlan) (*
 			c.trueMax = v
 		}
 	}
-	target := int64(n)
-	if plan != nil {
-		if plan.N() != n {
-			return nil, fmt.Errorf("compete: fault plan for %d nodes on %d-node graph", plan.N(), n)
-		}
-		c.counted, target = plan.CountedTarget(g, sources)
-	}
-	c.prog = *radio.NewProgress(target)
+	c.prog = *radio.NewProgress(int64(n))
 	for _, s := range srcIDs {
-		if sources[s] == c.trueMax && (c.counted == nil || c.counted[s]) {
+		if sources[s] == c.trueMax {
 			c.prog.Add(1)
 		}
 	}
 	c.bulk = newBulkState(c)
 	c.Engine = radio.NewEngine(g, c.bulk)
-	c.Engine.SetFaults(plan)
 	return c, nil
 }
 
@@ -395,11 +374,10 @@ func (c *Compete) TrueMax() int64 { return c.trueMax }
 // the crossing into globalMax == trueMax is counted incrementally in Recv.
 func (c *Compete) Done() bool { return c.prog.Done() }
 
-// ReachTarget returns the number of nodes Done waits on: n for a
-// fault-free run, the survivor-reachable set size under a fault plan.
+// ReachTarget returns the number of nodes Done waits on, n.
 func (c *Compete) ReachTarget() int { return int(c.prog.Target()) }
 
-// Reached returns how many target nodes know the highest message: the
+// Reached returns how many nodes know the highest message: the
 // numerator of the reach fraction over ReachTarget.
 func (c *Compete) Reached() int { return int(c.prog.Count()) }
 

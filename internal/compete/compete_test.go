@@ -9,17 +9,17 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	g := graph.Path(10)
-	if _, err := New(NewPre(g, 9, Config{}), 1, nil, nil); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, nil); err == nil {
 		t.Fatal("empty source set accepted")
 	}
-	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{0: -5}, nil); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{0: -5}); err == nil {
 		t.Fatal("negative message accepted")
 	}
-	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{20: 1}, nil); err == nil {
+	if _, err := New(NewPre(g, 9, Config{}), 1, map[int]int64{20: 1}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 	empty := graph.NewBuilder("e", 0).Build()
-	if _, err := New(NewPre(empty, 1, Config{}), 1, map[int]int64{0: 1}, nil); err == nil {
+	if _, err := New(NewPre(empty, 1, Config{}), 1, map[int]int64{0: 1}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -39,7 +39,7 @@ func TestBroadcastSmallFamilies(t *testing.T) {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
 			d := g.Diameter()
-			b, err := New(NewPre(g, d, Config{}), 11, map[int]int64{0: 7}, nil)
+			b, err := New(NewPre(g, d, Config{}), 11, map[int]int64{0: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,11 +61,11 @@ func TestBroadcastSmallFamilies(t *testing.T) {
 func TestBroadcastDeterministic(t *testing.T) {
 	g := graph.PathOfCliques(6, 4)
 	d := g.Diameter()
-	b1, err := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3}, nil)
+	b1, err := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _ := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3}, nil)
+	b2, _ := New(NewPre(g, d, Config{}), 99, map[int]int64{0: 3})
 	r1 := b1.Run(b1.Budget()).Rounds
 	r2 := b2.Run(b2.Budget()).Rounds
 	if r1 != r2 {
@@ -77,7 +77,7 @@ func TestCompeteMultiSource(t *testing.T) {
 	g := graph.Grid(8, 8)
 	d := g.Diameter()
 	sources := map[int]int64{0: 10, 63: 99, 32: 55}
-	c, err := New(NewPre(g, d, Config{}), 5, sources, nil)
+	c, err := New(NewPre(g, d, Config{}), 5, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCompeteMultiSource(t *testing.T) {
 
 func TestCompeteSingleNode(t *testing.T) {
 	g := graph.Path(1)
-	c, err := New(NewPre(g, 1, Config{}), 1, map[int]int64{0: 4}, nil)
+	c, err := New(NewPre(g, 1, Config{}), 1, map[int]int64{0: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCompeteSingleNode(t *testing.T) {
 
 func TestPrecomputeChargePositive(t *testing.T) {
 	g := graph.Path(64)
-	c, err := New(NewPre(g, 63, Config{}), 1, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, 63, Config{}), 1, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestFixedJAblation(t *testing.T) {
 	g := graph.Path(60)
 	d := g.Diameter()
 	// FixedJ outside the valid range must be rejected.
-	if _, err := New(NewPre(g, d, Config{FixedJ: 99}), 1, map[int]int64{0: 1}, nil); err == nil {
+	if _, err := New(NewPre(g, d, Config{FixedJ: 99}), 1, map[int]int64{0: 1}); err == nil {
 		t.Fatal("absurd FixedJ accepted")
 	}
-	c, err := New(NewPre(g, d, Config{FixedJ: 2}), 1, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, d, Config{FixedJ: 2}), 1, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFixedJAblation(t *testing.T) {
 
 func TestDisableCurtailStillCompletes(t *testing.T) {
 	g := graph.Path(40)
-	c, err := New(NewPre(g, 39, Config{DisableCurtail: true}), 3, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, 39, Config{DisableCurtail: true}), 3, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDisableBackgroundStillCompletesViaMain(t *testing.T) {
 	// a small graph (coarse boundaries are rare at this scale); this is
 	// the F6 ablation's sanity leg.
 	g := graph.Path(40)
-	c, err := New(NewPre(g, 39, Config{DisableBackground: true}), 3, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, 39, Config{DisableBackground: true}), 3, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLeaderElectionFamilies(t *testing.T) {
 	for _, g := range cases {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
-			le, err := NewLeaderElection(NewPre(g, g.Diameter(), Config{}), 2024, nil)
+			le, err := NewLeaderElection(NewPre(g, g.Diameter(), Config{}), 2024)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestLeaderElectionFamilies(t *testing.T) {
 
 func TestLeaderBeforeCompletion(t *testing.T) {
 	g := graph.Path(30)
-	le, err := NewLeaderElection(NewPre(g, 29, Config{}), 5, nil)
+	le, err := NewLeaderElection(NewPre(g, 29, Config{}), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,8 @@ func TestLeaderBeforeCompletion(t *testing.T) {
 }
 
 func TestBudgetScalesWithDiameter(t *testing.T) {
-	small, _ := New(NewPre(graph.Path(32), 31, Config{}), 1, map[int]int64{0: 1}, nil)
-	large, _ := New(NewPre(graph.Path(128), 127, Config{}), 1, map[int]int64{0: 1}, nil)
+	small, _ := New(NewPre(graph.Path(32), 31, Config{}), 1, map[int]int64{0: 1})
+	large, _ := New(NewPre(graph.Path(128), 127, Config{}), 1, map[int]int64{0: 1})
 	if large.Budget() <= small.Budget() {
 		t.Fatalf("budget not increasing with D: %d vs %d", small.Budget(), large.Budget())
 	}
@@ -211,7 +211,7 @@ func TestBudgetScalesWithDiameter(t *testing.T) {
 
 func TestValuesMonotone(t *testing.T) {
 	g := graph.Path(30)
-	c, err := New(NewPre(g, 29, Config{}), 9, map[int]int64{0: 42}, nil)
+	c, err := New(NewPre(g, 29, Config{}), 9, map[int]int64{0: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

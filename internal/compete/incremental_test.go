@@ -10,10 +10,7 @@ import (
 // doneFullScan is the O(n) reference implementation of Done, the oracle
 // of the equivalence tests.
 func (c *Compete) doneFullScan() bool {
-	for v, val := range c.globalMax {
-		if c.counted != nil && !c.counted[v] {
-			continue // outside the survivor-scoped completion target
-		}
+	for _, val := range c.globalMax {
 		if val != c.trueMax {
 			return false
 		}
@@ -37,7 +34,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 			if gi%2 == 1 {
 				sources = map[int]int64{0: 5, g.N() - 1: 9}
 			}
-			c, err := New(NewPre(g, d, Config{}), seed, sources, nil)
+			c, err := New(NewPre(g, d, Config{}), seed, sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +63,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 // Reached must match a scan of Values at sampled rounds.
 func TestReachedMatchesScan(t *testing.T) {
 	g := graph.Grid(4, 8)
-	c, err := New(NewPre(g, g.DiameterEstimate(), Config{}), 3, map[int]int64{0: 7}, nil)
+	c, err := New(NewPre(g, g.DiameterEstimate(), Config{}), 3, map[int]int64{0: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // (the sequence is generated by the coarse center and shared).
 func TestMainFidSharedWithinCoarseCluster(t *testing.T) {
 	g := graph.Grid(10, 10)
-	c, err := New(NewPre(g, g.Diameter(), Config{}), 3, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, g.Diameter(), Config{}), 3, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestMainFidSharedWithinCoarseCluster(t *testing.T) {
 // clusterings without heavy bias.
 func TestMainFidRoughlyUniform(t *testing.T) {
 	g := graph.Path(100)
-	c, err := New(NewPre(g, 99, Config{}), 5, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, 99, Config{}), 5, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestMainFidRoughlyUniform(t *testing.T) {
 // over the bgNumFine background clusterings.
 func TestBgFidRoundRobin(t *testing.T) {
 	g := graph.Path(60)
-	c, err := New(NewPre(g, 59, Config{}), 7, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, 59, Config{}), 7, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestBgFidRoundRobin(t *testing.T) {
 func TestCurtailmentOrdering(t *testing.T) {
 	g := graph.Path(200)
 	d := 199
-	base, err := New(NewPre(g, d, Config{}), 11, map[int]int64{0: 1}, nil)
+	base, err := New(NewPre(g, d, Config{}), 11, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, err := New(NewPre(g, d, Config{CurtailLogLog: true}), 11, map[int]int64{0: 1}, nil)
+	hw, err := New(NewPre(g, d, Config{CurtailLogLog: true}), 11, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCurtailmentOrdering(t *testing.T) {
 // durations scaled by the schedule ladder.
 func TestSlotGeometry(t *testing.T) {
 	g := graph.PathOfCliques(10, 6)
-	c, err := New(NewPre(g, g.Diameter(), Config{}), 13, map[int]int64{0: 1}, nil)
+	c, err := New(NewPre(g, g.Diameter(), Config{}), 13, map[int]int64{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestSlotGeometry(t *testing.T) {
 // TestPrecomputeChargeGrowsWithScale sanity-checks the charged oracle
 // costs against the paper's formulas.
 func TestPrecomputeChargeGrowsWithScale(t *testing.T) {
-	small, _ := New(NewPre(graph.Path(64), 63, Config{}), 1, map[int]int64{0: 1}, nil)
-	big, _ := New(NewPre(graph.Path(512), 511, Config{}), 1, map[int]int64{0: 1}, nil)
+	small, _ := New(NewPre(graph.Path(64), 63, Config{}), 1, map[int]int64{0: 1})
+	big, _ := New(NewPre(graph.Path(512), 511, Config{}), 1, map[int]int64{0: 1})
 	if big.PrecomputeRounds <= small.PrecomputeRounds {
 		t.Fatalf("precompute charge not growing: %d vs %d",
 			small.PrecomputeRounds, big.PrecomputeRounds)
@@ -145,7 +145,7 @@ func TestPrecomputeChargeGrowsWithScale(t *testing.T) {
 // knowledge.
 func TestUninformedFloodIsHarmless(t *testing.T) {
 	g := graph.Path(60)
-	c, err := New(NewPre(g, 59, Config{}), 17, map[int]int64{59: 5}, nil)
+	c, err := New(NewPre(g, 59, Config{}), 17, map[int]int64{59: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

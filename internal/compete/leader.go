@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"radionet/internal/protocol"
-	"radionet/internal/radio"
 )
 
 // LeaderElection is Algorithm 6 / Theorem 5.2: nodes become candidates
@@ -24,15 +23,7 @@ type LeaderElection struct {
 // The candidates are protocol.SampleCandidates(n, seed); its redraws of
 // empty or duplicate samples are measurement-neutral, since the paper's
 // analysis conditions on |C| = Θ(log n) with unique IDs.
-//
-// plan, if non-nil, installs a fault scenario: completion becomes
-// survivor-scoped exactly as in New, and Verify checks the postcondition
-// over the survivor-reachable set only. For the election to stay
-// winnable the plan must not crash the maximum-ID candidate (see the
-// campaign's protect-the-winner convention); a crashed winner makes the
-// run exhaust its budget with Done == false rather than elect a wrong
-// leader.
-func NewLeaderElection(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderElection, error) {
+func NewLeaderElection(pre *Pre, seed uint64) (*LeaderElection, error) {
 	g := pre.g
 	if g.N() == 0 {
 		return nil, errors.New("compete: empty graph")
@@ -41,7 +32,7 @@ func NewLeaderElection(pre *Pre, seed uint64, plan *radio.FaultPlan) (*LeaderEle
 	if err != nil {
 		return nil, err
 	}
-	c, err := New(pre, seed, candidates, plan)
+	c, err := New(pre, seed, candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -79,9 +70,6 @@ func (le *LeaderElection) Leader() int {
 
 // Verify checks the leader election postcondition after completion: every
 // node outputs the same ID and exactly one node holds it as its own.
-// Under a fault plan the agreement check is survivor-scoped — only nodes
-// in the survivor-reachable completion target are required to output the
-// winning ID (crashed or unreachable nodes can never learn it).
 func (le *LeaderElection) Verify() error {
 	if !le.Done() {
 		return errors.New("compete: election not complete")
@@ -97,9 +85,6 @@ func (le *LeaderElection) Verify() error {
 		return fmt.Errorf("compete: %d candidates own the winning ID", owners)
 	}
 	for v, got := range le.Values() {
-		if le.counted != nil && !le.counted[v] {
-			continue // outside the survivor-scoped completion target
-		}
 		if got != want {
 			return fmt.Errorf("compete: node %d outputs %d, want %d", v, got, want)
 		}

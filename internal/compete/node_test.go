@@ -33,10 +33,8 @@ type icpState struct {
 }
 
 // perNode swaps a freshly built c's engine for one over cnode reference
-// machines, through the radio per-node adapter, and returns c. plan, when
-// non-nil, is installed as the new engine's fault overlay: it must equal
-// the plan c was built with, as a fresh instance (plans are single-use).
-func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
+// machines, through the radio per-node adapter, and returns c.
+func perNode(c *Compete) *Compete {
 	if c.Engine.Round() != 0 {
 		panic("compete: perNode after the first Step")
 	}
@@ -49,7 +47,6 @@ func perNode(c *Compete, plan *radio.FaultPlan) *Compete {
 		rn[v] = &refs[v]
 	}
 	c.Engine = radio.NewNodeEngine(c.g, rn)
-	c.Engine.SetFaults(plan)
 	c.bulk = nil
 	return c
 }
@@ -85,7 +82,7 @@ func (nd *cnode) Recv(t int64, msg *radio.Message) {
 	}
 	if msg.A > nd.c.globalMax[nd.id] {
 		nd.c.globalMax[nd.id] = msg.A
-		if msg.A == nd.c.trueMax && (nd.c.counted == nil || nd.c.counted[nd.id]) {
+		if msg.A == nd.c.trueMax {
 			nd.c.prog.Add(1)
 		}
 	}

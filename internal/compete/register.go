@@ -21,7 +21,6 @@ func init() {
 		Summary:    "the paper's Compete pipeline: random fine clusterings with Theorem 2.2 curtailment, O(D·log n/log D + polylog n) whp",
 		BudgetDoc:  "8×Budget() (Theorem 4.1 with the implementation's constants)",
 		Order:      40,
-		Caps:       protocol.Caps{Faults: true},
 		NewScratch: newScratch(false),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, false)
@@ -34,7 +33,6 @@ func init() {
 		Summary:    "Haeupler–Wajc PODC'16 comparison mode: the same pipeline with their O(log log n)-longer intra-cluster schedules",
 		BudgetDoc:  "8×Budget()",
 		Order:      30,
-		Caps:       protocol.Caps{Faults: true},
 		NewScratch: newScratch(true),
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return buildBroadcast(p, true)
@@ -47,9 +45,7 @@ func init() {
 		Summary:    "Algorithm 6 / Theorem 5.2: Θ(log n) random candidates compete, O(D·log n/log D + polylog n) whp — first LE asymptotically equal to broadcast",
 		BudgetDoc:  "8×Budget()",
 		Order:      40,
-		Caps:       protocol.Caps{Faults: true},
 		NewScratch: newScratch(false),
-		Protect:    protocol.ProtectMaxCandidate,
 		Build:      buildLeader,
 	})
 }
@@ -111,7 +107,7 @@ func buildBroadcast(p protocol.BuildParams, hw16 bool) (protocol.Runner, error) 
 	if err != nil {
 		return nil, err
 	}
-	c, err := New(pr, p.Seed, p.Sources, p.Faults)
+	c, err := New(pr, p.Seed, p.Sources)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +124,7 @@ func buildLeader(p protocol.BuildParams) (protocol.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	le, err := NewLeaderElection(pr, p.Seed, p.Faults)
+	le, err := NewLeaderElection(pr, p.Seed)
 	if err != nil {
 		return nil, err
 	}

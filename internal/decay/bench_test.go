@@ -22,7 +22,7 @@ func benchBroadcast100k(b *testing.B, g *graph.Graph, fullScan bool) {
 		b.StopTimer()
 		bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, 1, map[int]int64{0: 5})
 		if fullScan {
-			perNode(bc, nil)
+			perNode(bc)
 		}
 		b.StartTimer()
 		var done bool

@@ -52,12 +52,6 @@ func Prob(s int) float64 {
 type Config struct {
 	// Levels is the phase length L. Zero means Levels(n).
 	Levels int
-	// Faults, if set, is a whole-network fault scenario, installed as the
-	// engine-side overlay. Completion becomes survivor-scoped: the
-	// Progress target is the set of nodes reachable from the (surviving)
-	// sources in the survivor graph, so completion keeps its meaning when
-	// crashed nodes can never be informed.
-	Faults *radio.FaultPlan
 }
 
 func (c Config) levels(n int) int {
@@ -81,11 +75,6 @@ type tracker struct {
 	levels     int      // phase length, shared by every node
 	thr        []uint64 // thr[s]: rnd.Uint64()>>11 < thr[s] <=> Bernoulli(Prob(s))
 	isInformed []bool   // per-node informed flag, indexed by node id
-	// counted is the survivor-scoped completion mask (nil without a fault
-	// plan): only nodes reachable from the surviving sources in the
-	// survivor graph count toward prog, so nodes a crash schedule makes
-	// uninformable can never pin completion at false.
-	counted []bool
 }
 
 // node is the per-node state of the Decay broadcast protocol. Uninformed
@@ -121,7 +110,7 @@ func (b *node) Recv(t int64, msg *radio.Message) {
 	b.val = msg.A
 	// Circulating values are source values, so the threshold is crossed
 	// at most once per node: val only grows and never exceeds trueMax.
-	if msg.A == b.tr.trueMax && (b.tr.counted == nil || b.tr.counted[b.idx]) {
+	if msg.A == b.tr.trueMax {
 		b.tr.prog.Add(1)
 	}
 }
@@ -134,8 +123,7 @@ type Broadcast struct {
 	Engine *radio.Engine
 	nodes  []node
 	tr     tracker
-	faults *radio.FaultPlan // Config.Faults, for Rearm's completion target
-	def    int64            // the budget Run applies to budget <= 0
+	def    int64 // the budget Run applies to budget <= 0
 }
 
 // NewBroadcast builds a Decay broadcast instance on g, of diameter d,
@@ -149,7 +137,7 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 	// The whp-sufficient budget 20·(D+L)·L uses L = Levels(n) even when
 	// cfg.Levels truncates the phases.
 	l := int64(Levels(n))
-	b := &Broadcast{nodes: make([]node, n), faults: cfg.Faults, def: 20 * (int64(d) + l) * l}
+	b := &Broadcast{nodes: make([]node, n), def: 20 * (int64(d) + l) * l}
 	b.tr.levels = L
 	b.tr.thr = make([]uint64, L)
 	for s := range b.tr.thr {
@@ -162,7 +150,6 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 	}
 	b.tr.isInformed = make([]bool, n)
 	b.Engine = radio.NewEngine(g, b)
-	b.Engine.SetFaults(cfg.Faults)
 	b.Rearm(seed, sources)
 	return b
 }
@@ -170,9 +157,7 @@ func NewBroadcast(g *graph.Graph, d int, cfg Config, seed uint64, sources map[in
 // Rearm resets b to a fresh broadcast of sources under seed, armed at the
 // engine's next round t0 (NewBroadcast arms at 0). The engine clock is
 // never rewound: node time counts from t0, so the run is a fresh one
-// shifted by t0, and Engine.Metrics stay cumulative. A fault plan keeps
-// the engine's clock, so the shift holds only for plans whose effect
-// ignores the round.
+// shifted by t0, and Engine.Metrics stay cumulative.
 func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 	n := len(b.nodes)
 	t0 := b.Engine.Round()
@@ -190,14 +175,10 @@ func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 			first = false
 		}
 	}
-	// Completion: every node at trueMax — every survivor-reachable node
-	// under a fault plan (see Config.Faults). With no sources nothing can
-	// ever circulate, so the target is pinned out of reach (the full
-	// scan's "no informed node" case).
+	// Completion: every node at trueMax. With no sources nothing can ever
+	// circulate, so the target is pinned out of reach (the full scan's "no
+	// informed node" case).
 	target := int64(n)
-	if b.faults != nil {
-		b.tr.counted, target = b.faults.CountedTarget(b.Engine.G, sources)
-	}
 	if len(sources) == 0 {
 		target = int64(n) + 1
 	}
@@ -210,7 +191,7 @@ func (b *Broadcast) Rearm(seed uint64, sources map[int]int64) {
 		b.tr.isInformed[s] = true
 		b.nodes[s].val = v
 		b.nodes[s].informedAt, b.nodes[s].phaseStart = t0, t0
-		if v == b.tr.trueMax && (b.tr.counted == nil || b.tr.counted[s]) {
+		if v == b.tr.trueMax {
 			atMax++
 		}
 	}
@@ -269,20 +250,14 @@ func (b *Broadcast) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 	}
 }
 
-// ReachTarget returns the number of nodes completion waits on: n for a
-// fault-free broadcast, the survivor-reachable set size under a fault
-// plan (n+1 when no sources were supplied — the unreachable pin). The
-// broadcast is complete once Reached reaches it.
+// ReachTarget returns the number of nodes completion waits on: n, or n+1
+// when no sources were supplied (the unreachable pin). The broadcast is
+// complete once Reached reaches it.
 func (b *Broadcast) ReachTarget() int { return int(b.tr.prog.Target()) }
 
-// Reached returns how many target nodes know the maximum source value —
-// the numerator of the fault campaigns' reach fraction.
+// Reached returns how many nodes know the maximum source value, the
+// numerator of the campaign's reach fraction.
 func (b *Broadcast) Reached() int { return int(b.tr.prog.Count()) }
-
-// Counted returns the survivor-scoped completion mask (nil for a
-// fault-free broadcast): counted nodes are the ones completion waits on. The
-// returned slice is the broadcast's own — treat it as read-only.
-func (b *Broadcast) Counted() []bool { return b.tr.counted }
 
 // Values returns a copy of each node's current value; uninformed nodes
 // report -1.

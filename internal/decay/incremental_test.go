@@ -27,21 +27,6 @@ func (b *Broadcast) informedCount() int {
 // doneFullScan is the O(n) reference implementation of done, the oracle
 // of the equivalence tests and the termination-checking benchmarks.
 func (b *Broadcast) doneFullScan() bool {
-	if b.tr.counted != nil {
-		if b.tr.prog.Target() > int64(len(b.nodes)) {
-			return false // the no-sources pin (target n+1): never done
-		}
-		// Survivor-scoped: every counted node informed of trueMax.
-		for i := range b.nodes {
-			if !b.tr.counted[i] {
-				continue
-			}
-			if nd := &b.nodes[i]; !nd.informed() || nd.val != b.tr.trueMax {
-				return false
-			}
-		}
-		return true
-	}
 	max := int64(0)
 	first := true
 	for i := range b.nodes {
@@ -128,7 +113,7 @@ func TestDoneMatchesFullScanEveryRound(t *testing.T) {
 				}
 				bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources)
 				if ref {
-					perNode(bc, nil)
+					perNode(bc)
 				}
 				for r := 0; r < 1<<14; r++ {
 					inc, full := bc.done(), bc.doneFullScan()
@@ -160,7 +145,7 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				sources = map[int]int64{0: 5, g.N() / 2: 9}
 			}
 			bb := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources)
-			pb := perNode(NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources), nil)
+			pb := perNode(NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, sources))
 			type round struct {
 				tx         []int32
 				deliveries int
@@ -203,7 +188,7 @@ func TestBulkAndPerNodePathsIdentical(t *testing.T) {
 			run := func(ref bool) (int64, radio.Metrics, []int64) {
 				bc := NewBroadcast(g, g.DiameterEstimate(), Config{}, seed, map[int]int64{0: 9})
 				if ref {
-					perNode(bc, nil)
+					perNode(bc)
 				}
 				res := bc.Run(1 << 20)
 				rounds, done := res.Rounds, res.Done

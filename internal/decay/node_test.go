@@ -26,11 +26,8 @@ func (b *node) Act(t int64) radio.Action {
 
 // perNode swaps a freshly built b's engine for one that runs its nodes'
 // Act and Recv through the radio per-node adapter (the reference path the
-// bulk protocol is pinned to), installs plan as the new engine's fault
-// overlay, and returns b. plan must be the plan b was built with (or nil):
-// the discarded engine never stepped, so the plan's coin streams are
-// still fresh.
-func perNode(b *Broadcast, plan *radio.FaultPlan) *Broadcast {
+// bulk protocol is pinned to), and returns b.
+func perNode(b *Broadcast) *Broadcast {
 	if b.Engine.Round() != 0 {
 		panic("decay: perNode after the first Step")
 	}
@@ -39,6 +36,5 @@ func perNode(b *Broadcast, plan *radio.FaultPlan) *Broadcast {
 		rn[i] = &b.nodes[i]
 	}
 	b.Engine = radio.NewNodeEngine(b.Engine.G, rn)
-	b.Engine.SetFaults(plan)
 	return b
 }

@@ -19,7 +19,6 @@ func init() {
 		Summary:   "classical Decay broadcast of Bar-Yehuda–Goldreich–Itai, O((D+log n)·log n); no spontaneous transmissions",
 		BudgetDoc: "20·(D+L)·L",
 		Order:     10,
-		Caps:      protocol.Caps{Faults: true},
 		Build: func(p protocol.BuildParams) (protocol.Runner, error) {
 			return BuildRunner(p, Config{})
 		},
@@ -29,10 +28,9 @@ func init() {
 // BuildRunner builds a Decay-family Broadcast from BuildParams and a
 // base config (internal/baseline reuses it for the truncated-Decay
 // surrogate, which is the same protocol at a different phase length).
-// The fault plan rides in the Config, exactly as the campaign and facade
-// have always installed it. The Decay descriptors take no tuning, and a
-// non-nil value is rejected loudly — silently ignoring a caller's
-// intended configuration is the bug class the registry exists to kill.
+// The Decay descriptors take no tuning, and a non-nil value is rejected
+// loudly — silently ignoring a caller's intended configuration is the bug
+// class the registry exists to kill.
 func BuildRunner(p protocol.BuildParams, cfg Config) (protocol.Runner, error) {
 	if p.Tuning != nil {
 		return nil, fmt.Errorf("decay: the Decay-family descriptors take no tuning, got %T", p.Tuning)
@@ -56,7 +54,6 @@ func BuildRunner(p protocol.BuildParams, cfg Config) (protocol.Runner, error) {
 			return nil, fmt.Errorf("decay: source %d has negative message %d", s, v)
 		}
 	}
-	cfg.Faults = p.Faults
 	b := NewBroadcast(p.G, p.D, cfg, p.Seed, p.Sources)
 	p.ApplyEngine(b.Engine)
 	return b, nil

@@ -92,9 +92,8 @@ func New(g *graph.Graph, d int, seed uint64) (*LE, error) {
 // Candidates exposes the sampled candidate set (node -> ID).
 func (le *LE) Candidates() map[int]int64 { return le.candidates }
 
-// Winner returns the maximum-ID candidate — the node the election elects
-// whenever it completes (and the node a future fault capability must
-// protect).
+// Winner returns the maximum-ID candidate, the node the election elects
+// whenever it completes.
 func (le *LE) Winner() (node int, id int64) {
 	return protocol.MaxIDNode(le.candidates)
 }

@@ -37,38 +37,6 @@ func (g *Graph) MultiBFS(srcs []int) []int32 {
 	return dist
 }
 
-// MultiBFSAlive is MultiBFS restricted to the subgraph induced by the
-// alive mask: sources with alive[s] == false contribute nothing, dead
-// nodes are never entered, and distances count alive hops only. It is the
-// survivor-reachability primitive behind fault-scoped completion targets
-// (a node belongs to a faulted run's completion target iff its distance
-// here is not Unreached). len(alive) must be g.N().
-func (g *Graph) MultiBFSAlive(srcs []int, alive []bool) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = Unreached
-	}
-	queue := make([]int32, 0, len(srcs))
-	for _, s := range srcs {
-		if alive[s] && dist[s] == Unreached {
-			dist[s] = 0
-			queue = append(queue, int32(s))
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		dv := dist[v]
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] == Unreached && alive[w] {
-				dist[w] = dv + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // BFSTree returns (dist, parent) for a BFS from src. The parent of src and
 // of unreachable nodes is -1. Ties are broken toward the smallest-id
 // parent, so the tree (and every root-to-node path in it) is canonical:

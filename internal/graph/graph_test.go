@@ -278,34 +278,3 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Fatal("singleton graph misbehaves")
 	}
 }
-
-func TestMultiBFSAlive(t *testing.T) {
-	// Path 0-1-2-3-4-5: killing node 2 cuts {3,4,5} off from source 0.
-	g := Path(6)
-	alive := []bool{true, true, false, true, true, true}
-	dist := g.MultiBFSAlive([]int{0}, alive)
-	want := []int32{0, 1, Unreached, Unreached, Unreached, Unreached}
-	for v := range want {
-		if dist[v] != want[v] {
-			t.Fatalf("dist[%d] = %d, want %d (full: %v)", v, dist[v], want[v], dist)
-		}
-	}
-	// A dead source contributes nothing; a second alive source revives the
-	// far side and distances count alive hops only.
-	dist = g.MultiBFSAlive([]int{2, 5}, alive)
-	want = []int32{Unreached, Unreached, Unreached, 2, 1, 0}
-	for v := range want {
-		if dist[v] != want[v] {
-			t.Fatalf("two-source dist[%d] = %d, want %d (full: %v)", v, dist[v], want[v], dist)
-		}
-	}
-	// All alive reduces to MultiBFS.
-	all := []bool{true, true, true, true, true, true}
-	ref := g.MultiBFS([]int{0})
-	got := g.MultiBFSAlive([]int{0}, all)
-	for v := range ref {
-		if ref[v] != got[v] {
-			t.Fatalf("all-alive mismatch at %d: %d vs %d", v, got[v], ref[v])
-		}
-	}
-}

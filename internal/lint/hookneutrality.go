@@ -36,7 +36,7 @@ var HookNeutrality = &Analyzer{
 // reconfigure a simulation — a hook firing mid-round must never reenter
 // them.
 var engineMutators = map[string]map[string]bool{
-	"Engine":   {"Step": true, "Run": true, "RunUntil": true, "SetFaults": true},
+	"Engine":   {"Step": true, "Run": true, "RunUntil": true},
 	"Progress": {"Add": true},
 }
 

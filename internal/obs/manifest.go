@@ -18,8 +18,8 @@ const ManifestSchemaVersion = 1
 
 // ConfigRecord is one configuration's execution record in a manifest.
 type ConfigRecord struct {
-	// Name identifies the configuration: "topology/task:algo" with an
-	// optional "/faults" suffix; a one-shot run uses its scenario string.
+	// Name identifies the configuration: "topology/task:algo"; a
+	// one-shot run uses its scenario string.
 	Name string `json:"name"`
 	// N and D are the topology size and estimated diameter.
 	N int `json:"n"`

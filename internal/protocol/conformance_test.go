@@ -12,20 +12,17 @@ import (
 	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/protocol"
-	"radionet/internal/radio"
-	"radionet/internal/rng"
 
 	_ "radionet/internal/protocol/all"
 )
 
 // conformanceGraph is small enough for every algorithm's whp budget to be
-// cheap and large enough for crash faults to leave a non-trivial survivor
-// set.
+// cheap.
 func conformanceGraph() *graph.Graph { return graph.Grid(6, 6) }
 
 const conformanceSeed = 5
 
-func buildRunner(t *testing.T, d *protocol.Descriptor, plan *radio.FaultPlan, scratch any) protocol.Runner {
+func buildRunner(t *testing.T, d *protocol.Descriptor, scratch any) protocol.Runner {
 	t.Helper()
 	g := conformanceGraph()
 	r, err := d.Build(protocol.BuildParams{
@@ -33,7 +30,6 @@ func buildRunner(t *testing.T, d *protocol.Descriptor, plan *radio.FaultPlan, sc
 		D:       g.DiameterEstimate(),
 		Seed:    conformanceSeed,
 		Sources: d.DefaultSources(),
-		Faults:  plan,
 		Scratch: scratch,
 	})
 	if err != nil {
@@ -61,13 +57,14 @@ func forEveryDescriptor(t *testing.T, fn func(t *testing.T, d *protocol.Descript
 
 // TestConformanceDeterministicAndComplete: same seed ⇒ identical Result;
 // the default (whp-sufficient) budget completes on the small graph; every
-// runner reports transmissions; Done implies Verify() == nil where a
+// runner reports transmissions; a runner with reach accounting reports
+// the whole network reached; Done implies Verify() == nil where a
 // postcondition check is registered; leader runners expose the election
 // outcome.
 func TestConformanceDeterministicAndComplete(t *testing.T) {
 	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		res1 := buildRunner(t, d, nil, nil).Run(0)
-		res2 := buildRunner(t, d, nil, nil).Run(0)
+		res1 := buildRunner(t, d, nil).Run(0)
+		res2 := buildRunner(t, d, nil).Run(0)
 		if fields(res1) != fields(res2) {
 			t.Fatalf("same seed, different results: %v vs %v", fields(res1), fields(res2))
 		}
@@ -77,13 +74,16 @@ func TestConformanceDeterministicAndComplete(t *testing.T) {
 		if res1.Rounds <= 0 || res1.Tx <= 0 {
 			t.Fatalf("empty metrics: rounds=%d tx=%d", res1.Rounds, res1.Tx)
 		}
+		if n := conformanceGraph().N(); res1.ReachTarget != 0 && (res1.ReachTarget != n || res1.Reached != n) {
+			t.Fatalf("reach %d/%d, want %d/%d", res1.Reached, res1.ReachTarget, n, n)
+		}
 		if res1.Verify != nil {
 			if err := res1.Verify(); err != nil {
 				t.Fatalf("Done but Verify failed: %v", err)
 			}
 		}
 		if d.Task == protocol.Leader {
-			r := buildRunner(t, d, nil, nil)
+			r := buildRunner(t, d, nil)
 			res := r.Run(0)
 			lr, ok := r.(protocol.LeaderRunner)
 			if !ok {
@@ -107,7 +107,7 @@ func TestConformanceDeterministicAndComplete(t *testing.T) {
 // Run(DefaultBudget()) on another for every Budgeted descriptor.
 func TestConformanceDefaultBudget(t *testing.T) {
 	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		r := buildRunner(t, d, nil, nil)
+		r := buildRunner(t, d, nil)
 		b, ok := r.(protocol.Budgeted)
 		if !ok {
 			t.Fatalf("runner %T does not implement protocol.Budgeted", r)
@@ -116,7 +116,7 @@ func TestConformanceDefaultBudget(t *testing.T) {
 		if def <= 0 {
 			t.Fatalf("DefaultBudget() = %d", def)
 		}
-		zero, explicit := r.Run(0), buildRunner(t, d, nil, nil).Run(def)
+		zero, explicit := r.Run(0), buildRunner(t, d, nil).Run(def)
 		if fields(zero) != fields(explicit) {
 			t.Fatalf("Run(0) = %v, Run(DefaultBudget()=%d) = %v", fields(zero), def, fields(explicit))
 		}
@@ -138,71 +138,11 @@ func TestConformanceDefaultBudget(t *testing.T) {
 func TestConformanceBudgetCap(t *testing.T) {
 	const budget = 520
 	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		res := buildRunner(t, d, nil, nil).Run(budget)
+		res := buildRunner(t, d, nil).Run(budget)
 		if res.Rounds > budget {
 			t.Fatalf("ran %d rounds over the %d budget", res.Rounds, budget)
 		}
 	})
-}
-
-// TestConformanceFaultCapability: descriptors advertising Caps.Faults
-// terminate faulted runs within the default budget — survivor-scoped
-// completion, with the descriptor's protected nodes spared — and
-// descriptors without the capability reject a plan loudly instead of
-// silently running unfaulted.
-func TestConformanceFaultCapability(t *testing.T) {
-	forEveryDescriptor(t, func(t *testing.T, d *protocol.Descriptor) {
-		g := conformanceGraph()
-		diam := g.DiameterEstimate()
-		sources := d.DefaultSources()
-		plan := crashPlan(g, d, sources)
-		if !d.Caps.Faults {
-			_, err := d.Build(protocol.BuildParams{
-				G: g, D: diam, Seed: conformanceSeed, Sources: sources, Faults: plan,
-			})
-			if err == nil {
-				t.Fatal("fault-incapable descriptor accepted a fault plan")
-			}
-			return
-		}
-		res := buildRunner(t, d, plan, nil).Run(0)
-		if !res.Done {
-			t.Fatalf("faulted run did not terminate within the default budget: %+v", res)
-		}
-		if res.Reached != res.ReachTarget || res.ReachTarget <= 0 {
-			t.Fatalf("faulted run reach %d/%d", res.Reached, res.ReachTarget)
-		}
-		if res.Verify != nil {
-			if err := res.Verify(); err != nil {
-				t.Fatalf("faulted Done but Verify failed: %v", err)
-			}
-		}
-	})
-}
-
-// crashPlan crashes ~30%% of the nodes at round 20, sparing the
-// descriptor's protected set — the same site-selection the campaign's
-// FaultSpec performs, inlined to keep this package free of a campaign
-// dependency.
-func crashPlan(g *graph.Graph, d *protocol.Descriptor, sources map[int]int64) *radio.FaultPlan {
-	n := g.N()
-	prot := map[int]bool{}
-	for _, v := range d.ProtectedNodes(n, conformanceSeed, sources) {
-		prot[v] = true
-	}
-	plan := radio.NewFaultPlan(n, conformanceSeed)
-	k := (3 * n) / 10
-	for _, v := range rng.New(conformanceSeed).Fork(0x517e5).Perm(n) {
-		if k == 0 {
-			break
-		}
-		if prot[v] {
-			continue
-		}
-		plan.Crash(v, 20)
-		k--
-	}
-	return plan
 }
 
 // TestConformanceScratchNeutral: sharing a descriptor-built scratch across
@@ -217,9 +157,9 @@ func TestConformanceScratchNeutral(t *testing.T) {
 		if scratch == nil {
 			t.Fatal("NewScratch returned nil")
 		}
-		bare := buildRunner(t, d, nil, nil).Run(0)
-		with1 := buildRunner(t, d, nil, scratch).Run(0)
-		with2 := buildRunner(t, d, nil, scratch).Run(0)
+		bare := buildRunner(t, d, nil).Run(0)
+		with1 := buildRunner(t, d, scratch).Run(0)
+		with2 := buildRunner(t, d, scratch).Run(0)
 		if fields(bare) != fields(with1) || fields(with1) != fields(with2) {
 			t.Fatalf("scratch changed output: bare=%v with=%v reuse=%v", fields(bare), fields(with1), fields(with2))
 		}

@@ -3,8 +3,8 @@
 // (internal/campaign), the radionet facade, the CLIs (cmd/radiosim,
 // cmd/campaign) and the experiment harness (internal/exp).
 //
-// An algorithm is a Descriptor — name, aliases, task, capabilities, a
-// default budget policy and a Build function returning the algorithm's
+// An algorithm is a Descriptor — name, aliases, task, a default budget
+// policy and a Build function returning the algorithm's
 // own protocol type as a Runner — registered once by its own package in
 // an init-time Register call, and every layer resolves algorithms
 // through Lookup/ByTask. Adding an algorithm end-to-end (campaign
@@ -24,17 +24,12 @@
 //     default.
 //   - Verification: when Result.Verify is non-nil and Done is true,
 //     Verify() returns nil.
-//   - Faults: a descriptor advertising Caps.Faults accepts a
-//     *radio.FaultPlan and scopes completion to the survivor-reachable
-//     set, so faulted runs still terminate within the default budget
-//     (provided the plan protects the descriptor's Protect nodes).
 package protocol
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"radionet/internal/graph"
 	"radionet/internal/radio"
@@ -70,16 +65,6 @@ func (t Task) TrialSources() map[int]int64 {
 	}
 }
 
-// Caps declares what a descriptor's runners support. Capabilities gate
-// configuration validation (e.g. the campaign rejects fault axes on
-// descriptors without Faults) and documentation — they never change run
-// semantics by themselves.
-type Caps struct {
-	// Faults: Build accepts a *radio.FaultPlan and completion is
-	// survivor-scoped under it.
-	Faults bool
-}
-
 // Result is the uniform outcome of one protocol run.
 type Result struct {
 	// Rounds is the number of rounds executed (budget-capped on failure).
@@ -91,9 +76,9 @@ type Result struct {
 	// check Verify.
 	Done bool
 	// Reached and ReachTarget are the completion-accounting pair: the
-	// number of nodes that reached the completion condition among the
-	// completion target, and the target itself (survivor-scoped under a
-	// fault plan). Both are 0 for runners without reach accounting.
+	// number of nodes that reached the completion condition and the
+	// completion target, n. Both are 0 for runners without reach
+	// accounting.
 	Reached, ReachTarget int
 	// Precompute is the charged precomputation round cost (0 for the
 	// oblivious baselines; see DESIGN.md §3).
@@ -141,9 +126,7 @@ type LeaderRunner interface {
 }
 
 // BuildParams carries everything a Build function may consume. Unused
-// fields are ignored by descriptors that don't support them (but a
-// non-nil Faults on a descriptor without Caps.Faults is a Build error —
-// silent fault-dropping is exactly the bug this package exists to kill).
+// fields are ignored by descriptors that don't support them.
 type BuildParams struct {
 	// G and D are the topology and its (estimated) hop diameter, the two
 	// parameters the model assumes known.
@@ -154,10 +137,6 @@ type BuildParams struct {
 	// Sources is the task's source set (see Task.TrialSources for the
 	// campaign convention); nil for self-seeding tasks.
 	Sources map[int]int64
-	// Faults, if non-nil, is the trial's realized fault scenario. Only
-	// valid on descriptors with Caps.Faults. A plan is single-use: build
-	// one per trial.
-	Faults *radio.FaultPlan
 	// Scratch is the value returned by the descriptor's NewScratch (nil
 	// to build fresh). Sharing a scratch never changes output bits.
 	Scratch any
@@ -257,7 +236,6 @@ type Descriptor struct {
 	// before the paper's algorithms, matching the experiment-table
 	// convention.
 	Order int
-	Caps  Caps
 	// NewScratch builds the reusable seed-independent part of a trial's
 	// precomputation for a (graph, diameter, tuning) cell; nil when the
 	// algorithm has none. Every executor leaves BuildParams.Scratch nil,
@@ -265,14 +243,6 @@ type Descriptor struct {
 	// across runs must see the same output bits. Scratches must be safe
 	// for concurrent use.
 	NewScratch func(g *graph.Graph, d int, tuning any) any
-	// Protect lists the nodes a trial's fault plan must never select —
-	// nodes whose failure would make the completion target vacuous — for
-	// an n-node network and a trial seed. nil defaults to the source set
-	// for source-driven tasks (the campaign's protect-the-broadcast-source
-	// convention) and to nothing otherwise. Leader descriptors protect the
-	// would-be winner: their candidate draw is a pure function of (n,
-	// seed), so the hook derives exactly the node Build will elect.
-	Protect func(n int, seed uint64) []int
 	// Build prepares one run.
 	Build func(p BuildParams) (Runner, error)
 }
@@ -283,28 +253,9 @@ func (d *Descriptor) DefaultSources() map[int]int64 {
 	return d.Task.TrialSources()
 }
 
-// ProtectedNodes resolves the descriptor's fault-protection set for one
-// trial on an n-node network: Protect when set, else the source nodes in
-// ascending order.
-func (d *Descriptor) ProtectedNodes(n int, seed uint64, sources map[int]int64) []int {
-	if d.Protect != nil {
-		return d.Protect(n, seed)
-	}
-	if len(sources) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(sources))
-	for v := range sources {
-		out = append(out, v)
-	}
-	// Deterministic order: protection sets feed fault-site selection.
-	sort.Ints(out)
-	return out
-}
-
 // MaxIDNode returns the entry of a candidate map holding the highest ID
 // (-1, -1 for an empty map) — the would-be winner every candidate-
-// sampling election elects, shared by Protect hooks and Verify
+// sampling election elects, shared by the elections' accessors and Verify
 // implementations so the winner derivation cannot drift between them.
 // Candidate IDs are unique by construction (samplers redraw duplicate
 // sets), which is what makes the result order-independent.
@@ -334,9 +285,7 @@ const (
 // with probability candidateC·ln(n+2)/n and draws a random IDBits-bit ID;
 // empty or duplicate samples (probability O(n^-c), events the paper
 // conditions away) are redrawn with a salted seed. The draw is a pure
-// function of (n, seed), so callers that need the candidate set before
-// construction (ProtectMaxCandidate) see exactly the election's
-// candidates.
+// function of (n, seed).
 func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
 	if n <= 0 {
 		return nil, errors.New("protocol: empty graph")
@@ -369,17 +318,4 @@ func SampleCandidates(n int, seed uint64) (map[int]int64, error) {
 		}
 	}
 	return nil, fmt.Errorf("protocol: could not sample candidates for n=%d", n)
-}
-
-// ProtectMaxCandidate is the Protect hook of the candidate-sampling
-// elections: the would-be winner, derived from the trial seed exactly as
-// Build samples it, so fault plans never crash the one node whose death
-// would make the election unwinnable.
-func ProtectMaxCandidate(n int, seed uint64) []int {
-	cands, err := SampleCandidates(n, seed)
-	if err != nil {
-		return nil
-	}
-	w, _ := MaxIDNode(cands)
-	return []int{w}
 }

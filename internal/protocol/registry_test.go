@@ -112,17 +112,6 @@ func TestByTaskOrdering(t *testing.T) {
 	}
 }
 
-func TestProtectedNodesDefaultsToSortedSources(t *testing.T) {
-	d := dummy(Broadcast, "x")
-	got := d.ProtectedNodes(8, 1, map[int]int64{5: 9, 1: 9, 3: 9})
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("ProtectedNodes = %v, want [1 3 5]", got)
-	}
-	if d.ProtectedNodes(8, 1, nil) != nil {
-		t.Fatal("ProtectedNodes(nil sources) != nil")
-	}
-}
-
 func TestMarkdownTableShape(t *testing.T) {
 	snapshotRegistry(t)
 	const task = Task("test-task")

@@ -5,20 +5,13 @@ import (
 	"strings"
 )
 
-// capString renders a descriptor's capabilities for the table: its Caps
-// flags, and "scratch" when it has a NewScratch hook.
+// capString renders a descriptor's capabilities for the table:
+// "scratch" when it has a NewScratch hook.
 func capString(d *Descriptor) string {
-	var parts []string
-	if d.Caps.Faults {
-		parts = append(parts, "faults")
-	}
 	if d.NewScratch != nil {
-		parts = append(parts, "scratch")
+		return "scratch"
 	}
-	if len(parts) == 0 {
-		return "—"
-	}
-	return strings.Join(parts, ", ")
+	return "—"
 }
 
 // MarkdownTable renders the algorithm registry as the markdown shared by

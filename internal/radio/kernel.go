@@ -1,11 +1,11 @@
 // Word-parallel delivery kernels and intra-round sharding for Engine.Step.
 //
 // The round state that the seed engine kept in per-node arrays (hits,
-// stamp, isTx, dead) lives here as bitsets — one bit per node, 64 nodes
+// stamp, isTx) lives here as bitsets — one bit per node, 64 nodes
 // per word — so the listener pass classifies a whole word of nodes with a
 // handful of ALU ops:
 //
-//	live = ^(txw | deadw) & tail     nodes that can listen this round
+//	live = ^txw & tail               nodes that can listen this round
 //	on   = onair & live              listeners with >= 1 transmitting neighbor
 //	sing = on &^ collided            ... with exactly one  -> delivery
 //	coll = on &  collided            ... with two or more  -> collision
@@ -30,13 +30,13 @@
 // summary only.
 //
 // The unsharded marking pass ORs the dense rows first and stops as soon
-// as every live listener has collided, that is once collided | txw |
-// deadw covers every node (a saturated round). That exit is exact. A
-// collided listener stays collided whatever else transmits, and
-// transmitters and dead nodes never listen, so no remaining transmitter
-// can change a classification. Every live listener has a collided bit,
-// so its word was touched and is already in the dirty summary, and the
-// classify pass counts the same collisions. The round has no singleton,
+// as every listener has collided, that is once collided | txw covers
+// every node (a saturated round). That exit is exact. A collided
+// listener stays collided whatever else transmits, and transmitters
+// never listen, so no remaining transmitter can change a
+// classification. Every listener has a collided bit, so its word was
+// touched and is already in the dirty summary, and the classify pass
+// counts the same collisions. The round has no singleton,
 // so resolve is not called. The sharded marking pass has no
 // exit: a shard's private arenas cannot see global saturation. A dense
 // listener's singleton is resolved through txwords, Step's list of the
@@ -55,11 +55,10 @@
 // the CSR walk does. While marking, each direction XORs its index into
 // one bit-plane per band. A singleton was reached by one direction
 // only, so the planes spell that direction at its bit, and its sender
-// is v - d or v + d, found through txidx without a neighbor walk. Jammed, dead and lossy nodes need nothing new: the jam overlay
-// and the dead mask act on txw before marking, and classify masks dead
-// listeners and draws loss coins as on every graph. Each direction's
-// output words follow from the lowest and highest transmitter word, and
-// planBands flags them dirty before any shard marks. The sharded pass
+// is v - d or v + d, found through txidx without a neighbor walk. Each
+// direction's output words follow from the lowest and highest
+// transmitter word, and planBands flags them dirty before any shard
+// marks. The sharded pass
 // splits band marking by word range and writes the engine bitsets
 // directly, with no private arena and no merge.
 //
@@ -71,10 +70,10 @@
 // (counts and the delivery list) that the round's one RecvBulk call
 // receives in shard order. Because shard ranges partition the node
 // space in ascending order and every per-listener effect is node-local
-// (see Protocol.RecvBulk; loss coins come from per-node streams),
-// Metrics, RecvBulk call contents and all protocol state are bit-exact at
-// any shard count — k == 1 runs the very same classify+delivery code, so
-// there is no second semantics to drift from.
+// (see Protocol.RecvBulk), Metrics, RecvBulk call contents and all
+// protocol state are bit-exact at any shard count — k == 1 runs the very
+// same classify+delivery code, so there is no second semantics to drift
+// from.
 package radio
 
 import (
@@ -326,17 +325,17 @@ func (st *shardState) orRow(row []uint64) {
 	}
 }
 
-// firstOpen returns the first word at or after from that holds a live
-// listener outside collided, or e.words when every live listener has
+// firstOpen returns the first word at or after from that holds a
+// listener outside collided, or e.words when every listener has
 // collided. Bits past n are never set, so the tail word is covered once
 // its padding is. The function has no bounds check (CI checks).
 //
 //radionet:hotpath
 func (e *Engine) firstOpen(from int) int {
 	coll := e.collided[from:]
-	txw, deadw := e.txw[from:][:len(coll)], e.deadw[from:][:len(coll)]
+	txw := e.txw[from:][:len(coll)]
 	for i, c := range coll {
-		if m := c | txw[i] | deadw[i]; m != ^uint64(0) && (i+1 < len(coll) || m|^e.tailMask != ^uint64(0)) {
+		if m := c | txw[i]; m != ^uint64(0) && (i+1 < len(coll) || m|^e.tailMask != ^uint64(0)) {
 			return from + i
 		}
 	}
@@ -560,10 +559,8 @@ func (e *Engine) mergeMarks() {
 // runClassify scans the dirty words of the shard's word range, counts
 // their collided listeners and buckets their singleton listeners into the
 // delivery accumulators; an untouched word holds no listener that heard
-// anything.
-// No protocol code runs here (replay is sequential); the only mutation
-// outside the shard is the per-node loss stream draw, and the word ranges
-// partition nodes so no stream is shared.
+// anything. No protocol code runs here (replay is sequential), and
+// nothing outside the shard is written.
 //
 //radionet:hotpath
 func (st *shardState) runClassify() {
@@ -601,7 +598,7 @@ func (st *shardState) classifyWord(w int) {
 	if w == e.words-1 {
 		mask = e.tailMask
 	}
-	live := ^(e.txw[w] | e.deadw[w]) & mask
+	live := ^e.txw[w] & mask
 	on := e.onair[w] & live
 	cw := e.collided[w]
 	sing := on &^ cw
@@ -614,9 +611,6 @@ func (st *shardState) classifyWord(w int) {
 	base := int32(w << 6)
 	for s := sing; s != 0; s &= s - 1 {
 		v := base + int32(bits.TrailingZeros64(s))
-		if e.hasLoss && e.fault.dropRecv(int(v)) {
-			continue // reception faded: on the air, never delivered
-		}
 		st.rcvID = append(st.rcvID, v)
 		st.rcvIdx = append(st.rcvIdx, e.resolve(v))
 	}
@@ -636,9 +630,6 @@ func (st *shardState) deliverBand(w int, sing uint64) {
 	for s := sing; s != 0; s &= s - 1 {
 		b := uint(bits.TrailingZeros64(s))
 		v := base + int32(b)
-		if e.hasLoss && e.fault.dropRecv(int(v)) {
-			continue // reception faded: on the air, never delivered
-		}
 		c := p0>>b&1 | p1>>b&1<<1
 		st.rcvID = append(st.rcvID, v)
 		st.rcvIdx = append(st.rcvIdx, e.txidx[v+e.bandOff[c&3]])

@@ -26,12 +26,12 @@ var Listen = Action{}
 func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 
 // Node is a protocol state machine for a single network node, run by
-// NewNodeEngine's adapter. Each round the adapter calls Act on every live
+// NewNodeEngine's adapter. Each round the adapter calls Act on every
 // node in ascending id order; after the engine applies the collision rule
 // it calls Recv, in ascending id order, on every listener that heard a
-// message. A crashed node never acts and hears nothing, a transmitter
-// never hears, and a listener that heard nothing gets no call (it cannot
-// tell silence from a collision, so the report would carry nothing).
+// message. A transmitter never hears, and a listener that heard nothing
+// gets no call (it cannot tell silence from a collision, so the report
+// would carry nothing).
 type Node interface {
 	// Act returns the node's action for the given round.
 	Act(round int64) Action
@@ -43,20 +43,14 @@ type Node interface {
 }
 
 // nodeProtocol is the Protocol adapter over per-node state machines. It
-// keeps their per-node semantics exactly: Act runs in ascending id order
-// and never on a crashed node, and Recv replays in ascending listener
-// order.
+// keeps their per-node semantics exactly: Act runs in ascending id order,
+// and Recv replays in ascending listener order.
 type nodeProtocol struct {
-	e     *Engine
 	nodes []Node
 }
 
 func (p *nodeProtocol) ActBulk(t int64, tx []int32, msgs []Message) ([]int32, []Message) {
-	deadw := p.e.deadw
 	for i, nd := range p.nodes {
-		if deadw[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue // dead nodes are off the air
-		}
 		if a := nd.Act(t); a.Transmit {
 			tx = append(tx, int32(i))
 			msgs = append(msgs, a.Msg)
@@ -80,7 +74,5 @@ func NewNodeEngine(g *graph.Graph, nodes []Node) *Engine {
 	if len(nodes) != g.N() {
 		panic(fmt.Sprintf("radio: %d nodes for graph with %d vertices", len(nodes), g.N()))
 	}
-	p := &nodeProtocol{nodes: nodes}
-	p.e = NewEngine(g, p)
-	return p.e
+	return NewEngine(g, &nodeProtocol{nodes: nodes})
 }

@@ -17,7 +17,7 @@ type scripted struct {
 	plan  []bool
 	val   int64
 	acts  []int64
-	heard []int64 // message values (noise is 0)
+	heard []int64 // message values
 }
 
 func (s *scripted) Act(t int64) Action {
@@ -38,22 +38,11 @@ func (s *scripted) Recv(round int64, msg *Message) {
 
 // matchesBruteForce runs an engine over g for len(plans[v]) rounds — node
 // v transmits its id+1 in the rounds its plan marks — at shard count k,
-// with the fault plan fp installed when it is non-nil, and checks every
-// node's Act rounds, its Recv log and the engine Metrics against a naive
-// per-round reference, and returns the engine's marking-path counters.
-// A listener appears in the reference's Recv log only for a delivery;
-// scripted fails the test on a nil message. The reference models the
-// overlay's three rules from the plan's parameters alone, deriving its
-// own coin streams from the plan seed:
-//
-//   - crash: from its crash round on a node is dead — it is not asked to
-//     act, does not transmit, hears nothing and is not counted;
-//   - jam: each live jammer draws one coin per round from its jam stream
-//     and, when the coin fires, transmits noise whatever its own action;
-//   - loss: each delivery to a lossy node draws one coin from its loss
-//     stream, and a lost delivery never reaches Recv (it still counts as a
-//     delivery: the message was on the air).
-func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *FaultPlan) (ok bool, paths markPaths) {
+// and checks every node's Act rounds, its Recv log and the engine
+// Metrics against a naive per-round reference, and returns the engine's
+// marking-path counters. A listener appears in the reference's Recv log
+// only for a delivery; scripted fails the test on a nil message.
+func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int) (ok bool, paths markPaths) {
 	n := g.N()
 	T := len(plans[0])
 	nodes := make([]*scripted, n)
@@ -64,7 +53,6 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 	}
 	e := NewNodeEngine(g, rn)
 	defer e.Close()
-	e.SetFaults(fp)
 	if k > 1 {
 		e.SetShards(k)
 	}
@@ -72,26 +60,6 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 		e.Step()
 	}
 	// Brute-force reference: per-round actions, then per-listener outcomes.
-	crashAt := make([]int64, n)
-	jamP := make([]float64, n)
-	lossP := make([]float64, n)
-	jamRnd := make([]*rng.Rand, n)
-	lossRnd := make([]*rng.Rand, n)
-	for v := range crashAt {
-		crashAt[v] = NoCrash
-		if fp == nil {
-			continue
-		}
-		crashAt[v] = fp.CrashRound(v)
-		if fp.jamP != nil && fp.jamP[v] > 0 {
-			jamP[v] = fp.jamP[v]
-			jamRnd[v] = fp.base.Fork(jamStreamTag | uint64(v))
-		}
-		if fp.lossP != nil && fp.lossP[v] > 0 {
-			lossP[v] = fp.lossP[v]
-			lossRnd[v] = fp.base.Fork(lossStreamTag | uint64(v))
-		}
-	}
 	wantActs := make([][]int64, n)
 	wantHeard := make([][]int64, n)
 	var want Metrics
@@ -100,22 +68,15 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 	for round := 0; round < T; round++ {
 		want.Rounds++
 		for v := 0; v < n; v++ {
-			tx[v] = false
-			if int64(round) >= crashAt[v] {
-				continue
-			}
 			wantActs[v] = append(wantActs[v], int64(round))
 			tx[v], txVal[v] = nodes[v].plan[round], nodes[v].val
-			if jamRnd[v] != nil && jamRnd[v].Bernoulli(jamP[v]) {
-				tx[v], txVal[v] = true, 0
-			}
 			if tx[v] {
 				want.Transmissions++
 			}
 		}
 		for v := 0; v < n; v++ {
-			if tx[v] || int64(round) >= crashAt[v] {
-				continue // transmitters and dead nodes do not listen
+			if tx[v] {
+				continue // transmitters do not listen
 			}
 			txNeighbors := 0
 			var heard int64
@@ -128,9 +89,6 @@ func matchesBruteForce(t *testing.T, g *graph.Graph, plans [][]bool, k int, fp *
 			switch {
 			case txNeighbors == 1:
 				want.Deliveries++
-				if lossRnd[v] != nil && lossRnd[v].Bernoulli(lossP[v]) {
-					continue // faded: no Recv at all
-				}
 			case txNeighbors > 1:
 				want.Collisions++
 				continue // heard nothing: no Recv
@@ -221,7 +179,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 		n := g.N()
 		T := int(rounds%20) + 1
 		k := int(shardRaw%4) + 1
-		ok, paths := matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k, nil)
+		ok, paths := matchesBruteForce(t, g, randomPlans(r, n, T, 0.4), k)
 		if band {
 			bandCases++
 			bandRounds += int64(T)
@@ -258,7 +216,7 @@ func TestBandMarkingLoneTransmitters(t *testing.T) {
 			plans[v][v] = true
 		}
 		for _, k := range []int{1, 3} {
-			ok, paths := matchesBruteForce(t, g, plans, k, nil)
+			ok, paths := matchesBruteForce(t, g, plans, k)
 			if !ok {
 				t.Fatalf("%s k=%d: engine disagrees with the reference", g, k)
 			}
@@ -267,56 +225,6 @@ func TestBandMarkingLoneTransmitters(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomFaultPlan draws a plan over n nodes and T rounds: each node
-// crashes with probability 0.15 at a round in [0, T], jams with
-// probability 0.15 and loses receptions with probability 0.25, each at a
-// probability in (0, 1).
-func randomFaultPlan(r *rng.Rand, n, T int) *FaultPlan {
-	p := NewFaultPlan(n, r.Uint64())
-	for v := 0; v < n; v++ {
-		if r.Bernoulli(0.15) {
-			p.Crash(v, int64(r.Intn(T+1)))
-		}
-		if r.Bernoulli(0.15) {
-			p.Jam(v, 0.05+0.9*r.Float64())
-		}
-		if r.Bernoulli(0.25) {
-			p.Loss(v, 0.05+0.9*r.Float64())
-		}
-	}
-	return p
-}
-
-// TestEngineMatchesBruteForceUnderFaults is the brute-force cross-check
-// with the fault overlay installed: random graphs and band graphs,
-// random transmission schedules and random crash/jam/loss plans, at
-// shard counts 1 to 4. The
-// reference models each fault rule independently of the engine (see
-// matchesBruteForce), so dropping any one rule from the engine fails this
-// test.
-func TestEngineMatchesBruteForceUnderFaults(t *testing.T) {
-	master := rng.New(20261018)
-	var bandCases, bandRounds, banded int64
-	check := func(seed uint64, nRaw, rounds, shardRaw uint8, band bool) bool {
-		r := master.Fork(seed)
-		g := bruteForceGraph(r, nRaw, band)
-		n := g.N()
-		T := int(rounds%20) + 1
-		k := int(shardRaw%4) + 1
-		ok, paths := matchesBruteForce(t, g, randomPlans(r, n, T, 0.3), k, randomFaultPlan(r.Fork(2), n, T))
-		if band {
-			bandCases++
-			bandRounds += int64(T)
-			banded += paths.banded
-		}
-		return ok
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-	checkBandCases(t, bandCases, bandRounds, banded)
 }
 
 // rowKinds splits g's nodes by marking path: dense adjacency rows
@@ -367,7 +275,7 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 		if d, c := rowKinds(g); len(d) > 0 && len(c) > 0 {
 			mixed++
 		}
-		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, q), k, nil)
+		ok, _ := matchesBruteForce(t, g, randomPlans(r, n, T, q), k)
 		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -379,16 +287,13 @@ func TestEngineMatchesBruteForceDenseRows(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesBruteForceSaturated is the dense-row cross-check
-// under a crash + loss + jam fault plan at transmit probabilities from
-// 0.005 to 0.9. At the high end the dense rows often leave every live
-// listener collided and the unsharded marking pass stops early; at the
-// low end a jammer is often the only transmitter in its word, the case
-// in which resolve needs the jam overlay to have listed that word. Each case runs at
-// k = 1..4 (a run consumes its fault plan, so each gets a fresh one from
-// the same seed). Only the unsharded pass has the exit; the test fails if
-// it fired at k = 1 in fewer than a third of the cases, so it cannot
-// silently stop exercising the exit.
+// TestEngineMatchesBruteForceSaturated is the dense-row cross-check at
+// transmit probabilities from 0.005 to 0.9. At the high end the dense
+// rows often leave every listener collided and the unsharded marking
+// pass stops early; at the low end a transmitter is often alone in its
+// word. Each case runs at k = 1..4. Only the unsharded pass has the
+// exit; the test fails if it fired at k = 1 in fewer than a third of the
+// cases, so it cannot silently stop exercising the exit.
 func TestEngineMatchesBruteForceSaturated(t *testing.T) {
 	master := rng.New(20261019)
 	cases, fired := 0, 0
@@ -401,7 +306,7 @@ func TestEngineMatchesBruteForceSaturated(t *testing.T) {
 		plans := randomPlans(r, n, T, q)
 		cases++
 		for k := 1; k <= 4; k++ {
-			ok, paths := matchesBruteForce(t, g, plans, k, randomFaultPlan(r.Fork(2), n, T))
+			ok, paths := matchesBruteForce(t, g, plans, k)
 			if !ok {
 				return false
 			}

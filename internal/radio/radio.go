@@ -18,10 +18,7 @@
 package radio
 
 import (
-	"cmp"
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"radionet/internal/graph"
@@ -60,8 +57,8 @@ type RoundHook func(round int64, transmitters []int32, deliveries, collisions in
 // dropped, so callers chain unconditionally ("ChainHooks(e.Hook, mine)");
 // zero live hooks return nil and a single live hook is returned as-is, so
 // chaining never adds a dispatch layer it doesn't need. This is how
-// tracing, fault accounting and metrics collection share the engine's
-// single Hook slot without clobbering each other.
+// tracing and metrics collection share the engine's single Hook slot
+// without clobbering each other.
 func ChainHooks(hooks ...RoundHook) RoundHook {
 	live := hooks[:0:0]
 	for _, h := range hooks {
@@ -84,9 +81,6 @@ func ChainHooks(hooks ...RoundHook) RoundHook {
 
 // Protocol is the engine's one protocol interface: a whole-round Act and
 // a bulk delivery, run over the protocol's own contiguous node storage.
-// Faults stay engine-side (SetFaults): a crashed node's transmissions
-// are masked off the air after ActBulk and it is never among the
-// listeners, so a protocol never models them.
 type Protocol interface {
 	// ActBulk appends the ids (ascending) and messages of this round's
 	// transmitters to tx and msgs and returns the extended slices.
@@ -95,8 +89,7 @@ type Protocol interface {
 	// listeners[k] heard msgs[msgIdx[k]], in ascending listener order.
 	// All three slices are engine scratch, valid only for the duration of
 	// the call; messages are shared between listeners and must be treated
-	// as read-only. Faded receptions (FaultPlan loss) are dropped before
-	// the call, and a round without receptions makes no call. Per-listener
+	// as read-only. A round without receptions makes no call. Per-listener
 	// effects must be node-local (no randomness drawn, no other node's
 	// state touched), which is what makes the delivery order, and with it
 	// the shard count, unobservable.
@@ -122,11 +115,10 @@ type Engine struct {
 	// Per-round bitsets, one bit per node (see kernel.go for the delivery
 	// kernel algebra). onair/collided are cleared through the dirty
 	// summary after every round; txw is cleared differentially through
-	// the transmit list; deadw persists across rounds.
+	// the transmit list.
 	onair    []uint64 // >= 1 transmitting neighbor this round
 	collided []uint64 // >= 2 transmitting neighbors (subset of onair)
 	txw      []uint64 // transmitted this round
-	deadw    []uint64 // crashed (the fault overlay's crash schedule)
 	dirty    []uint64 // summary: bit w set if onair word w was touched (exact or a superset, see kernel.go)
 
 	inbox    []int32   // txmsg index of a listener's last CSR marker (see markCSR; nil on band graphs)
@@ -157,15 +149,6 @@ type Engine struct {
 	workerCmds    []chan uint8
 	workerCleanup runtime.Cleanup
 
-	// Fault state: deadw accumulates the overlay's crash schedule; a dead
-	// node is off the air and out of the listener pass. anyDead gates the
-	// dead-transmitter mask so unfaulted runs pay one predictable branch.
-	fault      *FaultPlan
-	hasLoss    bool
-	anyDead    bool
-	crashSched []crashEvent
-	crashCur   int
-
 	// Band marking (kernel.go), set up only on a graph with a band layer
 	// and nil otherwise. txw is a view into txwPad, which carries
 	// bands.Pad() zero words on either side, so the band word loops read
@@ -184,12 +167,6 @@ type Engine struct {
 	banded  int64
 }
 
-// crashEvent is one overlay crash, sorted by round for the Step cursor.
-type crashEvent struct {
-	round int64
-	node  int32
-}
-
 // NewEngine returns an engine running protocol p on g.
 func NewEngine(g *graph.Graph, p Protocol) *Engine {
 	n := g.N()
@@ -201,7 +178,6 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		onair:    make([]uint64, words),
 		collided: make([]uint64, words),
 		txw:      make([]uint64, words),
-		deadw:    make([]uint64, words),
 		dirty:    make([]uint64, (words+63)/64),
 		txidx:    make([]int32, n),
 		txmsg:    make([]Message, 0, n),
@@ -241,48 +217,16 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 	return e
 }
 
-// SetFaults installs the engine-side fault overlay (see FaultPlan). It
-// must be called before the first Step, at most once, with a plan built
-// for this engine's node count; the plan is consumed by the run (its coin
-// streams advance) and must not be reused.
-func (e *Engine) SetFaults(p *FaultPlan) {
-	if p == nil {
-		return
-	}
-	if p.n != e.G.N() {
-		panic(fmt.Sprintf("radio: fault plan for %d nodes installed in %d-node engine", p.n, e.G.N()))
-	}
-	if e.round != 0 || e.fault != nil {
-		panic("radio: SetFaults must be called once, before the first Step")
-	}
-	e.fault = p
-	e.hasLoss = p.hasLoss
-	for v, r := range p.crashAt {
-		if r != NoCrash {
-			e.crashSched = append(e.crashSched, crashEvent{round: r, node: int32(v)})
-		}
-	}
-	// Ascending by round; node order within a round is irrelevant (the
-	// whole prefix with round <= t is applied before anything else runs).
-	slices.SortFunc(e.crashSched, func(a, b crashEvent) int {
-		if a.round != b.round {
-			return cmp.Compare(a.round, b.round)
-		}
-		return cmp.Compare(a.node, b.node)
-	})
-}
-
 // Round returns the index of the next round to execute.
 func (e *Engine) Round() int64 { return e.round }
 
 // Step executes exactly one synchronous round: the protocol's ActBulk
-// (its range Act across the shards when sharded), the dead-transmitter
-// mask, jam overlay, transmit-marking into the onair/collided bitsets,
-// word-parallel listener classification, and one RecvBulk call with the
-// classified deliveries. The classify accumulators bucket every listener
-// before any protocol code runs, so deliveries arrive in ascending node
-// id — per-listener effects are node-local (see Protocol.RecvBulk; loss
-// coins come from per-node streams), so this order is observationally
+// (its range Act across the shards when sharded), transmit-marking into
+// the onair/collided bitsets, word-parallel listener classification, and
+// one RecvBulk call with the classified deliveries. The classify
+// accumulators bucket every listener before any protocol code runs, so
+// deliveries arrive in ascending node id — per-listener effects are
+// node-local (see Protocol.RecvBulk), so this order is observationally
 // equivalent to the seed's interleaved pass and, crucially, independent
 // of the shard count.
 //
@@ -291,14 +235,6 @@ func (e *Engine) Step() {
 	t := e.round
 	e.round++
 	e.Metrics.Rounds++
-	if e.fault != nil {
-		for e.crashCur < len(e.crashSched) && e.crashSched[e.crashCur].round <= t {
-			v := e.crashSched[e.crashCur].node
-			e.deadw[v>>6] |= 1 << (uint(v) & 63)
-			e.anyDead = true
-			e.crashCur++
-		}
-	}
 	// txw is maintained differentially: the bits set last round are
 	// exactly last round's transmit list.
 	for _, u := range e.transmit {
@@ -311,25 +247,7 @@ func (e *Engine) Step() {
 	} else {
 		e.transmit, e.txmsg = e.proto.ActBulk(t, e.transmit, e.txmsg)
 	}
-	if e.anyDead {
-		// Dead nodes drop off the air: the protocol computes the whole
-		// round, so the engine masks their transmissions.
-		w := 0
-		for j, u := range e.transmit {
-			if e.deadw[u>>6]&(1<<(uint(u)&63)) != 0 {
-				continue
-			}
-			e.transmit[w] = u
-			e.txmsg[w] = e.txmsg[j]
-			w++
-		}
-		e.transmit = e.transmit[:w]
-		e.txmsg = e.txmsg[:w]
-	}
 	e.setTxw()
-	if e.fault != nil && len(e.fault.jammers) > 0 {
-		e.applyJam()
-	}
 	e.Metrics.Transmissions += int64(len(e.transmit))
 	// Stamp sender ids and the transmit-list index map before marking:
 	// txidx[u] is how singleton resolution recovers the heard message on
@@ -396,42 +314,6 @@ func (e *Engine) setTxw() {
 			e.txwords = append(e.txwords, w)
 		}
 		txw[w] |= 1 << (uint(u) & 63)
-	}
-}
-
-// applyJam draws each live jammer's noise coin and, when it fires,
-// replaces the node's action for the round with a KindNoise transmission
-// (overriding a protocol transmission in place, or putting a listener on
-// the air). Jammers are visited in ascending id order and each live jammer
-// draws exactly one coin per round from its own stream.
-//
-//radionet:hotpath
-func (e *Engine) applyJam() {
-	p := e.fault
-	for _, v := range p.jammers {
-		w := v >> 6
-		b := uint64(1) << (uint(v) & 63)
-		if e.deadw[w]&b != 0 {
-			continue
-		}
-		if !p.jamRnd[v].Bernoulli(p.jamP[v]) {
-			continue
-		}
-		if e.txw[w]&b != 0 {
-			for j, u := range e.transmit {
-				if u == v {
-					e.txmsg[j] = Message{Kind: KindNoise}
-					break
-				}
-			}
-			continue
-		}
-		if e.dense != nil && e.txw[w] == 0 {
-			e.txwords = append(e.txwords, w)
-		}
-		e.txw[w] |= b
-		e.transmit = append(e.transmit, v)
-		e.txmsg = append(e.txmsg, Message{Kind: KindNoise})
 	}
 }
 

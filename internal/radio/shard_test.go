@@ -66,21 +66,6 @@ type shardRun struct {
 	logs    [][]string
 }
 
-// mkShardPlan realizes the matrix's faulted scenario: a few crashes at
-// staggered rounds, two jammers, loss on every third node.
-func mkShardPlan(n int) *FaultPlan {
-	p := NewFaultPlan(n, 77)
-	p.Crash(3, 20)
-	p.Crash(n/2, 0)
-	p.Crash(n-2, 45)
-	p.Jam(5, 0.25)
-	p.Jam(n/3, 0.1)
-	for v := 0; v < n; v += 3 {
-		p.Loss(v, 0.2)
-	}
-	return p
-}
-
 // newShardProtoEngine builds an engine running a fresh shardProto on g:
 // the Protocol itself when bulk is set, else its per-node machines
 // through the adapter.
@@ -97,12 +82,8 @@ func newShardProtoEngine(g *graph.Graph, bulk bool) (*Engine, *shardProto) {
 	return NewNodeEngine(g, nodes), p
 }
 
-func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) shardRun {
-	n := g.N()
+func runShardCase(g *graph.Graph, shards int, bulk bool, rounds int64) shardRun {
 	e, p := newShardProtoEngine(g, bulk)
-	if faulted {
-		e.SetFaults(mkShardPlan(n))
-	}
 	if shards > 1 {
 		e.SetShards(shards)
 	}
@@ -118,8 +99,8 @@ func runShardCase(g *graph.Graph, shards int, faulted, bulk bool, rounds int64) 
 
 // TestShardDeterminismMatrix pins the tentpole invariant: every shard
 // count produces byte-identical Metrics, per-round traces, and per-node
-// event logs, across fault scenarios, for a Protocol with a range Act and
-// for per-node machines through the adapter.
+// event logs, for a Protocol with a range Act and for per-node machines
+// through the adapter.
 func TestShardDeterminismMatrix(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Grid(13, 17), // 221 nodes, 4 words
@@ -127,27 +108,25 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	}
 	const rounds = 60
 	for _, g := range graphs {
-		for _, faulted := range []bool{false, true} {
-			for _, bulk := range []bool{false, true} {
-				ref := runShardCase(g, 1, faulted, bulk, rounds)
-				for _, k := range []int{2, 3, 8} {
-					got := runShardCase(g, k, faulted, bulk, rounds)
-					name := fmt.Sprintf("%s faulted=%v bulk=%v k=%d", g, faulted, bulk, k)
-					if got.metrics != ref.metrics {
-						t.Fatalf("%s: metrics diverged:\nk=1: %+v\nk=%d: %+v", name, ref.metrics, k, got.metrics)
-					}
-					if !slices.Equal(got.trace, ref.trace) {
-						for i := range ref.trace {
-							if i >= len(got.trace) || got.trace[i] != ref.trace[i] {
-								t.Fatalf("%s: trace diverged at round %d:\nk=1: %s\nk=%d: %s", name, i, ref.trace[i], k, got.trace[i])
-							}
+		for _, bulk := range []bool{false, true} {
+			ref := runShardCase(g, 1, bulk, rounds)
+			for _, k := range []int{2, 3, 8} {
+				got := runShardCase(g, k, bulk, rounds)
+				name := fmt.Sprintf("%s bulk=%v k=%d", g, bulk, k)
+				if got.metrics != ref.metrics {
+					t.Fatalf("%s: metrics diverged:\nk=1: %+v\nk=%d: %+v", name, ref.metrics, k, got.metrics)
+				}
+				if !slices.Equal(got.trace, ref.trace) {
+					for i := range ref.trace {
+						if i >= len(got.trace) || got.trace[i] != ref.trace[i] {
+							t.Fatalf("%s: trace diverged at round %d:\nk=1: %s\nk=%d: %s", name, i, ref.trace[i], k, got.trace[i])
 						}
-						t.Fatalf("%s: trace length %d vs %d", name, len(ref.trace), len(got.trace))
 					}
-					for v := range ref.logs {
-						if !slices.Equal(got.logs[v], ref.logs[v]) {
-							t.Fatalf("%s: node %d log diverged:\nk=1: %v\nk=%d: %v", name, v, ref.logs[v], k, got.logs[v])
-						}
+					t.Fatalf("%s: trace length %d vs %d", name, len(ref.trace), len(got.trace))
+				}
+				for v := range ref.logs {
+					if !slices.Equal(got.logs[v], ref.logs[v]) {
+						t.Fatalf("%s: node %d log diverged:\nk=1: %v\nk=%d: %v", name, v, ref.logs[v], k, got.logs[v])
 					}
 				}
 			}
@@ -194,7 +173,7 @@ func TestSetShardsValidation(t *testing.T) {
 // sample per run, and installing the hook changes no output.
 func TestShardHookReportsBusyTime(t *testing.T) {
 	g := graph.Gnp(300, 0.03, rng.New(9))
-	ref := runShardCase(g, 3, false, true, 40)
+	ref := runShardCase(g, 3, true, 40)
 
 	e, _ := newShardProtoEngine(g, true)
 	e.SetShards(3)

@@ -78,10 +78,9 @@ func TestEngineCloseReleasesWorkers(t *testing.T) {
 // sequential execution — and SetShards may be called again.
 func TestEngineUsableAfterClose(t *testing.T) {
 	g := graph.Grid(13, 17)
-	ref := runShardCase(g, 1, true, false, 40)
+	ref := runShardCase(g, 1, false, 40)
 
 	e, _ := newShardProtoEngine(g, false)
-	e.SetFaults(mkShardPlan(g.N()))
 	pre := runtime.NumGoroutine()
 	e.SetShards(8)
 	e.Close() // workers gone, shard structures still installed

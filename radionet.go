@@ -163,24 +163,10 @@ type Result struct {
 	// Done reports whether the task completed within budget.
 	Done bool
 	// Reached/ReachTarget report broadcast completion accounting:
-	// ReachTarget is n for a fault-free run and the survivor-reachable
-	// set size under a fault plan; Reached is how many of those nodes
-	// know the message (== ReachTarget exactly when Done).
+	// ReachTarget is n, and Reached is how many nodes know the message
+	// (== ReachTarget exactly when Done).
 	Reached, ReachTarget int
 }
-
-// FaultPlan is a whole-network fault scenario — per-node crash rounds, a
-// jammer set, per-node reception loss — applied engine-side so faulted
-// runs keep the bulk-path speed. Completion under a plan is
-// survivor-scoped: the run is Done when every node reachable from the
-// surviving sources through never-crashing nodes knows the message. See
-// DESIGN.md §7.
-type FaultPlan = radio.FaultPlan
-
-// NewFaultPlan returns an empty fault plan for an n-node network; seed
-// derives the jam/loss coin streams. Populate it with Crash/Jam/Loss. A
-// plan is single-use: build one per run.
-func NewFaultPlan(n int, seed uint64) *FaultPlan { return radio.NewFaultPlan(n, seed) }
 
 // RoundHook observes every executed round (tracing/metrics); see
 // internal/trace for a ready-made recorder.
@@ -216,9 +202,6 @@ type BroadcastOptions struct {
 	// Metrics, if set, accumulates the run's engine counters into the
 	// registry (composed with Hook; see MetricsRegistry).
 	Metrics *MetricsRegistry
-	// Faults, if set, injects the fault scenario and survivor-scopes
-	// completion (see FaultPlan).
-	Faults *FaultPlan
 	// EngineShards, if > 1, splits each engine round's delivery work across
 	// that many goroutines (see radio.Engine.SetShards). Output is
 	// byte-identical at any value; 0 and 1 both mean unsharded.
@@ -279,12 +262,9 @@ func (n *Network) run(task protocol.Task, sources map[int]int64, o BroadcastOpti
 	if !ok {
 		return protocol.Outcome{}, fmt.Errorf("radionet: unknown %s algorithm %q", task, name)
 	}
-	if o.Faults != nil && !desc.Caps.Faults {
-		return protocol.Outcome{}, fmt.Errorf("radionet: %s algorithm %q does not support fault injection", task, name)
-	}
 	return desc.Execute(protocol.BuildParams{
 		G: n.G, D: n.Diameter, Seed: o.Seed,
-		Sources: sources, Faults: o.Faults, Tuning: tuning(o.Config),
+		Sources: sources, Tuning: tuning(o.Config),
 		Hook:   radio.ChainHooks(o.Hook, obs.NewEngineCollector(o.Metrics).Hook()),
 		Shards: o.EngineShards,
 	}, o.MaxRounds)
@@ -333,10 +313,6 @@ type LeaderOptions struct {
 	// Metrics, if set, accumulates the run's engine counters into the
 	// registry (composed with Hook; see MetricsRegistry).
 	Metrics *MetricsRegistry
-	// Faults, if set, injects the fault scenario and survivor-scopes
-	// completion (fault-capable leader algorithms only; the plan should
-	// protect the would-be winner — see DESIGN.md §8).
-	Faults *FaultPlan
 	// EngineShards, if > 1, splits each engine round's delivery work across
 	// that many goroutines (see radio.Engine.SetShards). Output is
 	// byte-identical at any value; 0 and 1 both mean unsharded.
@@ -363,7 +339,7 @@ type LeaderResult struct {
 func (n *Network) LeaderElection(o LeaderOptions) (LeaderResult, error) {
 	out, err := n.run(protocol.Leader, nil, BroadcastOptions{
 		Algorithm: Algorithm(o.Algorithm), Seed: o.Seed, MaxRounds: o.MaxRounds,
-		Config: o.Config, Hook: o.Hook, Metrics: o.Metrics, Faults: o.Faults,
+		Config: o.Config, Hook: o.Hook, Metrics: o.Metrics,
 		EngineShards: o.EngineShards,
 	})
 	if err != nil {

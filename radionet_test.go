@@ -8,48 +8,32 @@ import (
 	"radionet/internal/protocol"
 )
 
-// checkCampaignPath runs one trial through the facade and as a one-config
-// campaign plan (Campaign.RunPlan, as radiosim runs it) — same seed, the campaign's trial sources {0: 9} for
-// broadcast, the fault plan realized from the same spec — and fails
-// unless both report the same Rounds, Done, Reached and ReachTarget: the
-// facade and the campaign share one Build/Run/Verify path. The spec
-// "none" runs unfaulted but still has the campaign report reach.
-func checkCampaignPath(t *testing.T, net *Network, d *protocol.Descriptor, fault string, seed uint64) {
-	t.Helper()
-	fs, err := campaign.ParseFaultSpec(fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := campaign.Config{G: net.G, D: net.Diameter, Spec: campaign.AlgoSpec{Task: d.Task, Algo: d.Name}, Fault: fs}
-	want := (&campaign.Campaign{}).RunPlan(&campaign.Plan{Configs: []campaign.Config{cfg}, Trials: []campaign.Trial{{Seed: seed}}})[0]
-	var plan *FaultPlan
-	if !fs.None() {
-		plan = fs.TrialPlan(net.G, seed, d.ProtectedNodes(net.G.N(), seed, d.DefaultSources())...)
-	}
-	var got Result
-	if d.Task == protocol.Broadcast {
-		got, err = net.Broadcast(0, 9, BroadcastOptions{Algorithm: Algorithm(d.Name), Seed: seed, Faults: plan})
-	} else {
-		var lr LeaderResult
-		lr, err = net.LeaderElection(LeaderOptions{Algorithm: LeaderAlgorithm(d.Name), Seed: seed, Faults: plan})
-		got = lr.Result
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != want.Rounds || got.Done != want.Done || got.Reached != want.Reached || got.ReachTarget != want.ReachTarget {
-		t.Fatalf("%s:%s seed %d faults %s: facade %+v, campaign %+v", d.Task, d.Name, seed, fault, got, want)
-	}
-}
-
-// checkCampaignPaths runs checkCampaignPath on a 6x6 grid for seeds 1-3,
-// unfaulted and, for fault-capable descriptors, under crash faults.
+// checkCampaignPaths runs one trial of d on a 6x6 grid for seeds 1-3
+// through the facade and as a one-config campaign plan (Campaign.RunPlan,
+// as radiosim runs it) — same seed, the campaign's trial sources {0: 9}
+// for broadcast — and fails unless both report the same Rounds, Done,
+// Reached and ReachTarget: the facade and the campaign share one
+// Build/Run/Verify path.
 func checkCampaignPaths(t *testing.T, d *protocol.Descriptor) {
+	t.Helper()
 	net := NewNetwork(Grid(6, 6))
+	cfg := campaign.Config{G: net.G, D: net.Diameter, Spec: campaign.AlgoSpec{Task: d.Task, Algo: d.Name}}
 	for seed := uint64(1); seed <= 3; seed++ {
-		checkCampaignPath(t, net, d, "none", seed)
-		if d.Caps.Faults {
-			checkCampaignPath(t, net, d, "crash:0.3@20", seed)
+		want := (&campaign.Campaign{}).RunPlan(&campaign.Plan{Configs: []campaign.Config{cfg}, Trials: []campaign.Trial{{Seed: seed}}})[0]
+		var got Result
+		var err error
+		if d.Task == protocol.Broadcast {
+			got, err = net.Broadcast(0, 9, BroadcastOptions{Algorithm: Algorithm(d.Name), Seed: seed})
+		} else {
+			var lr LeaderResult
+			lr, err = net.LeaderElection(LeaderOptions{Algorithm: LeaderAlgorithm(d.Name), Seed: seed})
+			got = lr.Result
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rounds != want.Rounds || got.Done != want.Done || got.Reached != want.Reached || got.ReachTarget != want.ReachTarget {
+			t.Fatalf("%s:%s seed %d: facade %+v, campaign %+v", d.Task, d.Name, seed, got, want)
 		}
 	}
 }
@@ -121,48 +105,6 @@ func TestNetworkLeaderElectionAllAlgorithms(t *testing.T) {
 	}
 	if _, err := net.LeaderElection(LeaderOptions{Algorithm: "nope"}); err == nil {
 		t.Fatal("unknown leader algorithm accepted")
-	}
-}
-
-// TestNetworkLeaderElectionFaults exercises the facade's fault threading
-// for leader elections: fault-capable algorithms run survivor-scoped
-// (with the would-be winner protected, the election still completes and
-// verifies); fault-incapable ones reject the plan loudly.
-func TestNetworkLeaderElectionFaults(t *testing.T) {
-	net := NewNetwork(Grid(6, 6))
-	// Protect the would-be winner: derive it from the same candidate draw
-	// the election performs (protocol.SampleCandidates is pure in the seed).
-	const seed = 5
-	cands, err := protocol.SampleCandidates(net.G.N(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	winner, bestID := -1, int64(-1)
-	for v, id := range cands {
-		if id > bestID {
-			winner, bestID = v, id
-		}
-	}
-	plan := NewFaultPlan(net.G.N(), seed)
-	for v := 0; v < 8; v++ {
-		if v != winner {
-			plan.Crash(v, 10)
-		}
-	}
-	res, err := net.LeaderElection(LeaderOptions{Algorithm: CD17Leader, Seed: seed, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done || res.Leader != winner {
-		t.Fatalf("faulted election failed: %+v (want leader %d)", res, winner)
-	}
-	if res.Reached != res.ReachTarget || res.ReachTarget <= 0 {
-		t.Fatalf("faulted election reach %d/%d", res.Reached, res.ReachTarget)
-	}
-	bad := NewFaultPlan(net.G.N(), seed)
-	bad.Crash(1, 10)
-	if _, err := net.LeaderElection(LeaderOptions{Algorithm: BinarySearchLeader, Seed: seed, Faults: bad}); err == nil {
-		t.Fatal("fault-incapable leader algorithm accepted a plan")
 	}
 }
 
