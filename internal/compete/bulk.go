@@ -9,22 +9,25 @@ import (
 	"radionet/internal/schedule"
 )
 
-// bulkState is compete's radio.Protocol, over contiguous node state: flat
-// per-node slices for the lane-local flood state, plus shared lane
-// clocks. It exists because the per-node icpState clocks of the reference
-// implementation (node_test.go) are redundant — a node's main-lane (fid,
-// slot, offset) is a pure function of its coarse cluster (every member
-// follows the coarse center's clustering sequence, and slot lengths
-// depend only on the fine clustering in play), and the background lane's
-// clock is global (round-robin fids, shared slot lengths). The bulk path
-// therefore keeps one clock per coarse cluster plus one background clock.
+// bulkState is compete's radio.Protocol, over contiguous node state: one
+// lane per Compete process, each holding flat per-node flood state and
+// shared clocks. It exists because the per-node icpState clocks of the
+// reference implementation (node_test.go) are redundant: a node's
+// (fid, slot, offset) on a process is a pure function of its clock, and
+// every member of a clock follows one clustering sequence whose slot
+// lengths depend only on the clustering in play. The main lane keeps one
+// clock per coarse cluster (every member follows the coarse center's
+// sequence); the background lane (Algorithm 2: fixed β, round-robin
+// clusterings) is the same lane type with every node on one clock.
 //
-// Each lane keeps two flat views beside its heard bitset and flood values
-// (see lane): key, every node's fine-cluster center on the clustering its
-// clock is on now, rewritten only when a clock rolls over; and better, the
-// nodes whose best known value beats their flood value, updated wherever
-// either value changes (delivery and resetFlood). So neither a pass nor a
-// delivery looks up a clock's clustering per node.
+// Engine round t runs lane (t mod 4)>>1: its Intra-Cluster Propagation
+// pass on even phases and its Algorithm-4 helper on odd ones. Each lane
+// keeps two flat views beside its heard bitset and flood values (see
+// lane): key, every node's fine-cluster center on the clustering its
+// clock is on now, rewritten only when a clock rolls over; and better,
+// the nodes whose best known value beats their flood value, updated
+// wherever either value changes (delivery and resetFlood). So neither a
+// pass nor a delivery looks up a clock's clustering per node.
 //
 // A round works a 64-node word at a time and visits only the words that
 // hold a node that can transmit. An ICP round reads the lane's heard
@@ -39,40 +42,11 @@ import (
 // emitted in increasing id order. RecvBulk, the only delivery routine,
 // picks the round's lane once and matches each sender's center against
 // the listener's key. The equivalence tests in bulk_test.go enforce
-// observational identity, and checkLaneViews the two views, after every
+// observational identity, and checkLaneViews the lane views, after every
 // round.
 type bulkState struct {
-	c *Compete
-
-	ci      []int32     // node -> main-lane clock index (compact coarse id)
-	mainClk []laneClock // one main-lane clock per coarse cluster
-	bgClk   laneClock   // the global background-lane clock
-	// members lists each main clock's nodes in increasing id order, CSR
-	// style: clock i owns members[memberOff[i]:memberOff[i+1]].
-	memberOff []int32
-	members   []int32
-	// wordClk lists, per 64-node word, the main clocks with members in
-	// that word and each one's member mask, CSR style: word w owns
-	// entries wordClkOff[w]:wordClkOff[w+1].
-	wordClkOff  []int32
-	wordClk     []int32
-	wordClkMask []uint64
-
-	// mainLadders[fid] and bgLadders[fid] group the nodes of each fine
-	// clustering by ladder length, word by word.
-	mainLadders []ladderSet
-	bgLadders   []ladderSet
-
-	main lane // the main process and its Algorithm-4 helper
-	bg   lane // the background process and its Algorithm-4 helper
-
-	// scratch holds every clock's derived values for the current round:
-	// one entry per main clock, then the background clock's. levelStep
-	// backs their step tables, levelStride entries per clock in the same
-	// order.
-	scratch     []clkInfo
-	levelStep   []uint8
-	levelStride int
+	c     *Compete
+	lanes [2]lane // the main process, then the background process
 }
 
 // maxSteps bounds every coin step plus one, sizing the per-word coin
@@ -80,9 +54,35 @@ type bulkState struct {
 // step below l4, and both are at most 32 for int32 node ids.
 const maxSteps = 64
 
-// lane is one ICP process's flat per-node state, shared with its
-// Algorithm-4 helper lane, which floods the same clustering.
+// lane is one Compete process and its Algorithm-4 helper, which floods
+// the same clustering: the process's fine clusterings and shared clocks,
+// and its flat per-node state.
 type lane struct {
+	fines    []fine
+	ladders  []ladderSet // ladders[fid] groups fines[fid]'s nodes by ladder length
+	coinSeed uint64      // keys the helper's shared cluster coins
+	// next returns the clustering that the clock holding node v uses in
+	// slot k.
+	next func(v int32, k int64) int32
+
+	clk []laneClock
+	ci  []int32 // node -> clock index
+	// members lists each clock's nodes in increasing id order, CSR style:
+	// clock i owns members[memberOff[i]:memberOff[i+1]].
+	memberOff []int32
+	members   []int32
+	// wordClk lists, per 64-node word, the clocks with members in that
+	// word and each one's member mask, CSR style: word w owns entries
+	// wordClkOff[w]:wordClkOff[w+1].
+	wordClkOff  []int32
+	wordClk     []int32
+	wordClkMask []uint64
+	// info holds every clock's derived values for the current round.
+	// levelStep backs their step tables, levelStride entries per clock.
+	info        []clkInfo
+	levelStep   []uint8
+	levelStride int
+
 	heard []uint64 // bitset: heard the cluster flood this slot
 	flood []int64  // the flooded value
 	// key[v] is v's fine-cluster center on the clustering v's clock is on
@@ -100,23 +100,119 @@ type lane struct {
 	firing firingSet
 }
 
-func newLane(n int, gm []int64) lane {
+// newLane builds c's lane over the clusterings fines, with one clock per
+// distinct clockOf value (numbered in first-member order), the helper
+// coin seed coinSeed and the slot rule next. compact is n entries of
+// scratch.
+func newLane(c *Compete, clockOf func(v int) int32, fines []fine, coinSeed uint64, next func(int32, int64) int32, compact []int32) lane {
+	n := c.g.N()
 	words := (n + 63) / 64
 	ln := lane{
-		heard:  make([]uint64, words),
-		flood:  make([]int64, n),
-		key:    make([]int32, n),
-		better: make([]uint64, words),
-		firing: firingSet{bits: make([]uint64, words), window: -1},
+		fines:    fines,
+		ladders:  make([]ladderSet, len(fines)),
+		coinSeed: coinSeed,
+		next:     next,
+		ci:       make([]int32, n),
+		heard:    make([]uint64, words),
+		flood:    make([]int64, n),
+		key:      make([]int32, n),
+		better:   make([]uint64, words),
+		firing:   firingSet{bits: make([]uint64, words), window: -1},
 	}
 	ln.firing.coin.init(n)
 	for v := range ln.flood {
 		ln.flood[v] = Uninformed
-		if gm[v] > Uninformed {
+		if c.globalMax[v] > Uninformed {
 			ln.better[v>>6] |= 1 << (v & 63)
 		}
 	}
+	// Compact clock ids, assigned in first-member order.
+	for i := range compact {
+		compact[i] = -1
+	}
+	nclk := 0
+	for v := range n {
+		id := clockOf(v)
+		if compact[id] < 0 {
+			compact[id] = int32(nclk)
+			nclk++
+		}
+		ln.ci[v] = compact[id]
+	}
+	// Member lists by counting sort on the clock index; filling in id
+	// order keeps every list ascending.
+	ln.memberOff = make([]int32, nclk+1)
+	for _, i := range ln.ci {
+		ln.memberOff[i+1]++
+	}
+	for i := range nclk {
+		ln.memberOff[i+1] += ln.memberOff[i]
+	}
+	ln.members = make([]int32, n)
+	fill := compact[:nclk]
+	copy(fill, ln.memberOff)
+	for v, i := range ln.ci {
+		ln.members[fill[i]] = int32(v)
+		fill[i]++
+	}
+	ln.clk = make([]laneClock, nclk)
+	for i := range ln.clk {
+		v := ln.members[ln.memberOff[i]]
+		ln.clk[i] = laneClock{node: v, fid: next(v, 0)}
+	}
+	// Per-word clock lists, counted first so they are allocated exactly
+	// (seen stamps a clock with the last word that counted it). A word's
+	// clocks are few, so a linear search finds a node's entry.
+	seen := compact[:nclk]
+	for i := range seen {
+		seen[i] = -1
+	}
+	ln.wordClkOff = make([]int32, words+1)
+	for w := range words {
+		cnt := ln.wordClkOff[w]
+		for v := w << 6; v < min(n, w<<6+64); v++ {
+			if i := ln.ci[v]; seen[i] != int32(w) {
+				seen[i] = int32(w)
+				cnt++
+			}
+		}
+		ln.wordClkOff[w+1] = cnt
+	}
+	ln.wordClk = make([]int32, ln.wordClkOff[words])
+	ln.wordClkMask = make([]uint64, len(ln.wordClk))
+	for w := range words {
+		lo, end := ln.wordClkOff[w], ln.wordClkOff[w]
+		for v := w << 6; v < min(n, w<<6+64); v++ {
+			k := lo
+			for k < end && ln.wordClk[k] != ln.ci[v] {
+				k++
+			}
+			if k == end {
+				ln.wordClk[k] = ln.ci[v]
+				end++
+			}
+			ln.wordClkMask[k] |= 1 << (v & 63)
+		}
+	}
+	maxLevel := 1
+	for i := range fines {
+		ln.ladders[i] = newLadderSet(fines[i].sched)
+		maxLevel = max(maxLevel, fines[i].sched.MaxLevel)
+	}
+	ln.levelStride = maxLevel + 1
+	ln.info = make([]clkInfo, nclk)
+	ln.levelStep = make([]uint8, nclk*ln.levelStride)
+	for i := range ln.clk {
+		ln.setKeys(&fines[ln.clk[i].fid], ln.clockMembers(i))
+	}
 	return ln
+}
+
+// clockMembers returns clock i's nodes in increasing id order.
+//
+//radionet:hotpath
+func (ln *lane) clockMembers(i int) []int32 {
+	return ln.members[ln.memberOff[i]:ln.memberOff[i+1]]
 }
 
 // setKeys rewrites key for the given nodes, all on clustering f.
@@ -137,7 +233,7 @@ func (ln *lane) setKeys(f *fine, nodes []int32) {
 // reference's per-node icpState; heard/floodVal live in the lane's flat
 // slices).
 type laneClock struct {
-	center   int32 // owning coarse center (main clocks; unused for bg)
+	node     int32 // the clock's first member, whose clustering sequence it follows
 	fid      int32 // index into the lane's fine set
 	k        int64 // slot index
 	offset   int64 // round offset within the slot
@@ -198,7 +294,7 @@ type clkInfo struct {
 // per-ladder sweep steps.
 //
 //radionet:hotpath
-func (s *bulkState) derive(cl *laneClock, f *fine, lad *ladderSet, tab []uint8) clkInfo {
+func derive(cl *laneClock, f *fine, lad *ladderSet, tab []uint8) clkInfo {
 	off := cl.offset % f.subLen
 	tab = tab[:f.sched.MaxLevel+1]
 	for l := 1; l < len(tab); l++ {
@@ -220,8 +316,8 @@ func (s *bulkState) derive(cl *laneClock, f *fine, lad *ladderSet, tab []uint8) 
 type firingSet struct {
 	bits   []uint64
 	window int64 // the window bits were derived for; -1 = none yet
-	// coin is the lane's own cache: the two helper lanes differ in coin
-	// seed and fid space.
+	// coin is the lane's own cache: the two lanes differ in coin seed and
+	// fid space.
 	coin coinCache
 }
 
@@ -252,77 +348,16 @@ func (cc *coinCache) get(seed uint64, numFine int, fid int32, center int32, wind
 	return v
 }
 
+// newBulkState builds both lanes: the main lane with one clock per coarse
+// cluster, each following its center's random clustering sequence, and
+// the background lane with every node on one clock that cycles the
+// background clusterings round-robin.
 func newBulkState(c *Compete) *bulkState {
-	n := c.g.N()
-	words := (n + 63) / 64
-	s := &bulkState{
-		c:    c,
-		ci:   make([]int32, n),
-		main: newLane(n, c.globalMax),
-		bg:   newLane(n, c.globalMax),
-	}
-	// Compact clock ids per coarse cluster, assigned in first-member order.
-	compact := make([]int32, n)
-	for i := range compact {
-		compact[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		ctr := c.coarse.Center[v]
-		if compact[ctr] < 0 {
-			compact[ctr] = int32(len(s.mainClk))
-			s.mainClk = append(s.mainClk, laneClock{center: ctr, fid: c.mainFid(ctr, 0)})
-		}
-		s.ci[v] = compact[ctr]
-	}
-	// Member lists by counting sort on the clock index; filling in id
-	// order keeps every list ascending.
-	s.memberOff = make([]int32, len(s.mainClk)+1)
-	for _, i := range s.ci {
-		s.memberOff[i+1]++
-	}
-	for i := range s.mainClk {
-		s.memberOff[i+1] += s.memberOff[i]
-	}
-	s.members = make([]int32, n)
-	fill := append([]int32(nil), s.memberOff[:len(s.mainClk)]...)
-	for v, i := range s.ci {
-		s.members[fill[i]] = int32(v)
-		fill[i]++
-	}
-	// Per-word clock lists: a word's clocks are few, so a linear search
-	// finds a node's entry.
-	s.wordClkOff = make([]int32, words+1)
-	for w := range words {
-		lo := len(s.wordClk)
-		for v := w << 6; v < min(n, w<<6+64); v++ {
-			k := lo
-			for k < len(s.wordClk) && s.wordClk[k] != s.ci[v] {
-				k++
-			}
-			if k == len(s.wordClk) {
-				s.wordClk = append(s.wordClk, s.ci[v])
-				s.wordClkMask = append(s.wordClkMask, 0)
-			}
-			s.wordClkMask[k] |= 1 << (v & 63)
-		}
-		s.wordClkOff[w+1] = int32(len(s.wordClk))
-	}
-	s.scratch = make([]clkInfo, len(s.mainClk)+1)
-	maxLevel := 1
-	for i := range c.mains {
-		s.mainLadders = append(s.mainLadders, newLadderSet(c.mains[i].sched))
-		maxLevel = max(maxLevel, c.mains[i].sched.MaxLevel)
-	}
-	for i := range c.bgs {
-		s.bgLadders = append(s.bgLadders, newLadderSet(c.bgs[i].sched))
-		maxLevel = max(maxLevel, c.bgs[i].sched.MaxLevel)
-	}
-	s.levelStride = maxLevel + 1
-	s.levelStep = make([]uint8, len(s.scratch)*s.levelStride)
-	for i := range s.mainClk {
-		s.main.setKeys(&c.mains[s.mainClk[i].fid], s.clockMembers(i))
-	}
-	s.bg.setKeys(&c.bgs[s.bgClk.fid], s.members)
+	compact := make([]int32, c.g.N())
+	s := &bulkState{c: c}
+	s.lanes[0] = newLane(c, func(v int) int32 { return c.coarse.Center[v] }, c.mains, c.coinMain, c.mainFid, compact)
+	s.lanes[1] = newLane(c, func(int) int32 { return 0 }, c.bgs, c.coinBg,
+		func(_ int32, k int64) int32 { return c.bgFid(k) }, compact)
 	return s
 }
 
@@ -333,108 +368,59 @@ func newBulkState(c *Compete) *bulkState {
 //radionet:hotpath
 func (s *bulkState) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	cfg := &s.c.cfg
-	lane := t % numLanes
-	lt := t / numLanes
+	phase := t % numLanes
+	helper := phase&1 == 1
+	if phase>>1 == 1 && cfg.DisableBackground || helper && cfg.DisableHelper {
+		return tx, msgs
+	}
+	ln := &s.lanes[phase>>1]
 	coins := rng.NewWordCoins(s.c.coinKey, t)
-	switch lane {
-	case laneMain:
-		return s.actMain(coins, tx, msgs)
-	case laneHelper:
-		if cfg.DisableHelper {
-			return tx, msgs
-		}
-		return s.actHelper(coins, true, lt, tx, msgs)
-	case laneBg:
-		if cfg.DisableBackground {
-			return tx, msgs
-		}
-		return s.actBg(coins, tx, msgs)
-	default:
-		if cfg.DisableBackground || cfg.DisableHelper {
-			return tx, msgs
-		}
-		return s.actHelper(coins, false, lt, tx, msgs)
+	if helper {
+		return s.actHelper(coins, ln, t/numLanes, tx, msgs)
 	}
+	return s.actICP(coins, ln, tx, msgs)
 }
 
-// clockMembers returns main clock i's nodes in increasing id order.
-//
-//radionet:hotpath
-func (s *bulkState) clockMembers(i int) []int32 {
-	return s.members[s.memberOff[i]:s.memberOff[i+1]]
-}
-
-// actMain runs one main-lane ICP round: derive each coarse clock's slot
+// actICP runs one ICP round of the lane: derive each clock's slot
 // position, reset the members of every clock that starts an outward
-// sub-phase, pass over the heard nodes, then advance the clocks (post-pass,
-// so a same-round Recv sees the rolled-over fid exactly as the reference
-// does).
+// sub-phase, pass over the heard nodes, then advance the clocks
+// (post-pass, so a same-round Recv sees the rolled-over fid exactly as
+// the reference does). A rollover rewrites the clock's keys and, within
+// a Decay window, re-derives its firing bits.
 //
 //radionet:hotpath
-func (s *bulkState) actMain(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	c := s.c
-	for i := range s.mainClk {
-		cl := &s.mainClk[i]
-		f := &c.mains[cl.fid]
-		info := &s.scratch[i]
-		*info = s.derive(cl, f, &s.mainLadders[cl.fid], s.levelStep[i*s.levelStride:])
+func (s *bulkState) actICP(coins rng.WordCoins, ln *lane, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+	for i := range ln.clk {
+		cl := &ln.clk[i]
+		info := &ln.info[i]
+		*info = derive(cl, &ln.fines[cl.fid], &ln.ladders[cl.fid], ln.levelStep[i*ln.levelStride:])
 		if info.boundary {
-			s.resetFlood(s.clockMembers(i), &s.main)
+			s.resetFlood(ln.clockMembers(i), ln)
 		}
 	}
-	tx, msgs = s.icpMain(coins, tx, msgs)
-	for i := range s.mainClk {
-		cl := &s.mainClk[i]
-		cl.subphase = s.scratch[i].subphase
+	tx, msgs = s.icp(coins, ln, tx, msgs)
+	for i := range ln.clk {
+		cl := &ln.clk[i]
+		cl.subphase = ln.info[i].subphase
 		cl.offset++
-		if cl.offset >= s.scratch[i].f.slotLen {
+		if cl.offset >= ln.info[i].f.slotLen {
 			cl.offset = 0
 			cl.k++
-			cl.fid = c.mainFid(cl.center, cl.k)
-			members := s.clockMembers(i)
-			s.main.setKeys(&c.mains[cl.fid], members)
-			if s.main.firing.window >= 0 {
-				s.deriveFiring(&s.main, len(c.mains), cl.fid, c.coinMain, members)
+			cl.fid = ln.next(cl.node, cl.k)
+			members := ln.clockMembers(i)
+			ln.setKeys(&ln.fines[cl.fid], members)
+			if ln.firing.window >= 0 {
+				s.deriveFiring(ln, cl.fid, members)
 			}
 		}
 	}
 	return tx, msgs
 }
 
-// actBg is actMain for the background lane's single global clock. A
-// rollover rewrites every node's key and invalidates the background
-// firing set, which every node shares a fid in; the next helper round
-// rebuilds it.
-//
-//radionet:hotpath
-func (s *bulkState) actBg(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	c := s.c
-	cl := &s.bgClk
-	f := &c.bgs[cl.fid]
-	bg := len(s.mainClk)
-	info := &s.scratch[bg]
-	*info = s.derive(cl, f, &s.bgLadders[cl.fid], s.levelStep[bg*s.levelStride:])
-	if info.boundary {
-		s.resetFlood(s.members, &s.bg)
-	}
-	tx, msgs = s.icpBg(coins, info, tx, msgs)
-	cl.subphase = info.subphase
-	cl.offset++
-	if cl.offset >= f.slotLen {
-		cl.offset = 0
-		cl.k++
-		cl.fid = c.bgFid(cl.k)
-		s.bg.setKeys(&c.bgs[cl.fid], s.members)
-		s.bg.firing.window = -1
-	}
-	return tx, msgs
-}
-
 // resetFlood starts an outward sub-phase of the lane's current clustering
-// for the given nodes (s.members for every node): only the cluster
-// centers (key[v] == v, which the curtailment radius always admits) hold
-// the flood, seeded with their best known value, so only the others can
-// know better.
+// for the given nodes: only the cluster centers (key[v] == v, which the
+// curtailment radius always admits) hold the flood, seeded with their
+// best known value, so only the others can know better.
 //
 //radionet:hotpath
 func (s *bulkState) resetFlood(nodes []int32, ln *lane) {
@@ -457,15 +443,15 @@ func (s *bulkState) resetFlood(nodes []int32, ln *lane) {
 	}
 }
 
-// icpMain is one main-lane ICP round over the heard nodes, each on its
-// coarse clock's values in s.scratch. A node that has not heard its
-// cluster flood never transmits, so skipping it changes nothing: every
-// per-node effect (gates, coin, message) is node-local. The reference's
-// curtailment gate (Dist <= curtail) always passes here: a clock's members
-// are reset before its first pass on a new clustering, which marks only
-// centers heard, and RecvBulk marks a node heard only when the sender's
-// center matches its key, which is -1 beyond the curtailment radius. So
-// every heard node's key is its center.
+// icp is one ICP round of the lane over the heard nodes, each on its
+// clock's values in ln.info. A node that has not heard its cluster flood
+// never transmits, so skipping it changes nothing: every per-node effect
+// (gates, coin, message) is node-local. The reference's curtailment gate
+// (Dist <= curtail) always passes here: a clock's members are reset
+// before its first pass on a new clustering, which marks only centers
+// heard, and RecvBulk marks a node heard only when the sender's center
+// matches its key, which is -1 beyond the curtailment radius. So every
+// heard node's key is its center.
 //
 // Each heard word is handled a group of nodes at a time: per clock in the
 // word, its heard members pass the inward gate (in the inward sub-phase a
@@ -473,24 +459,50 @@ func (s *bulkState) resetFlood(nodes []int32, ln *lane) {
 // better word), then split by ladder length into step classes
 // (addClasses). The word's coins are hashed up to the largest step in use
 // and ANDed with the classes (fireMask), and the hits are emitted in
-// increasing id order. A word with no gated node is never hashed.
+// increasing id order. A word with no gated node is never hashed. A word
+// whose nodes all share one clock (every background word, and most main
+// words on a grid) takes a fast path that picks the gate and the message
+// values once for the word, with no clock-list walk and no per-node
+// inward test.
 //
 //radionet:hotpath
-func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	gm, ln, clks := s.c.globalMax, &s.main, s.scratch
+func (s *bulkState) icp(coins rng.WordCoins, ln *lane, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+	gm := s.c.globalMax
 	var cls, p [maxSteps]uint64
 	for w, heard := range ln.heard {
 		if heard == 0 {
 			continue
 		}
+		lo, hi := ln.wordClkOff[w], ln.wordClkOff[w+1]
+		if hi-lo == 1 {
+			info := &ln.info[ln.wordClk[lo]]
+			val := ln.flood // outward sub-phases flood the cluster value
+			if info.subphase == 1 {
+				heard &= ln.better[w]
+				val = gm
+			}
+			if heard == 0 {
+				continue
+			}
+			top := info.addClasses(heard, w, &cls, -1)
+			if top < 0 {
+				continue
+			}
+			for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
+				v := w<<6 + bits.TrailingZeros64(fire)
+				tx = append(tx, int32(v))
+				msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(ln.key[v])})
+			}
+			continue
+		}
 		top := -1
 		var inward uint64 // gated nodes whose clock is in the inward sub-phase
-		for k := s.wordClkOff[w]; k < s.wordClkOff[w+1]; k++ {
-			h := heard & s.wordClkMask[k]
+		for k := lo; k < hi; k++ {
+			h := heard & ln.wordClkMask[k]
 			if h == 0 {
 				continue
 			}
-			info := &clks[s.wordClk[k]]
+			info := &ln.info[ln.wordClk[k]]
 			if info.subphase == 1 {
 				h &= ln.better[w]
 				inward |= h
@@ -503,44 +515,12 @@ func (s *bulkState) icpMain(coins rng.WordCoins, tx []int32, msgs []radio.Messag
 		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
 			b := bits.TrailingZeros64(fire)
 			v := w<<6 + b
-			a := ln.flood[v] // outward sub-phases flood the cluster value
+			a := ln.flood[v]
 			if inward&(1<<b) != 0 {
 				a = gm[v]
 			}
 			tx = append(tx, int32(v))
 			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(ln.key[v])})
-		}
-	}
-	return tx, msgs
-}
-
-// icpBg is icpMain for the background lane, whose nodes all share the
-// clock values in info.
-//
-//radionet:hotpath
-func (s *bulkState) icpBg(coins rng.WordCoins, info *clkInfo, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
-	ln := &s.bg
-	inward := info.subphase == 1
-	val := ln.flood // outward sub-phases flood the cluster value
-	if inward {
-		val = s.c.globalMax
-	}
-	var cls, p [maxSteps]uint64
-	for w, h := range ln.heard {
-		if inward {
-			h &= ln.better[w]
-		}
-		if h == 0 {
-			continue
-		}
-		top := info.addClasses(h, w, &cls, -1)
-		if top < 0 {
-			continue
-		}
-		for fire := fireMask(coins, w, &cls, &p, top); fire != 0; fire &= fire - 1 {
-			v := w<<6 + bits.TrailingZeros64(fire)
-			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: val[v], B: int64(ln.key[v])})
 		}
 	}
 	return tx, msgs
@@ -578,24 +558,24 @@ func fireMask(coins rng.WordCoins, w int, cls, p *[maxSteps]uint64, top int) uin
 	return fire
 }
 
-// actHelper runs one Algorithm-4 helper round for the main or background
-// companion lane (cf. cnode.actHelper): the nodes that both heard their
-// cluster flood and are in the lane's firing set for this window draw the
-// window step's Decay coin, then the hits are emitted in increasing id
-// order. Every node shares the step, so a word's hits are one AND with
-// its coins at that step.
+// actHelper runs one Algorithm-4 helper round of the lane (cf.
+// cnode.actHelper): the nodes that both heard their cluster flood and are
+// in the lane's firing set for this window draw the window step's Decay
+// coin, then the hits are emitted in increasing id order. Every node
+// shares the step, so a word's hits are one AND with its coins at that
+// step. The window's first helper round rebuilds the firing set, clock by
+// clock.
 //
 //radionet:hotpath
-func (s *bulkState) actHelper(coins rng.WordCoins, isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
+func (s *bulkState) actHelper(coins rng.WordCoins, ln *lane, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	l4 := int64(s.c.l4)
 	window := lt / l4
 	step := lt % l4
-	ln := &s.main
-	if !isMain {
-		ln = &s.bg
-	}
 	if ln.firing.window != window {
-		s.rebuildFiring(ln, isMain, window)
+		ln.firing.window = window
+		for i := range ln.clk {
+			s.deriveFiring(ln, ln.clk[i].fid, ln.clockMembers(i))
+		}
 	}
 	var p [maxSteps]uint64
 	for w, word := range ln.firing.bits {
@@ -613,37 +593,20 @@ func (s *bulkState) actHelper(coins rng.WordCoins, isMain bool, lt int64, tx []i
 	return tx, msgs
 }
 
-// rebuildFiring re-derives a helper lane's whole firing set for a new
-// Decay window: per main clock on its members, or for every node at once
-// on the background lane's shared fid.
+// deriveFiring sets the lane's firing bits for the given nodes, whose
+// clock is on the lane's clustering fid, for the window in ln.firing. A
+// node fires when it lies within the curtailment radius (key >= 0) and
+// its cluster's shared coin HashFloat(coinSeed, fid, center, window) is
+// below the window's participation probability 2^-i: cnode.actHelper's
+// gates other than heard.
 //
 //radionet:hotpath
-func (s *bulkState) rebuildFiring(ln *lane, isMain bool, window int64) {
-	c := s.c
-	ln.firing.window = window
-	if !isMain {
-		s.deriveFiring(ln, len(c.bgs), s.bgClk.fid, c.coinBg, s.members)
-		return
-	}
-	for i := range s.mainClk {
-		s.deriveFiring(ln, len(c.mains), s.mainClk[i].fid, c.coinMain, s.clockMembers(i))
-	}
-}
-
-// deriveFiring sets the lane's firing bits for the given nodes (s.members
-// for every node), whose clock is on clustering fid of the lane's numFine
-// clusterings, for the window in ln.firing. A node fires when it lies
-// within the curtailment radius (key >= 0) and its cluster's shared coin
-// HashFloat(seed, fid, center, window) is below the window's participation
-// probability 2^-i: cnode.actHelper's gates other than heard.
-//
-//radionet:hotpath
-func (s *bulkState) deriveFiring(ln *lane, numFine int, fid int32, seed uint64, nodes []int32) {
+func (s *bulkState) deriveFiring(ln *lane, fid int32, nodes []int32) {
 	fs := &ln.firing
 	p := decay.Prob(int(fs.window % int64(s.c.l4))) // 2^-i, shift-clamped for large phase lengths
 	for _, v := range nodes {
 		bit := uint64(1) << (v & 63)
-		if k := ln.key[v]; k >= 0 && fs.coin.get(seed, numFine, fid, k, fs.window) < p {
+		if k := ln.key[v]; k >= 0 && fs.coin.get(ln.coinSeed, len(ln.fines), fid, k, fs.window) < p {
 			fs.bits[v>>6] |= bit
 		} else {
 			fs.bits[v>>6] &^= bit
@@ -655,25 +618,20 @@ func (s *bulkState) deriveFiring(ln *lane, numFine int, fid int32, seed uint64, 
 // pass, mirroring cnode.Recv per listener. Each listener adopts a better
 // value; an in-cluster sender (its center equals the listener's key on the
 // round's lane) also marks the listener heard and raises its flood value,
-// except on an ICP lane whose clock is in the inward sub-phase. The lane
-// keys were already advanced by this round's ActBulk, exactly like the
-// per-node reference, which advances st.fid before the engine delivers.
-// A rising globalMax can set either lane's better bit; a rising flood
-// value can clear the round lane's.
+// except in an ICP round whose listener's clock is in the inward
+// sub-phase. The lane keys were already advanced by this round's ActBulk,
+// exactly like the per-node reference, which advances st.fid before the
+// engine delivers. A rising globalMax can set either lane's better bit; a
+// rising flood value can clear the round lane's.
 //
 //radionet:hotpath
 func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
 	c := s.c
 	gm := c.globalMax
 	phase := t % numLanes
-	ln, other := &s.main, &s.bg
-	if phase == laneBg || phase == laneBgHelper {
-		ln, other = &s.bg, &s.main
-	}
-	// The background clock's sub-phase holds for every listener; a main
-	// clock's only for its members, so the main ICP lane reads it per node.
-	mainICP := phase == laneMain
-	bgInward := phase == laneBg && s.bgClk.subphase == 1
+	li := phase >> 1
+	ln, other := &s.lanes[li], &s.lanes[li^1]
+	icp := phase&1 == 0
 	for k, v := range listeners {
 		msg := &msgs[msgIdx[k]]
 		if msg.Kind != KindICP {
@@ -692,7 +650,7 @@ func (s *bulkState) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Me
 				other.better[w] |= bit
 			}
 		}
-		if ln.key[v] != int32(msg.B) || bgInward || mainICP && s.mainClk[s.ci[v]].subphase == 1 {
+		if ln.key[v] != int32(msg.B) || icp && ln.clk[ln.ci[v]].subphase == 1 {
 			continue
 		}
 		ln.heard[w] |= bit

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"radionet/internal/cluster"
+	"radionet/internal/decay"
 	"radionet/internal/graph"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
@@ -113,31 +114,41 @@ func lockstep(t *testing.T, label string, bc, rc *Compete, budget int64) {
 // checkLaneViews recomputes the bulk path's lane views from first
 // principles and reports the first mismatch: each node's key from the
 // clustering its clock is on now (its center, or -1 beyond the curtailment
-// radius), and each better bit from globalMax and the lane's flood value.
+// radius), each better bit from globalMax and the lane's flood value, and,
+// once a lane's helper has derived a firing set (window >= 0), each firing
+// bit from that key, the clock's clustering and the window's shared
+// cluster coin.
 func checkLaneViews(c *Compete) error {
-	s := c.bulk
 	gm := c.globalMax
-	for v := range gm {
-		views := []struct {
-			name string
-			ln   *lane
-			f    *fine
-		}{
-			{"main", &s.main, &c.mains[s.mainClk[s.ci[v]].fid]},
-			{"background", &s.bg, &c.bgs[s.bgClk.fid]},
+	for li, name := range []string{"main", "background"} {
+		ln := &c.bulk.lanes[li]
+		window := ln.firing.window
+		var p float64 // the window's participation probability
+		if window >= 0 {
+			p = decay.Prob(int(window % int64(c.l4)))
 		}
-		for _, vw := range views {
-			want := vw.f.part.Center[v]
-			if vw.f.part.Dist[v] > vw.f.curtail {
+		for v := range gm {
+			fid := ln.clk[ln.ci[v]].fid
+			f := &ln.fines[fid]
+			want := f.part.Center[v]
+			if f.part.Dist[v] > f.curtail {
 				want = -1
 			}
-			if got := vw.ln.key[v]; got != want {
-				return fmt.Errorf("%s lane node %d: key %d, want %d", vw.name, v, got, want)
+			if got := ln.key[v]; got != want {
+				return fmt.Errorf("%s lane node %d: key %d, want %d", name, v, got, want)
 			}
-			wantBit := gm[v] > vw.ln.flood[v]
-			if got := vw.ln.better[v>>6]&(1<<(v&63)) != 0; got != wantBit {
+			wantBit := gm[v] > ln.flood[v]
+			if got := ln.better[v>>6]&(1<<(v&63)) != 0; got != wantBit {
 				return fmt.Errorf("%s lane node %d: better bit %v, want %v (globalMax %d, flood %d)",
-					vw.name, v, got, wantBit, gm[v], vw.ln.flood[v])
+					name, v, got, wantBit, gm[v], ln.flood[v])
+			}
+			if window < 0 {
+				continue
+			}
+			wantFire := want >= 0 && rng.HashFloat(ln.coinSeed, uint64(fid), uint64(want), uint64(window)) < p
+			if got := ln.firing.bits[v>>6]&(1<<(v&63)) != 0; got != wantFire {
+				return fmt.Errorf("%s lane node %d: firing bit %v, want %v (window %d, fid %d)",
+					name, v, got, wantFire, window, fid)
 			}
 		}
 	}
@@ -191,10 +202,10 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s %s seed=%d", g, vr.name, seed)
 				lockstep(t, label, bc, perNode(rc), 8*bc.Budget())
-				if slices.ContainsFunc(bc.bulk.mainClk, func(cl laneClock) bool { return cl.k > 0 }) {
+				if slices.ContainsFunc(bc.bulk.lanes[0].clk, func(cl laneClock) bool { return cl.k > 0 }) {
 					mainRolled[vr.name] = true
 				}
-				bgRolled = bgRolled || bc.bulk.bgClk.k > 0
+				bgRolled = bgRolled || bc.bulk.lanes[1].clk[0].k > 0
 				if vr.name == "default" && !bc.Done() {
 					t.Fatalf("%s: default run incomplete within budget", label)
 				}
@@ -208,6 +219,66 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 		if !mainRolled[name] {
 			t.Errorf("%s: no main clock rolled over, so its lane keys were never rewritten", name)
 		}
+	}
+}
+
+// laneCounter wraps a bulk protocol and attributes, per engine phase
+// t mod numLanes (main ICP, main helper, background ICP, background
+// helper), the deliveries that raised a listener's globalMax and the
+// increments of the instance's progress count.
+type laneCounter struct {
+	*bulkState
+	raised, reached [numLanes]int64
+	before          []int64
+}
+
+func (lc *laneCounter) RecvBulk(t int64, listeners, msgIdx []int32, msgs []radio.Message) {
+	gm := lc.c.globalMax
+	lc.before = lc.before[:0]
+	for _, v := range listeners {
+		lc.before = append(lc.before, gm[v])
+	}
+	reached := lc.c.prog.Count()
+	lc.bulkState.RecvBulk(t, listeners, msgIdx, msgs)
+	phase := t % numLanes
+	for k, v := range listeners {
+		if gm[v] > lc.before[k] {
+			lc.raised[phase]++
+		}
+	}
+	lc.reached[phase] += lc.c.prog.Count() - reached
+}
+
+// The per-lane attribution of a broadcast's progress: run through a
+// counting wrapper on a fresh engine, every node that learns the highest
+// message is credited to exactly one phase, so the four reach counts sum
+// to Reached() minus the sources that started with it, and each phase's
+// reach count is at most its count of raising deliveries.
+func TestLaneAttribution(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Grid(16, 16), graph.Path(1024)} {
+		sources := map[int]int64{0: 5, g.N() / 2: 9, g.N() - 1: 9}
+		c, err := New(NewPre(g, g.DiameterEstimate(), Config{}), 1, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := &laneCounter{bulkState: c.bulk}
+		c.Engine = radio.NewEngine(g, lc)
+		if res := c.Run(0); !res.Done {
+			t.Fatalf("%s: broadcast incomplete after %d rounds", g, res.Rounds)
+		}
+		var sum int64
+		for phase, n := range lc.reached {
+			if n > lc.raised[phase] {
+				t.Errorf("%s phase %d: %d nodes reached the highest message, but only %d deliveries raised a value",
+					g, phase, n, lc.raised[phase])
+			}
+			sum += n
+		}
+		if want := int64(c.Reached() - 2); sum != want {
+			t.Errorf("%s: %d nodes credited to a phase, want Reached %d minus 2 sources = %d", g, sum, c.Reached(), want)
+		}
+		t.Logf("%s: per phase (main ICP, main helper, background ICP, background helper): globalMax raised %v, reached the highest message %v",
+			g, lc.raised, lc.reached)
 	}
 }
 

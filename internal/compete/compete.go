@@ -18,14 +18,16 @@
 //     itself notes collisions during precomputation can be ignored at an
 //     O(log n) simulation cost (Section 4).
 //   - The propagation phase runs packet-level on the true collision model
-//     as four time-division lanes (engine round t runs lane t mod 4): the
-//     main process (Intra-Cluster Propagation on the coarse cluster's
-//     random sequence of fine clusterings, curtailed after
-//     O(log n/(β·log D)) per Theorem 2.2), its Algorithm-4 Decay
-//     background that informs cluster-border nodes, the background
-//     Compete process (Algorithm 2: fixed β, round-robin clusterings,
+//     as two Compete processes, time-divided so that engine round t runs
+//     process (t mod 4)>>1: the main process (Intra-Cluster Propagation
+//     on the coarse cluster's random sequence of fine clusterings,
+//     curtailed after O(log n/(β·log D)) per Theorem 2.2) and the
+//     background process (Algorithm 2: fixed β, round-robin clusterings,
 //     longer curtailment) that passes messages across coarse cluster
-//     boundaries, and that process's own Algorithm-4 lane.
+//     boundaries. Each runs its ICP on even t mod 4 and, on odd, its
+//     Algorithm-4 Decay helper that informs cluster-border nodes. The
+//     bulk path (bulk.go) runs both through one lane type: the
+//     background process is a lane whose nodes share one clock.
 //
 // Intra-Cluster Propagation (Algorithm 3) is realized as three sub-phases
 // per clustering slot: outward flood of the center's best message along
@@ -78,11 +80,12 @@ type Config struct {
 	// is what switching clusterings *without* the paper's key insight
 	// costs).
 	DisableCurtail bool
-	// DisableBackground silences lanes 2 and 3 (ablation: progress must
-	// then cross coarse-cluster boundaries unaided).
+	// DisableBackground silences the background process and its helper
+	// (ablation: progress must then cross coarse-cluster boundaries
+	// unaided).
 	DisableBackground bool
-	// DisableHelper silences the Algorithm-4 lanes (ablation: cluster
-	// border nodes are never repaired).
+	// DisableHelper silences both processes' Algorithm-4 helpers
+	// (ablation: cluster border nodes are never repaired).
 	DisableHelper bool
 	// FixedJ forces every main-process slot to use fine exponent j
 	// (ablation for the random-β choice of Theorem 2.2); 0 means random.
@@ -159,7 +162,7 @@ type Compete struct {
 	coinMain uint64
 	coinBg   uint64
 	// coinKey keys every node's transmission coins (rng.WordCoins): the
-	// ICP sweep and Algorithm-4 Decay coins of all four lanes, which the
+	// ICP sweep and Algorithm-4 Decay coins of both processes, which the
 	// engine round t keeps apart.
 	coinKey uint64
 	trueMax int64
@@ -179,13 +182,10 @@ type Compete struct {
 	bulk *bulkState
 }
 
-const (
-	laneMain     = 0
-	laneHelper   = 1
-	laneBg       = 2
-	laneBgHelper = 3
-	numLanes     = 4
-)
+// numLanes is the engine's time-division period: round t runs process
+// (t mod 4)>>1 (0 main, 1 background), its ICP on even t mod 4 and its
+// Algorithm-4 helper on odd.
+const numLanes = 4
 
 // New builds a Compete(S) instance from the seed-independent
 // precomputation pre (NewPre). sources maps source nodes to their
@@ -238,16 +238,8 @@ func New(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) {
 	for j := pre.jmin; j <= pre.jmax; j++ {
 		beta := math.Pow(2, -float64(j))
 		for q := 0; q < perJ; q++ {
-			part := cluster.PartitionScratch(g, beta, master.Fork(100+uint64(fid)), &partScr)
-			sch := schedule.BuildScratch(g, part, cont)
-			ell := pre.ellMain[j-pre.jmin]
-			if cfg.DisableCurtail {
-				ell = int32(part.MaxStrongRadius())
-				if ell < 2 {
-					ell = 2
-				}
-			}
-			c.mains = append(c.mains, c.newFine(part, sch, beta, j, ell))
+			f := c.newFine(beta, j, pre.ellMain[j-pre.jmin], master.Fork(100+uint64(fid)), &partScr, cont)
+			c.mains = append(c.mains, f)
 			c.byJ[j] = append(c.byJ[j], fid)
 			fid++
 		}
@@ -256,16 +248,7 @@ func New(pre *Pre, seed uint64, sources map[int]int64) (*Compete, error) {
 	// 3) Background clusterings (Algorithm 2): fixed β = D^-bgBetaExp,
 	// curtailment O(log n/β).
 	for q := 0; q < bgNumFine; q++ {
-		part := cluster.PartitionScratch(g, pre.bgBeta, master.Fork(5000+uint64(q)), &partScr)
-		sch := schedule.BuildScratch(g, part, cont)
-		ell := pre.ellBg
-		if cfg.DisableCurtail {
-			ell = int32(part.MaxStrongRadius())
-			if ell < 2 {
-				ell = 2
-			}
-		}
-		c.bgs = append(c.bgs, c.newFine(part, sch, pre.bgBeta, 0, ell))
+		c.bgs = append(c.bgs, c.newFine(pre.bgBeta, 0, pre.ellBg, master.Fork(5000+uint64(q)), &partScr, cont))
 	}
 
 	c.PrecomputeRounds = c.precomputeCharge()
@@ -314,8 +297,17 @@ func SubPhaseRounds(ell int32, maxLevel int) int64 {
 	return max(4, int64(hopSlack*ell+tailSweeps)*int64(maxLevel))
 }
 
-// newFine computes slot geometry for a clustering with curtailment ell.
-func (c *Compete) newFine(part *cluster.Result, sch *schedule.Schedule, beta float64, j int, ell int32) fine {
+// newFine builds one fine clustering of c's graph with parameter beta
+// (exponent j; 0 for the background process), drawn from r, its schedule
+// and its slot geometry for curtailment ell. Under DisableCurtail a slot
+// runs to the clustering's strong radius (at least 2) instead. scr and
+// cont are the construction's shared build buffers.
+func (c *Compete) newFine(beta float64, j int, ell int32, r *rng.Rand, scr *cluster.Scratch, cont []int32) fine {
+	part := cluster.PartitionScratch(c.g, beta, r, scr)
+	sch := schedule.BuildScratch(c.g, part, cont)
+	if c.cfg.DisableCurtail {
+		ell = max(2, int32(part.MaxStrongRadius()))
+	}
 	subLen := SubPhaseRounds(ell, sch.MaxLevel)
 	return fine{
 		part:    part,

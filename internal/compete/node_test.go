@@ -22,6 +22,14 @@ type cnode struct {
 	bg   icpState
 }
 
+// The reference's lanes, by engine round t mod numLanes.
+const (
+	laneMain     = 0
+	laneHelper   = 1
+	laneBg       = 2
+	laneBgHelper = 3
+)
+
 // icpState is one lane's Intra-Cluster Propagation position for a node.
 type icpState struct {
 	fid      int32 // index into the lane's fine set

@@ -199,6 +199,7 @@ func (e *Engine) SetShards(k int) {
 			st.dirty = make([]uint64, len(e.dirty))
 		}
 	}
+	e.setInbox()
 	e.rangeAct = nil
 	if k > 1 {
 		e.rangeAct, _ = e.proto.(BulkRangeActor)

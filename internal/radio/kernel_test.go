@@ -183,3 +183,50 @@ func TestResolveIgnoresStaleInbox(t *testing.T) {
 		}
 	}
 }
+
+// TestInboxOnlyWhereMarkCSRRuns pins when the engine holds an inbox: only
+// an unsharded engine over a graph without bands and with at least one
+// CSR-only node, where markCSR writes it. A band graph, an all-dense
+// graph and a sharded engine hold none, and SetShards(1) after a sharded
+// setting restores it.
+func TestInboxOnlyWhereMarkCSRRuns(t *testing.T) {
+	b := graph.NewBuilder("path-hub", 131)
+	for v := 1; v < 130; v++ {
+		b.AddEdge(v-1, v)
+	}
+	for v := range 130 {
+		b.AddEdge(v, 130)
+	}
+	cases := []struct {
+		g     *graph.Graph
+		bands bool
+		dense int  // dense rows
+		inbox bool // unsharded
+	}{
+		{graph.Path(200), true, 0, false},
+		{graph.Complete(130), false, 130, false},
+		{graph.RandomTree(200, rng.New(1)), false, 0, true},
+		{b.Build(), false, 1, true}, // only the hub has a dense row
+	}
+	for _, c := range cases {
+		if (c.g.Bands() != nil) != c.bands || c.g.DenseAdj().Rows() != c.dense {
+			t.Fatalf("%s: bands %v, dense rows %d", c.g, c.g.Bands() != nil, c.g.DenseAdj().Rows())
+		}
+		e := NewEngine(c.g, nil)
+		check := func(when string, want bool) {
+			t.Helper()
+			if got := e.inbox != nil; got != want || want && len(e.inbox) != c.g.N() {
+				t.Errorf("%s %s: inbox of %d entries (nil %v), want nil %v", c.g, when, len(e.inbox), !got, !want)
+			}
+		}
+		check("new", c.inbox)
+		e.SetShards(2)
+		if e.shards != 2 {
+			t.Fatalf("%s: %d shards, want 2", c.g, e.shards)
+		}
+		check("at 2 shards", false)
+		e.SetShards(1)
+		check("back at 1 shard", c.inbox)
+		e.Close()
+	}
+}

@@ -121,7 +121,7 @@ type Engine struct {
 	txw      []uint64 // transmitted this round
 	dirty    []uint64 // summary: bit w set if onair word w was touched (exact or a superset, see kernel.go)
 
-	inbox    []int32   // txmsg index of a listener's last CSR marker (see markCSR; nil on band graphs)
+	inbox    []int32   // txmsg index of a listener's last CSR marker (see markCSR; nil where it never runs, see setInbox)
 	txidx    []int32   // node -> transmit-list index (valid while its txw bit is set)
 	txwords  []int32   // words of txw holding a transmitter, for resolve (dense graphs only)
 	txmsg    []Message // scratch: messages of transmitting nodes, parallel to transmit
@@ -191,12 +191,8 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		e.dense = d
 		e.txwords = make([]int32, 0, words)
 	}
-	// A band graph is marked by word loops and resolved through the
-	// bit-planes, so it needs no inbox.
 	if b := g.Bands(); b != nil {
 		e.setBands(b)
-	} else {
-		e.inbox = make([]int32, n)
 	}
 	if n > 0 {
 		e.tailMask = ^uint64(0)
@@ -214,7 +210,21 @@ func NewEngine(g *graph.Graph, p Protocol) *Engine {
 		eng: e, w1: words, hi: int32(n),
 		onair: e.onair, collided: e.collided, dirty: e.dirty,
 	}
+	e.setInbox()
 	return e
+}
+
+// setInbox allocates inbox where markCSR can write it: on an unsharded
+// engine over a graph without bands, some of whose nodes lack a dense
+// row. Elsewhere inbox is nil: a band graph is marked by word loops and
+// resolved through the bit-planes, an all-dense graph's marking never
+// reaches a CSR row, and the sharded marking pass writes no inbox.
+func (e *Engine) setInbox() {
+	if e.shards > 1 || e.bands != nil || e.G.DenseAdj().Rows() == e.G.N() {
+		e.inbox = nil
+	} else if e.inbox == nil {
+		e.inbox = make([]int32, e.G.N())
+	}
 }
 
 // Round returns the index of the next round to execute.
